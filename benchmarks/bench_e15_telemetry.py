@@ -227,36 +227,107 @@ def test_e15_hook_overhead_bounded():
         f"(budget 2%)")
 
 
-def measure_instrumentation_matrix() -> dict:
-    """Wall seconds of one workload under each instrumentation mode."""
+MATRIX_MODES = ("baseline", "profiler", "telemetry", "traced")
+
+
+def _matrix_run(mode: str, prepare=None):
+    """One seeded read workload under ``mode``; returns its domain.
+
+    ``prepare(domain)`` runs once the system and its instrument are up,
+    just before the client starts (the counted pass hooks the engine there).
+    """
     from repro.kernel.domain import Domain
     from repro.runtime.workstation import setup_workstation, standard_prefixes
     from repro.servers.base import start_server
     from repro.servers.fileserver.server import VFileServer
 
+    obs = Observability() if mode == "traced" else None
+    domain = Domain(obs=obs)
+    workstation = setup_workstation(domain, "mann")
+    handle = start_server(domain.create_host("vax1"),
+                          VFileServer(user="mann"))
+    standard_prefixes(workstation, handle)
+    if mode == "profiler":
+        domain.enable_profiler()
+    elif mode == "telemetry":
+        domain.enable_telemetry(interval=0.05)
+    if prepare is not None:
+        prepare(domain)
+
+    def client(session):
+        yield from files.write_file(session, "[home]f.txt", b"x" * 64)
+        for __ in range(100):
+            yield from files.read_file(session, "[home]f.txt")
+
+    run_on(domain, workstation.host, client(workstation.session()))
+    return domain
+
+
+def measure_instrumentation_matrix() -> dict:
+    """Wall seconds of one workload under each instrumentation mode."""
     def run_mode(mode: str) -> float:
         start = time.perf_counter()
-        obs = Observability() if mode == "traced" else None
-        domain = Domain(obs=obs)
-        workstation = setup_workstation(domain, "mann")
-        handle = start_server(domain.create_host("vax1"),
-                              VFileServer(user="mann"))
-        standard_prefixes(workstation, handle)
-        if mode == "profiler":
-            domain.enable_profiler()
-        elif mode == "telemetry":
-            domain.enable_telemetry(interval=0.05)
-
-        def client(session):
-            yield from files.write_file(session, "[home]f.txt", b"x" * 64)
-            for __ in range(100):
-                yield from files.read_file(session, "[home]f.txt")
-
-        run_on(domain, workstation.host, client(workstation.session()))
+        _matrix_run(mode)
         return time.perf_counter() - start
 
-    return {mode: run_mode(mode)
-            for mode in ("baseline", "profiler", "telemetry", "traced")}
+    return {mode: run_mode(mode) for mode in MATRIX_MODES}
+
+
+def measure_instrumentation_counts() -> dict:
+    """What each mode does to the event stream, counted (untimed pass).
+
+    Per mode: events fired (the engine's own count and the process-wide
+    ``Engine.total_events`` delta), telemetry ticks, final simulated time,
+    ``schedule*`` calls made and :class:`ScheduledEvent` objects built.
+    """
+    from repro.sim.engine import Engine, ScheduledEvent
+
+    def run_mode(mode: str) -> dict:
+        counts = {"scheduled": 0}
+
+        def hook_engine(domain):
+            engine = domain.engine
+            schedule, schedule_at, schedule_many = (
+                engine.schedule, engine.schedule_at, engine.schedule_many)
+
+            def counted(method):
+                def call(*args):
+                    counts["scheduled"] += 1
+                    return method(*args)
+                return call
+
+            def counted_many(delay, calls):
+                calls = list(calls)
+                counts["scheduled"] += len(calls)
+                return schedule_many(delay, calls)
+
+            engine.schedule = counted(schedule)
+            engine.schedule_at = counted(schedule_at)
+            engine.schedule_many = counted_many
+            del allocated[:]        # count the workload, not the set-up
+
+        allocated = []
+        init = ScheduledEvent.__init__
+
+        def counting_init(self, *args, **kwargs):
+            allocated.append(None)
+            init(self, *args, **kwargs)
+
+        total_before = Engine.total_events
+        ScheduledEvent.__init__ = counting_init
+        try:
+            domain = _matrix_run(mode, prepare=hook_engine)
+        finally:
+            ScheduledEvent.__init__ = init
+        counts["allocated"] = len(allocated)
+        counts["events"] = domain.engine.events_processed
+        counts["total_events"] = Engine.total_events - total_before
+        counts["ticks"] = (domain.telemetry.ticks
+                           if domain.telemetry is not None else 0)
+        counts["sim_end"] = domain.now
+        return counts
+
+    return {mode: run_mode(mode) for mode in MATRIX_MODES}
 
 
 def test_e15_instrumentation_matrix():
@@ -266,8 +337,23 @@ def test_e15_instrumentation_matrix():
         [(mode, seconds * 1e3) for mode, seconds in matrix.items()],
         headers=("mode", "wall ms"),
     )
-    for seconds in matrix.values():
-        assert seconds > 0
+    # Wall numbers are the printed table; what is gated is deterministic.
+    counts = measure_instrumentation_counts()
+    baseline = counts["baseline"]
+    assert baseline["events"] > 1000
+    for mode, row in counts.items():
+        # Every loop variant keeps both event counters exact.
+        assert row["events"] == row["total_events"], mode
+        # An observer adds no events of its own except the sampling tick.
+        assert row["events"] - row["ticks"] == baseline["events"], mode
+    for mode in ("profiler", "traced"):
+        assert counts[mode]["sim_end"] == baseline["sim_end"], mode
+    # Attribution rides in the heap entries: under the profiler an event
+    # object is built per cancellable schedule*, never per post.
+    profiler = counts["profiler"]
+    assert profiler["allocated"] == profiler["scheduled"]
+    assert profiler["scheduled"] == baseline["scheduled"]
+    assert profiler["allocated"] < profiler["events"] // 2
 
 
 # --------------------------------------------------------------- trajectory

@@ -244,8 +244,11 @@ class Domain:
         if self.profiler is None:
             from repro.obs.profile import Profiler
 
-            self.profiler = Profiler(engine=self.engine)
-            self.engine.attach_profiler(self.profiler)
+            # Attach before publishing: a refused attach (first sink from
+            # inside run()) must not leave a dead sink behind.
+            profiler = Profiler(engine=self.engine)
+            self.engine.attach_profiler(profiler)
+            self.profiler = profiler
         return self.profiler
 
     def enable_telemetry(self, interval: float | None = None,

@@ -251,14 +251,15 @@ class Host:
         *replaces* the engine's current stack (saved and restored around the
         step) so interleaved processes never inherit each other's frames.
         """
-        profiling = self.engine.profiling
-        if profiling:
-            saved_scope = self.engine.profile_scope(self._profile_frames(proc))
+        engine = self.engine
+        if not engine.profiling:
+            self._advance_inner(proc, value, exc, first)
+            return
+        saved_scope = engine.profile_scope(self._profile_frames(proc))
         try:
             self._advance_inner(proc, value, exc, first)
         finally:
-            if profiling:
-                self.engine.profile_restore(saved_scope)
+            engine.profile_restore(saved_scope)
 
     def _advance_inner(self, proc: Process, value: Any,
                        exc: BaseException | None, first: bool) -> None:
@@ -343,33 +344,41 @@ class Host:
     # -------------------------------------------------------------- dispatch
 
     def _dispatch(self, proc: Process, effect: Any) -> Any:
+        """The profiled effect dispatch: the handler runs under its CSNH
+        phase frame, so everything it schedules (delivery hops, frames,
+        timers) inherits it."""
         handler = _EFFECT_HANDLERS.get(type(effect))
         if handler is None:
             raise IllegalEffect(
                 f"process {proc.name!r} yielded {effect!r}, which is not a kernel effect"
             )
-        if self.engine.profiling:
-            # CSNH phase frame for the duration of the handler: everything
-            # it schedules (delivery hops, frames, timers) inherits it.
-            label = _EFFECT_PHASES.get(type(effect))
-            if label is not None:
-                self.engine.profile_push(label)
-                try:
-                    return handler(self, proc, effect)
-                finally:
-                    self.engine.profile_pop(label)
-        return handler(self, proc, effect)
+        label = _EFFECT_PHASES.get(type(effect))
+        if label is None:
+            return handler(self, proc, effect)
+        engine = self.engine
+        saved_scope = engine.profile_enter(label)
+        try:
+            return handler(self, proc, effect)
+        finally:
+            engine.profile_restore(saved_scope)
 
     def _profile_frames(self, proc: Process) -> tuple:
         """The attribution scope for stepping ``proc``: host -> process
         (-> service kind when it differs from the process name) plus any
-        frames the process opened with ProfileEnter."""
+        frames the process opened with ProfileEnter.  Cached on the process
+        beside the kind it was built for, so a later ``register_actor``
+        shows; ProfileEnter/ProfileExit drop the cache."""
+        obs = self.obs
+        kind = obs.actors.get(proc.pid.value) if obs is not None else None
+        cached = proc.scope_cache
+        if cached is not None and cached[0] == kind:
+            return cached[1]
         frames = ("host:" + self.name, "proc:" + proc.name)
-        if self.obs is not None:
-            kind = self.obs.actors.get(proc.pid.value)
-            if kind is not None and kind != proc.name:
-                frames += ("svc:" + kind,)
-        return frames + proc.profile_frames
+        if kind is not None and kind != proc.name:
+            frames += ("svc:" + kind,)
+        frames += proc.profile_frames
+        proc.scope_cache = (kind, frames)
+        return frames
 
     def profile(self):
         """A scoped profiler reporting only this host's frames.
@@ -863,6 +872,7 @@ class Host:
         if self.engine.profiling:
             label = "phase:" + effect.label
             proc.profile_frames += (label,)
+            proc.scope_cache = None
             self.engine.profile_push(label)
         return None
 
@@ -870,6 +880,7 @@ class Host:
         if self.engine.profiling and proc.profile_frames:
             label = proc.profile_frames[-1]
             proc.profile_frames = proc.profile_frames[:-1]
+            proc.scope_cache = None
             self.engine.profile_pop(label)
         return None
 
@@ -900,20 +911,21 @@ class Host:
             return
         frame = self._acquire_frame(
             self.host_id, dst, packet, packet.payload_bytes)
-        if self.engine.profiling:
+        engine = self.engine
+        if engine.profiling:
             # One message out: bump the current stack's message/byte
             # totals, and charge the propagation (the arrival event the
             # ethernet schedules) to a wire frame under this phase.
-            self.engine.profile_count_message(packet.payload_bytes)
-            self.engine.profile_push("phase:wire")
+            engine.profile_count_message(packet.payload_bytes)
+            saved_scope = engine.profile_enter("phase:wire")
             try:
                 arrival = self.ethernet.transmit(frame)
             finally:
-                self.engine.profile_pop("phase:wire")
+                engine.profile_restore(saved_scope)
         else:
             arrival = self.ethernet.transmit(frame)
         if on_sent is not None:
-            self.engine.post_at(arrival, on_sent)
+            engine.post_at(arrival, on_sent)
 
     def _on_frame(self, frame: Frame) -> None:
         if self.crashed:

@@ -88,7 +88,7 @@ class Process:
     """One V process: a task plus kernel IPC state."""
 
     __slots__ = ("pid", "task", "name", "state", "msg_queue", "recv_filter",
-                 "pending_txn", "unreplied", "profile_frames")
+                 "pending_txn", "unreplied", "profile_frames", "scope_cache")
 
     def __init__(self, pid: Pid, task: Task, name: str) -> None:
         self.pid = pid
@@ -109,6 +109,11 @@ class Process:
         #: survive generator suspension without leaking into the stacks of
         #: interleaved processes.
         self.profile_frames: tuple = ()
+        #: The kernel's cached profiler scope for stepping this process, as
+        #: ``(actor kind, host -> process (-> service) + profile_frames)``,
+        #: or None when it must be rebuilt: whoever changes profile_frames
+        #: resets it, and a changed kind misses.  The name is fixed at spawn.
+        self.scope_cache: Optional[tuple] = None
 
     @property
     def alive(self) -> bool:

@@ -54,7 +54,7 @@ PROFILE_SCHEMA = 1
 UNATTRIBUTED = ("(unattributed)",)
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameStats:
     """Totals charged to one attribution stack."""
 
@@ -95,19 +95,28 @@ class Profiler:
 
     def account(self, stack: Tuple[str, ...], dt: float) -> None:
         """Charge ``dt`` simulated seconds (one clock advance) to ``stack``."""
-        stats = self.stats.get(stack or UNATTRIBUTED)
+        stats = self.stats.get(stack)
         if stats is None:
-            stats = self.stats[stack or UNATTRIBUTED] = FrameStats()
+            stats = self._frame(stack)
         stats.seconds += dt
         stats.events += 1
 
     def count_message(self, stack: Tuple[str, ...], nbytes: int) -> None:
         """Charge one wire message of ``nbytes`` to ``stack``."""
-        stats = self.stats.get(stack or UNATTRIBUTED)
+        stats = self.stats.get(stack)
         if stats is None:
-            stats = self.stats[stack or UNATTRIBUTED] = FrameStats()
+            stats = self._frame(stack)
         stats.messages += 1
         stats.bytes += nbytes
+
+    def _frame(self, stack: Tuple[str, ...]) -> FrameStats:
+        """Get or create the totals of a stack the one-probe lookup missed:
+        a new stack, or the empty one (filed under UNATTRIBUTED)."""
+        key = stack or UNATTRIBUTED
+        stats = self.stats.get(key)
+        if stats is None:
+            stats = self.stats[key] = FrameStats()
+        return stats
 
     # ----------------------------------------------------- context manager
 

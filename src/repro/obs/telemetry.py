@@ -342,7 +342,13 @@ class TelemetryCollector:
         self.domain = domain
         self.interval = interval
         self.capacity = capacity
+        #: Fixed at construction: the per-subject evaluation lists below
+        #: are split from it once.
         self.rules: list[SloRule] = list(rules or [])
+        self._fleet_rules = [rule for rule in self.rules
+                             if rule.scope == "fleet"]
+        self._host_rules = [rule for rule in self.rules
+                            if rule.scope != "fleet"]
         self.alerts = AlertLog()
         self.series: dict[tuple[str, str], TimeSeries] = {}
         self.ticks = 0
@@ -356,6 +362,10 @@ class TelemetryCollector:
         self._open_gaps: dict[str, float] = {}
         #: host name -> closed (start, end) sampling gaps, in time order.
         self._gaps: dict[str, list[tuple[float, float]]] = {}
+        #: The domain's hosts in host_id order, or None when a host was
+        #: created since the last tick sorted them.
+        self._host_order: Optional[list["Host"]] = None
+        domain.on_host_created(self._host_created)
         self._event = None
         self.parked = False
         self.enabled = True
@@ -373,6 +383,9 @@ class TelemetryCollector:
         if self._event is not None:
             self._event.cancel()
             self._event = None
+
+    def _host_created(self, host: "Host") -> None:
+        self._host_order = None
 
     # ------------------------------------------------------- kernel hooks
 
@@ -473,8 +486,11 @@ class TelemetryCollector:
         t = self.domain.engine.now
         fleet_totals: dict[str, float] = {}
         fleet_maxima: dict[str, float] = {}
-        for host in sorted(self.domain.hosts.values(),
-                           key=lambda h: h.host_id):
+        hosts = self._host_order
+        if hosts is None:
+            hosts = self._host_order = sorted(
+                self.domain.hosts.values(), key=lambda h: h.host_id)
+        for host in hosts:
             if host.crashed:
                 # A down machine produces no samples.  The silence alone is
                 # ambiguous to a reader of the ring buffer (idle vs dead),
@@ -515,10 +531,8 @@ class TelemetryCollector:
 
     def _evaluate(self, subject: str, sample: dict[str, float]) -> None:
         t = self.domain.engine.now
-        is_fleet = subject == FLEET
-        for rule in self.rules:
-            if (rule.scope == "fleet") != is_fleet:
-                continue
+        rules = self._fleet_rules if subject == FLEET else self._host_rules
+        for rule in rules:
             key = (rule.name, subject)
             state = self._states.get(key)
             if state is None:

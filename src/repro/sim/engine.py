@@ -13,23 +13,31 @@ properties matter for the reproduction:
 
 Hot-path layout (the ROADMAP's >= 10^6 events/sec target):
 
-- Heap entries are plain ``(time, seq, callback, args, event)`` tuples, so
+- Heap entries are plain ``(time, seq, callback, args, slot)`` tuples, so
   every sift comparison is a C-level tuple compare; ``seq`` is unique, so
-  nothing past it is ever compared.  The trailing ``event`` slot is a
-  :class:`ScheduledEvent` -- a ``__slots__`` flyweight carrying only
+  nothing past it is ever compared.  The trailing slot has three states:
+  a :class:`ScheduledEvent` -- a ``__slots__`` flyweight carrying only
   cancellation state and the profiler's attribution stamp -- for entries
-  the caller may cancel, and ``None`` for fire-and-forget work posted via
+  the caller may cancel; ``None`` for fire-and-forget work posted via
   :meth:`Engine.post` / :meth:`Engine.post_at`, which skips the event
-  allocation entirely.  Kernel frame hops (transmit, deliver, handle) are
-  all posts, so the dominant event traffic allocates one tuple and nothing
-  else.
-- ``step``/``run``/``schedule*`` come in two complete variants.  The class
-  methods *are* the fast path and contain no profiler branch at all.  When
-  the first profiler sink attaches, :meth:`attach_profiler` performs a
-  one-time dispatch swap -- instance attributes shadowing the class methods
-  with the instrumented variants -- and detaching the last sink removes
-  them.  The cost of profiling support on an unprofiled engine is therefore
-  zero per event, not one branch per event.
+  allocation entirely; and, for work posted *while a profiler is
+  attached*, the attribution stamp itself (a tuple of frame labels), so
+  profiling allocates no event either.  Kernel frame hops (transmit,
+  deliver, handle) are all posts, so the dominant event traffic allocates
+  one tuple and nothing else, profiled or not.
+- ``step``/``run``/``schedule*``/``post*`` come in two complete variants.
+  The class methods *are* the fast path and contain no profiler branch at
+  all.  When the first profiler sink attaches, :meth:`attach_profiler`
+  performs a one-time dispatch swap -- instance attributes shadowing the
+  class methods with the instrumented variants -- and detaching the last
+  sink removes them, after sweeping the stamps of still-queued posts back
+  to ``None``: the fast path only ever sees "``None`` or a cancellable
+  event" in the slot.  The cost of profiling support on an unprofiled
+  engine is therefore zero per event, not one branch per event.  The
+  instrumented ``run`` is one inlined loop (no per-event method call or
+  ``try``), charges a sole sink through its own bound ``account`` (the
+  fan-out loop serves only two or more sinks), and flushes an attached
+  flight recorder on the recording loop's cadence.
 - :meth:`schedule_many` batches same-tick bursts (a kernel fanning a group
   send out to local members) behind one heap push: the batch consumes one
   sequence number per callback, so firing order is *identical* to the
@@ -38,8 +46,9 @@ Hot-path layout (the ROADMAP's >= 10^6 events/sec target):
 
 Attribution profiling (:mod:`repro.obs.profile`) hooks into the
 instrumented variants: every scheduled event is stamped with the
-attribution stack current at *schedule* time, and every clock advance is
-charged to the stack of the event that advanced it.  Because the advances
+attribution stack current at *schedule* time (in its event object, or
+directly in the heap slot for posts), and every clock advance is charged
+to the stack of the event that advanced it.  Because the advances
 partition the clock, the per-frame totals sum exactly to elapsed simulated
 time -- and because the stamp is inherited while an event's callback runs,
 transitively scheduled work (a reply frame, a retransmission timer) stays
@@ -174,8 +183,9 @@ class Engine:
     #: class attribute so it cannot be listed here).
     __slots__ = ("_queue", "_seq", "_now", "_running", "_events_processed",
                  "_cancelled_in_queue", "_batch_extra", "_on_cancel",
-                 "_compactions", "_profilers", "_attr_stack", "_attr_dups",
-                 "_recorder", "_fire_seq", "__dict__", "__weakref__")
+                 "_compactions", "_profilers", "_account", "_count_message",
+                 "_attr_stack", "_attr_dups", "_recorder", "_fire_seq",
+                 "__dict__", "__weakref__")
 
     #: Compaction never runs below this queue size: rebuilding a tiny heap
     #: costs more bookkeeping than the dead entries do.
@@ -219,15 +229,23 @@ class Engine:
         #: Attached profiler sinks (see repro.obs.profile).  Duck-typed:
         #: each needs account(stack, dt) and count_message(stack, nbytes).
         self._profilers: list[Any] = []
+        #: Where clock advances and wire messages are charged: the sole
+        #: sink's own bound methods while exactly one is attached, the
+        #: fan-out loops otherwise (rebound by _refresh_dispatch).
+        self._account: Callable[[tuple, float], None] = self._account_all
+        self._count_message: Callable[[tuple, int], None] = (
+            self._count_message_all)
         #: The current attribution stack: a tuple of frame labels naming what
         #: the simulation is doing *right now* (host -> process -> phase).
         self._attr_stack: tuple = ()
-        #: Parallel per-frame duplicate counts: profile_push deduplicates a
-        #: label equal to the innermost frame, and this records how many
-        #: such no-op pushes are outstanding so profile_pop stays
-        #: depth-balanced (popping a deduplicated label must not remove the
-        #: frame somebody else pushed).
-        self._attr_dups: tuple = ()
+        #: Per-frame duplicate counts, parallel to the stack: profile_push
+        #: deduplicates a label equal to the innermost frame, and this
+        #: records how many such no-op pushes are outstanding so profile_pop
+        #: stays depth-balanced (popping a deduplicated label must not
+        #: remove the frame somebody else pushed).  None while no duplicate
+        #: is outstanding -- the state every fired event and every process
+        #: step starts in, so neither builds a tuple of zeros.
+        self._attr_dups: Optional[tuple] = None
         #: Attached flight recorder (see repro.obs.flight), or None.  The
         #: engine never calls it per event; it only maintains _fire_seq so
         #: kernel record sites can stamp flight records with the sequence
@@ -246,9 +264,10 @@ class Engine:
     def events_processed(self) -> int:
         """Total number of events that have fired so far.
 
-        Exact between runs; during :meth:`run` the fast path accumulates
-        into a local and flushes on exit, so mid-run reads (only possible
-        from inside a callback) may lag the true count.
+        Exact between runs; during :meth:`run` every loop (fast path,
+        recording and instrumented alike) accumulates into a local and
+        flushes on exit, so mid-run reads (only possible from inside a
+        callback) lag the true count, as does ``Engine.total_events``.
         """
         return self._events_processed
 
@@ -289,14 +308,24 @@ class Engine:
         """Install the method set matching the attached instrumentation.
 
         One-time dispatch swap instead of per-event branches: any profiler
-        wins (its instrumented variants also maintain ``_fire_seq``, so a
-        recorder rides along); a recorder alone installs only the recording
-        step/run pair (scheduling stays on the fast path); with neither, the
-        shadows are removed and the class methods -- the fast path -- serve.
+        wins (its instrumented variants also maintain ``_fire_seq`` and
+        flush the recorder, so a recorder rides along); a recorder alone
+        installs only the recording step/run pair (scheduling stays on the
+        fast path); with neither, the shadows are removed and the class
+        methods -- the fast path -- serve.  The charge targets are bound
+        here too: a sole sink's ``account``/``count_message`` are called
+        directly, the fan-out loops only serve two or more sinks.
         """
         for name in self._SWAPPED:
             self.__dict__.pop(name, None)
-        if self._profilers:
+        sinks = self._profilers
+        if len(sinks) == 1:
+            self._account = sinks[0].account
+            self._count_message = sinks[0].count_message
+        else:
+            self._account = self._account_all
+            self._count_message = self._count_message_all
+        if sinks:
             self.step = self._step_instrumented
             self.run = self._run_instrumented
             self.schedule = self._schedule_instrumented
@@ -309,21 +338,38 @@ class Engine:
             self.run = self._run_recording
 
     def attach_profiler(self, sink: Any) -> None:
-        """Attach a profiler sink; it is charged every clock advance."""
-        if sink not in self._profilers:
-            self._profilers.append(sink)
-            self.profiling = True
-            sink.attached(self)
-            if len(self._profilers) == 1:
-                self._refresh_dispatch()
+        """Attach a profiler sink; it is charged every clock advance.
+
+        The first sink must attach between runs: the instrumented posts
+        stamp heap entries in a way only the instrumented loop reads, and a
+        fast-path ``run()`` already in progress cannot be swapped out.
+        """
+        if sink in self._profilers:
+            return
+        if self._running and not self._profilers:
+            raise SimulationError(
+                "cannot attach the first profiler from inside run()")
+        self._profilers.append(sink)
+        self.profiling = True
+        sink.attached(self)
+        self._refresh_dispatch()
 
     def detach_profiler(self, sink: Any) -> None:
-        if sink in self._profilers:
-            self._profilers.remove(sink)
-            sink.detached(self)
-            if not self._profilers:
-                self.__dict__.pop("profiling", None)
-                self._refresh_dispatch()
+        if sink not in self._profilers:
+            return
+        self._profilers.remove(sink)
+        sink.detached(self)
+        if not self._profilers:
+            self.__dict__.pop("profiling", None)
+            # The fast path reads heap slot 4 as "None or a cancellable
+            # event": strip the stamps of still-queued posts back to None
+            # before it serves again.  (time, seq) are untouched, so the
+            # heap order -- and therefore firing order -- is too.
+            queue = self._queue
+            for index, entry in enumerate(queue):
+                if entry[4].__class__ is tuple:
+                    queue[index] = entry[:4] + (None,)
+        self._refresh_dispatch()
 
     def attach_recorder(self, sink: Any) -> None:
         """Attach the flight recorder; only one may be attached at a time.
@@ -351,16 +397,35 @@ class Engine:
     def profile_scope(self, frames: tuple) -> tuple:
         """Replace the attribution stack; returns an opaque restore token.
 
-        Used by the kernel when it switches to running a particular process:
-        the scope *replaces* rather than extends, so interleaved processes
-        never inherit each other's frames.  Pass the returned token back to
+        Used when switching to running a particular process: the scope
+        *replaces* rather than extends, so interleaved processes never
+        inherit each other's frames.  Pass the returned token back to
         :meth:`profile_restore`; it carries both the previous stack and its
         duplicate-push counts, so push/pop balance survives the swap.
         """
         token = (self._attr_stack, self._attr_dups)
         self._attr_stack = frames
-        self._attr_dups = (0,) * len(frames)
+        self._attr_dups = None
         return token
+
+    def profile_enter(self, label: str) -> tuple:
+        """Open one frame for a bracketed region; returns the restore token.
+
+        The scoped form of :meth:`profile_push`: the caller runs the region
+        and hands the token to :meth:`profile_restore`, which is the pop.
+        A label equal to the innermost frame opens nothing (same
+        deduplication as ``profile_push``), and since the restore puts back
+        the exact prior state, nothing needs counting.  One tuple build per
+        frame opened; this is what the kernel brackets every effect
+        dispatch and frame transmit with.
+        """
+        stack = self._attr_stack
+        dups = self._attr_dups
+        if not stack or stack[-1] != label:
+            self._attr_stack = stack + (label,)
+            if dups is not None:
+                self._attr_dups = dups + (0,)
+        return (stack, dups)
 
     def profile_restore(self, token: tuple) -> None:
         self._attr_stack, self._attr_dups = token
@@ -373,31 +438,38 @@ class Engine:
         consumes the count instead of removing the frame someone else
         pushed, so push/pop always balances."""
         stack = self._attr_stack
+        dups = self._attr_dups
         if stack and stack[-1] == label:
-            dups = self._attr_dups
+            if dups is None:
+                dups = (0,) * len(stack)
             self._attr_dups = dups[:-1] + (dups[-1] + 1,)
         else:
             self._attr_stack = stack + (label,)
-            self._attr_dups = self._attr_dups + (0,)
+            if dups is not None:
+                self._attr_dups = dups + (0,)
 
     def profile_pop(self, label: str) -> None:
         stack = self._attr_stack
         if stack and stack[-1] == label:
             dups = self._attr_dups
-            if dups and dups[-1] > 0:
+            if dups is not None and dups[-1] > 0:
                 self._attr_dups = dups[:-1] + (dups[-1] - 1,)
             else:
                 self._attr_stack = stack[:-1]
-                self._attr_dups = dups[:-1]
+                if dups is not None:
+                    self._attr_dups = dups[:-1]
 
     def profile_count_message(self, nbytes: int) -> None:
         """Charge one network message of ``nbytes`` to the current stack."""
-        for sink in self._profilers:
-            sink.count_message(self._attr_stack, nbytes)
+        self._count_message(self._attr_stack, nbytes)
 
-    def _account(self, stack: Optional[tuple], dt: float) -> None:
+    def _account_all(self, stack: tuple, dt: float) -> None:
         for sink in self._profilers:
-            sink.account(stack or (), dt)
+            sink.account(stack, dt)
+
+    def _count_message_all(self, stack: tuple, nbytes: int) -> None:
+        for sink in self._profilers:
+            sink.count_message(stack, nbytes)
 
     # ----------------------------------------------------------- compaction
 
@@ -416,10 +488,12 @@ class Engine:
                 and self._cancelled_in_queue * 2 > len(queue)):
             # In place: run() holds a local alias to the heap list, so the
             # rebuild must preserve list identity, not rebind the attribute.
-            # Posted (fire-and-forget) entries carry None in the event slot
+            # Posted (fire-and-forget) entries carry None -- or, posted
+            # under profiling, their attribution stamp -- in the event slot
             # and are never cancelled.
             queue[:] = [entry for entry in queue
-                        if entry[4] is None or not entry[4].cancelled]
+                        if entry[4] is None
+                        or not getattr(entry[4], "cancelled", False)]
             heapq.heapify(queue)
             self._cancelled_in_queue = 0
             self._compactions += 1
@@ -627,6 +701,12 @@ class Engine:
     # schedule time, every clock advance is charged to the stack of the
     # event that caused it, and the stamp becomes the current stack while
     # the callback runs so transitively scheduled work inherits it.
+    #
+    # Heap slot 4 has three states here: None (posted before the profiler
+    # attached: unstamped), a tuple (posted under profiling: the stamp
+    # itself, no event object), or a ScheduledEvent (cancellable; the stamp
+    # is its ``attribution``).  Only these variants ever read a tuple
+    # there -- detach_profiler strips them before the fast path returns.
 
     def _schedule_instrumented(
         self, delay: float, callback: Callable[..., None], *args: Any
@@ -652,17 +732,23 @@ class Engine:
 
     def _post_instrumented(self, delay: float, callback: Callable[..., None],
                            *args: Any) -> None:
-        # Posted events must still carry an attribution stamp under
-        # profiling, so the instrumented post allocates a real event.  The
-        # handle is simply not returned -- post's contract.
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._schedule_at_instrumented(self._now + delay, callback, *args)
+        seq = self._seq
+        self._seq = seq + 1
+        _heappush(self._queue, (self._now + delay, seq, callback, args,
+                                self._attr_stack))
 
     def _post_at_instrumented(self, time: float,
                               callback: Callable[..., None],
                               *args: Any) -> None:
-        self._schedule_at_instrumented(time, callback, *args)
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at {time} which is before now ({self._now})"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        _heappush(self._queue, (time, seq, callback, args, self._attr_stack))
 
     def _schedule_many_instrumented(self, delay: float, calls) -> list:
         # Per-event scheduling under profiling: each callback gets its own
@@ -679,37 +765,27 @@ class Engine:
     def _step_instrumented(self) -> bool:
         queue = self._queue
         while queue:
-            time, seq, callback, args, event = _heappop(queue)
-            # An event slot of None means the entry was posted before the
-            # profiler attached; it carries no stamp and is never cancelled.
-            if event is not None:
-                if event.cancelled:
-                    self._cancelled_in_queue -= 1
-                    continue
-                event.on_cancel = None
-                attribution = event.attribution
+            time, seq, callback, args, slot = _heappop(queue)
+            if slot is None or slot.__class__ is tuple:
+                stamp = slot or ()
+            elif slot.cancelled:
+                self._cancelled_in_queue -= 1
+                continue
             else:
-                attribution = None
+                slot.on_cancel = None
+                stamp = slot.attribution or ()
             self._fire_seq = seq
-            # Clock advances partition elapsed time: charging each to the
-            # stack of the event that caused it makes the per-frame totals
-            # sum exactly to end-to-end simulated time.  The event's stamp
-            # becomes the current stack while its callback runs, so
-            # transitively scheduled events inherit attribution.
-            self._account(attribution, time - self._now)
+            self._account(stamp, time - self._now)
             self._now = time
             self._events_processed += 1
             Engine.total_events += 1
-            previous_stack = self._attr_stack
-            previous_dups = self._attr_dups
-            attribution = attribution or ()
-            self._attr_stack = attribution
-            self._attr_dups = (0,) * len(attribution)
+            previous = (self._attr_stack, self._attr_dups)
+            self._attr_stack = stamp
+            self._attr_dups = None
             try:
                 callback(*args)
             finally:
-                self._attr_stack = previous_stack
-                self._attr_dups = previous_dups
+                self._attr_stack, self._attr_dups = previous
             return True
         return False
 
@@ -719,30 +795,63 @@ class Engine:
             raise SimulationError("engine is already running (re-entrant run())")
         self._running = True
         queue = self._queue
+        pop = _heappop
+        limit = float("inf") if max_events is None else max_events
+        horizon = float("inf") if until is None else until
+        recorder = self._recorder
+        flush_step = self._FLUSH_EVERY
+        # fired is at least 1 when compared, so 0 means "never flush".
+        next_flush = flush_step if recorder is not None else 0
         fired = 0
+        # Every event installs its own stamp as the current stack, so the
+        # caller's stack is saved and restored once around the whole loop.
+        previous = (self._attr_stack, self._attr_dups)
         try:
             while queue:
                 entry = queue[0]
-                event = entry[4]
-                if event is not None and event.cancelled:
-                    _heappop(queue)
+                slot = entry[4]
+                cancellable = slot is not None and slot.__class__ is not tuple
+                if cancellable and slot.cancelled:
+                    pop(queue)
                     self._cancelled_in_queue -= 1
                     continue
-                if until is not None and entry[0] > until:
+                time = entry[0]
+                if time > horizon:
                     self._account(("idle",), until - self._now)
                     self._now = until
                     return
-                if max_events is not None and fired >= max_events:
+                if fired >= limit:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; possible livelock"
                     )
-                self._step_instrumented()
+                pop(queue)
+                if cancellable:
+                    slot.on_cancel = None
+                    stamp = slot.attribution or ()
+                else:
+                    stamp = slot or ()
+                self._fire_seq = entry[1]
+                # Clock advances partition elapsed time: charging each to
+                # the stack of the event that caused it makes the per-frame
+                # totals sum exactly to end-to-end simulated time.
+                self._account(stamp, time - self._now)
+                self._now = time
                 fired += 1
+                if fired == next_flush:
+                    next_flush += flush_step
+                    recorder.flush()
+                self._attr_stack = stamp
+                self._attr_dups = None
+                entry[2](*entry[3])
             if until is not None and self._now < until:
                 self._account(("idle",), until - self._now)
                 self._now = until
         finally:
+            self._attr_stack, self._attr_dups = previous
             self._running = False
+            if fired:
+                self._events_processed += fired
+                Engine.total_events += fired
 
     # ----------------------------------------------- recording event loop
     #

@@ -203,6 +203,41 @@ class TestEngineDispatch:
         assert "step" not in engine.__dict__
 
 
+    def test_run_loop_flushes_so_tails_stay_bounded(self):
+        # Regression: the instrumented loop a profiler installs never
+        # flushed the recorder, so lane tails grew with the run.
+        chains = []
+        for profiled in (False, True):
+            domain = Domain(seed=3)
+            recorder = enable_flight_recorder(domain)
+            if profiled:
+                domain.enable_profiler()
+            workstation = domain.create_host("ws")
+            domain.create_host("far").spawn(_echo_server(), "server")
+            tails = []
+
+            def client():
+                yield from _pingers(1500)
+                tails.append(max(len(lane.tail)
+                                 for lane in recorder._lanes.values()))
+
+            def watcher():
+                # Samples mid-run, between flushes, from inside the sim.
+                for __ in range(200):
+                    yield Delay(0.05)
+                    tails.append(max(len(lane.tail)
+                                     for lane in recorder._lanes.values()))
+
+            workstation.spawn(watcher(), "watcher")
+            run_on(domain, workstation, client())
+            assert domain.engine.events_processed > 4 * Engine._FLUSH_EVERY
+            assert max(tails) <= Engine._FLUSH_EVERY + recorder.window
+            recorder.finalize()
+            chains.append(recorder.chains())
+        # The profiler observes; it must not perturb what is recorded.
+        assert chains[0] == chains[1]
+
+
 def _echo_server():
     yield SetPid(1, Scope.BOTH)
     while True:

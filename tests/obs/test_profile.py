@@ -8,6 +8,7 @@ scenario, along with a golden collapsed-stack flamegraph of that run
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +157,82 @@ class TestDomainIntegration:
         assert domain.profiler.total_seconds == pytest.approx(domain.now)
 
 
+    def test_storm_profile_matches_golden(self, monkeypatch):
+        """The always-on profiler of an audited storm, pinned whole.
+
+        The golden is ``domain.profiler.profile()`` of this exact call as
+        captured on the commit *before* the attribution path was made cheap
+        (stamped heap entries, cached process scopes, inlined event loop),
+        so any drift in what is charged where fails loudly.  Regenerate by
+        dumping the ``document`` below with ``json.dumps(sort_keys=True)``.
+        """
+        from repro.faults import chaos
+
+        domains = []
+
+        class CapturingDomain(Domain):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                domains.append(self)
+
+        monkeypatch.setattr(chaos, "Domain", CapturingDomain)
+        chaos.run_replica_storm(seed=11, duration=6.0, watchdogs=True)
+        (domain,) = domains
+        document = domain.profiler.profile()
+        golden = json.loads(
+            Path(__file__).with_name("golden_storm_profile.json").read_text())
+        assert document["frames"] == golden["frames"]
+        assert document == golden
+        # Partition accounting: nothing of the run went missing.
+        assert document["window"] == {"start": 0.0, "end": domain.now}
+        assert sum(frame["seconds"] for frame in document["frames"]) == \
+            pytest.approx(domain.now, rel=1e-12)
+
+    def test_actor_kind_registered_late_reaches_the_cached_scope(self):
+        from repro.kernel.ipc import Delay
+        from repro.obs import Observability
+
+        domain = Domain(seed=0, obs=Observability())
+        domain.enable_profiler()
+        host = domain.create_host("m1")
+
+        def worker():
+            yield Delay(0.010)
+            yield Delay(0.010)
+
+        proc = host.spawn(worker(), name="w")
+        domain.run(until=0.005)          # first step taken, scope cached
+        domain.obs.register_actor(proc.pid, "fileserver")
+        domain.run()
+        stats = domain.profiler.stats
+        # (the first 5 ms of the first Delay went to the run's idle frame)
+        assert stats[("host:m1", "proc:w")].seconds == pytest.approx(0.005)
+        assert stats[("host:m1", "proc:w", "svc:fileserver")].seconds == \
+            pytest.approx(0.010)
+
+
+    def test_refused_mid_run_enable_leaves_no_dead_profiler(self):
+        from repro.sim.engine import SimulationError
+
+        domain = Domain(seed=0)
+        refused = []
+
+        def enable_from_callback():
+            try:
+                domain.enable_profiler()
+            except SimulationError:
+                refused.append(True)
+
+        domain.engine.post(0.001, enable_from_callback)
+        domain.run()
+        assert refused == [True]
+        assert domain.profiler is None
+        # Between runs the same call attaches a live sink.
+        profiler = domain.enable_profiler()
+        domain.run(until=0.010)
+        assert profiler.stats[("idle",)].seconds == pytest.approx(0.009)
+
+
 class TestPushPopBalance:
     """profile_push deduplicates; profile_pop must stay depth-balanced.
 
@@ -197,6 +274,24 @@ class TestPushPopBalance:
         assert engine._attr_stack == ("other",)
         engine.profile_restore(token)
         engine.profile_pop("a")             # the dup, restored with the token
+        assert engine._attr_stack == ("a",)
+        engine.profile_pop("a")
+        assert engine._attr_stack == ()
+
+    def test_enter_brackets_one_frame_and_restore_is_the_pop(self):
+        engine = Engine()
+        engine.profile_push("a")
+        engine.profile_push("a")            # one outstanding dup under it
+        token = engine.profile_enter("phase:wire")
+        assert engine._attr_stack == ("a", "phase:wire")
+        inner = engine.profile_enter("phase:wire")   # dedup: opens nothing
+        assert engine._attr_stack == ("a", "phase:wire")
+        engine.profile_push("phase:wire")   # a counted dup inside the region
+        engine.profile_restore(inner)
+        assert engine._attr_stack == ("a", "phase:wire")
+        engine.profile_restore(token)
+        assert engine._attr_stack == ("a",)
+        engine.profile_pop("a")             # the outer dup survived
         assert engine._attr_stack == ("a",)
         engine.profile_pop("a")
         assert engine._attr_stack == ()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.engine import Engine, SimulationError
+from repro.obs.profile import Profiler
+from repro.sim.engine import Engine, ScheduledEvent, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -253,10 +254,11 @@ class TestPostFireAndForget:
         assert engine.pending == 0
         assert engine.events_processed == 3
 
-    def test_posted_entries_survive_compaction(self):
+    def test_posted_entries_survive_compaction(self, engine=None):
         # Compaction filters by the event slot; posted entries carry None
-        # there and must never be dropped.
-        engine = Engine()
+        # there (their attribution stamp, under a profiler) and must never
+        # be dropped.
+        engine = engine or Engine()
         fired = []
         for i in range(Engine.COMPACT_MIN_QUEUE):
             engine.post(1.0 + i * 0.001, fired.append, i)
@@ -375,3 +377,105 @@ def test_total_events_accumulates_across_engines():
     assert Engine.total_events == 3
     Engine.reset_total_events()
     assert Engine.total_events == 0
+
+
+def _mixed_workload(engine, fired):
+    """Posts, absolute posts and a self-reposting chain, interleaved."""
+    def chain(remaining):
+        fired.append(("chain", remaining))
+        if remaining:
+            engine.post(0.01, chain, remaining - 1)
+
+    for i in range(20):
+        engine.post(0.1 + i * 0.01, fired.append, ("post", i))
+        engine.post_at(0.105 + i * 0.01, fired.append, ("at", i))
+    engine.schedule(0.15, chain, 30)
+
+
+class TestStampedPosts:
+    """Under a profiler a posted entry carries its attribution stamp in the
+    heap's event slot; only the instrumented loop may ever read one."""
+
+    def test_detach_with_stamped_posts_queued_matches_unprofiled_twin(self):
+        twin, twin_fired = Engine(), []
+        _mixed_workload(twin, twin_fired)
+        twin.run(until=0.2)
+        twin.run()
+
+        engine, fired = Engine(), []
+        profiler = Profiler()
+        engine.attach_profiler(profiler)
+        engine.profile_push("phase:x")
+        _mixed_workload(engine, fired)
+        engine.run(until=0.2)
+        assert any(isinstance(entry[4], tuple) for entry in engine._queue)
+        engine.detach_profiler(profiler)
+        # Swept back to plain posts, and the class-level fast path serves.
+        assert not any(isinstance(entry[4], tuple) for entry in engine._queue)
+        assert "run" not in engine.__dict__ and "post" not in engine.__dict__
+        engine.run()
+        assert fired == twin_fired
+        assert engine.events_processed == twin.events_processed
+        assert engine.now == twin.now
+        assert engine.pending == 0
+
+    def test_stamped_posts_survive_compaction(self):
+        engine = Engine()
+        engine.attach_profiler(Profiler())
+        engine.profile_push("phase:x")
+        TestPostFireAndForget().test_posted_entries_survive_compaction(engine)
+
+    def test_posts_allocate_no_event_but_schedules_stay_cancellable(
+            self, monkeypatch):
+        allocated = []
+        init = ScheduledEvent.__init__
+
+        def counting_init(self, *args, **kwargs):
+            allocated.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ScheduledEvent, "__init__", counting_init)
+        engine, fired = Engine(), []
+        engine.attach_profiler(Profiler())
+        for i in range(10):
+            engine.post(0.1, fired.append, ("post", i))
+            engine.post_at(0.2, fired.append, ("at", i))
+        assert allocated == []
+        handles = [engine.schedule(0.3, fired.append, "schedule"),
+                   engine.schedule_at(0.4, fired.append, "schedule_at"),
+                   *engine.schedule_many(0.5, [(fired.append, ("many0",)),
+                                               (fired.append, ("many1",))])]
+        assert len(allocated) == len(handles) == 4
+        handles[1].cancel()
+        handles[3].cancel()
+        assert engine.pending == 22
+        engine.run()
+        assert fired[-2:] == ["schedule", "many0"]
+        assert len(fired) == 22
+
+    def test_two_sinks_report_what_one_alone_reports(self):
+        def profiled_run(sinks):
+            engine = Engine()
+            for sink in sinks:
+                engine.attach_profiler(sink)
+            engine.profile_push("phase:x")
+            _mixed_workload(engine, [])
+            engine.profile_pop("phase:x")
+            engine.post(0.01, engine.profile_count_message, 64)
+            engine.run(until=1.0)
+            return [sink.stats for sink in sinks]
+
+        (alone,) = profiled_run([Profiler()])
+        first, second = profiled_run([Profiler(), Profiler()])
+        assert first == second == alone
+        assert sum(stats.seconds for stats in alone.values()) == \
+            pytest.approx(1.0, abs=1e-12)
+
+    def test_first_sink_cannot_attach_inside_a_fast_path_run(self):
+        # The running fast-path loop cannot be swapped out from under
+        # itself, and it does not read stamps.
+        engine = Engine()
+        engine.post(0.1, engine.attach_profiler, Profiler())
+        with pytest.raises(SimulationError):
+            engine.run()
+        assert not engine.profiling
