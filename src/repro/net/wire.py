@@ -198,6 +198,18 @@ def encode_packet(packet: Packet) -> bytes:
 
 
 def decode_packet(data: bytes) -> Packet:
+    """Decode one datagram; malformed input raises :class:`WireError` only."""
+    try:
+        return _decode_packet(data)
+    except WireError:
+        raise
+    except (struct.error, ValueError, IndexError) as err:
+        # Truncation and corruption surface from the primitive decoders
+        # (ValueError: bad UTF-8, or a request kind that lost its message).
+        raise WireError(f"malformed packet: {err}") from err
+
+
+def _decode_packet(data: bytes) -> Packet:
     if len(data) < _HEADER.size:
         raise WireError("short packet")
     magic, kind_index, src, dst, txn, flags = _HEADER.unpack_from(data, 0)

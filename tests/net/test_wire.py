@@ -116,3 +116,58 @@ class TestErrors:
         packet = Packet(PacketKind.REQUEST, src_pid=Pid(1), dst_pid=Pid(2),
                         txn_id=1, message=message)
         assert roundtrip(packet).message.fields["when"] == 2.56e-3
+
+
+#: Valid encodings the fuzzer mutates: every value tag, a segment, info
+#: fields, and a message-less control packet.
+_SEED_PACKETS = [
+    encode_packet(Packet(
+        PacketKind.REQUEST, src_pid=Pid.make(1, 2), dst_pid=Pid.make(3, 4),
+        txn_id=9, info={"forwarder": Pid.make(9, 9)},
+        message=Message.request(0x0301, mode="r", block=7, ratio=0.5,
+                                flag=True, nothing=None, raw=b"\x00\xff",
+                                segment=b"users/mann/naming.mss",
+                                segment_buffer=256))),
+    encode_packet(Packet(
+        PacketKind.GETPID_QUERY, src_pid=Pid.make(1, 1), dst_pid=None,
+        txn_id=0, info={"service": 3, "waiter": 1, "origin": 1})),
+]
+
+_MUTATIONS = st.lists(
+    st.tuples(st.integers(min_value=0), st.integers(0, 255)), max_size=4)
+
+
+class TestDecodeFuzz:
+    """Whatever arrives on the socket, ``decode_packet`` returns a Packet
+    or raises WireError -- never struct.error, UnicodeDecodeError,
+    IndexError or a bare ValueError."""
+
+    @staticmethod
+    def decodes_or_rejects(data: bytes) -> None:
+        try:
+            assert isinstance(decode_packet(data), Packet)
+        except WireError:
+            pass
+
+    @given(data=st.binary(max_size=96))
+    def test_arbitrary_bytes(self, data):
+        self.decodes_or_rejects(data)
+
+    @given(tail=st.binary(max_size=64))
+    def test_arbitrary_bytes_behind_a_valid_header(self, tail):
+        # Random bytes almost never get past the magic; these always do.
+        self.decodes_or_rejects(_SEED_PACKETS[0][:20] + tail)
+
+    @given(seed=st.sampled_from(_SEED_PACKETS), cut=st.integers(min_value=0),
+           flips=_MUTATIONS)
+    def test_truncated_and_byte_flipped_valid_packets(self, seed, cut, flips):
+        data = bytearray(seed)
+        for position, byte in flips:
+            data[position % len(data)] = byte
+        self.decodes_or_rejects(bytes(data[: len(data) - cut % len(data)]))
+
+    def test_request_kind_without_a_message_is_a_wire_error(self):
+        data = bytearray(_SEED_PACKETS[1])
+        data[2] = list(PacketKind).index(PacketKind.REQUEST)
+        with pytest.raises(WireError, match="malformed"):
+            decode_packet(bytes(data))

@@ -13,7 +13,7 @@ machinery) across randomized programs heavy on simultaneous events.
 
 from dataclasses import dataclass, field
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Engine
@@ -81,11 +81,14 @@ def _echo_server():
 
 
 def _flight_run(seed: int):
-    """A fixed lossy workload flown with the recorder; finalized recorder.
+    """A fixed lossy workload flown with the recorder; returns the
+    finalized recorder and the client's reply codes.
 
     Every flight-record field (engine seq, simulated time, packet kind,
     pids, txn id) must be a pure function of the seed, so this is the
-    determinism contract of the whole forensic layer in one helper.
+    determinism contract of the whole forensic layer in one helper.  At
+    15% drop a rare seed exhausts a Send's retransmissions; that outcome
+    is recorded, not asserted away -- the properties compare recordings.
     """
     from repro.kernel.domain import Domain
     from repro.kernel.ipc import Delay, GetPid, Send
@@ -100,6 +103,7 @@ def _flight_run(seed: int):
     far = domain.create_host("far")
     far.spawn(_echo_server(), "server")
     domain.set_wire_faults(WireFaultModel(drop_rate=0.15, dup_rate=0.05))
+    outcomes = []
 
     def client():
         yield Delay(0.01)
@@ -112,22 +116,24 @@ def _flight_run(seed: int):
                 yield Delay(0.05)
         for __ in range(25):
             reply = yield Send(pid, Message.request(0x0101))
-            assert reply.ok
+            outcomes.append(reply.reply_code)
 
     workstation.spawn(client(), name="client")
     domain.run()
     domain.check_healthy()
     recorder.finalize()
-    return recorder
+    return recorder, outcomes
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
+@example(seed=886)  # one Send runs out of retransmissions: TIMEOUT, recorded
 def test_flight_digest_chain_is_pure_function_of_seed(seed):
     from repro.obs.flight import compare
 
-    first = _flight_run(seed)
-    second = _flight_run(seed)
+    first, first_outcomes = _flight_run(seed)
+    second, second_outcomes = _flight_run(seed)
+    assert len(first_outcomes) == 25 and first_outcomes == second_outcomes
     assert first.chains() == second.chains()
     assert ({h: first.records(h) for h in first.hosts()}
             == {h: second.records(h) for h in second.hosts()})
@@ -140,8 +146,8 @@ def test_flight_digest_chain_is_pure_function_of_seed(seed):
 def test_flight_chains_fork_at_recorded_event_across_seeds(pair):
     from repro.obs.flight import compare, record_divergence
 
-    first = _flight_run(pair[0])
-    second = _flight_run(pair[1])
+    first, __ = _flight_run(pair[0])
+    second, __ = _flight_run(pair[1])
     verdict = compare(first, second)
     if verdict["identical"]:
         # Two seeds colliding on the full timeline is astronomically rare
