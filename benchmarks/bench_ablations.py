@@ -202,26 +202,18 @@ def test_a4_prefix_cpu_sensitivity(benchmark):
                                        rel=0.05)
 
 
-def trajectory_metrics(quick: bool = False) -> dict:
-    """Metrics tracked by the continuous benchmark (repro.obs.bench)."""
-    from repro.obs.bench import trajectory_point
-
-    def listing_points():
-        full_ms, full_bytes = measure_listing(128, None)
-        filtered_ms, filtered_bytes = measure_listing(128, "*.err")
-        return {
-            "no_readahead_ms": measure_stream(False),
-            "full_listing_ms": full_ms,
-            "filtered_listing_ms": filtered_ms,
-            "full_listing_bytes": full_bytes,
-            "filtered_listing_bytes": filtered_bytes,
-        }
-
-    return trajectory_point(
-        quick,
-        {
-            "readahead_ms": measure_stream(True),
-            "prefix_delta_ms": measure_prefix_delta(
-                STANDARD_3MBIT.prefix_server_cpu),
-        },
-        listing_points)
+def trajectory_metrics() -> dict:
+    """Metrics tracked by the behavioural contract (repro.obs.bench)."""
+    readahead_ms = measure_stream(True)
+    prefix_delta_ms = measure_prefix_delta(STANDARD_3MBIT.prefix_server_cpu)
+    full_ms, full_bytes = measure_listing(128, None)
+    filtered_ms, filtered_bytes = measure_listing(128, "*.err")
+    return {
+        "readahead_ms": readahead_ms,
+        "prefix_delta_ms": prefix_delta_ms,
+        "no_readahead_ms": measure_stream(False),
+        "full_listing_ms": full_ms,
+        "filtered_listing_ms": filtered_ms,
+        "full_listing_bytes": full_bytes,
+        "filtered_listing_bytes": filtered_bytes,
+    }

@@ -152,8 +152,8 @@ def test_e10_group_resolution_returns_a_usable_context(benchmark):
     assert benchmark(run) == b"1"
 
 
-def trajectory_metrics(quick: bool = False) -> dict:
-    """Metrics tracked by the continuous benchmark (repro.obs.bench)."""
+def trajectory_metrics() -> dict:
+    """Metrics tracked by the behavioural contract (repro.obs.bench)."""
     multicast_ms, multicast_discards = measure_multicast()
     broadcast_ms, broadcast_discards = measure_broadcast_getpid()
     return {

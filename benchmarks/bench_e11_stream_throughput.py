@@ -129,15 +129,11 @@ def test_e11_throughput_scales_with_disk(benchmark):
     assert fast < slow * 0.65
 
 
-def trajectory_metrics(quick: bool = False) -> dict:
-    """Metrics tracked by the continuous benchmark (repro.obs.bench)."""
-    from repro.obs.bench import trajectory_point
-
+def trajectory_metrics() -> dict:
+    """Metrics tracked by the behavioural contract (repro.obs.bench)."""
     achieved, disk_bound = measure_file_throughput()
-    return trajectory_point(
-        quick,
-        {
-            "file_read_kbs": achieved,
-            "disk_utilization_rate": achieved / disk_bound,
-        },
-        lambda: {"pipe_kbs": measure_pipe_throughput()})
+    return {
+        "file_read_kbs": achieved,
+        "disk_utilization_rate": achieved / disk_bound,
+        "pipe_kbs": measure_pipe_throughput(),
+    }

@@ -275,24 +275,17 @@ def test_e12_stale_hint_recovery(benchmark):
     assert results["rewarmed"] == pytest.approx(3.70, rel=0.05)
 
 
-def trajectory_metrics(quick: bool = False) -> dict:
-    """Metrics tracked by the continuous benchmark (repro.obs.bench).
+def trajectory_metrics() -> dict:
+    """Metrics tracked by the behavioural contract (repro.obs.bench).
 
     The Zipf trace length is pinned: hit rate and mean depend on it.
     """
-    from repro.obs.bench import trajectory_point
-
-    def zipf_point():
-        zipf = measure_zipf_hit_rate()
-        return {"zipf_mean_open_ms": zipf["mean_open_ms"],
-                "zipf_hit_rate": zipf["stats"].hit_rate}
-
     warm_cold = measure_warm_cold()
-    return trajectory_point(
-        quick,
-        {
-            "remote_cold_ms": warm_cold["remote via prefix (cold)"],
-            "remote_warm_ms": warm_cold["remote via prefix (warm)"],
-            "local_warm_ms": warm_cold["local via prefix (warm)"],
-        },
-        zipf_point)
+    zipf = measure_zipf_hit_rate()
+    return {
+        "remote_cold_ms": warm_cold["remote via prefix (cold)"],
+        "remote_warm_ms": warm_cold["remote via prefix (warm)"],
+        "local_warm_ms": warm_cold["local via prefix (warm)"],
+        "zipf_mean_open_ms": zipf["mean_open_ms"],
+        "zipf_hit_rate": zipf["stats"].hit_rate,
+    }

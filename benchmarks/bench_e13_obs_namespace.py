@@ -261,17 +261,12 @@ def test_e13_e12_warm_open_unperturbed(benchmark):
                                             rel=0.05)
 
 
-def trajectory_metrics(quick: bool = False) -> dict:
-    """Metrics tracked by the continuous benchmark (repro.obs.bench)."""
-    from repro.obs.bench import trajectory_point
-
+def trajectory_metrics() -> dict:
+    """Metrics tracked by the behavioural contract (repro.obs.bench)."""
     latency = measure_read_latency()
-    return trajectory_point(
-        quick,
-        {
-            "local_metrics_read_ms": latency["local host metrics"]["ms"],
-            "remote_metrics_read_ms": latency["remote host metrics"]["ms"],
-            "fleet_metrics_read_ms": latency["fleet metrics"]["ms"],
-        },
-        lambda: {
-            "warm_open_with_obs_ms": measure_e12_warm_with_obs()["warm"]})
+    return {
+        "local_metrics_read_ms": latency["local host metrics"]["ms"],
+        "remote_metrics_read_ms": latency["remote host metrics"]["ms"],
+        "fleet_metrics_read_ms": latency["fleet metrics"]["ms"],
+        "warm_open_with_obs_ms": measure_e12_warm_with_obs()["warm"],
+    }

@@ -17,7 +17,7 @@ protocol:
   via-prefix open, and the E12 warm cached open are bit-identical floats
   with and without the fault model on the wire, and still match the paper.
 
-Run with ``--benchmark-disable`` for a quick correctness pass (CI does).
+Run with ``--benchmark-disable`` for a fast correctness pass (CI does).
 """
 
 import pytest
@@ -251,27 +251,19 @@ def test_e14_zero_loss_is_bit_identical():
     assert e12_plain == pytest.approx(PAPER_E12_WARM_MS, rel=0.02)
 
 
-def trajectory_metrics(quick: bool = False) -> dict:
-    """Metrics tracked by the continuous benchmark (repro.obs.bench).
+def trajectory_metrics() -> dict:
+    """Metrics tracked by the behavioural contract (repro.obs.bench).
 
-    Rounds are pinned at 100 in both modes: success rate and percentiles
-    are round-count-dependent, so quick mode instead skips the clean-wire
-    control point.
+    Rounds are pinned at 100: success rate and percentiles are
+    round-count-dependent.
     """
-    from repro.obs.bench import trajectory_point
-
-    def clean_point():
-        clean = measure_loss_point(0.0, DEFAULT_CONFIG)
-        return {"clean_p50_ms": clean["p50_ms"],
-                "clean_retransmits": clean["retransmits"]}
-
     lossy = measure_loss_point(0.10, DEFAULT_CONFIG)
-    return trajectory_point(
-        quick,
-        {
-            "loss10_success_rate": lossy["success_rate"],
-            "loss10_p50_ms": lossy["p50_ms"],
-            "loss10_p99_ms": lossy["p99_ms"],
-            "loss10_retransmits": lossy["retransmits"],
-        },
-        clean_point)
+    clean = measure_loss_point(0.0, DEFAULT_CONFIG)
+    return {
+        "loss10_success_rate": lossy["success_rate"],
+        "loss10_p50_ms": lossy["p50_ms"],
+        "loss10_p99_ms": lossy["p99_ms"],
+        "loss10_retransmits": lossy["retransmits"],
+        "clean_p50_ms": clean["p50_ms"],
+        "clean_retransmits": clean["retransmits"],
+    }

@@ -359,19 +359,15 @@ def test_e15_instrumentation_matrix():
 # --------------------------------------------------------------- trajectory
 
 
-def trajectory_metrics(quick: bool = False) -> dict:
-    """Metrics tracked by the continuous benchmark (repro.obs.bench)."""
-    from repro.obs.bench import trajectory_point
-
+def trajectory_metrics() -> dict:
+    """Metrics tracked by the behavioural contract (repro.obs.bench)."""
     cycle = measure_watchdog_cycle()
     reads = measure_series_read_latency()
-    return trajectory_point(
-        quick,
-        {
-            "watchdog_fired": cycle["fired"],
-            "watchdog_resolved": cycle["resolved"],
-            "alerts_delivered": cycle["delivered"],
-            "timeseries_read_ms": reads["timeseries"]["ms"],
-            "alerts_read_ms": reads["alerts"]["ms"],
-        },
-        lambda: {"open_with_telemetry_ms": measure_open_with_telemetry()})
+    return {
+        "watchdog_fired": cycle["fired"],
+        "watchdog_resolved": cycle["resolved"],
+        "alerts_delivered": cycle["delivered"],
+        "timeseries_read_ms": reads["timeseries"]["ms"],
+        "alerts_read_ms": reads["alerts"]["ms"],
+        "open_with_telemetry_ms": measure_open_with_telemetry(),
+    }

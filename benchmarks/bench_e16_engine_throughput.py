@@ -11,14 +11,15 @@ hot path is Send/Reply round trips, not prefix broadcasts).
 
 Two kinds of numbers come out:
 
-- **deterministic** (trajectory metrics): simulated elapsed time,
+- **deterministic** (``trajectory_metrics``): simulated elapsed time,
   transaction and event counts for the pinned 200-host fleet.  These are
   pure functions of the seed and must stay byte-identical across runs --
   the engine overhaul is required to change *none* of them.
-- **wall-clock** (``wall_metrics``): engine events fired per wall second
-  while ``domain.run()`` drains each fleet size.  These are the ROADMAP
-  throughput dimension, published into the snapshot's ``wall`` section and
-  gated loosely by ``repro.obs.regress --wall-tolerance``.
+- **wall-clock**: engine events fired per wall second while
+  ``domain.run()`` drains each fleet size, printed in the pytest table for
+  orientation only.  The number a speed claim rests on is the cost
+  ledger's ``fleet_send`` workload (``BENCHMARK.json``), which repeats and
+  interleaves its runs.
 """
 
 import time
@@ -32,13 +33,12 @@ from repro.kernel.ipc import Receive, Reply, Send
 from repro.kernel.messages import Message, ReplyCode, RequestCode
 from repro.sim.rng import DeterministicRng
 
-#: Fleet sizes for the wall-clock sweep (hosts; one client + one responder
+#: Fleet sizes for the pytest table (hosts; one client + one responder
 #: each).  The deterministic trajectory metrics pin the largest size.
 FLEET_SIZES = (50, 100, 200)
 
 #: Pinned request count per client for the deterministic metrics -- the
-#: simulated numbers depend on it, so it is identical in quick and full
-#: mode (the wall sweep varies its own count instead).
+#: simulated numbers depend on it.
 TRAJECTORY_REQUESTS = 25
 
 #: Zipf skew for target choice: a few popular servers, a long tail --
@@ -157,43 +157,18 @@ def test_benchmark_fleet_throughput(benchmark):
 # --------------------------------------------------------------- trajectory
 
 
-def trajectory_metrics(quick: bool = False) -> dict:
-    """Deterministic metrics for the continuous benchmark (repro.obs.bench).
+def trajectory_metrics() -> dict:
+    """Deterministic metrics for the behavioural contract (repro.obs.bench).
 
     Everything here is simulated time or a deterministic count for the
     pinned 200-host fleet; the engine overhaul's contract is that none of
-    these values move.  The fleet size and request count are pinned in both
-    modes so quick snapshots stay value-comparable with full ones.
+    these values move.
     """
-    from repro.obs.bench import trajectory_point
-
     result = measure_fleet(FLEET_SIZES[-1], TRAJECTORY_REQUESTS)
-    return trajectory_point(
-        quick,
-        {
-            "fleet200_sim_elapsed_s": result["sim_elapsed_s"],
-            "fleet200_transactions": result["transactions"],
-            "fleet200_events": result["events"],
-        },
-        lambda: {
-            "fleet200_mean_txn_ms": round(
-                result["sim_elapsed_s"] / result["transactions"] * 1e3, 6),
-        })
-
-
-def wall_metrics(quick: bool = False) -> dict:
-    """Wall-clock throughput sweep, merged into the snapshot's ``wall``
-    section by :mod:`repro.obs.bench` (keys are rates, so regress gates
-    them higher-is-better with ``--wall-tolerance``).
-
-    Quick mode shrinks the per-client request count (wall rates are
-    machine-dependent and loosely gated; comparability across modes is not
-    byte-level here, unlike the deterministic metrics).
-    """
-    requests = 10 if quick else 40
-    sweep = {}
-    for num_hosts in FLEET_SIZES:
-        result = measure_fleet(num_hosts, requests)
-        sweep[f"wall_events_per_sec_{num_hosts}h"] = round(
-            result["wall_events_per_sec"], 1)
-    return sweep
+    return {
+        "fleet200_sim_elapsed_s": result["sim_elapsed_s"],
+        "fleet200_transactions": result["transactions"],
+        "fleet200_events": result["events"],
+        "fleet200_mean_txn_ms": round(
+            result["sim_elapsed_s"] / result["transactions"] * 1e3, 6),
+    }

@@ -255,24 +255,18 @@ def test_e17_observer_effect_bounded():
 # --------------------------------------------------------------- trajectory
 
 
-def trajectory_metrics(quick: bool = False) -> dict:
-    """Metrics tracked by the continuous benchmark (repro.obs.bench).
+def trajectory_metrics() -> dict:
+    """Metrics tracked by the behavioural contract (repro.obs.bench).
 
     All counts here are pure functions of the pinned scenario seeds --
     capture accounting and the bisect fork seq must stay byte-identical
     across runs and machines.
     """
-    from repro.obs.bench import trajectory_point
-
     capture = measure_flight_chaos()
-    return trajectory_point(
-        quick,
-        {
-            "flight_records_ws": capture["records_ws"],
-            "flight_records_vax1": capture["records_vax1"],
-            "flight_windows": capture["windows"],
-            "flight_postmortems": capture["postmortems"],
-        },
-        lambda: {
-            "bisect_fork_seq": measure_replay_determinism()["fork_seq"],
-        })
+    return {
+        "flight_records_ws": capture["records_ws"],
+        "flight_records_vax1": capture["records_vax1"],
+        "flight_windows": capture["windows"],
+        "flight_postmortems": capture["postmortems"],
+        "bisect_fork_seq": measure_replay_determinism()["fork_seq"],
+    }

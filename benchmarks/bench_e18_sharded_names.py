@@ -20,8 +20,6 @@ the three properties the design is for:
   lease -- all deterministic counts the trajectory tracks.
 """
 
-import time
-
 from conftest import report_table
 
 #: The balance section's geometry: 10^5 prefixes over 8 replicas.
@@ -228,48 +226,26 @@ def test_e18_failover_storm(benchmark):
     assert storm["map_version"] == 1 + 2 * STORM["n_replicas"]
 
 
-# ----------------------------------------------------------------- wall rate
-
-
-def wall_metrics(quick: bool = False) -> dict:
-    """Wall-clock throughput of the storm scenario (loose-gated by regress)."""
-    start = time.perf_counter()
-    storm = measure_failover_storm()
-    elapsed = time.perf_counter() - start
-    return {
-        "wall_storm_reads_per_sec": round(storm["reads"] / elapsed, 1)
-        if elapsed > 0 else 0.0,
-    }
-
-
 # ---------------------------------------------------------------- trajectory
 
 
-def trajectory_metrics(quick: bool = False) -> dict:
-    """Metrics tracked by the continuous benchmark (repro.obs.bench).
+def trajectory_metrics() -> dict:
+    """Metrics tracked by the behavioural contract (repro.obs.bench).
 
-    Balance and storm counts are pure functions of pinned seeds and crc32
-    -- byte-identical across runs and machines.  The Zipf section is
-    deterministic too but heavier, so it rides as a secondary (full-mode)
-    metric set.
+    Balance, storm and Zipf counts are pure functions of pinned seeds and
+    crc32 -- byte-identical across runs and machines.
     """
-    from repro.obs.bench import trajectory_point
-
     balance = measure_shard_balance()
     storm = measure_failover_storm()
-    return trajectory_point(
-        quick,
-        {
-            "shard_balance_ratio": balance["balance_ratio"],
-            "shard_moved_share": balance["moved_share"],
-            "storm_reads_ok": storm["reads_ok"],
-            "storm_reads_failed": storm["reads_failed"],
-            "storm_promotions": storm["promotions"],
-            "storm_rejoins": storm["rejoins"],
-            "storm_map_version": storm["map_version"],
-        },
-        lambda: {
-            "zipf_hit_rate": measure_zipf_resolution()["hit_rate"],
-            "storm_lease_refusals": storm["lease_refusals"],
-            "storm_redirects": storm["redirects_followed"],
-        })
+    return {
+        "shard_balance_ratio": balance["balance_ratio"],
+        "shard_moved_share": balance["moved_share"],
+        "storm_reads_ok": storm["reads_ok"],
+        "storm_reads_failed": storm["reads_failed"],
+        "storm_promotions": storm["promotions"],
+        "storm_rejoins": storm["rejoins"],
+        "storm_map_version": storm["map_version"],
+        "zipf_hit_rate": measure_zipf_resolution()["hit_rate"],
+        "storm_lease_refusals": storm["lease_refusals"],
+        "storm_redirects": storm["redirects_followed"],
+    }

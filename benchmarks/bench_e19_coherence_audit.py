@@ -21,8 +21,6 @@ against the shard owner.  This experiment pins four properties:
   mutation storms end at the identical simulated instant).
 """
 
-import time
-
 from conftest import report_table
 
 #: The pinned mutation storm: rebinds + deletes through the protocol.
@@ -32,9 +30,8 @@ MUT = dict(seed=19, n_replicas=3, n_prefixes=24, rounds=40, lease_ttl=1.0)
 STORM = dict(seed=11, duration=6.0, n_replicas=3, n_prefixes=48,
              n_clients=2, lease_ttl=0.8)
 
-#: Zipf staleness section: the E18 geometry, shrunk to a primary-viable
-#: size but pinned identically in quick and full mode (the staleness
-#: distribution is round-count sensitive).
+#: Zipf staleness section: the E18 geometry, shrunk; the counts are pinned
+#: because the staleness distribution is round-count sensitive.
 ZIPF_PREFIXES = 512
 ZIPF_FILES = 8
 ZIPF_READS = 600
@@ -317,60 +314,34 @@ def test_e19_storm_audit(benchmark):
     assert storm["reads_failed"] == 0
 
 
-# ----------------------------------------------------------------- wall rate
-
-
-def wall_metrics(quick: bool = False) -> dict:
-    """Wall-clock throughput of the audited storm (loose-gated)."""
-    start = time.perf_counter()
-    storm = measure_storm_audit()
-    elapsed = time.perf_counter() - start
-    return {
-        "wall_audited_storm_reads_per_sec":
-            round(storm["reads_ok"] / elapsed, 1) if elapsed > 0 else 0.0,
-    }
-
-
 # ---------------------------------------------------------------- trajectory
 
 
-def trajectory_metrics(quick: bool = False) -> dict:
-    """Metrics tracked by the continuous benchmark (repro.obs.bench).
+def trajectory_metrics() -> dict:
+    """Metrics tracked by the behavioural contract (repro.obs.bench).
 
-    Propagation and storm-audit counts are functions of pinned seeds --
-    byte-identical across runs and machines.  The Zipf staleness section
-    and the paired observer-effect run ride as secondary (full-mode)
-    metrics.
+    Propagation, storm-audit and Zipf staleness counts are functions of
+    pinned seeds -- byte-identical across runs and machines.
     """
-    from repro.obs.bench import trajectory_point
-
     prop = measure_propagation()
     walk = measure_audit_walk()
     storm = measure_storm_audit()
-
-    def secondary() -> dict:
-        zipf = measure_zipf_staleness()
-        bare = run_mutation_storm(armed=False)
-        return {
-            "staleness_p50_ms": zipf["staleness_p50_ms"],
-            "staleness_p99_ms": zipf["staleness_p99_ms"],
-            "staleness_samples": zipf["hits_sampled"],
-            # 0.0 by the zero-observer-effect rule: the armed and bare
-            # mutation storms end at the identical simulated instant.
-            "probe_observer_effect_s": round(
-                abs(prop["end_t"] - bare["end_t"]), 9),
-        }
-
-    return trajectory_point(
-        quick,
-        {
-            "propagation_p50_ms": prop["propagation_p50_ms"],
-            "propagation_p99_ms": prop["propagation_p99_ms"],
-            "notices_sent": prop["notices_sent"],
-            "notices_applied": prop["notices_applied"],
-            "audit_walk_ms": walk["audit_walk_ms"],
-            "audit_entries_classified": walk["entries_classified"],
-            "storm_audit_incoherent": storm["audit_incoherent"],
-            "storm_audit_replica_entries": storm["audit_replica_entries"],
-        },
-        secondary)
+    zipf = measure_zipf_staleness()
+    bare = run_mutation_storm(armed=False)
+    return {
+        "propagation_p50_ms": prop["propagation_p50_ms"],
+        "propagation_p99_ms": prop["propagation_p99_ms"],
+        "notices_sent": prop["notices_sent"],
+        "notices_applied": prop["notices_applied"],
+        "audit_walk_ms": walk["audit_walk_ms"],
+        "audit_entries_classified": walk["entries_classified"],
+        "storm_audit_incoherent": storm["audit_incoherent"],
+        "storm_audit_replica_entries": storm["audit_replica_entries"],
+        "staleness_p50_ms": zipf["staleness_p50_ms"],
+        "staleness_p99_ms": zipf["staleness_p99_ms"],
+        "staleness_samples": zipf["hits_sampled"],
+        # 0.0 by the zero-observer-effect rule: the armed and bare
+        # mutation storms end at the identical simulated instant.
+        "probe_observer_effect_s": round(
+            abs(prop["end_t"] - bare["end_t"]), 9),
+    }

@@ -109,19 +109,15 @@ def test_e1_message_size_sweep(benchmark):
     assert expected_slope == pytest.approx(wire_per_byte_ms, rel=0.05)
 
 
-def trajectory_metrics(quick: bool = False) -> dict:
-    """Metrics tracked by the continuous benchmark (repro.obs.bench).
+def trajectory_metrics() -> dict:
+    """Metrics tracked by the behavioural contract (repro.obs.bench).
 
-    The mean is over identical steady-state transactions, so fewer rounds
-    in quick mode yield the *same* simulated value -- quick and full
-    snapshots stay comparable.
+    The round count is pinned at ROUNDS: the mean is over identical
+    transactions, but summing a different number of them moves it in the
+    last floating-point digits.
     """
-    from repro.obs.bench import pick_rounds
-
-    rounds = pick_rounds(quick, ROUNDS, 10)
     return {
-        "remote_3mbit_ms": measure_transactions(STANDARD_3MBIT, True, rounds),
-        "local_ms": measure_transactions(STANDARD_3MBIT, False, rounds),
-        "remote_10mbit_ms": measure_transactions(STANDARD_10MBIT, True,
-                                                 rounds),
+        "remote_3mbit_ms": measure_transactions(STANDARD_3MBIT, True),
+        "local_ms": measure_transactions(STANDARD_3MBIT, False),
+        "remote_10mbit_ms": measure_transactions(STANDARD_10MBIT, True),
     }

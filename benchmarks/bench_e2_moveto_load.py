@@ -82,11 +82,7 @@ def test_e2_load_scales_linearly(benchmark):
     assert t64 / t32 == pytest.approx(2.0, rel=0.10)
 
 
-def trajectory_metrics(quick: bool = False) -> dict:
-    """Metrics tracked by the continuous benchmark (repro.obs.bench)."""
-    from repro.obs.bench import trajectory_point
-
-    return trajectory_point(
-        quick,
-        {"load_64k_ms": measure_load(64 * 1024)},
-        lambda: {"load_16k_ms": measure_load(16 * 1024)})
+def trajectory_metrics() -> dict:
+    """Metrics tracked by the behavioural contract (repro.obs.bench)."""
+    return {"load_64k_ms": measure_load(64 * 1024),
+            "load_16k_ms": measure_load(16 * 1024)}

@@ -113,15 +113,9 @@ def test_e3_faster_disk_shifts_the_bottleneck(benchmark):
     assert protocol_ms < 5.0
 
 
-def trajectory_metrics(quick: bool = False) -> dict:
-    """Metrics tracked by the continuous benchmark (repro.obs.bench).
-
-    The sequential per-page period is a steady-state mean, so a shorter
-    quick-mode file yields the same value.
-    """
-    from repro.obs.bench import pick_rounds
-
+def trajectory_metrics() -> dict:
+    """Metrics tracked by the behavioural contract (repro.obs.bench)."""
     return {
-        "sequential_ms": measure_sequential(pick_rounds(quick, PAGES, 16)),
+        "sequential_ms": measure_sequential(),
         "random_ms": measure_random(16),
     }

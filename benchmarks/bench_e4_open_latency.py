@@ -132,8 +132,8 @@ def test_e4_other_csname_ops_share_the_shape(benchmark):
     assert prefix_ms - direct_ms == pytest.approx(3.94, rel=0.05)
 
 
-def trajectory_metrics(quick: bool = False) -> dict:
-    """Metrics tracked by the continuous benchmark (repro.obs.bench)."""
+def trajectory_metrics() -> dict:
+    """Metrics tracked by the behavioural contract (repro.obs.bench)."""
     results = measure_all()
     return {
         "local_direct_ms": results["local direct"],

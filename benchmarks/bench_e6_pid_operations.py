@@ -109,8 +109,8 @@ def test_e6_structure_routes_without_a_lookup(benchmark):
     assert with_lookup_ms > direct_ms * 1.3
 
 
-def trajectory_metrics(quick: bool = False) -> dict:
-    """Metrics tracked by the continuous benchmark (repro.obs.bench).
+def trajectory_metrics() -> dict:
+    """Metrics tracked by the behavioural contract (repro.obs.bench).
 
     Only the simulated comparison is tracked -- the wall-clock
     microbenchmarks above are machine-dependent and not gateable.

@@ -113,19 +113,16 @@ def test_e7_forwarding_beats_proxying(benchmark):
     assert forward_slope < proxy_slope * 0.7
 
 
-def trajectory_metrics(quick: bool = False) -> dict:
-    """Metrics tracked by the continuous benchmark (repro.obs.bench).
+def trajectory_metrics() -> dict:
+    """Metrics tracked by the behavioural contract (repro.obs.bench).
 
     Besides the open latencies, the attribution profiler contributes the
-    message/byte traffic of the pinned 4-hop scenario -- rounds are pinned
-    (not reduced in quick mode) because totals are round-dependent.
+    message/byte traffic of the pinned 4-hop scenario.
     """
-    from repro.obs.bench import pick_rounds
     from repro.obs.profile import forwarding_profile
 
-    rounds = pick_rounds(quick, 10, 3)  # steady-state mean: round-invariant
-    hops0_ms = measure_hops(0, rounds)
-    hops4_ms = measure_hops(MAX_HOPS, rounds)
+    hops0_ms = measure_hops(0)
+    hops4_ms = measure_hops(MAX_HOPS)
     prof, __, __ = forwarding_profile(hops=MAX_HOPS, rounds=10, seed=0)
     return {
         "hops0_open_ms": hops0_ms,

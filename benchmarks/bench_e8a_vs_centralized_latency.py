@@ -164,21 +164,15 @@ def test_e8a_reuse_sensitivity(benchmark):
     assert results["high reuse"] > results["low reuse"] + 0.15
 
 
-def trajectory_metrics(quick: bool = False) -> dict:
-    """Metrics tracked by the continuous benchmark (repro.obs.bench)."""
-    from repro.obs.bench import trajectory_point
-
-    def cached_point():
-        cached_ms, cached_txns = centralized_run(cache_enabled=True)
-        return {"cached_open_ms": cached_ms, "cached_ns_txns": cached_txns}
-
+def trajectory_metrics() -> dict:
+    """Metrics tracked by the behavioural contract (repro.obs.bench)."""
     v_ms, __ = distributed_run()
     central_ms, central_txns = centralized_run(cache_enabled=False)
-    return trajectory_point(
-        quick,
-        {
-            "v_open_ms": v_ms,
-            "central_open_ms": central_ms,
-            "central_ns_txns": central_txns,
-        },
-        cached_point)
+    cached_ms, cached_txns = centralized_run(cache_enabled=True)
+    return {
+        "v_open_ms": v_ms,
+        "central_open_ms": central_ms,
+        "central_ns_txns": central_txns,
+        "cached_open_ms": cached_ms,
+        "cached_ns_txns": cached_txns,
+    }

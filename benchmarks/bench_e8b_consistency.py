@@ -181,8 +181,8 @@ def test_e8b_stale_binding_breaks_later_clients(benchmark):
     assert outcome == "INCONSISTENT"
 
 
-def trajectory_metrics(quick: bool = False) -> dict:
-    """Metrics tracked by the continuous benchmark (repro.obs.bench)."""
+def trajectory_metrics() -> dict:
+    """Metrics tracked by the behavioural contract (repro.obs.bench)."""
     central_bad, central_done = centralized_inconsistencies(0.3)
     dist_bad, dist_done = distributed_inconsistencies(0.3)
     return {

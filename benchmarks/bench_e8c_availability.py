@@ -133,8 +133,8 @@ def test_e8c_availability(benchmark):
     assert central_ns_down == 0.0
 
 
-def trajectory_metrics(quick: bool = False) -> dict:
-    """Metrics tracked by the continuous benchmark (repro.obs.bench)."""
+def trajectory_metrics() -> dict:
+    """Metrics tracked by the behavioural contract (repro.obs.bench)."""
     return {
         "central_ns_down_reachable_rate": centralized_availability(
             "nameserver"),

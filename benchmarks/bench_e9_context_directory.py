@@ -115,11 +115,10 @@ def test_e9_directory_read_is_block_granular(benchmark):
     assert bigger_ms < small_ms * 2.0
 
 
-def trajectory_metrics(quick: bool = False) -> dict:
-    """Metrics tracked by the continuous benchmark (repro.obs.bench).
+def trajectory_metrics() -> dict:
+    """Metrics tracked by the behavioural contract (repro.obs.bench).
 
-    The context size is pinned (64) in both modes: per-object costs depend
-    on it, so reducing it would change the metric, not just the runtime.
+    The context size is pinned (64): per-object costs depend on it.
     """
     dir_ms, __ = measure_directory_read(64)
     enum_ms = measure_enumerate_and_query(64)

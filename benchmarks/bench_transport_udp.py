@@ -83,13 +83,3 @@ def test_udp_transport_roundtrips(benchmark):
     # Sanity: sockets work and the prefix path costs more than direct.
     assert results["open_direct_ms"] < 50
     assert results["open_prefix_ms"] > results["open_direct_ms"] * 0.8
-
-
-def trajectory_metrics(quick: bool = False) -> dict:
-    """Excluded from the continuous benchmark (repro.obs.bench).
-
-    These numbers are loopback wall-clock, not simulated time: they vary
-    with the machine and load, so two identical-seed runs would not
-    produce identical snapshots and no tolerance would be meaningful.
-    """
-    return {}

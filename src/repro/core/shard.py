@@ -81,6 +81,34 @@ Gen = Generator[Any, Any, Any]
 #: map and travels with it, so every party builds the identical ring.
 DEFAULT_VNODES = 16
 
+#: Ceiling on a decoded map's vnodes per replica: the ring is built from
+#: wire input, so its size must be bounded (E18's largest map uses 64).
+MAX_VNODES = 1024
+
+
+class ShardMapError(ValueError):
+    """A SHARD_MAP or SHARD_PULL payload the codec could not have written."""
+
+
+def _json_object(payload: bytes, what: str) -> dict:
+    try:
+        doc = json.loads(payload)
+    except (ValueError, RecursionError) as error:
+        raise ShardMapError(f"{what} is not JSON: {error}") from None
+    if not isinstance(doc, dict):
+        raise ShardMapError(
+            f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _wire_int(value: Any, what: str, low: int = 0,
+              high: int = 0xFFFFFFFF) -> int:
+    # type(), not isinstance(): JSON true/false are ints to Python.
+    if type(value) is not int or not low <= value <= high:
+        raise ShardMapError(
+            f"{what} must be an integer in [{low}, {high}], got {value!r}")
+    return value
+
 
 # ----------------------------------------------------------------- the map
 
@@ -179,11 +207,26 @@ class ShardMap:
 
     @classmethod
     def decode(cls, payload: bytes) -> "ShardMap":
-        doc = json.loads(payload)
-        return cls(version=int(doc["version"]),
-                   replicas=tuple((int(rid), int(pv))
-                                  for rid, pv in doc["replicas"]),
-                   vnodes=int(doc.get("vnodes", DEFAULT_VNODES)))
+        """Rebuild a map from :meth:`encode` output.
+
+        Raises :class:`ShardMapError`, and nothing else, on any payload
+        that is not a well-formed map with every field in range.
+        """
+        doc = _json_object(payload, "shard map")
+        pairs = doc.get("replicas")
+        if not isinstance(pairs, list):
+            raise ShardMapError(f"replicas must be a list, got {pairs!r}")
+        replicas = []
+        for pair in pairs:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ShardMapError(
+                    f"a replica must be an [id, pid] pair, got {pair!r}")
+            replicas.append((_wire_int(pair[0], "replica id"),
+                             _wire_int(pair[1], "replica pid")))
+        return cls(version=_wire_int(doc.get("version"), "version"),
+                   replicas=tuple(replicas),
+                   vnodes=_wire_int(doc.get("vnodes", DEFAULT_VNODES),
+                                    "vnodes", 1, MAX_VNODES))
 
 
 # ------------------------------------------------------- binding wire codec
@@ -202,6 +245,12 @@ def binding_fields(binding: PrefixBinding) -> dict:
 def binding_from_fields(key: bytes, message: Message) -> Optional[PrefixBinding]:
     """Rebuild a binding from the same fields ADD_CONTEXT_NAME uses."""
     return ContextPrefixServer._binding_from_request(key, message)
+
+
+#: The binding fields a SHARD_PULL record may carry, with their ceilings
+#: (pids and service ids are 32-bit, context ids 16-bit).
+_BINDING_FIELD_MAX = {"service_id": 0xFFFFFFFF, "target_pid": 0xFFFFFFFF,
+                      "target_context": 0xFFFF}
 
 
 # ------------------------------------------------------------- the replica
@@ -568,29 +617,51 @@ class ShardReplicaServer(ContextPrefixServer):
         ``epochs`` is the PULL reply's sideband provenance map
         (prefix text -> [epoch, source]); absent entries install as
         (0, 0) -- unknown -- which the auditor treats as unverifiable
-        rather than incoherent.
+        rather than incoherent.  Raises :class:`ShardMapError`, and nothing
+        else, on a payload :meth:`export_table` could not have written;
+        nothing is installed in that case.
         """
-        doc = json.loads(payload)
-        installed = 0
-        for record in doc.get("bindings", []):
-            key = str(record["prefix"]).encode()
+        doc = _json_object(payload, "pulled table")
+        records = doc.get("bindings", [])
+        if not isinstance(records, list):
+            raise ShardMapError(f"bindings must be a list, got {records!r}")
+        # Validate the whole payload before touching the table: a record
+        # that is garbage must not leave the ones before it half-installed.
+        parsed = []
+        for record in records:
+            if not isinstance(record, dict):
+                raise ShardMapError(
+                    f"a binding record must be an object, got {record!r}")
+            prefix = record.get("prefix")
+            try:
+                key = prefix.encode() if isinstance(prefix, str) else b""
+            except UnicodeEncodeError:      # a lone surrogate escape
+                key = b""
             binding = ContextPrefixServer._binding_from_request(
                 key, Message.request(0, **{
-                    field: record[field] for field in
-                    ("service_id", "target_pid", "target_context")
+                    field: _wire_int(record[field], field, high=high)
+                    for field, high in _BINDING_FIELD_MAX.items()
                     if field in record}))
-            if binding is None:
-                continue
-            stamp = (epochs or {}).get(str(record["prefix"]))
+            if not key or binding is None:
+                raise ShardMapError(
+                    f"record names no prefix or no target: {record!r}")
+            remaining = record.get("lease_remaining", 0.0)
+            # NaN fails the range test; Infinity is excluded by it.
+            if type(remaining) not in (int, float) \
+                    or not 0 <= remaining < float("inf"):
+                raise ShardMapError(
+                    f"lease_remaining must be a finite number >= 0, "
+                    f"got {remaining!r}")
+            parsed.append((prefix, key, binding, remaining))
+        for prefix, key, binding, remaining in parsed:
+            stamp = (epochs or {}).get(prefix)
             if stamp:
                 binding.epoch = int(stamp[0])
                 binding.source = int(stamp[1])
             self.table.bindings[key] = binding
-            remaining = float(record.get("lease_remaining", 0.0))
             if remaining > 0:
                 self._leases[key] = now + remaining
-            installed += 1
-        return installed
+        return len(parsed)
 
     # ------------------------------------------------------------ inspection
 

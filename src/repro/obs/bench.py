@@ -1,51 +1,23 @@
-"""Continuous-benchmark runner: the E1-E14 suite as a trajectory.
+"""The behavioural contract: every experiment's deterministic metrics.
 
-``python -m repro.obs.bench`` executes every benchmark module's
-``trajectory_metrics(quick)`` entry point -- the deterministic, pinned-seed
-subset of each experiment -- and writes one schema-versioned snapshot
-``BENCH_<n>.json`` at the repo root (next free index).  Two runs of the same
-tree produce byte-identical metric values: every number is *simulated* time
-or a deterministic count, never wall clock, so the snapshots form a
-trajectory of the implementation across commits that
-:mod:`repro.obs.regress` can gate on.
+``python -m repro.obs.bench`` runs the ``trajectory_metrics()`` entry point
+of all 22 benchmark modules (E1-E19, E8 in three parts, and the ablations)
+at full size and writes the result to ``BENCH_5.json`` at the repo root --
+the one committed baseline.  ``--check`` writes nothing: it compares the
+run to that baseline **exactly** and exits 1 naming every metric that
+differs.
 
-Quick mode (``--quick``, what CI's bench-trajectory job runs) shrinks the
-suite two ways that keep snapshots comparable with full runs:
+Every number is simulated time or a deterministic count from pinned seeds,
+never wall clock, so an unchanged tree reproduces the baseline bit for bit
+on every supported interpreter and any difference is a behaviour change.
+A PR that changes behaviour on purpose regenerates the baseline (run
+without ``--check``) and commits the diff.  Wall-clock speed is measured
+elsewhere, by the cost ledger (``BENCHMARK.json``, ``benchmarks/ledger/``).
 
-- fewer repetitions *only* where the metric is a steady-state mean and
-  therefore round-invariant (E1, E3, E7 latencies);
-- skipping secondary metrics entirely (they are simply absent from the
-  snapshot; regress compares the intersection).
+Baseline layout (``schema`` = :data:`BENCH_SCHEMA`)::
 
-Round-count-sensitive metrics (E14's percentiles, E12's Zipf hit rate)
-keep their pinned parameters in both modes.
-
-Snapshot schema (``schema`` = :data:`BENCH_SCHEMA`)::
-
-    {
-      "schema": 1,
-      "kind": "bench-trajectory",
-      "git_sha": "<hex or null>",
-      "seed": 0,
-      "quick": false,
-      "experiments": {
-        "e1": {
-          "metrics": {"remote_3mbit_ms": 2.56, ...},
-          "wall": {"events": 6200, "seconds": 0.41,
-                   "wall_events_per_sec": 15122.0}
-        },
-        ...
-      }
-    }
-
-Each ``metrics`` dict is simulated time or deterministic counts only --
-identical trees produce byte-identical values there.  ``wall`` is the one
-deliberate exception: the ROADMAP-mandated wall-clock throughput dimension
-(engine events fired per wall second while the experiment ran), measured
-*outside* the deterministic metrics so they stay byte-stable, and gated by
-``repro.obs.regress`` with a deliberately loose tolerance (machines
-differ; only a collapse should fail the gate).  No timestamps: apart from
-``wall``, snapshots of identical trees diff clean.
+    {"schema": 2, "kind": "bench-trajectory",
+     "experiments": {"e1": {"metrics": {"remote_3mbit_ms": 2.56, ...}}, ...}}
 """
 
 from __future__ import annotations
@@ -54,21 +26,15 @@ import argparse
 import importlib.util
 import json
 import os
-import re
-import subprocess
 import sys
-import time
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Union
+from typing import Optional
 
-from repro.sim.engine import Engine
+#: Bump when the baseline layout changes incompatibly.
+BENCH_SCHEMA = 2
 
-#: Bump when the snapshot layout changes incompatibly.
-BENCH_SCHEMA = 1
-
-#: The default simulation seed (individual experiments pin their own
-#: scenario seeds in benchmarks/bench_e*.py; this records the policy).
-SUITE_SEED = 0
+#: The one committed baseline, at the repo root.
+BASELINE_NAME = "BENCH_5.json"
 
 #: Experiment key -> benchmark module (order is run order).
 EXPERIMENTS: tuple[tuple[str, str], ...] = (
@@ -96,42 +62,16 @@ EXPERIMENTS: tuple[tuple[str, str], ...] = (
     ("ablations", "bench_ablations"),
 )
 
-_SNAPSHOT_RE = re.compile(r"^BENCH_(\d+)\.json$")
-
-
-# ------------------------------------------------------- trajectory helpers
-
-
-def trajectory_point(quick: bool, primary: Mapping[str, float],
-                     secondary: Union[Callable[[], Mapping[str, float]],
-                                      Mapping[str, float], None] = None,
-                     ) -> dict:
-    """Assemble one bench module's ``trajectory_metrics`` return value.
-
-    The suite-wide quick-mode contract, in one place instead of copied
-    into every ``benchmarks/bench_*.py``:
-
-    - ``primary`` metrics are measured in both modes (pinned seeds and
-      round counts belong in the code that computed them, so quick and
-      full snapshots stay value-comparable);
-    - ``secondary`` metrics are skipped entirely in quick mode -- pass a
-      zero-argument callable so their measurement cost is skipped too
-      (regress compares the intersection, so their absence is legitimate).
-    """
-    metrics = dict(primary)
-    if not quick and secondary is not None:
-        metrics.update(secondary() if callable(secondary) else secondary)
-    return metrics
-
-
-def pick_rounds(quick: bool, full: int, reduced: int) -> int:
-    """Repetition count for a steady-state mean: ``reduced`` in quick mode.
-
-    Only for round-invariant metrics (E1/E3/E7 latencies).  Metrics whose
-    value depends on the round count (E14 percentiles, E12's Zipf hit
-    rate) must pin one count for both modes instead.
-    """
-    return reduced if quick else full
+#: The only entries ``--check`` does not compare ("<experiment>.<metric>" ->
+#: written rationale).  Both are byte sizes of interpreter objects, not
+#: simulated behaviour; they are still printed, so they never move unseen.
+NOT_GATED: dict[str, str] = {
+    "e5.code_bytes": "compiled size of core/prefix_server.py; moves with "
+                     "any edit to that file, the interpreter and the "
+                     "checkout path",
+    "e5.table_bytes_12_prefixes": "sys.getsizeof over the live prefix "
+                                  "table; moves with CPython's object layout",
+}
 
 
 def repo_root(start: Optional[Path] = None) -> Path:
@@ -162,122 +102,93 @@ def load_bench_module(name: str, benchmarks_dir: Path):
     return module
 
 
-def git_sha(root: Path) -> Optional[str]:
-    try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
-                             capture_output=True, text=True, timeout=10)
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    return out.stdout.strip() if out.returncode == 0 else None
-
-
-def run_suite(quick: bool = False,
-              only: Optional[list[str]] = None,
-              root: Optional[Path] = None,
-              verbose: bool = False) -> dict:
-    """Run the suite and return the snapshot document (not yet written)."""
-    root = repo_root(root)
-    benchmarks_dir = root / "benchmarks"
+def run_suite(root: Optional[Path] = None) -> dict:
+    """Run every experiment and return the baseline-shaped document."""
+    benchmarks_dir = repo_root(root) / "benchmarks"
     # Tracing mode would attach Observability bundles to every system the
     # benches build; payload sizes (and so [obs] read latencies) differ.
-    # The trajectory is always measured untraced.
-    os.environ.pop("REPRO_TRACE_DIR", None)
-    # One suite is one measurement window (see Engine.total_events docs).
-    Engine.reset_total_events()
-    experiments: dict[str, dict] = {}
-    for key, module_name in EXPERIMENTS:
-        if only and key not in only:
-            continue
-        if verbose:
+    # The contract is always measured untraced.
+    trace_dir = os.environ.pop("REPRO_TRACE_DIR", None)
+    try:
+        experiments = {}
+        for key, module_name in EXPERIMENTS:
             print(f"  {key}: {module_name} ...", file=sys.stderr, flush=True)
-        module = load_bench_module(module_name, benchmarks_dir)
-        events_before = Engine.total_events
-        wall_start = time.perf_counter()
-        metrics = module.trajectory_metrics(quick=quick)
-        wall_seconds = time.perf_counter() - wall_start
-        events = Engine.total_events - events_before
-        if not metrics:
+            module = load_bench_module(module_name, benchmarks_dir)
+            experiments[key] = {"metrics": module.trajectory_metrics()}
+    finally:
+        if trace_dir is not None:
+            os.environ["REPRO_TRACE_DIR"] = trace_dir
+    return {"schema": BENCH_SCHEMA, "kind": "bench-trajectory",
+            "experiments": experiments}
+
+
+def check(baseline: dict, current: dict) -> tuple[list[str], list[str]]:
+    """Compare a run to the baseline exactly: ``(failures, notes)``.
+
+    Each failure line starts with the ``<experiment>.<metric>`` it is
+    about.  Values are compared with ``==``; an experiment or metric on
+    one side only is a failure.  :data:`NOT_GATED` entries are never
+    failures: they go to ``notes`` with their rationale.
+    """
+    if baseline.get("schema") != BENCH_SCHEMA:
+        return [f"schema: baseline has {baseline.get('schema')!r}, this "
+                f"tool reads and writes {BENCH_SCHEMA}"], []
+    failures: list[str] = []
+    notes: list[str] = []
+    base, now = baseline["experiments"], current["experiments"]
+    for experiment in sorted(base.keys() | now.keys()):
+        if experiment not in base or experiment not in now:
+            side = "this run" if experiment in base else "the baseline"
+            failures.append(f"{experiment}: experiment missing from {side}")
             continue
-        # The one non-deterministic section (see module docstring):
-        # engine events fired per wall-clock second over the whole
-        # trajectory_metrics call, including every domain it built.
-        wall = {
-            "events": events,
-            "seconds": round(wall_seconds, 6),
-            "wall_events_per_sec": round(events / wall_seconds, 1)
-            if wall_seconds > 0 else 0.0,
-        }
-        # Modules with a dedicated wall-clock sweep (E16's fleet-size
-        # ladder) publish extra rate keys through ``wall_metrics``; they
-        # land in the wall section so regress gates them with the same
-        # loose higher-is-better tolerance, never as deterministic metrics.
-        wall_extra = getattr(module, "wall_metrics", None)
-        if wall_extra is not None:
-            wall.update(wall_extra(quick=quick))
-        experiments[key] = {"metrics": metrics, "wall": wall}
-    return {
-        "schema": BENCH_SCHEMA,
-        "kind": "bench-trajectory",
-        "git_sha": git_sha(root),
-        "seed": SUITE_SEED,
-        "quick": quick,
-        "experiments": experiments,
-    }
-
-
-def snapshot_paths(root: Path) -> list[tuple[int, Path]]:
-    """All BENCH_<n>.json files at ``root``, sorted by index."""
-    found = []
-    for entry in root.iterdir():
-        match = _SNAPSHOT_RE.match(entry.name)
-        if match:
-            found.append((int(match.group(1)), entry))
-    return sorted(found)
-
-
-def next_snapshot_path(root: Path) -> Path:
-    taken = [index for index, __ in snapshot_paths(root)]
-    return root / f"BENCH_{max(taken) + 1 if taken else 0}.json"
-
-
-def write_snapshot(snapshot: dict, path: Path) -> Path:
-    path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-    return path
+        base_metrics = base[experiment]["metrics"]
+        now_metrics = now[experiment]["metrics"]
+        for metric in sorted(base_metrics.keys() | now_metrics.keys()):
+            name = f"{experiment}.{metric}"
+            before = base_metrics.get(metric)
+            after = now_metrics.get(metric)
+            if name in NOT_GATED:
+                notes.append(f"{name}: {before!r} -> {after!r} "
+                             f"(not gated: {NOT_GATED[name]})")
+            elif metric not in now_metrics:
+                failures.append(f"{name}: missing from this run")
+            elif metric not in base_metrics:
+                failures.append(f"{name}: not in the baseline")
+            elif before != after:
+                failures.append(f"{name}: baseline {before!r}, now {after!r}")
+    return failures, notes
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.bench",
-        description="Run the E1-E14 trajectory suite and write BENCH_<n>.json")
-    parser.add_argument("--quick", action="store_true",
-                        help="reduced suite (CI mode); values stay "
-                             "comparable with full runs")
-    parser.add_argument("--only", action="append", metavar="EXP",
-                        help="run only this experiment key (repeatable), "
-                             "e.g. --only e7")
-    parser.add_argument("--out", metavar="PATH",
-                        help="snapshot path (default: next free "
-                             "BENCH_<n>.json at the repo root)")
-    parser.add_argument("--list", action="store_true",
-                        help="list experiment keys and exit")
+        description=f"Run the 22 deterministic experiments (E1-E19 and the "
+                    f"ablations) and write {BASELINE_NAME}")
+    parser.add_argument("--check", action="store_true",
+                        help=f"write nothing; compare the run to "
+                             f"{BASELINE_NAME} exactly, exit 1 on any "
+                             f"difference")
     args = parser.parse_args(argv)
 
-    if args.list:
-        for key, module_name in EXPERIMENTS:
-            print(f"{key:10s} {module_name}")
+    baseline_path = repo_root() / BASELINE_NAME
+    current = run_suite()
+    count = sum(len(entry["metrics"])
+                for entry in current["experiments"].values())
+    if not args.check:
+        baseline_path.write_text(
+            json.dumps(current, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {baseline_path} ({len(current['experiments'])} "
+              f"experiments, {count} metrics)")
         return 0
-
-    root = repo_root()
-    snapshot = run_suite(quick=args.quick, only=args.only, verbose=True)
-    out = Path(args.out) if args.out else next_snapshot_path(root)
-    write_snapshot(snapshot, out)
-    count = sum(len(exp["metrics"])
-                for exp in snapshot["experiments"].values())
-    walls = [exp["wall"]["wall_events_per_sec"]
-             for exp in snapshot["experiments"].values() if "wall" in exp]
-    rate = f", {min(walls):,.0f}-{max(walls):,.0f} events/s" if walls else ""
-    print(f"wrote {out} ({len(snapshot['experiments'])} experiments, "
-          f"{count} metrics, quick={snapshot['quick']}{rate})")
+    failures, notes = check(json.loads(baseline_path.read_text()), current)
+    for line in notes:
+        print(line)
+    for line in failures:
+        print(f"DIFFERS {line}")
+    if failures:
+        print(f"FAIL: {len(failures)} difference(s) from {BASELINE_NAME}")
+        return 1
+    print(f"OK: {count - len(notes)} metrics identical to {BASELINE_NAME}")
     return 0
 
 

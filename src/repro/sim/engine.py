@@ -192,9 +192,9 @@ class Engine:
     COMPACT_MIN_QUEUE = 64
 
     #: Process-wide count of events fired across *all* engine instances.
-    #: The bench runner reads it around each experiment to derive the
-    #: wall-clock events/sec trajectory metric without holding references
-    #: to the domains a benchmark builds internally.  Python integers do
+    #: The cost ledger (``benchmarks/ledger/run.py``) and E15 read it around
+    #: a workload to count its events without holding references to the
+    #: domains the workload builds internally.  Python integers do
     #: not overflow, so the count is safe at any fleet scale; reset it
     #: between measurement windows with :meth:`reset_total_events` rather
     #: than assigning the class attribute directly.

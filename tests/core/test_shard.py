@@ -1,10 +1,20 @@
 """Tests for sharded replicated prefix serving (repro.core.shard)."""
 
+import json
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.context import ContextPair, WellKnownContext
 from repro.core.resolver import NameError_
-from repro.core.shard import DEFAULT_VNODES, ShardCluster, ShardMap
+from repro.core.shard import (
+    DEFAULT_VNODES,
+    ShardCluster,
+    ShardMap,
+    ShardMapError,
+    ShardReplicaServer,
+    binding_fields,
+)
 from repro.kernel.domain import Domain
 from repro.kernel.ipc import Delay
 from repro.kernel.messages import ReplyCode
@@ -75,6 +85,164 @@ class TestShardMap:
         with pytest.raises(ValueError):
             empty.owner_of(b"p")
         assert empty.replicas_for(b"p") == []
+
+
+# ------------------------------------------------------------ codec fuzzing
+
+#: One payload per way a map can be malformed: empty, wrong top-level type
+#: (x2), wrong replica shape, missing fields, not UTF-8, wrong field type,
+#: and an out-of-range ``vnodes`` (0 would build an empty ring).
+GARBAGE_MAPS = [
+    b"", b"[]", b"null", b'{"replicas":[1]}', b"{}", b"\xff",
+    b'{"version":"x","replicas":[]}',
+    b'{"version":1,"replicas":[[0,100]],"vnodes":0}',
+]
+
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.floats(), st.text(max_size=8)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=6)
+
+_BYTE_FLIPS = st.lists(st.tuples(st.integers(min_value=0),
+                                 st.integers(min_value=0, max_value=255)),
+                       max_size=3)
+
+
+def mutated(payload: bytes, cut: int, flips: list) -> bytes:
+    data = bytearray(payload)
+    for position, byte in flips:
+        data[position % len(data)] = byte
+    return bytes(data[: len(data) - cut % len(data)])
+
+
+def replaced(payload: bytes, path: list, value) -> bytes:
+    """``payload`` with the node that ``path`` walks to replaced by ``value``."""
+    doc = json.loads(payload)
+    parent, key, node = None, None, doc
+    for step in path:
+        if isinstance(node, dict) and node:
+            parent, key = node, sorted(node)[step % len(node)]
+        elif isinstance(node, list) and node:
+            parent, key = node, step % len(node)
+        else:
+            break
+        node = parent[key]
+    if parent is None:
+        return json.dumps(value).encode()
+    parent[key] = value
+    return json.dumps(doc).encode()
+
+
+class TestShardMapFuzz:
+    """``decode`` returns a map or raises ShardMapError -- nothing else."""
+
+    VALID = ShardMap(version=7, replicas=((0, 100), (1, 101), (2, 102)),
+                     vnodes=32).encode()
+
+    @staticmethod
+    def decodes_or_rejects(payload: bytes) -> None:
+        try:
+            decoded = ShardMap.decode(payload)
+        except ShardMapError:
+            return
+        assert decoded.vnodes >= 1
+        assert ShardMap.decode(decoded.encode()) == decoded
+
+    @pytest.mark.parametrize("payload", GARBAGE_MAPS)
+    def test_known_garbage_is_a_shard_map_error(self, payload):
+        with pytest.raises(ShardMapError):
+            ShardMap.decode(payload)
+
+    @given(data=st.binary(max_size=96))
+    def test_arbitrary_bytes(self, data):
+        self.decodes_or_rejects(data)
+
+    @given(cut=st.integers(min_value=0), flips=_BYTE_FLIPS)
+    def test_truncated_and_byte_flipped_valid_maps(self, cut, flips):
+        self.decodes_or_rejects(mutated(self.VALID, cut, flips))
+
+    @given(path=st.lists(st.integers(min_value=0), max_size=3), value=_JSON)
+    def test_valid_maps_with_one_node_replaced(self, path, value):
+        self.decodes_or_rejects(replaced(self.VALID, path, value))
+
+
+TABLE_MAP = ShardMap(version=1, replicas=((0, 100), (1, 101)))
+
+
+def exporting_replica() -> ShardReplicaServer:
+    """Replica 0 of ``TABLE_MAP`` holding one fixed and one generic binding."""
+    server = ShardReplicaServer(0, TABLE_MAP)
+    server.install_table(json.dumps({"bindings": [
+        {"prefix": "data", "target_pid": 65537, "target_context": 2,
+         "lease_remaining": 0.5},
+        {"prefix": "svc", "service_id": 9, "target_context": 1,
+         "lease_remaining": 0},
+    ]}).encode(), now=1.0)
+    return server
+
+
+class TestInstallTableFuzz:
+    """``install_table`` installs or raises ShardMapError, never half of it."""
+
+    VALID = exporting_replica().export_table(now=1.0)
+
+    def installs_or_rejects(self, payload: bytes) -> None:
+        server = ShardReplicaServer(1, TABLE_MAP)
+        try:
+            installed = server.install_table(payload, now=2.0)
+        except ShardMapError:
+            assert not server.table.bindings and not server._leases
+            return
+        assert installed == len(server.table.bindings)
+
+    def test_export_round_trips_through_install(self):
+        puller = ShardReplicaServer(1, TABLE_MAP)
+        assert puller.install_table(self.VALID, now=2.0) == 2
+        assert {key: binding_fields(binding)
+                for key, binding in puller.table.bindings.items()} == {
+            b"data": {"target_pid": 65537, "target_context": 2},
+            b"svc": {"service_id": 9, "target_context": 1}}
+        # "data" travels with lease time either way (owned: a full ttl;
+        # held: the 0.5 s that remained), so the puller holds it leased.
+        assert puller._leases[b"data"] > 2.0
+
+    @pytest.mark.parametrize("payload", GARBAGE_MAPS[:3] + [
+        b"\xff", b'{"bindings":1}', b'{"bindings":[1]}',
+        b'{"bindings":[{"prefix":"p"}]}',
+        b'{"bindings":[{"prefix":7,"target_pid":1}]}',
+        b'{"bindings":[{"prefix":"p","target_pid":"1"}]}',
+        b'{"bindings":[{"prefix":"p","target_pid":4294967296}]}',
+        b'{"bindings":[{"prefix":"p","target_pid":1,"target_context":65536}]}',
+        b'{"bindings":[{"prefix":"\\ud800","target_pid":1}]}',
+        b'{"bindings":[{"prefix":"p","target_pid":1,"lease_remaining":NaN}]}',
+        b'{"bindings":[{"prefix":"p","target_pid":1,"lease_remaining":-1}]}',
+    ])
+    def test_known_garbage_is_a_shard_map_error(self, payload):
+        with pytest.raises(ShardMapError):
+            ShardReplicaServer(1, TABLE_MAP).install_table(payload, now=2.0)
+
+    def test_a_bad_record_leaves_the_table_untouched(self):
+        payload = json.loads(self.VALID)
+        payload["bindings"].append({"prefix": "late", "target_pid": -1})
+        server = ShardReplicaServer(1, TABLE_MAP)
+        with pytest.raises(ShardMapError, match="target_pid"):
+            server.install_table(json.dumps(payload).encode(), now=2.0)
+        assert not server.table.bindings and not server._leases
+
+    @given(data=st.binary(max_size=96))
+    def test_arbitrary_bytes(self, data):
+        self.installs_or_rejects(data)
+
+    @given(cut=st.integers(min_value=0), flips=_BYTE_FLIPS)
+    def test_truncated_and_byte_flipped_valid_tables(self, cut, flips):
+        self.installs_or_rejects(mutated(self.VALID, cut, flips))
+
+    @given(path=st.lists(st.integers(min_value=0), max_size=4), value=_JSON)
+    def test_valid_tables_with_one_node_replaced(self, path, value):
+        self.installs_or_rejects(replaced(self.VALID, path, value))
 
 
 # ---------------------------------------------------------- cluster fixture

@@ -80,3 +80,16 @@ class TestSingleReplicaRestart:
             assert stats["invalidations"] >= stats["fallbacks"]
         for entry in report.replicas:
             assert entry["expired_served"] == 0
+
+
+class TestStormCli:
+    def test_storm_flag_runs_the_storm_and_reports_json(self, capsys):
+        import json
+
+        from repro.faults.chaos import main
+
+        assert main(["--storm", "--seed", "11", "--duration", "3",
+                     "--storm-prefixes", "16"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n_replicas"] == 3 and report["reads_failed"] == 0
+        assert report["promotions"] == report["rejoins"] == 3

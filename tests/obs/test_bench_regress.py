@@ -1,49 +1,42 @@
-"""Tests for the continuous-benchmark snapshot machinery and the gate.
+"""The behavioural contract: the suite reproduces BENCH_5.json exactly.
 
-The suite itself is exercised by running ``repro.obs.bench`` (slow, so the
-benchmark runs live in benchmarks/); here we pin the parts the gate's
-correctness rests on: snapshot naming, tolerance classification, and the
-pure :func:`repro.obs.regress.compare` semantics -- including the two
-acceptance cases (identical snapshots pass; a +20% latency injection
-fails naming the metric).
+One module-scoped run of ``repro.obs.bench.run_suite`` (about 3 s) is
+checked against the committed baseline -- the gate every refactor faces --
+and reused to drive ``main``; the pure :func:`repro.obs.bench.check`
+semantics are pinned on small synthetic documents.
 """
 
+import copy
 import json
+import math
+import os
+from pathlib import Path
 
 import pytest
 
-from repro.obs import regress
+from repro.obs import bench
 from repro.obs.bench import (
+    BASELINE_NAME,
     BENCH_SCHEMA,
-    next_snapshot_path,
-    pick_rounds,
+    EXPERIMENTS,
+    NOT_GATED,
+    check,
+    main,
     repo_root,
-    snapshot_paths,
-    trajectory_point,
-    write_snapshot,
+    run_suite,
 )
-from repro.obs.regress import Finding, compare, compare_all, main, rule_for
+
+REPO = Path(__file__).resolve().parents[2]
 
 
-def make_snapshot(experiments: dict, quick: bool = False,
-                  schema: int = BENCH_SCHEMA,
-                  wall: dict | None = None) -> dict:
-    """``wall`` maps experiment key -> events/sec for its ``wall`` section."""
-    document = {
+def make_snapshot(experiments: dict, schema: int = BENCH_SCHEMA) -> dict:
+    return {
         "schema": schema,
         "kind": "bench-trajectory",
-        "git_sha": "deadbeef",
-        "seed": 0,
-        "quick": quick,
         "experiments": {
             key: {"metrics": dict(metrics)}
             for key, metrics in experiments.items()},
     }
-    for key, rate in (wall or {}).items():
-        document["experiments"][key]["wall"] = {
-            "events": 1000, "seconds": round(1000 / rate, 6),
-            "wall_events_per_sec": rate}
-    return document
 
 
 BASE = {
@@ -54,16 +47,21 @@ BASE = {
 }
 
 
-class TestSnapshotNaming:
-    def test_next_index_counts_up_from_existing(self, tmp_path):
-        (tmp_path / "benchmarks").mkdir()
-        assert next_snapshot_path(tmp_path).name == "BENCH_0.json"
-        write_snapshot(make_snapshot(BASE), tmp_path / "BENCH_0.json")
-        write_snapshot(make_snapshot(BASE), tmp_path / "BENCH_4.json")
-        (tmp_path / "BENCH_x.json").write_text("{}")  # not a snapshot name
-        assert [i for i, __ in snapshot_paths(tmp_path)] == [0, 4]
-        assert next_snapshot_path(tmp_path).name == "BENCH_5.json"
+def failures(baseline: dict, candidate: dict) -> list[str]:
+    return check(baseline, candidate)[0]
 
+
+@pytest.fixture(scope="module")
+def suite() -> dict:
+    return run_suite(REPO)
+
+
+@pytest.fixture(scope="module")
+def committed() -> dict:
+    return json.loads((REPO / BASELINE_NAME).read_text())
+
+
+class TestSnapshotNaming:
     def test_repo_root_walks_up_to_benchmarks_dir(self, tmp_path):
         (tmp_path / "benchmarks").mkdir()
         nested = tmp_path / "src" / "deep"
@@ -72,305 +70,155 @@ class TestSnapshotNaming:
         with pytest.raises(FileNotFoundError):
             repo_root(tmp_path.parent)
 
-    def test_committed_baseline_matches_schema(self):
-        """BENCH_0.json at the real repo root is a valid gate baseline."""
-        baseline = json.loads(
-            (repo_root() / "BENCH_0.json").read_text())
-        assert baseline["schema"] == BENCH_SCHEMA
-        assert baseline["quick"] is False
-        assert "e7" in baseline["experiments"]
-        # A latency and a count: the two tolerance families the gate uses.
-        metrics = baseline["experiments"]["e7"]["metrics"]
-        assert "hops4_open_ms" in metrics and "hops4_messages" in metrics
-
-
-class TestToleranceRules:
-    def test_suffix_classification(self):
-        assert rule_for("e4", "remote_via_prefix_ms") == ("lower", "rel", 0.02)
-        assert rule_for("e11", "file_read_kbs") == ("higher", "rel", 0.02)
-        assert rule_for("e8c", "x_rate") == ("higher", "abs", 0.005)
-        assert rule_for("e9", "advantage64_ratio") == ("both", "rel", 0.02)
-        # Counts and bytes: exact.
-        assert rule_for("e7", "hops4_messages") == ("both", "abs", 0.0)
-
-    def test_override_beats_suffix(self):
-        assert rule_for("e5", "table_bytes_12_prefixes") == \
-            ("both", "rel", 0.50)
+    def test_committed_baseline_matches_schema(self, committed):
+        """BENCH_5.json is the one baseline: every experiment, metrics only."""
+        assert committed["schema"] == BENCH_SCHEMA
+        assert set(committed) == {"schema", "kind", "experiments"}
+        assert list(committed["experiments"]) == \
+            sorted(key for key, __ in EXPERIMENTS)
+        for entry in committed["experiments"].values():
+            assert set(entry) == {"metrics"} and entry["metrics"]
+        # A latency and a count: floats and ints are both in the contract.
+        metrics = committed["experiments"]["e7"]["metrics"]
+        assert isinstance(metrics["hops4_open_ms"], float)
+        assert isinstance(metrics["hops4_messages"], int)
 
 
 class TestCompare:
     def test_identical_snapshots_have_no_findings(self):
-        assert compare(make_snapshot(BASE), make_snapshot(BASE)) == []
+        assert check(make_snapshot(BASE), make_snapshot(BASE)) == ([], [])
+
+    def test_one_ulp_float_drift_fails_naming_metric(self):
+        candidate = make_snapshot(BASE)
+        metrics = candidate["experiments"]["e4"]["metrics"]
+        metrics["remote_via_prefix_ms"] = math.nextafter(
+            metrics["remote_via_prefix_ms"], math.inf)
+        [line] = failures(make_snapshot(BASE), candidate)
+        assert line.startswith("e4.remote_via_prefix_ms: ")
+        assert "7.6127" in line and "7.612700000000001" in line
 
     def test_twenty_percent_latency_injection_fails_naming_metric(self):
         candidate = make_snapshot(BASE)
-        metric = candidate["experiments"]["e4"]["metrics"]
-        metric["remote_via_prefix_ms"] *= 1.20
-        findings = compare(make_snapshot(BASE), candidate)
-        regressed = [f for f in findings if f.verdict == "regressed"]
-        assert [f.name for f in regressed] == ["e4.remote_via_prefix_ms"]
-        assert "e4.remote_via_prefix_ms" in regressed[0].describe()
-        assert "+20.00%" in regressed[0].describe()
-
-    def test_faster_latency_is_improved_not_regressed(self):
-        candidate = make_snapshot(BASE)
-        candidate["experiments"]["e4"]["metrics"]["remote_via_prefix_ms"] *= 0.8
-        findings = compare(make_snapshot(BASE), candidate)
-        assert [f.verdict for f in findings] == ["improved"]
+        candidate["experiments"]["e4"]["metrics"]["remote_via_prefix_ms"] *= 1.2
+        [line] = failures(make_snapshot(BASE), candidate)
+        assert line.startswith("e4.remote_via_prefix_ms: ")
 
     def test_count_drift_is_exact(self):
         candidate = make_snapshot(BASE)
         candidate["experiments"]["e7"]["metrics"]["hops4_messages"] = 23
-        findings = compare(make_snapshot(BASE), candidate)
-        assert [f.name for f in findings] == ["e7.hops4_messages"]
-        assert findings[0].verdict == "regressed"
-
-    def test_throughput_and_rate_directions(self):
-        candidate = make_snapshot(BASE)
-        candidate["experiments"]["e11"]["metrics"]["file_read_kbs"] *= 0.9
-        candidate["experiments"]["e8c"]["metrics"][
-            "distributed_one_down_reachable_rate"] = 0.90
-        findings = {f.name: f.verdict
-                    for f in compare(make_snapshot(BASE), candidate)}
-        assert findings == {"e11.file_read_kbs": "regressed",
-                            "e8c.distributed_one_down_reachable_rate":
-                                "regressed"}
-
-    def test_quick_candidate_may_omit_metrics_and_experiments(self):
-        quick = make_snapshot({"e4": BASE["e4"]}, quick=True)
-        del quick["experiments"]["e4"]["metrics"]["prefix_delta_remote_ms"]
-        assert compare(make_snapshot(BASE), quick) == []
+        [line] = failures(make_snapshot(BASE), candidate)
+        assert line == "e7.hops4_messages: baseline 22, now 23"
 
     def test_full_candidate_missing_experiment_fails(self):
-        candidate = make_snapshot(
+        without_e7 = make_snapshot(
             {k: v for k, v in BASE.items() if k != "e7"})
-        findings = compare(make_snapshot(BASE), candidate)
-        assert [(f.name, f.verdict) for f in findings] == [("e7.(all)",
-                                                            "missing")]
+        assert failures(make_snapshot(BASE), without_e7) == \
+            ["e7: experiment missing from this run"]
+        assert failures(without_e7, make_snapshot(BASE)) == \
+            ["e7: experiment missing from the baseline"]
 
     def test_full_candidate_missing_metric_fails(self):
         candidate = make_snapshot(BASE)
         del candidate["experiments"]["e7"]["metrics"]["hops4_open_ms"]
-        findings = compare(make_snapshot(BASE), candidate)
-        assert [f.name for f in findings] == ["e7.hops4_open_ms"]
-        assert "missing from" in findings[0].describe()
+        assert failures(make_snapshot(BASE), candidate) == \
+            ["e7.hops4_open_ms: missing from this run"]
 
-    def test_schema_mismatch_raises(self):
-        with pytest.raises(ValueError, match="schema"):
-            compare(make_snapshot(BASE, schema=99), make_snapshot(BASE))
-
-    def test_extra_candidate_metrics_are_ignored(self):
-        """New metrics enter the gate only once a new baseline commits."""
+    def test_extra_candidate_metric_fails(self):
+        """A new metric enters only with a regenerated baseline."""
         candidate = make_snapshot(BASE)
         candidate["experiments"]["e4"]["metrics"]["new_ms"] = 1.0
-        assert compare(make_snapshot(BASE), candidate) == []
+        assert failures(make_snapshot(BASE), candidate) == \
+            ["e4.new_ms: not in the baseline"]
 
-
-class TestWallGate:
-    """The wall-clock dimension: loose, higher-is-better, opt-in."""
-
-    def test_identical_wall_sections_pass(self):
-        base = make_snapshot(BASE, wall={"e4": 50000.0})
-        assert compare(base, make_snapshot(BASE, wall={"e4": 50000.0})) == []
-
-    def test_throughput_collapse_fails_at_the_default_tolerance(self):
-        # Default tolerance is 0.5: losing more than half the baseline
-        # rate is an engine-speed collapse, anything less is machine noise.
-        base = make_snapshot(BASE, wall={"e4": 50000.0})
-        slower = make_snapshot(BASE, wall={"e4": 24000.0})
-        findings = compare(base, slower)
-        assert [(f.name, f.verdict) for f in findings] == \
-            [("e4.wall_events_per_sec", "regressed")]
-        barely = make_snapshot(BASE, wall={"e4": 26000.0})
-        assert compare(base, barely) == []
-
-    def test_wall_tolerance_is_adjustable(self):
-        base = make_snapshot(BASE, wall={"e4": 50000.0})
-        slower = make_snapshot(BASE, wall={"e4": 40000.0})
-        assert compare(base, slower) == []
-        findings = compare(base, slower, wall_tolerance=0.1)
-        assert [f.verdict for f in findings] == ["regressed"]
-        assert findings[0].allowed == pytest.approx(5000.0)
-
-    def test_faster_wall_is_improved(self):
-        base = make_snapshot(BASE, wall={"e4": 10000.0})
-        faster = make_snapshot(BASE, wall={"e4": 60000.0})
-        assert [f.verdict for f in compare(base, faster)] == ["improved"]
-
-    def test_missing_wall_on_either_side_skips_the_comparison(self):
-        # Pre-telemetry baselines carry no wall section; its absence is
-        # not a failure on either side (unlike a missing metric).
-        with_wall = make_snapshot(BASE, wall={"e4": 50000.0})
-        without = make_snapshot(BASE)
-        assert compare(with_wall, without) == []
-        assert compare(without, with_wall) == []
-
-
-class TestCompareAll:
-    def test_every_metric_gets_a_verdict(self):
-        base = make_snapshot(BASE, wall={"e4": 50000.0})
-        findings = compare_all(base, make_snapshot(BASE,
-                                                   wall={"e4": 50000.0}))
-        metric_count = sum(len(metrics) for metrics in BASE.values())
-        assert len(findings) == metric_count + 1      # + the wall verdict
-        assert all(f.verdict == "ok" and f.passes for f in findings)
-
-    def test_compare_is_compare_all_minus_ok(self):
-        candidate = make_snapshot(BASE)
-        candidate["experiments"]["e4"]["metrics"]["remote_via_prefix_ms"] *= 1.2
-        all_findings = compare_all(make_snapshot(BASE), candidate)
-        assert compare(make_snapshot(BASE), candidate) == \
-            [f for f in all_findings if f.verdict != "ok"]
-
-
-class TestFinding:
-    def test_name_and_describe(self):
-        finding = Finding("e4", "local_ms", 1.0, 1.5, 0.02, "regressed")
-        assert finding.name == "e4.local_ms"
-        assert "1 -> 1.5" in finding.describe()
-
-    def test_to_record_round_trips_the_verdict(self):
-        finding = Finding("e4", "local_ms", 1.0, 1.5, 0.02, "regressed")
-        assert finding.to_record() == {
-            "experiment": "e4", "metric": "local_ms",
-            "name": "e4.local_ms", "baseline": 1.0, "candidate": 1.5,
-            "delta": pytest.approx(0.5), "allowed": 0.02,
-            "verdict": "regressed", "pass": False}
-
-    def test_to_record_maps_missing_nan_to_null(self):
-        finding = Finding("e7", "hops4_open_ms", 18.5, float("nan"), 0.0,
-                          "missing")
-        record = finding.to_record()
-        assert record["candidate"] is None
-        assert record["delta"] is None
-        assert record["pass"] is False
-
-
-class TestMainGate:
-    def write_pair(self, tmp_path, baseline, candidate):
-        base_path = tmp_path / "BENCH_0.json"
-        cand_path = tmp_path / "BENCH_1.json"
-        base_path.write_text(json.dumps(baseline))
-        cand_path.write_text(json.dumps(candidate))
-        return str(base_path), str(cand_path)
-
-    def test_identical_pair_exits_zero(self, tmp_path, capsys):
-        base, cand = self.write_pair(tmp_path, make_snapshot(BASE),
-                                     make_snapshot(BASE))
-        assert main(["--baseline", base, "--candidate", cand]) == 0
-        assert "OK: no regressions" in capsys.readouterr().out
-
-    def test_injected_regression_exits_nonzero(self, tmp_path, capsys):
-        candidate = make_snapshot(BASE)
-        candidate["experiments"]["e4"]["metrics"]["remote_via_prefix_ms"] *= 1.2
-        base, cand = self.write_pair(tmp_path, make_snapshot(BASE), candidate)
-        assert main(["--baseline", base, "--candidate", cand]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSED: e4.remote_via_prefix_ms" in out
-        assert "FAIL: 1 metric(s) regressed: e4.remote_via_prefix_ms" in out
-
-    def test_default_pair_needs_two_snapshots(self, tmp_path):
-        (tmp_path / "benchmarks").mkdir()
-        write_snapshot(make_snapshot(BASE), tmp_path / "BENCH_0.json")
-        with pytest.raises(FileNotFoundError):
-            regress.default_pair(tmp_path)
-        write_snapshot(make_snapshot(BASE), tmp_path / "BENCH_3.json")
-        base, cand = regress.default_pair(tmp_path)
-        assert (base.name, cand.name) == ("BENCH_0.json", "BENCH_3.json")
-
-    def test_json_verdict_document(self, tmp_path, capsys):
-        candidate = make_snapshot(BASE, wall={"e4": 50000.0})
-        candidate["experiments"]["e4"]["metrics"]["remote_via_prefix_ms"] *= 1.2
-        base, cand = self.write_pair(
-            tmp_path, make_snapshot(BASE, wall={"e4": 50000.0}), candidate)
-        code = main(["--baseline", base, "--candidate", cand, "--json"])
-        document = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert document["kind"] == "bench-regress"
-        assert document["pass"] is False
-        assert document["wall_tolerance"] == regress.DEFAULT_WALL_TOLERANCE
-        metric_count = sum(len(metrics) for metrics in BASE.values())
-        assert document["counts"] == {"compared": metric_count + 1,
-                                      "regressed": 1, "improved": 0,
-                                      "exempt": 0}
-        by_name = {record["name"]: record for record in document["metrics"]}
-        assert len(by_name) == metric_count + 1       # every verdict present
-        assert by_name["e4.remote_via_prefix_ms"]["verdict"] == "regressed"
-        assert by_name["e4.wall_events_per_sec"]["pass"] is True
-
-    def test_json_pass_exits_zero(self, tmp_path, capsys):
-        base, cand = self.write_pair(tmp_path, make_snapshot(BASE),
-                                     make_snapshot(BASE))
-        assert main(["--baseline", base, "--candidate", cand, "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["pass"] is True
-
-    def test_wall_tolerance_flag_reaches_the_gate(self, tmp_path, capsys):
-        base, cand = self.write_pair(
-            tmp_path, make_snapshot(BASE, wall={"e4": 50000.0}),
-            make_snapshot(BASE, wall={"e4": 40000.0}))
-        args = ["--baseline", base, "--candidate", cand]
-        assert main(args) == 0                        # default 0.5: passes
-        assert main(args + ["--wall-tolerance", "0.1"]) == 1
-        assert "e4.wall_events_per_sec" in capsys.readouterr().out
-
-
-class TestTrajectoryHelpers:
-    """The shared quick-mode contract the bench modules lean on."""
-
-    def test_quick_skips_secondary_without_measuring_it(self):
-        calls = []
-
-        def expensive():
-            calls.append(True)
-            return {"secondary_ms": 9.0}
-
-        assert trajectory_point(True, {"primary_ms": 1.0}, expensive) == \
-            {"primary_ms": 1.0}
-        assert not calls                              # never even ran
-        assert trajectory_point(False, {"primary_ms": 1.0}, expensive) == \
-            {"primary_ms": 1.0, "secondary_ms": 9.0}
-
-    def test_secondary_accepts_a_plain_mapping(self):
-        assert trajectory_point(False, {"a": 1.0}, {"b": 2.0}) == \
-            {"a": 1.0, "b": 2.0}
-        assert trajectory_point(True, {"a": 1.0}, {"b": 2.0}) == {"a": 1.0}
-        assert trajectory_point(False, {"a": 1.0}) == {"a": 1.0}
-
-    def test_pick_rounds(self):
-        assert pick_rounds(False, 400, 10) == 400
-        assert pick_rounds(True, 400, 10) == 10
+    def test_schema_mismatch_fails(self):
+        [line] = failures(make_snapshot(BASE, schema=1), make_snapshot(BASE))
+        assert line.startswith("schema: baseline has 1")
 
 
 class TestExemptions:
     def test_exempt_metric_never_fails_however_far_it_moves(self):
-        base = make_snapshot({"e5": {"code_bytes": 1000.0,
-                                     "table_bytes_12_prefixes": 500.0}})
-        cand = make_snapshot({"e5": {"code_bytes": 9000.0,
-                                     "table_bytes_12_prefixes": 500.0}})
-        findings = compare_all(base, cand)
-        [finding] = [f for f in findings if f.metric == "code_bytes"]
-        assert finding.verdict == "exempt"
-        assert finding.passes
+        base = make_snapshot({"e5": {"code_bytes": 1000,
+                                     "table_bytes_12_prefixes": 500}})
+        cand = make_snapshot({"e5": {"code_bytes": 9000,
+                                     "table_bytes_12_prefixes": 5000}})
+        found, notes = check(base, cand)
+        assert found == []
         # The report still shows the movement and the written rationale.
-        assert "1000 -> 9000" in finding.describe()
-        assert "exempt:" in finding.describe()
-        assert all(f.passes for f in findings)
+        assert len(notes) == 2
+        assert notes[0].startswith("e5.code_bytes: 1000 -> 9000 (not gated: ")
+        assert NOT_GATED["e5.table_bytes_12_prefixes"] in notes[1]
 
     def test_exempt_metric_missing_from_candidate_is_not_flagged(self):
-        # An exempt metric is outside the gate entirely: its absence must
+        # A footprint entry is outside the gate entirely: its absence must
         # not produce a "missing" failure either.
-        base = make_snapshot({"e5": {"code_bytes": 1000.0}})
-        cand = make_snapshot({"e5": {}})
-        assert compare_all(base, cand) == []
+        base = make_snapshot({"e5": {"code_bytes": 1000}})
+        assert failures(base, make_snapshot({"e5": {}})) == []
 
     def test_every_exemption_carries_a_rationale(self):
-        for name, rationale in regress.EXEMPTIONS.items():
-            assert "." in name          # experiment.metric form
+        assert set(NOT_GATED) == {"e5.code_bytes",
+                                  "e5.table_bytes_12_prefixes"}
+        for rationale in NOT_GATED.values():
             assert len(rationale) > 10  # a real sentence, not a stub
 
     def test_non_exempt_metrics_still_gate(self):
-        base = make_snapshot({"e5": {"table_bytes_12_prefixes": 500.0}})
-        cand = make_snapshot({"e5": {"table_bytes_12_prefixes": 5000.0}})
-        [finding] = compare_all(base, cand)
-        assert finding.verdict == "regressed"
-        assert not finding.passes
+        base = make_snapshot({"e5": {"bindings": 12}})
+        cand = make_snapshot({"e5": {"bindings": 13}})
+        assert failures(base, cand) == ["e5.bindings: baseline 12, now 13"]
+
+
+class TestMainGate:
+    """``main`` over the one real suite run (``run_suite`` stubbed to it)."""
+
+    @pytest.fixture
+    def root(self, tmp_path, monkeypatch, suite):
+        (tmp_path / "benchmarks").mkdir()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(bench, "run_suite", lambda: suite)
+        return tmp_path
+
+    def test_committed_baseline_reproduces_exactly(self, suite, committed):
+        """The tier-1 contract: this tree's metrics == BENCH_5.json."""
+        found, notes = check(committed, suite)
+        assert found == []
+        assert len(notes) == len(NOT_GATED)
+
+    def test_identical_pair_exits_zero(self, root, suite, capsys):
+        assert main([]) == 0                          # writes the baseline
+        assert json.loads((root / BASELINE_NAME).read_text()) == suite
+        assert main(["--check"]) == 0
+        gated = sum(len(entry["metrics"])
+                    for entry in suite["experiments"].values()) - len(NOT_GATED)
+        assert f"OK: {gated} metrics identical" in capsys.readouterr().out
+
+    def test_injected_regression_exits_nonzero(self, root, suite, capsys):
+        """One ulp, one count, one dropped metric: each exits 1, named."""
+        for experiment, metric, mutate in [
+                ("e1", "local_ms", lambda v: math.nextafter(v, math.inf)),
+                ("e7", "hops4_messages", lambda v: v + 1),
+                ("e18", "storm_rejoins", None)]:
+            baseline = copy.deepcopy(suite)
+            metrics = baseline["experiments"][experiment]["metrics"]
+            if mutate is None:
+                del metrics[metric]
+            else:
+                metrics[metric] = mutate(metrics[metric])
+            (root / BASELINE_NAME).write_text(json.dumps(baseline))
+            assert main(["--check"]) == 1
+            out = capsys.readouterr().out
+            assert f"DIFFERS {experiment}.{metric}: " in out
+            assert "FAIL: 1 difference(s)" in out
+
+
+class TestRunSuite:
+    def test_run_suite_measures_untraced_and_restores_the_environment(
+            self, tmp_path, monkeypatch):
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks" / "bench_fake.py").write_text(
+            "import os\n"
+            "def trajectory_metrics():\n"
+            "    return {'traced': int('REPRO_TRACE_DIR' in os.environ)}\n")
+        monkeypatch.setattr(bench, "EXPERIMENTS", (("fake", "bench_fake"),))
+        monkeypatch.setenv("REPRO_TRACE_DIR", "/tmp/traces")
+        document = run_suite(tmp_path)
+        assert document["experiments"] == {"fake": {"metrics": {"traced": 0}}}
+        assert os.environ["REPRO_TRACE_DIR"] == "/tmp/traces"
