@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# End-to-end smoke of every CLI an operator would reach for, on the seeded
-# scenarios the tier-1 tests pin.  Each command's exit status is its gate
-# (invariant violation, digest divergence, incoherent audit entry, alert
-# delivery mismatch all exit nonzero); the values behind them are asserted
+# End-to-end smoke of every example and every CLI an operator would reach
+# for, on the seeded scenarios the tier-1 tests pin.  Each command's exit
+# status is its gate (invariant violation, digest divergence, incoherent
+# audit entry, alert delivery mismatch all exit nonzero); the values behind
+# them are asserted
 # in tests/ and in the behavioural contract, not here.  Everything an
 # operator would pull after a failure lands under $1 for upload.
 set -euo pipefail
@@ -10,6 +11,11 @@ set -euo pipefail
 out=${1:?usage: smoke.sh OUT_DIR}
 mkdir -p "$out/traces" "$out/flight"
 export PYTHONPATH=src
+
+# Every example runs to completion (exit status is the gate).
+for example in examples/*.py; do
+  python "$example" > /dev/null
+done
 
 # Traced benches: the calibrated latencies hold with span tracing on, and
 # the exported JSONL renders through the report CLI (also live via [obs]).

@@ -287,8 +287,7 @@ def measure_instrumentation_counts() -> dict:
 
         def hook_engine(domain):
             engine = domain.engine
-            schedule, schedule_at, schedule_many = (
-                engine.schedule, engine.schedule_at, engine.schedule_many)
+            schedule, schedule_at = engine.schedule, engine.schedule_at
 
             def counted(method):
                 def call(*args):
@@ -296,14 +295,8 @@ def measure_instrumentation_counts() -> dict:
                     return method(*args)
                 return call
 
-            def counted_many(delay, calls):
-                calls = list(calls)
-                counts["scheduled"] += len(calls)
-                return schedule_many(delay, calls)
-
             engine.schedule = counted(schedule)
             engine.schedule_at = counted(schedule_at)
-            engine.schedule_many = counted_many
             del allocated[:]        # count the workload, not the set-up
 
         allocated = []

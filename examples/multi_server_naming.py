@@ -4,22 +4,23 @@ Three file servers each own a tree; cross-server links (the curved arrows of
 Figure 4) and the per-user prefix table stitch them together.  A single Open
 can walk from the workstation through the prefix server into server A,
 forward to server B, and forward again to server C -- and the client never
-knows.  The example prints the forwarding trace to show it happening.
+knows.  The example prints the forwarding path (the hop spans the kernel
+closed with a ``Forward``) to show it happening.
 
 Run:  python examples/multi_server_naming.py
 """
 
 from repro.core.context import ContextPair, WellKnownContext
 from repro.kernel.domain import Domain
+from repro.obs import Observability
 from repro.runtime import files
 from repro.runtime.workstation import setup_workstation, standard_prefixes
 from repro.servers import VFileServer, start_server
-from repro.sim.trace import Tracer
 
 
 def main() -> None:
-    tracer = Tracer()
-    domain = Domain(seed=7, tracer=tracer)
+    obs = Observability()
+    domain = Domain(seed=7, obs=obs)
     workstation = setup_workstation(domain, "mann")
 
     # Three storage servers, as in a departmental installation.
@@ -63,10 +64,12 @@ def main() -> None:
     domain.run()
     domain.check_healthy()
 
-    print("\nforwarding trace for the deep open:")
-    for event in tracer.select(category="ipc",
-                               predicate=lambda e: "Forward" in e.detail)[:6]:
-        print(f"  {event.format()}")
+    print("\nforwarding path of the deep open:")
+    forwards = [span for span in obs.spans.spans
+                if "forwarded_to" in span.attrs]
+    for span in forwards[:6]:
+        print(f"  {span.end * 1e3:10.3f}ms  {span.actor:<24} "
+              f"Forward -> {span.attrs['forwarded_to']}")
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.core.context import ContextPair, WellKnownContext
+from repro.core.namecache import NEGATIVE_ROUTE
 from repro.core.names import as_name_bytes, as_text, has_prefix
 from repro.core.protocol import make_csname_request
 from repro.kernel.ipc import Delay, Now, Send
@@ -106,8 +107,6 @@ def send_csname_request(env: NamingEnvironment, code: int, name: str | bytes,
     reply processing after), which is what makes a local current-context
     Open cost 1.21 ms rather than the bare 0.77 ms transaction.
     """
-    from repro.core.namecache import NEGATIVE_ROUTE
-
     data = as_name_bytes(name)
     cache = env.cache
     route = None

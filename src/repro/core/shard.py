@@ -59,6 +59,7 @@ from typing import Any, Generator, Optional
 from repro.core.context import ContextPair, WellKnownContext
 from repro.core.mapping import ForwardName, MappingFault
 from repro.core.namecache import (
+    CACHE_BYPASS_OPS,
     NEGATIVE_ROUTE,
     BindingCache,
     CachedRoute,
@@ -954,8 +955,6 @@ class ShardResolver:
     # --------------------------------------------------------------- routing
 
     def should_route(self, data: bytes, code: int) -> bool:
-        from repro.core.namecache import CACHE_BYPASS_OPS
-
         return int(code) not in CACHE_BYPASS_OPS and has_prefix(data)
 
     def route(self, data: bytes) -> Gen:

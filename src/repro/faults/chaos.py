@@ -51,13 +51,20 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from repro.core.resolver import NameError_
 from repro.faults.crash import CrashSchedule
 from repro.faults.partition import heal_partition, partition_between
 from repro.kernel.domain import Domain
 from repro.kernel.host import Host
+from repro.kernel.ipc import Delay, Now
 from repro.kernel.process import Process
 from repro.net.latency import WireFaultModel
+from repro.runtime import files
+from repro.runtime.workstation import setup_workstation, standard_prefixes
+from repro.servers.base import start_server
+from repro.servers.fileserver.server import VFileServer
 from repro.sim.engine import ScheduledEvent
+from repro.vio.client import IoError
 
 
 class InvariantViolation(AssertionError):
@@ -134,11 +141,7 @@ def check_no_timer_leaks(domain: Domain) -> list[str]:
     transaction the kernel already forgot.
     """
     problems = []
-    # Heap entries are (time, seq, callback, args, event-or-None); posted
-    # fire-and-forget entries have no event object and cannot be cancelled.
-    for time, __, callback, args, event in domain.engine._queue:
-        if event is not None and event.cancelled:
-            continue
+    for time, callback, args in domain.engine.pending_events():
         for arg in args:
             if isinstance(arg, Process) and not arg.alive:
                 problems.append(
@@ -297,18 +300,85 @@ _METRIC_KEYS = (
 )
 
 
+def populated_fileserver() -> VFileServer:
+    """A file server holding the one file every chaos client reads."""
+    server = VFileServer(user="mann")
+    node = server.store.make_path("data/f0.dat", directory=False)
+    node.data[:] = _PAYLOAD
+    return server
+
+
+def build_chaos_world(domain: Domain):
+    """Workstation ``mann`` (name cache on) reading from a populated file
+    server on ``vax1`` through the standard prefixes.
+
+    Returns ``(workstation, fileserver handle)``.
+    """
+    workstation = setup_workstation(domain, "mann")
+    handle = start_server(domain.create_host("vax1"), populated_fileserver())
+    standard_prefixes(workstation, handle)
+    workstation.enable_name_cache()
+    return workstation, handle
+
+
+def schedule_chaos_faults(domain: Domain, workstation, fs_host: Host,
+                          duration: float, faults: WireFaultModel,
+                          crash: bool = True) -> None:
+    """``faults`` on the wire for the middle 80 % of the run (clean at both
+    ends, so the cache warms up honestly and the run can quiesce) and,
+    with ``crash``, ``fs_host`` down from 40 % to 50 %."""
+    schedule = ChaosSchedule(domain)
+    schedule.loss_between(0.1 * duration, 0.9 * duration, faults)
+    if crash:
+        def respawn(host):
+            # The respawned server has a new pid: re-register its services
+            # (the generic [storage] binding re-resolves via GetPid on its
+            # own) and rebind the fixed prefixes, as the workstation's boot
+            # script would.  The prefix server notifies attached caches of
+            # each rebinding.
+            standard_prefixes(workstation,
+                              start_server(host, populated_fileserver()))
+
+        schedule.crash_between(fs_host, 0.4 * duration, 0.5 * duration,
+                               respawn=respawn)
+
+
+def chaos_targets(session) -> list:
+    """The two names every round reads: one through the fixed ``[root]``
+    prefix binding, one through the generic ``[storage]`` binding."""
+    return [(session, "[root]data/f0.dat"), (session, "[storage]data/f0.dat")]
+
+
+def chaos_reads(duration: float, targets, tally):
+    """The client body: every 20 ms until ``duration``, read each
+    ``(session, name)`` of ``targets(round)`` and hand ``tally`` the bytes
+    read, or None when the read failed."""
+    round_number = 0
+    while True:
+        now = yield Now()
+        if now >= duration:
+            break
+        for session, name in targets(round_number):
+            try:
+                data = yield from files.read_file(session, name)
+            except (NameError_, IoError):
+                tally(None)
+            else:
+                tally(data)
+        round_number += 1
+        yield Delay(0.02)
+
+
 def run_chaos(seed: int = 7, duration: float = 5.0, drop: float = 0.10,
               dup: float = 0.02, delay_rate: float = 0.05,
               crash: bool = True, watchdogs: bool = False,
               flight: bool = False) -> ChaosReport:
     """One seeded chaos run; returns the report after checking invariants.
 
-    A workstation client reads two names -- one through a fixed ``[root]``
-    prefix binding, one through the generic ``[storage]`` binding -- in a
+    A workstation client reads two names (:func:`chaos_targets`) in a
     tight loop while the wire drops/duplicates/delays frames for most of
     the run and (optionally) the file server crashes and respawns in the
-    middle of it.  The wire is clean for the first and last stretch so the
-    cache warms up honestly and the run can quiesce.
+    middle of it (:func:`schedule_chaos_faults`).
 
     With ``watchdogs=True``, the ``[obs]`` name space and the telemetry
     collector (default SLO rules) run over the same timeline; after the
@@ -323,30 +393,14 @@ def run_chaos(seed: int = 7, duration: float = 5.0, drop: float = 0.10,
     recorder is attached to the raised :class:`InvariantViolation` so the
     caller can dump the black boxes from the wreck.
     """
-    from repro.core.resolver import NameError_
-    from repro.runtime import files
-    from repro.vio.client import IoError
-    from repro.runtime.workstation import setup_workstation, standard_prefixes
-    from repro.servers.base import start_server
-    from repro.servers.fileserver.server import VFileServer
-
-    def populated_server() -> VFileServer:
-        server = VFileServer(user="mann")
-        node = server.store.make_path("data/f0.dat", directory=False)
-        node.data[:] = _PAYLOAD
-        return server
-
     domain = Domain(seed=seed)
     recorder = None
     if flight:
         from repro.obs.flight import enable_flight_recorder
 
         recorder = enable_flight_recorder(domain)
-    workstation = setup_workstation(domain, "mann")
-    fs_host = domain.create_host("vax1")
-    handle = start_server(fs_host, populated_server())
-    standard_prefixes(workstation, handle)
-    cache = workstation.enable_name_cache()
+    workstation, handle = build_chaos_world(domain)
+    cache = workstation.name_cache
 
     telemetry = None
     if watchdogs:
@@ -355,45 +409,25 @@ def run_chaos(seed: int = 7, duration: float = 5.0, drop: float = 0.10,
         enable_obs_namespace(domain, workstation.host)
         telemetry = domain.enable_telemetry(interval=0.1)
 
-    faults = WireFaultModel(drop_rate=drop, dup_rate=dup,
-                            delay_rate=delay_rate)
-    schedule = ChaosSchedule(domain)
-    schedule.loss_between(0.1 * duration, 0.9 * duration, faults)
-    if crash:
-        def respawn(host):
-            # The respawned server has a new pid: re-register its services
-            # (the generic [storage] binding re-resolves via GetPid on its
-            # own) and rebind the fixed prefixes, as the workstation's boot
-            # script would.  The prefix server notifies attached caches of
-            # each rebinding.
-            new_handle = start_server(host, populated_server())
-            standard_prefixes(workstation, new_handle)
-
-        schedule.crash_between(fs_host, 0.4 * duration, 0.5 * duration,
-                               respawn=respawn)
+    schedule_chaos_faults(
+        domain, workstation, handle.host, duration,
+        WireFaultModel(drop_rate=drop, dup_rate=dup, delay_rate=delay_rate),
+        crash=crash)
 
     report = ChaosReport(seed=seed, duration=duration, drop_rate=drop)
 
-    def client(session):
-        from repro.kernel.ipc import Delay, Now
+    def tally(data) -> None:
+        if data is None:
+            report.reads_failed += 1
+        elif data == _PAYLOAD:
+            report.reads_ok += 1
+        else:
+            report.reads_wrong += 1
 
-        while True:
-            now = yield Now()
-            if now >= duration:
-                break
-            for name in ("[root]data/f0.dat", "[storage]data/f0.dat"):
-                try:
-                    data = yield from files.read_file(session, name)
-                except (NameError_, IoError):
-                    report.reads_failed += 1
-                else:
-                    if data == _PAYLOAD:
-                        report.reads_ok += 1
-                    else:
-                        report.reads_wrong += 1
-            yield Delay(0.02)
-
-    workstation.host.spawn(client(workstation.session()), name="chaos-client")
+    targets = chaos_targets(workstation.session())
+    workstation.host.spawn(
+        chaos_reads(duration, lambda round_number: targets, tally),
+        name="chaos-client")
     domain.run()
     domain.check_healthy()
 
@@ -548,21 +582,12 @@ def run_replica_storm(seed: int = 11, duration: float = 6.0,
     that many simulated seconds, each passed to ``on_audit(document)``.
     """
     from repro.core.context import ContextPair, WellKnownContext
-    from repro.core.resolver import NameError_
     from repro.core.shard import ShardCluster
-    from repro.kernel.ipc import Delay, Now
-    from repro.runtime import files
     from repro.runtime.session import Session
-    from repro.servers.base import start_server
-    from repro.servers.fileserver.server import VFileServer
-    from repro.vio.client import IoError
 
     domain = Domain(seed=seed)
     fs_host = domain.create_host("vax1")
-    fileserver = VFileServer(user="mann")
-    node = fileserver.store.make_path("data/f0.dat", directory=False)
-    node.data[:] = _PAYLOAD
-    fs_handle = start_server(fs_host, fileserver)
+    fs_handle = start_server(fs_host, populated_fileserver())
     pair = ContextPair(fs_handle.pid, int(WellKnownContext.DEFAULT))
 
     replica_hosts = domain.create_hosts(n_replicas, prefix="ns")
@@ -577,10 +602,6 @@ def run_replica_storm(seed: int = 11, duration: float = 6.0,
     if watchdogs:
         from repro.obs.audit import enable_coherence
         from repro.obs.telemetry import coherence_watchdogs, default_watchdogs
-        from repro.runtime.workstation import (
-            setup_workstation,
-            standard_prefixes,
-        )
         from repro.servers.statserver import enable_obs_namespace
 
         watcher = setup_workstation(domain, "watch")
@@ -731,8 +752,6 @@ def read_alerts_via_obs(workstation) -> list[dict]:
     forwarding chain (prefix server -> obs root -> fleet leaf) over the
     now-healed wire -- the same path a live operator's monitor would use.
     """
-    from repro.runtime import files
-
     payloads: list[bytes] = []
 
     def reader(session):

@@ -22,10 +22,9 @@ from repro.kernel.pids import Pid
 from repro.kernel.process import Process, Transaction
 from repro.net.ethernet import Ethernet
 from repro.net.latency import STANDARD_3MBIT, LatencyModel, WireFaultModel
+from repro.obs.registry import MetricsRegistry
 from repro.sim.engine import Engine
-from repro.sim.metrics import Metrics
 from repro.sim.rng import DeterministicRng
-from repro.sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
@@ -40,7 +39,6 @@ class Domain:
         latency: LatencyModel = STANDARD_3MBIT,
         seed: int = 0,
         config: KernelConfig = DEFAULT_CONFIG,
-        tracer: Optional[Tracer] = None,
         obs: Optional["Observability"] = None,
     ) -> None:
         self.engine = Engine()
@@ -48,16 +46,12 @@ class Domain:
         #: With obs attached the kernel emits a span tree per message
         #: transaction (see repro.obs); without it no tracing branch runs.
         self.obs = obs
-        self.metrics = Metrics(
-            registry=obs.registry if obs is not None else None)
+        #: Every counter of the run; the bundle's registry when one is
+        #: attached, so kernel counts and span-side instruments export as one.
+        self.metrics = obs.registry if obs is not None else MetricsRegistry()
         self.rng = DeterministicRng(seed)
         self.latency = latency
         self.config = config
-        self.tracer = tracer
-        if obs is not None and tracer is not None:
-            # Let the span exporter report the event ring buffer's drop
-            # count alongside the spans (see repro.obs.export).
-            obs.tracer = tracer
         if obs is not None:
             # Run-level comparability facts for JSONL meta records: the rng
             # seed and (via the engine link) the event count at export time.
@@ -293,17 +287,6 @@ class Domain:
 
     def run_for(self, duration: float) -> None:
         self.engine.run_for(duration)
-
-    def run_until(self, predicate: Callable[[], bool],
-                  deadline: float = 3600.0, step: float = 0.001) -> None:
-        """Run until ``predicate()`` is true (checked between events)."""
-        while not predicate():
-            if self.engine.now > deadline:
-                raise TimeoutError(
-                    f"predicate not satisfied by simulated t={deadline}s"
-                )
-            if not self.engine.step():
-                break
 
     def check_healthy(self) -> None:
         """Raise if any process died with an exception (test helper)."""

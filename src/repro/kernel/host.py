@@ -143,7 +143,7 @@ class Host:
         self._retransmit_fire = self._retransmit_fire
         # Pre-resolved registry counters for the per-transaction metrics
         # (same Counter objects the registry serves, so every view agrees).
-        registry = self.metrics.registry
+        registry = self.metrics
         self._m_sends = registry.counter("ipc.sends")
         self._m_deliveries = registry.counter("ipc.deliveries")
         self._m_replies = registry.counter("ipc.replies")
@@ -162,8 +162,6 @@ class Host:
         task = Task(body, name=f"{self.name}/{name}")
         proc = Process(pid, task, name)
         self.processes[pid.local_id] = proc
-        if self.domain.tracer is not None:
-            self._trace("proc", name, f"spawned as {pid!r}")
         self.engine.post(0.0, self._start_process, proc)
         return proc
 
@@ -225,7 +223,6 @@ class Host:
             # dump survives even if this machine restarts and keeps flying.
             flight.freeze(self)
         self.metrics.incr("kernel.crashes")
-        self._trace("fault", self.name, "host crashed")
         self.domain._notify_host_crashed(self)
 
     def restart(self) -> None:
@@ -237,7 +234,6 @@ class Host:
             self.ethernet.set_link(self.host_id, True)
         self.counters.clear()
         self.started_at = self.engine.now
-        self._trace("fault", self.name, "host restarted")
         self.domain._notify_host_restarted(self)
 
     # --------------------------------------------------------- process loop
@@ -278,7 +274,6 @@ class Host:
                     finished, effect = proc.task.resume(value)
             except TaskFailure as failure:
                 self.domain.failures.append((proc.task.name, failure.original))
-                self._trace("proc", proc.name, f"FAILED: {failure.original!r}")
                 self._terminate(proc)
                 return
             if finished:
@@ -339,7 +334,6 @@ class Host:
         self.processes.pop(proc.pid.local_id, None)
         self.allocator.release(proc.pid)
         self.metrics.incr("kernel.process_exits")
-        self._trace("proc", proc.name, "exited")
 
     # -------------------------------------------------------------- dispatch
 
@@ -427,9 +421,6 @@ class Host:
                 request_bytes=effect.message.wire_bytes)
             effect.message.trace = span.context
             self._txn_spans[txn.txn_id] = span
-        if self.domain.tracer is not None:
-            self._trace("ipc", proc.name,
-                        f"Send {effect.message!r} -> {effect.dst!r} (txn {txn.txn_id})")
         # ``is_local_to`` and the one-line ``_transmit`` wrapper are inlined
         # here and on the reply/probe paths: one Send/Reply round trip
         # otherwise pays four extra method calls.
@@ -571,9 +562,6 @@ class Host:
                                       reply_code=code_name(effect.message.code))
                 # The reply frame's wire span hangs off this hop.
                 effect.message.trace = span.context
-        if self.domain.tracer is not None:
-            self._trace("ipc", proc.name,
-                        f"Reply {effect.message!r} -> {effect.to!r} (txn {delivery.txn_id})")
         return self._route_reply(proc.pid, delivery, effect.message, busy=True,
                                  replier=proc)
 
@@ -634,9 +622,6 @@ class Host:
                 # The next hop's span chains under this one: the span tree
                 # *is* the Sec. 5.4 forwarding path.
                 message.trace = span.context
-        if self.domain.tracer is not None:
-            self._trace("ipc", proc.name,
-                        f"Forward txn {delivery.txn_id} -> {effect.dst!r}")
         # Tell the sender's kernel where the transaction went, if it is here.
         local_txn = self._outstanding.get(delivery.txn_id)
         if local_txn is not None:
@@ -742,9 +727,6 @@ class Host:
     def _do_set_pid(self, proc: Process, effect: ipc.SetPid) -> Any:
         self.registry.set_pid(effect.service, proc.pid, effect.scope)
         self.metrics.incr("services.registrations")
-        if self.domain.tracer is not None:
-            self._trace("svc", proc.name,
-                        f"SetPid service={effect.service} scope={effect.scope.value}")
         return None
 
     def _do_get_pid(self, proc: Process, effect: ipc.GetPid) -> Any:
@@ -817,16 +799,14 @@ class Host:
         timeout = self.engine.schedule(self.config.group_reply_timeout,
                                        self._group_send_timeout, txn)
         self._group_timeouts[txn.txn_id] = timeout
-        # Local members (other than the sender) get a local delivery; the
-        # whole same-tick burst goes into the queue as one batched entry.
-        deliver = self._deliver_group_local
-        self.engine.schedule_many(
-            self._local_hop,
-            [(deliver, (Transaction(txn_id=txn.txn_id, sender=proc.pid,
-                                    dst=member, message=effect.message),))
-             for member in self.domain.groups.members_on_host(
-                 effect.group_id, self.host_id)
-             if member != proc.pid])
+        # Local members (other than the sender) get a local delivery.
+        for member in self.domain.groups.members_on_host(
+                effect.group_id, self.host_id):
+            if member != proc.pid:
+                self.engine.post(
+                    self._local_hop, self._deliver_group_local,
+                    Transaction(txn_id=txn.txn_id, sender=proc.pid,
+                                dst=member, message=effect.message))
         # Remote members are reached by one multicast frame.
         packet = Packet(PacketKind.GROUP_REQUEST, src_pid=proc.pid, dst_pid=None,
                         txn_id=txn.txn_id, message=effect.message,
@@ -1127,8 +1107,6 @@ class Host:
             return
         if txn.probes_unanswered >= self._max_failed_probes:
             self.metrics.incr("ipc.send_timeouts")
-            self._trace("ipc", f"txn{txn.txn_id}",
-                        f"abandoned after {txn.probes_unanswered} failed probes")
             self._complete_local_txn(txn, Message.reply(ReplyCode.TIMEOUT))
             return
         txn.probes_unanswered += 1
@@ -1186,9 +1164,6 @@ class Host:
             span = self._txn_spans.get(txn.txn_id)
             if span is not None:
                 span.append_attr("retransmit", self.engine.now)
-        if self.domain.tracer is not None:
-            self._trace("ipc", f"txn{txn.txn_id}",
-                        f"retransmit #{txn.retransmits} -> {txn.dst!r}")
         if self.engine.profiling:
             # Also reached outside the timer (PROBE_MISSING): make sure the
             # fresh copy is charged to the retransmission phase regardless.
@@ -1255,13 +1230,6 @@ class Host:
             })
         records.sort(key=lambda r: r["local_id"])
         return records
-
-    # ----------------------------------------------------------------- trace
-
-    def _trace(self, category: str, subject: str, detail: str) -> None:
-        tracer = self.domain.tracer
-        if tracer is not None:
-            tracer.record(self.engine.now, category, f"{self.name}:{subject}", detail)
 
 
 _EFFECT_HANDLERS = {

@@ -26,9 +26,8 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.latency import LatencyModel, WireFaultModel
 from repro.net.packet import BROADCAST, Frame, FramePool, GroupAddress, _Broadcast
-from repro.obs.registry import DEFAULT_BYTES_BUCKETS
+from repro.obs.registry import DEFAULT_BYTES_BUCKETS, MetricsRegistry
 from repro.sim.engine import Engine
-from repro.sim.metrics import Metrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
@@ -47,12 +46,12 @@ class Ethernet:
         self,
         engine: Engine,
         latency: LatencyModel,
-        metrics: Metrics | None = None,
+        metrics: MetricsRegistry | None = None,
         obs: Optional["Observability"] = None,
     ) -> None:
         self.engine = engine
         self.latency = latency
-        self.metrics = metrics if metrics is not None else Metrics()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.obs = obs
         self._interfaces: dict[int, DeliverFn] = {}
         self._link_up: dict[int, bool] = {}
@@ -75,8 +74,8 @@ class Ethernet:
         #: Pre-resolved registry counters: transmit/deliver run per frame,
         #: and even the cached-by-name incr() is measurable there.  These
         #: are the registry's own Counter objects, so every other view
-        #: (counter_values, telemetry, [obs]) sees the same numbers.
-        registry = self.metrics.registry
+        #: (count(), telemetry, [obs]) sees the same numbers.
+        registry = self.metrics
         self._c_frames = registry.counter("net.frames")
         self._c_bytes = registry.counter("net.bytes")
         self._c_broadcast = registry.counter("net.broadcast_frames")
@@ -297,7 +296,7 @@ class Ethernet:
             return
         counter = self._delivered_counters.get(host_id)
         if counter is None:
-            counter = self.metrics.registry.counter(f"net.delivered_to.{host_id}")
+            counter = self.metrics.counter(f"net.delivered_to.{host_id}")
             self._delivered_counters[host_id] = counter
         counter.value += 1
         deliver(frame)

@@ -65,9 +65,6 @@ class Observability:
         self.spans = spans if spans is not None else TraceCollector()
         self.registry = registry if registry is not None else MetricsRegistry()
         self.actors: Dict[int, str] = {}
-        #: The domain's ring-buffer event Tracer, linked by Domain.__init__
-        #: when both are present, so exports can report its drop count.
-        self.tracer: Any = None
         #: Run comparability facts, linked by Domain.__init__: the rng seed
         #: and the engine (for its event count at export time).  Two trace
         #: files are only comparable if these match.
@@ -82,17 +79,14 @@ class Observability:
         """Run-level metadata for span exports.
 
         Carries everything needed to judge whether two trace files are
-        comparable: the rng seed, the engine's event count at export time,
-        and (when a ring-buffer tracer is attached) its drop count.
+        comparable: the rng seed and the engine's event count at export
+        time.
         """
         meta: dict = {}
         if self.run_seed is not None:
             meta["seed"] = self.run_seed
         if self.engine is not None:
             meta["events_processed"] = int(self.engine.events_processed)
-        if self.tracer is not None:
-            meta["dropped_events"] = int(getattr(self.tracer, "dropped", 0))
-            meta["event_limit"] = getattr(self.tracer, "limit", None)
         return meta
 
     def export_spans(self, path: str | Path) -> int:

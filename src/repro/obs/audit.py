@@ -239,7 +239,7 @@ def enable_coherence(domain: "Domain") -> CoherenceProbe:
     sampling.  Zero simulated cost either way.
     """
     if domain.coherence is None:
-        domain.coherence = CoherenceProbe(registry=domain.metrics.registry)
+        domain.coherence = CoherenceProbe(registry=domain.metrics)
     return domain.coherence
 
 

@@ -7,8 +7,8 @@ shapes share a file format via a ``"kind"`` discriminator:
 - ``{"kind": "span", ...}`` -- one finished (or abandoned) span;
 - ``{"kind": "actor", ...}`` -- pid -> server-kind labels for pretty reports;
 - ``{"kind": "meta", ...}`` -- one optional leading record of run metadata
-  (notably ``dropped_events`` from the ring-buffer tracer, so a truncated
-  trace does not read as complete).
+  (the rng seed and the engine's event count, so a reader can tell whether
+  two trace files are comparable).
 
 Metric snapshots use their own file (``write_metrics_jsonl``) with
 ``counter`` / ``gauge`` / ``histogram`` records.
@@ -65,8 +65,7 @@ def write_spans_jsonl(
     exported with ``"end": null`` so a report can flag them rather than
     silently losing work that was in flight when the run stopped.  ``meta``
     (if given and non-empty) becomes a single leading ``"kind": "meta"``
-    record -- the exporter's place for run-level facts such as the event
-    tracer's dropped count.
+    record -- the exporter's place for run-level facts such as the seed.
     """
     spans = source.spans if isinstance(source, TraceCollector) else list(source)
     path = Path(path)
@@ -105,11 +104,6 @@ class TraceFile:
     spans: List[Span] = field(default_factory=list)
     actors: Dict[int, str] = field(default_factory=dict)
     meta: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def dropped_events(self) -> int:
-        """Events the ring-buffer tracer discarded during the traced run."""
-        return int(self.meta.get("dropped_events", 0) or 0)
 
     def traces(self) -> Dict[int, List[Span]]:
         """trace_id -> spans in start order."""

@@ -206,7 +206,7 @@ def fleet_metrics_payload(domain: "Domain") -> bytes:
     for host in domain.hosts.values():
         if not host.crashed:
             host.snapshot()  # refresh per-host uptime gauges
-    return _jsonl_bytes(metrics_records(domain.metrics.registry))
+    return _jsonl_bytes(metrics_records(domain.metrics))
 
 
 def fleet_hosts_payload(domain: "Domain") -> bytes:

@@ -35,8 +35,6 @@ SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
 MONITOR_SCHEMA = 1
 
-_PAYLOAD = b"monitor-payload"
-
 
 def sparkline(values: list[float], width: int = 40) -> str:
     """Render ``values`` as a fixed-width unicode bar trend (min..max)."""
@@ -112,11 +110,12 @@ def run_monitored(seed: int = 7, duration: float = 5.0, drop: float = 0.10,
                   ) -> dict:
     """One traced, watchdogged scenario; the monitor document.
 
-    The scenario mirrors :func:`repro.faults.chaos.run_chaos` (lossy wire
-    for the middle 80%, file-server crash/respawn at 40-50%) but carries a
-    full :class:`~repro.obs.Observability` bundle so the run is traced,
-    and every number in the returned document was read back through the
-    ``[obs]`` name space, not scraped from Python objects.
+    The scenario is :func:`repro.faults.chaos.run_chaos`'s world, faults
+    and read loop (lossy wire for the middle 80%, file-server crash/respawn
+    at 40-50%) but carries a full :class:`~repro.obs.Observability` bundle
+    so the run is traced, and every number in the returned document was
+    read back through the ``[obs]`` name space, not scraped from Python
+    objects.
 
     ``shards`` > 0 additionally deploys a :class:`~repro.core.shard.
     ShardCluster` of that many replicas (prefixes ``[s0]``..``[s7]``) with
@@ -130,30 +129,20 @@ def run_monitored(seed: int = 7, duration: float = 5.0, drop: float = 0.10,
     fire/resolve line without widening the single-argument callback
     contract.
     """
-    from repro.core.resolver import NameError_
-    from repro.faults.chaos import ChaosSchedule
+    from repro.faults.chaos import (
+        build_chaos_world,
+        chaos_reads,
+        chaos_targets,
+        schedule_chaos_faults,
+    )
     from repro.kernel.domain import Domain
     from repro.net.latency import WireFaultModel
     from repro.obs import Observability
     from repro.runtime import files
-    from repro.runtime.workstation import setup_workstation, standard_prefixes
-    from repro.servers.base import start_server
-    from repro.servers.fileserver.server import VFileServer
     from repro.servers.statserver import enable_obs_namespace
-    from repro.vio.client import IoError
-
-    def populated_server() -> VFileServer:
-        server = VFileServer(user="mann")
-        node = server.store.make_path("data/f0.dat", directory=False)
-        node.data[:] = _PAYLOAD
-        return server
 
     domain = Domain(seed=seed, obs=Observability())
-    workstation = setup_workstation(domain, "mann")
-    fs_host = domain.create_host("vax1")
-    handle = start_server(fs_host, populated_server())
-    standard_prefixes(workstation, handle)
-    workstation.enable_name_cache()
+    workstation, handle = build_chaos_world(domain)
     enable_obs_namespace(domain, workstation.host)
 
     shard_session = None
@@ -187,45 +176,26 @@ def run_monitored(seed: int = 7, duration: float = 5.0, drop: float = 0.10,
 
         telemetry.alerts.subscribe(fire)
 
-    schedule = ChaosSchedule(domain)
-    schedule.loss_between(0.1 * duration, 0.9 * duration,
-                          WireFaultModel(drop_rate=drop, dup_rate=0.02,
-                                         delay_rate=0.05))
-
-    def respawn(host):
-        new_handle = start_server(host, populated_server())
-        standard_prefixes(workstation, new_handle)
-
-    schedule.crash_between(fs_host, 0.4 * duration, 0.5 * duration,
-                           respawn=respawn)
+    schedule_chaos_faults(
+        domain, workstation, handle.host, duration,
+        WireFaultModel(drop_rate=drop, dup_rate=0.02, delay_rate=0.05))
 
     reads = {"ok": 0, "failed": 0}
 
-    def client(session):
-        from repro.kernel.ipc import Delay, Now
+    def tally(data) -> None:
+        reads["failed" if data is None else "ok"] += 1
 
-        tick = 0
-        while True:
-            now = yield Now()
-            if now >= duration:
-                break
-            names = [(session, "[root]data/f0.dat"),
-                     (session, "[storage]data/f0.dat")]
-            if shard_session is not None:
-                # Round-robin (not rng) keeps the draw streams untouched.
-                names.append((shard_session,
-                              f"[s{tick % shard_prefixes}]data/f0.dat"))
-                tick += 1
-            for target, name in names:
-                try:
-                    yield from files.read_file(target, name)
-                except (NameError_, IoError):
-                    reads["failed"] += 1
-                else:
-                    reads["ok"] += 1
-            yield Delay(0.02)
+    both_names = chaos_targets(workstation.session())
 
-    workstation.host.spawn(client(workstation.session()),
+    def targets(round_number: int) -> list:
+        if shard_session is None:
+            return both_names
+        # Round-robin (not rng) keeps the draw streams untouched.
+        return both_names + [
+            (shard_session,
+             f"[s{round_number % shard_prefixes}]data/f0.dat")]
+
+    workstation.host.spawn(chaos_reads(duration, targets, tally),
                            name="monitor-client")
     domain.run()
     domain.check_healthy()

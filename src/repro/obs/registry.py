@@ -1,15 +1,14 @@
 """A tagged metrics registry: counters, gauges, and fixed-bucket histograms.
 
-:mod:`repro.sim.metrics` grew out of the benchmark tables: named counters
-plus raw-sample latency recorders.  Raw samples are exact but unbounded; a
-production-shaped system wants *fixed-bucket* histograms whose memory cost
-is constant regardless of traffic, plus tags so one metric name can carry
-many series (``csname.latency{server=fileserver}`` vs ``{server=prefix}``).
+Histograms are *fixed-bucket*, so their memory cost is constant regardless
+of traffic, and tags let one metric name carry many series
+(``csname.latency{server=fileserver}`` vs ``{server=prefix}``).
 
-This module provides that registry.  The legacy :class:`repro.sim.metrics.
-Metrics` API is now a thin shim over it, so every counter the kernel and
-Ethernet already increment lands here too and exports uniformly as JSONL
-(:mod:`repro.obs.export`).
+A :class:`~repro.kernel.domain.Domain`'s ``metrics`` (and its Ethernet's)
+*is* one :class:`MetricsRegistry` -- the :class:`~repro.obs.Observability`
+bundle's when one is attached -- so every counter the kernel and Ethernet
+increment with ``metrics.incr(name)`` lands here and exports uniformly as
+JSONL (:mod:`repro.obs.export`).
 """
 
 from __future__ import annotations
@@ -203,6 +202,11 @@ class MetricsRegistry:
         self._counters: Dict[Tuple[str, TagKey], Counter] = {}
         self._gauges: Dict[Tuple[str, TagKey], Gauge] = {}
         self._histograms: Dict[Tuple[str, TagKey], Histogram] = {}
+        #: Untagged counters interned by bare name: incr() runs once per
+        #: kernel packet/frame, and counter()'s tag-key construction was a
+        #: measurable slice of fleet-scale runs.  The objects are the ones
+        #: counter(name) serves, so every view stays exactly in sync.
+        self._untagged: Dict[str, Counter] = {}
 
     # ----------------------------------------------------------- instruments
 
@@ -231,14 +235,25 @@ class MetricsRegistry:
             self._histograms[key] = instrument
         return instrument
 
+    def incr(self, name: str, amount: int = 1) -> None:
+        """Add to the untagged counter ``name`` (``counter(name)``'s object)."""
+        counter = self._untagged.get(name)
+        if counter is None:
+            counter = self._untagged[name] = self.counter(name)
+        counter.value += amount
+
     # -------------------------------------------------------------- queries
+
+    def count(self, name: str) -> int:
+        """The untagged counter ``name``'s value; 0 if it never counted."""
+        return self.counter_value(name)
 
     def counter_value(self, name: str, **tags: Any) -> int:
         instrument = self._counters.get((name, _tag_key(tags)))
         return instrument.value if instrument is not None else 0
 
     def counter_values(self, untagged_only: bool = True) -> dict[str, int]:
-        """Plain name -> value mapping (the legacy ``Metrics.counters`` view)."""
+        """Plain name -> value mapping."""
         result: dict[str, int] = {}
         for (name, tags), instrument in self._counters.items():
             if untagged_only and tags:

@@ -29,7 +29,7 @@ from repro.obs.span import Span, SpanNode, build_tree
 BAR_WIDTH = 28
 
 #: Version of the ``--json`` report document.
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 
 def _ms(seconds: float) -> str:
@@ -398,7 +398,6 @@ def report_document(tracefile: TraceFile, top: int = 10,
         "meta": dict(tracefile.meta),
         "span_count": len(tracefile.spans),
         "trace_count": len(tracefile.traces()),
-        "dropped_events": tracefile.dropped_events,
         "slowest": [
             {
                 "trace_id": row["trace_id"],
@@ -419,21 +418,6 @@ def report_document(tracefile: TraceFile, top: int = 10,
     if metrics_records is not None:
         document["metrics"] = [dict(record) for record in metrics_records]
     return document
-
-
-def render_dropped_warning(tracefile: TraceFile) -> str:
-    """A truncation banner when the event tracer's ring buffer overflowed.
-
-    Without this a truncated trace reads as complete -- the drops happened
-    *before* export, so nothing else in the file betrays them.
-    """
-    dropped = tracefile.dropped_events
-    if not dropped:
-        return ""
-    limit = tracefile.meta.get("event_limit")
-    suffix = f" (ring buffer limit {limit})" if limit else ""
-    return (f"warning: {dropped} trace event(s) dropped before export"
-            f"{suffix} -- this trace is incomplete")
 
 
 def run_live(top: int = 10) -> int:
@@ -608,9 +592,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     print(f"{args.trace_file}: {len(tracefile.spans)} spans, "
           f"{len(tracefile.traces())} traces")
-    warning = render_dropped_warning(tracefile)
-    if warning:
-        print(warning)
     print()
     print(f"slowest resolutions (top {args.top}):")
     print(render_slowest_table(tracefile, args.top))

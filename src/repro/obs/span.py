@@ -2,9 +2,8 @@
 
 The paper's name-handling protocol turns a single ``Open("[bin]ls")`` into a
 *walk*: client stub -> context prefix server -> (``Forward``) -> context
-server -> (``Forward``) -> file server -> reply.  The flat event trace in
-:mod:`repro.sim.trace` cannot reconstruct that walk as one request; this
-module can.
+server -> (``Forward``) -> file server -> reply.  This module reconstructs
+that walk as one request.
 
 A :class:`SpanContext` is the propagation token -- ``(trace_id, span_id,
 parent_id)`` -- carried on :class:`repro.kernel.messages.Message` so the

@@ -2,22 +2,19 @@
 
 The V-System reproduction runs on a simulated cluster: hosts, kernels, and an
 Ethernet are all driven by a single event queue with a simulated clock.  This
-package provides that machinery:
+package provides that machinery and nothing else -- it imports nothing from
+the rest of ``repro`` (counters live in :mod:`repro.obs.registry`):
 
 - :mod:`repro.sim.engine` -- the event queue and clock.
 - :mod:`repro.sim.process` -- generator-based cooperative tasks ("effects").
 - :mod:`repro.sim.rng` -- seeded random number helpers for determinism.
-- :mod:`repro.sim.metrics` -- counters, timers and latency recorders.
-- :mod:`repro.sim.trace` -- an optional structured event trace.
 
 All timing is in *simulated seconds*; nothing here depends on wall-clock time.
 """
 
 from repro.sim.engine import Engine, ScheduledEvent
-from repro.sim.metrics import LatencyRecorder, Metrics
 from repro.sim.process import Task, TaskState
 from repro.sim.rng import DeterministicRng
-from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
     "Engine",
@@ -25,8 +22,4 @@ __all__ = [
     "Task",
     "TaskState",
     "DeterministicRng",
-    "Metrics",
-    "LatencyRecorder",
-    "Tracer",
-    "TraceEvent",
 ]

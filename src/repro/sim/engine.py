@@ -25,7 +25,7 @@ Hot-path layout (the ROADMAP's >= 10^6 events/sec target):
   profiling allocates no event either.  Kernel frame hops (transmit,
   deliver, handle) are all posts, so the dominant event traffic allocates
   one tuple and nothing else, profiled or not.
-- ``step``/``run``/``schedule*``/``post*`` come in two complete variants.
+- ``schedule*``/``post*`` come in two complete variants, ``run`` in three.
   The class methods *are* the fast path and contain no profiler branch at
   all.  When the first profiler sink attaches, :meth:`attach_profiler`
   performs a one-time dispatch swap -- instance attributes shadowing the
@@ -37,12 +37,12 @@ Hot-path layout (the ROADMAP's >= 10^6 events/sec target):
   instrumented ``run`` is one inlined loop (no per-event method call or
   ``try``), charges a sole sink through its own bound ``account`` (the
   fan-out loop serves only two or more sinks), and flushes an attached
-  flight recorder on the recording loop's cadence.
-- :meth:`schedule_many` batches same-tick bursts (a kernel fanning a group
-  send out to local members) behind one heap push: the batch consumes one
-  sequence number per callback, so firing order is *identical* to the
-  equivalent loop of :meth:`schedule` calls, but the heap sees a single
-  wrapper entry.
+  flight recorder on the recording loop's cadence.  The third ``run`` is
+  that recording loop, installed by a flight recorder alone: the fast
+  path plus one ``_fire_seq`` store per event.
+- The slot format stays inside this module: code that inspects what is
+  still queued (the chaos harness's timer-leak check) iterates
+  :meth:`Engine.pending_events`, which knows all three slot states.
 
 Attribution profiling (:mod:`repro.obs.profile`) hooks into the
 instrumented variants: every scheduled event is stamped with the
@@ -110,61 +110,6 @@ class ScheduledEvent:
                 f"callback={self.callback!r}, cancelled={self.cancelled})")
 
 
-class _Batch:
-    """Shared state of one :meth:`Engine.schedule_many` call."""
-
-    __slots__ = ("engine", "wrapper", "live", "started")
-
-    def __init__(self, engine: "Engine") -> None:
-        self.engine = engine
-        self.wrapper: Optional[ScheduledEvent] = None
-        self.live = 0
-        self.started = False
-
-    def entry_cancelled(self) -> None:
-        self.live -= 1
-        if self.started:
-            # The wrapper already fired; per-entry accounting was settled
-            # when the batch started running.
-            return
-        if self.live == 0:
-            # Nothing left to fire: the wrapper itself becomes a dead heap
-            # entry (counted, compactable) -- exactly like the last of N
-            # individually scheduled events being cancelled.
-            self.wrapper.cancel()
-        else:
-            self.engine._batch_extra -= 1
-
-
-class _BatchEntry:
-    """One cancellable callback inside a :meth:`Engine.schedule_many` batch.
-
-    Supports the same ``cancel()`` / ``cancelled`` surface as
-    :class:`ScheduledEvent`, so callers can hold either interchangeably.
-    """
-
-    __slots__ = ("callback", "args", "batch", "_state")
-
-    _PENDING, _CANCELLED, _FIRED = 0, 1, 2
-
-    def __init__(self, callback: Callable[..., None], args: tuple,
-                 batch: _Batch) -> None:
-        self.callback = callback
-        self.args = args
-        self.batch = batch
-        self._state = 0
-
-    @property
-    def cancelled(self) -> bool:
-        return self._state == self._CANCELLED
-
-    def cancel(self) -> None:
-        if self._state != self._PENDING:
-            return
-        self._state = self._CANCELLED
-        self.batch.entry_cancelled()
-
-
 class Engine:
     """The simulated clock and event queue.
 
@@ -182,7 +127,7 @@ class Engine:
     #: dispatch-swap shadows (and the ``profiling`` flag, which must stay a
     #: class attribute so it cannot be listed here).
     __slots__ = ("_queue", "_seq", "_now", "_running", "_events_processed",
-                 "_cancelled_in_queue", "_batch_extra", "_on_cancel",
+                 "_cancelled_in_queue", "_on_cancel",
                  "_compactions", "_profilers", "_account", "_count_message",
                  "_attr_stack", "_attr_dups", "_recorder", "_fire_seq",
                  "__dict__", "__weakref__")
@@ -219,9 +164,6 @@ class Engine:
         self._running = False
         self._events_processed = 0
         self._cancelled_in_queue = 0
-        #: Live batch entries beyond the one heap slot their wrapper holds
-        #: (see schedule_many): ``pending`` adds this to the queue count.
-        self._batch_extra = 0
         #: The bound cancellation hook, created once -- schedule() runs per
         #: event, and rebuilding the bound method there is measurable.
         self._on_cancel = self._note_cancelled
@@ -274,7 +216,18 @@ class Engine:
     @property
     def pending(self) -> int:
         """Number of live (non-cancelled) events still in the queue.  O(1)."""
-        return len(self._queue) - self._cancelled_in_queue + self._batch_extra
+        return len(self._queue) - self._cancelled_in_queue
+
+    def pending_events(self):
+        """Yield ``(time, callback, args)`` for every live queued event.
+
+        Heap order, not firing order.  Inspection code outside this module
+        goes through here, so it never has to know heap slot 4's three
+        states (``None``, an attribution tuple, a cancellable event).
+        """
+        for time, __, callback, args, slot in self._queue:
+            if slot is None or slot.__class__ is tuple or not slot.cancelled:
+                yield time, callback, args
 
     @property
     def compactions(self) -> int:
@@ -295,8 +248,7 @@ class Engine:
     #: sets instance attributes that shadow them, and detaching the last
     #: sink deletes the shadows -- a one-time dispatch change instead of a
     #: per-event branch.
-    _SWAPPED = ("step", "run", "schedule", "schedule_at", "schedule_many",
-                "post", "post_at")
+    _SWAPPED = ("run", "schedule", "schedule_at", "post", "post_at")
 
     #: True while a flight recorder is attached (see repro.obs.flight).
     #: Same shadowing discipline as ``profiling``: a class default the
@@ -310,8 +262,8 @@ class Engine:
         One-time dispatch swap instead of per-event branches: any profiler
         wins (its instrumented variants also maintain ``_fire_seq`` and
         flush the recorder, so a recorder rides along); a recorder alone
-        installs only the recording step/run pair (scheduling stays on the
-        fast path); with neither, the shadows are removed and the class
+        installs only the recording run (scheduling stays on the fast
+        path); with neither, the shadows are removed and the class
         methods -- the fast path -- serve.  The charge targets are bound
         here too: a sole sink's ``account``/``count_message`` are called
         directly, the fan-out loops only serve two or more sinks.
@@ -326,15 +278,12 @@ class Engine:
             self._account = self._account_all
             self._count_message = self._count_message_all
         if sinks:
-            self.step = self._step_instrumented
             self.run = self._run_instrumented
             self.schedule = self._schedule_instrumented
             self.schedule_at = self._schedule_at_instrumented
-            self.schedule_many = self._schedule_many_instrumented
             self.post = self._post_instrumented
             self.post_at = self._post_at_instrumented
         elif self._recorder is not None:
-            self.step = self._step_recording
             self.run = self._run_recording
 
     def attach_profiler(self, sink: Any) -> None:
@@ -377,7 +326,7 @@ class Engine:
         The engine itself only maintains ``_fire_seq`` (the sequence number
         of the event currently firing); the kernel's record sites read it to
         stamp flight records.  Cost when unattached: zero -- the recording
-        step/run variants exist only as instance shadows while attached.
+        run variant exists only as an instance shadow while attached.
         """
         if self._recorder is sink:
             return
@@ -555,77 +504,7 @@ class Engine:
         self._seq = seq + 1
         _heappush(self._queue, (time, seq, callback, args, None))
 
-    def schedule_many(self, delay: float, calls) -> list:
-        """Batch-schedule ``calls`` (an iterable of ``(callback, args)``
-        pairs) all at ``delay`` seconds from now, behind one heap push.
-
-        Exactly equivalent to ``[self.schedule(delay, cb, *args) for cb,
-        args in calls]`` -- the batch consumes one sequence number per
-        callback and fires them in list order at the same instant, so
-        relative order against every other event is identical -- but the
-        heap carries a single wrapper entry, which is what makes kernel
-        fan-out (group sends, burst deliveries) O(1) amortized in heap
-        operations.  Returns one cancellable handle per callback.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        calls = list(calls)
-        count = len(calls)
-        if count == 0:
-            return []
-        time = self._now + delay
-        if count == 1:
-            callback, args = calls[0]
-            return [self.schedule_at(time, callback, *args)]
-        batch = _Batch(self)
-        entries = [_BatchEntry(callback, args, batch)
-                   for callback, args in calls]
-        seq = self._seq
-        self._seq = seq + count
-        wrapper = ScheduledEvent(time, seq, self._run_batch,
-                                 (batch, entries), self._on_cancel)
-        batch.wrapper = wrapper
-        batch.live = count
-        _heappush(self._queue,
-                  (time, seq, self._run_batch, (batch, entries), wrapper))
-        self._batch_extra += count - 1
-        return entries
-
-    def _run_batch(self, batch: _Batch, entries: list) -> None:
-        """Fire a schedule_many batch: the wrapper event's callback."""
-        batch.started = True
-        # The wrapper's own heap slot was accounted as one pending event and
-        # one fired event; settle the remainder for the live entries.
-        self._batch_extra -= batch.live - 1
-        fired = 0
-        for entry in entries:
-            if entry._state == 0:  # pending (not cancelled, even mid-batch)
-                entry._state = 2
-                fired += 1
-                entry.callback(*entry.args)
-        extra = fired - 1
-        if extra:
-            self._events_processed += extra
-            Engine.total_events += extra
-
     # -------------------------------------------------- event loop (fast path)
-
-    def step(self) -> bool:
-        """Fire the single next event.  Returns False if the queue is empty."""
-        queue = self._queue
-        while queue:
-            time, __, callback, args, event = _heappop(queue)
-            if event is not None:
-                if event.cancelled:
-                    self._cancelled_in_queue -= 1
-                    continue
-                event.on_cancel = None
-            self._now = time
-            self._events_processed += 1
-            Engine.total_events += 1
-            callback(*args)
-            return True
-        return False
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run events in order until the queue drains.
@@ -750,45 +629,6 @@ class Engine:
         self._seq = seq + 1
         _heappush(self._queue, (time, seq, callback, args, self._attr_stack))
 
-    def _schedule_many_instrumented(self, delay: float, calls) -> list:
-        # Per-event scheduling under profiling: each callback gets its own
-        # stamped heap entry, so attribution is indistinguishable from a
-        # loop of schedule() calls.  Sequence consumption (one per callback)
-        # matches the fast path, so simulated-time results are identical
-        # whether or not a profiler is attached.
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
-        return [self._schedule_at_instrumented(time, callback, *args)
-                for callback, args in calls]
-
-    def _step_instrumented(self) -> bool:
-        queue = self._queue
-        while queue:
-            time, seq, callback, args, slot = _heappop(queue)
-            if slot is None or slot.__class__ is tuple:
-                stamp = slot or ()
-            elif slot.cancelled:
-                self._cancelled_in_queue -= 1
-                continue
-            else:
-                slot.on_cancel = None
-                stamp = slot.attribution or ()
-            self._fire_seq = seq
-            self._account(stamp, time - self._now)
-            self._now = time
-            self._events_processed += 1
-            Engine.total_events += 1
-            previous = (self._attr_stack, self._attr_dups)
-            self._attr_stack = stamp
-            self._attr_dups = None
-            try:
-                callback(*args)
-            finally:
-                self._attr_stack, self._attr_dups = previous
-            return True
-        return False
-
     def _run_instrumented(self, until: float | None = None,
                           max_events: int | None = None) -> None:
         if self._running:
@@ -871,23 +711,6 @@ class Engine:
     #: event).  Bounds unsealed-tail growth at a few thousand records --
     #: the same order as the default ring capacity.
     _FLUSH_EVERY = 2048
-
-    def _step_recording(self) -> bool:
-        queue = self._queue
-        while queue:
-            time, seq, callback, args, event = _heappop(queue)
-            if event is not None:
-                if event.cancelled:
-                    self._cancelled_in_queue -= 1
-                    continue
-                event.on_cancel = None
-            self._now = time
-            self._fire_seq = seq
-            self._events_processed += 1
-            Engine.total_events += 1
-            callback(*args)
-            return True
-        return False
 
     def _run_recording(self, until: float | None = None,
                        max_events: int | None = None) -> None:

@@ -280,6 +280,31 @@ class TestChaosHarness:
 
         assert check_cache_accounting(FakeCache())
 
+    def test_timer_leak_check_reads_every_heap_slot_state(self):
+        # Regression: under a profiler a posted entry's heap slot is its
+        # attribution tuple, and the check read ``.cancelled`` off it.
+        from repro.faults.chaos import check_no_timer_leaks
+
+        domain = Domain()
+        host = domain.create_host("h")
+
+        def short_lived():
+            yield Delay(0.001)
+
+        dead = host.spawn(short_lived(), "dead")
+        domain.run()
+        assert not dead.alive
+        engine = domain.engine
+        engine.post(1.0, print, dead)               # slot: None
+        domain.enable_profiler()
+        engine.post(1.0, print, dead)               # slot: attribution tuple
+        engine.schedule(2.0, print, dead)           # slot: live timer
+        engine.schedule(3.0, print, dead).cancel()  # slot: cancelled timer
+        engine.schedule(4.0, print, "no process")
+        problems = check_no_timer_leaks(domain)
+        assert len(problems) == 3
+        assert all("references dead process 'dead'" in p for p in problems)
+
     def test_cli_runs_and_reports_json(self, capsys):
         import json as json_module
 

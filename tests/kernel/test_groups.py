@@ -10,6 +10,7 @@ from repro.kernel.ipc import (
     JoinGroup,
     LeaveGroup,
     MyPid,
+    Now,
     Receive,
     Reply,
 )
@@ -119,6 +120,40 @@ class TestGroupSend:
             return reply.ok
 
         assert run_on(domain, host, client()) is True
+
+    def test_three_local_members_and_one_remote(self, domain):
+        # The local fan-out is one posted delivery per member, in pid
+        # order, all one local hop after the send; the remote member is
+        # reached by the multicast frame.  Order, instants and the event
+        # count are pinned so the fan-out mechanism cannot move them.
+        local, remote = domain.create_host("local"), domain.create_host("far")
+        deliveries = []
+
+        def recorder(label, answers):
+            yield JoinGroup(GROUP)
+            delivery = yield Receive()
+            deliveries.append((label, (yield Now())))
+            if answers:
+                yield Reply(delivery.sender, Message.reply(ReplyCode.OK))
+            yield Receive()     # discard silently; exiting would NACK it
+
+        for label in ("a", "b", "c"):
+            local.spawn(recorder(label, answers=False), label)
+        remote.spawn(recorder("far", answers=True), "far")
+        sent = []
+
+        def client():
+            yield Delay(0.01)
+            sent.append((yield Now()))
+            reply = yield GroupSend(GROUP, Message.request(1))
+            return reply.ok
+
+        assert run_on(domain, local, client()) is True
+        at_local = sent[0] + domain.latency.local_hop
+        assert deliveries[:3] == [("a", at_local), ("b", at_local),
+                                  ("c", at_local)]
+        assert deliveries[3] == ("far", pytest.approx(0.01128, abs=1e-9))
+        assert domain.engine.events_processed == 17
 
     def test_leave_group_stops_delivery(self, domain):
         hosts = [domain.create_host(f"h{i}") for i in range(2)]

@@ -5,14 +5,14 @@ import pytest
 from repro.net.ethernet import Ethernet, NetworkError
 from repro.net.latency import STANDARD_3MBIT
 from repro.net.packet import BROADCAST, Frame, GroupAddress
+from repro.obs.registry import MetricsRegistry
 from repro.sim.engine import Engine
-from repro.sim.metrics import Metrics
 
 
 @pytest.fixture
 def net():
     engine = Engine()
-    ethernet = Ethernet(engine, STANDARD_3MBIT, Metrics())
+    ethernet = Ethernet(engine, STANDARD_3MBIT, MetricsRegistry())
     return engine, ethernet
 
 

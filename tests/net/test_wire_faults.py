@@ -9,8 +9,8 @@ from repro.kernel.services import Scope
 from repro.net.ethernet import Ethernet, NetworkError
 from repro.net.latency import LOSSLESS_WIRE, STANDARD_3MBIT, WireFaultModel
 from repro.net.packet import Frame
+from repro.obs.registry import MetricsRegistry
 from repro.sim.engine import Engine
-from repro.sim.metrics import Metrics
 from repro.sim.rng import DeterministicRng
 from tests.helpers import run_on
 
@@ -18,7 +18,7 @@ from tests.helpers import run_on
 @pytest.fixture
 def net():
     engine = Engine()
-    ethernet = Ethernet(engine, STANDARD_3MBIT, Metrics())
+    ethernet = Ethernet(engine, STANDARD_3MBIT, MetricsRegistry())
     return engine, ethernet
 
 

@@ -123,7 +123,7 @@ class TestCoherenceProbe:
         probe.negcache_hit("c1")
         probe.notice_sent(b"p", 9, t=0.0)
         probe.notice_applied(b"p", 9, "ns2", t=0.1)
-        registry = domain.metrics.registry
+        registry = domain.metrics
         assert registry.counter_value("coherence.lease_events",
                                       kind="grant") == 2
         assert registry.counter_value("coherence.negcache_hits",

@@ -80,14 +80,11 @@ class TestExportRoundTrip:
         collector = sample_collector()
         path = tmp_path / "trace.jsonl"
         write_spans_jsonl(collector, path,
-                          meta={"seed": 7, "events_processed": 4242,
-                                "dropped_events": 3})
+                          meta={"seed": 7, "events_processed": 4242})
         first = json.loads(path.read_text().splitlines()[0])
         assert first["kind"] == "meta"
         parsed = read_spans_jsonl(path)
-        assert parsed.meta == {"seed": 7, "events_processed": 4242,
-                               "dropped_events": 3}
-        assert parsed.dropped_events == 3
+        assert parsed.meta == {"seed": 7, "events_processed": 4242}
         assert len(parsed.spans) == len(collector.spans)
 
     def test_empty_meta_writes_no_record(self, tmp_path):

@@ -138,19 +138,18 @@ class TestLaneAccounting:
 
 
 class TestEngineDispatch:
-    def test_attach_installs_only_step_and_run(self):
+    def test_attach_installs_only_run(self):
         engine = Engine()
         sink = object()
         engine.attach_recorder(sink)
         assert engine.recording
-        assert "step" in engine.__dict__ and "run" in engine.__dict__
+        assert "run" in engine.__dict__
         # Scheduling stays on the class fast path: zero cost at post time.
-        for name in ("schedule", "schedule_at", "schedule_many",
-                     "post", "post_at"):
+        for name in ("schedule", "schedule_at", "post", "post_at"):
             assert name not in engine.__dict__
         engine.detach_recorder(sink)
         assert not engine.recording
-        assert "step" not in engine.__dict__ and "run" not in engine.__dict__
+        assert "run" not in engine.__dict__
         assert engine._fire_seq == -1
 
     def test_second_recorder_rejected_same_sink_idempotent(self):
@@ -194,13 +193,12 @@ class TestEngineDispatch:
         profiler = Profiler(engine)
         engine.attach_profiler(profiler)
         # The instrumented set (which also maintains _fire_seq) took over.
-        assert engine.__dict__["step"].__func__ is \
-            Engine._step_instrumented
+        assert engine.__dict__["run"].__func__ is Engine._run_instrumented
         engine.detach_profiler(profiler)
-        # Back to the recording pair, not the bare fast path.
-        assert engine.__dict__["step"].__func__ is Engine._step_recording
+        # Back to the recording loop, not the bare fast path.
+        assert engine.__dict__["run"].__func__ is Engine._run_recording
         disable_flight_recorder(domain)
-        assert "step" not in engine.__dict__
+        assert "run" not in engine.__dict__
 
 
     def test_run_loop_flushes_so_tails_stay_bounded(self):

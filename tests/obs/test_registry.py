@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from repro.kernel.domain import Domain
+from repro.obs import Observability
 from repro.obs.registry import (
     DEFAULT_BYTES_BUCKETS,
     Histogram,
@@ -20,6 +22,29 @@ class TestCounters:
         registry.counter("net.frames").incr(4)
         assert registry.counter_value("net.frames") == 5
         assert registry.counter_value("absent") == 0
+
+    def test_incr_and_count_address_the_untagged_counter(self):
+        registry = MetricsRegistry()
+        registry.incr("net.frames")
+        registry.incr("net.frames", 4)
+        # incr(name) and counter(name) are one object, whichever came first.
+        assert registry.counter("net.frames").value == 5
+        registry.counter("net.frames").incr()
+        registry.counter("ipc.sends").incr(2)
+        registry.incr("ipc.sends")
+        assert registry.count("net.frames") == 6
+        assert registry.count("ipc.sends") == 3
+        assert registry.count("absent") == 0
+
+    def test_domain_metrics_is_the_bundles_registry(self):
+        obs = Observability()
+        domain = Domain(obs=obs)
+        assert domain.metrics is obs.registry
+        assert domain.ethernet.metrics is obs.registry
+        # Without a bundle the domain still counts into a registry of its own.
+        bare = Domain()
+        assert isinstance(bare.metrics, MetricsRegistry)
+        assert bare.ethernet.metrics is bare.metrics
 
     def test_tags_create_distinct_series(self):
         registry = MetricsRegistry()

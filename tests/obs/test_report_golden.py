@@ -8,16 +8,11 @@ widths, bar scaling, percentage rounding -- fails loudly instead of
 silently degrading every downstream report.
 """
 
-import json
-from types import SimpleNamespace
-
-from repro.obs import Observability
-from repro.obs.export import read_spans_jsonl, write_spans_jsonl
+from repro.obs.export import write_spans_jsonl
 from repro.obs.report import (
     main,
     render_cache_summary,
     render_critical_path,
-    render_dropped_warning,
     render_metrics_records,
     render_timeline,
 )
@@ -115,54 +110,6 @@ class TestGoldenRenderers:
 
     def test_metrics_records_renderer_handles_no_records(self):
         assert render_metrics_records([]) == "(no metrics)"
-
-
-class TestDroppedEvents:
-    """Satellite: ``Tracer.dropped`` must survive export and reach readers."""
-
-    def test_export_meta_carries_tracer_drops(self):
-        obs = Observability()
-        obs.tracer = SimpleNamespace(dropped=5, limit=100)
-        assert obs.export_meta() == {"dropped_events": 5, "event_limit": 100}
-
-    def test_meta_round_trips_through_jsonl(self, tmp_path):
-        collector = obs_chain_collector()
-        path = tmp_path / "trace.jsonl"
-        write_spans_jsonl(collector, path,
-                          meta={"dropped_events": 7, "event_limit": 64})
-        first = json.loads(path.read_text().splitlines()[0])
-        assert first["kind"] == "meta"
-        tracefile = read_spans_jsonl(path)
-        assert tracefile.dropped_events == 7
-        assert tracefile.meta["event_limit"] == 64
-        assert len(tracefile.spans) == len(collector.spans)
-
-    def test_clean_trace_has_no_warning(self, tmp_path):
-        collector = obs_chain_collector()
-        path = tmp_path / "trace.jsonl"
-        write_spans_jsonl(collector, path)
-        tracefile = read_spans_jsonl(path)
-        assert tracefile.dropped_events == 0
-        assert render_dropped_warning(tracefile) == ""
-
-    def test_dropped_warning_golden(self, tmp_path):
-        collector = obs_chain_collector()
-        path = tmp_path / "trace.jsonl"
-        write_spans_jsonl(collector, path,
-                          meta={"dropped_events": 7, "event_limit": 64})
-        tracefile = read_spans_jsonl(path)
-        assert render_dropped_warning(tracefile) == (
-            "warning: 7 trace event(s) dropped before export "
-            "(ring buffer limit 64) -- this trace is incomplete")
-
-    def test_cli_prints_the_warning(self, tmp_path, capsys):
-        path = tmp_path / "trace.jsonl"
-        write_spans_jsonl(obs_chain_collector(), path,
-                          meta={"dropped_events": 3})
-        assert main([str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "warning: 3 trace event(s) dropped before export" in out
-        assert "this trace is incomplete" in out
 
 
 class TestCliFailurePaths:

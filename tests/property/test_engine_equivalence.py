@@ -1,11 +1,11 @@
 """Order-equivalence of the slotted tuple-heap engine vs a reference.
 
 The engine overhaul replaced per-event dataclass objects on the heap with
-plain ``(time, seq, callback, args, event-or-None)`` tuples, fire-and-forget
-``post``/``post_at`` entries, and batched ``schedule_many``.  The contract
-is that none of this is observable in simulated time: any program of
-schedule/post/batch/cancel operations fires in exactly the order the seed's
-dataclass-event engine fired it.  This property test pits the real engine
+plain ``(time, seq, callback, args, event-or-None)`` tuples and
+fire-and-forget ``post``/``post_at`` entries.  The contract is that none of
+this is observable in simulated time: any program of schedule/post/cancel
+operations fires in exactly the order the seed's dataclass-event engine
+fired it.  This property test pits the real engine
 against a deliberately naive reference (a list of event records scanned for
 the ``(time, seq)`` minimum -- the seed semantics with none of the
 machinery) across randomized programs heavy on simultaneous events.
@@ -57,14 +57,13 @@ class _RefEngine:
             fired.append(head.label)
 
 
-# One program step: schedule one event ("s"), post one ("p"), or batch-
-# schedule 2-3 ("m").  The reference models post and batches as plain
-# schedules -- that equality IS the documented contract.
+# One program step: schedule one event ("s") or post one ("p").  The
+# reference models a post as a plain schedule -- that equality IS the
+# documented contract.
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("s"), _DELAYS),
         st.tuples(st.just("p"), _DELAYS),
-        st.tuples(st.just("m"), _DELAYS, st.integers(2, 3)),
     ),
     min_size=1, max_size=30)
 
@@ -186,17 +185,10 @@ def test_firing_order_matches_seed_reference(ops, cancel_picks):
         if op[0] == "s":
             handles.append(engine.schedule(op[1], fired.append, label))
             ref_handles.append(reference.schedule(op[1], label))
-            label += 1
-        elif op[0] == "p":
+        else:
             engine.post(op[1], fired.append, label)
             reference.schedule(op[1], label)  # not cancellable
-            label += 1
-        else:
-            calls = [(fired.append, (label + i,)) for i in range(op[2])]
-            handles.extend(engine.schedule_many(op[1], calls))
-            ref_handles.extend(reference.schedule(op[1], label + i)
-                               for i in range(op[2]))
-            label += op[2]
+        label += 1
     for pick in cancel_picks:
         if handles:
             index = pick % len(handles)

@@ -115,10 +115,6 @@ def test_max_events_guards_against_livelock():
         engine.run(max_events=100)
 
 
-def test_step_returns_false_on_empty_queue():
-    assert Engine().step() is False
-
-
 def test_events_processed_counter():
     engine = Engine()
     for __ in range(5):
@@ -271,89 +267,6 @@ class TestPostFireAndForget:
         assert fired == list(range(Engine.COMPACT_MIN_QUEUE))
 
 
-class TestScheduleMany:
-    def test_equivalent_to_schedule_loop(self):
-        batched, looped = Engine(), Engine()
-        fired_batched, fired_looped = [], []
-        batched.schedule(0.5, fired_batched.append, "before")
-        looped.schedule(0.5, fired_looped.append, "before")
-        batched.schedule_many(1.0, [(fired_batched.append, (label,))
-                                    for label in ("a", "b", "c")])
-        for label in ("a", "b", "c"):
-            looped.schedule(1.0, fired_looped.append, label)
-        # One sequence number per callback: later events order identically.
-        batched.schedule(1.0, fired_batched.append, "after")
-        looped.schedule(1.0, fired_looped.append, "after")
-        batched.run()
-        looped.run()
-        assert fired_batched == fired_looped
-        assert batched.events_processed == looped.events_processed
-
-    def test_returns_one_handle_per_callback(self):
-        engine = Engine()
-        handles = engine.schedule_many(1.0, [(lambda: None, ())] * 4)
-        assert len(handles) == 4
-
-    def test_individual_entries_cancellable(self):
-        engine = Engine()
-        fired = []
-        handles = engine.schedule_many(
-            1.0, [(fired.append, (label,)) for label in "abcd"])
-        handles[1].cancel()
-        handles[3].cancel()
-        engine.run()
-        assert fired == ["a", "c"]
-
-    def test_pending_is_exact_across_batch_lifecycle(self):
-        engine = Engine()
-        handles = engine.schedule_many(1.0, [(lambda: None, ())] * 5)
-        assert engine.pending == 5
-        handles[0].cancel()
-        assert engine.pending == 4
-        engine.run()
-        assert engine.pending == 0
-        assert engine.events_processed == 4
-
-    def test_empty_batch(self):
-        engine = Engine()
-        assert engine.schedule_many(1.0, []) == []
-        assert engine.pending == 0
-        engine.run()
-        assert engine.now == 0.0
-
-    def test_empty_batch_is_a_structural_noop(self):
-        # Regression: an empty batch must not push a heap slot (a wrapper
-        # with nothing to fire would advance the clock to its fire time on
-        # the next run) and must not consume a sequence number (later
-        # same-tick events would order differently from an engine that
-        # never saw the batch).
-        engine = Engine()
-        engine.schedule_many(1.0, [])
-        assert len(engine._queue) == 0
-        assert engine._seq == 0
-        engine.run()
-        assert engine.events_processed == 0
-        assert engine.now == 0.0
-
-    def test_empty_batch_keeps_later_ordering_identical(self):
-        batched, plain = Engine(), Engine()
-        fired_batched, fired_plain = [], []
-        batched.schedule_many(1.0, [])
-        for engine, fired in ((batched, fired_batched),
-                              (plain, fired_plain)):
-            engine.schedule(1.0, fired.append, "a")
-            engine.schedule(1.0, fired.append, "b")
-        batched.run()
-        plain.run()
-        assert fired_batched == fired_plain == ["a", "b"]
-        assert batched.events_processed == plain.events_processed
-        assert batched.now == plain.now == 1.0
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            Engine().schedule_many(-0.1, [(lambda: None, ())])
-
-
 def test_run_until_drains_dead_heads_past_the_horizon():
     # A cancelled head beyond ``until`` must still be popped (and stop
     # counting as pending) before the horizon check, so an immediate
@@ -442,16 +355,13 @@ class TestStampedPosts:
             engine.post_at(0.2, fired.append, ("at", i))
         assert allocated == []
         handles = [engine.schedule(0.3, fired.append, "schedule"),
-                   engine.schedule_at(0.4, fired.append, "schedule_at"),
-                   *engine.schedule_many(0.5, [(fired.append, ("many0",)),
-                                               (fired.append, ("many1",))])]
-        assert len(allocated) == len(handles) == 4
+                   engine.schedule_at(0.4, fired.append, "schedule_at")]
+        assert len(allocated) == len(handles) == 2
         handles[1].cancel()
-        handles[3].cancel()
-        assert engine.pending == 22
+        assert engine.pending == 21
         engine.run()
-        assert fired[-2:] == ["schedule", "many0"]
-        assert len(fired) == 22
+        assert fired[-1] == "schedule"
+        assert len(fired) == 21
 
     def test_two_sinks_report_what_one_alone_reports(self):
         def profiled_run(sinks):

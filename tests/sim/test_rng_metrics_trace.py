@@ -1,16 +1,8 @@
-"""Unit tests for the RNG, metrics, and trace utilities."""
+"""Unit tests for the seeded RNG streams."""
 
 import pytest
 
-from repro.obs.registry import MetricsRegistry
-from repro.sim.metrics import (
-    LatencyRecorder,
-    Metrics,
-    MetricsError,
-    NoSamplesError,
-)
 from repro.sim.rng import DeterministicRng, derive_seed
-from repro.sim.trace import Tracer
 
 
 class TestRng:
@@ -57,126 +49,3 @@ class TestRng:
         with pytest.raises(TypeError):
             class Sub(DeterministicRng):  # noqa: F811
                 pass
-
-
-class TestMetrics:
-    def test_counters_accumulate(self):
-        metrics = Metrics()
-        metrics.incr("net.frames")
-        metrics.incr("net.frames", 4)
-        assert metrics.count("net.frames") == 5
-        assert metrics.count("absent") == 0
-
-    def test_latency_summary(self):
-        recorder = LatencyRecorder("op")
-        recorder.extend([0.001, 0.002, 0.003, 0.004])
-        summary = recorder.summary()
-        assert summary.count == 4
-        assert summary.mean == pytest.approx(0.0025)
-        assert summary.minimum == 0.001
-        assert summary.maximum == 0.004
-        assert summary.p50 == 0.002
-        assert summary.mean_ms == pytest.approx(2.5)
-
-    def test_p99_and_stddev(self):
-        recorder = LatencyRecorder("op")
-        recorder.extend([0.001] * 99 + [0.100])
-        summary = recorder.summary()
-        assert summary.p99 == 0.001  # nearest rank: the 99th of 100 samples
-        assert summary.maximum == 0.100
-        assert summary.stddev == pytest.approx(0.00985, rel=1e-3)
-        flat = LatencyRecorder("flat")
-        flat.extend([0.002, 0.002, 0.002])
-        assert flat.summary().stddev == 0.0
-        assert flat.summary().p99 == 0.002
-
-    def test_negative_sample_rejected(self):
-        # MetricsError subclasses ValueError, so both guards keep working.
-        with pytest.raises(ValueError):
-            LatencyRecorder("op").record(-1.0)
-        with pytest.raises(MetricsError):
-            LatencyRecorder("op").record(-1.0)
-
-    def test_empty_summary_raises_domain_error(self):
-        with pytest.raises(ValueError):
-            LatencyRecorder("op").summary()
-        with pytest.raises(NoSamplesError):
-            LatencyRecorder("op").summary()
-
-    def test_samples_mirror_into_shared_registry(self):
-        registry = MetricsRegistry()
-        metrics = Metrics(registry=registry)
-        metrics.incr("net.frames", 3)
-        metrics.latency("open").record(0.004)
-        assert registry.counter_value("net.frames") == 3
-        assert registry.histogram("latency.open").count == 1
-
-    def test_shared_recorder_by_name(self):
-        metrics = Metrics()
-        metrics.latency("open").record(0.001)
-        metrics.latency("open").record(0.002)
-        assert metrics.latency("open").summary().count == 2
-        assert metrics.has_latency("open")
-        assert not metrics.has_latency("close")
-
-    def test_snapshot_shape(self):
-        metrics = Metrics()
-        metrics.incr("a")
-        metrics.latency("op").record(0.004)
-        snap = metrics.snapshot()
-        assert snap["counters"] == {"a": 1}
-        assert snap["latencies"]["op"]["count"] == 1
-        assert snap["latencies"]["op"]["mean_ms"] == pytest.approx(4.0)
-        assert snap["latencies"]["op"]["p99_ms"] == pytest.approx(4.0)
-        assert snap["latencies"]["op"]["stddev_ms"] == 0.0
-
-
-class TestTracer:
-    def test_records_and_selects(self):
-        tracer = Tracer()
-        tracer.record(0.1, "ipc", "client", "Send")
-        tracer.record(0.2, "ipc", "server", "Reply")
-        tracer.record(0.3, "svc", "server", "SetPid")
-        assert len(tracer) == 3
-        assert [e.detail for e in tracer.select(category="ipc")] == ["Send", "Reply"]
-        assert [e.detail for e in tracer.select(subject="server")] == [
-            "Reply", "SetPid"]
-        assert tracer.categories() == {"ipc", "svc"}
-
-    def test_predicate_filter(self):
-        tracer = Tracer()
-        tracer.record(0.1, "ipc", "a", "Send x")
-        tracer.record(0.2, "ipc", "a", "Forward x")
-        found = tracer.select(predicate=lambda e: "Forward" in e.detail)
-        assert len(found) == 1
-
-    def test_limit_is_a_ring_buffer_keeping_newest(self):
-        tracer = Tracer(limit=3)
-        for index in range(10):
-            tracer.record(float(index), "c", "s", str(index))
-        assert len(tracer) == 3
-        # A long run ends with the most recent events, not the warm-up.
-        assert [event.detail for event in tracer.events] == ["7", "8", "9"]
-        assert tracer.dropped == 7
-
-    def test_unlimited_tracer_drops_nothing(self):
-        tracer = Tracer()
-        for index in range(100):
-            tracer.record(float(index), "c", "s", str(index))
-        assert len(tracer) == 100
-        assert tracer.dropped == 0
-
-    def test_select_sees_only_retained_events(self):
-        tracer = Tracer(limit=2)
-        tracer.record(0.1, "old", "s", "gone")
-        tracer.record(0.2, "ipc", "s", "kept-1")
-        tracer.record(0.3, "ipc", "s", "kept-2")
-        assert tracer.select(category="old") == []
-        assert [event.detail for event in tracer.select(category="ipc")] == [
-            "kept-1", "kept-2"]
-        assert tracer.dropped == 1
-
-    def test_format_renders_times_in_ms(self):
-        tracer = Tracer()
-        tracer.record(0.00256, "ipc", "client", "transaction")
-        assert "2.560ms" in tracer.format()
