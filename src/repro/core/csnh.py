@@ -265,15 +265,22 @@ class CSNHServer:
 
     def run_mapping(self, delivery: Delivery, header: CSNameHeader,
                     want_parent: bool = False) -> Gen:
-        """Run the Sec. 5.4 walk over :meth:`namespace`, annotating each step.
+        """Run the Sec. 5.4 walk over :meth:`namespace`.
 
-        Subclasses overriding :meth:`map_request` for custom ``want_parent``
-        rules should delegate here so their hop spans still record the walk.
+        For a traced request (``delivery.message.trace`` set) each step of
+        the walk is recorded on the request's hop span with ``Annotate``;
+        an untraced one has no hop span, so the walk runs with no observer
+        and yields nothing.  Subclasses overriding :meth:`map_request` for
+        custom ``want_parent`` rules should delegate here so their hop spans
+        still record the walk.
         """
         space = self.namespace()
         if space is None:
             return MappingFault(ReplyCode.ILLEGAL_REQUEST,
                                 f"{self.server_name} has no name space")
+        if delivery.message.trace is None:
+            return map_name(space, header.context_id, header.name,
+                            header.name_index, want_parent=want_parent)
         steps: list[str] = []
         outcome = map_name(
             space, header.context_id, header.name, header.name_index,
@@ -282,7 +289,7 @@ class CSNHServer:
                 f"{piece.decode(errors='replace')}={kind}"))
         for step in steps:
             # Zero-cost: records the component-by-component walk on this
-            # request's hop span (ignored when the request is untraced).
+            # request's hop span.
             yield Annotate(delivery.txn_id, {"walk": step}, append=True)
         return outcome
 
@@ -294,9 +301,12 @@ class CSNHServer:
             yield from self.reply_error(delivery, ReplyCode.BAD_ARGS)
             return
         outcome: MappingOutcome = yield from self.map_request(delivery, header)
-        yield Annotate(delivery.txn_id,
-                       {"mapping": _mapping_step(self, header, outcome)},
-                       append=True)
+        if message.trace is not None:
+            # Span annotations are built only for traced requests: only
+            # those have a hop span to record them on.
+            yield Annotate(delivery.txn_id,
+                           {"mapping": _mapping_step(self, header, outcome)},
+                           append=True)
         if isinstance(outcome, ForwardName):
             yield from self.forward_request(delivery, outcome)
             return

@@ -220,10 +220,13 @@ class ContextPrefixServer(CSNHServer):
         if binding is None:
             return MappingFault(ReplyCode.NOT_FOUND,
                                 f"prefix [{as_text(prefix)}] is not defined")
-        # Zero-cost span enrichment: which prefix matched and how it binds.
-        yield Annotate(delivery.txn_id,
-                       {"prefix": as_text(prefix),
-                        "binding": "generic" if binding.is_generic else "fixed"})
+        if delivery.message.trace is not None:
+            # Zero-cost span enrichment (traced requests only): which prefix
+            # matched and how it binds.
+            yield Annotate(
+                delivery.txn_id,
+                {"prefix": as_text(prefix),
+                 "binding": "generic" if binding.is_generic else "fixed"})
         if binding.is_generic:
             pid = yield GetPid(binding.generic_service, Scope.ANY)
             if pid is None:

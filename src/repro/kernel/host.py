@@ -37,7 +37,7 @@ from repro.kernel.errors import (
 )
 from repro.kernel.ipc import Delivery
 from repro.kernel.messages import Message, Packet, PacketKind, ReplyCode, code_name
-from repro.kernel.pids import Pid, PidAllocator
+from repro.kernel.pids import LOGICAL_SERVICE_HOST, Pid, PidAllocator
 from repro.kernel.process import Process, ProcessState, Transaction
 from repro.kernel.services import Scope, ServiceRegistry
 from repro.net.packet import BROADCAST, Frame, GroupAddress
@@ -48,13 +48,20 @@ from repro.obs.flight import (
     KIND_SEND as _K_SEND,
     PACKET_BASE as _PACKET_BASE,
 )
-from repro.sim.process import Task, TaskFailure
+from repro.sim.process import Task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.domain import Domain
 
 #: Sentinel distinguishing "effect completed with this value" from "blocked".
 _BLOCKED = object()
+#: Process states as module constants: loading an Enum member off its class
+#: costs several times a global load, and the step loop reads two per effect.
+_READY, _DEAD, _WAITING = (ProcessState.READY, ProcessState.DEAD,
+                           ProcessState.WAITING)
+_RECV_BLOCKED, _SEND_BLOCKED, _MOVE_BLOCKED = (
+    ProcessState.RECV_BLOCKED, ProcessState.SEND_BLOCKED,
+    ProcessState.MOVE_BLOCKED)
 
 
 class Host:
@@ -82,7 +89,7 @@ class Host:
         self.crashed = False
         #: Per-host IPC counters (the domain metrics registry aggregates
         #: across machines; introspection wants this kernel's share).
-        #: A defaultdict so _count is a single indexed increment.
+        #: A defaultdict so each count is a single indexed increment.
         self.counters: dict[str, int] = defaultdict(int)
         #: When this kernel came up (simulated seconds); reset by restart().
         self.started_at = self.engine.now
@@ -109,8 +116,6 @@ class Host:
         #: GetPid broadcast waiters:
         #: waiter_id -> (process, timeout_event, service, attempts)
         self._getpid_waiters: dict[int, tuple[Process, Any, int, int]] = {}
-        #: Group-send timeout events: txn_id -> event
-        self._group_timeouts: dict[int, Any] = {}
         #: Observability: txn_id -> transaction span (this host's senders).
         self._txn_spans: dict[int, Any] = {}
         #: Observability: (txn_id, receiver pid) -> server hop span.
@@ -168,14 +173,14 @@ class Host:
     def _start_process(self, proc: Process) -> None:
         if not proc.alive:
             return
-        self._advance(proc, first=True)
+        self._advance(proc)
 
     def find_process(self, pid: Pid) -> Optional[Process]:
         proc = self.processes.get(pid.local_id)
         # Pid equality is value equality and aliveness is a state check;
         # both inlined -- this runs on every delivery and probe.
         if (proc is not None and proc.pid.value == pid.value
-                and proc.state is not ProcessState.DEAD):
+                and proc.state is not _DEAD):
             return proc
         return None
 
@@ -194,7 +199,7 @@ class Host:
         if self.ethernet.is_attached(self.host_id):
             self.ethernet.set_link(self.host_id, False)
         for proc in list(self.processes.values()):
-            proc.state = ProcessState.DEAD
+            proc.state = _DEAD
             proc.task.close()
         self.processes.clear()
         for txn in self._outstanding.values():
@@ -206,9 +211,6 @@ class Host:
         for __, event, __, __ in self._getpid_waiters.values():
             event.cancel()
         self._getpid_waiters.clear()
-        for event in self._group_timeouts.values():
-            event.cancel()
-        self._group_timeouts.clear()
         if self.obs is not None:
             for span in list(self._txn_spans.values()) + list(
                     self._hop_spans.values()):
@@ -239,74 +241,72 @@ class Host:
     # --------------------------------------------------------- process loop
 
     def _advance(self, proc: Process, value: Any = None,
-                 exc: BaseException | None = None, first: bool = False) -> None:
-        """Step a process, dispatching immediate effects inline.
+                 exc: BaseException | None = None) -> None:
+        """The step loop: run ``proc`` until it blocks, exits or fails.
+
+        The generator is resumed directly (``send``/``throw`` on
+        ``proc.task.body``; the :class:`~repro.sim.process.Task` wrapper's
+        lifecycle bookkeeping is the asyncio driver's, not this kernel's),
+        and each effect it yields is dispatched inline; an effect that
+        completes immediately resumes the generator with its result.  An
+        unstarted body is started by the first ``send(None)``.
 
         Under profiling, everything this step schedules is attributed to
         ``host -> process (-> service) (-> open phase frames)``; the scope
         *replaces* the engine's current stack (saved and restored around the
-        step) so interleaved processes never inherit each other's frames.
+        loop) so interleaved processes never inherit each other's frames.
         """
         engine = self.engine
-        if not engine.profiling:
-            self._advance_inner(proc, value, exc, first)
-            return
-        saved_scope = engine.profile_scope(self._profile_frames(proc))
+        saved_scope = (engine.profile_scope(self._profile_frames(proc))
+                       if engine.profiling else None)
+        body = proc.task.body
         try:
-            self._advance_inner(proc, value, exc, first)
+            while proc.state is not _DEAD:
+                proc.state = _READY
+                try:
+                    if exc is None:
+                        effect = body.send(value)
+                    else:
+                        err, exc = exc, None
+                        effect = body.throw(err)
+                except StopIteration:
+                    self._terminate(proc)
+                    return
+                except BaseException as err:  # noqa: BLE001 - recorded
+                    self.domain.failures.append((proc.task.name, err))
+                    self._terminate(proc)
+                    return
+                try:
+                    # The profiled dispatch keeps the out-of-line path with
+                    # phase frames; the bare one is inlined (one effect per
+                    # resume, tens of thousands per simulated second).
+                    if engine.profiling:
+                        result = self._dispatch(proc, effect)
+                    else:
+                        handler = _EFFECT_HANDLERS.get(type(effect))
+                        if handler is None:
+                            raise IllegalEffect(
+                                f"process {proc.name!r} yielded {effect!r}, "
+                                "which is not a kernel effect")
+                        result = handler(self, proc, effect)
+                except KernelError as err:
+                    # API misuse becomes an exception *inside* the process,
+                    # so a defensive server can catch it; an unhandled one
+                    # fails the task and is recorded in domain.failures.
+                    value, exc = None, err
+                    continue
+                if result is _BLOCKED:
+                    return
+                value = result
         finally:
-            engine.profile_restore(saved_scope)
-
-    def _advance_inner(self, proc: Process, value: Any,
-                       exc: BaseException | None, first: bool) -> None:
-        while True:
-            if proc.state is ProcessState.DEAD:
-                return
-            proc.state = ProcessState.READY
-            try:
-                if first:
-                    finished, effect = proc.task.start()
-                    first = False
-                elif exc is not None:
-                    err, exc = exc, None
-                    finished, effect = proc.task.throw(err)
-                else:
-                    finished, effect = proc.task.resume(value)
-            except TaskFailure as failure:
-                self.domain.failures.append((proc.task.name, failure.original))
-                self._terminate(proc)
-                return
-            if finished:
-                self._terminate(proc)
-                return
-            try:
-                # The effect dispatch is inlined (one effect per resume,
-                # tens of thousands per simulated second); the profiled
-                # variant keeps the out-of-line path with phase frames.
-                if self.engine.profiling:
-                    result = self._dispatch(proc, effect)
-                else:
-                    handler = _EFFECT_HANDLERS.get(type(effect))
-                    if handler is None:
-                        raise IllegalEffect(
-                            f"process {proc.name!r} yielded {effect!r}, "
-                            "which is not a kernel effect")
-                    result = handler(self, proc, effect)
-            except KernelError as err:
-                # API misuse becomes an exception *inside* the process, so a
-                # defensive server can catch it; an unhandled one fails the
-                # task and is recorded in domain.failures.
-                value, exc = None, err
-                continue
-            if result is _BLOCKED:
-                return
-            value = result
+            if saved_scope is not None:
+                engine.profile_restore(saved_scope)
 
     def _terminate(self, proc: Process) -> None:
         """Process exit: error-reply held requests, release kernel state."""
-        if proc.state is ProcessState.DEAD:
+        if proc.state is _DEAD:
             return
-        proc.state = ProcessState.DEAD
+        proc.state = _DEAD
         # Anyone whose request we hold (queued or received) gets an error reply.
         held = list(proc.msg_queue) + list(proc.unreplied.values())
         proc.msg_queue.clear()
@@ -387,26 +387,21 @@ class Host:
     # -- Send ----------------------------------------------------------------
 
     def _do_send(self, proc: Process, effect: ipc.Send) -> Any:
-        if effect.dst.is_logical_service:
+        dst_host = effect.dst.logical_host
+        if dst_host == LOGICAL_SERVICE_HOST:   # Pid.is_logical_service
             raise IllegalEffect(
                 f"cannot Send to logical pid {effect.dst!r}; resolve with GetPid first"
             )
-        txn = Transaction(
-            txn_id=self._next_txn_id(),
-            sender=proc.pid,
-            dst=effect.dst,
-            message=effect.message,
-            expose=effect.expose,
-            sent_at=self.engine.now,
-        )
+        engine = self.engine
+        txn = Transaction(self._next_txn_id(), proc.pid, effect.dst,
+                          effect.message, effect.expose, engine._now)
         proc.pending_txn = txn
-        proc.state = ProcessState.SEND_BLOCKED
+        proc.state = _SEND_BLOCKED
         self._outstanding[txn.txn_id] = txn
         self._m_sends.value += 1
-        self._count("ipc.sends")
+        self.counters["ipc.sends"] += 1
         append = self._flight_append
         if append is not None:
-            engine = self.engine
             append((engine._fire_seq, engine._now, _K_SEND,
                     proc.pid.value, effect.dst.value, txn.txn_id))
         if self.obs is not None:
@@ -415,7 +410,7 @@ class Host:
             # resolve span); the outgoing message carries *our* context so
             # receiver-side hop spans chain under the transaction.
             span = self.obs.spans.start(
-                f"ipc.txn:{code_name(effect.message.code)}", self.engine.now,
+                f"ipc.txn:{code_name(effect.message.code)}", engine.now,
                 parent=effect.message.trace, actor=f"{self.name}/{proc.name}",
                 dst=str(effect.dst), txn=txn.txn_id,
                 request_bytes=effect.message.wire_bytes)
@@ -424,29 +419,39 @@ class Host:
         # ``is_local_to`` and the one-line ``_transmit`` wrapper are inlined
         # here and on the reply/probe paths: one Send/Reply round trip
         # otherwise pays four extra method calls.
-        dst_host = effect.dst.logical_host
         if dst_host == self.host_id:
-            self.engine.post(self._local_hop,
-                             self._deliver_local_request, txn, None)
+            engine.post(self._local_hop,
+                        self._deliver_local_request, txn, None)
         else:
             packet = Packet(PacketKind.REQUEST, proc.pid, effect.dst,
                             txn.txn_id, effect.message)
-            self.engine.post(self._kernel_cpu,
-                             self._transmit_put, packet, dst_host, None)
-        self._schedule_probe(txn)
+            engine.post(self._kernel_cpu,
+                        self._transmit_put, packet, dst_host, None)
         # Local requests are delivered by a reliable in-kernel hop, but the
-        # timer is armed for them too: a Forward may push the transaction
-        # onto the (lossy) wire later, and then it is this timer that
-        # re-sends the request.
+        # retransmit timer is armed for them too: a Forward may push the
+        # transaction onto the (lossy) wire later, and then it is this timer
+        # that re-sends the request.  Unprofiled, both timers are armed
+        # inline; the profiled path brackets each with its phase frame.
+        if engine.profiling:
+            self._schedule_probe(txn)
+            if self._retransmit_enabled:
+                self._schedule_retransmit(txn, self._retransmit_initial)
+            return _BLOCKED
+        txn.probe_event = engine.schedule(self._probe_interval,
+                                          self._probe_fire, txn)
         if self._retransmit_enabled:
-            self._schedule_retransmit(txn, self._retransmit_initial)
+            interval = self._retransmit_initial
+            txn.retransmit_event = engine.schedule(
+                interval, self._retransmit_fire, txn, interval)
         return _BLOCKED
 
     def _deliver_local_request(self, txn: Transaction,
                                forwarder: Optional[Pid]) -> None:
         """Same-host request delivery (Send or Forward landing locally)."""
-        dst_proc = self.find_process(txn.dst)
-        if dst_proc is None:
+        dst = txn.dst
+        dst_proc = self.processes.get(dst.local_id)   # find_process, inlined
+        if (dst_proc is None or dst_proc.pid.value != dst.value
+                or dst_proc.state is _DEAD):
             error = Message.reply(ReplyCode.NONEXISTENT_PROCESS)
             if txn.sender.is_local_to(self.host_id):
                 self._complete_local_txn(txn, error)
@@ -466,54 +471,66 @@ class Host:
         if current is None:
             self.metrics.incr("ipc.duplicate_replies")
             return
-        current.cancel_probe()
-        current.cancel_retransmit()
-        self._group_timeouts.pop(current.txn_id, None)
+        # Transaction.cancel_probe / cancel_retransmit, inlined.  The probe
+        # slot also holds a GroupSend's reply timeout.
+        event = current.probe_event
+        if event is not None:
+            event.cancel()
+            current.probe_event = None
+        event = current.retransmit_event
+        if event is not None:
+            event.cancel()
+            current.retransmit_event = None
+        engine = self.engine
         span = self._txn_spans.pop(current.txn_id, None)
         if span is not None:
-            self.obs.spans.finish(span, self.engine.now,
+            self.obs.spans.finish(span, engine.now,
                                   reply_code=code_name(reply.code),
                                   reply_bytes=reply.wire_bytes)
             self.obs.registry.histogram(
                 "ipc.txn_seconds",
                 op=code_name(current.message.code)).observe(span.duration)
-        sender = self.find_process(current.sender)
-        if sender is None or sender.pending_txn is not current:
+        pid = current.sender
+        sender = self.processes.get(pid.local_id)   # find_process, inlined
+        if (sender is None or sender.pid.value != pid.value
+                or sender.state is _DEAD
+                or sender.pending_txn is not current):
             return
         sender.pending_txn = None
         self._m_transactions.value += 1
-        self._count("ipc.transactions")
+        self.counters["ipc.transactions"] += 1
         append = self._flight_append
         if append is not None:
-            engine = self.engine
             append((engine._fire_seq, engine._now, _K_COMPLETE,
-                    current.dst.value, current.sender.value, current.txn_id))
+                    current.dst.value, pid.value, current.txn_id))
         telemetry = self.domain.telemetry
         if telemetry is not None:
-            telemetry.observe_txn(self, self.engine.now - current.sent_at)
-        self._advance(sender, value=reply)
+            telemetry.observe_txn(self, engine.now - current.sent_at)
+        self._advance(sender, reply)
 
     # -- Receive ---------------------------------------------------------------
 
     def _do_receive(self, proc: Process, effect: ipc.Receive) -> Any:
         delivery = proc.next_matching_delivery(effect.from_pid)
         if delivery is not None:
-            self._mark_received(proc, delivery)
+            # Received and not yet replied; a request (not a group
+            # delivery) also moves from "queued" to "received".
+            txn_id = delivery.txn_id
+            proc.unreplied[txn_id] = delivery
+            if txn_id in self._presence:
+                self._presence[txn_id] = ("received", proc.pid)
             return delivery
-        proc.state = ProcessState.RECV_BLOCKED
+        proc.state = _RECV_BLOCKED
         proc.recv_filter = effect.from_pid
         return _BLOCKED
 
-    def _mark_received(self, proc: Process, delivery: Delivery) -> None:
-        proc.unreplied[delivery.txn_id] = delivery
-        if delivery.txn_id in self._presence:
-            self._presence[delivery.txn_id] = ("received", proc.pid)
-
     def _enqueue_delivery(self, proc: Process, delivery: Delivery) -> None:
+        txn_id = delivery.txn_id
+        presence = self._presence
         if not delivery.via_group:
-            self._presence[delivery.txn_id] = ("queued", proc.pid)
+            presence[txn_id] = ("queued", proc.pid)
         self._m_deliveries.value += 1
-        self._count("ipc.deliveries")
+        self.counters["ipc.deliveries"] += 1
         if (self.obs is not None and delivery.message.trace is not None
                 and not delivery.via_group):
             # The server-side hop: opens when the request lands at the
@@ -523,33 +540,34 @@ class Host:
             span = self.obs.spans.start(
                 f"server:{proc.name}", self.engine.now,
                 parent=delivery.message.trace,
-                actor=f"{self.name}/{proc.name}", txn=delivery.txn_id)
-            self._hop_spans[(delivery.txn_id, proc.pid)] = span
-        if proc.state is ProcessState.RECV_BLOCKED and (
+                actor=f"{self.name}/{proc.name}", txn=txn_id)
+            self._hop_spans[(txn_id, proc.pid)] = span
+        if proc.state is _RECV_BLOCKED and (
             proc.recv_filter is None or proc.recv_filter == delivery.sender
         ):
             proc.recv_filter = None
-            self._mark_received(proc, delivery)
-            self._advance(proc, value=delivery)
+            proc.unreplied[txn_id] = delivery   # as in _do_receive
+            if txn_id in presence:
+                presence[txn_id] = ("received", proc.pid)
+            self._advance(proc, delivery)
         else:
-            proc.queue_delivery(delivery)
+            proc.msg_queue.append(delivery)
 
     # -- Reply -------------------------------------------------------------------
 
-    def _find_unreplied(self, proc: Process, to: Pid) -> Delivery:
-        for txn_id in proc.unreplied:
-            if proc.unreplied[txn_id].sender == to:
-                return proc.unreplied.pop(txn_id)
-        raise NotAwaitingReply(
-            f"{proc.name!r} tried to Reply/Forward to {to!r}, "
-            "which is not awaiting a reply from it"
-        )
-
     def _do_reply(self, proc: Process, effect: ipc.Reply) -> Any:
-        delivery = self._find_unreplied(proc, effect.to)
-        self._presence.pop(delivery.txn_id, None)
+        unreplied = proc.unreplied
+        for txn_id, delivery in unreplied.items():
+            if delivery.sender == effect.to:
+                del unreplied[txn_id]
+                break
+        else:
+            raise NotAwaitingReply(
+                f"{proc.name!r} tried to Reply to {effect.to!r}, "
+                "which is not awaiting a reply from it")
+        self._presence.pop(txn_id, None)
         self._m_replies.value += 1
-        self._count("ipc.replies")
+        self.counters["ipc.replies"] += 1
         append = self._flight_append
         if append is not None:
             engine = self.engine
@@ -586,12 +604,16 @@ class Host:
         packet = Packet(PacketKind.REPLY, from_pid, sender_pid,
                         delivery.txn_id, message)
         if self._retransmit_enabled:
-            self._cache_reply(delivery.txn_id, packet)
+            # Remember the reply for loss replay (the newest N survive).
+            cache = self._reply_cache
+            cache[delivery.txn_id] = packet
+            cache.move_to_end(delivery.txn_id)
+            while len(cache) > self.config.reply_cache_entries:
+                cache.popitem(last=False)
         if busy and replier is not None:
-            replier.state = ProcessState.WAITING
+            replier.state = _WAITING
             self.engine.post(self._kernel_cpu, self._transmit_put, packet,
-                             sender_host,
-                             lambda: self._advance(replier, value=None))
+                             sender_host, lambda: self._advance(replier))
             return _BLOCKED
         self.engine.post(self._kernel_cpu,
                          self._transmit_put, packet, sender_host, None)
@@ -608,7 +630,7 @@ class Host:
             )
         message = effect.message if effect.message is not None else delivery.message
         self.metrics.incr("ipc.forwards")
-        self._count("ipc.forwards")
+        self.counters["ipc.forwards"] += 1
         append = self._flight_append
         if append is not None:
             engine = self.engine
@@ -640,7 +662,7 @@ class Host:
         packet = Packet(PacketKind.REQUEST, src_pid=delivery.sender,
                         dst_pid=effect.dst, txn_id=delivery.txn_id,
                         message=message, info={"forwarder": proc.pid})
-        proc.state = ProcessState.WAITING
+        proc.state = _WAITING
         self._transmit(packet, effect.dst.logical_host,
                        on_sent=lambda: self._advance(proc, value=None))
         return _BLOCKED
@@ -696,12 +718,12 @@ class Host:
         """
         if src_host == dst_host:
             duration = self.latency.bulk_move_local(nbytes)
-            proc.state = ProcessState.MOVE_BLOCKED
+            proc.state = _MOVE_BLOCKED
             self.engine.post(duration, self._advance, proc, result)
             return _BLOCKED
         packets = self.latency.bulk_packets(nbytes)
         per_packet = self.latency.bulk_move_remote(nbytes) / max(packets, 1)
-        proc.state = ProcessState.MOVE_BLOCKED
+        proc.state = _MOVE_BLOCKED
         remaining = nbytes
         for index in range(packets):
             chunk = min(remaining, 1024)
@@ -742,7 +764,7 @@ class Host:
                                        self._getpid_timeout, waiter_id)
         self._getpid_waiters[waiter_id] = (proc, timeout,
                                            int(effect.service), 0)
-        proc.state = ProcessState.WAITING
+        proc.state = _WAITING
         packet = Packet(PacketKind.GETPID_QUERY, src_pid=proc.pid, dst_pid=None,
                         txn_id=0,
                         info={"service": int(effect.service), "waiter": waiter_id})
@@ -768,7 +790,7 @@ class Host:
                             dst_pid=None, txn_id=0,
                             info={"service": service, "waiter": waiter_id})
             self.metrics.incr("services.getpid_retries")
-            self._count("services.getpid_retries")
+            self.counters["services.getpid_retries"] += 1
             self._transmit(packet, BROADCAST)
             return
         self._getpid_waiters.pop(waiter_id, None)
@@ -793,12 +815,14 @@ class Host:
                           dst=proc.pid, message=effect.message,
                           sent_at=self.engine.now)
         proc.pending_txn = txn
-        proc.state = ProcessState.SEND_BLOCKED
+        proc.state = _SEND_BLOCKED
         self._outstanding[txn.txn_id] = txn
         self.metrics.incr("ipc.group_sends")
-        timeout = self.engine.schedule(self.config.group_reply_timeout,
-                                       self._group_send_timeout, txn)
-        self._group_timeouts[txn.txn_id] = timeout
+        # The reply timeout sits in the probe slot (a group transaction has
+        # no probes), so the paths that end a transaction -- a reply, the
+        # sender's exit, a crash -- cancel it like any probe timer.
+        txn.probe_event = self.engine.schedule(
+            self.config.group_reply_timeout, self._group_send_timeout, txn)
         # Local members (other than the sender) get a local delivery.
         for member in self.domain.groups.members_on_host(
                 effect.group_id, self.host_id):
@@ -823,7 +847,6 @@ class Host:
         self._enqueue_delivery(dst_proc, delivery)
 
     def _group_send_timeout(self, txn: Transaction) -> None:
-        self._group_timeouts.pop(txn.txn_id, None)
         if txn.txn_id in self._outstanding:
             self.metrics.incr("ipc.group_send_timeouts")
             self._complete_local_txn(txn, Message.reply(ReplyCode.NO_SERVER))
@@ -831,7 +854,7 @@ class Host:
     # -- misc ---------------------------------------------------------------------
 
     def _do_delay(self, proc: Process, effect: ipc.Delay) -> Any:
-        proc.state = ProcessState.WAITING
+        proc.state = _WAITING
         self.engine.post(effect.seconds, self._advance, proc, None)
         return _BLOCKED
 
@@ -953,7 +976,7 @@ class Host:
             # duplicate).  The transaction is idempotent-at-most-once from
             # the receiver's perspective: drop the copy, keep the original.
             self.metrics.incr("ipc.dup_suppressed")
-            self._count("ipc.dup_suppressed")
+            self.counters["ipc.dup_suppressed"] += 1
             if self.obs is not None:
                 span = self._hop_spans.get((packet.txn_id, presence[1]))
                 if span is not None:
@@ -965,7 +988,7 @@ class Host:
             # have been lost.  Replay it instead of re-executing anything.
             self.metrics.incr("ipc.dup_suppressed")
             self.metrics.incr("ipc.reply_resends")
-            self._count("ipc.reply_resends")
+            self.counters["ipc.reply_resends"] += 1
             self._transmit(cached, packet.src_pid.logical_host)
             return
         dst_proc = self.find_process(packet.dst_pid)
@@ -995,7 +1018,7 @@ class Host:
             if cached is not None and self._retransmit_enabled:
                 # Transaction done; its reply frame was lost.  Replay.
                 self.metrics.incr("ipc.reply_resends")
-                self._count("ipc.reply_resends")
+                self.counters["ipc.reply_resends"] += 1
                 self._transmit(cached, packet.src_pid.logical_host)
                 return
             if (packet.dst_pid is not None
@@ -1159,7 +1182,7 @@ class Host:
                         txn.txn_id, txn.message)
         txn.retransmits += 1
         self.metrics.incr("ipc.retransmits")
-        self._count("ipc.retransmits")
+        self.counters["ipc.retransmits"] += 1
         if self.obs is not None:
             span = self._txn_spans.get(txn.txn_id)
             if span is not None:
@@ -1175,18 +1198,7 @@ class Host:
             return
         self._transmit(packet, txn.dst.logical_host)
 
-    def _cache_reply(self, txn_id: int, packet: Packet) -> None:
-        """Remember the reply sent to a remote sender, for loss replay."""
-        self._reply_cache[txn_id] = packet
-        self._reply_cache.move_to_end(txn_id)
-        while len(self._reply_cache) > self.config.reply_cache_entries:
-            self._reply_cache.popitem(last=False)
-
     # ----------------------------------------------------------- introspection
-
-    def _count(self, name: str) -> None:
-        """Bump a per-host counter (zero simulated cost; plain dict incr)."""
-        self.counters[name] += 1
 
     @property
     def uptime(self) -> float:

@@ -225,8 +225,13 @@ class Annotate:
     (its :class:`Delivery`'s transaction id) to enrich the kernel-created
     hop span with protocol-level facts: which context was searched, how much
     of the name was consumed, what the mapping decided.  Costs **zero
-    simulated time** and is a no-op when the domain has no observability
-    attached, so instrumented servers behave identically either way.
+    simulated time**.  It is a no-op unless the transaction has a hop span,
+    and the kernel opens one only for a traced request (its message carries
+    a ``trace`` context) in a domain with observability attached; the
+    asyncio driver ignores it.  So span annotations are built only for
+    traced requests: servers yield this only when
+    ``delivery.message.trace is not None``, and behave identically either
+    way.
 
     ``append=True`` accumulates each attribute onto a list instead of
     overwriting -- used for per-step mapping records, which grow when a

@@ -50,6 +50,8 @@ class Transaction:
     #: latency (p99) is measured from here to the completing reply.
     sent_at: float = 0.0
     probes_unanswered: int = 0
+    #: The probe timer -- or, for a GroupSend, the reply timeout, so every
+    #: path that ends a transaction cancels either one the same way.
     probe_event: Optional["ScheduledEvent"] = None
     #: Retransmission state (see KernelConfig): the pending timer, how many
     #: request copies have been re-sent, and whether the request is known to
@@ -118,9 +120,6 @@ class Process:
     @property
     def alive(self) -> bool:
         return self.state is not ProcessState.DEAD
-
-    def queue_delivery(self, delivery: Delivery) -> None:
-        self.msg_queue.append(delivery)
 
     def next_matching_delivery(self, from_pid: Optional[Pid]) -> Optional[Delivery]:
         """Pop the first queued delivery matching the receive filter."""

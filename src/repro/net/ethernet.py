@@ -228,12 +228,21 @@ class Ethernet:
     def _deliver(self, frame: Frame) -> None:
         faults = self._faults
         inject = faults is not None and not faults.is_null
-        if not inject and type(frame.dst) is int and self._drop_predicate is None:
+        host_id = frame.dst
+        if not inject and type(host_id) is int and self._drop_predicate is None:
             # Unicast on a healthy wire: the overwhelmingly common case at
-            # fleet scale -- skip the destination-list build entirely
-            # (_deliver_one performs the same link/attachment checks the
-            # general loop would).
-            self._deliver_one(frame, frame.dst)
+            # fleet scale -- skip the destination-list build entirely, with
+            # _deliver_one's link/attachment check and count inlined.
+            deliver = self._live_iface.get(host_id)
+            if deliver is None:
+                self.metrics.incr("net.frames_lost")
+            else:
+                counter = self._delivered_counters.get(host_id)
+                if counter is None:
+                    counter = self.metrics.counter(f"net.delivered_to.{host_id}")
+                    self._delivered_counters[host_id] = counter
+                counter.value += 1
+                deliver(frame)
             self.frame_pool.release(frame)
             return
         self._fan_out(frame, faults, inject)

@@ -153,7 +153,46 @@ class TestGroupSend:
         assert deliveries[:3] == [("a", at_local), ("b", at_local),
                                   ("c", at_local)]
         assert deliveries[3] == ("far", pytest.approx(0.01128, abs=1e-9))
-        assert domain.engine.events_processed == 17
+        # 16: the reply cancels the 50 ms group timeout.  (This count was
+        # once 17 -- the leaked timeout firing as a no-op.)
+        assert domain.engine.events_processed == 16
+
+    def test_reply_cancels_the_group_timeout(self, domain):
+        # One remote member answers at once; the drained clock must stop at
+        # the reply, not at send + group_reply_timeout.
+        local, remote = domain.create_host("local"), domain.create_host("far")
+        remote.spawn(member()(), "m")
+        replied_at = []
+
+        def client():
+            yield Delay(0.001)
+            reply = yield GroupSend(GROUP, Message.request(1))
+            replied_at.append((yield Now()))
+            return reply.ok
+
+        assert run_on(domain, local, client()) is True
+        assert replied_at == [pytest.approx(0.00356, abs=1e-9)]
+        assert domain.now == replied_at[0]      # not 0.051
+        assert domain.engine.events_processed == 10   # not 11
+        assert list(domain.engine.pending_events()) == []
+
+    @pytest.mark.parametrize("end", ["exit", "crash"])
+    def test_sender_gone_mid_group_send_cancels_the_timeout(self, domain,
+                                                            end):
+        host = domain.create_host("h")
+        domain.create_host("far").spawn(member(answer_if="never")(), "m")
+
+        def sender():
+            yield GroupSend(GROUP, Message.request(1, key="miss"))
+
+        proc = host.spawn(sender(), "sender")
+        if end == "exit":
+            domain.engine.schedule_at(0.02, host._terminate, proc)
+        else:
+            domain.engine.schedule_at(0.02, host.crash)
+        domain.run(until=0.03)
+        assert not proc.alive
+        assert list(domain.engine.pending_events()) == []
 
     def test_leave_group_stops_delivery(self, domain):
         hosts = [domain.create_host(f"h{i}") for i in range(2)]

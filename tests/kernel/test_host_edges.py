@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core.resolver import NameError_
 from repro.kernel.domain import Domain
-from repro.kernel.errors import HostDown
+from repro.kernel.errors import HostDown, IllegalEffect, NotAwaitingReply
 from repro.kernel.ipc import (
     Delay,
+    Exit,
     Forward,
     GetPid,
     Now,
@@ -15,8 +17,10 @@ from repro.kernel.ipc import (
     SetPid,
 )
 from repro.kernel.messages import Message, ReplyCode
+from repro.kernel.pids import Pid
 from repro.kernel.services import Scope
-from tests.helpers import run_on
+from repro.runtime import files
+from tests.helpers import run_on, standard_system
 
 
 def registered_server(service=1, work=0.0):
@@ -181,6 +185,143 @@ class TestHostMisuse:
     def test_negative_delay_rejected_at_construction(self):
         with pytest.raises(ValueError):
             Delay(-1.0)
+
+
+class TestStepLoop:
+    """Every exit from the kernel's step loop, and the profiled loop."""
+
+    def test_raising_body_is_recorded_and_its_held_requests_nacked(self,
+                                                                   domain):
+        host = domain.create_host("h")
+        boom = ValueError("boom")
+
+        def broken():
+            yield SetPid(1, Scope.BOTH)
+            yield Receive()
+            raise boom
+
+        host.spawn(broken(), "broken")
+
+        def client():
+            pid = yield from wait_for()
+            reply = yield Send(pid, Message.request(1))
+            return reply.reply_code
+
+        code = run_on(domain, host, client(), check=False)
+        assert code is ReplyCode.NONEXISTENT_PROCESS
+        assert domain.failures == [("h/broken", boom)]
+        assert domain.failures[0][1] is boom
+
+    def test_kernel_error_is_thrown_into_a_defensive_server(self, domain):
+        host = domain.create_host("h")
+        caught = []
+
+        def defensive():
+            yield SetPid(1, Scope.BOTH)
+            while True:
+                delivery = yield Receive()
+                try:
+                    # Nobody at this pid awaits a reply from us.
+                    yield Reply(Pid(delivery.sender.value + 1),
+                                Message.reply(ReplyCode.OK))
+                except NotAwaitingReply as err:
+                    caught.append(err)
+                yield Reply(delivery.sender, Message.reply(ReplyCode.OK))
+
+        host.spawn(defensive(), "defensive")
+
+        def client():
+            pid = yield from wait_for()
+            first = yield Send(pid, Message.request(1))
+            second = yield Send(pid, Message.request(1))
+            return first.reply_code, second.reply_code
+
+        assert run_on(domain, host, client()) == (ReplyCode.OK, ReplyCode.OK)
+        assert len(caught) == 2
+        assert domain.failures == []
+
+    def test_uncaught_illegal_effect_fails_the_process(self, domain):
+        host = domain.create_host("h")
+
+        def confused():
+            yield "not an effect"
+
+        host.spawn(confused(), "confused")
+        domain.run()
+        ((name, error),) = domain.failures
+        assert name == "h/confused"
+        assert isinstance(error, IllegalEffect)
+        assert not host.processes
+
+    def test_body_returning_before_its_first_yield(self, domain):
+        host = domain.create_host("h")
+
+        def instant():
+            return 42
+            yield  # pragma: no cover - makes this a generator
+
+        proc = host.spawn(instant(), "instant")
+        domain.run()
+        assert not proc.alive
+        assert not host.processes
+        assert domain.failures == []
+        assert domain.metrics.count("kernel.process_exits") == 1
+
+    def test_exit_mid_loop_nacks_held_requests(self, domain):
+        host = domain.create_host("h")
+        after_exit = []
+
+        def quitter():
+            yield SetPid(1, Scope.BOTH)
+            for round_number in range(3):
+                yield Receive()
+                if round_number == 0:
+                    yield Exit()
+                    after_exit.append(round_number)
+
+        host.spawn(quitter(), "quitter")
+
+        def client():
+            pid = yield from wait_for()
+            reply = yield Send(pid, Message.request(1))
+            return reply.reply_code
+
+        assert run_on(domain, host, client()) is ReplyCode.NONEXISTENT_PROCESS
+        assert after_exit == []
+        assert domain.failures == []
+        assert not [proc for proc in host.processes.values()
+                    if proc.name == "quitter"]
+
+    @staticmethod
+    def open_read_run(profiled: bool):
+        system = standard_system(seed=11)
+        if profiled:
+            system.domain.enable_profiler()
+        codes = []
+
+        def client(session):
+            yield from files.write_file(session, "[home]a.txt", b"a" * 300)
+            yield from files.write_file(session, "[home]b.txt", b"b" * 1500)
+            for name in ("[home]a.txt", "b.txt", "[home]missing.txt",
+                         "[nowhere]x", "[home]b.txt", "[storage]x"):
+                try:
+                    data = yield from files.read_file(session, name)
+                except NameError_ as err:
+                    codes.append(err.code)
+                else:
+                    codes.append((ReplyCode.OK, len(data)))
+
+        system.run_client(client(system.session()))
+        domain = system.domain
+        return codes, domain.engine.events_processed, domain.now
+
+    def test_profiled_run_matches_the_bare_run(self):
+        bare = self.open_read_run(profiled=False)
+        assert self.open_read_run(profiled=True) == bare
+        codes = bare[0]
+        assert codes[0] == (ReplyCode.OK, 300)
+        assert codes[1] == (ReplyCode.OK, 1500)
+        assert codes[2:4] == [ReplyCode.NOT_FOUND, ReplyCode.NOT_FOUND]
 
 
 class TestMetricsAccounting:
