@@ -41,7 +41,7 @@ class Domain:
         config: KernelConfig = DEFAULT_CONFIG,
         obs: Optional["Observability"] = None,
     ) -> None:
-        self.engine = Engine()
+        self.engine = self._make_engine()
         #: Observability bundle (span collector + metrics registry), or None.
         #: With obs attached the kernel emits a span tree per message
         #: transaction (see repro.obs); without it no tracing branch runs.
@@ -89,7 +89,11 @@ class Domain:
         #: flight records comparable across runs (repro.obs.flight).
         self._txn_counter = itertools.count(1)
         self._waiter_counter = itertools.count(1)
-        self.ethernet = Ethernet(self.engine, latency, self.metrics, obs=obs)
+        self.ethernet = self._make_ethernet()
+        #: The IPC counters every host bumps, resolved once per domain.
+        self._ipc_counters = tuple(map(self.metrics.counter, (
+            "ipc.sends", "ipc.deliveries", "ipc.replies", "ipc.transactions",
+            "ipc.probes")))
         self.groups = GroupRegistry()
         self.hosts: dict[int, Host] = {}
         self._next_host_id = 1
@@ -118,6 +122,14 @@ class Domain:
         #: registry reports removals here (see Host), so a binding cache can
         #: watch one hub instead of every kernel table.
         self._pid_removal_listeners: list[Callable[[Pid], None]] = []
+
+    # The driver seam (the clock and the wire every Host uses); the
+    # real-socket AsyncDomain (repro.net.asyncio_transport) overrides both.
+    def _make_engine(self) -> Engine:
+        return Engine()
+
+    def _make_ethernet(self) -> Ethernet:
+        return Ethernet(self.engine, self.latency, self.metrics, obs=self.obs)
 
     # ------------------------------------------------------------ wire faults
 
@@ -207,8 +219,9 @@ class Domain:
     def find_transaction(self, txn_id: int, sender: Pid) -> Optional[Transaction]:
         """Locate an outstanding transaction at its sender's kernel.
 
-        Used by the bulk-move validation path; the asyncio transport does the
-        same check with an explicit kernel-to-kernel exchange.
+        Used by the bulk-move validation path, on both drivers: every kernel
+        of a domain lives in one process, so the mover's kernel reads the
+        sender's table directly.
         """
         host = self.host_of(sender)
         if host is None:

@@ -5,6 +5,9 @@ kernel.  It owns the local process table, pid allocator, service registry,
 and the kernel half of every IPC primitive.  Processes on the host are
 generator tasks; the host interprets the effects they yield, charging
 simulated costs from the domain's :class:`~repro.net.latency.LatencyModel`.
+The clock and the wire are the domain's ``engine`` and ``ethernet``: the
+discrete-event engine and Ethernet model, or the loop clock and UDP wire of
+:mod:`repro.net.asyncio_transport` -- nothing here knows which.
 
 Timing rules (derivations in ``repro/net/latency.py``):
 
@@ -62,6 +65,9 @@ _READY, _DEAD, _WAITING = (ProcessState.READY, ProcessState.DEAD,
 _RECV_BLOCKED, _SEND_BLOCKED, _MOVE_BLOCKED = (
     ProcessState.RECV_BLOCKED, ProcessState.SEND_BLOCKED,
     ProcessState.MOVE_BLOCKED)
+#: The packet kinds built or tested once per Send, Reply or arriving frame.
+_REQUEST, _REPLY, _MOVE_DATA = (PacketKind.REQUEST, PacketKind.REPLY,
+                                PacketKind.MOVE_DATA)
 
 
 class Host:
@@ -146,14 +152,9 @@ class Host:
         self._complete_local_txn = self._complete_local_txn
         self._probe_fire = self._probe_fire
         self._retransmit_fire = self._retransmit_fire
-        # Pre-resolved registry counters for the per-transaction metrics
-        # (same Counter objects the registry serves, so every view agrees).
-        registry = self.metrics
-        self._m_sends = registry.counter("ipc.sends")
-        self._m_deliveries = registry.counter("ipc.deliveries")
-        self._m_replies = registry.counter("ipc.replies")
-        self._m_transactions = registry.counter("ipc.transactions")
-        self._m_probes = registry.counter("ipc.probes")
+        # The per-transaction registry counters, resolved once per domain.
+        (self._m_sends, self._m_deliveries, self._m_replies,
+         self._m_transactions, self._m_probes) = domain._ipc_counters
 
     # ------------------------------------------------------------- lifecycle
 
@@ -246,9 +247,8 @@ class Host:
 
         The generator is resumed directly (``send``/``throw`` on
         ``proc.task.body``; the :class:`~repro.sim.process.Task` wrapper's
-        lifecycle bookkeeping is the asyncio driver's, not this kernel's),
-        and each effect it yields is dispatched inline; an effect that
-        completes immediately resumes the generator with its result.  An
+        lifecycle bookkeeping goes unused), and each effect it yields is
+        dispatched inline; an effect that completes immediately resumes the generator with its result.  An
         unstarted body is started by the first ``send(None)``.
 
         Under profiling, everything this step schedules is attributed to
@@ -423,7 +423,7 @@ class Host:
             engine.post(self._local_hop,
                         self._deliver_local_request, txn, None)
         else:
-            packet = Packet(PacketKind.REQUEST, proc.pid, effect.dst,
+            packet = Packet(_REQUEST, proc.pid, effect.dst,
                             txn.txn_id, effect.message)
             engine.post(self._kernel_cpu,
                         self._transmit_put, packet, dst_host, None)
@@ -601,7 +601,7 @@ class Host:
             else:
                 self.metrics.incr("ipc.duplicate_replies")
             return None
-        packet = Packet(PacketKind.REPLY, from_pid, sender_pid,
+        packet = Packet(_REPLY, from_pid, sender_pid,
                         delivery.txn_id, message)
         if self._retransmit_enabled:
             # Remember the reply for loss replay (the newest N survive).
@@ -613,7 +613,7 @@ class Host:
         if busy and replier is not None:
             replier.state = _WAITING
             self.engine.post(self._kernel_cpu, self._transmit_put, packet,
-                             sender_host, lambda: self._advance(replier))
+                             sender_host, replier)
             return _BLOCKED
         self.engine.post(self._kernel_cpu,
                          self._transmit_put, packet, sender_host, None)
@@ -663,8 +663,7 @@ class Host:
                         dst_pid=effect.dst, txn_id=delivery.txn_id,
                         message=message, info={"forwarder": proc.pid})
         proc.state = _WAITING
-        self._transmit(packet, effect.dst.logical_host,
-                       on_sent=lambda: self._advance(proc, value=None))
+        self._transmit(packet, effect.dst.logical_host, resume=proc)
         return _BLOCKED
 
     # -- MoveTo / MoveFrom ------------------------------------------------------------
@@ -894,7 +893,8 @@ class Host:
         return proc.pid
 
     def _do_spawn(self, proc: Process, effect: ipc.Spawn) -> Any:
-        child = self.spawn(effect.body, name=effect.name)
+        # Not self.spawn: a driver's override may return a Pid instead.
+        child = Host.spawn(self, effect.body, name=effect.name)
         return child.pid
 
     def _do_exit(self, proc: Process, effect: ipc.Exit) -> Any:
@@ -904,12 +904,13 @@ class Host:
 
     # ------------------------------------------------------------ networking
 
-    def _transmit(self, packet: Packet, dst, on_sent=None) -> None:
-        """Charge send-side kernel CPU, then put one frame on the wire."""
+    def _transmit(self, packet: Packet, dst, resume=None) -> None:
+        """Charge send-side kernel CPU, then put one frame on the wire (then
+        step the process ``resume``, if given)."""
         self.engine.post(self._kernel_cpu,
-                         self._transmit_put, packet, dst, on_sent)
+                         self._transmit_put, packet, dst, resume)
 
-    def _transmit_put(self, packet: Packet, dst, on_sent) -> None:
+    def _transmit_put(self, packet: Packet, dst, resume) -> None:
         if self.crashed:
             return
         frame = self._acquire_frame(
@@ -927,8 +928,8 @@ class Host:
                 engine.profile_restore(saved_scope)
         else:
             arrival = self.ethernet.transmit(frame)
-        if on_sent is not None:
-            engine.post_at(arrival, on_sent)
+        if resume is not None:
+            engine.post_at(arrival, self._advance, resume)
 
     def _on_frame(self, frame: Frame) -> None:
         if self.crashed:
@@ -936,7 +937,7 @@ class Host:
         packet = frame.payload
         if type(packet) is not Packet:
             return
-        if packet.kind is PacketKind.MOVE_DATA:
+        if packet.kind is _MOVE_DATA:
             return  # pure timing/traffic; the move completion is scheduled
         self.engine.post(self._kernel_cpu,
                          self._handle_packet, packet, frame.src_host)

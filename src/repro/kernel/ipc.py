@@ -227,11 +227,10 @@ class Annotate:
     of the name was consumed, what the mapping decided.  Costs **zero
     simulated time**.  It is a no-op unless the transaction has a hop span,
     and the kernel opens one only for a traced request (its message carries
-    a ``trace`` context) in a domain with observability attached; the
-    asyncio driver ignores it.  So span annotations are built only for
-    traced requests: servers yield this only when
-    ``delivery.message.trace is not None``, and behave identically either
-    way.
+    a ``trace`` context) in a domain with observability attached.  So span
+    annotations are built only for traced requests: servers yield this only
+    when ``delivery.message.trace is not None``, and behave identically
+    either way.
 
     ``append=True`` accumulates each attribute onto a list instead of
     overwriting -- used for per-step mapping records, which grow when a

@@ -240,8 +240,6 @@ class PacketKind(enum.Enum):
     GETPID_RESPONSE = "getpid_response"  # unicast answer to a query
     GROUP_REQUEST = "group_request"      # multicast Send to a process group
     MOVE_DATA = "move_data"              # one bulk-transfer data packet
-    MOVE_REQUEST = "move_request"        # asyncio transport: MoveTo/MoveFrom
-    MOVE_RESPONSE = "move_response"      # asyncio transport: move outcome/data
 
     # Members are singletons and equality is identity, so the identity hash
     # is consistent -- and C-level, unlike enum's default hash-of-name,
@@ -249,6 +247,10 @@ class PacketKind(enum.Enum):
     # through a dict keyed by its kind.
     __hash__ = object.__hash__
 
+
+#: Read on every packet construction: a module constant is a global load,
+#: an Enum member off its class several times that.
+_MOVE_DATA = PacketKind.MOVE_DATA
 
 #: Packet kinds that carry a Message payload.
 _MESSAGE_KINDS = {PacketKind.REQUEST, PacketKind.REPLY, PacketKind.NACK,
@@ -294,13 +296,10 @@ class Packet:
         self.txn_id = txn_id
         self.message = message
         self.info = info if info is not None else _EMPTY_INFO
-        if message is not None:
-            if kind is PacketKind.MOVE_DATA:
-                self.payload_bytes = int(self.info.get("data_bytes", 0))
-            else:
-                self.payload_bytes = message.wire_bytes
-        elif kind is PacketKind.MOVE_DATA:
+        if kind is _MOVE_DATA:
             self.payload_bytes = int(self.info.get("data_bytes", 0))
+        elif message is not None:
+            self.payload_bytes = message.wire_bytes
         elif kind in _MESSAGE_KINDS:
             raise ValueError(f"{kind} packet requires a message")
         else:

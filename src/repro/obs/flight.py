@@ -93,7 +93,7 @@ PACKET_BASE = 4
 _PACKET_NAMES = (
     "request", "reply", "nack", "probe", "probe_ok", "probe_forwarded",
     "probe_missing", "getpid_query", "getpid_response", "group_request",
-    "move_data", "move_request", "move_response",
+    "move_data",
 )
 
 #: Code -> display name.  Note packet REPLY shares the name ``reply`` with

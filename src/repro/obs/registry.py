@@ -211,7 +211,7 @@ class MetricsRegistry:
     # ----------------------------------------------------------- instruments
 
     def counter(self, name: str, **tags: Any) -> Counter:
-        key = (name, _tag_key(tags))
+        key = (name, _tag_key(tags) if tags else ())
         instrument = self._counters.get(key)
         if instrument is None:
             instrument = Counter(name, key[1])

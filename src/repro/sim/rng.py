@@ -21,7 +21,6 @@ class DeterministicRng:
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self._root = random.Random(seed)
         self._streams: dict[str, random.Random] = {}
 
     def stream(self, name: str) -> random.Random:

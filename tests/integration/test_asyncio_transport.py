@@ -13,7 +13,7 @@ from repro.core.context import ContextPair, WellKnownContext
 from repro.core.prefix_server import ContextPrefixServer
 from repro.kernel.ipc import Segment, Send
 from repro.kernel.messages import Message, ReplyCode, RequestCode
-from repro.net.asyncio_transport import AsyncDomain, AsyncHost
+from repro.net.asyncio_transport import AsyncDomain, _LoopClock
 from repro.net.latency import STANDARD_3MBIT
 from repro.runtime import files
 from repro.runtime.session import Session
@@ -83,8 +83,8 @@ class TestFileServiceOverUdp:
 
     def test_profiled_prefix_server_survives_udp(self):
         # A nonzero parse_cpu makes dispatch() yield ProfileEnter/Exit
-        # around its Delay; the socket interpreter must treat them as
-        # no-ops (like Annotate), not IllegalEffect.
+        # around its Delay; with no profiler on the loop clock the kernel
+        # treats them as no-ops (like Annotate), not IllegalEffect.
         async def scenario():
             domain = AsyncDomain()
             ws = await domain.create_host("ws")
@@ -296,11 +296,19 @@ def echo_server():
         yield Reply(delivery.sender, Message.reply(ReplyCode.OK))
 
 
-def live_timers(loop):
-    """The transport's own armed, uncancelled timer handles."""
-    return [handle for handle in loop._scheduled
-            if not handle.cancelled() and isinstance(
-                getattr(handle._callback, "__self__", None), AsyncHost)]
+def live_timers(domain):
+    """The clock's timers that are neither cancelled nor fired."""
+    clock = domain.engine
+    return [timer for __, __, timer in clock._timers + clock._later
+            if timer.callback is not None]
+
+
+def armed_handles(loop):
+    """Loop handles armed by the transport's clock, pending or scheduled."""
+    handles = list(loop._ready) + list(loop._scheduled)
+    return [handle for handle in handles if not handle.cancelled()
+            and isinstance(getattr(handle._callback, "__self__", None),
+                           _LoopClock)]
 
 
 class TestKeepsTime:
@@ -387,29 +395,54 @@ class TestKeepsTime:
 
 
 class TestTimersAndLifecycle:
-    def test_reply_timeout_cleans_up_its_waiter(self, monkeypatch):
-        from repro.net import asyncio_transport
-
-        monkeypatch.setattr(asyncio_transport, "REPLY_TIMEOUT", 0.05)
+    def test_reply_timeout_cleans_up_its_waiter(self):
+        # A Send to a crashed host fails once the probe protocol gives up:
+        # probe_interval * (max_failed_probes + 1) = 0.4 s.
+        import time
 
         async def scenario():
             domain, (ws, far) = await bare_domain("ws", "far")
             silent = far.spawn(silent_server(), "silent")
+            await asyncio.sleep(0.01)
+            far.crash()
 
             def client():
+                start = time.monotonic()
                 reply = yield Send(silent, Message.request(1),
                                    Segment(b"exposed"))
-                return reply.reply_code
+                return reply.reply_code, time.monotonic() - start
 
-            code = await run_client(domain, ws, client())
-            leftovers = (dict(ws._reply_waiters), dict(ws._exposed),
-                         live_timers(asyncio.get_running_loop()))
+            code, waited = await run_client(domain, ws, client())
+            leftovers = dict(ws._outstanding), live_timers(domain)
             await domain.shutdown()
-            return code, leftovers
+            return code, waited, leftovers
 
-        code, leftovers = run_async(scenario())
+        code, waited, leftovers = run_async(scenario())
         assert code is ReplyCode.TIMEOUT
-        assert leftovers == ({}, {}, [])
+        assert 0.4 <= waited < 0.4 + 0.3
+        assert leftovers == ({}, [])
+
+    def test_send_to_a_silent_live_server_stays_outstanding(self):
+        # V's rule: a server that holds a request without replying keeps
+        # its sender blocked; the probes find it alive, so no TIMEOUT.
+        async def scenario():
+            domain, (ws, far) = await bare_domain("ws", "far")
+            silent = far.spawn(silent_server(), "silent")
+            woke = []
+
+            def client():
+                woke.append((yield Send(silent, Message.request(1))))
+
+            ws.spawn(client(), "client")
+            await asyncio.sleep(0.5)
+            outstanding = len(ws._outstanding)
+            probes = domain.metrics.count("ipc.probes")
+            await domain.shutdown()
+            return woke, outstanding, probes
+
+        woke, outstanding, probes = run_async(scenario())
+        assert woke == [] and outstanding == 1
+        assert probes >= 3
 
     def test_completed_sends_leave_no_live_timer(self):
         async def scenario():
@@ -422,25 +455,20 @@ class TestTimersAndLifecycle:
                     assert reply.ok
 
             await run_client(domain, ws, client())
-            loop = asyncio.get_running_loop()
-            counts = len(live_timers(loop)), len(loop._scheduled)
-            leftovers = dict(ws._reply_waiters)
+            leftovers = (dict(ws._outstanding), live_timers(domain),
+                         armed_handles(asyncio.get_running_loop()))
             await domain.shutdown()
-            return counts, leftovers
+            return leftovers
 
-        (live, scheduled), leftovers = run_async(scenario())
-        assert live == 0 and leftovers == {}
-        # Cancelled handles are swept by the loop, not hoarded per Send.
-        assert scheduled < 500
+        # Each Send arms a probe and a retransmit timer; once the last reply
+        # is in, none is live and no loop handle stays armed.
+        assert run_async(scenario()) == ({}, [], [])
 
-    def test_shutdown_silences_parked_processes(self, monkeypatch):
+    def test_shutdown_silences_parked_processes(self):
         import gc
         import warnings
 
         from repro.kernel.ipc import Delay, Receive
-        from repro.net import asyncio_transport
-
-        monkeypatch.setattr(asyncio_transport, "REPLY_TIMEOUT", 0.03)
 
         async def scenario():
             baseline = asyncio.all_tasks()
@@ -470,25 +498,30 @@ class TestTimersAndLifecycle:
             await asyncio.sleep(0.01)
             await domain.shutdown()
             before = list(woke)
-            loop = asyncio.get_running_loop()
-            timers = live_timers(loop)
-            await asyncio.sleep(0.08)   # past every armed timeout
+            timers = (live_timers(domain),
+                      armed_handles(asyncio.get_running_loop()))
+            open_transports = [
+                host.host_id for host in domain.hosts.values()
+                if not domain.ethernet._transports[host.host_id].is_closing()]
+            await asyncio.sleep(0.15)   # past every timer the kernel had armed
             tasks = asyncio.all_tasks() - baseline
-            return before, woke, timers, tasks, domain.failures
+            return before, woke, timers, open_transports, tasks, domain.failures
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            before, woke, timers, tasks, failures = run_async(scenario())
+            before, woke, timers, open_transports, tasks, failures = run_async(
+                scenario())
             gc.collect()
         assert "tail" in before and woke == before
         assert set(woke) == {"tail"}
-        assert timers == [] and tasks == set() and failures == []
+        assert timers == ([], []) and open_transports == []
+        assert tasks == set() and failures == []
         assert [w for w in caught
                 if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestRunToBlock:
-    """The stepping rules the DES kernel has, kept by the socket driver."""
+    """The kernel's stepping rules, on the loop clock."""
 
     def test_selective_receive_skips_queued_strangers(self):
         from repro.kernel.ipc import Delay, Receive, Reply
@@ -583,43 +616,79 @@ class TestRunToBlock:
         assert run_async(scenario()) == (["before"], True, [])
 
     def test_a_process_is_never_stepped_reentrantly(self):
-        from repro.kernel.ipc import MyPid
+        # A datagram that arrives while the clock is draining -- here handed
+        # to the endpoint from inside a running process -- is queued behind
+        # the current step, never run inside it.
+        from repro.kernel.ipc import Delay, Receive, Reply
+        from repro.kernel.messages import Packet, PacketKind
+        from repro.kernel.pids import Pid
+        from repro.net.wire import encode_packet
 
         async def scenario():
-            domain, (host,) = await bare_domain("solo")
+            domain, (ws, far) = await bare_domain("ws", "far")
+            order = []
 
-            def body():
-                pid = yield MyPid()
-                host._step(host.find_process(pid))
+            def server():
+                while True:
+                    delivery = yield Receive()
+                    order.append("served")
+                    yield Reply(delivery.sender, Message.reply(ReplyCode.OK))
 
-            host.spawn(body(), "meddler")
-            await asyncio.sleep(0.01)
+            server_pid = far.spawn(server(), "server")
+            endpoint = domain.ethernet._transports[far.host_id].get_protocol()
+            request = encode_packet(Packet(
+                PacketKind.REQUEST, Pid.make(ws.host_id, 0xBEEF), server_pid,
+                1, Message.request(1)))
+
+            def meddler():
+                yield Delay(0.001)      # the server is parked in Receive
+                order.append("meddler")
+                endpoint.datagram_received(request, ws.address)
+                order.append("meddler, still stepping")
+                yield Delay(0.001)
+
+            far.spawn(meddler(), "meddler")
+            await asyncio.sleep(0.02)
             await domain.shutdown()
-            return domain.failures
+            return order, domain.failures
 
-        [(name, error)] = run_async(scenario())
-        assert isinstance(error, AssertionError)
-        assert "re-entrantly" in str(error)
+        assert run_async(scenario()) == (
+            ["meddler", "meddler, still stepping", "served"], [])
 
-    def test_unencodable_field_raises_inside_the_sender(self):
-        from repro.net.wire import WireError
+    def test_unencodable_message_gets_bad_args(self):
+        from repro.kernel.ipc import Receive, Reply
+
+        def rude_server():
+            while True:
+                delivery = yield Receive()
+                yield Reply(delivery.sender,
+                            Message.reply(ReplyCode.OK, body=object()))
 
         async def scenario():
             domain, (ws, far) = await bare_domain("ws", "far")
             echo_pid = far.spawn(echo_server(), "echo")
+            rude_pid = far.spawn(rude_server(), "rude")
 
             def client():
-                try:
-                    yield Send(echo_pid, Message.request(1, body=object()))
-                except WireError:
-                    reply = yield Send(echo_pid, Message.request(1))
-                    return reply.reply_code, dict(ws._reply_waiters)
+                codes = []
+                for dst, message in ((echo_pid, Message.request(1, body=object())),
+                                     (rude_pid, Message.request(1)),
+                                     (echo_pid, Message.request(1))):
+                    reply = yield Send(dst, message)
+                    codes.append(reply.reply_code)
+                return codes
 
-            result = await run_client(domain, ws, client())
+            codes = await run_client(domain, ws, client())
+            leftovers = (dict(ws._outstanding), dict(far._presence),
+                         live_timers(domain))
             await domain.shutdown()
-            return result
+            return codes, leftovers, domain.failures
 
-        assert run_async(scenario()) == (ReplyCode.OK, {})
+        # The unencodable request, then the unencodable reply, each fail
+        # their own transaction; the kernel is left with nothing pending.
+        assert run_async(scenario()) == (
+            [ReplyCode.BAD_ARGS, ReplyCode.BAD_ARGS, ReplyCode.OK],
+            ({}, {}, []), [])
 
     def test_malformed_datagrams_are_counted_and_dropped(self):
         import socket
@@ -641,3 +710,63 @@ class TestRunToBlock:
             return code, domain.malformed_datagrams
 
         assert run_async(scenario()) == (ReplyCode.OK, 3)
+
+
+class TestLoopClock:
+    """The engine seam under the kernel, on its own."""
+
+    @staticmethod
+    def on_clock(scenario):
+        async def main():
+            clock = _LoopClock()
+            clock.bind(asyncio.get_running_loop())
+            try:
+                return await scenario(clock, asyncio.get_running_loop())
+            finally:
+                clock.close()
+
+        return run_async(main())
+
+    def test_zero_delay_posts_run_fifo_from_one_call_soon(self):
+        async def scenario(clock, loop):
+            order = []
+
+            def first():
+                order.append(1)
+                clock.post(0.0, order.append, 4)    # mid-drain: goes last
+
+            clock.post(0.0, first)
+            clock.post(0.0, order.append, 2)
+            clock.post(0.0, order.append, 3)
+            handles = len(armed_handles(loop))
+            await asyncio.sleep(0.005)
+            return order, handles
+
+        assert self.on_clock(scenario) == ([1, 2, 3, 4], 1)
+
+    def test_a_cancelled_timer_never_fires(self):
+        async def scenario(clock, loop):
+            fired = []
+            doomed = clock.schedule(0.002, fired.append, "cancelled")
+            clock.schedule(0.004, fired.append, "kept")
+            doomed.cancel()
+            doomed.cancel()                         # idempotent
+            await asyncio.sleep(0.03)
+            return fired, clock._live, armed_handles(loop)
+
+        assert self.on_clock(scenario) == (["kept"], 0, [])
+
+    def test_an_earlier_deadline_rearms_the_single_handle(self):
+        async def scenario(clock, loop):
+            fired = []
+            clock.schedule(0.5, fired.append, "late")
+            [late] = armed_handles(loop)
+            clock.schedule(0.01, fired.append, "early")
+            [early] = armed_handles(loop)
+            clock.schedule(1.0, fired.append, "later still")
+            [still] = armed_handles(loop)           # no re-arm for a later one
+            await asyncio.sleep(0.03)
+            return (late.cancelled(), early.when() < late.when(),
+                    still is early, fired, len(armed_handles(loop)))
+
+        assert self.on_clock(scenario) == (True, True, True, ["early"], 1)
