@@ -35,11 +35,11 @@ from repro.core.mapping import (
     map_name,
 )
 from repro.core.protocol import (
+    _CSNAME_REQUEST_CODES,
     FIELD_HINT_EPOCH,
     FIELD_HINT_SERVICE,
     FIELD_HINT_SOURCE,
     CSNameHeader,
-    is_csname_request,
     make_binding_advice,
     read_csname_header,
     rewrite_for_forward,
@@ -66,7 +66,7 @@ Gen = Generator[Any, Any, Any]
 
 #: CSname operations resolved against the *parent* context (the final
 #: component is the name being created/removed, so it need not be bound).
-PARENT_RESOLUTION_OPS = {
+PARENT_RESOLUTION_OPS = frozenset({
     int(RequestCode.CREATE_FILE),
     int(RequestCode.CREATE_CONTEXT),
     int(RequestCode.DELETE_NAME),
@@ -74,7 +74,9 @@ PARENT_RESOLUTION_OPS = {
     int(RequestCode.RENAME_OBJECT),
     int(RequestCode.ADD_CONTEXT_NAME),
     int(RequestCode.DELETE_CONTEXT_NAME),
-}
+})
+
+_OK = int(ReplyCode.OK)
 
 
 class ContextTable:
@@ -219,35 +221,38 @@ class CSNHServer:
     # ------------------------------------------------------------------ body
 
     def body(self) -> Gen:
-        """The server process: register, then serve forever."""
+        """The server process: register, then serve forever.
+
+        Each request is charged :meth:`per_request_delay`, then goes to
+        :meth:`handle_csname` if its code carries a CSname (the protocol
+        module's registry) or else to the handler registered for its code.
+        """
         self.pid = yield MyPid()
         if self.service_id is not None:
             yield SetPid(int(self.service_id), self.service_scope)
         for group_id in self.group_ids():
             yield JoinGroup(group_id)
         yield from self.on_start()
+        request_ops = self._request_ops
         while True:
             delivery = yield Receive()
-            yield from self.dispatch(delivery)
-
-    def dispatch(self, delivery: Delivery) -> Gen:
-        message = delivery.message
-        cost = self.per_request_delay()
-        if cost > 0:
-            if self.profile_phase is not None:
-                yield ProfileEnter(self.profile_phase)
-                yield Delay(cost)
-                yield ProfileExit()
+            cost = self.per_request_delay()
+            if cost > 0:
+                if self.profile_phase is not None:
+                    yield ProfileEnter(self.profile_phase)
+                    yield Delay(cost)
+                    yield ProfileExit()
+                else:
+                    yield Delay(cost)
+            code = delivery.message.code
+            if code in _CSNAME_REQUEST_CODES:
+                yield from self.handle_csname(delivery)
+                continue
+            handler = request_ops.get(code)
+            if handler is None:
+                yield from self.reply_error(delivery, ReplyCode.ILLEGAL_REQUEST)
             else:
-                yield Delay(cost)
-        if is_csname_request(message):
-            yield from self.handle_csname(delivery)
-            return
-        handler = self._request_ops.get(message.code)
-        if handler is None:
-            yield from self.reply_error(delivery, ReplyCode.ILLEGAL_REQUEST)
-            return
-        yield from handler(delivery)
+                yield from handler(delivery)
 
     # ---------------------------------------------------------------- CSnames
 
@@ -321,11 +326,12 @@ class CSNHServer:
         # reply (repro.core.namecache learns from it); advice fields ride in
         # the short-message variant part, so this costs nothing on the wire.
         assert self.pid is not None
+        fields = message.fields
         self._advice[delivery.txn_id] = make_binding_advice(
             self.pid, header.context_id, header.name_index,
-            hint_service=message.get(FIELD_HINT_SERVICE),
-            hint_epoch=message.get(FIELD_HINT_EPOCH),
-            hint_source=message.get(FIELD_HINT_SOURCE))
+            hint_service=fields.get(FIELD_HINT_SERVICE),
+            hint_epoch=fields.get(FIELD_HINT_EPOCH),
+            hint_source=fields.get(FIELD_HINT_SOURCE))
         handler = self._csname_ops.get(message.code)
         if handler is None:
             # We own the name but not the operation: the request reached the
@@ -339,7 +345,6 @@ class CSNHServer:
         if outcome.pair.server == self.pid:
             # A link back into this server: continue interpreting here
             # rather than sending ourselves a message.
-            header = read_csname_header(delivery.message)
             rewritten = rewrite_for_forward(delivery.message,
                                             outcome.pair.context_id,
                                             outcome.index)
@@ -359,17 +364,22 @@ class CSNHServer:
 
     # ------------------------------------------------------------- reply glue
 
-    def reply(self, delivery: Delivery, message: Message) -> Gen:
+    def ok_reply(self, delivery: Delivery, segment: bytes | None = None,
+                 **fields: Any) -> Reply:
+        """The OK ``Reply`` effect, plus the binding advice stashed for this
+        transaction (a field of the same name the handler passed wins).
+        Hot handlers yield it directly: one generator level less than
+        :meth:`reply_ok`."""
         advice = self._advice.pop(delivery.txn_id, None)
-        if advice is not None and message.ok:
+        if advice is not None:
             for key, value in advice.items():
-                message.fields.setdefault(key, value)
-        yield Reply(delivery.sender, message)
+                fields.setdefault(key, value)
+        return Reply(delivery.sender, Message(_OK, fields, segment))
 
     def reply_ok(self, delivery: Delivery, segment: bytes | None = None,
                  **fields: Any) -> Gen:
-        yield from self.reply(
-            delivery, Message.reply(ReplyCode.OK, segment=segment, **fields))
+        """:meth:`ok_reply`, for ``yield from`` in a handler."""
+        yield self.ok_reply(delivery, segment, **fields)
 
     def reply_error(self, delivery: Delivery, code: ReplyCode,
                     **fields: Any) -> Gen:
@@ -380,10 +390,8 @@ class CSNHServer:
         one member is expected to answer.
         """
         self._advice.pop(delivery.txn_id, None)
-        if delivery.via_group:
-            yield from ()
-            return
-        yield Reply(delivery.sender, Message.reply(code, **fields))
+        if not delivery.via_group:
+            yield Reply(delivery.sender, Message(int(code), fields))
 
     # ----------------------------------------------------- standard CSname ops
 
@@ -488,7 +496,7 @@ class CSNHServer:
         block = int(delivery.message.get("block", 0))
         code, data = yield from instance.read_block(block)
         if code is ReplyCode.OK:
-            yield from self.reply_ok(delivery, segment=data, bytes=len(data))
+            yield self.ok_reply(delivery, segment=data, bytes=len(data))
         else:
             yield from self.reply_error(delivery, code)
 
@@ -519,7 +527,7 @@ class CSNHServer:
             return
         yield from instance.release()
         self.instances.release(instance.instance_id or 0)
-        yield from self.reply_ok(delivery)
+        yield self.ok_reply(delivery)
 
 
 def _mapping_step(server: CSNHServer, header: CSNameHeader,

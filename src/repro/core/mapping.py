@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Protocol, Union
 
 from repro.core.context import ContextPair
-from repro.core.names import next_component
+from repro.core.names import SEPARATOR
 from repro.kernel.messages import ReplyCode
 
 # ---------------------------------------------------------------------------
@@ -134,8 +134,8 @@ MappingOutcome = Union[ResolvedObject, ResolvedParent, ForwardName, MappingFault
 
 #: Observability hook: called once per component examined, with the
 #: component and what the lookup decided ("leaf", "context", "remote-link",
-#: "missing", "not-a-context").  See CSNHServer.map_request, which feeds
-#: these steps into the request's hop span.
+#: "missing", "not-a-context", "parent-slot").  See CSNHServer.run_mapping,
+#: which feeds these steps into the request's hop span.
 StepObserver = Callable[[bytes, str], None]
 
 
@@ -154,58 +154,70 @@ def map_name(
     bound (CREATE_FILE needs the parent, not the -- nonexistent -- child).
     An already-bound final component still resolves the parent, letting the
     operation decide whether that is an error.
+
+    Components are ``/``-separated and empty ones are skipped, exactly as
+    :func:`~repro.core.names.next_component` splits them; the walk scans
+    the name once.  ``end`` is where the last component ends, so a
+    component is final when it stops there and the name is exhausted when
+    ``index`` reaches it.
     """
-    if observer is None:
-        observer = _null_observer
     current = namespace.root(context_id)
     if current is None:
         return MappingFault(ReplyCode.INVALID_CONTEXT,
                             f"no context {context_id:#06x} on this server")
+    end = len(name.rstrip(b"/"))
+    lookup = namespace.lookup
     parent: Optional[Any] = None
     component = b""
-    while True:
-        next_piece, next_index = next_component(name, index)
-        if next_piece == b"":
-            # Name exhausted: it denotes the current context itself.
-            if want_parent:
-                if parent is None:
-                    return MappingFault(
-                        ReplyCode.BAD_NAME,
-                        "empty name cannot denote a new binding")
-                return ResolvedParent(parent, component, index)
-            return ResolvedObject(ref=current, is_context=True,
-                                  parent_ref=parent, component=component,
-                                  index=index)
-        remaining_after, __ = next_component(name, next_index)
-        is_final = remaining_after == b""
+    while index < end:
+        start = index
+        while name[start] == SEPARATOR:
+            start += 1
+        stop = name.find(b"/", start)
+        if stop < 0:
+            stop = end
+        piece = name[start:stop]
+        is_final = stop >= end
         if want_parent and is_final:
-            observer(next_piece, "parent-slot")
-            return ResolvedParent(current, next_piece, next_index)
-        entry = namespace.lookup(current, next_piece)
+            if observer is not None:
+                observer(piece, "parent-slot")
+            return ResolvedParent(current, piece, stop)
+        entry = lookup(current, piece)
         if entry is None:
-            observer(next_piece, "missing")
+            if observer is not None:
+                observer(piece, "missing")
             return MappingFault(ReplyCode.NOT_FOUND,
-                                f"no {next_piece!r} in context")
+                                f"no {piece!r} in context")
+        if isinstance(entry, SubContext):
+            if observer is not None:
+                observer(piece, "context")
+            parent = current
+            current = entry.ref
+            component = piece
+            index = stop
+            continue
         if isinstance(entry, RemoteLink):
-            observer(next_piece, "remote-link")
-            return ForwardName(entry.pair, next_index)
+            if observer is not None:
+                observer(piece, "remote-link")
+            return ForwardName(entry.pair, stop)
         if isinstance(entry, Leaf):
             if not is_final:
-                observer(next_piece, "not-a-context")
+                if observer is not None:
+                    observer(piece, "not-a-context")
                 return MappingFault(
                     ReplyCode.NOT_A_CONTEXT,
-                    f"{next_piece!r} is not a context but the name continues")
-            observer(next_piece, "leaf")
+                    f"{piece!r} is not a context but the name continues")
+            if observer is not None:
+                observer(piece, "leaf")
             return ResolvedObject(ref=entry.ref, is_context=False,
-                                  parent_ref=current, component=next_piece,
-                                  index=next_index)
-        assert isinstance(entry, SubContext)
-        observer(next_piece, "context")
-        parent = current
-        current = entry.ref
-        component = next_piece
-        index = next_index
-
-
-def _null_observer(component: bytes, kind: str) -> None:
-    return None
+                                  parent_ref=current, component=piece,
+                                  index=stop)
+        raise TypeError(f"lookup returned {entry!r}")
+    # Name exhausted: it denotes the current context itself.
+    if want_parent:
+        if parent is None:
+            return MappingFault(ReplyCode.BAD_NAME,
+                                "empty name cannot denote a new binding")
+        return ResolvedParent(parent, component, index)
+    return ResolvedObject(ref=current, is_context=True, parent_ref=parent,
+                          component=component, index=index)

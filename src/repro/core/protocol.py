@@ -93,6 +93,11 @@ def csname_request_codes() -> frozenset[int]:
     return frozenset(_CSNAME_REQUEST_CODES)
 
 
+#: The standard header's fields, which no variant field may reuse.
+_HEADER_FIELDS = frozenset({FIELD_CONTEXT_ID, FIELD_NAME_INDEX,
+                            FIELD_NAME_LENGTH})
+
+
 def make_csname_request(
     code: int,
     name: str | bytes,
@@ -107,12 +112,19 @@ def make_csname_request(
     (which is what makes remote CSname operations cost what they cost --
     see latency.py).
     """
-    data = as_name_bytes(name)
+    return csname_message(code, as_name_bytes(name), context_id, name_index,
+                          variant_fields)
+
+
+def csname_message(code: int, data: bytes, context_id: int, name_index: int,
+                   variant_fields: dict) -> Message:
+    """:func:`make_csname_request` for a name already through
+    :func:`~repro.core.names.as_name_bytes` (the client stub converts once
+    per request, not once per attempt)."""
     if not 0 <= name_index <= len(data):
         raise ValueError(f"name index {name_index} outside name of {len(data)} bytes")
-    reserved = {FIELD_CONTEXT_ID, FIELD_NAME_INDEX, FIELD_NAME_LENGTH}
-    clash = reserved.intersection(variant_fields)
-    if clash:
+    if variant_fields and not _HEADER_FIELDS.isdisjoint(variant_fields):
+        clash = _HEADER_FIELDS.intersection(variant_fields)
         raise ValueError(f"variant fields clash with the standard header: {clash}")
     fields = {
         FIELD_CONTEXT_ID: int(context_id),
@@ -139,16 +151,30 @@ class CSNameHeader:
 
 
 def read_csname_header(message: Message) -> CSNameHeader:
-    """Decode the standard header (raises KeyError on a non-CSname message)."""
-    if message.segment is None:
+    """Decode the standard header.
+
+    Raises KeyError when a header field is missing and ValueError when the
+    header is malformed: no name segment, a field that is not an ``int``
+    (``bool`` and ``None`` included -- the wire codec carries both), or
+    indices outside ``0 <= name_index <= name_length <= len(segment)``.
+    A server answers either with BAD_ARGS; it never interprets the name.
+    """
+    segment = message.segment
+    if segment is None:
         raise ValueError(f"CSname request {message!r} carries no name segment")
-    length = int(message.fields[FIELD_NAME_LENGTH])
-    name = bytes(message.segment[:length])
-    return CSNameHeader(
-        name=name,
-        name_index=int(message.fields[FIELD_NAME_INDEX]),
-        context_id=int(message.fields[FIELD_CONTEXT_ID]),
-    )
+    fields = message.fields
+    length = fields[FIELD_NAME_LENGTH]
+    index = fields[FIELD_NAME_INDEX]
+    context_id = fields[FIELD_CONTEXT_ID]
+    # type(), not isinstance(): True/False are ints to Python.
+    if (type(length) is not int or type(index) is not int
+            or type(context_id) is not int
+            or not 0 <= index <= length <= len(segment)):
+        raise ValueError(
+            f"malformed CSname header: context_id={context_id!r}, "
+            f"name_index={index!r}, name_length={length!r}, "
+            f"segment of {len(segment)} bytes")
+    return CSNameHeader(bytes(segment[:length]), index, context_id)
 
 
 def make_binding_advice(server: Pid, context_id: int, name_index: int,
@@ -178,12 +204,13 @@ def read_binding_advice(
     Returns None when the reply carries no advice (pre-advice servers, or
     non-CSname replies); a client must treat advice as strictly optional.
     """
-    raw_server = reply.get(FIELD_BOUND_SERVER)
-    raw_context = reply.get(FIELD_BOUND_CONTEXT)
-    raw_index = reply.get(FIELD_BOUND_INDEX)
+    fields = reply.fields
+    raw_server = fields.get(FIELD_BOUND_SERVER)
+    raw_context = fields.get(FIELD_BOUND_CONTEXT)
+    raw_index = fields.get(FIELD_BOUND_INDEX)
     if raw_server is None or raw_context is None or raw_index is None:
         return None
-    service = reply.get(FIELD_HINT_SERVICE)
+    service = fields.get(FIELD_HINT_SERVICE)
     pair = ContextPair(Pid(int(raw_server)), int(raw_context))
     return pair, int(raw_index), int(service) if service is not None else None
 
@@ -195,10 +222,11 @@ def read_binding_provenance(reply: Message) -> Optional[tuple[int, int]]:
     servers, names never routed through a prefix server); like advice,
     provenance is strictly optional and purely advisory.
     """
-    raw_epoch = reply.get(FIELD_HINT_EPOCH)
+    fields = reply.fields
+    raw_epoch = fields.get(FIELD_HINT_EPOCH)
     if raw_epoch is None:
         return None
-    raw_source = reply.get(FIELD_HINT_SOURCE)
+    raw_source = fields.get(FIELD_HINT_SOURCE)
     return int(raw_epoch), int(raw_source) if raw_source is not None else 0
 
 

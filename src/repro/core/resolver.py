@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Generator, Optional
 from repro.core.context import ContextPair, WellKnownContext
 from repro.core.namecache import NEGATIVE_ROUTE
 from repro.core.names import as_name_bytes, as_text, has_prefix
-from repro.core.protocol import make_csname_request
+from repro.core.protocol import csname_message
 from repro.kernel.ipc import Delay, Now, Send
 from repro.kernel.messages import Message, ReplyCode, code_name
 from repro.kernel.pids import Pid
@@ -109,9 +109,9 @@ def send_csname_request(env: NamingEnvironment, code: int, name: str | bytes,
     """
     data = as_name_bytes(name)
     cache = env.cache
+    cacheable = cache is not None and cache.should_route(data, code)
     route = None
-    if (cache is not None and env.prefix_server is not None
-            and cache.should_route(data, code)):
+    if cacheable and env.prefix_server is not None:
         route = yield from cache.route(data)
     if route is NEGATIVE_ROUTE:
         # Negatively cached: a recent authoritative NOT_FOUND still within
@@ -139,8 +139,8 @@ def send_csname_request(env: NamingEnvironment, code: int, name: str | bytes,
     retries = 0
     while True:
         yield Delay(env.latency.stub_pre)
-        message = make_csname_request(code, data, context_id,
-                                      name_index=name_index, **variant_fields)
+        message = csname_message(code, data, context_id, name_index,
+                                 variant_fields)
         if span is not None:
             message.trace = span.context
         reply = yield Send(dst, message)
@@ -168,12 +168,10 @@ def send_csname_request(env: NamingEnvironment, code: int, name: str | bytes,
         dst, context_id, name_index = yield from _route_full(
             env, cache, data, attempt=retries, reply=reply)
     yield Delay(env.latency.stub_post)
-    if (cache is not None and (route is None or fell_back)
-            and cache.should_route(data, code)):
+    if cacheable and (route is None or fell_back):
         now = yield Now()
         cache.learn(data, reply, now)
-    elif (cache is not None and reply.ok
-          and not cache.should_route(data, code)):
+    elif cache is not None and reply.ok and not cacheable:
         # Cache-bypass operations (ADD/DELETE_CONTEXT_NAME) never reach
         # ``learn``, but their success changes what cached answers are
         # still right -- a create must kill a cached NOT_FOUND for the
@@ -212,11 +210,12 @@ def _route_full(env: NamingEnvironment, cache: Any, data: bytes,
     its RETRY, and the hook follows that redirect directly.  A generator
     because the ring walk costs real messages.
     """
-    hook = getattr(cache, "fallback_route", None) if cache is not None else None
-    if hook is not None and has_prefix(data):
-        route = yield from hook(data, attempt, reply)
-        if route is not None:
-            return route
+    if cache is not None and has_prefix(data):
+        hook = getattr(cache, "fallback_route", None)
+        if hook is not None:
+            route = yield from hook(data, attempt, reply)
+            if route is not None:
+                return route
     dst, context_id = env.route(data)
     return dst, context_id, 0
 

@@ -135,24 +135,27 @@ class ShardMap:
 
     @cached_property
     def _ring(self) -> tuple:
-        points = []
-        for replica_id, __ in self.replicas:
-            for vnode in range(self.vnodes):
-                point = zlib.crc32(b"replica-%d/%d" % (replica_id, vnode))
-                points.append((point, replica_id))
-        points.sort()
-        return tuple(points)
+        """``(points, owners)``: the sorted vnode hashes, and the replica id
+        at each (ties between replicas broken by id)."""
+        pairs = sorted(
+            (zlib.crc32(b"replica-%d/%d" % (replica_id, vnode)), replica_id)
+            for replica_id, __ in self.replicas
+            for vnode in range(self.vnodes))
+        return (tuple(point for point, __ in pairs),
+                tuple(replica_id for __, replica_id in pairs))
+
+    def _start(self, prefix: bytes) -> int:
+        """Index of the first ring point clockwise of ``prefix``'s hash."""
+        points = self._ring[0]
+        index = bisect.bisect_right(points, zlib.crc32(bytes(prefix)))
+        return 0 if index == len(points) else index
 
     def owner_of(self, prefix: bytes) -> int:
         """The replica id owning ``prefix`` (first ring point clockwise)."""
-        ring = self._ring
-        if not ring:
+        owners = self._ring[1]
+        if not owners:
             raise ValueError("empty shard map has no owners")
-        point = zlib.crc32(bytes(prefix))
-        index = bisect.bisect_right(ring, (point, 1 << 62))
-        if index == len(ring):
-            index = 0
-        return ring[index][1]
+        return owners[self._start(prefix)]
 
     def replicas_for(self, prefix: bytes) -> list:
         """Distinct replica ids in ring order starting at the owner.
@@ -162,14 +165,12 @@ class ShardMap:
         consistent hashing promotes, so client and cluster agree on the
         successor without talking.
         """
-        ring = self._ring
-        if not ring:
+        owners = self._ring[1]
+        if not owners:
             return []
-        point = zlib.crc32(bytes(prefix))
-        index = bisect.bisect_right(ring, (point, 1 << 62))
+        index = self._start(prefix)
         order: list = []
-        for offset in range(len(ring)):
-            replica_id = ring[(index + offset) % len(ring)][1]
+        for replica_id in owners[index:] + owners[:index]:
             if replica_id not in order:
                 order.append(replica_id)
         return order
@@ -959,10 +960,10 @@ class ShardResolver:
 
     def route(self, data: bytes) -> Gen:
         now = yield Now()
-        probe = self._probe()
         if self._negative.get(data, now) is not None:
             self.negative_hits += 1
             self._hit("negative")
+            probe = self._probe()
             if probe is not None:
                 probe.negcache_hit(self.host.name)
             return NEGATIVE_ROUTE
@@ -974,6 +975,7 @@ class ShardResolver:
         if entry is None:
             self._miss()
             return None
+        probe = self._probe()
         if probe is not None:
             meta = self._bindings.meta(prefix)
             if meta is not None:
@@ -1007,16 +1009,17 @@ class ShardResolver:
         refreshed = False
         if attempt > 0:
             refreshed = yield from self._refresh_map()
-        order = self.map.replicas_for(prefix)
-        if not order:
+        shard_map = self.map
+        if not shard_map._ring[1]:
             return None
         if refreshed or attempt == 0:
-            candidate = order[0]
+            candidate = shard_map.owner_of(prefix)
         else:
             # Could not refresh (everyone we asked was dead or silent):
             # walk the ring past the corpse rather than re-sending to it.
+            order = shard_map.replicas_for(prefix)
             candidate = order[min(attempt, len(order) - 1)]
-        pid = self.map.pid_of(candidate)
+        pid = shard_map.pid_of(candidate)
         if pid is None:
             return None
         return self._aim(pid)
@@ -1083,8 +1086,7 @@ class ShardResolver:
             return
         if now is not None:
             provenance = read_binding_provenance(reply) or (0, 0)
-            self._bindings.put(prefix,
-                               ContextPair(pair.server, pair.context_id), now,
+            self._bindings.put(prefix, pair, now,
                                epoch=provenance[0], source=provenance[1])
 
     def note_mutation(self, data: bytes, code: int) -> None:

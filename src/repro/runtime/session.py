@@ -67,9 +67,10 @@ class Session:
         reply = yield from send_csname_request(
             self.env, RequestCode.OPEN_FILE, name, mode=mode)
         expect_ok("open", name, reply)
-        return FileStream(server=Pid(int(reply["server_pid"])),
-                          instance=int(reply["instance"]),
-                          block_size=int(reply["block_size"]))
+        fields = reply.fields
+        return FileStream(server=Pid(int(fields["server_pid"])),
+                          instance=int(fields["instance"]),
+                          block_size=int(fields["block_size"]))
 
     def read_file(self, name: str | bytes) -> Gen:
         """Open, read to EOF, and close; returns the object's bytes.

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from repro.core.context import WellKnownContext
-from repro.core.csnh import CSNHServer
+from repro.core.csnh import PARENT_RESOLUTION_OPS, CSNHServer
 from repro.core.descriptors import (
     ContextDescription,
     FileDescription,
@@ -53,6 +53,8 @@ from repro.servers.fileserver.storage import (
 from repro.vio.instance import Instance
 
 Gen = Generator[Any, Any, Any]
+
+_OPEN_FILE = int(RequestCode.OPEN_FILE)
 
 
 class FileInstance(Instance):
@@ -177,16 +179,11 @@ class VFileServer(CSNHServer):
 
     def map_request(self, delivery: Delivery, header: CSNameHeader) -> Gen:
         """Like the base procedure, but creating opens resolve the parent."""
-        code = delivery.message.code
-        want_parent = code in {
-            int(RequestCode.CREATE_FILE), int(RequestCode.CREATE_CONTEXT),
-            int(RequestCode.DELETE_NAME), int(RequestCode.DELETE_CONTEXT),
-            int(RequestCode.RENAME_OBJECT), int(RequestCode.ADD_CONTEXT_NAME),
-            int(RequestCode.DELETE_CONTEXT_NAME),
-        }
-        if code == int(RequestCode.OPEN_FILE):
-            mode = str(delivery.message.get("mode", "r"))
-            want_parent = mode != "r"
+        message = delivery.message
+        if message.code == _OPEN_FILE:
+            want_parent = str(message.fields.get("mode", "r")) != "r"
+        else:
+            want_parent = message.code in PARENT_RESOLUTION_OPS
         return (yield from self.run_mapping(delivery, header,
                                             want_parent=want_parent))
 
@@ -194,7 +191,7 @@ class VFileServer(CSNHServer):
 
     def op_open_file(self, delivery: Delivery, header: CSNameHeader,
                      resolution: MappingOutcome) -> Gen:
-        mode = str(delivery.message.get("mode", "r"))
+        mode = str(delivery.message.fields.get("mode", "r"))
         if mode not in ("r", "w", "a"):
             yield from self.reply_error(delivery, ReplyCode.BAD_ARGS)
             return
@@ -212,10 +209,9 @@ class VFileServer(CSNHServer):
         instance = FileInstance(delivery.sender, node, self.disk, mode)
         instance_id = self.instances.insert(instance)
         assert self.pid is not None
-        yield from self.reply_ok(delivery, instance=instance_id,
-                                 block_size=instance.block_size,
-                                 size_bytes=node.size,
-                                 server_pid=self.pid.value)
+        yield self.ok_reply(delivery, instance=instance_id,
+                            block_size=instance.block_size,
+                            size_bytes=node.size, server_pid=self.pid.value)
 
     def _file_for_writing(self, delivery: Delivery,
                           resolution: ResolvedParent, mode: str) -> Gen:
@@ -504,7 +500,7 @@ class VFileServer(CSNHServer):
         block = int(delivery.message.get("block", 0))
         code, data = yield from instance.read_block(block)
         if code is ReplyCode.OK:
-            yield from self.reply_ok(delivery, segment=data, bytes=len(data))
+            yield self.ok_reply(delivery, segment=data, bytes=len(data))
             # Prefetch the next page after the reply is on the wire; the
             # server is busy for the duration, which is exactly the E3
             # steady-state the paper measured (17.1 ms/page).

@@ -18,6 +18,9 @@ from repro.kernel.pids import Pid
 
 Gen = Generator[Any, Any, Any]
 
+_OK = int(ReplyCode.OK)
+_END_OF_FILE = int(ReplyCode.END_OF_FILE)
+
 
 class IoError(RuntimeError):
     """An I/O operation failed with the given reply code."""
@@ -102,16 +105,23 @@ class FileStream:
     # ----------------------------------------------------------------- read
 
     def read(self, nbytes: int) -> Gen:
-        """Read up to ``nbytes`` from the current position."""
+        """Read up to ``nbytes`` from the current position.
+
+        Sends READ_INSTANCE itself rather than through :func:`read_block`:
+        one generator level less on every block a stream reads.
+        """
         out = bytearray()
         while len(out) < nbytes and not self._eof:
             block, offset = divmod(self.position, self.block_size)
-            code, data = yield from read_block(self.server, self.instance, block)
-            if code is ReplyCode.END_OF_FILE:
+            reply = yield Send(self.server, Message.request(
+                RequestCode.READ_INSTANCE, instance=self.instance,
+                block=block))
+            if reply.code == _END_OF_FILE:
                 self._eof = True
                 break
-            if code is not ReplyCode.OK:
-                raise IoError("read", code)
+            if reply.code != _OK:
+                raise IoError("read", reply.reply_code)
+            data = bytes(reply.segment) if reply.segment is not None else b""
             chunk = data[offset : offset + (nbytes - len(out))]
             if not chunk:
                 self._eof = True
@@ -171,6 +181,7 @@ class FileStream:
         self._eof = False
 
     def close(self) -> Gen:
-        code = yield from release_instance(self.server, self.instance)
-        if code is not ReplyCode.OK:
-            raise IoError("close", code)
+        reply = yield Send(self.server, Message.request(
+            RequestCode.RELEASE_INSTANCE, instance=self.instance))
+        if reply.code != _OK:
+            raise IoError("close", reply.reply_code)

@@ -1,6 +1,7 @@
 """Tests for the name mapping procedure (paper Sec. 5.4)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.context import ContextPair
 from repro.core.mapping import (
@@ -13,6 +14,7 @@ from repro.core.mapping import (
     SubContext,
     map_name,
 )
+from repro.core.names import split_components
 from repro.kernel.messages import ReplyCode
 from repro.kernel.pids import Pid
 
@@ -166,3 +168,99 @@ class TestParentResolution:
         outcome = map_name(space, 0, b"newfile", 0, want_parent=True)
         assert isinstance(outcome, ResolvedParent)
         assert outcome.parent_ref is space.tree
+
+
+# ------------------------------------------------- the single-scan walk
+
+
+def reference_walk(space, context_id, name, index, want_parent, observer):
+    """Sec. 5.4 spelled out over :func:`split_components`: the walk
+    ``map_name`` must match outcome for outcome and step for step."""
+    current = space.root(context_id)
+    if current is None:
+        return MappingFault(ReplyCode.INVALID_CONTEXT)
+    pieces = split_components(name, index)
+    parent, component, position = None, b"", index
+    for number, piece in enumerate(pieces):
+        # A component holds no "/", so its first occurrence at or after
+        # ``position`` is the component itself.
+        stop = name.index(piece, position) + len(piece)
+        position = stop
+        final = number == len(pieces) - 1
+        if want_parent and final:
+            observer(piece, "parent-slot")
+            return ResolvedParent(current, piece, stop)
+        entry = space.lookup(current, piece)
+        if entry is None:
+            observer(piece, "missing")
+            return MappingFault(ReplyCode.NOT_FOUND)
+        if isinstance(entry, RemoteLink):
+            observer(piece, "remote-link")
+            return ForwardName(entry.pair, stop)
+        if isinstance(entry, Leaf):
+            if not final:
+                observer(piece, "not-a-context")
+                return MappingFault(ReplyCode.NOT_A_CONTEXT)
+            observer(piece, "leaf")
+            return ResolvedObject(entry.ref, False, current, piece, stop)
+        observer(piece, "context")
+        parent, current, component, index = current, entry.ref, piece, stop
+    if want_parent:
+        if parent is None:
+            return MappingFault(ReplyCode.BAD_NAME)
+        return ResolvedParent(parent, component, index)
+    return ResolvedObject(current, True, parent, component, index)
+
+
+def _tree(depth):
+    """Contexts ``a`` and ``r`` (empty), leaf ``b``, remote link ``c``."""
+    return {b"a": _tree(depth - 1) if depth else "leaf-a", b"b": "leaf-b",
+            b"c": RemoteLink(REMOTE), b"r": {}}
+
+
+_WALK_TREE = _tree(4)
+WALK_SPACE = DictSpace(_WALK_TREE, contexts={0: _WALK_TREE,
+                                             1: _WALK_TREE[b"a"]})
+
+_RUNS = st.integers(min_value=1, max_value=3).map(lambda n: b"/" * n)
+
+
+@st.composite
+def walk_names(draw):
+    """Names over the tree's components plus an unbound ``x``: repeated,
+    leading and trailing separators, leaves and links mid-name."""
+    pieces = draw(st.lists(st.sampled_from([b"a", b"b", b"c", b"r", b"x",
+                                            b"ab"]), max_size=6))
+    name = draw(st.sampled_from([b"", b"/", b"//"]))
+    for number, piece in enumerate(pieces):
+        if number:
+            name += draw(_RUNS)
+        name += piece
+    name += draw(st.sampled_from([b"", b"/", b"///"]))
+    return name, draw(st.integers(min_value=0, max_value=len(name)))
+
+
+def _same(left, right):
+    if isinstance(left, MappingFault):
+        return isinstance(right, MappingFault) and left.code is right.code
+    return left == right
+
+
+class TestSingleScanWalk:
+    @settings(max_examples=400)
+    @given(walk_names(), st.sampled_from([0, 1, 7]), st.booleans())
+    def test_matches_the_component_list_walk(self, name_index, context_id,
+                                             want_parent):
+        name, index = name_index
+        steps, expected_steps = [], []
+        outcome = map_name(WALK_SPACE, context_id, name, index,
+                           want_parent=want_parent,
+                           observer=lambda *step: steps.append(step))
+        expected = reference_walk(WALK_SPACE, context_id, name, index,
+                                  want_parent,
+                                  lambda *step: expected_steps.append(step))
+        assert _same(outcome, expected), (outcome, expected)
+        assert steps == expected_steps
+        # No observer: the same outcome, and nothing else changes.
+        assert _same(map_name(WALK_SPACE, context_id, name, index,
+                              want_parent=want_parent), expected)

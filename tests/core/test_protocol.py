@@ -64,6 +64,26 @@ class TestHeaderRead:
         message.fields["name_length"] = 3
         assert read_csname_header(message).name == b"abc"
 
+    @pytest.mark.parametrize("field, value", [
+        ("context_id", None), ("context_id", False), ("context_id", 1.0),
+        ("name_index", None), ("name_index", -3), ("name_index", 2.5),
+        ("name_index", 7), ("name_length", None), ("name_length", True),
+        ("name_length", -1), ("name_length", 7),
+    ])
+    def test_malformed_header_is_a_value_error(self, field, value):
+        # Only ints, with 0 <= name_index <= name_length <= len(segment):
+        # anything else would be interpreted (or crash the server).
+        message = make_csname_request(RequestCode.QUERY_NAME, "a/b", 7,
+                                      name_index=2)
+        message.fields[field] = value
+        with pytest.raises(ValueError):
+            read_csname_header(message)
+
+    def test_index_may_sit_at_the_end_of_the_name(self):
+        message = make_csname_request(RequestCode.QUERY_NAME, "a/b", 7,
+                                      name_index=3)
+        assert read_csname_header(message).remaining == b""
+
 
 class TestForwardRewrite:
     def test_rewrites_only_the_standard_fields(self):

@@ -1,6 +1,7 @@
 """Tests for sharded replicated prefix serving (repro.core.shard)."""
 
 import json
+import zlib
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,7 @@ from repro.core.shard import (
     ShardMap,
     ShardMapError,
     ShardReplicaServer,
+    ShardResolver,
     binding_fields,
 )
 from repro.kernel.domain import Domain
@@ -85,6 +87,51 @@ class TestShardMap:
         with pytest.raises(ValueError):
             empty.owner_of(b"p")
         assert empty.replicas_for(b"p") == []
+
+
+def full_ring_walk(shard_map, prefix):
+    """Distinct replica ids met walking the whole ring clockwise from
+    ``prefix``'s hash, rebuilt here from the crc32 definition."""
+    ring = sorted((zlib.crc32(b"replica-%d/%d" % (rid, vnode)), rid)
+                  for rid, __ in shard_map.replicas
+                  for vnode in range(shard_map.vnodes))
+    point = zlib.crc32(prefix)
+    start = next((number for number, (at, __) in enumerate(ring)
+                  if at > point), 0)
+    order = []
+    for at, rid in ring[start:] + ring[:start]:
+        if rid not in order:
+            order.append(rid)
+    return order
+
+
+_PREFIXES = st.text(alphabet="abcdefgh0123456789-_.", min_size=1,
+                    max_size=12).map(str.encode)
+
+
+class TestRingProperties:
+    @given(st.sets(st.integers(min_value=0, max_value=50), min_size=1,
+                   max_size=8),
+           st.integers(min_value=1, max_value=64),
+           st.lists(_PREFIXES, min_size=1, max_size=8))
+    def test_owner_and_walk_agree_with_the_full_ring(self, ids, vnodes,
+                                                     prefixes):
+        shard_map = ShardMap(version=3, replicas=tuple(
+            (rid, 1000 + rid) for rid in sorted(ids)), vnodes=vnodes)
+        resolver = ShardResolver(shard_map)
+        for prefix in prefixes:
+            order = shard_map.replicas_for(prefix)
+            assert order == full_ring_walk(shard_map, prefix)
+            assert order[0] == shard_map.owner_of(prefix)
+            assert len(order) == len(ids)
+            # Attempt 0 trusts the map copy: straight to the owner, with
+            # no message sent (the generator finishes on its first step).
+            step = resolver.fallback_route(b"[" + prefix + b"]f", 0)
+            with pytest.raises(StopIteration) as done:
+                next(step)
+            assert done.value.value == (
+                shard_map.pid_of(shard_map.owner_of(prefix)),
+                int(WellKnownContext.DEFAULT), 0)
 
 
 # ------------------------------------------------------------ codec fuzzing

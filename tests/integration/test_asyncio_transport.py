@@ -82,7 +82,7 @@ class TestFileServiceOverUdp:
         assert run_async(scenario()) == b"fw"
 
     def test_profiled_prefix_server_survives_udp(self):
-        # A nonzero parse_cpu makes dispatch() yield ProfileEnter/Exit
+        # A nonzero parse_cpu makes the server loop yield ProfileEnter/Exit
         # around its Delay; with no profiler on the loop clock the kernel
         # treats them as no-ops (like Annotate), not IllegalEffect.
         async def scenario():
@@ -710,6 +710,37 @@ class TestRunToBlock:
             return code, domain.malformed_datagrams
 
         assert run_async(scenario()) == (ReplyCode.OK, 3)
+
+    def test_a_stray_malformed_csname_request_does_not_kill_the_server(self):
+        # A decodable REQUEST datagram whose CSname header carries None: the
+        # file server answers BAD_ARGS (to a pid nobody waits for) and the
+        # next well-formed request is served.
+        from repro.core.protocol import make_csname_request
+        from repro.kernel.messages import Packet, PacketKind
+        from repro.kernel.pids import Pid
+        from repro.net.wire import encode_packet
+
+        async def scenario():
+            domain, ws, fs_host, fileserver, fs_pid, session = \
+                await base_system()
+            stray = make_csname_request(RequestCode.OPEN_FILE, "x", 0)
+            stray.fields["context_id"] = None
+            datagram = encode_packet(Packet(
+                PacketKind.REQUEST, Pid.make(ws.host_id, 0x3FF), fs_pid,
+                0xBEEF, stray))
+            domain.ethernet._transports[ws.host_id].sendto(
+                datagram, fs_host.address)
+            await asyncio.sleep(0.02)
+
+            def client():
+                yield from files.write_file(session, "after.txt", b"ok")
+                return (yield from files.read_file(session, "after.txt"))
+
+            result = await run_client(domain, ws, client())
+            await domain.shutdown()
+            return result, domain.malformed_datagrams
+
+        assert run_async(scenario()) == (b"ok", 0)
 
 
 class TestLoopClock:

@@ -8,9 +8,11 @@ from repro.core.descriptors import (
     FileDescription,
     PrefixDescription,
 )
+from repro.core.protocol import make_csname_request
 from repro.core.resolver import NameError_
 from repro.kernel.domain import Domain
-from repro.kernel.messages import ReplyCode
+from repro.kernel.ipc import Send
+from repro.kernel.messages import ReplyCode, RequestCode
 from repro.runtime import files
 from repro.runtime.workstation import setup_workstation, standard_prefixes
 from repro.servers import VFileServer, start_server
@@ -436,3 +438,31 @@ class TestInverseMapping:
                                                session.current.context_id))
 
         assert system.run_client(client(system.session())) == b"users/mann"
+
+
+class TestMalformedCSnameHeader:
+    """A request whose standard header is not well-formed is refused with
+    BAD_ARGS, and the server keeps serving (the wire codec carries ``None``
+    and floats, so one stray datagram can carry any of these)."""
+
+    @pytest.mark.parametrize("patch", [
+        {"context_id": None}, {"name_length": None}, {"name_index": None},
+        {"context_id": True}, {"name_index": 2.5}, {"name_length": "7"},
+        {"name_index": -3}, {"name_index": 99}, {"name_length": 99},
+        {"name_length": -1}, {"name_index": 5, "name_length": 4},
+    ])
+    def test_bad_header_gets_bad_args_and_the_server_stays_up(self, patch):
+        system = standard_system()
+        home = int(WellKnownContext.HOME)
+
+        def client(session):
+            yield from files.write_file(session, "doc.txt", b"body")
+            bad = make_csname_request(RequestCode.OPEN_FILE,
+                                      "users/mann/doc.txt", home, mode="r")
+            bad.fields.update(patch)
+            refused = yield Send(system.fileserver.pid, bad)
+            data = yield from files.read_file(session, "doc.txt")
+            return refused.reply_code, data
+
+        assert system.run_client(client(system.session())) == (
+            ReplyCode.BAD_ARGS, b"body")
