@@ -23,7 +23,7 @@ MISSING = object()
 #: Environment variable that switches the benches into tracing mode: when it
 #: names a directory, system builders attach an Observability bundle and
 #: ``export_observability`` writes span/metric JSONL there, ready for
-#: ``python -m repro.obs.report``.
+#: ``python -m repro.obs report``.
 TRACE_DIR_VAR = "REPRO_TRACE_DIR"
 
 

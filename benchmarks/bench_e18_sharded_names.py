@@ -27,7 +27,7 @@ BALANCE_PREFIXES = 100_000
 BALANCE_REPLICAS = 8
 BALANCE_VNODES = 64
 
-#: The pinned storm scenario (same as ``repro.faults.chaos --storm``).
+#: The pinned storm scenario (same as ``python -m repro.obs storm``).
 STORM = dict(seed=11, duration=6.0, n_replicas=3, n_prefixes=48,
              n_clients=2, lease_ttl=0.8)
 

@@ -63,7 +63,7 @@ def measure_all() -> dict:
         results[label] = run_on(domain, workstation.host, timer(),
                                 name=f"timer-{label}") * 1e3
     # With REPRO_TRACE_DIR set, every Open above produced a span tree;
-    # render them with `python -m repro.obs.report <dir>/bench_e4.spans.jsonl`.
+    # render them with `python -m repro.obs report <dir>/bench_e4.spans.jsonl`.
     export_observability(domain.obs, "bench_e4")
     return results
 

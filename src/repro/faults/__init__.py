@@ -5,7 +5,7 @@
 - :mod:`repro.faults.partition` -- network partitions via Ethernet drop
   rules.
 - :mod:`repro.faults.chaos` -- composed loss/crash/partition schedules
-  with invariant checks and a seeded CLI harness (E14).
+  with invariant checks, run by ``python -m repro.obs chaos`` (E14).
 """
 
 from repro.faults.chaos import (

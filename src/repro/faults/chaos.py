@@ -24,7 +24,7 @@ get *almost* right; these assertions pin the ways it tends to be wrong:
   at least one cached binding (a fallback that leaves the bad binding in
   place loops forever on it).
 
-``python -m repro.faults.chaos --seed 7 --duration 5 --drop 0.1`` runs a
+``python -m repro.obs chaos --seed 7 --duration 5 --drop 0.1`` runs a
 short seeded workload (a workstation client reading through the prefix
 server and its name cache while the wire loses frames and the file server
 crashes and comes back) and exits nonzero if any invariant fails --
@@ -40,14 +40,12 @@ itself crossed the recovering wire) must agree record-for-record with what
 the watchdog engine emitted -- alert delivery must not be lossy even when
 the wire is.  ``--require-alert-cycle`` fails the run unless at least one
 alert both fired and resolved (the CI gate that the watchdogs actually
-watch).
+watch).  ``python -m repro.obs storm`` runs :func:`run_replica_storm`.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -261,6 +259,9 @@ class ChaosReport:
     #: The live recorder object itself (not serialized); replay and the
     #: CLI's postmortem dumper read lanes and chains off it.
     recorder: object = None
+    #: The client workstation, its domain quiescent (not serialized); the
+    #: monitor reads every host's time series back through it.
+    workstation: object = None
 
     @property
     def reads(self) -> int:
@@ -414,7 +415,8 @@ def run_chaos(seed: int = 7, duration: float = 5.0, drop: float = 0.10,
         WireFaultModel(drop_rate=drop, dup_rate=dup, delay_rate=delay_rate),
         crash=crash)
 
-    report = ChaosReport(seed=seed, duration=duration, drop_rate=drop)
+    report = ChaosReport(seed=seed, duration=duration, drop_rate=drop,
+                         workstation=workstation)
 
     def tally(data) -> None:
         if data is None:
@@ -779,108 +781,3 @@ def check_alert_delivery(delivered: list[dict],
             [f"alert log read through [obs]/fleet/alerts disagrees with "
              f"the watchdog engine: {len(delivered)} record(s) delivered "
              f"vs {len(emitted)} emitted"])
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.faults.chaos",
-        description="Run a seeded chaos schedule and check invariants.")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--duration", type=float, default=5.0,
-                        help="simulated seconds (default 5)")
-    parser.add_argument("--drop", type=float, default=0.10,
-                        help="frame drop rate during the loss phase")
-    parser.add_argument("--dup", type=float, default=0.02)
-    parser.add_argument("--delay-rate", type=float, default=0.05)
-    parser.add_argument("--no-crash", action="store_true",
-                        help="skip the mid-run file-server crash")
-    parser.add_argument("--require-retransmits", action="store_true",
-                        help="fail unless ipc.retransmits > 0 (CI gate)")
-    parser.add_argument("--watchdogs", action="store_true",
-                        help="arm telemetry + default SLO watchdogs and "
-                             "check alert delivery through [obs]")
-    parser.add_argument("--require-alert-cycle", action="store_true",
-                        help="fail unless >=1 alert fired AND resolved "
-                             "(implies --watchdogs; CI gate)")
-    parser.add_argument("--flight", action="store_true",
-                        help="fly a flight recorder with the run (per-host "
-                             "ring buffers + digest chains); on invariant "
-                             "failure dump every black box")
-    parser.add_argument("--flight-dir", default=".",
-                        help="directory for postmortem dumps written on "
-                             "invariant failure (default: cwd)")
-    parser.add_argument("--flight-dump", action="store_true",
-                        help="write every lane's black box to --flight-dir "
-                             "even when the run is healthy (implies "
-                             "--flight; CI artifact)")
-    parser.add_argument("--storm", action="store_true",
-                        help="run the shard replica-crash storm instead of "
-                             "the wire-loss scenario: crash every replica "
-                             "of a sharded prefix cluster in turn under "
-                             "Zipf read traffic and check the lease "
-                             "coherence + failover invariants")
-    parser.add_argument("--replicas", type=int, default=3,
-                        help="shard replicas for --storm (default 3; 1 = "
-                             "the prefix server itself crash/restarts)")
-    parser.add_argument("--storm-prefixes", type=int, default=48,
-                        help="seeded prefixes for --storm (default 48)")
-    parser.add_argument("--storm-clients", type=int, default=2,
-                        help="client hosts for --storm (default 2)")
-    args = parser.parse_args(argv)
-
-    if args.storm:
-        try:
-            storm = run_replica_storm(
-                seed=args.seed if args.seed != 7 else 11,
-                duration=args.duration if args.duration != 5.0 else 6.0,
-                n_replicas=args.replicas,
-                n_prefixes=args.storm_prefixes,
-                n_clients=args.storm_clients,
-                crash=not args.no_crash,
-                watchdogs=args.watchdogs)
-        except InvariantViolation as violation:
-            print(violation, file=sys.stderr)
-            return 1
-        print(json.dumps(storm.to_dict(), indent=2))
-        return 0
-
-    try:
-        report = run_chaos(seed=args.seed, duration=args.duration,
-                           drop=args.drop, dup=args.dup,
-                           delay_rate=args.delay_rate,
-                           crash=not args.no_crash,
-                           watchdogs=args.watchdogs
-                           or args.require_alert_cycle,
-                           flight=args.flight or args.flight_dump)
-    except InvariantViolation as violation:
-        print(violation, file=sys.stderr)
-        if violation.flight is not None:
-            from repro.obs.flight import dump_postmortems
-
-            for path in dump_postmortems(violation.flight, args.flight_dir,
-                                         seed=args.seed):
-                print(f"postmortem dump: {path}", file=sys.stderr)
-        return 1
-    print(json.dumps(report.to_dict(), indent=2))
-    if args.flight_dump:
-        from repro.obs.flight import dump_postmortems
-
-        for path in dump_postmortems(report.recorder, args.flight_dir,
-                                     seed=args.seed):
-            print(f"postmortem dump: {path}", file=sys.stderr)
-    if args.require_retransmits and report.metrics["ipc.retransmits"] == 0:
-        print("FAIL: injected loss but ipc.retransmits == 0",
-              file=sys.stderr)
-        return 1
-    if args.require_alert_cycle:
-        fired = report.alerts.get("fired", 0)
-        resolved = report.alerts.get("resolved", 0)
-        if not fired or not resolved:
-            print(f"FAIL: watchdogs never completed a fire/resolve cycle "
-                  f"(fired={fired}, resolved={resolved})", file=sys.stderr)
-            return 1
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    sys.exit(main())

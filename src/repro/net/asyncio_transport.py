@@ -224,6 +224,7 @@ class _UdpWire:
         transport, __ = await self._clock._loop.create_datagram_endpoint(
             lambda: _Endpoint(functools.partial(self._receive, host_id)),
             local_addr=("127.0.0.1", 0))
+        transport.max_size = 65536
         address = transport.get_extra_info("sockname")[:2]
         self._transports[host_id] = transport
         self._addresses[host_id] = address

@@ -11,9 +11,12 @@ walks visible:
 - :mod:`repro.obs.registry` -- tagged counters, gauges, and fixed-bucket
   histograms with p99.
 - :mod:`repro.obs.export` -- JSONL exporters and readers.
-- :mod:`repro.obs.report` -- ``python -m repro.obs.report trace.jsonl``
+- :mod:`repro.obs.report` -- ``python -m repro.obs report trace.jsonl``
   renders hop timelines, critical-path breakdowns, and a slowest-resolutions
   table.
+- :mod:`repro.obs.__main__` -- ``python -m repro.obs <subcommand>``, the
+  one command line over every operator tool (chaos, storm, monitor, replay,
+  report, profile, bench).
 
 Usage::
 

@@ -30,15 +30,15 @@ authoritative mutation, and the auditor only ever compares stamps for
 *equality* against the owner's current stamp.  Epochs from different
 servers are never ordered against each other.
 
-``python -m repro.obs.audit`` runs the replica-crash storm with the probe
-and watchdogs armed, audits the fleet through ``[obs]``, and renders the
-coherence report (``--json`` for the document, ``--watch`` for periodic
-in-run audits).  Exit status 2 means the audit found incoherent entries.
+``python -m repro.obs storm --watchdogs`` runs the replica-crash storm with
+the probe and watchdogs armed, audits the fleet through ``[obs]``, and
+renders the coherence report (``--json`` for the storm document with the
+audit in it, ``--watch`` for periodic in-run audits).  An incoherent entry
+fails the storm's invariants, so the storm exits 1 before rendering.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from collections import deque
@@ -581,76 +581,3 @@ def render(document: dict, out=None) -> None:
     verdict = ("COHERENT" if document["ok"]
                else f"INCOHERENT ({len(findings['incoherent'])} entries)")
     print(f"  verdict: {verdict}", file=out)
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.audit",
-        description="Run the sharded replica-crash storm with the "
-                    "coherence probe and SLO watchdogs armed, audit every "
-                    "host's cached name state through [obs], and render "
-                    "the fleet coherence report.")
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--duration", type=float, default=6.0,
-                        help="simulated seconds (default 6)")
-    parser.add_argument("--replicas", type=int, default=3)
-    parser.add_argument("--prefixes", type=int, default=48)
-    parser.add_argument("--clients", type=int, default=2)
-    parser.add_argument("--no-crash", action="store_true",
-                        help="skip the staggered replica crash windows")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the audit document instead of tables")
-    parser.add_argument("--watch", type=float, default=None, metavar="SECS",
-                        help="additionally audit (direct) every SECS "
-                             "simulated seconds during the run and print "
-                             "one summary line per sweep")
-    args = parser.parse_args(argv)
-
-    from repro.faults.chaos import InvariantViolation, run_replica_storm
-
-    sweeps: list[dict] = []
-
-    def on_sweep(document: dict) -> None:
-        sweeps.append(document)
-        if not args.json:
-            tiers = document["tiers"]
-            print(f"[t={document['t']:8.3f}] audit sweep: "
-                  f"replica {tiers['replica'][FRESH]} fresh / "
-                  f"{tiers['replica'][STALE]} stale / "
-                  f"{tiers['replica'][INCOHERENT]} incoherent; "
-                  f"resolver {tiers['resolver'][FRESH]} fresh / "
-                  f"{tiers['resolver'][STALE]} stale; "
-                  f"map v{document['map_versions']['fleet_max']}",
-                  flush=True)
-
-    try:
-        report = run_replica_storm(
-            seed=args.seed, duration=args.duration,
-            n_replicas=args.replicas, n_prefixes=args.prefixes,
-            n_clients=args.clients, crash=not args.no_crash,
-            watchdogs=True,
-            audit_every=args.watch,
-            on_audit=on_sweep if args.watch else None)
-    except InvariantViolation as violation:
-        print(violation, file=sys.stderr)
-        return 1
-    document = report.audit
-    if args.watch:
-        document["sweeps"] = [
-            {"t": sweep["t"], "tiers": sweep["tiers"],
-             "map_version": sweep["map_versions"]["fleet_max"]}
-            for sweep in sweeps]
-    if args.json:
-        print(json.dumps(document, indent=2, sort_keys=True))
-    else:
-        render(document)
-        alerts = report.alerts
-        if alerts:
-            print(f"  watchdogs: {alerts['fired']} fired, "
-                  f"{alerts['resolved']} resolved "
-                  f"({len(alerts.get('active', []))} active)")
-    return 0 if document["ok"] else 2
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    raise SystemExit(main())

@@ -1,6 +1,6 @@
 """The behavioural contract: every experiment's deterministic metrics.
 
-``python -m repro.obs.bench`` runs the ``trajectory_metrics()`` entry point
+``python -m repro.obs bench`` runs the ``trajectory_metrics()`` entry point
 of all 22 benchmark modules (E1-E19, E8 in three parts, and the ablations)
 at full size and writes the result to ``BENCH_5.json`` at the repo root --
 the one committed baseline.  ``--check`` writes nothing: it compares the
@@ -22,9 +22,7 @@ Baseline layout (``schema`` = :data:`BENCH_SCHEMA`)::
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
-import json
 import os
 import sys
 from pathlib import Path
@@ -157,40 +155,3 @@ def check(baseline: dict, current: dict) -> tuple[list[str], list[str]]:
             elif before != after:
                 failures.append(f"{name}: baseline {before!r}, now {after!r}")
     return failures, notes
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.bench",
-        description=f"Run the 22 deterministic experiments (E1-E19 and the "
-                    f"ablations) and write {BASELINE_NAME}")
-    parser.add_argument("--check", action="store_true",
-                        help=f"write nothing; compare the run to "
-                             f"{BASELINE_NAME} exactly, exit 1 on any "
-                             f"difference")
-    args = parser.parse_args(argv)
-
-    baseline_path = repo_root() / BASELINE_NAME
-    current = run_suite()
-    count = sum(len(entry["metrics"])
-                for entry in current["experiments"].values())
-    if not args.check:
-        baseline_path.write_text(
-            json.dumps(current, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {baseline_path} ({len(current['experiments'])} "
-              f"experiments, {count} metrics)")
-        return 0
-    failures, notes = check(json.loads(baseline_path.read_text()), current)
-    for line in notes:
-        print(line)
-    for line in failures:
-        print(f"DIFFERS {line}")
-    if failures:
-        print(f"FAIL: {len(failures)} difference(s) from {BASELINE_NAME}")
-        return 1
-    print(f"OK: {count - len(notes)} metrics identical to {BASELINE_NAME}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    raise SystemExit(main())

@@ -9,8 +9,8 @@ Two formats, both line-oriented and grep-friendly:
 
 - ``json`` -- one pretty-printed JSON document (per-host snapshots);
 - ``jsonl`` -- one JSON record per line, in exactly the record shapes of
-  :mod:`repro.obs.export`, so ``repro.obs.report --live`` reuses the same
-  renderers on live reads as on exported files.
+  :mod:`repro.obs.export`, so ``python -m repro.obs report --live`` reuses
+  the same renderers on live reads as on exported files.
 
 Building a payload is plain memory reads -- **zero simulated cost**.  The
 simulated price of introspection is paid where it belongs: in the messages

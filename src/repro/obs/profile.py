@@ -30,18 +30,15 @@ Use as a context manager::
     print(prof.render_flame())          # collapsed stacks, flamegraph-ready
     json.dump(prof.profile(), fh)       # structured per-frame totals
 
-``python -m repro.obs.profile --flame`` profiles a pinned E7-style
+``python -m repro.obs profile --flame`` profiles a pinned E7-style
 forwarding chain and prints collapsed stacks consumable by standard
 flamegraph tooling (``flamegraph.pl``, speedscope, inferno).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
@@ -248,49 +245,3 @@ def forwarding_profile(hops: int = 4, rounds: int = 10, seed: int = 0):
         elapsed = domain.now - start
     domain.check_healthy()
     return prof, elapsed, box["mean_open_ms"]
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.profile",
-        description="Profile a pinned E7-style forwarding run and emit the "
-                    "attribution profile (JSON) or collapsed flamegraph "
-                    "stacks (--flame).")
-    parser.add_argument("--flame", action="store_true",
-                        help="emit collapsed stacks (flamegraph folded "
-                             "format) instead of the JSON profile")
-    parser.add_argument("--hops", type=int, default=4,
-                        help="cross-server links in the chain (default 4)")
-    parser.add_argument("--rounds", type=int, default=10,
-                        help="opens measured (default 10)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="domain rng seed (default 0)")
-    parser.add_argument("--out", default=None,
-                        help="write to this file instead of stdout")
-    args = parser.parse_args(argv)
-
-    prof, elapsed, mean_ms = forwarding_profile(args.hops, args.rounds,
-                                                args.seed)
-    if args.flame:
-        text = prof.render_flame() + "\n"
-    else:
-        document = prof.profile()
-        document["scenario"] = {"experiment": "e7_forwarding",
-                                "hops": args.hops, "rounds": args.rounds,
-                                "seed": args.seed,
-                                "elapsed_seconds": elapsed,
-                                "mean_open_ms": mean_ms}
-        text = json.dumps(document, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        coverage = prof.total_seconds / elapsed if elapsed else 1.0
-        print(f"wrote {args.out} ({prof.total_seconds * 1e3:.3f} ms "
-              f"attributed, {coverage:.1%} of elapsed)")
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    sys.exit(main())

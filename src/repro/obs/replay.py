@@ -1,6 +1,6 @@
 """Time-travel replay + divergence bisection over flight records.
 
-``python -m repro.obs.replay`` re-runs a seeded chaos scenario
+``python -m repro.obs replay`` re-runs a seeded chaos scenario
 (:func:`repro.faults.chaos.run_chaos` with ``flight=True``) under the
 deterministic engine, so the flight-record stream *is* the original run --
 replay in this simulator is re-execution, bit for bit.  On top of that:
@@ -18,7 +18,7 @@ replay in this simulator is re-execution, bit for bit.  On top of that:
   forks**, printing both flight records at the fork -- the digest chains
   bracket the divergent window, the retained records pin the exact event;
 - ``--postmortem dump.json`` time-travels into a crash dump written by
-  ``python -m repro.faults.chaos --flight`` instead of re-running.
+  ``python -m repro.obs chaos --flight`` instead of re-running.
 
 Chains are only comparable between runs recorded under the same
 instrumentation config (recorder-only vs profiler-attached runs stamp
@@ -27,32 +27,19 @@ batched entries differently; see ``sim/engine.py``).
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
-from typing import Any, Optional
+from typing import Optional
 
 from repro.obs.flight import (
     KIND_NAMES,
     PHASE_NAMES,
     FlightRecorder,
-    compare,
-    load_postmortem,
     record_code,
 )
 from repro.obs.report import render_timeline
 from repro.obs.span import Span, SpanContext, build_tree
 
 REPLAY_SCHEMA = 1
-
-#: Scenario knobs ``--bisect`` can fork on, mapped to run_chaos kwargs.
-BISECT_KNOBS = {
-    "seed": ("seed", int),
-    "duration": ("duration", float),
-    "drop": ("drop", float),
-    "dup": ("dup", float),
-    "delay-rate": ("delay_rate", float),
-}
 
 
 def replay(seed: int = 7, duration: float = 5.0, drop: float = 0.10,
@@ -146,27 +133,13 @@ def render_window(recorder: "FlightRecorder", at: Optional[int] = None,
     return render_timeline(build_tree(timeline_spans(picked)))
 
 
-class _DumpLane:
-    """A loaded postmortem dump wearing the recorder's read interface."""
-
-    def __init__(self, dump: dict) -> None:
-        self._dump = dump
-        # Dumps store named records; rebuild the recorder's numeric
-        # tuples (the phase disambiguates "reply" packet vs effect).
-        self._records = [
-            (r["seq"], r["t"], record_code(r["kind"], r.get("phase", "")),
+def dump_records(dump: dict) -> list[tuple]:
+    """A loaded postmortem dump's records as the recorder's numeric tuples
+    (dumps store named records; the phase disambiguates a "reply" packet
+    from a reply effect)."""
+    return [(r["seq"], r["t"], record_code(r["kind"], r.get("phase", "")),
              r["src"], r["dst"], r["txn"])
             for r in dump.get("records", [])]
-
-    def hosts(self) -> list[str]:
-        return [self._dump.get("host", "?")]
-
-    def records(self, host: str) -> list[tuple]:
-        return list(self._records)
-
-    def chain(self, host: str) -> list[tuple]:
-        return [(c["window"], c["end_seq"], c["end_t"], int(c["digest"], 16))
-                for c in self._dump.get("chain", [])]
 
 
 # --------------------------------------------------------------- verdicts
@@ -215,153 +188,3 @@ def render_verdict(verdict: dict) -> str:
                          + (json.dumps(record, sort_keys=True)
                             if record else "(no record -- stream ended)"))
     return "\n".join(lines)
-
-
-def parse_bisect(spec: str) -> tuple[str, Any, Any]:
-    """``knob=a,b`` -> (run_chaos kwarg, value_a, value_b)."""
-    try:
-        knob, values = spec.split("=", 1)
-        raw_a, raw_b = values.split(",", 1)
-        kwarg, cast = BISECT_KNOBS[knob.strip()]
-        return kwarg, cast(raw_a), cast(raw_b)
-    except KeyError:
-        raise ValueError(
-            f"unknown bisect knob {spec.split('=', 1)[0]!r}; "
-            f"one of: {', '.join(sorted(BISECT_KNOBS))}") from None
-    except ValueError as err:
-        if "unknown bisect knob" in str(err):
-            raise
-        raise ValueError(
-            f"--bisect wants knob=a,b (e.g. seed=7,8), got {spec!r}"
-        ) from None
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.replay",
-        description="Deterministically re-run a seeded chaos scenario and "
-                    "time-travel through its flight records; verify or "
-                    "bisect divergence between two runs.")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--duration", type=float, default=5.0)
-    parser.add_argument("--drop", type=float, default=0.10)
-    parser.add_argument("--dup", type=float, default=0.02)
-    parser.add_argument("--delay-rate", type=float, default=0.05)
-    parser.add_argument("--no-crash", action="store_true")
-    parser.add_argument("--at", type=int, default=None,
-                        help="centre the timeline window on this event seq "
-                             "(default: the crash freeze, else the tail)")
-    parser.add_argument("--around", type=int, default=12,
-                        help="records of context each side of --at")
-    parser.add_argument("--verify", action="store_true",
-                        help="run the scenario twice and diff the digest "
-                             "chains; nonzero exit on any divergence")
-    parser.add_argument("--bisect", metavar="KNOB=A,B", default=None,
-                        help="run two variants (seed=7,8, drop=0.1,0.3 ...) "
-                             "and report the first event seq where their "
-                             "behaviour forks, with both flight records")
-    parser.add_argument("--postmortem", metavar="DUMP", default=None,
-                        help="time-travel into a postmortem dump file "
-                             "instead of re-running the scenario")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable output")
-    args = parser.parse_args(argv)
-
-    knobs = dict(seed=args.seed, duration=args.duration, drop=args.drop,
-                 dup=args.dup, delay_rate=args.delay_rate,
-                 crash=not args.no_crash)
-
-    if args.postmortem:
-        dump = load_postmortem(args.postmortem)
-        lane = _DumpLane(dump)
-        if args.json:
-            print(json.dumps({"kind": "flight-postmortem",
-                              "schema": REPLAY_SCHEMA, **dump},
-                             indent=2, sort_keys=True))
-            return 0
-        host = lane.hosts()[0]
-        print(f"postmortem: host {host} frozen at "
-              f"t={dump.get('frozen_t')} seq={dump.get('frozen_seq')} "
-              f"({dump.get('records_seen')} records seen, "
-              f"{dump.get('dropped')} dropped)")
-        picked = {host: lane.records(host)[-args.around * 2:]
-                  if args.at is None else
-                  [r for r in lane.records(host)
-                   if abs(r[0] - args.at) <= args.around]}
-        if picked[host]:
-            print()
-            print(render_timeline(build_tree(timeline_spans(picked))))
-        return 0
-
-    if args.bisect:
-        try:
-            kwarg, value_a, value_b = parse_bisect(args.bisect)
-        except ValueError as err:
-            parser.error(str(err))
-        recorder_a = replay(**{**knobs, kwarg: value_a})
-        recorder_b = replay(**{**knobs, kwarg: value_b})
-        verdict = compare(recorder_a, recorder_b)
-        if args.json:
-            print(json.dumps({"kind": "flight-bisect",
-                              "schema": REPLAY_SCHEMA,
-                              "knob": kwarg, "a": value_a, "b": value_b,
-                              **verdict}, indent=2, sort_keys=True))
-        else:
-            print(f"bisect {kwarg}: {value_a} vs {value_b}")
-            print(render_verdict(verdict))
-            fork = verdict.get("fork")
-            if fork:
-                print()
-                print(f"timeline around seq {fork['seq']} (run a):")
-                print(render_window(recorder_a, at=fork["seq"],
-                                    around=args.around))
-        # A bisect that finds no fork is itself a verdict, not a failure.
-        return 0
-
-    recorder = replay(**knobs)
-    if args.verify:
-        rerun = replay(**knobs)
-        verdict = compare(recorder, rerun)
-        if args.json:
-            print(json.dumps({"kind": "flight-verify",
-                              "schema": REPLAY_SCHEMA, "scenario": knobs,
-                              **verdict}, indent=2, sort_keys=True))
-        else:
-            print(f"replayed seed={args.seed} twice "
-                  f"({args.duration}s simulated):")
-            print("\n".join(summary_lines(recorder)))
-            print(render_verdict(verdict))
-        return 0 if verdict["identical"] else 1
-
-    if args.json:
-        document = {
-            "kind": "flight-replay", "schema": REPLAY_SCHEMA,
-            "scenario": knobs,
-            "hosts": {host: recorder.snapshot(host)
-                      for host in recorder.hosts()},
-            "postmortems": {host: len(dumps) for host, dumps in
-                            sorted(recorder.postmortems.items())},
-        }
-        print(json.dumps(document, indent=2, sort_keys=True))
-        return 0
-    print(f"replayed chaos scenario seed={args.seed} "
-          f"({args.duration}s simulated):")
-    print("\n".join(summary_lines(recorder)))
-    print()
-    if args.at is not None:
-        print(f"interleaved timeline (around seq {args.at}):")
-        print(render_window(recorder, at=args.at, around=args.around))
-    else:
-        focus = default_focus(recorder)
-        where = (f"around the crash at t={focus:.3f}s"
-                 if focus is not None else "tail of the flight")
-        print(f"interleaved timeline ({where}):")
-        print(render_window(recorder, at_time=focus, around=args.around))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    try:
-        sys.exit(main())
-    except BrokenPipeError:
-        sys.exit(0)

@@ -1,4 +1,4 @@
-"""Trace reporting: ``python -m repro.obs.report trace.jsonl``.
+"""Trace reporting: ``python -m repro.obs report trace.jsonl``.
 
 Loads a span JSONL file (written by :func:`repro.obs.export.write_spans_jsonl`)
 and renders, per request:
@@ -17,13 +17,11 @@ assert on them without capturing stdout.
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.export import TraceFile, read_spans_jsonl
+from repro.obs.export import TraceFile
 from repro.obs.span import Span, SpanNode, build_tree
 
 BAR_WIDTH = 28
@@ -525,104 +523,3 @@ def describe_series_continuity(host_name: str, payload: bytes) -> str:
         for gap in gaps)
     return (f"{host_name}: {samples} samples, "
             f"{len(gaps)} sampling gap(s) (host down): {spans}")
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.report",
-        description="Render hop timelines and critical-path breakdowns "
-                    "from a span JSONL trace file.")
-    parser.add_argument("trace_file", nargs="?", default=None,
-                        help="span JSONL file to load (omit with --live)")
-    parser.add_argument("--top", type=int, default=10,
-                        help="rows in the slowest-resolutions table")
-    parser.add_argument("--trace", type=int, default=None,
-                        help="render one trace id in full (default: slowest)")
-    parser.add_argument("--all", action="store_true",
-                        help="render every trace in full")
-    parser.add_argument("--metrics", default=None,
-                        help="also summarize a metrics JSONL file")
-    parser.add_argument("--live", action="store_true",
-                        help="read live [obs] names from a simulated "
-                             "two-host session instead of JSONL files")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the report as one JSON document (hop "
-                             "timelines, slowest table, metrics) instead "
-                             "of rendered text")
-    args = parser.parse_args(argv)
-
-    if args.live:
-        if args.json:
-            parser.error("--json works on trace files, not with --live")
-        return run_live(args.top)
-    if args.trace_file is None:
-        parser.error("a trace file is required unless --live is given")
-
-    try:
-        tracefile = read_spans_jsonl(args.trace_file)
-    except OSError as err:
-        print(f"error: cannot read trace file {args.trace_file}: "
-              f"{err.strerror or err}", file=sys.stderr)
-        return 2
-    if not tracefile.spans:
-        print(f"error: {args.trace_file} contains no spans -- nothing to "
-              "report (was the run traced?)", file=sys.stderr)
-        return 2
-
-    if args.json:
-        if args.all:
-            trace_ids = [s["trace_id"] for s in
-                         slowest_traces(tracefile, len(tracefile.traces()))]
-        elif args.trace is not None:
-            trace_ids = [args.trace]
-        else:
-            trace_ids = None
-        metrics_records = None
-        if args.metrics:
-            try:
-                metrics_records = load_metrics_records(args.metrics)
-            except OSError as err:
-                print(f"error: cannot read metrics file {args.metrics}: "
-                      f"{err.strerror or err}", file=sys.stderr)
-                return 2
-        document = report_document(tracefile, args.top, trace_ids,
-                                   metrics_records)
-        print(json.dumps(document, indent=2, sort_keys=True))
-        return 0
-
-    print(f"{args.trace_file}: {len(tracefile.spans)} spans, "
-          f"{len(tracefile.traces())} traces")
-    print()
-    print(f"slowest resolutions (top {args.top}):")
-    print(render_slowest_table(tracefile, args.top))
-
-    if args.all:
-        targets = [s["trace_id"] for s in
-                   slowest_traces(tracefile, len(tracefile.traces()))]
-    elif args.trace is not None:
-        targets = [args.trace]
-    else:
-        slowest = slowest_traces(tracefile, 1)
-        targets = [slowest[0]["trace_id"]] if slowest else []
-    for trace_id in targets:
-        print()
-        print(render_trace(tracefile, trace_id))
-
-    if args.metrics:
-        print()
-        print(f"metrics ({args.metrics}):")
-        try:
-            print(render_metrics(args.metrics))
-        except OSError as err:
-            print(f"error: cannot read metrics file {args.metrics}: "
-                  f"{err.strerror or err}", file=sys.stderr)
-            return 2
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    try:
-        sys.exit(main())
-    except BrokenPipeError:
-        # Output piped into `head` or a closed pager -- not an error.
-        sys.exit(0)

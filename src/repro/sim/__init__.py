@@ -13,13 +13,12 @@ All timing is in *simulated seconds*; nothing here depends on wall-clock time.
 """
 
 from repro.sim.engine import Engine, ScheduledEvent
-from repro.sim.process import Task, TaskState
+from repro.sim.process import Task
 from repro.sim.rng import DeterministicRng
 
 __all__ = [
     "Engine",
     "ScheduledEvent",
     "Task",
-    "TaskState",
     "DeterministicRng",
 ]

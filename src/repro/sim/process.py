@@ -5,9 +5,10 @@ functions that ``yield`` *effect* objects -- ``Send``, ``Receive``, ``Delay``
 and friends from :mod:`repro.kernel.ipc`.  The kernel interprets each effect,
 applies its simulated cost, and resumes the generator with the result.
 
-:class:`Task` wraps the generator and hides the resume/throw mechanics.  It is
-deliberately ignorant of what the effects mean: the same task machinery drives
-the discrete-event kernel and the asyncio transport, which is how server logic
+:class:`Task` is the generator plus its name.  It holds no lifecycle of its
+own: :meth:`Host._advance <repro.kernel.host.Host._advance>` resumes
+``task.body`` directly on both clocks, the discrete-event engine and the
+asyncio loop of :mod:`repro.net.asyncio_transport`, which is how server logic
 is written once and executed on both substrates.
 
 Composition uses plain ``yield from``: a helper that needs to block is itself
@@ -17,40 +18,14 @@ interpreter without any framework glue.
 
 from __future__ import annotations
 
-import enum
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 Effect = Any
 ProcessBody = Generator[Effect, Any, Any]
 
 
-class TaskState(enum.Enum):
-    """Lifecycle of a task: created -> ready/blocked cycles -> done/failed."""
-
-    CREATED = "created"
-    READY = "ready"
-    BLOCKED = "blocked"
-    DONE = "done"
-    FAILED = "failed"
-
-
-class TaskFailure(RuntimeError):
-    """Raised when a task body escapes with an exception."""
-
-    def __init__(self, task_name: str, original: BaseException) -> None:
-        super().__init__(f"task {task_name!r} failed: {original!r}")
-        self.task_name = task_name
-        self.original = original
-
-
 class Task:
-    """A resumable generator with an explicit lifecycle.
-
-    The interpreter calls :meth:`start` once, then alternates between reading
-    the yielded effect and calling :meth:`resume` (or :meth:`throw`) with the
-    effect's result.  ``StopIteration`` marks completion; the return value of
-    the generator is captured in :attr:`result`.
-    """
+    """A process body: the generator the kernel resumes, and its name."""
 
     def __init__(self, body: ProcessBody, name: str = "task") -> None:
         if not hasattr(body, "send"):
@@ -60,75 +35,8 @@ class Task:
             )
         self.body = body
         self.name = name
-        self.state = TaskState.CREATED
-        self.result: Any = None
-        self.failure: Optional[BaseException] = None
-
-    @property
-    def finished(self) -> bool:
-        state = self.state
-        return state is TaskState.DONE or state is TaskState.FAILED
-
-    def start(self) -> tuple[bool, Effect]:
-        """Run the body to its first yield.
-
-        Returns ``(finished, effect_or_result)``.
-        """
-        if self.state is not TaskState.CREATED:
-            raise RuntimeError(f"task {self.name!r} already started")
-        return self._advance(self.body.send, None)
-
-    def resume(self, value: Any = None) -> tuple[bool, Effect]:
-        """Resume the body with the result of the last effect.
-
-        This is the kernel's per-effect hot path, so the state guard and
-        the advance are inlined rather than delegated (one resume per
-        effect, tens of thousands per simulated second at fleet scale).
-        """
-        if self.state is not TaskState.BLOCKED:
-            self._check_resumable()
-        self.state = TaskState.READY
-        try:
-            effect = self.body.send(value)
-        except StopIteration as stop:
-            self.state = TaskState.DONE
-            self.result = stop.value
-            return True, stop.value
-        except BaseException as exc:  # noqa: BLE001 - report, then re-raise wrapped
-            self.state = TaskState.FAILED
-            self.failure = exc
-            raise TaskFailure(self.name, exc) from exc
-        self.state = TaskState.BLOCKED
-        return False, effect
-
-    def throw(self, exc: BaseException) -> tuple[bool, Effect]:
-        """Resume the body by raising ``exc`` at the suspended yield."""
-        self._check_resumable()
-        return self._advance(self.body.throw, exc)
 
     def close(self) -> None:
-        """Abort the task (GeneratorExit inside the body)."""
-        if not self.finished:
-            self.body.close()
-            self.state = TaskState.DONE
-
-    def _check_resumable(self) -> None:
-        if self.finished:
-            raise RuntimeError(f"task {self.name!r} already finished")
-        if self.state is TaskState.CREATED:
-            raise RuntimeError(f"task {self.name!r} not started")
-
-    def _advance(self, step, arg) -> tuple[bool, Effect]:
-        self.state = TaskState.READY
-        try:
-            effect = step(arg)
-        except StopIteration as stop:
-            self.state = TaskState.DONE
-            self.result = stop.value
-            return True, stop.value
-        except BaseException as exc:  # noqa: BLE001 - report, then re-raise wrapped
-            self.state = TaskState.FAILED
-            self.failure = exc
-            raise TaskFailure(self.name, exc) from exc
-        self.state = TaskState.BLOCKED
-        return False, effect
+        """Abort the task (GeneratorExit inside the body); a no-op once the
+        body has finished."""
+        self.body.close()

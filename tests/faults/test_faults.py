@@ -308,11 +308,45 @@ class TestChaosHarness:
     def test_cli_runs_and_reports_json(self, capsys):
         import json as json_module
 
-        from repro.faults.chaos import main
+        from repro.obs.__main__ import main
 
-        code = main(["--seed", "7", "--duration", "1.5",
+        code = main(["chaos", "--seed", "7", "--duration", "1.5",
                      "--drop", "0.1", "--require-retransmits"])
         assert code == 0
         payload = json_module.loads(capsys.readouterr().out)
         assert payload["seed"] == 7
         assert payload["metrics"]["ipc.retransmits"] > 0
+
+    def test_cli_require_retransmits_fails_on_a_clean_wire(self, capsys):
+        from repro.obs.__main__ import main
+
+        assert main(["chaos", "--duration", "1", "--drop", "0", "--dup", "0",
+                     "--delay-rate", "0", "--no-crash",
+                     "--require-retransmits"]) == 1
+        assert "ipc.retransmits == 0" in capsys.readouterr().err
+
+    def test_cli_require_alert_cycle_gates_on_fire_and_resolve(self, capsys):
+        from repro.obs.__main__ import main
+
+        # 1.5 s: the retransmit-rate alert fires and has not resolved yet.
+        assert main(["chaos", "--duration", "1.5",
+                     "--require-alert-cycle"]) == 1
+        assert "never completed a fire/resolve cycle" in \
+            capsys.readouterr().err
+        assert main(["chaos", "--duration", "5",
+                     "--require-alert-cycle"]) == 0
+
+    def test_cli_invariant_violation_exits_1_with_black_boxes(
+            self, capsys, monkeypatch, tmp_path):
+        from repro.faults import chaos
+        from repro.obs.__main__ import main
+
+        monkeypatch.setattr(chaos, "check_no_stuck_transactions",
+                            lambda domain: ["seeded stuck transaction"])
+        assert main(["chaos", "--duration", "1", "--flight",
+                     "--flight-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "seeded stuck transaction" in err
+        assert "postmortem dump:" in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "postmortem-seed7-vax1-0.json", "postmortem-seed7-ws-mann-0.json"]

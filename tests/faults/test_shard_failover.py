@@ -86,10 +86,31 @@ class TestStormCli:
     def test_storm_flag_runs_the_storm_and_reports_json(self, capsys):
         import json
 
-        from repro.faults.chaos import main
+        from repro.obs.__main__ import main
 
-        assert main(["--storm", "--seed", "11", "--duration", "3",
-                     "--storm-prefixes", "16"]) == 0
+        assert main(["storm", "--seed", "11", "--duration", "3",
+                     "--prefixes", "16", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["n_replicas"] == 3 and report["reads_failed"] == 0
         assert report["promotions"] == report["rejoins"] == 3
+
+    def test_explicit_seed_and_duration_are_honoured(self, capsys):
+        # The storm's own defaults are seed 11 for 6 s; an explicit seed 7
+        # or duration must reach the run, not be swapped for them.
+        import json
+
+        from repro.obs.__main__ import main
+
+        assert main(["storm", "--seed", "7", "--duration", "3",
+                     "--prefixes", "16", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["seed"] == 7 and report["duration"] == 3.0
+
+    def test_invariant_violation_exits_1(self, capsys, monkeypatch):
+        from repro.faults import chaos
+        from repro.obs.__main__ import main
+
+        monkeypatch.setattr(chaos, "check_lease_coherence",
+                            lambda cluster: ["seeded expired lease"])
+        assert main(["storm", "--duration", "2", "--prefixes", "8"]) == 1
+        assert "seeded expired lease" in capsys.readouterr().err

@@ -57,6 +57,19 @@ async def base_system():
 
 
 class TestFileServiceOverUdp:
+    def test_host_socket_receive_buffer_is_one_datagram(self):
+        # asyncio's default 256 KiB per-datagram receive buffer can put
+        # glibc into a trim/grow cycle on every echo; no datagram the wire
+        # sends exceeds 64 KiB.
+        async def scenario():
+            domain = AsyncDomain()
+            ws = await domain.create_host("ws")
+            size = domain.ethernet._transports[ws.host_id].max_size
+            await domain.shutdown()
+            return size
+
+        assert run_async(scenario()) == 65536
+
     def test_write_read_roundtrip(self):
         async def scenario():
             domain, ws, *__, session = await base_system()

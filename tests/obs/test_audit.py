@@ -17,6 +17,7 @@ from repro.core.shard import ShardCluster
 from repro.kernel.domain import Domain
 from repro.kernel.ipc import Delay
 from repro.obs import audit
+from repro.obs.__main__ import main
 from repro.obs.audit import (
     CoherenceProbe,
     audit_direct,
@@ -437,11 +438,12 @@ class TestWalkers:
 
 
 class TestCli:
-    ARGS = ["--duration", "2", "--prefixes", "8", "--seed", "11"]
+    ARGS = ["storm", "--watchdogs", "--duration", "2", "--prefixes", "8",
+            "--seed", "11"]
 
     def test_json_mode_emits_the_audit_document(self, capsys):
-        code = audit.main(["--json", "--no-crash", *self.ARGS])
-        document = json.loads(capsys.readouterr().out)
+        code = main([*self.ARGS, "--json", "--no-crash"])
+        document = json.loads(capsys.readouterr().out)["audit"]
         assert code == 0
         assert document["kind"] == "coherence-audit"
         assert document["ok"] is True
@@ -449,23 +451,23 @@ class TestCli:
         assert document["probe"]["shard_lookups"] > 0
 
     def test_text_mode_renders_tables_and_verdict(self, capsys):
-        code = audit.main(["--no-crash", *self.ARGS])
+        code = main([*self.ARGS, "--no-crash"])
         out = capsys.readouterr().out
         assert code == 0
         assert "coherence audit @" in out
         assert "verdict: COHERENT" in out
 
     def test_watch_mode_sweeps_during_the_run(self, capsys):
-        code = audit.main(["--json", "--no-crash", "--watch", "0.5",
-                           *self.ARGS])
-        document = json.loads(capsys.readouterr().out)
+        code = main([*self.ARGS, "--json", "--no-crash", "--watch", "0.5"])
+        document = json.loads(capsys.readouterr().out)["audit"]
         assert code == 0
         assert len(document["sweeps"]) >= 2
         assert all(sweep["t"] > 0 for sweep in document["sweeps"])
 
     def test_render_reports_incoherence_and_exit_code_shape(self, capsys):
-        # render() on a hand-built failing report names the entry; main's
-        # exit-2 contract is pinned against the same document shape.
+        # render() on a hand-built failing report names the entry; a live
+        # storm never gets this far, since an incoherent entry fails its
+        # invariants first.
         report = classify_fleet([
             replica_doc("ns1", 0, 3, [replica_entry("data", 7, 41,
                                                     is_owner=True)]),

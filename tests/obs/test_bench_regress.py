@@ -2,8 +2,9 @@
 
 One module-scoped run of ``repro.obs.bench.run_suite`` (about 3 s) is
 checked against the committed baseline -- the gate every refactor faces --
-and reused to drive ``main``; the pure :func:`repro.obs.bench.check`
-semantics are pinned on small synthetic documents.
+and reused to drive ``python -m repro.obs bench``; the pure
+:func:`repro.obs.bench.check` semantics are pinned on small synthetic
+documents.
 """
 
 import copy
@@ -15,13 +16,13 @@ from pathlib import Path
 import pytest
 
 from repro.obs import bench
+from repro.obs.__main__ import main
 from repro.obs.bench import (
     BASELINE_NAME,
     BENCH_SCHEMA,
     EXPERIMENTS,
     NOT_GATED,
     check,
-    main,
     repo_root,
     run_suite,
 )
@@ -167,7 +168,7 @@ class TestExemptions:
 
 
 class TestMainGate:
-    """``main`` over the one real suite run (``run_suite`` stubbed to it)."""
+    """``bench`` over the one real suite run (``run_suite`` stubbed to it)."""
 
     @pytest.fixture
     def root(self, tmp_path, monkeypatch, suite):
@@ -183,9 +184,9 @@ class TestMainGate:
         assert len(notes) == len(NOT_GATED)
 
     def test_identical_pair_exits_zero(self, root, suite, capsys):
-        assert main([]) == 0                          # writes the baseline
+        assert main(["bench"]) == 0                   # writes the baseline
         assert json.loads((root / BASELINE_NAME).read_text()) == suite
-        assert main(["--check"]) == 0
+        assert main(["bench", "--check"]) == 0
         gated = sum(len(entry["metrics"])
                     for entry in suite["experiments"].values()) - len(NOT_GATED)
         assert f"OK: {gated} metrics identical" in capsys.readouterr().out
@@ -203,7 +204,7 @@ class TestMainGate:
             else:
                 metrics[metric] = mutate(metrics[metric])
             (root / BASELINE_NAME).write_text(json.dumps(baseline))
-            assert main(["--check"]) == 1
+            assert main(["bench", "--check"]) == 1
             out = capsys.readouterr().out
             assert f"DIFFERS {experiment}.{metric}: " in out
             assert "FAIL: 1 difference(s)" in out

@@ -9,11 +9,11 @@ from repro.obs.export import (
     write_metrics_jsonl,
     write_spans_jsonl,
 )
+from repro.obs.__main__ import main
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import (
     REPORT_SCHEMA,
     critical_path,
-    main,
     render_critical_path,
     render_metrics,
     render_slowest_table,
@@ -187,7 +187,7 @@ class TestCli:
     def test_main_renders_slowest_and_one_trace(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"
         write_spans_jsonl(sample_collector(), path)
-        assert main([str(path)]) == 0
+        assert main(["report", str(path)]) == 0
         out = capsys.readouterr().out
         assert "slowest resolutions" in out
         assert "hop timeline:" in out
@@ -201,7 +201,7 @@ class TestCli:
         metrics_path = tmp_path / "metrics.jsonl"
         write_metrics_jsonl(registry, metrics_path)
         target = collector.spans[-1].trace_id
-        assert main([str(trace_path), "--trace", str(target),
+        assert main(["report", str(trace_path), "--trace", str(target),
                      "--metrics", str(metrics_path)]) == 0
         out = capsys.readouterr().out
         assert f"trace {target}:" in out
@@ -210,7 +210,7 @@ class TestCli:
     def test_main_reports_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert main([str(path)]) == 2
+        assert main(["report", str(path)]) == 2
         assert "no spans" in capsys.readouterr().err
 
 
@@ -251,7 +251,7 @@ class TestJsonReport:
         registry.counter("ipc.sends").incr(5)
         metrics_path = tmp_path / "metrics.jsonl"
         write_metrics_jsonl(registry, metrics_path)
-        assert main([str(trace_path), "--json", "--all",
+        assert main(["report", str(trace_path), "--json", "--all",
                      "--metrics", str(metrics_path)]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["schema"] == REPORT_SCHEMA
@@ -262,4 +262,4 @@ class TestJsonReport:
 
     def test_main_json_rejects_live_mode(self, tmp_path):
         with pytest.raises(SystemExit):
-            main(["--live", "--json"])
+            main(["report", "--live", "--json"])

@@ -5,7 +5,7 @@ seed -> localized fork) live in tests/property/test_engine_equivalence.py;
 here the machinery is pinned directly: ring/window accounting, the engine's
 recording dispatch swap, kernel record sites, crash freezing, the
 ``[obs]/hosts/<host>/flightlog`` leaf, divergence verdicts, and the
-``python -m repro.obs.replay`` CLI.
+``python -m repro.obs replay`` subcommand.
 """
 
 import json
@@ -486,17 +486,17 @@ class TestPostmortemDumps:
 
 
 class TestReplayCli:
-    KNOBS = ["--seed", "3", "--duration", "1.5"]
+    KNOBS = ["replay", "--seed", "3", "--duration", "1.5"]
 
     def test_verify_identical_runs_exit_zero(self, capsys):
-        from repro.obs.replay import main
+        from repro.obs.__main__ import main
 
         assert main([*self.KNOBS, "--verify"]) == 0
         out = capsys.readouterr().out
         assert "digest chains identical" in out
 
     def test_verify_json_document(self, capsys):
-        from repro.obs.replay import main
+        from repro.obs.__main__ import main
 
         assert main([*self.KNOBS, "--verify", "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
@@ -506,7 +506,8 @@ class TestReplayCli:
 
     def test_bisect_seed_pair_localizes_the_fork(self, capsys):
         from repro.obs.flight import record_divergence
-        from repro.obs.replay import main, replay
+        from repro.obs.__main__ import main
+        from repro.obs.replay import replay
 
         assert main([*self.KNOBS, "--bisect", "seed=3,4", "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
@@ -530,7 +531,7 @@ class TestReplayCli:
         assert fork["a"] is not None or fork["b"] is not None
 
     def test_bisect_text_mode_prints_both_records(self, capsys):
-        from repro.obs.replay import main
+        from repro.obs.__main__ import main
 
         assert main([*self.KNOBS, "--bisect", "seed=3,4"]) == 0
         out = capsys.readouterr().out
@@ -538,7 +539,7 @@ class TestReplayCli:
         assert "run a:" in out and "run b:" in out
 
     def test_default_mode_renders_crash_window(self, capsys):
-        from repro.obs.replay import main
+        from repro.obs.__main__ import main
 
         assert main(self.KNOBS) == 0
         out = capsys.readouterr().out
@@ -547,25 +548,43 @@ class TestReplayCli:
 
     def test_postmortem_mode_time_travels_into_a_dump(self, capsys,
                                                       tmp_path):
-        from repro.obs.replay import main, replay
+        from repro.obs.__main__ import main
+        from repro.obs.replay import replay
 
         recorder = replay(seed=3, duration=1.5)
         dump = recorder.postmortems["vax1"][0]
         path = tmp_path / "vax1.json"
         write_postmortem(str(path), dump)
-        assert main(["--postmortem", str(path)]) == 0
+        assert main(["replay", "--postmortem", str(path)]) == 0
         out = capsys.readouterr().out
         assert "host vax1 frozen at" in out
 
-    def test_parse_bisect_rejects_bad_specs(self):
-        from repro.obs.replay import parse_bisect
+    def test_parse_bisect_rejects_bad_specs(self, capsys):
+        from argparse import ArgumentTypeError
+
+        from repro.obs.__main__ import main, parse_bisect
 
         assert parse_bisect("seed=7,8") == ("seed", 7, 8)
         assert parse_bisect("drop=0.1,0.3") == ("drop", 0.1, 0.3)
-        with pytest.raises(ValueError):
-            parse_bisect("flux=1,2")
-        with pytest.raises(ValueError):
-            parse_bisect("seed=7")
+        assert parse_bisect("delay-rate=0,1") == ("delay_rate", 0.0, 1.0)
+        for spec in ("flux=1,2", "seed=7", "seed=a,b"):
+            with pytest.raises(ArgumentTypeError):
+                parse_bisect(spec)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*self.KNOBS, "--bisect", "flux=1,2"])
+        assert exit_info.value.code == 2
+        assert "unknown bisect knob 'flux'" in capsys.readouterr().err
+
+    def test_verify_divergence_exits_nonzero(self, capsys, monkeypatch):
+        from repro.obs import __main__ as cli
+        from repro.obs.replay import replay
+
+        seeds = iter([3, 4])
+        monkeypatch.setattr(
+            cli, "replay",
+            lambda **knobs: replay(**{**knobs, "seed": next(seeds)}))
+        assert cli.main([*self.KNOBS, "--verify"]) == 1
+        assert "digest chains DIVERGE" in capsys.readouterr().out
 
 
 class TestChaosFlight:

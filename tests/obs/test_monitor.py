@@ -1,12 +1,18 @@
-"""The monitoring CLI: sparklines, the monitor document, and exit status."""
+"""The monitor subcommand: sparklines, the monitor document, exit status."""
 
 import json
 
+from repro.faults.chaos import run_chaos
 from repro.obs import monitor
-from repro.obs.monitor import run_monitored, sparkline
+from repro.obs.__main__ import main
+from repro.obs.monitor import monitor_document, sparkline
 from repro.obs.telemetry import SERIES_METRICS
 
 DURATION = 2.0
+
+
+def monitored_document(duration: float = DURATION) -> dict:
+    return monitor_document(run_chaos(duration=duration, watchdogs=True))
 
 
 class TestSparkline:
@@ -28,7 +34,7 @@ class TestSparkline:
 
 class TestRunMonitored:
     def test_document_shape_and_delivery(self):
-        document = run_monitored(duration=DURATION)
+        document = monitored_document()
         assert document["kind"] == "obs-monitor"
         assert document["schema"] == monitor.MONITOR_SCHEMA
         assert set(document["hosts"]) == {"ws-mann", "vax1"}
@@ -45,23 +51,27 @@ class TestRunMonitored:
             document["delivery"]["emitted"]
 
     def test_same_seed_same_document(self):
-        first = run_monitored(duration=DURATION)
-        second = run_monitored(duration=DURATION)
-        assert first == second
+        assert monitored_document() == monitored_document()
 
-    def test_alert_tail_sees_fire_before_resolve(self):
-        tailed = []
-        document = run_monitored(duration=5.0,
-                                 on_alert=lambda event: tailed.append(event))
-        assert document["alerts"]["fired"] >= 1
-        assert [event.to_record() for event in tailed] == \
-            document["alerts"]["events"]
-        assert tailed[0].event == "fire"
+    def test_read_back_leaves_the_run_untouched(self):
+        # The series read runs after run_chaos returned: the run's own
+        # report (what E15 pins) is the same with or without it.
+        bare = run_chaos(duration=DURATION, watchdogs=True)
+        read = run_chaos(duration=DURATION, watchdogs=True)
+        monitor_document(read)
+        assert bare.to_dict() == read.to_dict()
+
+    def test_alert_tail_sees_fire_before_resolve(self, capsys):
+        assert main(["monitor", "--duration", "5"]) == 0
+        out = capsys.readouterr().out
+        tail = out[:out.index("\nscenario:")].splitlines()
+        assert tail and "FIRE" in tail[0]
+        assert any("RESOLVE" in line for line in tail[1:])
 
 
 class TestCli:
     def test_json_mode_emits_the_document(self, capsys):
-        code = monitor.main(["--json", "--duration", str(DURATION)])
+        code = main(["monitor", "--json", "--duration", str(DURATION)])
         out = capsys.readouterr().out
         document = json.loads(out)
         assert code == 0
@@ -72,45 +82,21 @@ class TestCli:
                        for summary in metrics.values())
 
     def test_text_mode_renders_tables_and_tail(self, capsys):
-        code = monitor.main(["--duration", "5"])
+        code = main(["monitor", "--duration", "5"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "FIRE" in out                       # the live tail
+        assert "FIRE" in out                       # the alert tail
         assert "[obs]/hosts/ws-mann/timeseries/*" in out
         assert any(char in out for char in "▂▃▄▅▆▇█")
         assert "-- match" in out
 
+    def test_delivery_mismatch_exits_nonzero(self, capsys, monkeypatch):
+        # An alert log read back through [obs] that lost every record
+        # fails run_chaos's delivery invariant, and the monitor with it.
+        from repro.faults import chaos
 
-class TestShardedMonitoring:
-    def test_document_carries_every_hosts_shard_map_version(self):
-        document = run_monitored(duration=DURATION, shards=2)
-        assert document["scenario"]["shards"] == 2
-        maps = document["shard_maps"]
-        # Replica hosts report their installed map; the workstation's
-        # registered resolver reports the map it routes by.
-        assert set(maps) >= {"ns1", "ns2", "ws-mann"}
-        assert all(isinstance(version, int) and version >= 1
-                   for version in maps.values())
-        # A fresh cluster with no membership changes stays at version 1.
-        assert maps["ns1"] == maps["ns2"] == 1
-        # The sharded workload flowed: hosts still carry the full metric
-        # set, now with the ns hosts sampled alongside vax1.
-        assert {"ns1", "ns2"} <= set(document["hosts"])
-        assert document["reads"]["ok"] > 0
-
-    def test_default_mode_has_no_shard_section(self):
-        document = run_monitored(duration=DURATION)
-        assert document["scenario"]["shards"] == 0
-        assert document["shard_maps"] == {}
-
-    def test_sharded_run_is_deterministic(self):
-        first = run_monitored(duration=DURATION, shards=2)
-        second = run_monitored(duration=DURATION, shards=2)
-        assert first == second
-
-    def test_cli_shards_flag_renders_map_line(self, capsys):
-        code = monitor.main(["--duration", str(DURATION), "--shards", "2"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "shard maps:" in out
-        assert "ns1=v1" in out
+        monkeypatch.setattr(chaos, "read_alerts_via_obs",
+                            lambda workstation: [])
+        assert main(["monitor", "--duration", "5"]) == 1
+        assert "disagrees with the watchdog engine" in \
+            capsys.readouterr().err

@@ -13,13 +13,13 @@ from pathlib import Path
 import pytest
 
 from repro.kernel.domain import Domain
+from repro.obs.__main__ import main
 from repro.sim.engine import Engine
 from repro.obs.profile import (
     PROFILE_SCHEMA,
     UNATTRIBUTED,
     Profiler,
     forwarding_profile,
-    main,
 )
 
 
@@ -64,7 +64,7 @@ class TestProfilerUnit:
 
 
 # Regenerate with:
-#   PYTHONPATH=src python -m repro.obs.profile --flame
+#   PYTHONPATH=src python -m repro.obs profile --flame
 GOLDEN_E7_FLAME = """\
 host:ws-mann;proc:client;phase:send;phase:wire 24984
 host:vax4;proc:fileserver;phase:reply;phase:wire 17472
@@ -114,7 +114,8 @@ class TestForwardingProfile:
 
 class TestCli:
     def test_flame_output(self, capsys):
-        assert main(["--flame", "--hops", "1", "--rounds", "1"]) == 0
+        assert main(["profile", "--flame", "--hops", "1",
+                     "--rounds", "1"]) == 0
         out = capsys.readouterr().out
         assert "phase:wire" in out
         for line in out.strip().splitlines():
@@ -122,7 +123,7 @@ class TestCli:
             assert int(value) > 0
 
     def test_json_output_carries_scenario(self, capsys):
-        assert main(["--hops", "1", "--rounds", "1"]) == 0
+        assert main(["profile", "--hops", "1", "--rounds", "1"]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["schema"] == PROFILE_SCHEMA
         assert document["scenario"]["hops"] == 1

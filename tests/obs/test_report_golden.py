@@ -8,9 +8,9 @@ widths, bar scaling, percentage rounding -- fails loudly instead of
 silently degrading every downstream report.
 """
 
+from repro.obs.__main__ import main
 from repro.obs.export import write_spans_jsonl
 from repro.obs.report import (
-    main,
     render_cache_summary,
     render_critical_path,
     render_metrics_records,
@@ -117,7 +117,7 @@ class TestCliFailurePaths:
 
     def test_missing_trace_file_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"
-        assert main([str(missing)]) == 2
+        assert main(["report", str(missing)]) == 2
         err = capsys.readouterr().err
         assert "cannot read trace file" in err
         assert str(missing) in err
@@ -125,7 +125,7 @@ class TestCliFailurePaths:
     def test_empty_trace_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert main([str(path)]) == 2
+        assert main(["report", str(path)]) == 2
         err = capsys.readouterr().err
         assert "contains no spans" in err
         assert "was the run traced?" in err
@@ -133,6 +133,6 @@ class TestCliFailurePaths:
     def test_missing_metrics_file_exits_2(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
         write_spans_jsonl(obs_chain_collector(), trace)
-        assert main([str(trace), "--metrics",
+        assert main(["report", str(trace), "--metrics",
                      str(tmp_path / "no-metrics.jsonl")]) == 2
         assert "cannot read metrics file" in capsys.readouterr().err

@@ -1,119 +1,17 @@
-"""Unit tests for the generator task machinery."""
+"""Unit tests for the generator task wrapper.
+
+The kernel resumes ``task.body`` itself (``Host._advance``); what the
+wrapper still owns is the generator check and ``close()``.
+"""
 
 import pytest
 
-from repro.sim.process import Task, TaskFailure, TaskState
+from repro.sim.process import Task
 
 
 def test_task_requires_a_generator():
     with pytest.raises(TypeError, match="generator"):
         Task(lambda: None)  # type: ignore[arg-type]
-
-
-def test_start_runs_to_first_yield():
-    def body():
-        yield "first-effect"
-
-    task = Task(body())
-    finished, effect = task.start()
-    assert not finished
-    assert effect == "first-effect"
-    assert task.state is TaskState.BLOCKED
-
-
-def test_resume_delivers_effect_results():
-    def body():
-        value = yield "ask"
-        return value * 2
-
-    task = Task(body())
-    task.start()
-    finished, result = task.resume(21)
-    assert finished
-    assert result == 42
-    assert task.result == 42
-    assert task.state is TaskState.DONE
-
-
-def test_yield_from_composes_effects():
-    def helper():
-        a = yield "one"
-        b = yield "two"
-        return a + b
-
-    def body():
-        total = yield from helper()
-        return total
-
-    task = Task(body())
-    __, effect = task.start()
-    assert effect == "one"
-    __, effect = task.resume(1)
-    assert effect == "two"
-    finished, result = task.resume(2)
-    assert finished and result == 3
-
-
-def test_throw_raises_inside_the_body():
-    seen = []
-
-    def body():
-        try:
-            yield "effect"
-        except ValueError as err:
-            seen.append(err)
-        return "recovered"
-
-    task = Task(body())
-    task.start()
-    finished, result = task.throw(ValueError("boom"))
-    assert finished and result == "recovered"
-    assert len(seen) == 1
-
-
-def test_unhandled_exception_becomes_task_failure():
-    def body():
-        yield "effect"
-        raise RuntimeError("exploded")
-
-    task = Task(body(), name="victim")
-    task.start()
-    with pytest.raises(TaskFailure) as info:
-        task.resume(None)
-    assert task.state is TaskState.FAILED
-    assert isinstance(info.value.original, RuntimeError)
-    assert "victim" in str(info.value)
-
-
-def test_resume_before_start_rejected():
-    def body():
-        yield "x"
-
-    task = Task(body())
-    with pytest.raises(RuntimeError, match="not started"):
-        task.resume(None)
-
-
-def test_double_start_rejected():
-    def body():
-        yield "x"
-
-    task = Task(body())
-    task.start()
-    with pytest.raises(RuntimeError, match="already started"):
-        task.start()
-
-
-def test_resume_after_finish_rejected():
-    def body():
-        return "done"
-        yield  # pragma: no cover
-
-    task = Task(body())
-    finished, __ = task.start()
-    assert finished
-    with pytest.raises(RuntimeError, match="already finished"):
-        task.resume(None)
 
 
 def test_close_aborts_without_failure():
@@ -126,18 +24,18 @@ def test_close_aborts_without_failure():
             cleanup.append("ran")
 
     task = Task(body())
-    task.start()
+    assert next(task.body) == "x"
     task.close()
-    assert task.state is TaskState.DONE
     assert cleanup == ["ran"]
 
 
-def test_immediate_return_captures_value():
+def test_close_after_the_body_finished_is_a_no_op():
     def body():
-        if False:
-            yield
-        return 99
+        return "done"
+        yield  # pragma: no cover
 
-    task = Task(body())
-    finished, result = task.start()
-    assert finished and result == 99
+    task = Task(body(), name="short")
+    with pytest.raises(StopIteration):
+        next(task.body)
+    task.close()
+    assert task.name == "short"
