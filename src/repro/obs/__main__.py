@@ -80,15 +80,23 @@ def _scenario_flags(parser: argparse.ArgumentParser, seed: int,
                         help=f"rng seed (default {seed})")
     parser.add_argument("--duration", type=float, default=duration,
                         help=f"simulated seconds (default {duration:g})")
+
+
+def _no_crash_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-crash", action="store_true",
                         help="skip the scheduled crash windows")
 
 
-def _chaos_flags(parser: argparse.ArgumentParser) -> None:
-    """The chaos scenario's flags: chaos, monitor and replay run it."""
-    _scenario_flags(parser, seed=7, duration=5.0)
+def _drop_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--drop", type=float, default=0.10,
                         help="frame drop rate during the loss phase")
+
+
+def _chaos_flags(parser: argparse.ArgumentParser) -> None:
+    """Every knob of the chaos scenario: chaos and replay fork it on each."""
+    _scenario_flags(parser, seed=7, duration=5.0)
+    _no_crash_flag(parser)
+    _drop_flag(parser)
     parser.add_argument("--dup", type=float, default=0.02,
                         help="frame duplication rate during the loss phase")
     parser.add_argument("--delay-rate", type=float, default=0.05,
@@ -193,8 +201,11 @@ def _storm(args: argparse.Namespace) -> int:
 
 
 def _monitor(args: argparse.Namespace) -> int:
+    # run_chaos checks the alert log read back through [obs] record for
+    # record against the engine: a delivery mismatch raises here.
     try:
-        result = run_chaos(**_chaos_knobs(args), watchdogs=True)
+        result = run_chaos(seed=args.seed, duration=args.duration,
+                           drop=args.drop, watchdogs=True)
     except InvariantViolation as violation:
         print(violation, file=sys.stderr)
         return 1
@@ -207,7 +218,7 @@ def _monitor(args: argparse.Namespace) -> int:
             print(event.describe())
         print()
         monitor.render(document)
-    return 0 if document["delivery"]["match"] else 1
+    return 0
 
 
 def _replay(args: argparse.Namespace) -> int:
@@ -447,6 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         "storm", help="crash every shard replica in turn under Zipf reads "
                       "and audit coherence")
     _scenario_flags(storm, seed=11, duration=6.0)
+    _no_crash_flag(storm)
     storm.add_argument("--replicas", type=int, default=3,
                        help="shard replicas (default 3; 1 = the prefix "
                             "server itself crashes and restarts)")
@@ -466,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     watch = commands.add_parser(
         "monitor", help="chaos with watchdogs; time series and alerts read "
                         "back through [obs]")
-    _chaos_flags(watch)
+    _scenario_flags(watch, seed=7, duration=5.0)
+    _drop_flag(watch)
     _json_flag(watch, "the monitor document")
     watch.set_defaults(run=_monitor)
 

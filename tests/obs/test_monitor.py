@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.faults.chaos import run_chaos
 from repro.obs import monitor
 from repro.obs.__main__ import main
@@ -46,7 +48,6 @@ class TestRunMonitored:
         assert resolutions["samples"] > 0
         assert resolutions["max"] >= 1
         assert document["reads"]["ok"] > 0
-        assert document["delivery"]["match"] is True
         assert document["delivery"]["read_through_obs"] == \
             document["delivery"]["emitted"]
 
@@ -88,7 +89,14 @@ class TestCli:
         assert "FIRE" in out                       # the alert tail
         assert "[obs]/hosts/ws-mann/timeseries/*" in out
         assert any(char in out for char in "▂▃▄▅▆▇█")
-        assert "-- match" in out
+        assert "emitted, record for record" in out
+
+    def test_takes_only_the_knobs_it_uses(self, capsys):
+        # seed, duration and drop are all the monitor document records.
+        for flag in ("--dup", "--delay-rate", "--no-crash"):
+            with pytest.raises(SystemExit):
+                main(["monitor", flag])
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_delivery_mismatch_exits_nonzero(self, capsys, monkeypatch):
         # An alert log read back through [obs] that lost every record
