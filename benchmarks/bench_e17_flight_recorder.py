@@ -133,18 +133,19 @@ def test_e17_replay_reproduces_and_bisect_localizes():
 #: Budget for the always-on digest layer (E15's observer-effect budget).
 CHAIN_BUDGET = 0.02
 
-#: Absolute ceiling on the per-record capture cost.  The measured floor is
-#: ~0.1 us (bound C append of a small tuple); anything near a microsecond
-#: means a Python frame or dict build crept back into the record path.
+#: Absolute ceiling on the per-record capture cost.  The record path is one
+#: Python call (the kernel tap's ``FlightRecorder.on_event``), measured at
+#: a few hundred ns; anything near a microsecond means more work crept in.
 CAPTURE_CEILING_NS = 1000.0
 
 
 def measure_capture_cost(records: int = 256 * 800, rounds: int = 3) -> dict:
     """Per-record cost of the recorder's two layers, microbenchmarked.
 
-    - **capture**: build one six-field record tuple and push it through
-      the bound ``list.append`` the kernel record sites use -- the cost a
-      host pays the instant an IPC effect fires;
+    - **capture**: one Send event through the recorder's kernel-tap
+      subscriber (``on_event``: pick the fields, build the six-field
+      tuple, append it to the lane tail) -- the cost a host pays the
+      instant an IPC effect fires;
     - **chain**: seal the accumulated tail into digest windows
       (slice, incremental hash, chain append) -- the cost the engine's
       periodic ``flush`` amortises over every ``window`` records.
@@ -152,15 +153,26 @@ def measure_capture_cost(records: int = 256 * 800, rounds: int = 3) -> dict:
     Large ``records`` and best-of-``rounds`` make this stable on noisy
     boxes where workload-level wall ratios swing by several percent.
     """
-    from repro.obs.flight import KIND_SEND, FlightRecorder
+    from types import SimpleNamespace
 
+    from repro.kernel.messages import Message
+    from repro.kernel.pids import Pid
+    from repro.kernel.process import Transaction
+    from repro.kernel.tap import SEND
+    from repro.obs.flight import FlightRecorder
+
+    engine = SimpleNamespace(_fire_seq=0, _now=0.001)
+    host = SimpleNamespace(name="bench", engine=engine)
+    sender = SimpleNamespace(pid=Pid(10))
+    txn = Transaction(1, Pid(10), Pid(20), Message.request(1))
     capture_s = seal_s = float("inf")
     for __ in range(rounds):
         recorder = FlightRecorder(capacity=records, window=256)
-        append = recorder._lane("bench").tail.append
+        on_event = recorder.on_event
         start = time.perf_counter()
         for seq in range(records):
-            append((seq, 0.001, KIND_SEND, 10, 20, seq))
+            engine._fire_seq = seq
+            on_event(SEND, host, sender, txn)
         capture_s = min(capture_s, time.perf_counter() - start)
         start = time.perf_counter()
         recorder.flush()

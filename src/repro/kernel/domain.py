@@ -43,8 +43,8 @@ class Domain:
     ) -> None:
         self.engine = self._make_engine()
         #: Observability bundle (span collector + metrics registry), or None.
-        #: With obs attached the kernel emits a span tree per message
-        #: transaction (see repro.obs); without it no tracing branch runs.
+        #: With obs attached a span tree is built per message transaction
+        #: (repro.obs.kernel_spans, a kernel-tap subscriber).
         self.obs = obs
         #: Every counter of the run; the bundle's registry when one is
         #: attached, so kernel counts and span-side instruments export as one.
@@ -62,12 +62,9 @@ class Domain:
         #: None.  Scoped profiles via profile() work regardless.
         self.profiler: Optional["Profiler"] = None
         #: Continuous-telemetry collector (see enable_telemetry), or None.
-        #: The kernel's per-transaction latency hook gates on this, so the
-        #: disabled path costs one attribute read per completed send.
         self.telemetry = None
         #: Flight recorder (see repro.obs.flight.enable_flight_recorder), or
-        #: None.  Kernel record sites gate on this, same discipline as the
-        #: telemetry hook: one attribute read per site when disabled.
+        #: None.
         self.flight = None
         #: Coherence probe (see repro.obs.audit.enable_coherence), or None.
         #: Name-state code (shard servers/resolvers) gates on this to emit
@@ -122,6 +119,14 @@ class Domain:
         #: registry reports removals here (see Host), so a binding cache can
         #: watch one hub instead of every kernel table.
         self._pid_removal_listeners: list[Callable[[Pid], None]] = []
+        #: Kernel-tap subscribers in attach order, and the one callable
+        #: every host fires (see attach_tap).
+        self._tap_subscribers: list[Callable[..., None]] = []
+        self._tap: Optional[Callable[..., None]] = None
+        if obs is not None:
+            from repro.obs.kernel_spans import KernelSpans
+
+            self.attach_tap(KernelSpans(obs).on_event)
 
     # The driver seam (the clock and the wire every Host uses); the
     # real-socket AsyncDomain (repro.net.asyncio_transport) overrides both.
@@ -193,6 +198,32 @@ class Domain:
     def _notify_host_crashed(self, host: Host) -> None:
         for callback in list(self._host_crashed_listeners):
             callback(host)
+
+    # ------------------------------------------------------------ kernel tap
+
+    def attach_tap(self, subscriber: Callable[..., None]) -> None:
+        """Subscribe an instrument to every host's kernel event tap
+        (:mod:`repro.kernel.tap`), hosts created later included."""
+        if subscriber not in self._tap_subscribers:
+            self._tap_subscribers.append(subscriber)
+            self._bind_tap()
+
+    def detach_tap(self, subscriber: Callable[..., None]) -> None:
+        if subscriber in self._tap_subscribers:
+            self._tap_subscribers.remove(subscriber)
+            self._bind_tap()
+
+    def _bind_tap(self) -> None:
+        """Hand every host the tap: None, the sole subscriber, or a fan-out."""
+        subscribers = tuple(self._tap_subscribers)
+
+        def fan_out(*event) -> None:
+            for subscriber in subscribers:
+                subscriber(*event)
+        self._tap = (fan_out if len(subscribers) > 1
+                     else subscribers[0] if subscribers else None)
+        for host in self.hosts.values():
+            host._tap = self._tap
 
     # ----------------------------------------------------------------- hosts
 
@@ -284,6 +315,7 @@ class Domain:
                 interval=DEFAULT_INTERVAL if interval is None else interval,
                 capacity=DEFAULT_CAPACITY if capacity is None else capacity,
                 rules=default_watchdogs() if rules is None else rules)
+            self.attach_tap(self.telemetry.on_event)
             self.telemetry.start()
         return self.telemetry
 

@@ -15,10 +15,6 @@ class KernelError(RuntimeError):
     """Base class for kernel API misuse."""
 
 
-class NoSuchProcess(KernelError):
-    """An operation referenced a pid the kernel has never heard of."""
-
-
 class NotAwaitingReply(KernelError):
     """Reply/Forward/Move aimed at a process that is not blocked on us.
 

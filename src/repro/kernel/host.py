@@ -32,6 +32,7 @@ from collections import OrderedDict, defaultdict
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.kernel import ipc
+from repro.kernel import tap as ev
 from repro.kernel.errors import (
     HostDown,
     IllegalEffect,
@@ -39,19 +40,11 @@ from repro.kernel.errors import (
     NotAwaitingReply,
 )
 from repro.kernel.ipc import Delivery
-from repro.kernel.messages import Message, Packet, PacketKind, ReplyCode, code_name
+from repro.kernel.messages import Message, Packet, PacketKind, ReplyCode
 from repro.kernel.pids import LOGICAL_SERVICE_HOST, Pid, PidAllocator
 from repro.kernel.process import Process, ProcessState, Transaction
 from repro.kernel.services import Scope, ServiceRegistry
 from repro.net.packet import BROADCAST, Frame, GroupAddress
-from repro.obs.flight import (
-    KIND_COMPLETE as _K_COMPLETE,
-    KIND_FORWARD as _K_FORWARD,
-    KIND_REPLY as _K_REPLY,
-    KIND_SEND as _K_SEND,
-    PACKET_BASE as _PACKET_BASE,
-)
-from repro.sim.process import Task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.domain import Domain
@@ -82,7 +75,6 @@ class Host:
         self.latency = domain.latency
         self.metrics = domain.metrics
         self.config = domain.config
-        self.obs = domain.obs
 
         start = domain.rng.randint(f"pids.{host_id}", 1, 0xFFFE)
         self.allocator = PidAllocator(host_id, start=start)
@@ -103,13 +95,9 @@ class Host:
         #: attribute load saved on every Send / GetPid broadcast).
         self._next_txn_id = domain._txn_counter.__next__
         self._next_waiter_id = domain._waiter_counter.__next__
-        #: Flight-recorder fast path: this lane's bound ``list.append``
-        #: while a recorder is attached (repro.obs.flight), else None.
-        #: The record sites use it as both gate and sink -- one attribute
-        #: load when disabled, one C call plus a tuple build when armed.
-        self._flight_append = None
-        if domain.flight is not None:
-            domain.flight.bind(self)
+        #: The kernel event tap (repro.kernel.tap): None while no instrument
+        #: subscribes, else the one callable fired at each transition.
+        self._tap = domain._tap
 
         #: Sender-side: txn_id -> Transaction for this host's blocked senders.
         self._outstanding: dict[int, Transaction] = {}
@@ -122,10 +110,6 @@ class Host:
         #: GetPid broadcast waiters:
         #: waiter_id -> (process, timeout_event, service, attempts)
         self._getpid_waiters: dict[int, tuple[Process, Any, int, int]] = {}
-        #: Observability: txn_id -> transaction span (this host's senders).
-        self._txn_spans: dict[int, Any] = {}
-        #: Observability: (txn_id, receiver pid) -> server hop span.
-        self._hop_spans: dict[tuple[int, Pid], Any] = {}
 
         self.ethernet.attach(host_id, self._on_frame)
 
@@ -165,8 +149,10 @@ class Host:
         pid = self.allocator.allocate()
         if callable(body) and not hasattr(body, "send"):
             body = body(pid)
-        task = Task(body, name=f"{self.name}/{name}")
-        proc = Process(pid, task, name)
+        if not hasattr(body, "send"):
+            raise TypeError(f"process body must be a generator, not "
+                            f"{type(body).__name__}")
+        proc = Process(pid, body, name)
         self.processes[pid.local_id] = proc
         self.engine.post(0.0, self._start_process, proc)
         return proc
@@ -201,7 +187,7 @@ class Host:
             self.ethernet.set_link(self.host_id, False)
         for proc in list(self.processes.values()):
             proc.state = _DEAD
-            proc.task.close()
+            proc.body.close()
         self.processes.clear()
         for txn in self._outstanding.values():
             txn.cancel_probe()
@@ -212,19 +198,10 @@ class Host:
         for __, event, __, __ in self._getpid_waiters.values():
             event.cancel()
         self._getpid_waiters.clear()
-        if self.obs is not None:
-            for span in list(self._txn_spans.values()) + list(
-                    self._hop_spans.values()):
-                self.obs.spans.finish(span, self.engine.now,
-                                      aborted="host crashed")
-        self._txn_spans.clear()
-        self._hop_spans.clear()
         self.registry.clear()
-        flight = self.domain.flight
-        if flight is not None:
-            # Freeze the black box at the instant of death: the postmortem
-            # dump survives even if this machine restarts and keeps flying.
-            flight.freeze(self)
+        tap = self._tap
+        if tap is not None:
+            tap(ev.CRASH, self, None)
         self.metrics.incr("kernel.crashes")
         self.domain._notify_host_crashed(self)
 
@@ -246,10 +223,9 @@ class Host:
         """The step loop: run ``proc`` until it blocks, exits or fails.
 
         The generator is resumed directly (``send``/``throw`` on
-        ``proc.task.body``; the :class:`~repro.sim.process.Task` wrapper's
-        lifecycle bookkeeping goes unused), and each effect it yields is
-        dispatched inline; an effect that completes immediately resumes the generator with its result.  An
-        unstarted body is started by the first ``send(None)``.
+        ``proc.body``), and each effect it yields is dispatched inline; an
+        effect that completes immediately resumes the generator with its
+        result.  An unstarted body is started by the first ``send(None)``.
 
         Under profiling, everything this step schedules is attributed to
         ``host -> process (-> service) (-> open phase frames)``; the scope
@@ -259,7 +235,7 @@ class Host:
         engine = self.engine
         saved_scope = (engine.profile_scope(self._profile_frames(proc))
                        if engine.profiling else None)
-        body = proc.task.body
+        body = proc.body
         try:
             while proc.state is not _DEAD:
                 proc.state = _READY
@@ -273,7 +249,8 @@ class Host:
                     self._terminate(proc)
                     return
                 except BaseException as err:  # noqa: BLE001 - recorded
-                    self.domain.failures.append((proc.task.name, err))
+                    self.domain.failures.append(
+                        (f"{self.name}/{proc.name}", err))
                     self._terminate(proc)
                     return
                 try:
@@ -313,13 +290,9 @@ class Host:
         proc.unreplied.clear()
         for delivery in held:
             self._presence.pop(delivery.txn_id, None)
-            if self.obs is not None:
-                span = self._hop_spans.pop((delivery.txn_id, proc.pid), None)
-                if span is not None:
-                    self.obs.spans.finish(
-                        span, self.engine.now,
-                        reply_code=ReplyCode.NONEXISTENT_PROCESS.name,
-                        aborted="receiver exited")
+            tap = self._tap
+            if tap is not None:
+                tap(ev.RECEIVER_EXIT, self, proc, delivery)
             self._route_reply(
                 proc.pid, delivery,
                 Message.reply(ReplyCode.NONEXISTENT_PROCESS), busy=False,
@@ -362,7 +335,7 @@ class Host:
         frames the process opened with ProfileEnter.  Cached on the process
         beside the kind it was built for, so a later ``register_actor``
         shows; ProfileEnter/ProfileExit drop the cache."""
-        obs = self.obs
+        obs = self.domain.obs
         kind = obs.actors.get(proc.pid.value) if obs is not None else None
         cached = proc.scope_cache
         if cached is not None and cached[0] == kind:
@@ -400,22 +373,9 @@ class Host:
         self._outstanding[txn.txn_id] = txn
         self._m_sends.value += 1
         self.counters["ipc.sends"] += 1
-        append = self._flight_append
-        if append is not None:
-            append((engine._fire_seq, engine._now, _K_SEND,
-                    proc.pid.value, effect.dst.value, txn.txn_id))
-        if self.obs is not None:
-            # One span per message transaction, parented under whatever
-            # context the sender put on the message (e.g. the client stub's
-            # resolve span); the outgoing message carries *our* context so
-            # receiver-side hop spans chain under the transaction.
-            span = self.obs.spans.start(
-                f"ipc.txn:{code_name(effect.message.code)}", engine.now,
-                parent=effect.message.trace, actor=f"{self.name}/{proc.name}",
-                dst=str(effect.dst), txn=txn.txn_id,
-                request_bytes=effect.message.wire_bytes)
-            effect.message.trace = span.context
-            self._txn_spans[txn.txn_id] = span
+        tap = self._tap
+        if tap is not None:
+            tap(ev.SEND, self, proc, txn)
         # ``is_local_to`` and the one-line ``_transmit`` wrapper are inlined
         # here and on the reply/probe paths: one Send/Reply round trip
         # otherwise pays four extra method calls.
@@ -481,31 +441,20 @@ class Host:
         if event is not None:
             event.cancel()
             current.retransmit_event = None
-        engine = self.engine
-        span = self._txn_spans.pop(current.txn_id, None)
-        if span is not None:
-            self.obs.spans.finish(span, engine.now,
-                                  reply_code=code_name(reply.code),
-                                  reply_bytes=reply.wire_bytes)
-            self.obs.registry.histogram(
-                "ipc.txn_seconds",
-                op=code_name(current.message.code)).observe(span.duration)
         pid = current.sender
         sender = self.processes.get(pid.local_id)   # find_process, inlined
         if (sender is None or sender.pid.value != pid.value
                 or sender.state is _DEAD
                 or sender.pending_txn is not current):
+            sender = None
+        tap = self._tap
+        if tap is not None:
+            tap(ev.COMPLETE, self, current, reply, sender)
+        if sender is None:
             return
         sender.pending_txn = None
         self._m_transactions.value += 1
         self.counters["ipc.transactions"] += 1
-        append = self._flight_append
-        if append is not None:
-            append((engine._fire_seq, engine._now, _K_COMPLETE,
-                    current.dst.value, pid.value, current.txn_id))
-        telemetry = self.domain.telemetry
-        if telemetry is not None:
-            telemetry.observe_txn(self, engine.now - current.sent_at)
         self._advance(sender, reply)
 
     # -- Receive ---------------------------------------------------------------
@@ -531,17 +480,9 @@ class Host:
             presence[txn_id] = ("queued", proc.pid)
         self._m_deliveries.value += 1
         self.counters["ipc.deliveries"] += 1
-        if (self.obs is not None and delivery.message.trace is not None
-                and not delivery.via_group):
-            # The server-side hop: opens when the request lands at the
-            # receiving process, closes at its Reply or Forward.  Group
-            # deliveries are excluded -- non-owners silently discard, so
-            # their spans would never close.
-            span = self.obs.spans.start(
-                f"server:{proc.name}", self.engine.now,
-                parent=delivery.message.trace,
-                actor=f"{self.name}/{proc.name}", txn=txn_id)
-            self._hop_spans[(txn_id, proc.pid)] = span
+        tap = self._tap
+        if tap is not None:
+            tap(ev.DELIVER, self, proc, delivery)
         if proc.state is _RECV_BLOCKED and (
             proc.recv_filter is None or proc.recv_filter == delivery.sender
         ):
@@ -568,18 +509,9 @@ class Host:
         self._presence.pop(txn_id, None)
         self._m_replies.value += 1
         self.counters["ipc.replies"] += 1
-        append = self._flight_append
-        if append is not None:
-            engine = self.engine
-            append((engine._fire_seq, engine._now, _K_REPLY,
-                    proc.pid.value, effect.to.value, delivery.txn_id))
-        if self.obs is not None:
-            span = self._hop_spans.pop((delivery.txn_id, proc.pid), None)
-            if span is not None:
-                self.obs.spans.finish(span, self.engine.now,
-                                      reply_code=code_name(effect.message.code))
-                # The reply frame's wire span hangs off this hop.
-                effect.message.trace = span.context
+        tap = self._tap
+        if tap is not None:
+            tap(ev.REPLY, self, proc, delivery, effect.message)
         return self._route_reply(proc.pid, delivery, effect.message, busy=True,
                                  replier=proc)
 
@@ -631,19 +563,9 @@ class Host:
         message = effect.message if effect.message is not None else delivery.message
         self.metrics.incr("ipc.forwards")
         self.counters["ipc.forwards"] += 1
-        append = self._flight_append
-        if append is not None:
-            engine = self.engine
-            append((engine._fire_seq, engine._now, _K_FORWARD,
-                    proc.pid.value, effect.dst.value, delivery.txn_id))
-        if self.obs is not None:
-            span = self._hop_spans.pop((delivery.txn_id, proc.pid), None)
-            if span is not None:
-                self.obs.spans.finish(span, self.engine.now,
-                                      forwarded_to=str(effect.dst))
-                # The next hop's span chains under this one: the span tree
-                # *is* the Sec. 5.4 forwarding path.
-                message.trace = span.context
+        tap = self._tap
+        if tap is not None:
+            tap(ev.FORWARD, self, proc, effect, message)
         # Tell the sender's kernel where the transaction went, if it is here.
         local_txn = self._outstanding.get(delivery.txn_id)
         if local_txn is not None:
@@ -859,14 +781,9 @@ class Host:
 
     def _do_annotate(self, proc: Process, effect: ipc.Annotate) -> Any:
         """Zero-cost: enrich the hop span of a held transaction, if traced."""
-        if self.obs is not None:
-            span = self._hop_spans.get((effect.txn_id, proc.pid))
-            if span is not None:
-                if effect.append:
-                    for key, value in effect.attrs.items():
-                        span.append_attr(key, value)
-                else:
-                    span.attrs.update(effect.attrs)
+        tap = self._tap
+        if tap is not None:
+            tap(ev.ANNOTATE, self, proc, effect)
         return None
 
     def _do_profile_enter(self, proc: Process, effect: ipc.ProfileEnter) -> Any:
@@ -898,7 +815,7 @@ class Host:
         return child.pid
 
     def _do_exit(self, proc: Process, effect: ipc.Exit) -> Any:
-        proc.task.close()
+        proc.body.close()
         self._terminate(proc)
         return _BLOCKED
 
@@ -945,16 +862,9 @@ class Host:
     def _handle_packet(self, packet: Packet, src_host: int) -> None:
         if self.crashed:
             return
-        append = self._flight_append
-        if append is not None:
-            engine = self.engine
-            src_pid = packet.src_pid
-            dst_pid = packet.dst_pid
-            append((engine._fire_seq, engine._now,
-                    _FLIGHT_KINDS[packet.kind],
-                    src_pid.value if src_pid is not None else 0,
-                    dst_pid.value if dst_pid is not None else 0,
-                    packet.txn_id or 0))
+        tap = self._tap
+        if tap is not None:
+            tap(ev.PACKET[packet.kind], self, packet)
         handler = _PACKET_HANDLERS[packet.kind]
         handler(self, packet, src_host)
 
@@ -978,10 +888,9 @@ class Host:
             # the receiver's perspective: drop the copy, keep the original.
             self.metrics.incr("ipc.dup_suppressed")
             self.counters["ipc.dup_suppressed"] += 1
-            if self.obs is not None:
-                span = self._hop_spans.get((packet.txn_id, presence[1]))
-                if span is not None:
-                    span.append_attr("dup_suppressed", self.engine.now)
+            tap = self._tap
+            if tap is not None:
+                tap(ev.DUP_SUPPRESSED, self, packet, presence[1])
             return
         cached = self._reply_cache.get(packet.txn_id)
         if cached is not None and self._retransmit_enabled:
@@ -1184,10 +1093,9 @@ class Host:
         txn.retransmits += 1
         self.metrics.incr("ipc.retransmits")
         self.counters["ipc.retransmits"] += 1
-        if self.obs is not None:
-            span = self._txn_spans.get(txn.txn_id)
-            if span is not None:
-                span.append_attr("retransmit", self.engine.now)
+        tap = self._tap
+        if tap is not None:
+            tap(ev.RETRANSMIT, self, txn)
         if self.engine.profiling:
             # Also reached outside the timer (PROBE_MISSING): make sure the
             # fresh copy is charged to the retransmission phase regardless.
@@ -1214,8 +1122,8 @@ class Host:
         Also refreshes the ``host.uptime_seconds`` gauge in the domain
         metrics registry so offline metric exports carry it too.
         """
-        if self.obs is not None:
-            self.obs.registry.gauge(
+        if self.domain.obs is not None:
+            self.metrics.gauge(
                 "host.uptime_seconds", host=self.name).set(self.uptime)
         return {
             "host": self.name,
@@ -1281,13 +1189,6 @@ _EFFECT_PHASES = {
     ipc.GetPid: "phase:getpid",
     ipc.GroupSend: "phase:group_send",
 }
-
-#: Flight-record kind codes for arriving packets: PACKET_BASE + definition
-#: index, matching repro.obs.flight's static name table (pinned by
-#: tests/obs/test_flight.py), so the recorder's packet site pays a dict
-#: hit, not an enum-name lowering.
-_FLIGHT_KINDS = {kind: _PACKET_BASE + index
-                 for index, kind in enumerate(PacketKind)}
 
 _PACKET_HANDLERS = {
     PacketKind.REQUEST: Host._on_request_packet,

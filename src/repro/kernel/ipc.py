@@ -29,7 +29,7 @@ The vocabulary mirrors the V primitives:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, Optional
 
 from repro.kernel.errors import BadSegmentAccess
 from repro.kernel.messages import Message
@@ -279,21 +279,10 @@ class MyPid:
 class Spawn:
     """Create a process on this host; resumes with its Pid."""
 
-    body: Any  # a generator (ProcessBody)
+    body: Any  # a generator, or a callable taking the new Pid
     name: str = "process"
 
 
 @dataclass(slots=True)
 class Exit:
     """Terminate the current process immediately."""
-
-
-EffectResult = Any
-Proc = Generator[Any, EffectResult, Any]
-
-
-def request_reply(dst: Pid, message: Message,
-                  expose: Segment | None = None) -> Proc:
-    """``yield from`` helper: one Send, returning the reply message."""
-    reply = yield Send(dst, message, expose)
-    return reply

@@ -1,7 +1,7 @@
 """Kernel process objects.
 
-A :class:`Process` couples a :class:`~repro.sim.process.Task` (the generator
-executing the program) with the kernel bookkeeping the IPC primitives need:
+A :class:`Process` couples its body (the generator executing the program)
+with the kernel bookkeeping the IPC primitives need:
 the queue of arrived-but-unreceived messages, receive-blocking state, the
 single outstanding send transaction, and the set of received-but-unreplied
 transactions (needed both for Reply validation and for error replies when a
@@ -13,12 +13,11 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.kernel.ipc import Delivery, Segment
 from repro.kernel.messages import Message
 from repro.kernel.pids import Pid
-from repro.sim.process import Task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import ScheduledEvent
@@ -87,14 +86,14 @@ class Transaction:
 
 
 class Process:
-    """One V process: a task plus kernel IPC state."""
+    """One V process: a generator body plus kernel IPC state."""
 
-    __slots__ = ("pid", "task", "name", "state", "msg_queue", "recv_filter",
+    __slots__ = ("pid", "body", "name", "state", "msg_queue", "recv_filter",
                  "pending_txn", "unreplied", "profile_frames", "scope_cache")
 
-    def __init__(self, pid: Pid, task: Task, name: str) -> None:
+    def __init__(self, pid: Pid, body: Any, name: str) -> None:
         self.pid = pid
-        self.task = task
+        self.body = body
         self.name = name
         self.state = ProcessState.READY
 

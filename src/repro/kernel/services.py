@@ -100,10 +100,6 @@ class ServiceRegistry:
         if callback not in self._removal_listeners:
             self._removal_listeners.append(callback)
 
-    def unsubscribe_removals(self, callback) -> None:
-        if callback in self._removal_listeners:
-            self._removal_listeners.remove(callback)
-
     def _notify_removed(self, pid: Pid) -> None:
         for callback in list(self._removal_listeners):
             callback(pid)

@@ -5,9 +5,9 @@ The paper's defining mechanism -- left-to-right name mapping with
 makes every resolution a multi-server graph walk.  This package makes those
 walks visible:
 
-- :mod:`repro.obs.span` -- ``Span``/``SpanContext`` trees.  The context is
-  carried on kernel messages, so ``Send``/``Forward``/``Reply`` propagate
-  causality across hops automatically.
+- :mod:`repro.obs.span` -- ``Span``/``SpanContext`` trees, carried on kernel
+  messages; :mod:`repro.obs.kernel_spans`, a kernel-tap subscriber, extends
+  them across ``Send``/``Forward``/``Reply`` hops.
 - :mod:`repro.obs.registry` -- tagged counters, gauges, and fixed-bucket
   histograms with p99.
 - :mod:`repro.obs.export` -- JSONL exporters and readers.
@@ -30,7 +30,7 @@ Usage::
     obs.export_metrics("metrics.jsonl")
 
 Tracing charges **zero simulated time**; a domain built with ``obs=None``
-(the default) takes no observability branches at all.
+(the default) subscribes no span tap.
 """
 
 from __future__ import annotations

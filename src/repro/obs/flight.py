@@ -4,16 +4,17 @@ The live observability stack (spans, ``[obs]``, telemetry) answers "what is
 the system doing *now*"; this module answers "what was it doing when things
 went wrong, and where did two runs first part ways" -- the forensic layer.
 
-Each host gets a *lane*: a bounded ring of compact flight records fed from
-the kernel's Send/Forward/Reply/complete/packet paths, each stamped with the
-engine event that caused it.  A record is a plain all-numeric tuple::
+Each host gets a *lane*: a bounded ring of compact flight records fed by
+the kernel event tap's Send/Forward/Reply/complete/packet events
+(:mod:`repro.kernel.tap`), each stamped with the engine event that caused
+it.  A record is a plain all-numeric tuple::
 
     (seq, t, kind, src, dst, txn)
 
 - ``seq``  -- engine sequence number of the firing event (``Engine._fire_seq``,
   maintained by the recording dispatch variants; see ``sim/engine.py``);
 - ``t``    -- simulated time of the record;
-- ``kind`` -- a small code from :data:`KIND_NAMES`: what happened
+- ``kind`` -- the tap's own event code (:data:`KIND_NAMES`): what happened
   (``send``/``reply``/``forward``/``complete`` or an arriving packet kind);
 - ``src``/``dst`` -- 32-bit pid values (0 when not applicable);
 - ``txn``  -- kernel transaction id (0 when not applicable).
@@ -22,10 +23,10 @@ The resolution-phase label the profiler vocabulary uses (``phase:send``,
 ``phase:packet`` ...) is a pure function of ``kind`` and is re-derived at
 export time (:func:`record_dict`) rather than stored.
 
-**The hot path is a bound C call, not a method.**  When a recorder is
-attached, every host carries ``host._flight_append`` -- its lane tail's
-bound ``list.append``.  A kernel record site is one attribute load, a
-tuple build, and one C call; no Python frame is entered per record.  Window
+**The hot path is one Python call.**  The recorder subscribes
+:meth:`FlightRecorder.on_event` to the domain's kernel tap; per record it
+picks three fields off the event, builds the tuple and pushes it through
+the lane tail's cached bound ``list.append``.  Window
 sealing (and therefore digesting) happens *off* the record path: the
 engine's recording run loop calls :meth:`FlightRecorder.flush` every couple
 thousand events, which moves full windows out of the tails.  Because a seal
@@ -62,6 +63,9 @@ import os
 from collections import deque
 from typing import TYPE_CHECKING, Any, Optional
 
+from repro.kernel.tap import (COMPLETE, CRASH, DELIVER, NAMES, PACKET_BASE,
+                              REPLY, SEND)
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.domain import Domain
     from repro.kernel.host import Host
@@ -73,44 +77,22 @@ FLIGHT_SCHEMA = 1
 DEFAULT_CAPACITY = 4096
 DEFAULT_WINDOW = 256
 
-#: Field names of one exported record, in order (see :func:`record_dict`;
-#: ``phase`` is derived from ``kind``, not stored).
-RECORD_FIELDS = ("seq", "t", "kind", "src", "dst", "txn", "phase")
-
-#: Kind codes for the kernel's IPC record sites.
-KIND_SEND = 0
-KIND_COMPLETE = 1
-KIND_REPLY = 2
-KIND_FORWARD = 3
-
-#: First packet-kind code; arriving packets record ``PACKET_BASE + index``
-#: for their :class:`~repro.kernel.messages.PacketKind` (definition order).
-PACKET_BASE = 4
-
-#: Packet-kind names in PacketKind definition order -- a static copy so
-#: this module (and postmortem dumps) decode without a kernel import.
-#: ``tests/obs/test_flight.py`` pins this against the real enum.
-_PACKET_NAMES = (
-    "request", "reply", "nack", "probe", "probe_ok", "probe_forwarded",
-    "probe_missing", "getpid_query", "getpid_response", "group_request",
-    "move_data",
-)
-
-#: Code -> display name.  Note packet REPLY shares the name ``reply`` with
-#: the Reply-effect kind (as the V wire does); their phases differ.
-KIND_NAMES = ("send", "complete", "reply", "forward", *_PACKET_NAMES)
+#: Code -> display name: the tap kinds a record can carry (every kind
+#: before ``DELIVER``).  Packet REPLY shares the name ``reply`` with the
+#: Reply-effect kind (as the V wire does); their phases differ.
+KIND_NAMES = NAMES[:DELIVER]
 
 #: Code -> resolution-phase label (the profiler's phase vocabulary).
 PHASE_PACKET = "phase:packet"
 PHASE_NAMES = ("phase:send", "phase:complete", "phase:reply",
-               "phase:forward", *(PHASE_PACKET,) * len(_PACKET_NAMES))
+               "phase:forward", *(PHASE_PACKET,) * (DELIVER - PACKET_BASE))
 
 #: Name -> code, first occurrence wins (the IPC-effect codes).
 KIND_CODES: dict = {}
 for _code, _name in enumerate(KIND_NAMES):
     KIND_CODES.setdefault(_name, _code)
-_PACKET_CODES = {name: PACKET_BASE + index
-                 for index, name in enumerate(_PACKET_NAMES)}
+_PACKET_CODES = {name: code for code, name in enumerate(KIND_NAMES)
+                 if code >= PACKET_BASE}
 del _code, _name
 
 #: Digests are 64-bit: Python hashes masked to an unsigned word.
@@ -146,15 +128,14 @@ def chain_dict(entry: tuple) -> dict:
 class _Lane:
     """One host's black box: ring + unsealed tail + digest chain.
 
-    ``tail`` is a *stable* list object -- the host's bound
-    ``_flight_append`` points at it for the lane's whole life, so sealing
-    must slice-delete from it (``del tail[:window]``), never rebind it.
+    ``tail`` is a *stable* list object -- the recorder caches its bound
+    ``append`` for the lane's whole life, so sealing must slice-delete
+    from it (``del tail[:window]``), never rebind it.
     """
 
-    __slots__ = ("host", "ring", "tail", "chain", "sealed", "crc")
+    __slots__ = ("ring", "tail", "chain", "sealed", "crc")
 
-    def __init__(self, host: str, capacity: int) -> None:
-        self.host = host
+    def __init__(self, capacity: int) -> None:
         #: Sealed records, oldest dropped first once capacity is reached.
         self.ring: deque = deque(maxlen=capacity)
         #: Records not yet sealed into a window (the hot append target).
@@ -179,11 +160,8 @@ class _Lane:
 class FlightRecorder:
     """Bounded per-host flight-record lanes with rolling digest chains.
 
-    Attach via :func:`enable_flight_recorder`; every host is then handed
-    its lane tail's bound ``list.append`` as ``host._flight_append`` (see
-    :meth:`bind`), which is both the kernel record sites' gate and their
-    sink.  A domain without a recorder pays one attribute read per site
-    and nothing else.
+    Attach via :func:`enable_flight_recorder`, which subscribes
+    :meth:`on_event` to the domain's kernel tap.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
@@ -195,6 +173,8 @@ class FlightRecorder:
         self.capacity = capacity
         self.window = window
         self._lanes: dict[str, _Lane] = {}
+        #: Host name -> its lane tail's bound ``append`` (the record sink).
+        self._appends: dict = {}
         #: Postmortem dumps by host name, in crash order (a host can die
         #: more than once across restarts).
         self.postmortems: dict[str, list[dict]] = {}
@@ -204,35 +184,37 @@ class FlightRecorder:
     def _lane(self, host: str) -> _Lane:
         lane = self._lanes.get(host)
         if lane is None:
-            lane = self._lanes[host] = _Lane(host, self.capacity)
+            lane = self._lanes[host] = _Lane(self.capacity)
         return lane
 
-    def bind(self, host: "Host") -> None:
-        """Hand ``host`` its lane's bound tail append -- the hot path.
-
-        Called by :func:`enable_flight_recorder` for existing hosts and by
-        ``Host.__init__`` for hosts born under an attached recorder.  The
-        binding survives crash/restart (same kernel object, same lane).
-        """
-        host._flight_append = self._lane(host.name).tail.append
-
-    def record(self, host: "Host", kind, src: int, dst: int,
-               txn: int, phase: str = "") -> None:
-        """Append one flight record for ``host`` -- the readable path.
-
-        Kernel sites bypass this method entirely (they call the bound
-        append from :meth:`bind` with an inline-built tuple); this is the
-        equivalent single-record entry point for tests and tooling.
-        ``kind`` may be a name or a code; ``seq``/``t`` are read off the
-        engine, exactly as the kernel sites do.
-        """
+    def on_event(self, kind, host: "Host", a, b=None, c=None) -> None:
+        """Kernel-tap subscriber: one record per Send, Reply, Forward,
+        completion at a waiting sender and arriving packet; a ``CRASH``
+        freezes the host's black box (it outlives a restart)."""
+        if kind >= DELIVER:
+            if kind == CRASH:
+                self.freeze(host)
+            return
+        if kind >= PACKET_BASE:                 # a: the arriving Packet
+            src, dst, txn = a.src_pid, a.dst_pid, a.txn_id or 0
+            src = src.value if src is not None else 0
+            dst = dst.value if dst is not None else 0
+        elif kind == SEND:                      # a: sender, b: Transaction
+            src, dst, txn = a.pid.value, b.dst.value, b.txn_id
+        elif kind == COMPLETE:                  # a: Transaction, c: sender
+            if c is None:
+                return
+            src, dst, txn = a.dst.value, a.sender.value, a.txn_id
+        elif kind == REPLY:                     # a: replier, b: Delivery
+            src, dst, txn = a.pid.value, b.sender.value, b.txn_id
+        else:                                   # FORWARD; b: the effect
+            src, dst, txn = a.pid.value, b.dst.value, b.delivery.txn_id
+        append = self._appends.get(host.name)
+        if append is None:
+            lane = self._lane(host.name)
+            append = self._appends[host.name] = lane.tail.append
         engine = host.engine
-        lane = self._lane(host.name)
-        code = record_code(kind, phase) if isinstance(kind, str) else kind
-        lane.tail.append(
-            (engine._fire_seq, engine._now, code, src, dst, txn))
-        if len(lane.tail) >= self.window:
-            self._seal(lane, self.window)
+        append((engine._fire_seq, engine._now, kind, src, dst, txn))
 
     def _seal(self, lane: _Lane, count: int) -> None:
         """Seal the oldest ``count`` tail records: chain digest, ring them.
@@ -390,16 +372,15 @@ def enable_flight_recorder(domain: "Domain",
     """Attach a flight recorder to ``domain`` (idempotent).
 
     Installs the engine's recording dispatch variants (``_fire_seq``
-    maintenance + periodic flush), publishes the recorder at
-    ``domain.flight``, and hands every existing host its lane's bound
-    append (hosts created later bind themselves in ``Host.__init__``).
+    maintenance + periodic flush; refused from inside ``run()``),
+    publishes the recorder at ``domain.flight`` and subscribes it to the
+    domain's kernel tap.
     """
     if domain.flight is None:
         recorder = FlightRecorder(capacity=capacity, window=window)
-        domain.flight = recorder
         domain.engine.attach_recorder(recorder)
-        for host in domain.hosts.values():
-            recorder.bind(host)
+        domain.flight = recorder
+        domain.attach_tap(recorder.on_event)
     return domain.flight
 
 
@@ -409,8 +390,7 @@ def disable_flight_recorder(domain: "Domain") -> None:
     if recorder is not None:
         domain.engine.detach_recorder(recorder)
         domain.flight = None
-        for host in domain.hosts.values():
-            host._flight_append = None
+        domain.detach_tap(recorder.on_event)
 
 
 # ------------------------------------------------------------- divergence

@@ -37,10 +37,6 @@ class SpanContext:
     span_id: int
     parent_id: Optional[int] = None
 
-    def child_of(self) -> "SpanContext":
-        """What a child context would reference (same trace, us as parent)."""
-        return self
-
 
 @dataclass
 class Span:

@@ -17,10 +17,9 @@ Cost model, the V way (same split as the stat server):
 - *reading* the series back happens through ``[obs]/hosts/<h>/timeseries/
   <metric>`` and ``[obs]/fleet/alerts`` -- ordinary, fully-charged traffic.
 
-With telemetry disabled (the default) the kernel hot path pays exactly two
-cheap operations: stamping ``Transaction.sent_at`` at Send and one
-``domain.telemetry is not None`` branch per completed transaction -- the
-E15 benchmark pins this at under 2% wall-clock overhead.
+Transaction latencies arrive through the kernel event tap
+(:mod:`repro.kernel.tap`), which telemetry disabled does not subscribe
+to; E15 pins the armed hook at under 2% wall-clock overhead.
 
 The sample tick is a self-rescheduling engine event.  So that ``run()``
 (which drains the queue) still terminates, the tick *parks* itself when it
@@ -63,6 +62,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
+
+from repro.kernel.tap import COMPLETE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.domain import Domain
@@ -368,7 +369,6 @@ class TelemetryCollector:
         domain.on_host_created(self._host_created)
         self._event = None
         self.parked = False
-        self.enabled = True
 
     # ------------------------------------------------------------- control
 
@@ -389,18 +389,17 @@ class TelemetryCollector:
 
     # ------------------------------------------------------- kernel hooks
 
-    def observe_txn(self, host: "Host", seconds: float) -> None:
-        """Hot-path hook: one completed transaction's latency.
-
-        Called by the kernel per completed Send; must stay cheap.  The
-        window is bounded so a collector armed with a huge interval (the
-        E15 hook-cost measurement) cannot grow without limit.
-        """
+    def on_event(self, kind, host: "Host", a, b=None, c=None) -> None:
+        """Kernel-tap subscriber: a reply reaching its waiting sender adds
+        ``now - sent_at`` to the host's latency window (bounded, so a huge
+        interval -- E15's hook-cost run -- cannot grow it without limit)."""
+        if kind != COMPLETE or c is None:
+            return
         window = self._lat_windows.get(host.host_id)
         if window is None:
             window = self._lat_windows[host.host_id] = []
         if len(window) < LATENCY_WINDOW_MAX:
-            window.append(seconds)
+            window.append(host.engine.now - a.sent_at)
 
     # ------------------------------------------------------------ sampling
 

@@ -332,6 +332,8 @@ class Engine:
             return
         if self._recorder is not None:
             raise SimulationError("a flight recorder is already attached")
+        if self._running:   # the loop in progress never stamps _fire_seq
+            raise SimulationError("cannot attach a recorder inside run()")
         self._recorder = sink
         self.recording = True
         self._refresh_dispatch()

@@ -136,6 +136,14 @@ class TestHostMisuse:
         with pytest.raises(HostDown):
             host.spawn(registered_server()(), "late")
 
+    def test_spawn_requires_a_generator(self, domain):
+        host = domain.create_host("h")
+        with pytest.raises(TypeError, match="generator"):
+            host.spawn(lambda pid: None, "not-a-body")
+        with pytest.raises(TypeError, match="generator"):
+            host.spawn(42, "not-callable")
+        assert host.processes == {}
+
     def test_send_to_logical_pid_is_an_error(self, domain):
         host = domain.create_host("h")
         from repro.kernel.services import ServiceId

@@ -9,18 +9,19 @@ recording dispatch swap, kernel record sites, crash freezing, the
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.kernel.domain import Domain
 from repro.kernel.ipc import Delay, GetPid, Receive, Reply, Send, SetPid
-from repro.kernel.messages import Message, ReplyCode
+from repro.kernel.messages import Message, Packet, PacketKind, ReplyCode
+from repro.kernel.pids import Pid
 from repro.kernel.services import Scope
+from repro.kernel.tap import PACKET, SEND
 from repro.obs import Observability
 from repro.obs.flight import (
     KIND_NAMES,
-    KIND_SEND,
-    PACKET_BASE,
     FlightRecorder,
     chain_divergence,
     compare,
@@ -54,11 +55,17 @@ class _FakeHost:
         self.engine = _FakeEngine()
 
 
+def _send(recorder, host, src, dst, txn):
+    """One ``send`` record, fed the way the kernel tap feeds it."""
+    recorder.on_event(SEND, host, SimpleNamespace(pid=Pid(src)),
+                      SimpleNamespace(dst=Pid(dst), txn_id=txn))
+
+
 def _feed(recorder, host, count, start_seq=0):
     for index in range(count):
         host.engine._fire_seq = start_seq + index
         host.engine._now = float(start_seq + index)
-        recorder.record(host, "send", 1, 2, index + 1, "phase:send")
+        _send(recorder, host, 1, 2, index + 1)
 
 
 class TestLaneAccounting:
@@ -102,7 +109,7 @@ class TestLaneAccounting:
         forked = FlightRecorder(window=3)
         host = _FakeHost()
         host.engine._fire_seq = 999
-        forked.record(host, "send", 1, 2, 1, "phase:send")
+        _send(forked, host, 1, 2, 1)
         _feed(forked, host, 8, start_seq=1)
         unforked = [entry[3] for entry in first.chain("h1")]
         assert all(a != b for a, b in
@@ -119,7 +126,7 @@ class TestLaneAccounting:
         assert recorder.chain("h1") == chain
 
     def test_record_and_chain_dicts(self):
-        assert record_dict((3, 0.5, KIND_SEND, 1, 2, 7)) == {
+        assert record_dict((3, 0.5, SEND, 1, 2, 7)) == {
             "seq": 3, "t": 0.5, "kind": "send", "src": 1, "dst": 2,
             "txn": 7, "phase": "phase:send"}
         recorder = FlightRecorder(window=1)
@@ -127,14 +134,6 @@ class TestLaneAccounting:
         entry = recorder.snapshot("h1")["chain"][0]
         assert entry["window"] == 0 and entry["end_seq"] == 0
         int(entry["digest"], 16)        # 16-hex-digit digest
-
-    def test_packet_kind_codes_match_the_wire_enum(self):
-        # flight.py keeps a static copy of the PacketKind vocabulary so it
-        # never needs a kernel import; pin it against the real enum.
-        from repro.kernel.messages import PacketKind
-
-        assert KIND_NAMES[PACKET_BASE:] == tuple(
-            kind.name.lower() for kind in PacketKind)
 
 
 class TestEngineDispatch:
@@ -274,9 +273,50 @@ class TestKernelRecordSites:
         assert "reply" in far_kinds
         # Arriving packets are recorded with lowered PacketKind names.
         assert "request" in far_kinds and "reply" in ws_kinds
+        # Their codes decode, through the kernel's one table, to the
+        # PacketKinds that actually arrived at each host.
+        decode = {code: kind for kind, code in PACKET.items()}
+
+        def arrived(host):
+            return {decode[r[2]] for r in recorder.records(host)
+                    if r[2] in decode}
+
+        assert arrived("far") == {PacketKind.GETPID_QUERY,
+                                  PacketKind.REQUEST}
+        assert arrived("ws") == {PacketKind.GETPID_RESPONSE,
+                                 PacketKind.REPLY}
+        for host in ("far", "ws"):
+            for record in recorder.records(host):
+                if record[2] in decode:
+                    assert KIND_NAMES[record[2]] == \
+                        decode[record[2]].name.lower()
         # Every record is stamped with the firing event's seq and a time.
         for record in recorder.records("ws"):
             assert record[0] >= 0 and record[1] >= 0.0
+
+    def test_attach_from_inside_run_is_refused(self):
+        # The fast loop already running never stamps _fire_seq, so a
+        # recorder attached mid-run would stamp every record seq -1 (and
+        # bisect locates forks by seq).
+        domain = Domain(seed=0)
+        workstation = domain.create_host("ws")
+        domain.create_host("far").spawn(_echo_server(), "server")
+        refused = []
+
+        def client():
+            try:
+                enable_flight_recorder(domain)
+            except SimulationError as err:
+                refused.append(err)
+            yield from _pingers(3)
+
+        run_on(domain, workstation, client())
+        assert len(refused) == 1 and domain.flight is None
+        # Between runs the attach is fine and the stamps are real.
+        recorder = enable_flight_recorder(domain)
+        run_on(domain, workstation, _pingers(3))
+        records = recorder.records("ws")
+        assert records and min(r[0] for r in records) >= 0
 
     def test_txn_ids_are_per_domain(self):
         # Two same-seed domains allocate identical txn ids -- the property
@@ -434,7 +474,8 @@ class TestDivergence:
         # Fork host b with one extra record (seq 4) in the second run only.
         host = _FakeHost("b")
         host.engine._fire_seq = 4
-        second.record(host, "probe", 9, 9, 9, "phase:packet")
+        second.on_event(PACKET[PacketKind.PROBE], host,
+                        Packet(PacketKind.PROBE, Pid(9), Pid(9), 9))
         first.finalize()
         second.finalize()
         verdict = compare(first, second)

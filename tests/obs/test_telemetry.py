@@ -7,9 +7,12 @@ sampling (including the restart clamp), watchdog hysteresis, parking, and
 the per-transaction latency window.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.kernel.domain import Domain
+from repro.kernel.tap import COMPLETE, SEND
 from repro.obs.telemetry import (
     FLEET,
     AlertEvent,
@@ -154,8 +157,14 @@ class TestSampling:
 
     def test_latency_window_feeds_p99_and_clears(self):
         __, host, collector = self._collector()
+        waiting = SimpleNamespace()             # the still-waiting sender
         for ms in range(1, 101):
-            collector.observe_txn(host, ms / 1000.0)
+            # The clock reads 0.0: sent_at -ms is a latency of ms.
+            txn = SimpleNamespace(sent_at=-ms / 1000.0)
+            collector.on_event(COMPLETE, host, txn, None, waiting)
+            # Not a latency: another kind, or a sender gone by the reply.
+            collector.on_event(SEND, host, waiting, txn)
+            collector.on_event(COMPLETE, host, txn, None, None)
         collector._tick()
         series = collector.series_for("h1", "p99_ms")
         assert series.values() == [pytest.approx(99.0)]
