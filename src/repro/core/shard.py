@@ -692,14 +692,14 @@ class ShardReplicaServer(ContextPrefixServer):
         for key in sorted(self.table.bindings):
             binding = self.table.bindings[key]
             expiry = self._leases.get(key)
+            owner = self.is_owner(key)
             entries.append({
                 "prefix": as_text(key),
                 "epoch": int(binding.epoch),
                 "source": int(binding.source),
-                "is_owner": self.is_owner(key),
+                "is_owner": owner,
                 "lease_expiry": expiry,
-                "lease_fresh": (self.is_owner(key)
-                                or (expiry is not None and now < expiry)),
+                "lease_fresh": owner or (expiry is not None and now < expiry),
             })
         return entries
 

@@ -13,8 +13,9 @@ and the hosts.  Convenience helpers create hosts and run the clock.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
+from repro.kernel import tap
 from repro.kernel.config import DEFAULT_CONFIG, KernelConfig
 from repro.kernel.groups import GroupRegistry
 from repro.kernel.host import Host
@@ -119,14 +120,18 @@ class Domain:
         #: registry reports removals here (see Host), so a binding cache can
         #: watch one hub instead of every kernel table.
         self._pid_removal_listeners: list[Callable[[Pid], None]] = []
-        #: Kernel-tap subscribers in attach order, and the one callable
-        #: every host fires (see attach_tap).
-        self._tap_subscribers: list[Callable[..., None]] = []
-        self._tap: Optional[Callable[..., None]] = None
+        #: Kernel-tap subscribers and the kinds each hears, in attach
+        #: order, and the per-kind tap attributes every host carries (see
+        #: attach_tap).
+        self._tap_subscribers: list[tuple[Callable[..., None],
+                                          frozenset]] = []
+        self._taps: dict[str, object] = {}
+        self._bind_tap()
         if obs is not None:
             from repro.obs.kernel_spans import KernelSpans
 
-            self.attach_tap(KernelSpans(obs).on_event)
+            spans = KernelSpans(obs)
+            self.attach_tap(spans.on_event, spans.KINDS)
 
     # The driver seam (the clock and the wire every Host uses); the
     # real-socket AsyncDomain (repro.net.asyncio_transport) overrides both.
@@ -201,29 +206,42 @@ class Domain:
 
     # ------------------------------------------------------------ kernel tap
 
-    def attach_tap(self, subscriber: Callable[..., None]) -> None:
-        """Subscribe an instrument to every host's kernel event tap
-        (:mod:`repro.kernel.tap`), hosts created later included."""
-        if subscriber not in self._tap_subscribers:
-            self._tap_subscribers.append(subscriber)
+    def attach_tap(self, subscriber: Callable[..., None],
+                   kinds: Iterable[int] = tap.ALL) -> None:
+        """Subscribe an instrument to the ``kinds`` it hears of every
+        host's kernel event tap (:mod:`repro.kernel.tap`), hosts created
+        later included."""
+        if all(held != subscriber for held, __ in self._tap_subscribers):
+            self._tap_subscribers.append((subscriber, frozenset(kinds)))
             self._bind_tap()
 
     def detach_tap(self, subscriber: Callable[..., None]) -> None:
-        if subscriber in self._tap_subscribers:
-            self._tap_subscribers.remove(subscriber)
-            self._bind_tap()
+        self._tap_subscribers = [entry for entry in self._tap_subscribers
+                                 if entry[0] != subscriber]
+        self._bind_tap()
 
     def _bind_tap(self) -> None:
-        """Hand every host the tap: None, the sole subscriber, or a fan-out."""
-        subscribers = tuple(self._tap_subscribers)
+        """Hand every host one tap per kind: None when no subscriber hears
+        it, the sole subscriber, or a fan-out over those that do."""
+        def bind(code: int):
+            hearing = tuple(subscriber for subscriber, kinds
+                            in self._tap_subscribers if code in kinds)
+            if len(hearing) < 2:
+                return hearing[0] if hearing else None
 
-        def fan_out(*event) -> None:
-            for subscriber in subscribers:
-                subscriber(*event)
-        self._tap = (fan_out if len(subscribers) > 1
-                     else subscribers[0] if subscribers else None)
+            def fan_out(*event) -> None:
+                for subscriber in hearing:
+                    subscriber(*event)
+            return fan_out
+
+        taps: dict[str, object] = {slot: bind(code)
+                                   for code, slot in tap.SLOTS.items()}
+        packets = {kind: bind(code) for kind, code in tap.PACKET.items()}
+        taps["_tap_packet"] = {kind: fire for kind, fire in packets.items()
+                               if fire is not None} or None
+        self._taps = taps
         for host in self.hosts.values():
-            host._tap = self._tap
+            vars(host).update(taps)
 
     # ----------------------------------------------------------------- hosts
 
@@ -315,7 +333,7 @@ class Domain:
                 interval=DEFAULT_INTERVAL if interval is None else interval,
                 capacity=DEFAULT_CAPACITY if capacity is None else capacity,
                 rules=default_watchdogs() if rules is None else rules)
-            self.attach_tap(self.telemetry.on_event)
+            self.attach_tap(self.telemetry.on_event, self.telemetry.KINDS)
             self.telemetry.start()
         return self.telemetry
 

@@ -95,9 +95,11 @@ class Host:
         #: attribute load saved on every Send / GetPid broadcast).
         self._next_txn_id = domain._txn_counter.__next__
         self._next_waiter_id = domain._waiter_counter.__next__
-        #: The kernel event tap (repro.kernel.tap): None while no instrument
-        #: subscribes, else the one callable fired at each transition.
-        self._tap = domain._tap
+        #: The kernel event tap (repro.kernel.tap), one attribute per kind
+        #: (``_tap_send`` ... ``_tap_annotate``, and ``_tap_packet``): None
+        #: while no instrument hears that kind, else the callable fired at
+        #: each such transition.  The domain rebinds them on attach/detach.
+        vars(self).update(domain._taps)
 
         #: Sender-side: txn_id -> Transaction for this host's blocked senders.
         self._outstanding: dict[int, Transaction] = {}
@@ -199,7 +201,7 @@ class Host:
             event.cancel()
         self._getpid_waiters.clear()
         self.registry.clear()
-        tap = self._tap
+        tap = self._tap_crash
         if tap is not None:
             tap(ev.CRASH, self, None)
         self.metrics.incr("kernel.crashes")
@@ -228,13 +230,29 @@ class Host:
         result.  An unstarted body is started by the first ``send(None)``.
 
         Under profiling, everything this step schedules is attributed to
-        ``host -> process (-> service) (-> open phase frames)``; the scope
+        ``host -> process (-> service kind when it differs from the process
+        name) (-> frames the process opened with ProfileEnter)``; the scope
         *replaces* the engine's current stack (saved and restored around the
         loop) so interleaved processes never inherit each other's frames.
+        The scope is cached on the process beside the kind it was built
+        for, so a later ``register_actor`` shows; ProfileEnter/ProfileExit
+        drop the cache.  Each effect's handler runs under its CSNH phase
+        frame, so everything it schedules (delivery hops, frames, timers)
+        inherits it.
         """
         engine = self.engine
-        saved_scope = (engine.profile_scope(self._profile_frames(proc))
-                       if engine.profiling else None)
+        saved_scope = None
+        if engine.profiling:
+            obs = self.domain.obs
+            kind = obs.actors.get(proc.pid.value) if obs is not None else None
+            cached = proc.scope_cache
+            if cached is None or cached[0] != kind:
+                frames = ("host:" + self.name, "proc:" + proc.name)
+                if kind is not None and kind != proc.name:
+                    frames += ("svc:" + kind,)
+                cached = proc.scope_cache = (kind,
+                                             frames + proc.profile_frames)
+            saved_scope = engine.profile_scope(cached[1])
         body = proc.body
         try:
             while proc.state is not _DEAD:
@@ -254,18 +272,23 @@ class Host:
                     self._terminate(proc)
                     return
                 try:
-                    # The profiled dispatch keeps the out-of-line path with
-                    # phase frames; the bare one is inlined (one effect per
-                    # resume, tens of thousands per simulated second).
-                    if engine.profiling:
-                        result = self._dispatch(proc, effect)
-                    else:
-                        handler = _EFFECT_HANDLERS.get(type(effect))
-                        if handler is None:
-                            raise IllegalEffect(
-                                f"process {proc.name!r} yielded {effect!r}, "
-                                "which is not a kernel effect")
+                    # Dispatch is inlined: one effect per resume, tens of
+                    # thousands per simulated second.
+                    handler = _EFFECT_HANDLERS.get(type(effect))
+                    if handler is None:
+                        raise IllegalEffect(
+                            f"process {proc.name!r} yielded {effect!r}, "
+                            "which is not a kernel effect")
+                    label = (_EFFECT_PHASES.get(type(effect))
+                             if engine.profiling else None)
+                    if label is None:
                         result = handler(self, proc, effect)
+                    else:
+                        token = engine.profile_enter(label)
+                        try:
+                            result = handler(self, proc, effect)
+                        finally:
+                            engine.profile_restore(token)
                 except KernelError as err:
                     # API misuse becomes an exception *inside* the process,
                     # so a defensive server can catch it; an unhandled one
@@ -290,7 +313,7 @@ class Host:
         proc.unreplied.clear()
         for delivery in held:
             self._presence.pop(delivery.txn_id, None)
-            tap = self._tap
+            tap = self._tap_receiver_exit
             if tap is not None:
                 tap(ev.RECEIVER_EXIT, self, proc, delivery)
             self._route_reply(
@@ -307,45 +330,6 @@ class Host:
         self.processes.pop(proc.pid.local_id, None)
         self.allocator.release(proc.pid)
         self.metrics.incr("kernel.process_exits")
-
-    # -------------------------------------------------------------- dispatch
-
-    def _dispatch(self, proc: Process, effect: Any) -> Any:
-        """The profiled effect dispatch: the handler runs under its CSNH
-        phase frame, so everything it schedules (delivery hops, frames,
-        timers) inherits it."""
-        handler = _EFFECT_HANDLERS.get(type(effect))
-        if handler is None:
-            raise IllegalEffect(
-                f"process {proc.name!r} yielded {effect!r}, which is not a kernel effect"
-            )
-        label = _EFFECT_PHASES.get(type(effect))
-        if label is None:
-            return handler(self, proc, effect)
-        engine = self.engine
-        saved_scope = engine.profile_enter(label)
-        try:
-            return handler(self, proc, effect)
-        finally:
-            engine.profile_restore(saved_scope)
-
-    def _profile_frames(self, proc: Process) -> tuple:
-        """The attribution scope for stepping ``proc``: host -> process
-        (-> service kind when it differs from the process name) plus any
-        frames the process opened with ProfileEnter.  Cached on the process
-        beside the kind it was built for, so a later ``register_actor``
-        shows; ProfileEnter/ProfileExit drop the cache."""
-        obs = self.domain.obs
-        kind = obs.actors.get(proc.pid.value) if obs is not None else None
-        cached = proc.scope_cache
-        if cached is not None and cached[0] == kind:
-            return cached[1]
-        frames = ("host:" + self.name, "proc:" + proc.name)
-        if kind is not None and kind != proc.name:
-            frames += ("svc:" + kind,)
-        frames += proc.profile_frames
-        proc.scope_cache = (kind, frames)
-        return frames
 
     def profile(self):
         """A scoped profiler reporting only this host's frames.
@@ -373,7 +357,7 @@ class Host:
         self._outstanding[txn.txn_id] = txn
         self._m_sends.value += 1
         self.counters["ipc.sends"] += 1
-        tap = self._tap
+        tap = self._tap_send
         if tap is not None:
             tap(ev.SEND, self, proc, txn)
         # ``is_local_to`` and the one-line ``_transmit`` wrapper are inlined
@@ -447,7 +431,7 @@ class Host:
                 or sender.state is _DEAD
                 or sender.pending_txn is not current):
             sender = None
-        tap = self._tap
+        tap = self._tap_complete
         if tap is not None:
             tap(ev.COMPLETE, self, current, reply, sender)
         if sender is None:
@@ -480,7 +464,7 @@ class Host:
             presence[txn_id] = ("queued", proc.pid)
         self._m_deliveries.value += 1
         self.counters["ipc.deliveries"] += 1
-        tap = self._tap
+        tap = self._tap_deliver
         if tap is not None:
             tap(ev.DELIVER, self, proc, delivery)
         if proc.state is _RECV_BLOCKED and (
@@ -509,7 +493,7 @@ class Host:
         self._presence.pop(txn_id, None)
         self._m_replies.value += 1
         self.counters["ipc.replies"] += 1
-        tap = self._tap
+        tap = self._tap_reply
         if tap is not None:
             tap(ev.REPLY, self, proc, delivery, effect.message)
         return self._route_reply(proc.pid, delivery, effect.message, busy=True,
@@ -563,7 +547,7 @@ class Host:
         message = effect.message if effect.message is not None else delivery.message
         self.metrics.incr("ipc.forwards")
         self.counters["ipc.forwards"] += 1
-        tap = self._tap
+        tap = self._tap_forward
         if tap is not None:
             tap(ev.FORWARD, self, proc, effect, message)
         # Tell the sender's kernel where the transaction went, if it is here.
@@ -781,7 +765,7 @@ class Host:
 
     def _do_annotate(self, proc: Process, effect: ipc.Annotate) -> Any:
         """Zero-cost: enrich the hop span of a held transaction, if traced."""
-        tap = self._tap
+        tap = self._tap_annotate
         if tap is not None:
             tap(ev.ANNOTATE, self, proc, effect)
         return None
@@ -862,9 +846,11 @@ class Host:
     def _handle_packet(self, packet: Packet, src_host: int) -> None:
         if self.crashed:
             return
-        tap = self._tap
-        if tap is not None:
-            tap(ev.PACKET[packet.kind], self, packet)
+        taps = self._tap_packet
+        if taps is not None:
+            tap = taps.get(packet.kind)
+            if tap is not None:
+                tap(ev.PACKET[packet.kind], self, packet)
         handler = _PACKET_HANDLERS[packet.kind]
         handler(self, packet, src_host)
 
@@ -888,7 +874,7 @@ class Host:
             # the receiver's perspective: drop the copy, keep the original.
             self.metrics.incr("ipc.dup_suppressed")
             self.counters["ipc.dup_suppressed"] += 1
-            tap = self._tap
+            tap = self._tap_dup_suppressed
             if tap is not None:
                 tap(ev.DUP_SUPPRESSED, self, packet, presence[1])
             return
@@ -1093,7 +1079,7 @@ class Host:
         txn.retransmits += 1
         self.metrics.incr("ipc.retransmits")
         self.counters["ipc.retransmits"] += 1
-        tap = self._tap
+        tap = self._tap_retransmit
         if tap is not None:
             tap(ev.RETRANSMIT, self, txn)
         if self.engine.profiling:

@@ -2,11 +2,15 @@
 
 All naming flows through the kernel's IPC (Sec. 3.1), so that is where
 spans, the flight recorder and telemetry watch.  A
-:class:`~repro.kernel.host.Host` fires ``host._tap(kind, host, a, b, c)``
-once at each transition (trailing arguments a kind does not use are left
-out); ``_tap`` is None while nothing subscribes, so an unobserved kernel
-pays one attribute load per site.  :meth:`Domain.attach_tap
-<repro.kernel.domain.Domain.attach_tap>` subscribes an instrument.
+:class:`~repro.kernel.host.Host` fires ``tap(kind, host, a, b, c)`` once at
+each transition (trailing arguments a kind does not use are left out).
+The tap is bound per kind: each kind fires through its own host attribute
+(:data:`SLOTS`; arriving packets share ``_tap_packet``, a dict from
+PacketKind to tap), which is None while no subscriber hears that kind, so
+a kind nobody wants costs one attribute load and one None test per site,
+as with nothing attached.  :meth:`Domain.attach_tap
+<repro.kernel.domain.Domain.attach_tap>` subscribes an instrument to the
+kinds it declares.
 
 - ``SEND``: sending Process, its Transaction.
 - ``COMPLETE``: Transaction, reply Message, the sender Process -- None when
@@ -38,3 +42,9 @@ NAMES = ("send", "complete", "reply", "forward",
          *(kind.name.lower() for kind in PacketKind),
          "deliver", "retransmit", "dup_suppressed", "receiver_exit", "crash",
          "annotate")
+#: Every kind code.
+ALL = frozenset(range(len(NAMES)))
+#: Kind code -> the Host attribute its sites fire through, for every kind
+#: outside the packet range.
+SLOTS = {code: "_tap_" + NAMES[code] for code in ALL
+         if not PACKET_BASE <= code < DELIVER}

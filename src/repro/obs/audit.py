@@ -44,6 +44,8 @@ import sys
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.obs.registry import Counter
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.domain import Domain
     from repro.kernel.host import Host
@@ -60,11 +62,27 @@ FRESH = "fresh"
 
 def percentile(values: list[float], q: float) -> float:
     """Nearest-rank percentile of ``values`` (0.0 for an empty list)."""
-    if not values:
+    return _nearest_rank(sorted(values), q)
+
+
+def _nearest_rank(ordered: list[float], q: float) -> float:
+    """Nearest-rank percentile of the sorted ``ordered`` (0.0 when empty)."""
+    if not ordered:
         return 0.0
-    ordered = sorted(values)
     index = int(round(q * (len(ordered) - 1)))
     return ordered[min(max(index, 0), len(ordered) - 1)]
+
+
+def _caught_up(samples: list[float], ordered: list[float]) -> list[float]:
+    """``ordered``, the sorted copy of a prefix of ``samples``, extended
+    in place to all of them: only the samples added since are sorted, and
+    the merge of the two sorted runs is linear."""
+    if len(ordered) > len(samples):         # the samples were reset
+        ordered.clear()
+    if len(ordered) < len(samples):
+        ordered += samples[len(ordered):]
+        ordered.sort()
+    return ordered
 
 
 # ------------------------------------------------------------------- probe
@@ -118,12 +136,25 @@ class CoherenceProbe:
         self.negcache_hits = 0
         self.lookups = 0
         self.lookups_by_host: dict[str, int] = {}
+        #: Sorted copies of ``lags`` and ``staleness`` as of the last
+        #: summary(), so each summary sorts only what arrived since.
+        self._lags_ordered: list[float] = []
+        self._staleness_ordered: list[float] = []
+        #: (counter name, tag value) -> its registry counter, resolved once.
+        self._counters: dict[tuple[str, str], Counter] = {}
 
     # -------------------------------------------------- shard-layer hooks
 
-    def _count(self, name: str, **tags) -> None:
-        if self.registry is not None:
-            self.registry.counter(name, **tags).incr()
+    def _count(self, name: str, **tags: str) -> None:
+        """Bump the registry counter ``name{tags}`` (one tag), resolved
+        once per tag value; a detached counter when there is no registry."""
+        key = (name, *tags.values())
+        counter = self._counters.get(key)
+        if counter is None:
+            counter = self._counters[key] = (
+                self.registry.counter(name, **tags)
+                if self.registry is not None else Counter(name))
+        counter.value += 1
 
     def shard_lookup(self, host: str, replica_id: int) -> None:
         """A replica on ``host`` served (or refused) one lookup."""
@@ -204,24 +235,25 @@ class CoherenceProbe:
 
     def summary(self) -> dict:
         """Cumulative propagation/staleness digest (ms percentiles)."""
+        lags = _caught_up(self.lags, self._lags_ordered)
+        staleness = _caught_up(self.staleness, self._staleness_ordered)
         return {
             "notices_sent": self.notices_sent,
             "notices_applied": self.notices_applied,
             "notices_unmatched": self.notices_unmatched,
             "notices_in_flight": self.in_flight(),
             "invalidation_lag_ms": {
-                "samples": len(self.lags),
-                "p50": round(percentile(self.lags, 0.50) * 1000.0, 4),
-                "p99": round(percentile(self.lags, 0.99) * 1000.0, 4),
-                "max": round(max(self.lags) * 1000.0, 4) if self.lags
-                       else 0.0,
+                "samples": len(lags),
+                "p50": round(_nearest_rank(lags, 0.50) * 1000.0, 4),
+                "p99": round(_nearest_rank(lags, 0.99) * 1000.0, 4),
+                "max": round(lags[-1] * 1000.0, 4) if lags else 0.0,
             },
             "staleness_at_hit_ms": {
-                "samples": len(self.staleness),
-                "p50": round(percentile(self.staleness, 0.50) * 1000.0, 4),
-                "p99": round(percentile(self.staleness, 0.99) * 1000.0, 4),
-                "max": round(max(self.staleness) * 1000.0, 4)
-                       if self.staleness else 0.0,
+                "samples": len(staleness),
+                "p50": round(_nearest_rank(staleness, 0.50) * 1000.0, 4),
+                "p99": round(_nearest_rank(staleness, 0.99) * 1000.0, 4),
+                "max": round(staleness[-1] * 1000.0, 4) if staleness
+                       else 0.0,
             },
             "lease_events": dict(sorted(self.lease_events.items())),
             "negcache_hits": self.negcache_hits,
@@ -380,6 +412,13 @@ def classify_fleet(documents: list[dict], t: float,
                     tiers["replica"][FRESH] += 1
                     continue
                 owner = owners.get(entry["prefix"])
+                if owner is not None and entry["epoch"] == 0:
+                    tiers["replica"][UNVERIFIABLE] += 1
+                    continue
+                if owner is not None and (entry["epoch"], entry["source"]) \
+                        == (owner["epoch"], owner["source"]):
+                    tiers["replica"][FRESH] += 1
+                    continue
                 finding = {"tier": "replica", "host": host,
                            "prefix": entry["prefix"],
                            "epoch": entry["epoch"],
@@ -388,12 +427,7 @@ def classify_fleet(documents: list[dict], t: float,
                            "owner": ({k: owner[k] for k in
                                       ("host", "epoch", "source")}
                                      if owner else None)}
-                if owner is not None and entry["epoch"] == 0:
-                    tiers["replica"][UNVERIFIABLE] += 1
-                elif owner is not None and (entry["epoch"], entry["source"]) \
-                        == (owner["epoch"], owner["source"]):
-                    tiers["replica"][FRESH] += 1
-                elif entry["lease_fresh"]:
+                if entry["lease_fresh"]:
                     tiers["replica"][INCOHERENT] += 1
                     incoherent.append(finding)
                 else:

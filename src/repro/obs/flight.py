@@ -164,6 +164,9 @@ class FlightRecorder:
     :meth:`on_event` to the domain's kernel tap.
     """
 
+    #: The kinds it records (every code below ``DELIVER``) and ``CRASH``.
+    KINDS = frozenset({*range(DELIVER), CRASH})
+
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
                  window: int = DEFAULT_WINDOW) -> None:
         if capacity < 1:
@@ -188,12 +191,11 @@ class FlightRecorder:
         return lane
 
     def on_event(self, kind, host: "Host", a, b=None, c=None) -> None:
-        """Kernel-tap subscriber: one record per Send, Reply, Forward,
-        completion at a waiting sender and arriving packet; a ``CRASH``
-        freezes the host's black box (it outlives a restart)."""
-        if kind >= DELIVER:
-            if kind == CRASH:
-                self.freeze(host)
+        """Kernel-tap subscriber (:attr:`KINDS`): one record per Send,
+        Reply, Forward, completion at a waiting sender and arriving packet;
+        a ``CRASH`` freezes the host's black box (it outlives a restart)."""
+        if kind == CRASH:
+            self.freeze(host)
             return
         if kind >= PACKET_BASE:                 # a: the arriving Packet
             src, dst, txn = a.src_pid, a.dst_pid, a.txn_id or 0
@@ -380,7 +382,7 @@ def enable_flight_recorder(domain: "Domain",
         recorder = FlightRecorder(capacity=capacity, window=window)
         domain.engine.attach_recorder(recorder)
         domain.flight = recorder
-        domain.attach_tap(recorder.on_event)
+        domain.attach_tap(recorder.on_event, recorder.KINDS)
     return domain.flight
 
 

@@ -10,13 +10,17 @@ the hop before it: the span tree *is* the Sec. 5.4 forwarding path.
 
 from repro.kernel.messages import ReplyCode, code_name
 from repro.kernel.tap import (ANNOTATE, COMPLETE, CRASH, DELIVER,
-                              DUP_SUPPRESSED, FORWARD, PACKET_BASE,
-                              RECEIVER_EXIT, REPLY, RETRANSMIT, SEND)
+                              DUP_SUPPRESSED, FORWARD, RECEIVER_EXIT, REPLY,
+                              RETRANSMIT, SEND)
 
 
 class KernelSpans:
     """One domain's transaction and hop spans; ``Domain(obs=...)`` attaches
-    :meth:`on_event` (kinds and arguments: :mod:`repro.kernel.tap`)."""
+    :meth:`on_event` to :attr:`KINDS` (arguments: :mod:`repro.kernel.tap`)."""
+
+    #: Every kind but the arriving packets.
+    KINDS = frozenset({SEND, COMPLETE, REPLY, FORWARD, DELIVER, RETRANSMIT,
+                       DUP_SUPPRESSED, RECEIVER_EXIT, CRASH, ANNOTATE})
 
     def __init__(self, obs) -> None:
         self.spans = obs.spans
@@ -26,8 +30,6 @@ class KernelSpans:
         self._tables: dict = {}
 
     def on_event(self, kind, host, a, b=None, c=None) -> None:
-        if PACKET_BASE <= kind < DELIVER:
-            return
         tables = self._tables.get(host)
         if tables is None:
             tables = self._tables[host] = ({}, {})

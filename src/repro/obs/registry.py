@@ -246,10 +246,11 @@ class MetricsRegistry:
 
     def count(self, name: str) -> int:
         """The untagged counter ``name``'s value; 0 if it never counted."""
-        return self.counter_value(name)
+        instrument = self._counters.get((name, ()))
+        return instrument.value if instrument is not None else 0
 
     def counter_value(self, name: str, **tags: Any) -> int:
-        instrument = self._counters.get((name, _tag_key(tags)))
+        instrument = self._counters.get((name, _tag_key(tags) if tags else ()))
         return instrument.value if instrument is not None else 0
 
     def counter_values(self, untagged_only: bool = True) -> dict[str, int]:

@@ -61,6 +61,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import add, attrgetter, call, is_not, itemgetter
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.kernel.tap import COMPLETE
@@ -107,39 +109,55 @@ ALERT_LOG_CAPACITY = 1024
 
 
 class TimeSeries:
-    """A bounded (time, value) ring buffer for one host's one metric."""
+    """A bounded (time, value) ring buffer for one host's one metric.
 
-    __slots__ = ("host", "metric", "_samples")
+    Columnar: the ring holds ``(time, row)`` samples and the series reads
+    column ``column`` of each row, skipping rows where it is None, as a
+    float.  The collector shares one ring among a host's dense series, so
+    a tick stores the host's whole row with one append; :meth:`record`
+    fills a ring of the series' own with one-value rows.
+    """
+
+    __slots__ = ("host", "metric", "_ring", "_column")
 
     def __init__(self, host: str, metric: str,
-                 capacity: int = DEFAULT_CAPACITY) -> None:
+                 capacity: int = DEFAULT_CAPACITY,
+                 ring: Optional[deque] = None, column: int = 0) -> None:
         self.host = host
         self.metric = metric
-        self._samples: deque[tuple[float, float]] = deque(maxlen=capacity)
+        self._ring: deque = deque(maxlen=capacity) if ring is None else ring
+        self._column = column
 
     def record(self, t: float, value: float) -> None:
-        self._samples.append((t, value))
+        """Append one sample (a series with a ring of its own only)."""
+        self._ring.append((t, (value,)))
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return len(self.samples())
 
     @property
     def capacity(self) -> int:
-        return self._samples.maxlen or 0
+        return self._ring.maxlen or 0
 
     def samples(self) -> list[tuple[float, float]]:
-        return list(self._samples)
+        column = self._column
+        return [(t, float(row[column])) for t, row in self._ring
+                if row[column] is not None]
 
     def values(self) -> list[float]:
-        return [value for __, value in self._samples]
+        return [value for __, value in self.samples()]
 
     def last(self) -> Optional[float]:
-        return self._samples[-1][1] if self._samples else None
+        column = self._column
+        for __, row in reversed(self._ring):
+            if row[column] is not None:
+                return float(row[column])
+        return None
 
     def to_records(self) -> list[dict]:
         """Export-shaped sample records (``kind`` discriminator)."""
         return [{"kind": "sample", "t": t, "value": value}
-                for t, value in self._samples]
+                for t, value in self.samples()]
 
 
 # ------------------------------------------------------------------ rules
@@ -328,12 +346,61 @@ class _RuleState:
         self.previous: Optional[float] = None
 
 
+#: Index of each sampled metric in a sample row; a row carries one extra
+#: trailing slot, always None, that rules over unsampled metrics read.
+_INDEX = {metric: index for index, metric in enumerate(SERIES_METRICS)}
+_ABSENT = len(SERIES_METRICS)
+_ROW = range(_ABSENT)
+#: Row indexes the fleet aggregate sums (the coherence ones read only
+#: while a probe is armed, and then on every live host) and maximizes.
+_SUMS = tuple(index for index in _ROW
+              if SERIES_METRICS[index] not in FLEET_MAX_METRICS)
+_SUMS_BARE = tuple(index for index in _SUMS
+                   if not SERIES_METRICS[index].startswith("coherence."))
+_MAXES = tuple(index for index in _ROW
+               if SERIES_METRICS[index] in FLEET_MAX_METRICS)
+#: The one sparse metric (a host reads it only on a tick with completed
+#: transactions): its series keeps a ring of its own.
+_P99 = _INDEX["p99_ms"]
+#: The counter readings a host row starts with, as per-tick deltas.
+_DELTAS = 5
+_msg_queue = attrgetter("msg_queue")
+_NONE = repeat(None)
+_ZERO = repeat(0.0)
+
+
+class _Sampler:
+    """One subject's sampler state, built once: the ring its dense series
+    share, the row indexes that have a series (one opens at its metric's
+    first reading), the p99 series, the previous counter readings, the
+    drop counter's name and its watchdog ``(rule, state, row index)``
+    triples."""
+
+    __slots__ = ("host", "name", "drops", "previous", "ring", "columns",
+                 "p99", "rules")
+
+    def __init__(self, host: Optional["Host"], name: str, capacity: int,
+                 rules: list) -> None:
+        self.host = host
+        self.name = name
+        self.drops = (f"net.drops_from.{host.host_id}"
+                      if host is not None else None)
+        self.previous = (0.0,) * _DELTAS
+        self.ring: deque = deque(maxlen=capacity)
+        self.columns: set[int] = set()
+        self.p99: Optional[TimeSeries] = None
+        self.rules = rules
+
+
 class TelemetryCollector:
     """Samples every host into time series and runs the watchdogs.
 
     Created via :meth:`repro.kernel.domain.Domain.enable_telemetry`; the
     stat server serves its series and alert log through ``[obs]``.
     """
+
+    #: The one kernel-tap kind it hears.
+    KINDS = frozenset({COMPLETE})
 
     def __init__(self, domain: "Domain", interval: float = DEFAULT_INTERVAL,
                  capacity: int = DEFAULT_CAPACITY,
@@ -343,18 +410,12 @@ class TelemetryCollector:
         self.domain = domain
         self.interval = interval
         self.capacity = capacity
-        #: Fixed at construction: the per-subject evaluation lists below
-        #: are split from it once.
+        #: Fixed at construction: each subject's rule triples are built
+        #: from it once.
         self.rules: list[SloRule] = list(rules or [])
-        self._fleet_rules = [rule for rule in self.rules
-                             if rule.scope == "fleet"]
-        self._host_rules = [rule for rule in self.rules
-                            if rule.scope != "fleet"]
         self.alerts = AlertLog()
         self.series: dict[tuple[str, str], TimeSeries] = {}
         self.ticks = 0
-        #: (host_id, source_key) -> last cumulative reading, for deltas.
-        self._prev: dict[tuple[int, str], float] = {}
         #: host_id -> transaction latencies (s) since the last tick.
         self._lat_windows: dict[int, list[float]] = {}
         self._states: dict[tuple[str, str], _RuleState] = {}
@@ -363,12 +424,24 @@ class TelemetryCollector:
         self._open_gaps: dict[str, float] = {}
         #: host name -> closed (start, end) sampling gaps, in time order.
         self._gaps: dict[str, list[tuple[float, float]]] = {}
-        #: The domain's hosts in host_id order, or None when a host was
-        #: created since the last tick sorted them.
-        self._host_order: Optional[list["Host"]] = None
+        #: host_id -> its sampler, and the samplers in host_id order (None
+        #: when a host was created since the last tick sorted them).
+        self._samplers: dict[int, _Sampler] = {}
+        self._order: Optional[list[_Sampler]] = None
+        self._fleet = _Sampler(None, FLEET, capacity,
+                               self._rule_triples(FLEET))
         domain.on_host_created(self._host_created)
         self._event = None
         self.parked = False
+
+    def _rule_triples(self, subject: str) -> list:
+        """``(rule, state, row index)`` for each rule of ``subject``'s
+        scope; the state is shared by every subject of one name."""
+        fleet = subject == FLEET
+        return [(rule,
+                 self._states.setdefault((rule.name, subject), _RuleState()),
+                 _INDEX.get(rule.metric, _ABSENT))
+                for rule in self.rules if (rule.scope == "fleet") == fleet]
 
     # ------------------------------------------------------------- control
 
@@ -385,15 +458,16 @@ class TelemetryCollector:
             self._event = None
 
     def _host_created(self, host: "Host") -> None:
-        self._host_order = None
+        self._order = None
 
     # ------------------------------------------------------- kernel hooks
 
     def on_event(self, kind, host: "Host", a, b=None, c=None) -> None:
-        """Kernel-tap subscriber: a reply reaching its waiting sender adds
-        ``now - sent_at`` to the host's latency window (bounded, so a huge
-        interval -- E15's hook-cost run -- cannot grow it without limit)."""
-        if kind != COMPLETE or c is None:
+        """Kernel-tap subscriber (``COMPLETE`` only): a reply reaching its
+        waiting sender adds ``now - sent_at`` to the host's latency window
+        (bounded, so a huge interval -- E15's hook-cost run -- cannot grow
+        it without limit)."""
+        if c is None:
             return
         window = self._lat_windows.get(host.host_id)
         if window is None:
@@ -424,24 +498,6 @@ class TelemetryCollector:
     def hosts_sampled(self) -> list[str]:
         return sorted({host for host, __ in self.series if host != FLEET})
 
-    def _record(self, host: str, metric: str, t: float,
-                value: float) -> None:
-        key = (host, metric)
-        series = self.series.get(key)
-        if series is None:
-            series = self.series[key] = TimeSeries(host, metric,
-                                                   self.capacity)
-        series.record(t, float(value))
-
-    def _delta(self, host_id: int, source: str, current: float) -> float:
-        """Per-tick delta of a cumulative counter (restart-safe: a counter
-        reset by a host restart clamps to zero rather than going negative).
-        """
-        key = (host_id, source)
-        previous = self._prev.get(key, 0.0)
-        self._prev[key] = current
-        return current - previous if current >= previous else current
-
     @staticmethod
     def _p99_ms(window: list[float]) -> float:
         ordered = sorted(window)
@@ -449,73 +505,109 @@ class TelemetryCollector:
         index = min(index, len(ordered) - 1)
         return ordered[index] * 1000.0
 
-    def _sample_host(self, host: "Host", t: float) -> dict[str, float]:
+    def _row(self, sampler: _Sampler) -> list:
+        """One host's sample row, in SERIES_METRICS order (None where a
+        metric has no reading), plus the trailing absent slot.  Counter
+        readings become per-tick deltas, restart-safe: a counter reset by
+        a host restart clamps to its new reading rather than going
+        negative."""
         domain = self.domain
+        host = sampler.host
         counters = host.counters
         cache = domain.name_caches.get(host.host_id)
-        sample: dict[str, float] = {
-            "resolutions": self._delta(
-                host.host_id, "ipc.transactions",
-                counters.get("ipc.transactions", 0)),
-            "cache_hits": self._delta(
-                host.host_id, "cache.hits",
-                cache.stats.hits if cache is not None else 0),
-            "cache_misses": self._delta(
-                host.host_id, "cache.misses",
-                cache.stats.misses if cache is not None else 0),
-            "retransmits": self._delta(
-                host.host_id, "ipc.retransmits",
-                counters.get("ipc.retransmits", 0)),
-            "drops": self._delta(
-                host.host_id, "net.drops",
-                domain.metrics.count(f"net.drops_from.{host.host_id}")),
-            "queue_depth": float(
-                sum(len(proc.msg_queue) for proc in host.processes.values())
-                + len(host._outstanding)),
-        }
+        stats = cache.stats if cache is not None else None
+        readings = (counters.get("ipc.transactions", 0),
+                    stats.hits if stats is not None else 0,
+                    stats.misses if stats is not None else 0,
+                    counters.get("ipc.retransmits", 0),
+                    domain.metrics.count(sampler.drops))
+        row = [current - previous if current >= previous else current
+               for current, previous in zip(readings, sampler.previous)]
+        sampler.previous = readings
+        row.append(float(
+            sum(map(len, map(_msg_queue, host.processes.values())))
+            + len(host._outstanding)))
         window = self._lat_windows.pop(host.host_id, None)
-        if window:
-            sample["p99_ms"] = self._p99_ms(window)
-        probe = getattr(domain, "coherence", None)
+        row.append(self._p99_ms(window) if window else None)
+        probe = domain.coherence
         if probe is not None:
-            sample.update(probe.drain_tick(host.name))
-        return sample
+            row += probe.drain_tick(host.name).values()
+        else:
+            row += (None,) * (_ABSENT - len(row))
+        row.append(None)
+        return row
+
+    def _record(self, sampler: _Sampler, row: list, present: list,
+                t: float) -> None:
+        """Store ``row`` (with readings at the row indexes ``present``, in
+        the order a metric without a series yet opens one) in
+        ``sampler``'s series: one append to the shared ring, and one to
+        the p99 ring when it has a reading."""
+        if not sampler.columns.issuperset(present):
+            for index in present:
+                if index in sampler.columns:
+                    continue
+                sampler.columns.add(index)
+                key = (sampler.name, SERIES_METRICS[index])
+                series = self.series[key] = (
+                    TimeSeries(*key, self.capacity) if index == _P99
+                    else TimeSeries(*key, ring=sampler.ring, column=index))
+                if index == _P99:
+                    sampler.p99 = series
+        if present:
+            sampler.ring.append((t, row))
+        if row[_P99] is not None:
+            sampler.p99.record(t, row[_P99])
 
     def _tick(self) -> None:
         t = self.domain.engine.now
-        fleet_totals: dict[str, float] = {}
-        fleet_maxima: dict[str, float] = {}
-        hosts = self._host_order
-        if hosts is None:
-            hosts = self._host_order = sorted(
-                self.domain.hosts.values(), key=lambda h: h.host_id)
-        for host in hosts:
-            if host.crashed:
+        order = self._order
+        if order is None:
+            samplers = self._samplers
+            order = self._order = [
+                samplers.get(host.host_id) or samplers.setdefault(
+                    host.host_id,
+                    _Sampler(host, host.name, self.capacity,
+                             self._rule_triples(host.name)))
+                for host in sorted(self.domain.hosts.values(),
+                                   key=lambda h: h.host_id)]
+        sums_at = (_SUMS if self.domain.coherence is not None
+                   else _SUMS_BARE)
+        pick = itemgetter(*sums_at)
+        sums = None
+        maxima: dict[int, float] = {}      # in first-reading order
+        for sampler in order:
+            name = sampler.name
+            if sampler.host.crashed:
                 # A down machine produces no samples.  The silence alone is
                 # ambiguous to a reader of the ring buffer (idle vs dead),
                 # so the gap is tracked explicitly: opened at the first tick
                 # that finds the host down, closed at the first healthy one,
                 # and exported on every one of the host's series.
-                if host.name not in self._open_gaps:
-                    self._open_gaps[host.name] = t
+                if name not in self._open_gaps:
+                    self._open_gaps[name] = t
                 continue
-            gap_start = self._open_gaps.pop(host.name, None)
+            gap_start = self._open_gaps.pop(name, None)
             if gap_start is not None:
-                self._gaps.setdefault(host.name, []).append((gap_start, t))
-            sample = self._sample_host(host, t)
-            for metric, value in sample.items():
-                self._record(host.name, metric, t, value)
-                if metric in FLEET_MAX_METRICS:
-                    fleet_maxima[metric] = max(
-                        fleet_maxima.get(metric, value), value)
-                else:
-                    fleet_totals[metric] = fleet_totals.get(metric, 0.0) \
-                        + value
-            self._evaluate(host.name, sample)
-        fleet_totals.update(fleet_maxima)
-        for metric, value in fleet_totals.items():
-            self._record(FLEET, metric, t, value)
-        self._evaluate(FLEET, fleet_totals)
+                self._gaps.setdefault(name, []).append((gap_start, t))
+            row = self._row(sampler)
+            self._record(sampler, row,
+                         list(compress(_ROW, map(is_not, row, _NONE))), t)
+            sums = list(map(add, _ZERO if sums is None else sums, pick(row)))
+            for index in _MAXES:
+                value = row[index]
+                if value is not None and (index not in maxima
+                                          or value > maxima[index]):
+                    maxima[index] = value
+            self._evaluate(sampler, row, t)
+        fleet = [None] * (_ABSENT + 1)
+        # Sums first, then maxima, each in first-reading order.
+        indexes = [*(sums_at if sums is not None else ()), *maxima]
+        for index, value in zip(indexes, [*(sums or ()),
+                                          *maxima.values()]):
+            fleet[index] = value
+        self._record(self._fleet, fleet, indexes, t)
+        self._evaluate(self._fleet, fleet, t)
         self.ticks += 1
         engine = self.domain.engine
         if engine.pending == 0:
@@ -528,15 +620,10 @@ class TelemetryCollector:
 
     # ----------------------------------------------------------- watchdogs
 
-    def _evaluate(self, subject: str, sample: dict[str, float]) -> None:
-        t = self.domain.engine.now
-        rules = self._fleet_rules if subject == FLEET else self._host_rules
-        for rule in rules:
-            key = (rule.name, subject)
-            state = self._states.get(key)
-            if state is None:
-                state = self._states[key] = _RuleState()
-            value = sample.get(rule.metric)
+    def _evaluate(self, sampler: _Sampler, row: list, t: float) -> None:
+        subject = sampler.name
+        for rule, state, index in sampler.rules:
+            value = row[index]
             if value is None:
                 breach = False          # no reading this tick = healthy
             else:

@@ -129,7 +129,7 @@ class Engine:
     __slots__ = ("_queue", "_seq", "_now", "_running", "_events_processed",
                  "_cancelled_in_queue", "_on_cancel",
                  "_compactions", "_profilers", "_account", "_count_message",
-                 "_attr_stack", "_attr_dups", "_recorder", "_fire_seq",
+                 "_frames", "_attr_stack", "_attr_dups", "_recorder", "_fire_seq",
                  "__dict__", "__weakref__")
 
     #: Compaction never runs below this queue size: rebuilding a tiny heap
@@ -177,6 +177,12 @@ class Engine:
         self._account: Callable[[tuple, float], None] = self._account_all
         self._count_message: Callable[[tuple, int], None] = (
             self._count_message_all)
+        #: The sole sink's ``stats`` (stack -> totals with ``seconds``,
+        #: ``events``, ``messages`` and ``bytes``), charged in place for a
+        #: stack it already holds; None unless exactly one sink with stats
+        #: is attached.  A stack it lacks goes through account /
+        #: count_message, which create its totals.
+        self._frames: Optional[dict] = None
         #: The current attribution stack: a tuple of frame labels naming what
         #: the simulation is doing *right now* (host -> process -> phase).
         self._attr_stack: tuple = ()
@@ -266,7 +272,8 @@ class Engine:
         path); with neither, the shadows are removed and the class
         methods -- the fast path -- serve.  The charge targets are bound
         here too: a sole sink's ``account``/``count_message`` are called
-        directly, the fan-out loops only serve two or more sinks.
+        directly (and its ``stats`` charged in place where it can be), the
+        fan-out loops only serve two or more sinks.
         """
         for name in self._SWAPPED:
             self.__dict__.pop(name, None)
@@ -274,9 +281,11 @@ class Engine:
         if len(sinks) == 1:
             self._account = sinks[0].account
             self._count_message = sinks[0].count_message
+            self._frames = getattr(sinks[0], "stats", None)
         else:
             self._account = self._account_all
             self._count_message = self._count_message_all
+            self._frames = None
         if sinks:
             self.run = self._run_instrumented
             self.schedule = self._schedule_instrumented
@@ -412,7 +421,13 @@ class Engine:
 
     def profile_count_message(self, nbytes: int) -> None:
         """Charge one network message of ``nbytes`` to the current stack."""
-        self._count_message(self._attr_stack, nbytes)
+        frames = self._frames
+        stats = frames.get(self._attr_stack) if frames is not None else None
+        if stats is None:
+            self._count_message(self._attr_stack, nbytes)
+        else:
+            stats.messages += 1
+            stats.bytes += nbytes
 
     def _account_all(self, stack: tuple, dt: float) -> None:
         for sink in self._profilers:
@@ -594,8 +609,13 @@ class Engine:
     ) -> ScheduledEvent:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self._schedule_at_instrumented(self._now + delay,
-                                              callback, *args)
+        time = self._now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        event = ScheduledEvent(time, seq, callback, args, self._on_cancel,
+                               attribution=self._attr_stack)
+        _heappush(self._queue, (time, seq, callback, args, event))
+        return event
 
     def _schedule_at_instrumented(
         self, time: float, callback: Callable[..., None], *args: Any
@@ -675,8 +695,15 @@ class Engine:
                 self._fire_seq = entry[1]
                 # Clock advances partition elapsed time: charging each to
                 # the stack of the event that caused it makes the per-frame
-                # totals sum exactly to end-to-end simulated time.
-                self._account(stamp, time - self._now)
+                # totals sum exactly to end-to-end simulated time.  A sole
+                # sink's totals for a stack it has seen are charged here.
+                frames = self._frames
+                stats = frames.get(stamp) if frames is not None else None
+                if stats is None:
+                    self._account(stamp, time - self._now)
+                else:
+                    stats.seconds += time - self._now
+                    stats.events += 1
                 self._now = time
                 fired += 1
                 if fired == next_flush:

@@ -36,6 +36,15 @@ class TestCounters:
         assert registry.count("ipc.sends") == 3
         assert registry.count("absent") == 0
 
+    def test_count_is_the_untagged_counter_value(self):
+        registry = MetricsRegistry()
+        registry.counter("plain").incr(3)
+        registry.counter("split", shard="a").incr(10)
+        assert registry.count("plain") == registry.counter_value("plain") == 3
+        # A name counted only with tags has no untagged counter.
+        assert registry.count("split") == 0
+        assert registry.counter_value("split") == 0
+
     def test_domain_metrics_is_the_bundles_registry(self):
         obs = Observability()
         domain = Domain(obs=obs)
