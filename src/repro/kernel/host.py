@@ -241,7 +241,7 @@ class Host:
         inherits it.
         """
         engine = self.engine
-        saved_scope = None
+        saved_stack = None
         if engine.profiling:
             obs = self.domain.obs
             kind = obs.actors.get(proc.pid.value) if obs is not None else None
@@ -252,7 +252,10 @@ class Host:
                     frames += ("svc:" + kind,)
                 cached = proc.scope_cache = (kind,
                                              frames + proc.profile_frames)
-            saved_scope = engine.profile_scope(cached[1])
+            saved_stack = engine._attr_stack
+            saved_dups = engine._attr_dups
+            engine._attr_stack = cached[1]
+            engine._attr_dups = None
         body = proc.body
         try:
             while proc.state is not _DEAD:
@@ -279,16 +282,22 @@ class Host:
                         raise IllegalEffect(
                             f"process {proc.name!r} yielded {effect!r}, "
                             "which is not a kernel effect")
-                    label = (_EFFECT_PHASES.get(type(effect))
-                             if engine.profiling else None)
-                    if label is None:
+                    if not engine.profiling:
+                        result = handler(self, proc, effect)
+                    elif (frame := _EFFECT_PHASES.get(type(effect))) is None:
                         result = handler(self, proc, effect)
                     else:
-                        token = engine.profile_enter(label)
+                        stack = engine._attr_stack
+                        dups = engine._attr_dups
+                        if stack[-1:] != frame:     # else already open
+                            engine._attr_stack = stack + frame
+                            if dups is not None:
+                                engine._attr_dups = dups + (0,)
                         try:
                             result = handler(self, proc, effect)
                         finally:
-                            engine.profile_restore(token)
+                            engine._attr_stack = stack
+                            engine._attr_dups = dups
                 except KernelError as err:
                     # API misuse becomes an exception *inside* the process,
                     # so a defensive server can catch it; an unhandled one
@@ -299,8 +308,9 @@ class Host:
                     return
                 value = result
         finally:
-            if saved_scope is not None:
-                engine.profile_restore(saved_scope)
+            if saved_stack is not None:
+                engine._attr_stack = saved_stack
+                engine._attr_dups = saved_dups
 
     def _terminate(self, proc: Process) -> None:
         """Process exit: error-reply held requests, release kernel state."""
@@ -374,19 +384,24 @@ class Host:
         # Local requests are delivered by a reliable in-kernel hop, but the
         # retransmit timer is armed for them too: a Forward may push the
         # transaction onto the (lossy) wire later, and then it is this timer
-        # that re-sends the request.  Unprofiled, both timers are armed
-        # inline; the profiled path brackets each with its phase frame.
-        if engine.profiling:
-            self._schedule_probe(txn)
-            if self._retransmit_enabled:
-                self._schedule_retransmit(txn, self._retransmit_initial)
-            return _BLOCKED
+        # that re-sends the request.  Profiled, each timer (and everything
+        # it causes) is charged to its own phase frame.
+        profiling = engine.profiling
+        if profiling:
+            stack = engine._attr_stack
+            engine._attr_stack = (stack if stack[-1:] == _PROBE
+                                  else stack + _PROBE)
         txn.probe_event = engine.schedule(self._probe_interval,
                                           self._probe_fire, txn)
         if self._retransmit_enabled:
+            if profiling:
+                engine._attr_stack = (stack if stack[-1:] == _RETRANSMIT
+                                      else stack + _RETRANSMIT)
             interval = self._retransmit_initial
             txn.retransmit_event = engine.schedule(
                 interval, self._retransmit_fire, txn, interval)
+        if profiling:
+            engine._attr_stack = stack
         return _BLOCKED
 
     def _deliver_local_request(self, txn: Transaction,
@@ -821,12 +836,23 @@ class Host:
             # One message out: bump the current stack's message/byte
             # totals, and charge the propagation (the arrival event the
             # ethernet schedules) to a wire frame under this phase.
-            engine.profile_count_message(packet.payload_bytes)
-            saved_scope = engine.profile_enter("phase:wire")
+            stack = engine._attr_stack
+            dups = engine._attr_dups
+            stats = engine._frames.get(stack)
+            if stats is None:
+                engine._count_message(stack, packet.payload_bytes)
+            else:
+                stats.messages += 1
+                stats.bytes += packet.payload_bytes
+            if stack[-1:] != _WIRE:
+                engine._attr_stack = stack + _WIRE
+                if dups is not None:
+                    engine._attr_dups = dups + (0,)
             try:
                 arrival = self.ethernet.transmit(frame)
             finally:
-                engine.profile_restore(saved_scope)
+                engine._attr_stack = stack
+                engine._attr_dups = dups
         else:
             arrival = self.ethernet.transmit(frame)
         if resume is not None:
@@ -1010,16 +1036,17 @@ class Host:
     # ---------------------------------------------------------------- probes
 
     def _schedule_probe(self, txn: Transaction) -> None:
-        if self.engine.profiling:
-            self.engine.profile_push("phase:probe")
-            try:
-                txn.probe_event = self.engine.schedule(
-                    self._probe_interval, self._probe_fire, txn)
-            finally:
-                self.engine.profile_pop("phase:probe")
+        engine = self.engine
+        if engine.profiling:
+            stack = engine._attr_stack
+            engine._attr_stack = (stack if stack[-1:] == _PROBE
+                                  else stack + _PROBE)
+            txn.probe_event = engine.schedule(self._probe_interval,
+                                              self._probe_fire, txn)
+            engine._attr_stack = stack
             return
-        txn.probe_event = self.engine.schedule(self._probe_interval,
-                                               self._probe_fire, txn)
+        txn.probe_event = engine.schedule(self._probe_interval,
+                                          self._probe_fire, txn)
 
     def _probe_fire(self, txn: Transaction) -> None:
         if txn.txn_id not in self._outstanding:
@@ -1046,17 +1073,18 @@ class Host:
     # --------------------------------------------------------- retransmission
 
     def _schedule_retransmit(self, txn: Transaction, interval: float) -> None:
-        if self.engine.profiling:
+        engine = self.engine
+        if engine.profiling:
             # The backoff wait and everything the timer causes (the re-sent
             # frames) are attributed to the retransmission phase.
-            self.engine.profile_push("phase:retransmit")
-            try:
-                txn.retransmit_event = self.engine.schedule(
-                    interval, self._retransmit_fire, txn, interval)
-            finally:
-                self.engine.profile_pop("phase:retransmit")
+            stack = engine._attr_stack
+            engine._attr_stack = (stack if stack[-1:] == _RETRANSMIT
+                                  else stack + _RETRANSMIT)
+            txn.retransmit_event = engine.schedule(
+                interval, self._retransmit_fire, txn, interval)
+            engine._attr_stack = stack
             return
-        txn.retransmit_event = self.engine.schedule(
+        txn.retransmit_event = engine.schedule(
             interval, self._retransmit_fire, txn, interval)
 
     def _retransmit_fire(self, txn: Transaction, interval: float) -> None:
@@ -1082,14 +1110,15 @@ class Host:
         tap = self._tap_retransmit
         if tap is not None:
             tap(ev.RETRANSMIT, self, txn)
-        if self.engine.profiling:
+        engine = self.engine
+        if engine.profiling:
             # Also reached outside the timer (PROBE_MISSING): make sure the
             # fresh copy is charged to the retransmission phase regardless.
-            self.engine.profile_push("phase:retransmit")
-            try:
-                self._transmit(packet, txn.dst.logical_host)
-            finally:
-                self.engine.profile_pop("phase:retransmit")
+            stack = engine._attr_stack
+            engine._attr_stack = (stack if stack[-1:] == _RETRANSMIT
+                                  else stack + _RETRANSMIT)
+            self._transmit(packet, txn.dst.logical_host)
+            engine._attr_stack = stack
             return
         self._transmit(packet, txn.dst.logical_host)
 
@@ -1161,20 +1190,25 @@ _EFFECT_HANDLERS = {
     ipc.Exit: Host._do_exit,
 }
 
-#: CSNH phase labels for the profiler: the frame pushed while the effect's
+#: CSNH phase frames for the profiler: the frame opened while the effect's
 #: handler runs (and inherited by everything it schedules).  Delay has no
 #: phase on purpose -- it models the *process's own* CPU (a prefix parse, a
 #: server handler), which belongs to the process/service frames, not to a
 #: kernel protocol phase.
 _EFFECT_PHASES = {
-    ipc.Send: "phase:send",
-    ipc.Reply: "phase:reply",
-    ipc.Forward: "phase:forward_hop",
-    ipc.MoveTo: "phase:move_to",
-    ipc.MoveFrom: "phase:move_from",
-    ipc.GetPid: "phase:getpid",
-    ipc.GroupSend: "phase:group_send",
+    ipc.Send: ("phase:send",),
+    ipc.Reply: ("phase:reply",),
+    ipc.Forward: ("phase:forward_hop",),
+    ipc.MoveTo: ("phase:move_to",),
+    ipc.MoveFrom: ("phase:move_from",),
+    ipc.GetPid: ("phase:getpid",),
+    ipc.GroupSend: ("phase:group_send",),
 }
+#: The kernel's other phase frames: a frame on the wire, a transaction's
+#: probe timer and its retransmission backoff.  Each is opened on the
+#: engine's stack only when it is not already the innermost frame.
+_WIRE, _PROBE, _RETRANSMIT = (("phase:wire",), ("phase:probe",),
+                              ("phase:retransmit",))
 
 _PACKET_HANDLERS = {
     PacketKind.REQUEST: Host._on_request_packet,

@@ -399,6 +399,7 @@ def classify_fleet(documents: list[dict], t: float,
     hosts: list[str] = []
     map_versions: dict[str, dict] = {}
 
+    replicas, resolvers, negatives = tiers.values()
     for document in documents:
         host = document["host"]
         hosts.append(host)
@@ -406,18 +407,18 @@ def classify_fleet(documents: list[dict], t: float,
         replica = document.get("replica")
         if replica:
             versions["replica"] = replica["map_version"]
+            replicas["entries"] += len(replica["entries"])
             for entry in replica["entries"]:
-                tiers["replica"]["entries"] += 1
                 if entry["is_owner"]:
-                    tiers["replica"][FRESH] += 1
+                    replicas[FRESH] += 1
                     continue
                 owner = owners.get(entry["prefix"])
                 if owner is not None and entry["epoch"] == 0:
-                    tiers["replica"][UNVERIFIABLE] += 1
+                    replicas[UNVERIFIABLE] += 1
                     continue
                 if owner is not None and (entry["epoch"], entry["source"]) \
                         == (owner["epoch"], owner["source"]):
-                    tiers["replica"][FRESH] += 1
+                    replicas[FRESH] += 1
                     continue
                 finding = {"tier": "replica", "host": host,
                            "prefix": entry["prefix"],
@@ -428,26 +429,26 @@ def classify_fleet(documents: list[dict], t: float,
                                       ("host", "epoch", "source")}
                                      if owner else None)}
                 if entry["lease_fresh"]:
-                    tiers["replica"][INCOHERENT] += 1
+                    replicas[INCOHERENT] += 1
                     incoherent.append(finding)
                 else:
-                    tiers["replica"][STALE] += 1
+                    replicas[STALE] += 1
                     stale.append(finding)
         resolver = document.get("resolver")
         if resolver:
             versions["resolver"] = resolver["map_version"]
+            resolvers["entries"] += len(resolver["bindings"])
             for entry in resolver["bindings"]:
-                tiers["resolver"]["entries"] += 1
                 owner = owners.get(entry["prefix"])
                 if entry["expired"]:
-                    tiers["resolver"][EXPIRED] += 1
+                    resolvers[EXPIRED] += 1
                 elif owner is not None and entry["epoch"] == 0:
-                    tiers["resolver"][UNVERIFIABLE] += 1
+                    resolvers[UNVERIFIABLE] += 1
                 elif owner is not None and (entry["epoch"], entry["source"]) \
                         == (owner["epoch"], owner["source"]):
-                    tiers["resolver"][FRESH] += 1
+                    resolvers[FRESH] += 1
                 else:
-                    tiers["resolver"][STALE] += 1
+                    resolvers[STALE] += 1
                     stale.append({"tier": "resolver", "host": host,
                                   "prefix": entry["prefix"],
                                   "epoch": entry["epoch"],
@@ -456,18 +457,18 @@ def classify_fleet(documents: list[dict], t: float,
                                   "owner": ({k: owner[k] for k in
                                              ("host", "epoch", "source")}
                                             if owner else None)})
+            negatives["entries"] += len(resolver["negative"])
             for entry in resolver["negative"]:
-                tiers["negative"]["entries"] += 1
                 prefix = _negative_prefix(entry["name"])
                 if entry["expired"]:
-                    tiers["negative"][EXPIRED] += 1
+                    negatives[EXPIRED] += 1
                 elif prefix is not None and prefix in owners:
-                    tiers["negative"][STALE] += 1
+                    negatives[STALE] += 1
                     stale.append({"tier": "negative", "host": host,
                                   "name": entry["name"], "prefix": prefix,
                                   "age": entry["age"]})
                 else:
-                    tiers["negative"][FRESH] += 1
+                    negatives[FRESH] += 1
         map_versions[host] = versions
 
     known = [v for versions in map_versions.values()

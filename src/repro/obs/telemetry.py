@@ -62,7 +62,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from operator import add, attrgetter, call, is_not, itemgetter
+from functools import partial
+from operator import add, attrgetter, gt, is_not, itemgetter, lt, sub
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.kernel.tap import COMPLETE
@@ -217,6 +218,14 @@ class SloRule:
         if self.predicate is not None:
             return not self.predicate(value)
         return self._compare(value)
+
+    def comparator(self) -> Optional[Callable[[float], bool]]:
+        """:meth:`breaches` as one C-level call, for a rule that only
+        compares each sample with its limit; None for one that needs the
+        previous sample or a predicate."""
+        if self.kind == "rate_of_change" or self.predicate is not None:
+            return None
+        return partial(lt if self.op == ">" else gt, self.limit)
 
 
 def default_watchdogs() -> list[SloRule]:
@@ -435,12 +444,13 @@ class TelemetryCollector:
         self.parked = False
 
     def _rule_triples(self, subject: str) -> list:
-        """``(rule, state, row index)`` for each rule of ``subject``'s
-        scope; the state is shared by every subject of one name."""
+        """``(rule, state, row index, comparator)`` for each rule of
+        ``subject``'s scope; the state is shared by every subject of one
+        name."""
         fleet = subject == FLEET
         return [(rule,
                  self._states.setdefault((rule.name, subject), _RuleState()),
-                 _INDEX.get(rule.metric, _ABSENT))
+                 _INDEX.get(rule.metric, _ABSENT), rule.comparator())
                 for rule in self.rules if (rule.scope == "fleet") == fleet]
 
     # ------------------------------------------------------------- control
@@ -473,7 +483,7 @@ class TelemetryCollector:
         if window is None:
             window = self._lat_windows[host.host_id] = []
         if len(window) < LATENCY_WINDOW_MAX:
-            window.append(host.engine.now - a.sent_at)
+            window.append(host.engine._now - a.sent_at)
 
     # ------------------------------------------------------------ sampling
 
@@ -521,8 +531,10 @@ class TelemetryCollector:
                     stats.misses if stats is not None else 0,
                     counters.get("ipc.retransmits", 0),
                     domain.metrics.count(sampler.drops))
-        row = [current - previous if current >= previous else current
-               for current, previous in zip(readings, sampler.previous)]
+        row = list(map(sub, readings, sampler.previous))
+        if min(row) < 0:
+            row = [current - previous if current >= previous else current
+                   for current, previous in zip(readings, sampler.previous)]
         sampler.previous = readings
         row.append(float(
             sum(map(len, map(_msg_queue, host.processes.values())))
@@ -622,12 +634,13 @@ class TelemetryCollector:
 
     def _evaluate(self, sampler: _Sampler, row: list, t: float) -> None:
         subject = sampler.name
-        for rule, state, index in sampler.rules:
+        for rule, state, index, compare in sampler.rules:
             value = row[index]
             if value is None:
                 breach = False          # no reading this tick = healthy
             else:
-                breach = rule.breaches(value, state.previous)
+                breach = (compare(value) if compare is not None
+                          else rule.breaches(value, state.previous))
                 state.previous = value
             if breach:
                 state.breaching += 1
@@ -639,10 +652,11 @@ class TelemetryCollector:
                         severity=rule.severity, host=subject,
                         metric=rule.metric, value=float(value),
                         limit=rule.limit))
-            else:
+            elif state.active:
+                # (The healthy streak only matters to an active alert.)
                 state.healthy += 1
                 state.breaching = 0
-                if state.active and state.healthy >= rule.clear_ticks:
+                if state.healthy >= rule.clear_ticks:
                     state.active = False
                     self.alerts.emit(AlertEvent(
                         t=t, event="resolve", rule=rule.name,
@@ -650,6 +664,8 @@ class TelemetryCollector:
                         host=subject, metric=rule.metric,
                         value=float(value) if value is not None else 0.0,
                         limit=rule.limit))
+            else:
+                state.breaching = 0
 
     # ---------------------------------------------------------- summaries
 

@@ -62,6 +62,9 @@ from typing import Any, Callable, Optional
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+#: The charge-in-place table while no sole profiler sink supplies one;
+#: never written.
+_NO_FRAMES: dict = {}
 
 
 class SimulationError(RuntimeError):
@@ -179,10 +182,10 @@ class Engine:
             self._count_message_all)
         #: The sole sink's ``stats`` (stack -> totals with ``seconds``,
         #: ``events``, ``messages`` and ``bytes``), charged in place for a
-        #: stack it already holds; None unless exactly one sink with stats
+        #: stack it already holds; empty unless exactly one sink with stats
         #: is attached.  A stack it lacks goes through account /
         #: count_message, which create its totals.
-        self._frames: Optional[dict] = None
+        self._frames: dict = _NO_FRAMES
         #: The current attribution stack: a tuple of frame labels naming what
         #: the simulation is doing *right now* (host -> process -> phase).
         self._attr_stack: tuple = ()
@@ -281,11 +284,11 @@ class Engine:
         if len(sinks) == 1:
             self._account = sinks[0].account
             self._count_message = sinks[0].count_message
-            self._frames = getattr(sinks[0], "stats", None)
+            self._frames = getattr(sinks[0], "stats", _NO_FRAMES)
         else:
             self._account = self._account_all
             self._count_message = self._count_message_all
-            self._frames = None
+            self._frames = _NO_FRAMES
         if sinks:
             self.run = self._run_instrumented
             self.schedule = self._schedule_instrumented
@@ -354,42 +357,6 @@ class Engine:
             self._fire_seq = -1
             self._refresh_dispatch()
 
-    def profile_scope(self, frames: tuple) -> tuple:
-        """Replace the attribution stack; returns an opaque restore token.
-
-        Used when switching to running a particular process: the scope
-        *replaces* rather than extends, so interleaved processes never
-        inherit each other's frames.  Pass the returned token back to
-        :meth:`profile_restore`; it carries both the previous stack and its
-        duplicate-push counts, so push/pop balance survives the swap.
-        """
-        token = (self._attr_stack, self._attr_dups)
-        self._attr_stack = frames
-        self._attr_dups = None
-        return token
-
-    def profile_enter(self, label: str) -> tuple:
-        """Open one frame for a bracketed region; returns the restore token.
-
-        The scoped form of :meth:`profile_push`: the caller runs the region
-        and hands the token to :meth:`profile_restore`, which is the pop.
-        A label equal to the innermost frame opens nothing (same
-        deduplication as ``profile_push``), and since the restore puts back
-        the exact prior state, nothing needs counting.  One tuple build per
-        frame opened; this is what the kernel brackets every effect
-        dispatch and frame transmit with.
-        """
-        stack = self._attr_stack
-        dups = self._attr_dups
-        if not stack or stack[-1] != label:
-            self._attr_stack = stack + (label,)
-            if dups is not None:
-                self._attr_dups = dups + (0,)
-        return (stack, dups)
-
-    def profile_restore(self, token: tuple) -> None:
-        self._attr_stack, self._attr_dups = token
-
     def profile_push(self, label: str) -> None:
         """Push one frame label (deduplicated if it is already the innermost
         one, so self-rescheduling timers do not grow the stack).
@@ -421,8 +388,7 @@ class Engine:
 
     def profile_count_message(self, nbytes: int) -> None:
         """Charge one network message of ``nbytes`` to the current stack."""
-        frames = self._frames
-        stats = frames.get(self._attr_stack) if frames is not None else None
+        stats = self._frames.get(self._attr_stack)
         if stats is None:
             self._count_message(self._attr_stack, nbytes)
         else:
@@ -668,52 +634,51 @@ class Engine:
         # Every event installs its own stamp as the current stack, so the
         # caller's stack is saved and restored once around the whole loop.
         previous = (self._attr_stack, self._attr_dups)
+        now = self._now
         try:
             while queue:
-                entry = queue[0]
-                slot = entry[4]
-                cancellable = slot is not None and slot.__class__ is not tuple
-                if cancellable and slot.cancelled:
-                    pop(queue)
+                entry = pop(queue)
+                time, seq, callback, args, slot = entry
+                if slot is None:
+                    stamp = ()
+                elif slot.__class__ is tuple:
+                    stamp = slot
+                elif slot.cancelled:
                     self._cancelled_in_queue -= 1
                     continue
-                time = entry[0]
-                if time > horizon:
-                    self._account(("idle",), until - self._now)
-                    self._now = until
-                    return
-                if fired >= limit:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; possible livelock"
-                    )
-                pop(queue)
-                if cancellable:
+                else:
                     slot.on_cancel = None
                     stamp = slot.attribution or ()
-                else:
-                    stamp = slot or ()
-                self._fire_seq = entry[1]
+                if time > horizon or fired >= limit:
+                    # Not to fire in this run: back in place, unfired.
+                    _heappush(queue, entry)
+                    if slot is not None and slot.__class__ is not tuple:
+                        slot.on_cancel = self._on_cancel
+                    if time > horizon:
+                        break
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}; possible livelock")
+                self._fire_seq = seq
                 # Clock advances partition elapsed time: charging each to
                 # the stack of the event that caused it makes the per-frame
                 # totals sum exactly to end-to-end simulated time.  A sole
                 # sink's totals for a stack it has seen are charged here.
-                frames = self._frames
-                stats = frames.get(stamp) if frames is not None else None
+                stats = self._frames.get(stamp)
                 if stats is None:
-                    self._account(stamp, time - self._now)
+                    self._account(stamp, time - now)
                 else:
-                    stats.seconds += time - self._now
+                    stats.seconds += time - now
                     stats.events += 1
-                self._now = time
+                self._now = now = time
                 fired += 1
                 if fired == next_flush:
                     next_flush += flush_step
                     recorder.flush()
                 self._attr_stack = stamp
                 self._attr_dups = None
-                entry[2](*entry[3])
-            if until is not None and self._now < until:
-                self._account(("idle",), until - self._now)
+                callback(*args)
+            if until is not None and now < until:
+                self._account(("idle",), until - now)
                 self._now = until
         finally:
             self._attr_stack, self._attr_dups = previous

@@ -13,6 +13,10 @@ from pathlib import Path
 import pytest
 
 from repro.kernel.domain import Domain
+from repro.kernel.ipc import (Delay, GetPid, ProfileEnter, ProfileExit,
+                              Receive, Reply, Send, SetPid)
+from repro.kernel.messages import Message, ReplyCode
+from repro.kernel.services import Scope
 from repro.obs.__main__ import main
 from repro.sim.engine import Engine
 from repro.obs.profile import (
@@ -265,34 +269,48 @@ class TestPushPopBalance:
         engine.profile_pop("a")
         assert engine._attr_stack == ()
 
-    def test_scope_token_preserves_dup_counts(self):
-        engine = Engine()
+    def test_process_step_restores_the_outer_dup_counts(self):
+        domain = Domain(seed=0)
+        domain.enable_profiler()
+        host = domain.create_host("m1")
+
+        def worker():
+            yield ProfileEnter("x")
+            yield ProfileEnter("x")     # a dup inside the process scope
+            yield Delay(0.001)
+
+        proc = host.spawn(worker(), name="w")
+        engine = domain.engine
         engine.profile_push("a")
         engine.profile_push("a")            # one outstanding dup
-        token = engine.profile_scope(("other",))
-        engine.profile_push("other")        # dedup inside the scope
-        engine.profile_pop("other")
-        assert engine._attr_stack == ("other",)
-        engine.profile_restore(token)
-        engine.profile_pop("a")             # the dup, restored with the token
+        host._advance(proc)                 # the step replaces the stack
+        assert engine._attr_stack == ("a",)
+        engine.profile_pop("a")             # the dup, restored by the step
         assert engine._attr_stack == ("a",)
         engine.profile_pop("a")
         assert engine._attr_stack == ()
 
-    def test_enter_brackets_one_frame_and_restore_is_the_pop(self):
-        engine = Engine()
-        engine.profile_push("a")
-        engine.profile_push("a")            # one outstanding dup under it
-        token = engine.profile_enter("phase:wire")
-        assert engine._attr_stack == ("a", "phase:wire")
-        inner = engine.profile_enter("phase:wire")   # dedup: opens nothing
-        assert engine._attr_stack == ("a", "phase:wire")
-        engine.profile_push("phase:wire")   # a counted dup inside the region
-        engine.profile_restore(inner)
-        assert engine._attr_stack == ("a", "phase:wire")
-        engine.profile_restore(token)
-        assert engine._attr_stack == ("a",)
-        engine.profile_pop("a")             # the outer dup survived
-        assert engine._attr_stack == ("a",)
-        engine.profile_pop("a")
-        assert engine._attr_stack == ()
+    def test_phase_frame_already_innermost_opens_nothing(self):
+        domain = Domain(seed=0)
+        profiler = domain.enable_profiler()
+        host = domain.create_host("m1")
+
+        def server():
+            yield SetPid(7, Scope.BOTH)
+            delivery = yield Receive()
+            yield Reply(delivery.sender, Message.reply(ReplyCode.OK))
+
+        host.spawn(server(), "server")
+
+        def client():
+            pid = yield GetPid(7, Scope.ANY)
+            yield ProfileEnter("send")      # phase:send is innermost ...
+            yield Send(pid, Message.request(1))   # ... so Send opens none
+            yield ProfileExit()
+
+        host.spawn(client(), name="client")
+        domain.run()
+        stacks = list(profiler.stats)
+        assert ("host:m1", "proc:client", "phase:send") in stacks
+        assert not [stack for stack in stacks
+                    if stack[-2:] == ("phase:send", "phase:send")]
