@@ -120,12 +120,9 @@ class Domain:
         #: registry reports removals here (see Host), so a binding cache can
         #: watch one hub instead of every kernel table.
         self._pid_removal_listeners: list[Callable[[Pid], None]] = []
-        #: Kernel-tap subscribers and the kinds each hears, in attach
-        #: order, and the per-kind tap attributes every host carries (see
-        #: attach_tap).
-        self._tap_subscribers: list[tuple[Callable[..., None],
-                                          frozenset]] = []
-        self._taps: dict[str, object] = {}
+        #: Kernel-tap subscriber -> the kinds it hears, in attach order,
+        #: and the per-kind tap attributes every host carries (attach_tap).
+        self._tap_subscribers: dict[Callable[..., None], frozenset] = {}
         self._bind_tap()
         if obs is not None:
             from repro.obs.kernel_spans import KernelSpans
@@ -211,21 +208,20 @@ class Domain:
         """Subscribe an instrument to the ``kinds`` it hears of every
         host's kernel event tap (:mod:`repro.kernel.tap`), hosts created
         later included."""
-        if all(held != subscriber for held, __ in self._tap_subscribers):
-            self._tap_subscribers.append((subscriber, frozenset(kinds)))
+        if subscriber not in self._tap_subscribers:
+            self._tap_subscribers[subscriber] = frozenset(kinds)
             self._bind_tap()
 
     def detach_tap(self, subscriber: Callable[..., None]) -> None:
-        self._tap_subscribers = [entry for entry in self._tap_subscribers
-                                 if entry[0] != subscriber]
-        self._bind_tap()
+        if self._tap_subscribers.pop(subscriber, None) is not None:
+            self._bind_tap()
 
     def _bind_tap(self) -> None:
         """Hand every host one tap per kind: None when no subscriber hears
         it, the sole subscriber, or a fan-out over those that do."""
         def bind(code: int):
             hearing = tuple(subscriber for subscriber, kinds
-                            in self._tap_subscribers if code in kinds)
+                            in self._tap_subscribers.items() if code in kinds)
             if len(hearing) < 2:
                 return hearing[0] if hearing else None
 
@@ -234,11 +230,9 @@ class Domain:
                     subscriber(*event)
             return fan_out
 
-        taps: dict[str, object] = {slot: bind(code)
-                                   for code, slot in tap.SLOTS.items()}
-        packets = {kind: bind(code) for kind, code in tap.PACKET.items()}
-        taps["_tap_packet"] = {kind: fire for kind, fire in packets.items()
-                               if fire is not None} or None
+        taps = {slot: bind(code) for code, slot in tap.SLOTS.items()}
+        taps["_tap_packet"] = {kind: fire for kind, code in tap.PACKET.items()
+                               if (fire := bind(code)) is not None} or None
         self._taps = taps
         for host in self.hosts.values():
             vars(host).update(taps)

@@ -96,9 +96,8 @@ class Host:
         self._next_txn_id = domain._txn_counter.__next__
         self._next_waiter_id = domain._waiter_counter.__next__
         #: The kernel event tap (repro.kernel.tap), one attribute per kind
-        #: (``_tap_send`` ... ``_tap_annotate``, and ``_tap_packet``): None
-        #: while no instrument hears that kind, else the callable fired at
-        #: each such transition.  The domain rebinds them on attach/detach.
+        #: (``_tap_send`` ... ``_tap_annotate``, ``_tap_packet``): None while
+        #: no instrument hears it; the domain rebinds them on attach/detach.
         vars(self).update(domain._taps)
 
         #: Sender-side: txn_id -> Transaction for this host's blocked senders.
@@ -230,15 +229,12 @@ class Host:
         result.  An unstarted body is started by the first ``send(None)``.
 
         Under profiling, everything this step schedules is attributed to
-        ``host -> process (-> service kind when it differs from the process
-        name) (-> frames the process opened with ProfileEnter)``; the scope
-        *replaces* the engine's current stack (saved and restored around the
-        loop) so interleaved processes never inherit each other's frames.
-        The scope is cached on the process beside the kind it was built
-        for, so a later ``register_actor`` shows; ProfileEnter/ProfileExit
-        drop the cache.  Each effect's handler runs under its CSNH phase
-        frame, so everything it schedules (delivery hops, frames, timers)
-        inherits it.
+        ``host -> process (-> service kind, if not the process name) (->
+        ProfileEnter frames)``.  The scope, cached on the process per kind,
+        *replaces* the engine's stack around the loop so interleaved
+        processes never inherit each other's frames, and each effect's
+        handler runs under its CSNH phase frame, which the delivery hops,
+        frames and timers it schedules inherit.
         """
         engine = self.engine
         saved_stack = None
@@ -384,24 +380,19 @@ class Host:
         # Local requests are delivered by a reliable in-kernel hop, but the
         # retransmit timer is armed for them too: a Forward may push the
         # transaction onto the (lossy) wire later, and then it is this timer
-        # that re-sends the request.  Profiled, each timer (and everything
-        # it causes) is charged to its own phase frame.
-        profiling = engine.profiling
-        if profiling:
-            stack = engine._attr_stack
-            engine._attr_stack = (stack if stack[-1:] == _PROBE
-                                  else stack + _PROBE)
+        # that re-sends the request.  Unprofiled, both timers are armed
+        # inline; the profiled path charges each to its phase frame.
+        if engine.profiling:
+            self._schedule_probe(txn)
+            if self._retransmit_enabled:
+                self._schedule_retransmit(txn, self._retransmit_initial)
+            return _BLOCKED
         txn.probe_event = engine.schedule(self._probe_interval,
                                           self._probe_fire, txn)
         if self._retransmit_enabled:
-            if profiling:
-                engine._attr_stack = (stack if stack[-1:] == _RETRANSMIT
-                                      else stack + _RETRANSMIT)
             interval = self._retransmit_initial
             txn.retransmit_event = engine.schedule(
                 interval, self._retransmit_fire, txn, interval)
-        if profiling:
-            engine._attr_stack = stack
         return _BLOCKED
 
     def _deliver_local_request(self, txn: Transaction,
@@ -836,23 +827,12 @@ class Host:
             # One message out: bump the current stack's message/byte
             # totals, and charge the propagation (the arrival event the
             # ethernet schedules) to a wire frame under this phase.
+            engine.profile_count_message(packet.payload_bytes)
             stack = engine._attr_stack
-            dups = engine._attr_dups
-            stats = engine._frames.get(stack)
-            if stats is None:
-                engine._count_message(stack, packet.payload_bytes)
-            else:
-                stats.messages += 1
-                stats.bytes += packet.payload_bytes
             if stack[-1:] != _WIRE:
                 engine._attr_stack = stack + _WIRE
-                if dups is not None:
-                    engine._attr_dups = dups + (0,)
-            try:
-                arrival = self.ethernet.transmit(frame)
-            finally:
-                engine._attr_stack = stack
-                engine._attr_dups = dups
+            arrival = self.ethernet.transmit(frame)
+            engine._attr_stack = stack
         else:
             arrival = self.ethernet.transmit(frame)
         if resume is not None:
@@ -1037,16 +1017,13 @@ class Host:
 
     def _schedule_probe(self, txn: Transaction) -> None:
         engine = self.engine
-        if engine.profiling:
-            stack = engine._attr_stack
-            engine._attr_stack = (stack if stack[-1:] == _PROBE
-                                  else stack + _PROBE)
-            txn.probe_event = engine.schedule(self._probe_interval,
-                                              self._probe_fire, txn)
-            engine._attr_stack = stack
-            return
+        stack = engine._attr_stack if engine.profiling else None
+        if stack is not None and stack[-1:] != _PROBE:
+            engine._attr_stack = stack + _PROBE
         txn.probe_event = engine.schedule(self._probe_interval,
                                           self._probe_fire, txn)
+        if stack is not None:
+            engine._attr_stack = stack
 
     def _probe_fire(self, txn: Transaction) -> None:
         if txn.txn_id not in self._outstanding:
@@ -1074,18 +1051,15 @@ class Host:
 
     def _schedule_retransmit(self, txn: Transaction, interval: float) -> None:
         engine = self.engine
-        if engine.profiling:
-            # The backoff wait and everything the timer causes (the re-sent
-            # frames) are attributed to the retransmission phase.
-            stack = engine._attr_stack
-            engine._attr_stack = (stack if stack[-1:] == _RETRANSMIT
-                                  else stack + _RETRANSMIT)
-            txn.retransmit_event = engine.schedule(
-                interval, self._retransmit_fire, txn, interval)
-            engine._attr_stack = stack
-            return
+        # Profiled, the backoff wait and everything the timer causes (the
+        # re-sent frames) are attributed to the retransmission phase.
+        stack = engine._attr_stack if engine.profiling else None
+        if stack is not None and stack[-1:] != _RETRANSMIT:
+            engine._attr_stack = stack + _RETRANSMIT
         txn.retransmit_event = engine.schedule(
             interval, self._retransmit_fire, txn, interval)
+        if stack is not None:
+            engine._attr_stack = stack
 
     def _retransmit_fire(self, txn: Transaction, interval: float) -> None:
         if txn.txn_id not in self._outstanding or txn.acked:
@@ -1111,16 +1085,14 @@ class Host:
         if tap is not None:
             tap(ev.RETRANSMIT, self, txn)
         engine = self.engine
-        if engine.profiling:
-            # Also reached outside the timer (PROBE_MISSING): make sure the
-            # fresh copy is charged to the retransmission phase regardless.
-            stack = engine._attr_stack
-            engine._attr_stack = (stack if stack[-1:] == _RETRANSMIT
-                                  else stack + _RETRANSMIT)
-            self._transmit(packet, txn.dst.logical_host)
-            engine._attr_stack = stack
-            return
+        # Also reached outside the timer (PROBE_MISSING): profiled, the
+        # fresh copy is charged to the retransmission phase regardless.
+        stack = engine._attr_stack if engine.profiling else None
+        if stack is not None and stack[-1:] != _RETRANSMIT:
+            engine._attr_stack = stack + _RETRANSMIT
         self._transmit(packet, txn.dst.logical_host)
+        if stack is not None:
+            engine._attr_stack = stack
 
     # ----------------------------------------------------------- introspection
 

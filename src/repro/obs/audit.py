@@ -44,8 +44,6 @@ import sys
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.obs.registry import Counter
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.domain import Domain
     from repro.kernel.host import Host
@@ -74,11 +72,9 @@ def _nearest_rank(ordered: list[float], q: float) -> float:
 
 
 def _caught_up(samples: list[float], ordered: list[float]) -> list[float]:
-    """``ordered``, the sorted copy of a prefix of ``samples``, extended
-    in place to all of them: only the samples added since are sorted, and
-    the merge of the two sorted runs is linear."""
-    if len(ordered) > len(samples):         # the samples were reset
-        ordered.clear()
+    """``ordered``, the sorted copy of a prefix of the append-only
+    ``samples``, extended in place to all of them: only the samples added
+    since are sorted, and the merge of the two sorted runs is linear."""
     if len(ordered) < len(samples):
         ordered += samples[len(ordered):]
         ordered.sort()
@@ -141,19 +137,19 @@ class CoherenceProbe:
         self._lags_ordered: list[float] = []
         self._staleness_ordered: list[float] = []
         #: (counter name, tag value) -> its registry counter, resolved once.
-        self._counters: dict[tuple[str, str], Counter] = {}
+        self._counters: dict[tuple[str, str], object] = {}
 
     # -------------------------------------------------- shard-layer hooks
 
     def _count(self, name: str, **tags: str) -> None:
-        """Bump the registry counter ``name{tags}`` (one tag), resolved
-        once per tag value; a detached counter when there is no registry."""
+        """Bump the registry counter ``name{tags}``, resolved once per name
+        and tag values (nothing without a registry)."""
         key = (name, *tags.values())
         counter = self._counters.get(key)
         if counter is None:
-            counter = self._counters[key] = (
-                self.registry.counter(name, **tags)
-                if self.registry is not None else Counter(name))
+            if self.registry is None:
+                return
+            counter = self._counters[key] = self.registry.counter(name, **tags)
         counter.value += 1
 
     def shard_lookup(self, host: str, replica_id: int) -> None:

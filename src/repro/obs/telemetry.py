@@ -62,8 +62,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from functools import partial
-from operator import add, attrgetter, gt, is_not, itemgetter, lt, sub
+from operator import add, attrgetter, is_not, itemgetter, sub
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.kernel.tap import COMPLETE
@@ -110,55 +109,39 @@ ALERT_LOG_CAPACITY = 1024
 
 
 class TimeSeries:
-    """A bounded (time, value) ring buffer for one host's one metric.
+    """A bounded (time, value) ring buffer for one host's one metric."""
 
-    Columnar: the ring holds ``(time, row)`` samples and the series reads
-    column ``column`` of each row, skipping rows where it is None, as a
-    float.  The collector shares one ring among a host's dense series, so
-    a tick stores the host's whole row with one append; :meth:`record`
-    fills a ring of the series' own with one-value rows.
-    """
-
-    __slots__ = ("host", "metric", "_ring", "_column")
+    __slots__ = ("host", "metric", "_samples")
 
     def __init__(self, host: str, metric: str,
-                 capacity: int = DEFAULT_CAPACITY,
-                 ring: Optional[deque] = None, column: int = 0) -> None:
+                 capacity: int = DEFAULT_CAPACITY) -> None:
         self.host = host
         self.metric = metric
-        self._ring: deque = deque(maxlen=capacity) if ring is None else ring
-        self._column = column
+        self._samples: deque[tuple[float, float]] = deque(maxlen=capacity)
 
     def record(self, t: float, value: float) -> None:
-        """Append one sample (a series with a ring of its own only)."""
-        self._ring.append((t, (value,)))
+        self._samples.append((t, value))
 
     def __len__(self) -> int:
-        return len(self.samples())
+        return len(self._samples)
 
     @property
     def capacity(self) -> int:
-        return self._ring.maxlen or 0
+        return self._samples.maxlen or 0
 
     def samples(self) -> list[tuple[float, float]]:
-        column = self._column
-        return [(t, float(row[column])) for t, row in self._ring
-                if row[column] is not None]
+        return list(self._samples)
 
     def values(self) -> list[float]:
-        return [value for __, value in self.samples()]
+        return [value for __, value in self._samples]
 
     def last(self) -> Optional[float]:
-        column = self._column
-        for __, row in reversed(self._ring):
-            if row[column] is not None:
-                return float(row[column])
-        return None
+        return self._samples[-1][1] if self._samples else None
 
     def to_records(self) -> list[dict]:
         """Export-shaped sample records (``kind`` discriminator)."""
         return [{"kind": "sample", "t": t, "value": value}
-                for t, value in self.samples()]
+                for t, value in self._samples]
 
 
 # ------------------------------------------------------------------ rules
@@ -218,14 +201,6 @@ class SloRule:
         if self.predicate is not None:
             return not self.predicate(value)
         return self._compare(value)
-
-    def comparator(self) -> Optional[Callable[[float], bool]]:
-        """:meth:`breaches` as one C-level call, for a rule that only
-        compares each sample with its limit; None for one that needs the
-        previous sample or a predicate."""
-        if self.kind == "rate_of_change" or self.predicate is not None:
-            return None
-        return partial(lt if self.op == ">" else gt, self.limit)
 
 
 def default_watchdogs() -> list[SloRule]:
@@ -368,36 +343,30 @@ _SUMS_BARE = tuple(index for index in _SUMS
                    if not SERIES_METRICS[index].startswith("coherence."))
 _MAXES = tuple(index for index in _ROW
                if SERIES_METRICS[index] in FLEET_MAX_METRICS)
-#: The one sparse metric (a host reads it only on a tick with completed
-#: transactions): its series keeps a ring of its own.
-_P99 = _INDEX["p99_ms"]
 #: The counter readings a host row starts with, as per-tick deltas.
 _DELTAS = 5
 _msg_queue = attrgetter("msg_queue")
 _NONE = repeat(None)
 _ZERO = repeat(0.0)
+_append = deque.append
+_consume = deque(maxlen=0).extend
 
 
 class _Sampler:
-    """One subject's sampler state, built once: the ring its dense series
-    share, the row indexes that have a series (one opens at its metric's
-    first reading), the p99 series, the previous counter readings, the
-    drop counter's name and its watchdog ``(rule, state, row index)``
-    triples."""
+    """One subject's sampler state, built once: each metric's series ring
+    (None until its first reading), the previous counter readings, the drop
+    counter's name and the watchdog ``(rule, state, row index)`` triples."""
 
-    __slots__ = ("host", "name", "drops", "previous", "ring", "columns",
-                 "p99", "rules")
+    __slots__ = ("host", "name", "drops", "previous", "rings", "rules")
 
-    def __init__(self, host: Optional["Host"], name: str, capacity: int,
+    def __init__(self, host: Optional["Host"], name: str,
                  rules: list) -> None:
         self.host = host
         self.name = name
         self.drops = (f"net.drops_from.{host.host_id}"
                       if host is not None else None)
         self.previous = (0.0,) * _DELTAS
-        self.ring: deque = deque(maxlen=capacity)
-        self.columns: set[int] = set()
-        self.p99: Optional[TimeSeries] = None
+        self.rings: list = [None] * _ABSENT
         self.rules = rules
 
 
@@ -437,20 +406,18 @@ class TelemetryCollector:
         #: when a host was created since the last tick sorted them).
         self._samplers: dict[int, _Sampler] = {}
         self._order: Optional[list[_Sampler]] = None
-        self._fleet = _Sampler(None, FLEET, capacity,
-                               self._rule_triples(FLEET))
+        self._fleet = _Sampler(None, FLEET, self._rule_triples(FLEET))
         domain.on_host_created(self._host_created)
         self._event = None
         self.parked = False
 
     def _rule_triples(self, subject: str) -> list:
-        """``(rule, state, row index, comparator)`` for each rule of
-        ``subject``'s scope; the state is shared by every subject of one
-        name."""
+        """``(rule, state, row index)`` for each rule of ``subject``'s
+        scope; the state is shared by every subject of one name."""
         fleet = subject == FLEET
         return [(rule,
                  self._states.setdefault((rule.name, subject), _RuleState()),
-                 _INDEX.get(rule.metric, _ABSENT), rule.comparator())
+                 _INDEX.get(rule.metric, _ABSENT))
                 for rule in self.rules if (rule.scope == "fleet") == fleet]
 
     # ------------------------------------------------------------- control
@@ -473,10 +440,9 @@ class TelemetryCollector:
     # ------------------------------------------------------- kernel hooks
 
     def on_event(self, kind, host: "Host", a, b=None, c=None) -> None:
-        """Kernel-tap subscriber (``COMPLETE`` only): a reply reaching its
-        waiting sender adds ``now - sent_at`` to the host's latency window
-        (bounded, so a huge interval -- E15's hook-cost run -- cannot grow
-        it without limit)."""
+        """Tap subscriber (``COMPLETE``): a reply reaching its waiting sender
+        adds ``now - sent_at`` to the host's latency window (bounded, so a
+        huge interval -- E15's hook-cost run -- cannot grow it unboundedly)."""
         if c is None:
             return
         window = self._lat_windows.get(host.host_id)
@@ -516,11 +482,9 @@ class TelemetryCollector:
         return ordered[index] * 1000.0
 
     def _row(self, sampler: _Sampler) -> list:
-        """One host's sample row, in SERIES_METRICS order (None where a
-        metric has no reading), plus the trailing absent slot.  Counter
-        readings become per-tick deltas, restart-safe: a counter reset by
-        a host restart clamps to its new reading rather than going
-        negative."""
+        """One host's sample row in SERIES_METRICS order (None: no reading)
+        plus the absent slot.  Counters become per-tick deltas; one reset by
+        a restart clamps to its new reading rather than going negative."""
         domain = self.domain
         host = sampler.host
         counters = host.counters
@@ -549,27 +513,25 @@ class TelemetryCollector:
         row.append(None)
         return row
 
-    def _record(self, sampler: _Sampler, row: list, present: list,
-                t: float) -> None:
-        """Store ``row`` (with readings at the row indexes ``present``, in
-        the order a metric without a series yet opens one) in
-        ``sampler``'s series: one append to the shared ring, and one to
-        the p99 ring when it has a reading."""
-        if not sampler.columns.issuperset(present):
-            for index in present:
-                if index in sampler.columns:
-                    continue
-                sampler.columns.add(index)
-                key = (sampler.name, SERIES_METRICS[index])
-                series = self.series[key] = (
-                    TimeSeries(*key, self.capacity) if index == _P99
-                    else TimeSeries(*key, ring=sampler.ring, column=index))
-                if index == _P99:
-                    sampler.p99 = series
-        if present:
-            sampler.ring.append((t, row))
-        if row[_P99] is not None:
-            sampler.p99.record(t, row[_P99])
+    def _record(self, sampler: _Sampler, row: list, t: float,
+                opening: Optional[list] = None) -> None:
+        """Append ``row``'s readings to ``sampler``'s series in one
+        C-level pass.  A metric's first reading opens its series, in row
+        order or in the order ``opening`` lists."""
+        present = list(map(is_not, row, _NONE))
+        rings = sampler.rings
+        if None in compress(rings, present):
+            for index in (compress(_ROW, present) if opening is None
+                          else opening):
+                if rings[index] is None:
+                    key = (sampler.name, SERIES_METRICS[index])
+                    series = self.series.get(key)
+                    if series is None:
+                        series = self.series[key] = TimeSeries(
+                            *key, self.capacity)
+                    rings[index] = series._samples
+        _consume(map(_append, compress(rings, present),
+                     zip(repeat(t), map(float, compress(row, present)))))
 
     def _tick(self) -> None:
         t = self.domain.engine.now
@@ -579,7 +541,7 @@ class TelemetryCollector:
             order = self._order = [
                 samplers.get(host.host_id) or samplers.setdefault(
                     host.host_id,
-                    _Sampler(host, host.name, self.capacity,
+                    _Sampler(host, host.name,
                              self._rule_triples(host.name)))
                 for host in sorted(self.domain.hosts.values(),
                                    key=lambda h: h.host_id)]
@@ -603,8 +565,7 @@ class TelemetryCollector:
             if gap_start is not None:
                 self._gaps.setdefault(name, []).append((gap_start, t))
             row = self._row(sampler)
-            self._record(sampler, row,
-                         list(compress(_ROW, map(is_not, row, _NONE))), t)
+            self._record(sampler, row, t)
             sums = list(map(add, _ZERO if sums is None else sums, pick(row)))
             for index in _MAXES:
                 value = row[index]
@@ -618,7 +579,7 @@ class TelemetryCollector:
         for index, value in zip(indexes, [*(sums or ()),
                                           *maxima.values()]):
             fleet[index] = value
-        self._record(self._fleet, fleet, indexes, t)
+        self._record(self._fleet, fleet, t, indexes)
         self._evaluate(self._fleet, fleet, t)
         self.ticks += 1
         engine = self.domain.engine
@@ -634,13 +595,12 @@ class TelemetryCollector:
 
     def _evaluate(self, sampler: _Sampler, row: list, t: float) -> None:
         subject = sampler.name
-        for rule, state, index, compare in sampler.rules:
+        for rule, state, index in sampler.rules:
             value = row[index]
             if value is None:
                 breach = False          # no reading this tick = healthy
             else:
-                breach = (compare(value) if compare is not None
-                          else rule.breaches(value, state.previous))
+                breach = rule.breaches(value, state.previous)
                 state.previous = value
             if breach:
                 state.breaching += 1
@@ -652,11 +612,10 @@ class TelemetryCollector:
                         severity=rule.severity, host=subject,
                         metric=rule.metric, value=float(value),
                         limit=rule.limit))
-            elif state.active:
-                # (The healthy streak only matters to an active alert.)
+            else:
                 state.healthy += 1
                 state.breaching = 0
-                if state.healthy >= rule.clear_ticks:
+                if state.active and state.healthy >= rule.clear_ticks:
                     state.active = False
                     self.alerts.emit(AlertEvent(
                         t=t, event="resolve", rule=rule.name,
@@ -664,8 +623,6 @@ class TelemetryCollector:
                         host=subject, metric=rule.metric,
                         value=float(value) if value is not None else 0.0,
                         limit=rule.limit))
-            else:
-                state.breaching = 0
 
     # ---------------------------------------------------------- summaries
 

@@ -62,8 +62,7 @@ from typing import Any, Callable, Optional
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-#: The charge-in-place table while no sole profiler sink supplies one;
-#: never written.
+#: ``Engine._frames`` while no sole profiler sink supplies one: stays empty.
 _NO_FRAMES: dict = {}
 
 
@@ -180,10 +179,8 @@ class Engine:
         self._account: Callable[[tuple, float], None] = self._account_all
         self._count_message: Callable[[tuple, int], None] = (
             self._count_message_all)
-        #: The sole sink's ``stats`` (stack -> totals with ``seconds``,
-        #: ``events``, ``messages`` and ``bytes``), charged in place for a
-        #: stack it already holds; empty unless exactly one sink with stats
-        #: is attached.  A stack it lacks goes through account /
+        #: A sole sink's ``stats`` (stack -> FrameStats), charged in place
+        #: for a stack it holds; a stack it lacks goes through account /
         #: count_message, which create its totals.
         self._frames: dict = _NO_FRAMES
         #: The current attribution stack: a tuple of frame labels naming what
@@ -579,7 +576,7 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         event = ScheduledEvent(time, seq, callback, args, self._on_cancel,
-                               attribution=self._attr_stack)
+                               self._attr_stack)
         _heappush(self._queue, (time, seq, callback, args, event))
         return event
 
