@@ -62,7 +62,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from operator import add, attrgetter, is_not, itemgetter, sub
+from functools import partial
+from operator import add, attrgetter, gt, is_not, itemgetter, lt, sub
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.kernel.tap import COMPLETE
@@ -109,39 +110,50 @@ ALERT_LOG_CAPACITY = 1024
 
 
 class TimeSeries:
-    """A bounded (time, value) ring buffer for one host's one metric."""
+    """A bounded (time, value) ring buffer for one host's one metric.
 
-    __slots__ = ("host", "metric", "_samples")
+    The ring holds ``(time, row)`` pairs and the series is column
+    ``column`` of the rows where it is not None: a host's dense series
+    share one ring, so a tick stores the host's whole row with one append.
+    """
+
+    __slots__ = ("host", "metric", "_ring", "_column")
 
     def __init__(self, host: str, metric: str,
-                 capacity: int = DEFAULT_CAPACITY) -> None:
+                 capacity: int = DEFAULT_CAPACITY,
+                 ring: Optional[deque] = None, column: int = 0) -> None:
         self.host = host
         self.metric = metric
-        self._samples: deque[tuple[float, float]] = deque(maxlen=capacity)
+        self._ring: deque = deque(maxlen=capacity) if ring is None else ring
+        self._column = column
 
     def record(self, t: float, value: float) -> None:
-        self._samples.append((t, value))
+        """Append one sample (a series with a ring of its own only)."""
+        self._ring.append((t, (value,)))
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return len(self.samples())
 
     @property
     def capacity(self) -> int:
-        return self._samples.maxlen or 0
+        return self._ring.maxlen or 0
 
     def samples(self) -> list[tuple[float, float]]:
-        return list(self._samples)
+        column = self._column
+        return [(t, float(row[column])) for t, row in self._ring
+                if row[column] is not None]
 
     def values(self) -> list[float]:
-        return [value for __, value in self._samples]
+        return [value for __, value in self.samples()]
 
     def last(self) -> Optional[float]:
-        return self._samples[-1][1] if self._samples else None
+        samples = self.samples()
+        return samples[-1][1] if samples else None
 
     def to_records(self) -> list[dict]:
         """Export-shaped sample records (``kind`` discriminator)."""
         return [{"kind": "sample", "t": t, "value": value}
-                for t, value in self._samples]
+                for t, value in self.samples()]
 
 
 # ------------------------------------------------------------------ rules
@@ -201,6 +213,13 @@ class SloRule:
         if self.predicate is not None:
             return not self.predicate(value)
         return self._compare(value)
+
+    def comparator(self) -> Optional[Callable[[float], bool]]:
+        """:meth:`breaches` as one C call; None if it needs more than the
+        sample (the previous one, or a predicate)."""
+        if self.kind == "rate_of_change" or self.predicate is not None:
+            return None
+        return partial(lt if self.op == ">" else gt, self.limit)
 
 
 def default_watchdogs() -> list[SloRule]:
@@ -343,30 +362,33 @@ _SUMS_BARE = tuple(index for index in _SUMS
                    if not SERIES_METRICS[index].startswith("coherence."))
 _MAXES = tuple(index for index in _ROW
                if SERIES_METRICS[index] in FLEET_MAX_METRICS)
+#: The one sparse metric (read only on a tick with completed transactions).
+_P99 = _INDEX["p99_ms"]
 #: The counter readings a host row starts with, as per-tick deltas.
 _DELTAS = 5
 _msg_queue = attrgetter("msg_queue")
 _NONE = repeat(None)
 _ZERO = repeat(0.0)
-_append = deque.append
-_consume = deque(maxlen=0).extend
 
 
 class _Sampler:
-    """One subject's sampler state, built once: each metric's series ring
-    (None until its first reading), the previous counter readings, the drop
-    counter's name and the watchdog ``(rule, state, row index)`` triples."""
+    """One subject's sampler state, built once: its dense series' ring, the
+    row indexes with an open series, the p99 series, the previous counter
+    readings, the drop counter's name and the watchdog rule tuples."""
 
-    __slots__ = ("host", "name", "drops", "previous", "rings", "rules")
+    __slots__ = ("host", "name", "drops", "previous", "ring", "columns",
+                 "p99", "rules")
 
-    def __init__(self, host: Optional["Host"], name: str,
+    def __init__(self, host: Optional["Host"], name: str, capacity: int,
                  rules: list) -> None:
         self.host = host
         self.name = name
         self.drops = (f"net.drops_from.{host.host_id}"
                       if host is not None else None)
         self.previous = (0.0,) * _DELTAS
-        self.rings: list = [None] * _ABSENT
+        self.ring: deque = deque(maxlen=capacity)
+        self.columns: set[int] = set()
+        self.p99: Optional[TimeSeries] = None
         self.rules = rules
 
 
@@ -406,18 +428,21 @@ class TelemetryCollector:
         #: when a host was created since the last tick sorted them).
         self._samplers: dict[int, _Sampler] = {}
         self._order: Optional[list[_Sampler]] = None
-        self._fleet = _Sampler(None, FLEET, self._rule_triples(FLEET))
+        for host in domain.hosts.values():
+            self._host_created(host)
+        self._fleet = _Sampler(None, FLEET, capacity,
+                               self._rule_triples(FLEET))
         domain.on_host_created(self._host_created)
         self._event = None
         self.parked = False
 
     def _rule_triples(self, subject: str) -> list:
-        """``(rule, state, row index)`` for each rule of ``subject``'s
+        """``(rule, state, row index, comparator)`` per rule of ``subject``'s
         scope; the state is shared by every subject of one name."""
         fleet = subject == FLEET
         return [(rule,
                  self._states.setdefault((rule.name, subject), _RuleState()),
-                 _INDEX.get(rule.metric, _ABSENT))
+                 _INDEX.get(rule.metric, _ABSENT), rule.comparator())
                 for rule in self.rules if (rule.scope == "fleet") == fleet]
 
     # ------------------------------------------------------------- control
@@ -435,6 +460,8 @@ class TelemetryCollector:
             self._event = None
 
     def _host_created(self, host: "Host") -> None:
+        self._samplers[host.host_id] = _Sampler(
+            host, host.name, self.capacity, self._rule_triples(host.name))
         self._order = None
 
     # ------------------------------------------------------- kernel hooks
@@ -513,38 +540,33 @@ class TelemetryCollector:
         row.append(None)
         return row
 
-    def _record(self, sampler: _Sampler, row: list, t: float,
-                opening: Optional[list] = None) -> None:
-        """Append ``row``'s readings to ``sampler``'s series in one
-        C-level pass.  A metric's first reading opens its series, in row
-        order or in the order ``opening`` lists."""
-        present = list(map(is_not, row, _NONE))
-        rings = sampler.rings
-        if None in compress(rings, present):
-            for index in (compress(_ROW, present) if opening is None
-                          else opening):
-                if rings[index] is None:
+    def _record(self, sampler: _Sampler, row: list, present: list,
+                t: float) -> None:
+        """Store ``row``, with readings at the indexes ``present`` (in
+        series-opening order), in ``sampler``'s series: one append to the
+        shared ring, and one to the p99 ring when it has a reading."""
+        if not sampler.columns.issuperset(present):
+            for index in present:
+                if index not in sampler.columns:
+                    sampler.columns.add(index)
                     key = (sampler.name, SERIES_METRICS[index])
-                    series = self.series.get(key)
-                    if series is None:
-                        series = self.series[key] = TimeSeries(
+                    if index == _P99:
+                        sampler.p99 = self.series[key] = TimeSeries(
                             *key, self.capacity)
-                    rings[index] = series._samples
-        _consume(map(_append, compress(rings, present),
-                     zip(repeat(t), map(float, compress(row, present)))))
+                    else:
+                        self.series[key] = TimeSeries(
+                            *key, ring=sampler.ring, column=index)
+        if present:
+            sampler.ring.append((t, row))
+        if row[_P99] is not None:
+            sampler.p99.record(t, row[_P99])
 
     def _tick(self) -> None:
         t = self.domain.engine.now
         order = self._order
         if order is None:
-            samplers = self._samplers
-            order = self._order = [
-                samplers.get(host.host_id) or samplers.setdefault(
-                    host.host_id,
-                    _Sampler(host, host.name,
-                             self._rule_triples(host.name)))
-                for host in sorted(self.domain.hosts.values(),
-                                   key=lambda h: h.host_id)]
+            order = self._order = [self._samplers[host_id]
+                                   for host_id in sorted(self._samplers)]
         sums_at = (_SUMS if self.domain.coherence is not None
                    else _SUMS_BARE)
         pick = itemgetter(*sums_at)
@@ -565,7 +587,8 @@ class TelemetryCollector:
             if gap_start is not None:
                 self._gaps.setdefault(name, []).append((gap_start, t))
             row = self._row(sampler)
-            self._record(sampler, row, t)
+            self._record(sampler, row,
+                         list(compress(_ROW, map(is_not, row, _NONE))), t)
             sums = list(map(add, _ZERO if sums is None else sums, pick(row)))
             for index in _MAXES:
                 value = row[index]
@@ -579,7 +602,7 @@ class TelemetryCollector:
         for index, value in zip(indexes, [*(sums or ()),
                                           *maxima.values()]):
             fleet[index] = value
-        self._record(self._fleet, fleet, t, indexes)
+        self._record(self._fleet, fleet, indexes, t)
         self._evaluate(self._fleet, fleet, t)
         self.ticks += 1
         engine = self.domain.engine
@@ -595,12 +618,13 @@ class TelemetryCollector:
 
     def _evaluate(self, sampler: _Sampler, row: list, t: float) -> None:
         subject = sampler.name
-        for rule, state, index in sampler.rules:
+        for rule, state, index, compare in sampler.rules:
             value = row[index]
             if value is None:
                 breach = False          # no reading this tick = healthy
             else:
-                breach = rule.breaches(value, state.previous)
+                breach = (compare(value) if compare is not None
+                          else rule.breaches(value, state.previous))
                 state.previous = value
             if breach:
                 state.breaching += 1
@@ -612,10 +636,11 @@ class TelemetryCollector:
                         severity=rule.severity, host=subject,
                         metric=rule.metric, value=float(value),
                         limit=rule.limit))
-            else:
+            elif state.active:
+                # (The healthy streak only matters to an active alert.)
                 state.healthy += 1
                 state.breaching = 0
-                if state.active and state.healthy >= rule.clear_ticks:
+                if state.healthy >= rule.clear_ticks:
                     state.active = False
                     self.alerts.emit(AlertEvent(
                         t=t, event="resolve", rule=rule.name,
@@ -623,6 +648,8 @@ class TelemetryCollector:
                         host=subject, metric=rule.metric,
                         value=float(value) if value is not None else 0.0,
                         limit=rule.limit))
+            else:
+                state.breaching = 0
 
     # ---------------------------------------------------------- summaries
 

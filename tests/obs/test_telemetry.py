@@ -61,6 +61,19 @@ class TestSloRule:
         assert below.breaches(4.9, None)
         assert not below.breaches(5.0, None)
 
+    def test_comparator_agrees_with_breaches(self):
+        rules = [SloRule("r", "m", op=">", limit=5.0),
+                 SloRule("r", "m", op="<", limit=5),
+                 SloRule("r", "m", kind="invariant", op=">", limit=256.0)]
+        for rule in rules:
+            compare = rule.comparator()
+            for value in (0, 4.9, 5, 5.0, 5.1, 256, 300.5):
+                assert compare(value) == rule.breaches(value, None)
+        # The kinds that need more than the sample get no comparator.
+        assert SloRule("r", "m", kind="rate_of_change").comparator() is None
+        assert SloRule("r", "m", kind="invariant",
+                       predicate=bool).comparator() is None
+
     def test_rate_of_change_needs_a_previous_sample(self):
         rule = SloRule("r", "m", kind="rate_of_change", limit=3.0)
         assert not rule.breaches(100.0, None)
