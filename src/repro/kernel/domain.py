@@ -235,7 +235,8 @@ class Domain:
                                if (fire := bind(code)) is not None} or None
         self._taps = taps
         for host in self.hosts.values():
-            vars(host).update(taps)
+            for slot, fire in taps.items():
+                setattr(host, slot, fire)
 
     # ----------------------------------------------------------------- hosts
 

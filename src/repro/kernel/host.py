@@ -98,7 +98,10 @@ class Host:
         #: The kernel event tap (repro.kernel.tap), one attribute per kind
         #: (``_tap_send`` ... ``_tap_annotate``, ``_tap_packet``): None while
         #: no instrument hears it; the domain rebinds them on attach/detach.
-        vars(self).update(domain._taps)
+        #: (Set one by one: materializing ``vars(self)`` slows every later
+        #: attribute load on the host.)
+        for slot, fire in domain._taps.items():
+            setattr(self, slot, fire)
 
         #: Sender-side: txn_id -> Transaction for this host's blocked senders.
         self._outstanding: dict[int, Transaction] = {}

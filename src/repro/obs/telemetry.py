@@ -61,8 +61,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import compress, repeat
 from functools import partial
+from itertools import compress, repeat
 from operator import add, attrgetter, gt, is_not, itemgetter, lt, sub
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -112,20 +112,19 @@ ALERT_LOG_CAPACITY = 1024
 class TimeSeries:
     """A bounded (time, value) ring buffer for one host's one metric.
 
-    The ring holds ``(time, row)`` pairs and the series is column
-    ``column`` of the rows where it is not None: a host's dense series
-    share one ring, so a tick stores the host's whole row with one append.
+    The ring holds ``(time, row)`` pairs and the series is one column of
+    the rows, where it is not None: a host's dense series share one ring,
+    so a tick stores the host's whole row with one append.
     """
 
     __slots__ = ("host", "metric", "_ring", "_column")
 
     def __init__(self, host: str, metric: str,
-                 capacity: int = DEFAULT_CAPACITY,
-                 ring: Optional[deque] = None, column: int = 0) -> None:
+                 capacity: int = DEFAULT_CAPACITY) -> None:
         self.host = host
         self.metric = metric
-        self._ring: deque = deque(maxlen=capacity) if ring is None else ring
-        self._column = column
+        self._ring: deque = deque(maxlen=capacity)
+        self._column = 0
 
     def record(self, t: float, value: float) -> None:
         """Append one sample (a series with a ring of its own only)."""
@@ -550,12 +549,12 @@ class TelemetryCollector:
                 if index not in sampler.columns:
                     sampler.columns.add(index)
                     key = (sampler.name, SERIES_METRICS[index])
+                    series = self.series[key] = TimeSeries(*key,
+                                                           self.capacity)
                     if index == _P99:
-                        sampler.p99 = self.series[key] = TimeSeries(
-                            *key, self.capacity)
-                    else:
-                        self.series[key] = TimeSeries(
-                            *key, ring=sampler.ring, column=index)
+                        sampler.p99 = series
+                    else:       # a column of the host's shared ring
+                        series._ring, series._column = sampler.ring, index
         if present:
             sampler.ring.append((t, row))
         if row[_P99] is not None:
