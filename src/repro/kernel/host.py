@@ -281,11 +281,8 @@ class Host:
                         raise IllegalEffect(
                             f"process {proc.name!r} yielded {effect!r}, "
                             "which is not a kernel effect")
-                    if not engine.profiling:
-                        result = handler(self, proc, effect)
-                    elif (frame := _EFFECT_PHASES.get(type(effect))) is None:
-                        result = handler(self, proc, effect)
-                    else:
+                    if engine.profiling and (
+                            frame := _EFFECT_PHASES.get(type(effect))):
                         stack = engine._attr_stack
                         dups = engine._attr_dups
                         if stack[-1:] != frame:     # else already open
@@ -297,6 +294,8 @@ class Host:
                         finally:
                             engine._attr_stack = stack
                             engine._attr_dups = dups
+                    else:
+                        result = handler(self, proc, effect)
                 except KernelError as err:
                     # API misuse becomes an exception *inside* the process,
                     # so a defensive server can catch it; an unhandled one
