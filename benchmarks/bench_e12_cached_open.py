@@ -155,9 +155,8 @@ def measure_stale_recovery() -> dict:
 
     handle = start_server(fs_host, populated_server())
     standard_prefixes(workstation, handle)
-    # Recovery-only mode: no registry watching, so the crash is discovered
-    # the hard way -- by sending to the dead pid.
-    cache = workstation.enable_name_cache(watch_registry=False)
+    # The crash is discovered the hard way -- by sending to the dead pid.
+    cache = workstation.enable_name_cache()
     CrashSchedule(domain, fs_host).down_between(
         0.05, 0.1, respawn=lambda host: start_server(host, populated_server()))
     name = "[storage]data/f0.dat"

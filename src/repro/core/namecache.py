@@ -33,15 +33,13 @@ hint is *optimistic send, validate by reply code*:
    re-send via full prefix-server resolution;
 3. learn the fresh binding from the fallback's reply.
 
-Two proactive channels keep common staleness off the recovery path: the
+One proactive channel keeps common staleness off the recovery path: the
 prefix server notifies attached caches when a prefix is deleted or rebound
-(:meth:`repro.core.prefix_server.ContextPrefixServer.attach_cache`), and the
-kernel's service registry notifies when a registration's pid dies
-(:meth:`NameCache.note_pid_removed`, wired through
-``Domain.on_pid_removed``), so dead generic bindings are dropped instead of
-timing out.  Both notices model V's kernel-resident per-workstation state:
-the prefix server and its clients share a machine, so the notification is a
-shared-memory write, charged at zero simulated cost.
+(:meth:`repro.core.prefix_server.ContextPrefixServer.attach_cache`).  The
+notice models V's kernel-resident per-workstation state: the prefix server
+and its clients share a machine, so the notification is a shared-memory
+write, charged at zero simulated cost.  A cached generic binding whose
+server died is recovered like any other stale hint, by the fallback above.
 
 :class:`BindingCache` is the reusable bounded-LRU/TTL substrate; the
 centralized baseline's deliberately-stale client cache
@@ -433,18 +431,6 @@ class NameCache:
         dropped = self._drop_prefix(bytes(prefix))
         self._invalidated(reason, dropped)
         return dropped
-
-    def note_pid_removed(self, pid: Pid) -> None:
-        """Registration-removal notice: drop dead generic bindings.
-
-        Wired through ``Domain.on_pid_removed`` so a server's exit or a host
-        crash clears the cached GetPid result immediately -- the next use
-        re-resolves instead of sending to a dead pid and waiting out the
-        probe protocol.
-        """
-        dropped = self._services.invalidate_where(
-            lambda __, value: value == pid)
-        self._invalidated("registration-removed", dropped)
 
     def clear(self) -> None:
         self._hints.clear()

@@ -110,16 +110,12 @@ class Domain:
         self._host_restarted_listeners: list[Callable[[Host], None]] = []
         #: Callbacks fired the instant a Host fail-stops (:meth:`Host.crash`).
         #: Anything holding domain-level references on the dead machine's
-        #: behalf -- its name cache's subscription on the pid-removal hub,
-        #: a shard cluster's replica membership -- must sever them here, or
-        #: notices keep flowing to dead state forever.
+        #: behalf -- its name cache's prefix-server attachment, a shard
+        #: cluster's replica membership -- must sever them here, or notices
+        #: keep flowing to dead state forever.
         self._host_crashed_listeners: list[Callable[[Host], None]] = []
         #: (task name, exception) for every process that died with an error.
         self.failures: list[tuple[str, BaseException]] = []
-        #: Domain-wide registration-removal listeners: every host's service
-        #: registry reports removals here (see Host), so a binding cache can
-        #: watch one hub instead of every kernel table.
-        self._pid_removal_listeners: list[Callable[[Pid], None]] = []
         #: Kernel-tap subscriber -> the kinds it hears, in attach order,
         #: and the per-kind tap attributes every host carries (attach_tap).
         self._tap_subscribers: dict[Callable[..., None], frozenset] = {}
@@ -149,28 +145,7 @@ class Domain:
         """
         self.ethernet.set_fault_model(faults, self.rng.stream("net.faults"))
 
-    # -------------------------------------------------- registration removal
-
-    def on_pid_removed(self, callback: Callable[[Pid], None]) -> None:
-        """Subscribe to service-registration removals anywhere in the domain."""
-        if callback not in self._pid_removal_listeners:
-            self._pid_removal_listeners.append(callback)
-
-    def off_pid_removed(self, callback: Callable[[Pid], None]) -> None:
-        """Unsubscribe a removal listener (no-op when not subscribed).
-
-        The client name cache subscribes here for its host's lifetime; the
-        crash hook calls this so a dead machine's cache stops hearing
-        notices (the subscription leak the chaos harness pins).
-        """
-        try:
-            self._pid_removal_listeners.remove(callback)
-        except ValueError:
-            pass
-
-    def _notify_pid_removed(self, pid: Pid) -> None:
-        for callback in list(self._pid_removal_listeners):
-            callback(pid)
+    # ------------------------------------------------------- host lifecycle
 
     def on_host_created(self, callback: Callable[[Host], None]) -> None:
         """Subscribe to future :meth:`create_host` calls."""

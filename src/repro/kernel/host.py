@@ -80,10 +80,6 @@ class Host:
         self.allocator = PidAllocator(host_id, start=start)
         self.processes: dict[int, Process] = {}
         self.registry = ServiceRegistry()
-        # Surface this kernel's registration removals at the domain hub so
-        # holders of looked-up pids (the client name cache) can subscribe in
-        # one place rather than per host.
-        self.registry.subscribe_removals(domain._notify_pid_removed)
         self.crashed = False
         #: Per-host IPC counters (the domain metrics registry aggregates
         #: across machines; introspection wants this kernel's share).
@@ -120,8 +116,7 @@ class Host:
         # ---- hot-path flyweights -------------------------------------
         # Latency constants and the frame pool never change for the life
         # of the host; per-frame code reads them through one attribute
-        # instead of a chain.  (Engine methods are NOT pre-bound anywhere:
-        # the profiler's dispatch swap relies on attribute lookup.)
+        # instead of a chain.
         self._kernel_cpu = self.latency.kernel_cpu_per_packet
         self._local_hop = self.latency.local_hop
         self._acquire_frame = self.ethernet.frame_pool.acquire
@@ -252,9 +247,7 @@ class Host:
                 cached = proc.scope_cache = (kind,
                                              frames + proc.profile_frames)
             saved_stack = engine._attr_stack
-            saved_dups = engine._attr_dups
             engine._attr_stack = cached[1]
-            engine._attr_dups = None
         body = proc.body
         try:
             while proc.state is not _DEAD:
@@ -284,16 +277,12 @@ class Host:
                     if engine.profiling and (
                             frame := _EFFECT_PHASES.get(type(effect))):
                         stack = engine._attr_stack
-                        dups = engine._attr_dups
                         if stack[-1:] != frame:     # else already open
                             engine._attr_stack = stack + frame
-                            if dups is not None:
-                                engine._attr_dups = dups + (0,)
                         try:
                             result = handler(self, proc, effect)
                         finally:
                             engine._attr_stack = stack
-                            engine._attr_dups = dups
                     else:
                         result = handler(self, proc, effect)
                 except KernelError as err:
@@ -308,7 +297,6 @@ class Host:
         finally:
             if saved_stack is not None:
                 engine._attr_stack = saved_stack
-                engine._attr_dups = saved_dups
 
     def _terminate(self, proc: Process) -> None:
         """Process exit: error-reply held requests, release kernel state."""
@@ -778,21 +766,26 @@ class Host:
             tap(ev.ANNOTATE, self, proc, effect)
         return None
 
+    # ProfileEnter and ProfileExit have no phase frame, so while either runs
+    # the engine's stack is exactly this step's process scope, and the frame
+    # is opened or closed on both at once.
+
     def _do_profile_enter(self, proc: Process, effect: ipc.ProfileEnter) -> Any:
         """Zero-cost: open a per-process attribution frame (see ipc)."""
-        if self.engine.profiling:
-            label = "phase:" + effect.label
-            proc.profile_frames += (label,)
+        engine = self.engine
+        if engine.profiling:
+            label = ("phase:" + effect.label,)
+            proc.profile_frames += label
             proc.scope_cache = None
-            self.engine.profile_push(label)
+            engine._attr_stack += label
         return None
 
     def _do_profile_exit(self, proc: Process, effect: ipc.ProfileExit) -> Any:
-        if self.engine.profiling and proc.profile_frames:
-            label = proc.profile_frames[-1]
+        engine = self.engine
+        if engine.profiling and proc.profile_frames:
             proc.profile_frames = proc.profile_frames[:-1]
             proc.scope_cache = None
-            self.engine.profile_pop(label)
+            engine._attr_stack = engine._attr_stack[:-1]
         return None
 
     def _do_now(self, proc: Process, effect: ipc.Now) -> Any:

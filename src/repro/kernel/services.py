@@ -89,20 +89,6 @@ class ServiceRegistry:
 
     def __init__(self) -> None:
         self._entries: dict[int, list[Registration]] = {}
-        #: Callbacks fired with a Pid when its registrations are dropped.
-        #: Holders of looked-up pids (the client-side name cache) subscribe
-        #: so a server's exit or crash is observed immediately, rather than
-        #: discovered by sending to a dead pid and waiting out the probes.
-        self._removal_listeners: list = []
-
-    def subscribe_removals(self, callback) -> None:
-        """Register ``callback(pid)`` for registration-removal events."""
-        if callback not in self._removal_listeners:
-            self._removal_listeners.append(callback)
-
-    def _notify_removed(self, pid: Pid) -> None:
-        for callback in list(self._removal_listeners):
-            callback(pid)
 
     def set_pid(self, service: int, pid: Pid, scope: Scope) -> None:
         if scope == Scope.ANY:
@@ -129,21 +115,11 @@ class ServiceRegistry:
 
     def remove_pid(self, pid: Pid) -> None:
         """Drop every registration held by ``pid`` (process exit / crash)."""
-        removed = False
         for entries in self._entries.values():
-            kept = [e for e in entries if e.pid != pid]
-            if len(kept) != len(entries):
-                entries[:] = kept
-                removed = True
-        if removed:
-            self._notify_removed(pid)
+            entries[:] = [e for e in entries if e.pid != pid]
 
     def clear(self) -> None:
-        doomed = {entry.pid for entries in self._entries.values()
-                  for entry in entries}
         self._entries.clear()
-        for pid in doomed:
-            self._notify_removed(pid)
 
     def registrations(self) -> list[Registration]:
         result: list[Registration] = []

@@ -68,16 +68,15 @@ class Workstation:
         """Spawn a user program; ``body_factory(session)`` returns its body."""
         return self.host.spawn(body_factory(self.session()), name=name)
 
-    def enable_name_cache(self, getpid_ttl: float = 5.0, max_hints: int = 512,
-                          watch_registry: bool = True) -> NameCache:
+    def enable_name_cache(self, getpid_ttl: float = 5.0,
+                          max_hints: int = 512) -> NameCache:
         """Turn on client-side binding caching for this workstation.
 
         Every session created afterwards shares one :class:`NameCache`,
         which is attached to the local prefix server for proactive
-        delete/rebind notices and (when ``watch_registry`` is true) to the
-        domain's registration-removal hub so dead generic bindings drop
-        immediately.  ``watch_registry=False`` leaves staleness to the
-        optimistic-send recovery path -- what the fault benchmarks exercise.
+        delete/rebind notices.  A generic binding whose server died is
+        recovered by the optimistic-send path: the failed Send drops the
+        hint and the next use re-resolves with ``GetPid``.
         """
         if self.name_cache is None:
             domain = self.host.domain
@@ -87,23 +86,19 @@ class Workstation:
             self.name_cache = cache
             prefix_server = self.prefix_server
             prefix_server.attach_cache(cache)
-            if watch_registry:
-                domain.on_pid_removed(cache.note_pid_removed)
             # Let the [obs] stat server serve this cache's contents live
             # as [obs]/hosts/<this-host>/namecache.
             domain.name_caches[self.host.host_id] = cache
 
             def on_crash(crashed: Host) -> None:
                 # This machine died, and its cache dies with it: sever the
-                # prefix-server attachment and the domain-hub subscription,
-                # or invalidation notices keep landing on a dead cache (and
-                # the hub entry pins it) forever.  A post-restart
+                # prefix-server attachment, or invalidation notices keep
+                # landing on a dead cache forever.  A post-restart
                 # enable_name_cache() starts cold, as a rebooted machine
                 # would.
                 if crashed is not self.host or self.name_cache is not cache:
                     return
                 prefix_server.detach_cache(cache)
-                domain.off_pid_removed(cache.note_pid_removed)
                 if domain.name_caches.get(self.host.host_id) is cache:
                     del domain.name_caches[self.host.host_id]
                 cache.clear()

@@ -19,40 +19,34 @@ Hot-path layout (the ROADMAP's >= 10^6 events/sec target):
   a :class:`ScheduledEvent` -- a ``__slots__`` flyweight carrying only
   cancellation state and the profiler's attribution stamp -- for entries
   the caller may cancel; ``None`` for fire-and-forget work posted via
-  :meth:`Engine.post` / :meth:`Engine.post_at`, which skips the event
-  allocation entirely; and, for work posted *while a profiler is
-  attached*, the attribution stamp itself (a tuple of frame labels), so
+  :meth:`Engine.post` / :meth:`Engine.post_at` with an empty attribution
+  stack, which skips the event allocation entirely; and, for work posted
+  under a non-empty stack, the stamp itself (a tuple of frame labels), so
   profiling allocates no event either.  Kernel frame hops (transmit,
   deliver, handle) are all posts, so the dominant event traffic allocates
   one tuple and nothing else, profiled or not.
-- ``schedule*``/``post*`` come in two complete variants, ``run`` in three.
-  The class methods *are* the fast path and contain no profiler branch at
-  all.  When the first profiler sink attaches, :meth:`attach_profiler`
-  performs a one-time dispatch swap -- instance attributes shadowing the
-  class methods with the instrumented variants -- and detaching the last
-  sink removes them, after sweeping the stamps of still-queued posts back
-  to ``None``: the fast path only ever sees "``None`` or a cancellable
-  event" in the slot.  The cost of profiling support on an unprofiled
-  engine is therefore zero per event, not one branch per event.  The
-  instrumented ``run`` is one inlined loop (no per-event method call or
-  ``try``), charges a sole sink through its own bound ``account`` (the
-  fan-out loop serves only two or more sinks), and flushes an attached
-  flight recorder on the recording loop's cadence.  The third ``run`` is
-  that recording loop, installed by a flight recorder alone: the fast
-  path plus one ``_fire_seq`` store per event.
+- There is one ``schedule``/``schedule_at``/``post``/``post_at`` each; they
+  always store the current attribution stack, which is ``()`` whenever no
+  profiler is attached, so unprofiled posts carry ``None``.  ``run`` picks
+  one of three loops per call from what is attached, because each does
+  different work per event: the profiled loop (a profiler is attached)
+  charges every clock advance and flushes a flight recorder riding along;
+  the recording loop (a flight recorder alone) stores each firing event's
+  ``seq`` in ``_fire_seq`` and flushes the recorder; the fast loop does
+  neither.  Each loop pops first and serves bounded and unbounded runs
+  with the same body.
 - The slot format stays inside this module: code that inspects what is
   still queued (the chaos harness's timer-leak check) iterates
   :meth:`Engine.pending_events`, which knows all three slot states.
 
-Attribution profiling (:mod:`repro.obs.profile`) hooks into the
-instrumented variants: every scheduled event is stamped with the
-attribution stack current at *schedule* time (in its event object, or
-directly in the heap slot for posts), and every clock advance is charged
-to the stack of the event that advanced it.  Because the advances
-partition the clock, the per-frame totals sum exactly to elapsed simulated
-time -- and because the stamp is inherited while an event's callback runs,
-transitively scheduled work (a reply frame, a retransmission timer) stays
-attributed to the phase that caused it.
+Attribution profiling (:mod:`repro.obs.profile`): every scheduled event is
+stamped with the attribution stack current at *schedule* time (in its event
+object, or directly in the heap slot for posts), and the profiled loop
+charges every clock advance to the stack of the event that advanced it.
+Because the advances partition the clock, the per-frame totals sum exactly
+to elapsed simulated time -- and because the stamp is inherited while an
+event's callback runs, transitively scheduled work (a reply frame, a
+retransmission timer) stays attributed to the phase that caused it.
 """
 
 from __future__ import annotations
@@ -76,8 +70,7 @@ class ScheduledEvent:
     A ``__slots__`` flyweight: ordering lives in the ``(time, seq)`` tuple
     of the heap entry, not on the object, so instances carry no comparison
     methods and creation is one attribute burst.  ``attribution`` is the
-    stack captured at schedule time (instrumented scheduling only; None on
-    the fast path).
+    stack captured at schedule time (``()`` while no profiler is attached).
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled",
@@ -86,7 +79,7 @@ class ScheduledEvent:
     def __init__(self, time: float, seq: int, callback: Callable[..., None],
                  args: tuple = (),
                  on_cancel: Optional[Callable[[], None]] = None,
-                 attribution: Optional[tuple] = None) -> None:
+                 attribution: tuple = ()) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
@@ -124,15 +117,13 @@ class Engine:
     """
 
     #: Hot engine state lives in slots (``_now`` is stored on every event
-    #: fired, ``_seq``/``_queue`` are read on every schedule/post).  The
-    #: trailing ``__dict__`` keeps the instance open for the profiler's
-    #: dispatch-swap shadows (and the ``profiling`` flag, which must stay a
-    #: class attribute so it cannot be listed here).
+    #: fired, ``_seq``/``_queue``/``_attr_stack`` are read on every
+    #: schedule/post, ``profiling`` several times per kernel frame hop).
     __slots__ = ("_queue", "_seq", "_now", "_running", "_events_processed",
                  "_cancelled_in_queue", "_on_cancel",
-                 "_compactions", "_profilers", "_account", "_count_message",
-                 "_frames", "_attr_stack", "_attr_dups", "_recorder", "_fire_seq",
-                 "__dict__", "__weakref__")
+                 "_compactions", "_profilers", "profiling", "_account",
+                 "_count_message", "_frames", "_attr_stack", "_recorder",
+                 "_fire_seq", "__weakref__")
 
     #: Compaction never runs below this queue size: rebuilding a tiny heap
     #: costs more bookkeeping than the dead entries do.
@@ -152,9 +143,8 @@ class Engine:
         """Zero the process-wide event counter (documented reset point).
 
         Benchmarks that want a fresh measurement window call this instead
-        of writing ``Engine.total_events`` -- assigning through an
-        *instance* would silently shadow the class counter and split the
-        tally.
+        of writing ``Engine.total_events`` (an engine instance has no
+        ``__dict__``, so assigning through one raises).
         """
         cls.total_events = 0
 
@@ -173,9 +163,12 @@ class Engine:
         #: Attached profiler sinks (see repro.obs.profile).  Duck-typed:
         #: each needs account(stack, dt) and count_message(stack, nbytes).
         self._profilers: list[Any] = []
+        #: True while at least one profiler sink is attached.  Kernel code
+        #: gates its frame pushes on it.
+        self.profiling = False
         #: Where clock advances and wire messages are charged: the sole
         #: sink's own bound methods while exactly one is attached, the
-        #: fan-out loops otherwise (rebound by _refresh_dispatch).
+        #: fan-out loops otherwise (rebound by _bind_sinks).
         self._account: Callable[[tuple, float], None] = self._account_all
         self._count_message: Callable[[tuple, int], None] = (
             self._count_message_all)
@@ -185,22 +178,16 @@ class Engine:
         self._frames: dict = _NO_FRAMES
         #: The current attribution stack: a tuple of frame labels naming what
         #: the simulation is doing *right now* (host -> process -> phase).
+        #: Always ``()`` while no profiler is attached, so the fast and
+        #: recording loops never meet a stamped post.
         self._attr_stack: tuple = ()
-        #: Per-frame duplicate counts, parallel to the stack: profile_push
-        #: deduplicates a label equal to the innermost frame, and this
-        #: records how many such no-op pushes are outstanding so profile_pop
-        #: stays depth-balanced (popping a deduplicated label must not
-        #: remove the frame somebody else pushed).  None while no duplicate
-        #: is outstanding -- the state every fired event and every process
-        #: step starts in, so neither builds a tuple of zeros.
-        self._attr_dups: Optional[tuple] = None
         #: Attached flight recorder (see repro.obs.flight), or None.  The
         #: engine never calls it per event; it only maintains _fire_seq so
         #: kernel record sites can stamp flight records with the sequence
         #: number of the event whose callback is currently running.
         self._recorder: Any = None
         #: Sequence number of the event currently firing (-1 outside a
-        #: callback, or while no recorder/profiler variant is installed).
+        #: callback, or while neither a recorder nor a profiler is attached).
         self._fire_seq = -1
 
     @property
@@ -212,8 +199,8 @@ class Engine:
     def events_processed(self) -> int:
         """Total number of events that have fired so far.
 
-        Exact between runs; during :meth:`run` every loop (fast path,
-        recording and instrumented alike) accumulates into a local and
+        Exact between runs; during :meth:`run` every loop (fast,
+        recording and profiled alike) accumulates into a local and
         flushes on exit, so mid-run reads (only possible from inside a
         callback) lag the true count, as does ``Engine.total_events``.
         """
@@ -242,41 +229,10 @@ class Engine:
 
     # ------------------------------------------------------------- profiling
 
-    #: True while at least one profiler sink is attached.  Kernel code gates
-    #: its frame pushes on this; it is a plain attribute (maintained by
-    #: attach/detach, shadowing this class default) rather than a property,
-    #: because the kernel reads it several times per frame hop and a
-    #: property call there is measurable at fleet scale.
-    profiling: bool = False
-
-    #: Methods swapped to their instrumented variants while any profiler is
-    #: attached.  The class-level definitions are the fast path; the swap
-    #: sets instance attributes that shadow them, and detaching the last
-    #: sink deletes the shadows -- a one-time dispatch change instead of a
-    #: per-event branch.
-    _SWAPPED = ("run", "schedule", "schedule_at", "post", "post_at")
-
-    #: True while a flight recorder is attached (see repro.obs.flight).
-    #: Same shadowing discipline as ``profiling``: a class default the
-    #: dispatch swap overrides with an instance attribute, so the kernel's
-    #: gate reads cost one dict lookup and no property call.
-    recording: bool = False
-
-    def _refresh_dispatch(self) -> None:
-        """Install the method set matching the attached instrumentation.
-
-        One-time dispatch swap instead of per-event branches: any profiler
-        wins (its instrumented variants also maintain ``_fire_seq`` and
-        flush the recorder, so a recorder rides along); a recorder alone
-        installs only the recording run (scheduling stays on the fast
-        path); with neither, the shadows are removed and the class
-        methods -- the fast path -- serve.  The charge targets are bound
-        here too: a sole sink's ``account``/``count_message`` are called
-        directly (and its ``stats`` charged in place where it can be), the
-        fan-out loops only serve two or more sinks.
-        """
-        for name in self._SWAPPED:
-            self.__dict__.pop(name, None)
+    def _bind_sinks(self) -> None:
+        """Bind where charges go: a sole sink's own ``account`` /
+        ``count_message`` are called directly (and its ``stats`` charged in
+        place where it can be); the fan-out loops serve two or more."""
         sinks = self._profilers
         if len(sinks) == 1:
             self._account = sinks[0].account
@@ -286,21 +242,13 @@ class Engine:
             self._account = self._account_all
             self._count_message = self._count_message_all
             self._frames = _NO_FRAMES
-        if sinks:
-            self.run = self._run_instrumented
-            self.schedule = self._schedule_instrumented
-            self.schedule_at = self._schedule_at_instrumented
-            self.post = self._post_instrumented
-            self.post_at = self._post_at_instrumented
-        elif self._recorder is not None:
-            self.run = self._run_recording
+        self.profiling = bool(sinks)
 
     def attach_profiler(self, sink: Any) -> None:
         """Attach a profiler sink; it is charged every clock advance.
 
-        The first sink must attach between runs: the instrumented posts
-        stamp heap entries in a way only the instrumented loop reads, and a
-        fast-path ``run()`` already in progress cannot be swapped out.
+        The first sink must attach between runs: a fast or recording loop
+        already in progress charges nothing and cannot be swapped out.
         """
         if sink in self._profilers:
             return
@@ -308,34 +256,37 @@ class Engine:
             raise SimulationError(
                 "cannot attach the first profiler from inside run()")
         self._profilers.append(sink)
-        self.profiling = True
         sink.attached(self)
-        self._refresh_dispatch()
+        self._bind_sinks()
 
     def detach_profiler(self, sink: Any) -> None:
         if sink not in self._profilers:
             return
         self._profilers.remove(sink)
         sink.detached(self)
+        self._bind_sinks()
         if not self._profilers:
-            self.__dict__.pop("profiling", None)
-            # The fast path reads heap slot 4 as "None or a cancellable
-            # event": strip the stamps of still-queued posts back to None
-            # before it serves again.  (time, seq) are untouched, so the
-            # heap order -- and therefore firing order -- is too.
-            queue = self._queue
-            for index, entry in enumerate(queue):
-                if entry[4].__class__ is tuple:
-                    queue[index] = entry[:4] + (None,)
-        self._refresh_dispatch()
+            self._drop_stamps()
+
+    def _drop_stamps(self) -> None:
+        """No profiler is attached: empty the stack and strip the stamps of
+        still-queued posts back to ``None``, because the fast and recording
+        loops read heap slot 4 as "``None`` or a cancellable event".
+        ``(time, seq)`` are untouched, so the heap order -- and therefore
+        firing order -- is too."""
+        self._attr_stack = ()
+        queue = self._queue
+        for index, entry in enumerate(queue):
+            if entry[4].__class__ is tuple:
+                queue[index] = entry[:4] + (None,)
 
     def attach_recorder(self, sink: Any) -> None:
         """Attach the flight recorder; only one may be attached at a time.
 
         The engine itself only maintains ``_fire_seq`` (the sequence number
         of the event currently firing); the kernel's record sites read it to
-        stamp flight records.  Cost when unattached: zero -- the recording
-        run variant exists only as an instance shadow while attached.
+        stamp flight records.  Cost when unattached: zero -- ``run`` then
+        picks a loop that never stores it.
         """
         if self._recorder is sink:
             return
@@ -344,44 +295,11 @@ class Engine:
         if self._running:   # the loop in progress never stamps _fire_seq
             raise SimulationError("cannot attach a recorder inside run()")
         self._recorder = sink
-        self.recording = True
-        self._refresh_dispatch()
 
     def detach_recorder(self, sink: Any) -> None:
         if self._recorder is sink:
             self._recorder = None
-            self.__dict__.pop("recording", None)
             self._fire_seq = -1
-            self._refresh_dispatch()
-
-    def profile_push(self, label: str) -> None:
-        """Push one frame label (deduplicated if it is already the innermost
-        one, so self-rescheduling timers do not grow the stack).
-
-        Deduplicated pushes are *counted*: the matching :meth:`profile_pop`
-        consumes the count instead of removing the frame someone else
-        pushed, so push/pop always balances."""
-        stack = self._attr_stack
-        dups = self._attr_dups
-        if stack and stack[-1] == label:
-            if dups is None:
-                dups = (0,) * len(stack)
-            self._attr_dups = dups[:-1] + (dups[-1] + 1,)
-        else:
-            self._attr_stack = stack + (label,)
-            if dups is not None:
-                self._attr_dups = dups + (0,)
-
-    def profile_pop(self, label: str) -> None:
-        stack = self._attr_stack
-        if stack and stack[-1] == label:
-            dups = self._attr_dups
-            if dups is not None and dups[-1] > 0:
-                self._attr_dups = dups[:-1] + (dups[-1] - 1,)
-            else:
-                self._attr_stack = stack[:-1]
-                if dups is not None:
-                    self._attr_dups = dups[:-1]
 
     def profile_count_message(self, nbytes: int) -> None:
         """Charge one network message of ``nbytes`` to the current stack."""
@@ -417,9 +335,8 @@ class Engine:
                 and self._cancelled_in_queue * 2 > len(queue)):
             # In place: run() holds a local alias to the heap list, so the
             # rebuild must preserve list identity, not rebind the attribute.
-            # Posted (fire-and-forget) entries carry None -- or, posted
-            # under profiling, their attribution stamp -- in the event slot
-            # and are never cancelled.
+            # Posted (fire-and-forget) entries carry None or their
+            # attribution stamp in the event slot and are never cancelled.
             queue[:] = [entry for entry in queue
                         if entry[4] is None
                         or not getattr(entry[4], "cancelled", False)]
@@ -427,7 +344,12 @@ class Engine:
             self._cancelled_in_queue = 0
             self._compactions += 1
 
-    # ------------------------------------------------- scheduling (fast path)
+    # ----------------------------------------------------------- scheduling
+    #
+    # The one implementation of each.  Every entry carries the attribution
+    # stack current at schedule time: a cancellable event in its
+    # ``attribution``, a post as heap slot 4 itself (``None`` for the empty
+    # stack, so unprofiled posts stay "None or a cancellable event").
 
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
@@ -438,7 +360,8 @@ class Engine:
         time = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        event = ScheduledEvent(time, seq, callback, args, self._on_cancel)
+        event = ScheduledEvent(time, seq, callback, args, self._on_cancel,
+                               self._attr_stack)
         _heappush(self._queue, (time, seq, callback, args, event))
         return event
 
@@ -452,7 +375,8 @@ class Engine:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = ScheduledEvent(time, seq, callback, args, self._on_cancel)
+        event = ScheduledEvent(time, seq, callback, args, self._on_cancel,
+                               self._attr_stack)
         _heappush(self._queue, (time, seq, callback, args, event))
         return event
 
@@ -462,16 +386,18 @@ class Engine:
 
         Identical firing semantics (consumes one sequence number, fires in
         the same order a ``schedule`` call here would), but the heap entry
-        carries ``None`` in the event slot, so no :class:`ScheduledEvent`
-        is allocated.  This is the right call for the kernel's frame-hop
-        events -- transmit, deliver, handle-packet -- which are never
-        cancelled and dominate event traffic at fleet scale.
+        carries the attribution stamp -- ``None`` unprofiled -- in the event
+        slot, so no :class:`ScheduledEvent` is allocated.  This is the right
+        call for the kernel's frame-hop events -- transmit, deliver,
+        handle-packet -- which are never cancelled and dominate event
+        traffic at fleet scale.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
-        _heappush(self._queue, (self._now + delay, seq, callback, args, None))
+        _heappush(self._queue, (self._now + delay, seq, callback, args,
+                                self._attr_stack or None))
 
     def post_at(self, time: float, callback: Callable[..., None],
                 *args: Any) -> None:
@@ -482,9 +408,10 @@ class Engine:
             )
         seq = self._seq
         self._seq = seq + 1
-        _heappush(self._queue, (time, seq, callback, args, None))
+        _heappush(self._queue, (time, seq, callback, args,
+                                self._attr_stack or None))
 
-    # -------------------------------------------------- event loop (fast path)
+    # ----------------------------------------------------------- event loops
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run events in order until the queue drains.
@@ -497,132 +424,118 @@ class Engine:
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
+        if self._profilers:
+            loop = self._run_profiled
+        elif self._recorder is not None:
+            loop = self._run_recording
+        else:
+            loop = self._run_fast
         self._running = True
-        queue = self._queue
-        pop = _heappop
-        limit = float("inf") if max_events is None else max_events
-        fired = 0
-        try:
-            if until is None:
-                while queue:
-                    if fired >= limit:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; possible livelock"
-                        )
-                    time, __, callback, args, event = pop(queue)
-                    if event is not None:
-                        if event.cancelled:
-                            self._cancelled_in_queue -= 1
-                            continue
-                        event.on_cancel = None
-                    self._now = time
-                    fired += 1
-                    callback(*args)
-                return
-            while queue:
-                entry = queue[0]
-                event = entry[4]
-                if event is not None and event.cancelled:
-                    pop(queue)
-                    self._cancelled_in_queue -= 1
-                    continue
-                if entry[0] > until:
-                    self._now = until
-                    return
-                if fired >= limit:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; possible livelock"
-                    )
-                pop(queue)
-                if event is not None:
-                    event.on_cancel = None
-                self._now = entry[0]
-                fired += 1
-                entry[2](*entry[3])
-            if self._now < until:
-                self._now = until
-        finally:
-            self._running = False
-            if fired:
-                self._events_processed += fired
-                Engine.total_events += fired
+        # Each loop clears _running and counts what it fired on every exit.
+        loop(float("inf") if until is None else until,
+             float("inf") if max_events is None else max_events)
+        if until is not None and self._now < until:
+            if self._profilers:
+                self._account(("idle",), until - self._now)
+            self._now = until
 
     def run_for(self, duration: float) -> None:
         """Run until ``duration`` simulated seconds past the current time."""
         self.run(until=self._now + duration)
 
-    # --------------------------------------------- instrumented event loop
-    #
-    # Complete second implementations of the swapped methods, installed as
-    # instance attributes while a profiler sink is attached (see
-    # attach_profiler).  Behaviour is identical to the fast path except for
-    # the attribution bookkeeping: events are stamped with the stack at
-    # schedule time, every clock advance is charged to the stack of the
-    # event that caused it, and the stamp becomes the current stack while
-    # the callback runs so transitively scheduled work inherits it.
-    #
-    # Heap slot 4 has three states here: None (posted before the profiler
-    # attached: unstamped), a tuple (posted under profiling: the stamp
-    # itself, no event object), or a ScheduledEvent (cancellable; the stamp
-    # is its ``attribution``).  Only these variants ever read a tuple
-    # there -- detach_profiler strips them before the fast path returns.
-
-    def _schedule_instrumented(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> ScheduledEvent:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        event = ScheduledEvent(time, seq, callback, args, self._on_cancel,
-                               self._attr_stack)
-        _heappush(self._queue, (time, seq, callback, args, event))
-        return event
-
-    def _schedule_at_instrumented(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> ScheduledEvent:
-        if time < self._now:
+    def _stop(self, entry: tuple, horizon: float, limit: float) -> None:
+        """Put back the live entry a loop stopped at, unfired; raise if the
+        stop is the ``max_events`` bound rather than the ``until`` horizon."""
+        _heappush(self._queue, entry)
+        slot = entry[4]
+        if slot is not None and slot.__class__ is not tuple:
+            slot.on_cancel = self._on_cancel
+        if entry[0] <= horizon:
             raise SimulationError(
-                f"cannot schedule at {time} which is before now ({self._now})"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        event = ScheduledEvent(time, seq, callback, args, self._on_cancel,
-                               attribution=self._attr_stack)
-        _heappush(self._queue, (time, seq, callback, args, event))
-        return event
+                f"exceeded max_events={limit}; possible livelock")
 
-    def _post_instrumented(self, delay: float, callback: Callable[..., None],
-                           *args: Any) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        seq = self._seq
-        self._seq = seq + 1
-        _heappush(self._queue, (self._now + delay, seq, callback, args,
-                                self._attr_stack))
+    def _finish(self, fired: int) -> None:
+        self._running = False
+        self._events_processed += fired
+        Engine.total_events += fired
 
-    def _post_at_instrumented(self, time: float,
-                              callback: Callable[..., None],
-                              *args: Any) -> None:
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} which is before now ({self._now})"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        _heappush(self._queue, (time, seq, callback, args, self._attr_stack))
-
-    def _run_instrumented(self, until: float | None = None,
-                          max_events: int | None = None) -> None:
-        if self._running:
-            raise SimulationError("engine is already running (re-entrant run())")
-        self._running = True
+    def _run_fast(self, horizon: float, limit: float) -> None:
+        """Neither a profiler nor a recorder attached: fire, nothing else."""
         queue = self._queue
         pop = _heappop
-        limit = float("inf") if max_events is None else max_events
-        horizon = float("inf") if until is None else until
+        fired = 0
+        try:
+            while queue:
+                time, seq, callback, args, event = pop(queue)
+                if event is not None:
+                    if event.cancelled:
+                        self._cancelled_in_queue -= 1
+                        continue
+                    event.on_cancel = None
+                if time > horizon or fired >= limit:
+                    self._stop((time, seq, callback, args, event),
+                               horizon, limit)
+                    break
+                self._now = time
+                fired += 1
+                callback(*args)
+        finally:
+            self._finish(fired)
+
+    #: Events between recorder flushes (the check is one int compare per
+    #: event).  Bounds unsealed-tail growth at a few thousand records --
+    #: the same order as the default ring capacity.
+    _FLUSH_EVERY = 2048
+
+    def _run_recording(self, horizon: float, limit: float) -> None:
+        """A flight recorder and no profiler: the fast loop plus one store.
+
+        The firing event's sequence number lands in ``_fire_seq`` before the
+        callback runs, so kernel record sites can stamp flight records with
+        it, and the recorder is flushed every ``_FLUSH_EVERY`` events, which
+        is where lane tails get sealed into digest windows (amortized off
+        the record path; seals consume whole windows, so flush cadence never
+        shows in the chains).  That is what keeps the recorder inside the
+        E15/E17 observer-effect budget.
+        """
+        queue = self._queue
+        pop = _heappop
+        flush = self._recorder.flush
+        flush_step = self._FLUSH_EVERY
+        next_flush = flush_step
+        fired = 0
+        try:
+            while queue:
+                time, seq, callback, args, event = pop(queue)
+                if event is not None:
+                    if event.cancelled:
+                        self._cancelled_in_queue -= 1
+                        continue
+                    event.on_cancel = None
+                if time > horizon or fired >= limit:
+                    self._stop((time, seq, callback, args, event),
+                               horizon, limit)
+                    break
+                self._now = time
+                self._fire_seq = seq
+                fired += 1
+                if fired == next_flush:
+                    next_flush += flush_step
+                    flush()
+                callback(*args)
+        finally:
+            self._finish(fired)
+
+    def _run_profiled(self, horizon: float, limit: float) -> None:
+        """A profiler attached: the recording loop plus attribution.
+
+        Every clock advance is charged to the stack of the event that caused
+        it, and that stamp becomes the current stack while the callback runs,
+        so transitively scheduled work inherits it.  ``_fire_seq`` is stored
+        and an attached recorder flushed exactly as the recording loop does.
+        """
+        queue = self._queue
+        pop = _heappop
         recorder = self._recorder
         flush_step = self._FLUSH_EVERY
         # fired is at least 1 when compared, so 0 means "never flush".
@@ -630,12 +543,11 @@ class Engine:
         fired = 0
         # Every event installs its own stamp as the current stack, so the
         # caller's stack is saved and restored once around the whole loop.
-        previous = (self._attr_stack, self._attr_dups)
+        previous = self._attr_stack
         now = self._now
         try:
             while queue:
-                entry = pop(queue)
-                time, seq, callback, args, slot = entry
+                time, seq, callback, args, slot = pop(queue)
                 if slot is None:
                     stamp = ()
                 elif slot.__class__ is tuple:
@@ -645,16 +557,11 @@ class Engine:
                     continue
                 else:
                     slot.on_cancel = None
-                    stamp = slot.attribution or ()
+                    stamp = slot.attribution
                 if time > horizon or fired >= limit:
-                    # Not to fire in this run: back in place, unfired.
-                    _heappush(queue, entry)
-                    if slot is not None and slot.__class__ is not tuple:
-                        slot.on_cancel = self._on_cancel
-                    if time > horizon:
-                        break
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; possible livelock")
+                    self._stop((time, seq, callback, args, slot),
+                               horizon, limit)
+                    break
                 self._fire_seq = seq
                 # Clock advances partition elapsed time: charging each to
                 # the stack of the event that caused it makes the per-frame
@@ -672,98 +579,9 @@ class Engine:
                     next_flush += flush_step
                     recorder.flush()
                 self._attr_stack = stamp
-                self._attr_dups = None
                 callback(*args)
-            if until is not None and now < until:
-                self._account(("idle",), until - now)
-                self._now = until
         finally:
-            self._attr_stack, self._attr_dups = previous
-            self._running = False
-            if fired:
-                self._events_processed += fired
-                Engine.total_events += fired
-
-    # ----------------------------------------------- recording event loop
-    #
-    # Installed by attach_recorder when a flight recorder (and no profiler)
-    # is attached.  Byte-for-byte the fast path plus one store: the firing
-    # event's sequence number lands in _fire_seq before the callback runs,
-    # so kernel record sites can stamp flight records with it.  Scheduling
-    # methods are NOT swapped -- the recorder costs nothing at schedule
-    # time -- and run() additionally calls recorder.flush() every
-    # _FLUSH_EVERY events, which is where lane tails get sealed into
-    # digest windows (amortized off the record path; seals consume whole
-    # windows, so flush cadence never shows in the chains).  Together
-    # that is what keeps the recorder inside the E15/E17 observer-effect
-    # budget.
-
-    #: Events between recorder flushes (the check is one int compare per
-    #: event).  Bounds unsealed-tail growth at a few thousand records --
-    #: the same order as the default ring capacity.
-    _FLUSH_EVERY = 2048
-
-    def _run_recording(self, until: float | None = None,
-                       max_events: int | None = None) -> None:
-        if self._running:
-            raise SimulationError("engine is already running (re-entrant run())")
-        self._running = True
-        queue = self._queue
-        pop = _heappop
-        limit = float("inf") if max_events is None else max_events
-        flush = self._recorder.flush
-        flush_step = self._FLUSH_EVERY
-        next_flush = flush_step
-        fired = 0
-        try:
-            if until is None:
-                while queue:
-                    if fired >= limit:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; possible livelock"
-                        )
-                    time, seq, callback, args, event = pop(queue)
-                    if event is not None:
-                        if event.cancelled:
-                            self._cancelled_in_queue -= 1
-                            continue
-                        event.on_cancel = None
-                    self._now = time
-                    self._fire_seq = seq
-                    fired += 1
-                    if fired == next_flush:
-                        next_flush += flush_step
-                        flush()
-                    callback(*args)
-                return
-            while queue:
-                entry = queue[0]
-                event = entry[4]
-                if event is not None and event.cancelled:
-                    pop(queue)
-                    self._cancelled_in_queue -= 1
-                    continue
-                if entry[0] > until:
-                    self._now = until
-                    return
-                if fired >= limit:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; possible livelock"
-                    )
-                pop(queue)
-                if event is not None:
-                    event.on_cancel = None
-                self._now = entry[0]
-                self._fire_seq = entry[1]
-                fired += 1
-                if fired == next_flush:
-                    next_flush += flush_step
-                    flush()
-                entry[2](*entry[3])
-            if self._now < until:
-                self._now = until
-        finally:
-            self._running = False
-            if fired:
-                self._events_processed += fired
-                Engine.total_events += fired
+            self._attr_stack = previous
+            if not self._profilers:     # the last sink left during the run
+                self._drop_stamps()
+            self._finish(fired)

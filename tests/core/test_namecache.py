@@ -263,19 +263,6 @@ class TestNameCacheMechanics:
         assert cache.prefix_entry("home") is None
         assert cache.hint_for(b"[home]a.txt") is None
 
-    def test_note_pid_removed_drops_generic_bindings_only(self):
-        cache = NameCache()
-        pid = Pid.make(2, 5)
-        cache.learn(b"[home]a.txt", _ok_reply(pid, 0xFFF1, 6))
-        cache.learn(b"[storage]f", _ok_reply(pid, 0, 9,
-                                             service=int(ServiceId.STORAGE)),
-                    now=0.0)
-        cache.note_pid_removed(pid)
-        # The satellite-2 scope: dead *generic* bindings drop immediately;
-        # fixed hints stay optimistic (recovery handles them).
-        assert cache.service_pid(int(ServiceId.STORAGE), now=0.0) is None
-        assert cache.hint_for(b"[home]a.txt") is not None
-
     def test_registry_counters(self):
         registry = MetricsRegistry()
         cache = NameCache(registry=registry)

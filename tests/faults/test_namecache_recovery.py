@@ -11,7 +11,7 @@ ends up holding the fresh binding).
 from repro.core.context import ContextPair, WellKnownContext
 from repro.faults import CrashSchedule
 from repro.kernel.domain import Domain
-from repro.kernel.ipc import Delay, Now
+from repro.kernel.ipc import Delay
 from repro.runtime import files
 from repro.runtime.workstation import setup_workstation, standard_prefixes
 from repro.servers import VFileServer, start_server
@@ -25,14 +25,14 @@ def _populated_server(user: str = "mann") -> VFileServer:
     return server
 
 
-def _crash_system(watch_registry: bool):
+def _crash_system():
     """Workstation + crashing file server behind the generic [storage]."""
     domain = Domain(seed=5)
     workstation = setup_workstation(domain, "mann")
     fs_host = domain.create_host("vax1")
     handle = start_server(fs_host, _populated_server())
     standard_prefixes(workstation, handle)
-    cache = workstation.enable_name_cache(watch_registry=watch_registry)
+    cache = workstation.enable_name_cache()
     CrashSchedule(domain, fs_host).down_between(
         0.05, 0.1,
         respawn=lambda host: start_server(host, _populated_server()))
@@ -41,7 +41,7 @@ def _crash_system(watch_registry: bool):
 
 class TestCrashRecovery:
     def test_stale_hint_falls_back_and_converges(self):
-        domain, workstation, cache = _crash_system(watch_registry=False)
+        domain, workstation, cache = _crash_system()
         name = "[storage]data/f0.dat"
 
         def client(session):
@@ -67,30 +67,6 @@ class TestCrashRecovery:
         live = {proc.pid for host in fs_hosts
                 for proc in host.processes.values()}
         assert hint[0].server in live
-
-    def test_registry_watch_drops_dead_generic_binding_proactively(self):
-        domain, workstation, cache = _crash_system(watch_registry=True)
-        name = "[storage]data/f0.dat"
-        from repro.kernel.services import ServiceId
-
-        def client(session):
-            yield from files.read_file(session, name)
-            now = yield Now()
-            assert cache.service_pid(int(ServiceId.STORAGE),
-                                     now=now) is not None
-            yield Delay(0.3)
-            # The crash cleared the server's registrations; the subscribed
-            # cache heard about it and dropped the generic pid already.
-            # (now is well inside the 5 s TTL, so only the registry watch
-            # can explain the entry being gone.)
-            now = yield Now()
-            assert now < 5.0
-            assert cache.service_pid(int(ServiceId.STORAGE), now=now) is None
-            data = yield from files.read_file(session, name)
-            return data
-
-        assert run_on(domain, workstation.host,
-                      client(workstation.session())) == b"payload"
 
     def test_caller_still_sees_real_errors_after_revalidation(self):
         """A genuinely missing name errors exactly as it would cold: the
@@ -186,7 +162,7 @@ class TestRebindRecovery:
 
 class TestClientCrashDetachesCache:
     """The cache-subscription leak (PR 9): a crashed client machine's
-    cache must stop hearing prefix notices and hub removals."""
+    cache must stop hearing prefix notices."""
 
     def _system(self):
         domain = Domain(seed=5)
@@ -201,15 +177,13 @@ class TestClientCrashDetachesCache:
         domain, workstation, cache = self._system()
         prefix_server = workstation.prefix_server
         assert cache in prefix_server._caches
-        assert cache.note_pid_removed in domain._pid_removal_listeners
         assert domain.name_caches[workstation.host.host_id] is cache
 
         workstation.host.crash()
 
-        # All three channels severed, synchronously with the crash event:
+        # Both channels severed, synchronously with the crash event:
         # notices must never land on a dead machine's cache.
         assert cache not in prefix_server._caches
-        assert cache.note_pid_removed not in domain._pid_removal_listeners
         assert workstation.host.host_id not in domain.name_caches
         assert workstation.name_cache is None
 

@@ -3,7 +3,7 @@
 The determinism properties (same seed -> bit-identical chains, different
 seed -> localized fork) live in tests/property/test_engine_equivalence.py;
 here the machinery is pinned directly: ring/window accounting, the engine's
-recording dispatch swap, kernel record sites, crash freezing, the
+``_fire_seq`` stamping, kernel record sites, crash freezing, the
 ``[obs]/hosts/<host>/flightlog`` leaf, divergence verdicts, and the
 ``python -m repro.obs replay`` subcommand.
 """
@@ -137,19 +137,19 @@ class TestLaneAccounting:
 
 
 class TestEngineDispatch:
-    def test_attach_installs_only_run(self):
+    def test_detach_stops_fire_seq_stamping(self):
         engine = Engine()
-        sink = object()
-        engine.attach_recorder(sink)
-        assert engine.recording
-        assert "run" in engine.__dict__
-        # Scheduling stays on the class fast path: zero cost at post time.
-        for name in ("schedule", "schedule_at", "post", "post_at"):
-            assert name not in engine.__dict__
-        engine.detach_recorder(sink)
-        assert not engine.recording
-        assert "run" not in engine.__dict__
+        recorder = FlightRecorder()
+        engine.attach_recorder(recorder)
+        seen = []
+        engine.post(0.1, lambda: seen.append(engine._fire_seq))
+        engine.run()
+        engine.detach_recorder(recorder)
         assert engine._fire_seq == -1
+        # Unattached, the fast loop serves and never stores _fire_seq.
+        engine.post(0.1, lambda: seen.append(engine._fire_seq))
+        engine.run()
+        assert seen == [0, -1]
 
     def test_second_recorder_rejected_same_sink_idempotent(self):
         engine = Engine()
@@ -160,7 +160,7 @@ class TestEngineDispatch:
             engine.attach_recorder(object())
         # Detaching a sink that is not attached is a no-op.
         engine.detach_recorder(object())
-        assert engine.recording
+        assert engine._recorder is sink
 
     def test_fire_seq_stamps_the_firing_event(self):
         engine = Engine()
@@ -191,13 +191,24 @@ class TestEngineDispatch:
         enable_flight_recorder(domain)
         profiler = Profiler(engine)
         engine.attach_profiler(profiler)
-        # The instrumented set (which also maintains _fire_seq) took over.
-        assert engine.__dict__["run"].__func__ is Engine._run_instrumented
+        seen = []
+
+        def probe():
+            seen.append(engine._fire_seq)
+
+        # The profiled loop charges the profiler and stamps _fire_seq.
+        engine.post(0.1, probe)
+        engine.run()
+        assert seen == [0] and profiler.total_seconds == pytest.approx(0.1)
         engine.detach_profiler(profiler)
-        # Back to the recording loop, not the bare fast path.
-        assert engine.__dict__["run"].__func__ is Engine._run_recording
+        # The recording loop, not the bare fast loop, serves next.
+        engine.post(0.1, probe)
+        engine.run()
         disable_flight_recorder(domain)
-        assert "run" not in engine.__dict__
+        engine.post(0.1, probe)
+        engine.run()
+        assert seen == [0, 1, -1]
+        assert profiler.total_seconds == pytest.approx(0.1)
 
 
     def test_run_loop_flushes_so_tails_stay_bounded(self):

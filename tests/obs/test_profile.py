@@ -13,12 +13,11 @@ from pathlib import Path
 import pytest
 
 from repro.kernel.domain import Domain
-from repro.kernel.ipc import (Delay, GetPid, ProfileEnter, ProfileExit,
-                              Receive, Reply, Send, SetPid)
+from repro.kernel.ipc import (GetPid, ProfileEnter, ProfileExit, Receive,
+                              Reply, Send, SetPid)
 from repro.kernel.messages import Message, ReplyCode
 from repro.kernel.services import Scope
 from repro.obs.__main__ import main
-from repro.sim.engine import Engine
 from repro.obs.profile import (
     PROFILE_SCHEMA,
     UNATTRIBUTED,
@@ -239,56 +238,7 @@ class TestDomainIntegration:
 
 
 class TestPushPopBalance:
-    """profile_push deduplicates; profile_pop must stay depth-balanced.
-
-    Regression test: a push of a label equal to the innermost frame is a
-    counted no-op, and the matching pop must consume that count instead of
-    removing the frame somebody else pushed.
-    """
-
-    def test_deduplicated_push_pop_leaves_outer_frame(self):
-        engine = Engine()
-        engine.profile_push("phase:wire")
-        engine.profile_push("phase:wire")   # dedup: counted, not stacked
-        assert engine._attr_stack == ("phase:wire",)
-        engine.profile_pop("phase:wire")    # consumes the dup count
-        assert engine._attr_stack == ("phase:wire",)
-        engine.profile_pop("phase:wire")    # now removes the real frame
-        assert engine._attr_stack == ()
-
-    def test_nested_dedup_depths_balance(self):
-        engine = Engine()
-        engine.profile_push("a")
-        engine.profile_push("b")
-        engine.profile_push("b")
-        engine.profile_push("b")
-        engine.profile_pop("b")
-        engine.profile_pop("b")
-        assert engine._attr_stack == ("a", "b")
-        engine.profile_pop("b")
-        engine.profile_pop("a")
-        assert engine._attr_stack == ()
-
-    def test_process_step_restores_the_outer_dup_counts(self):
-        domain = Domain(seed=0)
-        domain.enable_profiler()
-        host = domain.create_host("m1")
-
-        def worker():
-            yield ProfileEnter("x")
-            yield ProfileEnter("x")     # a dup inside the process scope
-            yield Delay(0.001)
-
-        proc = host.spawn(worker(), name="w")
-        engine = domain.engine
-        engine.profile_push("a")
-        engine.profile_push("a")            # one outstanding dup
-        host._advance(proc)                 # the step replaces the stack
-        assert engine._attr_stack == ("a",)
-        engine.profile_pop("a")             # the dup, restored by the step
-        assert engine._attr_stack == ("a",)
-        engine.profile_pop("a")
-        assert engine._attr_stack == ()
+    """Phase frames stay balanced: one already innermost is not reopened."""
 
     def test_phase_frame_already_innermost_opens_nothing(self):
         domain = Domain(seed=0)

@@ -8,15 +8,18 @@ operations fires in exactly the order the seed's dataclass-event engine
 fired it.  This property test pits the real engine
 against a deliberately naive reference (a list of event records scanned for
 the ``(time, seq)`` minimum -- the seed semantics with none of the
-machinery) across randomized programs heavy on simultaneous events.
+machinery) across randomized programs heavy on simultaneous events, once
+per event loop the engine can pick (fast, recording, profiled) and once as
+a bounded run followed by an unbounded one.
 """
 
 from dataclasses import dataclass, field
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, SimulationError
 
 #: Few distinct delays so simultaneous events (the order-sensitive case)
 #: are common.
@@ -172,32 +175,113 @@ def test_flight_chains_fork_at_recorded_event_across_seeds(pair):
     assert not verdict["hosts"][fork["host"]]["chains_equal"]
 
 
+#: Where the "split" variant stops its first run: one of the delays, so an
+#: event due exactly at the horizon fires in the first run.
+_SPLIT = 0.5
+
+
+def _engine_for(mode: str) -> Engine:
+    """An engine whose ``run`` picks the loop ``mode`` names."""
+    from repro.obs.flight import FlightRecorder
+    from repro.obs.profile import Profiler
+
+    engine = Engine()
+    if mode == "profiled":
+        engine.attach_profiler(Profiler())
+        engine._attr_stack = ("phase:x",)   # so every post carries a stamp
+    elif mode == "recording":
+        engine.attach_recorder(FlightRecorder())
+    return engine
+
+
 @settings(max_examples=200, deadline=None)
 @given(ops=_OPS, cancel_picks=st.lists(st.integers(0, 10 ** 6), max_size=8))
 def test_firing_order_matches_seed_reference(ops, cancel_picks):
-    engine = Engine()
     reference = _RefEngine()
-    fired: list[int] = []
-    handles: list = []      # cancellable handles, real engine
-    ref_handles: list = []  # the same events in the reference
-    label = 0
-    for op in ops:
-        if op[0] == "s":
-            handles.append(engine.schedule(op[1], fired.append, label))
-            ref_handles.append(reference.schedule(op[1], label))
-        else:
-            engine.post(op[1], fired.append, label)
-            reference.schedule(op[1], label)  # not cancellable
-        label += 1
+    ref_handles = []        # the reference's cancellable events
+    for label, (kind, delay) in enumerate(ops):
+        event = reference.schedule(delay, label)
+        if kind == "s":
+            ref_handles.append(event)
+        # a post is modelled as a plain schedule, just not cancellable
     for pick in cancel_picks:
-        if handles:
-            index = pick % len(handles)
-            handles[index].cancel()
-            ref_handles[index].cancelled = True
-    assert engine.pending == sum(
-        1 for event in reference.events if not event.cancelled)
+        if ref_handles:
+            ref_handles[pick % len(ref_handles)].cancelled = True
+    live = [event for event in reference.events if not event.cancelled]
+    due = sum(1 for event in live if event.time <= _SPLIT)
     expected = reference.run()
+
+    # Every loop, and a bounded run followed by an unbounded one, must
+    # fire the program in the reference order.
+    for mode in ("fast", "profiled", "recording", "split"):
+        engine = _engine_for(mode)
+        fired: list[int] = []
+        handles: list = []
+        for label, (kind, delay) in enumerate(ops):
+            if kind == "s":
+                handles.append(engine.schedule(delay, fired.append, label))
+            else:
+                engine.post(delay, fired.append, label)
+        for pick in cancel_picks:
+            if handles:
+                handles[pick % len(handles)].cancel()
+        assert engine.pending == len(live), mode
+        if mode == "split":
+            engine.run(until=_SPLIT)
+            assert fired == expected[:due]
+            assert engine.pending == len(live) - due
+            assert engine.now == _SPLIT
+        engine.run()
+        assert fired == expected, mode
+        assert engine.events_processed == len(expected), mode
+        assert engine.pending == 0, mode
+        final = max(reference.now, _SPLIT) if mode == "split" else reference.now
+        assert engine.now == final, mode
+
+
+@pytest.mark.parametrize("mode", ["fast", "profiled", "recording"])
+def test_max_events_leaves_the_unfired_entry_queued(mode):
+    engine, fired = _engine_for(mode), []
+    engine.post(0.1, fired.append, 0)
+    engine.post(0.2, fired.append, 1)
+    handle = engine.schedule(0.3, fired.append, 2)
+    engine.post(0.4, fired.append, 3)
+    with pytest.raises(SimulationError):
+        engine.run(max_events=2)
+    assert fired == [0, 1] and engine.events_processed == 2
+    assert engine.now == 0.2 and engine.pending == 2
+    # Put back still cancellable, and still counted when cancelled.
+    handle.cancel()
+    assert engine.pending == 1
     engine.run()
-    assert fired == expected
-    assert engine.now == reference.now or not expected
-    assert engine.events_processed == len(expected)
+    assert fired == [0, 1, 3] and engine.events_processed == 3
+    assert engine.now == 0.4
+
+
+@pytest.mark.parametrize("inside_run", [False, True])
+def test_last_profiler_detach_leaves_no_stamp_for_the_fast_loop(inside_run):
+    engine, fired = _engine_for("profiled"), []
+    profiler = engine._profilers[0]
+
+    def stamped_in_queue():
+        fired.append(any(entry[4].__class__ is tuple
+                         for entry in engine._queue))
+
+    for label in range(4):
+        engine.post(0.1 * label, fired.append, label)
+    engine.schedule(0.25, fired.append, "s")
+    if inside_run:
+        # Detached from a callback: the profiled loop keeps serving the
+        # rest of this run, and must hand the fast loop a clean queue.
+        engine.post(0.05, engine.detach_profiler, profiler)
+        engine.run(until=0.15)
+    else:
+        engine.run(until=0.15)
+        assert any(entry[4].__class__ is tuple for entry in engine._queue)
+        engine.detach_profiler(profiler)
+    assert not engine.profiling and engine._attr_stack == ()
+    assert not any(entry[4].__class__ is tuple for entry in engine._queue)
+    engine.post(0.0, stamped_in_queue)
+    engine.post(0.3, stamped_in_queue)
+    engine.run()
+    assert fired == [0, 1, False, 2, "s", 3, False]

@@ -307,7 +307,7 @@ def _mixed_workload(engine, fired):
 
 class TestStampedPosts:
     """Under a profiler a posted entry carries its attribution stamp in the
-    heap's event slot; only the instrumented loop may ever read one."""
+    heap's event slot; only the profiled loop may ever read one."""
 
     def test_detach_with_stamped_posts_queued_matches_unprofiled_twin(self):
         twin, twin_fired = Engine(), []
@@ -318,14 +318,14 @@ class TestStampedPosts:
         engine, fired = Engine(), []
         profiler = Profiler()
         engine.attach_profiler(profiler)
-        engine.profile_push("phase:x")
+        engine._attr_stack = ("phase:x",)
         _mixed_workload(engine, fired)
         engine.run(until=0.2)
         assert any(isinstance(entry[4], tuple) for entry in engine._queue)
         engine.detach_profiler(profiler)
-        # Swept back to plain posts, and the class-level fast path serves.
+        # Swept back to plain posts, so the fast loop can serve.
         assert not any(isinstance(entry[4], tuple) for entry in engine._queue)
-        assert "run" not in engine.__dict__ and "post" not in engine.__dict__
+        assert engine._attr_stack == ()
         engine.run()
         assert fired == twin_fired
         assert engine.events_processed == twin.events_processed
@@ -335,7 +335,7 @@ class TestStampedPosts:
     def test_stamped_posts_survive_compaction(self):
         engine = Engine()
         engine.attach_profiler(Profiler())
-        engine.profile_push("phase:x")
+        engine._attr_stack = ("phase:x",)
         TestPostFireAndForget().test_posted_entries_survive_compaction(engine)
 
     def test_posts_allocate_no_event_but_schedules_stay_cancellable(
@@ -368,9 +368,9 @@ class TestStampedPosts:
             engine = Engine()
             for sink in sinks:
                 engine.attach_profiler(sink)
-            engine.profile_push("phase:x")
+            engine._attr_stack = ("phase:x",)
             _mixed_workload(engine, [])
-            engine.profile_pop("phase:x")
+            engine._attr_stack = ()
             engine.post(0.01, engine.profile_count_message, 64)
             engine.run(until=1.0)
             return [sink.stats for sink in sinks]
