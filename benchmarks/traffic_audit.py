@@ -30,7 +30,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import os
 import subprocess
@@ -87,8 +86,8 @@ def traffic(tmp: Path) -> list[tuple[str, list[str]]]:
     sources = [("bench --check", [python, "-m", "repro.obs", "bench", "--check"]),
                ("ledger --smoke", [python, "benchmarks/ledger/run.py",
                                    "--smoke", "--out", str(tmp / "ledger")])]
-    for example in sorted(glob.glob(str(ROOT / "examples" / "*.py"))):
-        sources.append((Path(example).name, [python, example]))
+    for example in sorted((ROOT / "examples").glob("*.py")):
+        sources.append((example.name, [python, str(example)]))
     sources.append(("smoke.sh", ["bash", str(smoke_copy), str(tmp / "smoke")]))
     return sources
 
