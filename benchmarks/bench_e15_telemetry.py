@@ -284,23 +284,22 @@ def measure_instrumentation_counts() -> dict:
 
     def run_mode(mode: str) -> dict:
         counts = {"scheduled": 0}
+        hooked = []
 
         def hook_engine(domain):
-            engine = domain.engine
-            schedule, schedule_at = engine.schedule, engine.schedule_at
-
-            def counted(method):
-                def call(*args):
-                    counts["scheduled"] += 1
-                    return method(*args)
-                return call
-
-            engine.schedule = counted(schedule)
-            engine.schedule_at = counted(schedule_at)
+            hooked.append(domain.engine)
             del allocated[:]        # count the workload, not the set-up
+
+        def counted(method):
+            def call(self, *args):
+                if hooked and self is hooked[0]:
+                    counts["scheduled"] += 1
+                return method(self, *args)
+            return call
 
         allocated = []
         init = ScheduledEvent.__init__
+        schedule, schedule_at = Engine.schedule, Engine.schedule_at
 
         def counting_init(self, *args, **kwargs):
             allocated.append(None)
@@ -308,10 +307,13 @@ def measure_instrumentation_counts() -> dict:
 
         total_before = Engine.total_events
         ScheduledEvent.__init__ = counting_init
+        Engine.schedule = counted(schedule)
+        Engine.schedule_at = counted(schedule_at)
         try:
             domain = _matrix_run(mode, prepare=hook_engine)
         finally:
             ScheduledEvent.__init__ = init
+            Engine.schedule, Engine.schedule_at = schedule, schedule_at
         counts["allocated"] = len(allocated)
         counts["events"] = domain.engine.events_processed
         counts["total_events"] = Engine.total_events - total_before

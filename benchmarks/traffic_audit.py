@@ -3,16 +3,16 @@
 Before deleting a mechanism, measure whether anything but its own tests runs
 it.  This script writes a line tracer as a ``sitecustomize.py`` into a
 temporary directory put on ``PYTHONPATH`` ahead of ``src``, so every
-interpreter the traffic spawns is covered, and runs the four traffic
-sources under it:
+interpreter the traffic spawns is covered, and runs the traffic under it:
 
-1. the behavioural contract, ``python -m repro.obs bench --check``;
-2. the cost ledger at smoke size, ``benchmarks/ledger/run.py --smoke``;
-3. every ``examples/*.py``;
-4. ``.github/smoke.sh``, as a copy that keeps the tracer on ``PYTHONPATH``
-   (the original sets ``PYTHONPATH=src``) and does not stop at the traced
-   benches' exit status: tracing always trips E17's wall-clock ceiling on
-   capture cost, which would otherwise cut the rest of the script.
+1. the cost ledger at smoke size, ``benchmarks/ledger/run.py --smoke``;
+2. ``.github/smoke.sh``, which runs every ``examples/*.py``, every
+   ``python -m repro.obs`` subcommand and ends with the behavioural
+   contract (``bench --check``).  It runs as a copy that keeps the tracer
+   on ``PYTHONPATH`` (the original sets ``PYTHONPATH=src``) and does not
+   stop at the traced benches' exit status: tracing always trips E17's
+   wall-clock ceiling on capture cost, which would otherwise cut the rest
+   of the script.
 
 The unit tests are deliberately not traffic: a mechanism only its own tests
 execute is what the audit looks for.  Counting, per module: *executable*
@@ -72,7 +72,7 @@ def _edit(text: str, old: str, new: str) -> str:
 
 
 def traffic(tmp: Path) -> list[tuple[str, list[str]]]:
-    """The four traffic sources, as (label, command) pairs run from ROOT."""
+    """The traffic sources, as (label, command) pairs run from ROOT."""
     python = sys.executable
     smoke = (ROOT / ".github" / "smoke.sh").read_text()
     smoke = _edit(smoke, "export PYTHONPATH=src",
@@ -83,13 +83,9 @@ def traffic(tmp: Path) -> list[tuple[str, list[str]]]:
                   " || echo \"traced benches exited $?\" >&2\n")
     smoke_copy = tmp / "smoke.sh"
     smoke_copy.write_text(smoke)
-    sources = [("bench --check", [python, "-m", "repro.obs", "bench", "--check"]),
-               ("ledger --smoke", [python, "benchmarks/ledger/run.py",
-                                   "--smoke", "--out", str(tmp / "ledger")])]
-    for example in sorted((ROOT / "examples").glob("*.py")):
-        sources.append((example.name, [python, str(example)]))
-    sources.append(("smoke.sh", ["bash", str(smoke_copy), str(tmp / "smoke")]))
-    return sources
+    return [("ledger --smoke", [python, "benchmarks/ledger/run.py",
+                                "--smoke", "--out", str(tmp / "ledger")]),
+            ("smoke.sh", ["bash", str(smoke_copy), str(tmp / "smoke")])]
 
 
 def code_objects(code):
