@@ -20,12 +20,13 @@ done
 # Traced benches: the calibrated latencies hold with span tracing on, and
 # the exported JSONL renders through `report` (also live via [obs]).  E17
 # gates the flight recorder's observer budgets (capture <= 1000 ns/record,
-# digest chain <= 2%).
+# digest chain <= 2%).  The UDP bench is the one check of a real-socket
+# Open, direct and via the prefix server.
 REPRO_TRACE_DIR=$out/traces python -m pytest -x -q --benchmark-disable \
   benchmarks/bench_e4_open_latency.py benchmarks/bench_e7_forwarding_hops.py \
   benchmarks/bench_e12_cached_open.py benchmarks/bench_e13_obs_namespace.py \
   benchmarks/bench_e14_lossy_wire.py benchmarks/bench_e17_flight_recorder.py \
-  benchmarks/bench_e18_sharded_names.py
+  benchmarks/bench_e18_sharded_names.py benchmarks/bench_transport_udp.py
 python -m repro.obs report "$out/traces/bench_e4.spans.jsonl" \
   --metrics "$out/traces/bench_e4.metrics.jsonl" --top 5
 python -m repro.obs report "$out/traces/bench_e7_hops4.spans.jsonl" --top 3

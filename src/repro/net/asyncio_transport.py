@@ -1,4 +1,4 @@
-"""A real transport: the V kernel over asyncio UDP sockets.
+"""A real transport: the V kernel over UDP sockets on an asyncio loop.
 
 The DES answers the paper's *quantitative* questions; this backend answers
 "is it a real protocol?".  Every host is a UDP endpoint on 127.0.0.1, every
@@ -16,12 +16,16 @@ adapters behind the seams ``Host`` already uses:
   per loop turn -- so a sub-millisecond ``Delay`` is neither early nor
   rounded up.  Datagrams and timers enter through the same drain, so no
   kernel callback runs re-entrantly.
-- the **UDP wire**: ``transmit`` encodes and sends to one host, every other
-  host (broadcast) or a group's hosts (multicast).  A datagram that does not
-  decode, or comes from outside the domain, is counted in
-  ``malformed_datagrams`` and dropped; the rest reach ``Host._on_frame``
-  through the clock.  A packet that cannot be encoded fails its transaction
-  with a ``BAD_ARGS`` NACK to the waiting side.
+- the **UDP wire**: one non-blocking socket per host on the loop's reader.
+  ``transmit`` encodes and sends to one host, every other host (broadcast)
+  or a group's hosts (multicast), and records each socket it sent to; on
+  loopback the datagram is there when ``sendto`` returns, so the drain reads
+  it once its ready queue empties (until a timer is due, or a fixed number
+  of reads), and a request/reply chain needs no loop turn per datagram.  A
+  datagram that does not decode, or comes from outside the domain, is
+  counted in ``malformed_datagrams`` and dropped.  A packet that cannot be
+  encoded, or exceeds a datagram, fails its transaction with a ``BAD_ARGS``
+  NACK to the waiting side; a failed ``sendto``/``recvfrom`` is a lost frame.
 
 Known divergences from the DES, exactly two: time is the wall clock (no
 modelled kernel CPU, hop, wire or bulk-move time; servers' own ``Delay``
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import socket
 import time
 from collections import deque
 from heapq import heappop, heappush
@@ -52,6 +57,11 @@ from repro.net.wire import WireError, decode_packet, encode_packet
 #: its loop handle this much early and polls the rest.
 _TIMER_GRAIN = 1e-3
 _INF = float("inf")
+_POLL_BUDGET = 32        # reads after sends per drain, then the loop's turn
+_MAX_DATAGRAM = 65507    # the IPv4 UDP payload limit
+#: Allocated whole per read: asyncio's stock 256 KiB put glibc into a heap
+#: trim/grow cycle on every datagram.
+_RECEIVE_BYTES = 65536
 _WALL_CLOCK_ONLY = LatencyModel(bandwidth_bps=_INF, kernel_cpu_per_packet=0.0,
                                 local_hop=0.0, raw_packet_write=0.0,
                                 local_move_per_byte=0.0)
@@ -78,6 +88,7 @@ class _LoopClock:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._time = time.monotonic
         self._ready: deque = deque()      # (callback, args), due now
+        self._sent: deque = deque()       # a socket read per datagram sent
         self._timers: list = []           # heap of (deadline, seq, _Timer)
         #: Entries due no earlier than the armed handle: the next tick heaps
         #: the ones still live -- most die first (a Send's probe and
@@ -139,12 +150,21 @@ class _LoopClock:
 
     def _drain(self) -> None:
         self._draining = True
-        ready = self._ready
+        ready, sent = self._ready, self._sent
+        polls = _POLL_BUDGET
         try:
-            while ready:
-                callback, args = ready.popleft()
-                callback(*args)
+            while True:
+                while ready:
+                    callback, args = ready.popleft()
+                    callback(*args)
+                # A loopback datagram is in its socket when sendto returns:
+                # read it now, unless a timer is due or the budget is spent.
+                if not sent or not polls or self._handle_at <= self._time():
+                    break
+                polls -= 1
+                sent.popleft()()
         finally:
+            sent.clear()
             self._draining = False
             if ready:                     # a callback raised: go on next turn
                 self._arm_at(-_INF)
@@ -192,11 +212,6 @@ class _LoopClock:
         self._handle_at = when
 
 
-class _Endpoint(asyncio.DatagramProtocol):
-    def __init__(self, receive: Callable[[bytes, Any], None]) -> None:
-        self.datagram_received = receive  # one call per datagram
-
-
 class _Arrival:
     """A received datagram, as ``Host._on_frame`` reads a frame."""
 
@@ -213,26 +228,30 @@ class _UdpWire:
     def __init__(self, clock: _LoopClock) -> None:
         self._clock = clock
         self.malformed = 0
-        self._transports: dict[int, asyncio.DatagramTransport] = {}
+        self._sockets: dict[int, socket.socket] = {}
+        self._reads: dict[int, Callable[[], bool]] = {}
         self._addresses: dict[int, tuple[str, int]] = {}
         self._host_at: dict[tuple[str, int], int] = {}
         self._attached: dict[int, Callable] = {}
         self._live: dict[int, Optional[Callable]] = {}   # None: link down
         self._groups: dict[int, set[int]] = {}
 
-    async def open(self, host_id: int) -> None:
-        transport, __ = await self._clock._loop.create_datagram_endpoint(
-            lambda: _Endpoint(functools.partial(self._receive, host_id)),
-            local_addr=("127.0.0.1", 0))
-        transport.max_size = 65536
-        address = transport.get_extra_info("sockname")[:2]
-        self._transports[host_id] = transport
+    def open(self, host_id: int) -> None:
+        sock = self._sockets[host_id] = socket.socket(socket.AF_INET,
+                                                      socket.SOCK_DGRAM)
+        sock.setblocking(False)
+        sock.bind(("127.0.0.1", 0))
+        address = sock.getsockname()[:2]
+        self._reads[host_id] = functools.partial(self._read, host_id,
+                                                 sock.recvfrom)
         self._addresses[host_id] = address
         self._host_at[address] = host_id
+        self._clock._loop.add_reader(sock.fileno(), self._readable, host_id)
 
     def close(self) -> None:
-        for transport in self._transports.values():
-            transport.close()
+        for sock in self._sockets.values():
+            self._clock._loop.remove_reader(sock.fileno())
+            sock.close()
 
     def address_of(self, host_id: int) -> Optional[tuple[str, int]]:
         return self._addresses.get(host_id)
@@ -257,24 +276,32 @@ class _UdpWire:
         if self._live.get(src) is not None:
             try:
                 data = encode_packet(packet)
+                if len(data) > _MAX_DATAGRAM:
+                    raise WireError("packet exceeds a UDP datagram")
             except WireError:
                 data, dst = self._refusal(packet)
             if type(dst) is int:
-                address = self._addresses.get(dst)
-                if address is not None:
-                    self._transports[src].sendto(data, address)
+                self._sendto(src, dst, data)
             else:
-                hosts = (self._addresses if dst is BROADCAST
+                hosts = (list(self._addresses) if dst is BROADCAST
                          else sorted(self._groups.get(dst.group_id, ())))
                 for host_id in hosts:
                     if host_id != src:
-                        self._transports[src].sendto(
-                            data, self._addresses[host_id])
+                        self._sendto(src, host_id, data)
         return self._clock._time()
+
+    def _sendto(self, src: int, dst: int, data: bytes) -> None:
+        address = self._addresses.get(dst)
+        if address is not None:
+            try:
+                self._sockets[src].sendto(data, address)
+            except OSError:               # a lost frame: the kernel retries
+                return
+            self._clock._sent.append(self._reads[dst])
 
     @staticmethod
     def _refusal(packet: Packet) -> tuple[bytes, int]:
-        """A packet that cannot be encoded fails its transaction: a BAD_ARGS
+        """A packet that cannot be sent fails its transaction: a BAD_ARGS
         NACK to whoever waits on it (a reply's receiver, else the sender)."""
         waiter, other = packet.src_pid, packet.dst_pid
         if packet.kind is PacketKind.REPLY:
@@ -283,7 +310,18 @@ class _UdpWire:
                       Message.reply(ReplyCode.BAD_ARGS))
         return encode_packet(nack), waiter.logical_host
 
-    def _receive(self, host_id: int, data: bytes, addr: Any) -> None:
+    def _readable(self, host_id: int) -> None:
+        while self._reads[host_id]():
+            pass
+        if self._clock._ready:
+            self._clock._drain()
+
+    def _read(self, host_id: int, recvfrom: Callable) -> bool:
+        """Queue one datagram from a host's socket; False if there was none."""
+        try:
+            data, addr = recvfrom(_RECEIVE_BYTES)
+        except OSError:                   # EAGAIN, or an ICMP error
+            return False
         src = self._host_at.get(addr)
         try:
             packet = decode_packet(data)
@@ -291,15 +329,13 @@ class _UdpWire:
             src = None
         if src is None:
             self.malformed += 1
-            return
+            return True
         deliver = self._live.get(host_id)
         if deliver is not None:
             arrival = _Arrival()
             arrival.src_host, arrival.payload = src, packet
-            clock = self._clock
-            clock._ready.append((deliver, (arrival,)))
-            if not clock._draining:
-                clock._drain()
+            self._clock._ready.append((deliver, (arrival,)))
+        return True
 
 
 class AsyncHost(Host):
@@ -336,7 +372,7 @@ class AsyncDomain(Domain):
         self.engine.bind(asyncio.get_running_loop())
         host_id = self._next_host_id
         self._next_host_id += 1
-        await self.ethernet.open(host_id)
+        self.ethernet.open(host_id)
         host = AsyncHost(self, host_id, name or f"host{host_id}")
         self.hosts[host_id] = host
         return host

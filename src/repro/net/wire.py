@@ -1,17 +1,21 @@
 """Binary wire encoding for kernel packets.
 
-Used by the asyncio/UDP transport (and by tests that pin the format).  The
-layout is a practical tagged serialization:
+Used by the asyncio/UDP transport (and by tests that pin the format).  Every
+packet starts with one fixed header, packed and unpacked in one call, and
+then carries its variable parts:
 
-    magic "VK" | kind u8 | src_pid u32 | dst_pid u32 | txn u64
-    | flags u8 | [message: code u16 | fields | segment u32+bytes
-    | segment_buffer u16] | info fields
+    magic "VK" | kind u8 | flags u8 | src_pid u32 | dst_pid u32 | txn u64
+    | code u16 | segment_buffer u16 | fields u8 | info u8 | segment u32
+    | [fields] | [info fields] | segment bytes
 
-Field maps encode as count u8 then per-field: key (u8 length + utf8) and a
-type-tagged value (i64, f64, bool, str, bytes, pid, none).  A real V kernel
-packed the 32-byte short message as raw words; we carry field names for
-debuggability and document the divergence -- the *simulated* cost model
-always charges the paper's 32 bytes, independent of this encoding.
+The header holds the message's fixed words -- request code, segment buffer
+and the lengths of everything that follows -- so a message-less packet is
+the header alone.  Field maps (present only when non-empty) encode per
+field a key (u8 length + utf8) and a type-tagged value (i64, f64, bool,
+str, bytes, pid, none).  A real V kernel packed the 32-byte short message as
+raw words; we carry field names for debuggability and document the
+divergence -- the *simulated* cost model always charges the paper's 32
+bytes, independent of this encoding.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ MAGIC = b"VK"
 _KINDS = list(PacketKind)
 _KIND_INDEX = {kind: index for index, kind in enumerate(_KINDS)}
 
-_HEADER = struct.Struct(">2sBIIQB")
+#: magic, kind, flags, src, dst, txn, code, segment_buffer, field count,
+#: info count, segment length.
+HEADER = struct.Struct(">2sBBIIQHHBBI")
 _U8 = struct.Struct(">B")
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
@@ -35,9 +41,23 @@ _F64 = struct.Struct(">d")
 
 _FLAG_HAS_MESSAGE = 0x01
 
+#: Decoded pids are shared through this table (a ``Pid`` is immutable); it
+#: is emptied whenever it reaches this many entries.
+PID_TABLE_LIMIT = 4096
+_PIDS: dict[int, Pid] = {}
+
 
 class WireError(ValueError):
     """Malformed or unencodable packet."""
+
+
+def _pid(value: int) -> Pid:
+    pid = _PIDS.get(value)
+    if pid is None:
+        if len(_PIDS) >= PID_TABLE_LIMIT:
+            _PIDS.clear()
+        pid = _PIDS[value] = Pid(value)
+    return pid
 
 
 # ---------------------------------------------------------------- field maps
@@ -66,10 +86,8 @@ def _encode_float(out: bytearray, value) -> None:
     out += b"f" + _F64.pack(value)
 
 
-#: Exact-type dispatch for the common field types; the isinstance chain in
-#: ``_encode_value`` remains the fallback for subclasses (IntEnum values,
-#: str/bytes subclasses), so the accepted inputs -- and the bytes produced --
-#: are unchanged.
+#: Encoders by exact type; a subclass (an IntEnum value, a str or bytes
+#: subclass) takes the encoder of its nearest listed base.
 _VALUE_ENCODERS = {
     type(None): lambda out, value: out.extend(b"N"),
     bool: lambda out, value: out.extend(b"B\x01" if value else b"B\x00"),
@@ -84,51 +102,15 @@ _VALUE_ENCODERS = {
 
 def _encode_value(out: bytearray, value) -> None:
     encoder = _VALUE_ENCODERS.get(type(value))
-    if encoder is not None:
-        encoder(out, value)
-    elif isinstance(value, bool):
-        out += b"B\x01" if value else b"B\x00"
-    elif isinstance(value, Pid):
-        out += b"P" + _U32.pack(value.value)
-    elif isinstance(value, int):
-        _encode_int(out, value)
-    elif isinstance(value, float):
-        _encode_float(out, value)
-    elif isinstance(value, str):
-        _encode_str(out, value)
-    elif isinstance(value, (bytes, bytearray)):
-        _encode_bytes(out, value)
-    else:
-        raise WireError(
-            f"field value of type {type(value).__name__} is not wire-encodable "
-            "(only the discrete-event backend can carry rich Python values)")
-
-
-def _decode_value(data: bytes, offset: int):
-    tag = data[offset : offset + 1]
-    offset += 1
-    if tag == b"N":
-        return None, offset
-    if tag == b"B":
-        return bool(data[offset]), offset + 1
-    if tag == b"P":
-        (raw,) = _U32.unpack_from(data, offset)
-        return Pid(raw), offset + 4
-    if tag == b"i":
-        (raw,) = _I64.unpack_from(data, offset)
-        return raw, offset + 8
-    if tag == b"f":
-        (raw,) = _F64.unpack_from(data, offset)
-        return raw, offset + 8
-    if tag == b"s":
-        (length,) = _U16.unpack_from(data, offset)
-        offset += 2
-        return data[offset : offset + length].decode("utf-8"), offset + length
-    if tag == b"b":
-        (length,) = _U16.unpack_from(data, offset)
-        offset += 2
-        return bytes(data[offset : offset + length]), offset + length
-    raise WireError(f"unknown value tag {tag!r}")
+    if encoder is None:
+        encoder = next((_VALUE_ENCODERS[base] for base in type(value).__mro__
+                        if base in _VALUE_ENCODERS), None)
+        if encoder is None:
+            raise WireError(
+                f"field value of type {type(value).__name__} is not "
+                "wire-encodable (only the discrete-event backend can carry "
+                "rich Python values)")
+    encoder(out, value)
 
 
 #: Length-prefixed UTF-8 of every field name seen so far.  Field names are
@@ -147,31 +129,43 @@ def _encode_key(key: str) -> bytes:
 
 
 def _encode_fields(out: bytearray, fields: dict) -> None:
-    if not fields:
-        out += b"\x00"
-        return
-    if len(fields) > 0xFF:
-        raise WireError("too many fields")
     key_cache = _KEY_CACHE
-    out += _U8.pack(len(fields))
     for key in sorted(fields):
         encoded = key_cache.get(key)
         out += encoded if encoded is not None else _encode_key(key)
         _encode_value(out, fields[key])
 
 
-def _decode_fields(data: bytes, offset: int) -> tuple[dict, int]:
-    count = data[offset]
-    offset += 1
-    if not count:
-        return {}, offset
+def _decode_fields(data: bytes, offset: int, count: int) -> tuple[dict, int]:
     fields = {}
     for __ in range(count):
-        (klen,) = _U8.unpack_from(data, offset)
-        offset += 1
-        key = data[offset : offset + klen].decode("utf-8")
-        offset += klen
-        fields[key], offset = _decode_value(data, offset)
+        end = offset + 1 + data[offset]
+        key = data[offset + 1 : end].decode()
+        tag = data[end]
+        offset = end + 1
+        if tag == 0x69:                                 # b"i"
+            fields[key] = _I64.unpack_from(data, offset)[0]
+            offset += 8
+        elif tag == 0x73 or tag == 0x62:                # b"s", b"b"
+            end = offset + 2 + _U16.unpack_from(data, offset)[0]
+            if end > len(data):
+                raise WireError("truncated field")
+            raw = data[offset + 2 : end]
+            fields[key] = raw.decode() if tag == 0x73 else raw
+            offset = end
+        elif tag == 0x50:                               # b"P"
+            fields[key] = _pid(_U32.unpack_from(data, offset)[0])
+            offset += 4
+        elif tag == 0x4E:                               # b"N"
+            fields[key] = None
+        elif tag == 0x42:                               # b"B"
+            fields[key] = bool(data[offset])
+            offset += 1
+        elif tag == 0x66:                               # b"f"
+            fields[key] = _F64.unpack_from(data, offset)[0]
+            offset += 8
+        else:
+            raise WireError(f"unknown value tag {bytes((tag,))!r}")
     return fields, offset
 
 
@@ -179,61 +173,65 @@ def _decode_fields(data: bytes, offset: int) -> tuple[dict, int]:
 
 
 def encode_packet(packet: Packet) -> bytes:
-    flags = _FLAG_HAS_MESSAGE if packet.message is not None else 0
-    out = bytearray(_HEADER.pack(
-        MAGIC, _KIND_INDEX[packet.kind], packet.src_pid.value,
-        packet.dst_pid.value if packet.dst_pid is not None else 0,
-        packet.txn_id, flags))
-    if packet.message is not None:
-        message = packet.message
-        out += _U16.pack(message.code)
-        _encode_fields(out, message.fields)
+    message = packet.message
+    info = packet.info
+    out = bytearray(HEADER.size)
+    if message is None:
+        flags = code = seg_buffer = nfields = 0
+        segment = b""
+    else:
+        flags, code = _FLAG_HAS_MESSAGE, message.code
+        seg_buffer, fields = message.segment_buffer, message.fields
+        nfields = len(fields)
+        if fields:
+            _encode_fields(out, fields)
         segment = message.segment or b""
-        if len(segment) > 0xFFFFFFFF:
-            raise WireError("segment too long")
-        out += _U32.pack(len(segment)) + segment
-        out += _U16.pack(message.segment_buffer)
-    _encode_fields(out, packet.info)
+    if info:
+        _encode_fields(out, info)
+    try:
+        HEADER.pack_into(
+            out, 0, MAGIC, _KIND_INDEX[packet.kind], flags,
+            packet.src_pid.value,
+            packet.dst_pid.value if packet.dst_pid is not None else 0,
+            packet.txn_id, code, seg_buffer, nfields, len(info), len(segment))
+    except struct.error as err:
+        raise WireError(f"unencodable packet: {err}") from err
+    out += segment
     return bytes(out)
 
 
 def decode_packet(data: bytes) -> Packet:
     """Decode one datagram; malformed input raises :class:`WireError` only."""
-    try:
-        return _decode_packet(data)
-    except WireError:
-        raise
-    except (struct.error, ValueError, IndexError) as err:
-        # Truncation and corruption surface from the primitive decoders
-        # (ValueError: bad UTF-8, or a request kind that lost its message).
-        raise WireError(f"malformed packet: {err}") from err
-
-
-def _decode_packet(data: bytes) -> Packet:
-    if len(data) < _HEADER.size:
+    if len(data) < HEADER.size:
         raise WireError("short packet")
-    magic, kind_index, src, dst, txn, flags = _HEADER.unpack_from(data, 0)
+    (magic, kind_index, flags, src, dst, txn, code, seg_buffer, nfields,
+     ninfo, seg_len) = HEADER.unpack_from(data)
     if magic != MAGIC:
         raise WireError(f"bad magic {magic!r}")
     if kind_index >= len(_KINDS):
         raise WireError(f"unknown packet kind {kind_index}")
-    offset = _HEADER.size
-    message = None
-    if flags & _FLAG_HAS_MESSAGE:
-        (code,) = _U16.unpack_from(data, offset)
-        offset += 2
-        fields, offset = _decode_fields(data, offset)
-        (seg_len,) = _U32.unpack_from(data, offset)
-        offset += 4
-        segment = bytes(data[offset : offset + seg_len]) if seg_len else None
-        offset += seg_len
-        (seg_buffer,) = _U16.unpack_from(data, offset)
-        offset += 2
-        message = Message(code=code, fields=fields, segment=segment,
-                          segment_buffer=seg_buffer)
-    info, offset = _decode_fields(data, offset)
-    if offset != len(data):
-        raise WireError(f"{len(data) - offset} trailing bytes")
-    return Packet(kind=_KINDS[kind_index], src_pid=Pid(src),
-                  dst_pid=Pid(dst) if dst else None, txn_id=txn,
-                  message=message, info=info)
+    if flags != _FLAG_HAS_MESSAGE and (flags or code or seg_buffer or nfields
+                                       or seg_len):
+        raise WireError("message-less packet claims message parts")
+    try:
+        fields, offset = (_decode_fields(data, HEADER.size, nfields)
+                          if nfields else ({}, HEADER.size))
+        info, offset = (_decode_fields(data, offset, ninfo) if ninfo
+                        else (None, offset))
+        if offset + seg_len != len(data):
+            if offset + seg_len < len(data):
+                raise WireError(
+                    f"{len(data) - offset - seg_len} trailing bytes")
+            raise WireError("truncated packet")
+        message = None
+        if flags:
+            message = Message(code, fields,
+                              data[offset:] if seg_len else None, seg_buffer)
+        return Packet(_KINDS[kind_index], _pid(src),
+                      _pid(dst) if dst else None, txn, message, info)
+    except WireError:
+        raise
+    except (struct.error, ValueError, IndexError) as err:
+        # Truncation and corruption surface from the field decoders
+        # (ValueError: bad UTF-8, or a request kind that lost its message).
+        raise WireError(f"malformed packet: {err}") from err

@@ -6,6 +6,7 @@ datagrams with the binary wire encoding.
 """
 
 import asyncio
+import socket
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.kernel.ipc import Segment, Send
 from repro.kernel.messages import Message, ReplyCode, RequestCode
 from repro.net.asyncio_transport import AsyncDomain, _LoopClock
 from repro.net.latency import STANDARD_3MBIT
+from repro.net.wire import HEADER
 from repro.runtime import files
 from repro.runtime.session import Session
 from repro.servers.fileserver.server import VFileServer
@@ -59,16 +61,35 @@ async def base_system():
 class TestFileServiceOverUdp:
     def test_host_socket_receive_buffer_is_one_datagram(self):
         # asyncio's default 256 KiB per-datagram receive buffer can put
-        # glibc into a trim/grow cycle on every echo; no datagram the wire
-        # sends exceeds 64 KiB.
-        async def scenario():
-            domain = AsyncDomain()
-            ws = await domain.create_host("ws")
-            size = domain.ethernet._transports[ws.host_id].max_size
-            await domain.shutdown()
-            return size
+        # glibc into a trim/grow cycle on every echo.  A host reads into a
+        # 64 KiB buffer: the largest datagram UDP carries arrives whole, and
+        # no receive allocates more than one such buffer.
+        import tracemalloc
 
-        assert run_async(scenario()) == 65536
+        async def scenario():
+            domain, (ws, far) = await bare_domain("ws", "far")
+            echo_pid = far.spawn(echo_server(), "echo")
+
+            def client():
+                largest = b"x" * (65507 - HEADER.size)
+                code = (yield Send(echo_pid, Message.request(
+                    1, segment=largest))).reply_code
+                tracemalloc.start()
+                try:
+                    for __ in range(50):
+                        yield Send(echo_pid, Message.request(1))
+                    current, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                return code, peak - current
+
+            result = await run_client(domain, ws, client())
+            await domain.shutdown()
+            return result
+
+        code, transient = run_async(scenario())
+        assert code is ReplyCode.OK
+        assert transient < 2 * 65536
 
     def test_write_read_roundtrip(self):
         async def scenario():
@@ -309,6 +330,21 @@ def echo_server():
         yield Reply(delivery.sender, Message.reply(ReplyCode.OK))
 
 
+def refused(address):
+    """Whether a datagram to ``address`` finds no socket there."""
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+        probe.connect(address)
+        probe.settimeout(0.5)
+        probe.send(b"?")
+        try:
+            probe.recv(1)
+        except ConnectionRefusedError:
+            return True
+        except TimeoutError:
+            return False
+        return False
+
+
 def live_timers(domain):
     """The clock's timers that are neither cancelled nor fired."""
     clock = domain.engine
@@ -406,6 +442,57 @@ class TestKeepsTime:
         # A tail that held the loop would let replies in only between naps.
         assert len(during) >= 3
 
+    def test_a_ping_pong_leaves_room_for_timers_and_tasks(self):
+        # Reading each socket right after a send keeps a request/reply chain
+        # inside one drain; the drain still hands the loop back when a timer
+        # is due and after a fixed number of reads.  The talker gives up
+        # after 2 s, so a drain that never yields fails instead of hanging.
+        import time
+
+        from repro.kernel.config import KernelConfig
+        from repro.kernel.ipc import Delay
+
+        async def scenario():
+            # No retransmit timer: for 0.1 s at a time (the probe interval,
+            # the sleeper's long Delay) only the read bound yields.
+            domain = AsyncDomain()
+            domain.config = KernelConfig(retransmit_enabled=False)
+            left = await domain.create_host("left")
+            right = await domain.create_host("right")
+            echo_pid = right.spawn(echo_server(), "echo")
+            naps, gaps, done = [], [], []
+
+            def talker():
+                give_up = time.monotonic() + 2.0
+                while not done and time.monotonic() < give_up:
+                    yield Send(echo_pid, Message.request(1))
+
+            def sleeper():
+                for __ in range(5):
+                    start = time.monotonic()
+                    yield Delay(0.5e-3)
+                    naps.append(time.monotonic() - start)
+                    yield Delay(0.1)
+                done.append(True)
+
+            async def ticker():
+                last = time.monotonic()
+                while not done:
+                    await asyncio.sleep(0)
+                    gaps.append(time.monotonic() - last)
+                    last += gaps[-1]
+
+            left.spawn(sleeper(), "sleeper")
+            task = asyncio.create_task(ticker())
+            await run_client(domain, left, talker())
+            await task
+            await domain.shutdown()
+            return naps, gaps
+
+        naps, gaps = run_async(scenario())
+        assert len(naps) == 5 and max(naps) < 2e-3
+        assert max(gaps) < 30e-3
+
 
 class TestTimersAndLifecycle:
     def test_reply_timeout_cleans_up_its_waiter(self):
@@ -485,6 +572,8 @@ class TestTimersAndLifecycle:
 
         async def scenario():
             baseline = asyncio.all_tasks()
+            loop = asyncio.get_running_loop()
+            fds = set(loop._selector.get_map())
             domain, (ws, far) = await bare_domain("ws", "far")
             silent = far.spawn(silent_server(), "silent")
             woke = []
@@ -511,23 +600,23 @@ class TestTimersAndLifecycle:
             await asyncio.sleep(0.01)
             await domain.shutdown()
             before = list(woke)
-            timers = (live_timers(domain),
-                      armed_handles(asyncio.get_running_loop()))
-            open_transports = [
-                host.host_id for host in domain.hosts.values()
-                if not domain.ethernet._transports[host.host_id].is_closing()]
+            timers = (live_timers(domain), armed_handles(loop))
+            open_sockets = [host.name for host in domain.hosts.values()
+                            if not refused(host.address)]
+            readers = set(loop._selector.get_map()) - fds
             await asyncio.sleep(0.15)   # past every timer the kernel had armed
             tasks = asyncio.all_tasks() - baseline
-            return before, woke, timers, open_transports, tasks, domain.failures
+            return (before, woke, timers, (open_sockets, readers), tasks,
+                    domain.failures)
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            before, woke, timers, open_transports, tasks, failures = run_async(
+            before, woke, timers, sockets, tasks, failures = run_async(
                 scenario())
             gc.collect()
         assert "tail" in before and woke == before
         assert set(woke) == {"tail"}
-        assert timers == ([], []) and open_transports == []
+        assert timers == ([], []) and sockets == ([], set())
         assert tasks == set() and failures == []
         assert [w for w in caught
                 if issubclass(w.category, ResourceWarning)] == []
@@ -629,44 +718,34 @@ class TestRunToBlock:
         assert run_async(scenario()) == (["before"], True, [])
 
     def test_a_process_is_never_stepped_reentrantly(self):
-        # A datagram that arrives while the clock is draining -- here handed
-        # to the endpoint from inside a running process -- is queued behind
-        # the current step, never run inside it.
+        # A datagram that reaches its socket while the clock is draining --
+        # here the reply a process sends and then keeps stepping past -- is
+        # queued behind the current step, never run inside it.
         from repro.kernel.ipc import Delay, Receive, Reply
-        from repro.kernel.messages import Packet, PacketKind
-        from repro.kernel.pids import Pid
-        from repro.net.wire import encode_packet
 
         async def scenario():
             domain, (ws, far) = await bare_domain("ws", "far")
             order = []
 
-            def server():
-                while True:
-                    delivery = yield Receive()
-                    order.append("served")
-                    yield Reply(delivery.sender, Message.reply(ReplyCode.OK))
-
-            server_pid = far.spawn(server(), "server")
-            endpoint = domain.ethernet._transports[far.host_id].get_protocol()
-            request = encode_packet(Packet(
-                PacketKind.REQUEST, Pid.make(ws.host_id, 0xBEEF), server_pid,
-                1, Message.request(1)))
-
-            def meddler():
-                yield Delay(0.001)      # the server is parked in Receive
-                order.append("meddler")
-                endpoint.datagram_received(request, ws.address)
-                order.append("meddler, still stepping")
+            def replier():
+                delivery = yield Receive()
+                yield Reply(delivery.sender, Message.reply(ReplyCode.OK))
+                order.append("replied, still stepping")
                 yield Delay(0.001)
+                order.append("replier woke")
 
-            far.spawn(meddler(), "meddler")
+            def client():
+                yield Send(replier_pid, Message.request(1))
+                order.append("client woke")
+
+            replier_pid = far.spawn(replier(), "replier")
+            await run_client(domain, ws, client())
             await asyncio.sleep(0.02)
             await domain.shutdown()
             return order, domain.failures
 
         assert run_async(scenario()) == (
-            ["meddler", "meddler, still stepping", "served"], [])
+            ["replied, still stepping", "client woke", "replier woke"], [])
 
     def test_unencodable_message_gets_bad_args(self):
         from repro.kernel.ipc import Receive, Reply
@@ -725,9 +804,10 @@ class TestRunToBlock:
         assert run_async(scenario()) == (ReplyCode.OK, 3)
 
     def test_a_stray_malformed_csname_request_does_not_kill_the_server(self):
-        # A decodable REQUEST datagram whose CSname header carries None: the
-        # file server answers BAD_ARGS (to a pid nobody waits for) and the
-        # next well-formed request is served.
+        # A decodable REQUEST whose CSname header carries None: the file
+        # server answers BAD_ARGS and serves the next well-formed request.
+        # The same datagram from a plain socket outside the domain is
+        # counted and dropped.
         from repro.core.protocol import make_csname_request
         from repro.kernel.messages import Packet, PacketKind
         from repro.kernel.pids import Pid
@@ -738,22 +818,60 @@ class TestRunToBlock:
                 await base_system()
             stray = make_csname_request(RequestCode.OPEN_FILE, "x", 0)
             stray.fields["context_id"] = None
-            datagram = encode_packet(Packet(
-                PacketKind.REQUEST, Pid.make(ws.host_id, 0x3FF), fs_pid,
-                0xBEEF, stray))
-            domain.ethernet._transports[ws.host_id].sendto(
-                datagram, fs_host.address)
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as raw:
+                raw.bind(("127.0.0.1", 0))
+                raw.sendto(encode_packet(Packet(
+                    PacketKind.REQUEST, Pid.make(ws.host_id, 0x3FF), fs_pid,
+                    0xBEEF, stray)), fs_host.address)
             await asyncio.sleep(0.02)
 
             def client():
+                code = (yield Send(fs_pid, stray)).reply_code
                 yield from files.write_file(session, "after.txt", b"ok")
-                return (yield from files.read_file(session, "after.txt"))
+                return code, (yield from files.read_file(session, "after.txt"))
 
             result = await run_client(domain, ws, client())
             await domain.shutdown()
             return result, domain.malformed_datagrams
 
-        assert run_async(scenario()) == (b"ok", 0)
+        assert run_async(scenario()) == ((ReplyCode.BAD_ARGS, b"ok"), 1)
+
+    def test_a_packet_too_big_for_one_datagram_gets_bad_args(self):
+        # UDP refuses a payload over 65 507 bytes; the transaction fails
+        # with BAD_ARGS instead of retransmitting into that refusal forever,
+        # for a request and for a reply alike.
+        from repro.kernel.ipc import Receive, Reply
+
+        limit = 65507 - HEADER.size
+
+        def big_replier():
+            while True:
+                delivery = yield Receive()
+                yield Reply(delivery.sender, Message.reply(
+                    ReplyCode.OK, segment=b"r" * 70_000))
+
+        async def scenario():
+            domain, (ws, far) = await bare_domain("ws", "far")
+            echo_pid = far.spawn(echo_server(), "echo")
+            big_pid = far.spawn(big_replier(), "big")
+
+            def client():
+                codes = []
+                for dst, size in ((echo_pid, 70_000), (echo_pid, limit + 1),
+                                  (big_pid, 0), (echo_pid, limit)):
+                    reply = yield Send(dst, Message.request(
+                        1, segment=b"s" * size if size else None))
+                    codes.append(reply.reply_code)
+                return codes
+
+            codes = await asyncio.wait_for(
+                run_client(domain, ws, client()), 10)
+            leftovers = dict(ws._outstanding), live_timers(domain)
+            await domain.shutdown()
+            return codes, leftovers
+
+        assert run_async(scenario()) == (
+            [ReplyCode.BAD_ARGS] * 3 + [ReplyCode.OK], ({}, []))
 
 
 class TestLoopClock:

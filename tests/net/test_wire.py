@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.kernel.messages import Message, Packet, PacketKind
+from repro.kernel.messages import Message, Packet, PacketKind, ReplyCode
 from repro.kernel.pids import Pid
-from repro.net.wire import WireError, decode_packet, encode_packet
+from repro.net import wire
+from repro.net.wire import HEADER, WireError, decode_packet, encode_packet
 
 
 def roundtrip(packet: Packet) -> Packet:
@@ -57,6 +58,19 @@ class TestRoundtrips:
         packet = Packet(PacketKind.REQUEST, src_pid=Pid(1), dst_pid=Pid(2),
                         txn_id=1, message=message)
         assert roundtrip(packet).message.fields["new_name"] == b"raw-bytes"
+
+    def test_subclass_values_encode_as_their_base_type(self):
+        class Name(str):
+            pass
+
+        message = Message.request(1, status=ReplyCode.BAD_ARGS, name=Name("x"),
+                                  pid=Pid.make(2, 3))
+        packet = Packet(PacketKind.REQUEST, src_pid=Pid(1), dst_pid=Pid(2),
+                        txn_id=1, message=message)
+        fields = roundtrip(packet).message.fields
+        assert fields == {"status": int(ReplyCode.BAD_ARGS), "name": "x",
+                          "pid": Pid.make(2, 3)}
+        assert type(fields["status"]) is int and type(fields["name"]) is str
 
     @given(
         fields=st.dictionaries(
@@ -156,7 +170,7 @@ class TestDecodeFuzz:
     @given(tail=st.binary(max_size=64))
     def test_arbitrary_bytes_behind_a_valid_header(self, tail):
         # Random bytes almost never get past the magic; these always do.
-        self.decodes_or_rejects(_SEED_PACKETS[0][:20] + tail)
+        self.decodes_or_rejects(_SEED_PACKETS[0][:HEADER.size] + tail)
 
     @given(seed=st.sampled_from(_SEED_PACKETS), cut=st.integers(min_value=0),
            flips=_MUTATIONS)
@@ -171,3 +185,24 @@ class TestDecodeFuzz:
         data[2] = list(PacketKind).index(PacketKind.REQUEST)
         with pytest.raises(WireError, match="malformed"):
             decode_packet(bytes(data))
+
+    @pytest.mark.parametrize("part", [8, 10], ids=["fields", "segment"])
+    def test_message_less_header_claiming_message_parts_is_a_wire_error(
+            self, part):
+        probe = encode_packet(Packet(PacketKind.PROBE, src_pid=Pid(1),
+                                     dst_pid=Pid(2), txn_id=1))
+        header = list(HEADER.unpack_from(probe))
+        header[part] = 1
+        with pytest.raises(WireError, match="message-less"):
+            decode_packet(HEADER.pack(*header) + b"\x00" * 8)
+
+
+def test_decoded_pids_share_a_bounded_table():
+    for value in range(1, 100_001):
+        packet = decode_packet(encode_packet(Packet(
+            PacketKind.PROBE, src_pid=Pid(value), dst_pid=Pid(value + 1),
+            txn_id=value)))
+        assert packet.src_pid == Pid(value)
+    assert len(wire._PIDS) <= wire.PID_TABLE_LIMIT
+    again = decode_packet(encode_packet(packet))
+    assert again.src_pid is packet.src_pid
