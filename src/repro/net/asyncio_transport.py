@@ -250,8 +250,9 @@ class _UdpWire:
 
     def close(self) -> None:
         for sock in self._sockets.values():
-            self._clock._loop.remove_reader(sock.fileno())
-            sock.close()
+            if sock.fileno() != -1:           # not closed by an earlier call
+                self._clock._loop.remove_reader(sock.fileno())
+                sock.close()
 
     def address_of(self, host_id: int) -> Optional[tuple[str, int]]:
         return self._addresses.get(host_id)

@@ -608,6 +608,7 @@ class TestTimersAndLifecycle:
             open_sockets = [host.name for host in domain.hosts.values()
                             if not refused(host.address)]
             readers = set(loop._selector.get_map()) - fds
+            await domain.shutdown()     # a second shutdown is harmless
             await asyncio.sleep(0.15)   # past every timer the kernel had armed
             tasks = asyncio.all_tasks() - baseline
             return (before, woke, timers, (open_sockets, readers), tasks,
