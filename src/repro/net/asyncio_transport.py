@@ -284,7 +284,7 @@ class _UdpWire:
             if type(dst) is int:
                 self._sendto(src, dst, data)
             else:
-                hosts = (list(self._addresses) if dst is BROADCAST
+                hosts = (self._addresses if dst is BROADCAST
                          else sorted(self._groups.get(dst.group_id, ())))
                 for host_id in hosts:
                     if host_id != src:
