@@ -28,7 +28,7 @@ the probe protocol gives up (see :mod:`repro.kernel.config`).
 
 from __future__ import annotations
 
-from collections import OrderedDict, defaultdict
+from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.kernel import ipc
@@ -106,7 +106,7 @@ class Host:
         #: Receiver-side: the last replies pushed to remote senders, kept so
         #: a retransmitted request (or a probe) whose original reply frame
         #: was lost can be answered by replay instead of a spurious NACK.
-        self._reply_cache: OrderedDict[int, Packet] = OrderedDict()
+        self._reply_cache: dict[int, Packet] = {}
         #: GetPid broadcast waiters:
         #: waiter_id -> (process, timeout_event, service, attempts)
         self._getpid_waiters: dict[int, tuple[Process, Any, int, int]] = {}
@@ -114,12 +114,10 @@ class Host:
         self.ethernet.attach(host_id, self._on_frame)
 
         # ---- hot-path flyweights -------------------------------------
-        # Latency constants and the frame pool never change for the life
-        # of the host; per-frame code reads them through one attribute
-        # instead of a chain.
+        # Latency constants never change for the life of the host;
+        # per-frame code reads them through one attribute instead of a chain.
         self._kernel_cpu = self.latency.kernel_cpu_per_packet
         self._local_hop = self.latency.local_hop
-        self._acquire_frame = self.ethernet.frame_pool.acquire
         # KernelConfig is frozen; snapshot the per-probe and per-send scalars.
         self._probe_interval = self.config.probe_interval
         self._max_failed_probes = self.config.max_failed_probes
@@ -518,10 +516,10 @@ class Host:
         if self._retransmit_enabled:
             # Remember the reply for loss replay (the newest N survive).
             cache = self._reply_cache
+            cache.pop(delivery.txn_id, None)
             cache[delivery.txn_id] = packet
-            cache.move_to_end(delivery.txn_id)
             while len(cache) > self.config.reply_cache_entries:
-                cache.popitem(last=False)
+                del cache[next(iter(cache))]
         if busy and replier is not None:
             replier.state = _WAITING
             self.engine.post(self._kernel_cpu, self._transmit_put, packet,
@@ -639,8 +637,7 @@ class Host:
     def _emit_move_frame(self, src_host: int, dst_host: int, chunk: int) -> None:
         packet = Packet(PacketKind.MOVE_DATA, src_pid=Pid(0), dst_pid=None,
                         txn_id=0, info={"data_bytes": chunk})
-        frame = self._acquire_frame(
-            src_host, dst_host, packet, packet.payload_bytes)
+        frame = Frame(src_host, dst_host, packet, packet.payload_bytes)
         if self.engine.profiling:
             self.engine.profile_count_message(packet.payload_bytes)
         self.ethernet.transmit(frame)
@@ -815,8 +812,7 @@ class Host:
     def _transmit_put(self, packet: Packet, dst, resume) -> None:
         if self.crashed:
             return
-        frame = self._acquire_frame(
-            self.host_id, dst, packet, packet.payload_bytes)
+        frame = Frame(self.host_id, dst, packet, packet.payload_bytes)
         engine = self.engine
         if engine.profiling:
             # One message out: bump the current stack's message/byte
@@ -834,8 +830,6 @@ class Host:
             engine.post_at(arrival, self._advance, resume)
 
     def _on_frame(self, frame: Frame) -> None:
-        if self.crashed:
-            return
         packet = frame.payload
         if type(packet) is not Packet:
             return

@@ -17,15 +17,18 @@ adapters behind the seams ``Host`` already uses:
   rounded up.  Datagrams and timers enter through the same drain, so no
   kernel callback runs re-entrantly.
 - the **UDP wire**: one non-blocking socket per host on the loop's reader.
-  ``transmit`` encodes and sends to one host, every other host (broadcast)
-  or a group's hosts (multicast), and records each socket it sent to; on
-  loopback the datagram is there when ``sendto`` returns, so the drain reads
-  it once its ready queue empties (until a timer is due, or a fixed number
-  of reads), and a request/reply chain needs no loop turn per datagram.  A
-  datagram that does not decode, or comes from outside the domain, is
-  counted in ``malformed_datagrams`` and dropped.  A packet that cannot be
-  encoded, or exceeds a datagram, fails its transaction with a ``BAD_ARGS``
-  NACK to the waiting side; a failed ``sendto``/``recvfrom`` is a lost frame.
+  It carries the DES Ethernet's unit, a :class:`~repro.net.packet.Frame`,
+  both ways: ``transmit(frame)`` encodes the frame's packet and sends it to
+  one host, every other host (broadcast) or a group's hosts (multicast),
+  recording each socket it sent to, and a decoded datagram reaches the
+  receiving kernel's ``Host._on_frame`` as a ``Frame``.  On loopback the
+  datagram is there when ``sendto`` returns, so the drain reads it once its
+  ready queue empties (until a timer is due, or a fixed number of reads),
+  and a request/reply chain needs no loop turn per datagram.  A datagram
+  that does not decode, or comes from outside the domain, is counted in
+  ``malformed_datagrams`` and dropped.  A packet that cannot be encoded, or
+  exceeds a datagram, fails its transaction with a ``BAD_ARGS`` NACK to the
+  waiting side; a failed ``sendto``/``recvfrom`` is a lost frame.
 
 Known divergences from the DES, exactly two: time is the wall clock (no
 modelled kernel CPU, hop, wire or bulk-move time; servers' own ``Delay``
@@ -42,7 +45,6 @@ import socket
 import time
 from collections import deque
 from heapq import heappop, heappush
-from types import SimpleNamespace
 from typing import Any, Callable, Optional
 
 from repro.kernel.domain import Domain
@@ -50,7 +52,7 @@ from repro.kernel.host import Host
 from repro.kernel.messages import Message, Packet, PacketKind, ReplyCode
 from repro.kernel.pids import Pid
 from repro.net.latency import LatencyModel
-from repro.net.packet import BROADCAST, GroupAddress
+from repro.net.packet import BROADCAST, Frame, GroupAddress
 from repro.net.wire import WireError, decode_packet, encode_packet
 
 #: The selector rounds timeouts *up* to a whole millisecond: the clock arms
@@ -212,18 +214,8 @@ class _LoopClock:
         self._handle_at = when
 
 
-class _Arrival:
-    """A received datagram, as ``Host._on_frame`` reads a frame."""
-
-    __slots__ = ("src_host", "payload")
-
-
 class _UdpWire:
     """The Ethernet seam ``Host`` uses, over one UDP socket per host."""
-
-    #: ``Host`` acquires its frames here; a datagram needs no frame object.
-    frame_pool = SimpleNamespace(
-        acquire=lambda src_host, dst, packet, nbytes: (src_host, dst, packet))
 
     def __init__(self, clock: _LoopClock) -> None:
         self._clock = clock
@@ -272,8 +264,8 @@ class _UdpWire:
     def leave_group(self, host_id: int, group: GroupAddress) -> None:
         self._groups.get(group.group_id, set()).discard(host_id)
 
-    def transmit(self, frame: tuple) -> float:
-        src, dst, packet = frame
+    def transmit(self, frame: Frame) -> float:
+        src, dst, packet = frame.src_host, frame.dst, frame.payload
         if self._live.get(src) is not None:
             try:
                 data = encode_packet(packet)
@@ -333,9 +325,10 @@ class _UdpWire:
             return True
         deliver = self._live.get(host_id)
         if deliver is not None:
-            arrival = _Arrival()
-            arrival.src_host, arrival.payload = src, packet
-            self._clock._ready.append((deliver, (arrival,)))
+            # A datagram does not say whether it went to a group: the
+            # frame's dst is the host that read it.
+            frame = Frame(src, host_id, packet, packet.payload_bytes)
+            self._clock._ready.append((deliver, (frame,)))
         return True
 
 

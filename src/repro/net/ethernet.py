@@ -25,7 +25,7 @@ import random
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.latency import LatencyModel, WireFaultModel
-from repro.net.packet import BROADCAST, Frame, FramePool, GroupAddress, _Broadcast
+from repro.net.packet import Frame, GroupAddress, _Broadcast
 from repro.obs.registry import DEFAULT_BYTES_BUCKETS, MetricsRegistry
 from repro.sim.engine import Engine
 
@@ -64,11 +64,6 @@ class Ethernet:
         self._drop_predicate: Optional[Callable[[Frame, int], bool]] = None
         self._faults: Optional[WireFaultModel] = None
         self._fault_rng: Optional[random.Random] = None
-        #: Flyweight recycling for kernel-originated frames: kernels acquire
-        #: here, _deliver releases once the frame has fanned out (except
-        #: under fault injection, whose delayed/duplicated copies may hold
-        #: the frame past this event).
-        self.frame_pool = FramePool()
         #: Pre-resolved "net.delivered_to.<host>" counters (hot path).
         self._delivered_counters: dict = {}
         #: Pre-resolved registry counters: transmit/deliver run per frame,
@@ -243,15 +238,8 @@ class Ethernet:
                     self._delivered_counters[host_id] = counter
                 counter.value += 1
                 deliver(frame)
-            self.frame_pool.release(frame)
             return
         self._fan_out(frame, faults, inject)
-        if not inject:
-            # Fan-out is synchronous without fault injection, so the frame
-            # is fully delivered here and pool frames can be recycled.
-            # (Injected faults schedule delayed/dup copies that keep frame
-            # references; those frames simply age out via GC as before.)
-            self.frame_pool.release(frame)
 
     def _fan_out(self, frame: Frame, faults, inject: bool) -> None:
         for host_id in self._destinations(frame):

@@ -1,15 +1,19 @@
-"""Frames and addressing for the simulated Ethernet.
+"""Frames and addressing, as both wires carry them.
 
-A frame's destination is a host id (unicast), :data:`BROADCAST`, or a
-:class:`GroupAddress` (multicast).  The payload is opaque to the network --
-the kernel puts :class:`repro.kernel.messages.Packet` objects in it -- but the
-frame declares its payload size so the Ethernet can charge accurate wire time.
+A :class:`Frame` is the one unit the kernel and a wire exchange: the kernel
+builds one per transmit and hands it to the DES Ethernet
+(:mod:`repro.net.ethernet`) or the UDP wire
+(:mod:`repro.net.asyncio_transport`), and each wire hands the receiving
+kernel a ``Frame`` too.  A frame's destination is a host id (unicast),
+:data:`BROADCAST`, or a :class:`GroupAddress` (multicast).  The payload is
+opaque to the network -- the kernel puts :class:`repro.kernel.messages.Packet`
+objects in it -- but the frame declares its payload size so the Ethernet can
+charge accurate wire time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import count
+from dataclasses import dataclass
 from typing import Any, Union
 
 
@@ -43,28 +47,29 @@ class GroupAddress:
 
 Destination = Union[int, _Broadcast, GroupAddress]
 
-#: Frame ids come from a C-level counter: one is stamped per acquire, which
-#: at fleet scale means one per simulated frame.
-_next_frame_id = count(1).__next__
-
-
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Frame:
-    """One link-level frame in flight."""
+    """One link-level frame in flight.
+
+    Both wires carry it: the kernel builds one per transmit, and the DES
+    Ethernet and the UDP wire each hand one to the receiving kernel.  A frame
+    is never reused, so a reference held past delivery (a drop predicate's,
+    a delayed or duplicated copy's) keeps what it was shown.
+    """
 
     src_host: int
     dst: Destination
     payload: Any
     payload_bytes: int
-    frame_id: int = field(default_factory=_next_frame_id)
-    #: True only for frames acquired from a :class:`FramePool`; the Ethernet
-    #: recycles those after delivery.  Frames built directly (tests, tools)
-    #: are never pooled, so references held across delivery stay valid.
-    pooled: bool = field(default=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.payload_bytes < 0:
+    def __init__(self, src_host: int, dst: Destination, payload: Any,
+                 payload_bytes: int) -> None:
+        if payload_bytes < 0:
             raise ValueError("payload_bytes must be non-negative")
+        self.src_host = src_host
+        self.dst = dst
+        self.payload = payload
+        self.payload_bytes = payload_bytes
 
     @property
     def is_broadcast(self) -> bool:
@@ -77,48 +82,3 @@ class Frame:
     @property
     def is_unicast(self) -> bool:
         return isinstance(self.dst, int)
-
-
-class FramePool:
-    """Free-list of :class:`Frame` flyweights for the kernel hot path.
-
-    A Send/Reply round trip allocates a frame per hop; at fleet scale that
-    is the dominant allocation after the engine's own events.  Kernels
-    acquire frames here and the Ethernet releases them once delivered
-    (fault-injection paths that retain frame references -- delayed or
-    duplicated copies -- simply skip the release, and the frame is garbage
-    collected as before).  Every acquire stamps a fresh ``frame_id``, so
-    recycled frames are indistinguishable from newly constructed ones.
-    """
-
-    __slots__ = ("_free",)
-
-    def __init__(self) -> None:
-        self._free: list[Frame] = []
-
-    def acquire(self, src_host: int, dst: Destination, payload: Any,
-                payload_bytes: int) -> Frame:
-        if payload_bytes < 0:
-            raise ValueError("payload_bytes must be non-negative")
-        free = self._free
-        if free:
-            frame = free.pop()
-            frame.src_host = src_host
-            frame.dst = dst
-            frame.payload = payload
-            frame.payload_bytes = payload_bytes
-            frame.frame_id = _next_frame_id()
-            return frame
-        frame = Frame(src_host, dst, payload, payload_bytes)
-        frame.pooled = True
-        return frame
-
-    def release(self, frame: Frame) -> None:
-        """Return a delivered pool frame to the free list.
-
-        Only accepts pool-owned frames; the payload reference is dropped so
-        recycling never pins a delivered packet alive.
-        """
-        if frame.pooled:
-            frame.payload = None
-            self._free.append(frame)

@@ -158,3 +158,29 @@ def test_loss_free_run_never_retransmits():
     assert domain.metrics.count("ipc.retransmits") == 0
     assert domain.metrics.count("ipc.dup_suppressed") == 0
     assert domain.metrics.count("ipc.reply_resends") == 0
+
+
+def test_reply_cache_keeps_the_newest_replies_in_order():
+    # Three round trips through a two-entry cache: the first reply is
+    # evicted, the other two stay, oldest first.
+    config = KernelConfig(reply_cache_entries=2)
+    domain, ws = _two_host_domain(_echo_server(), config)
+    far = next(host for host in domain.hosts.values() if host.name == "far")
+    requests = []
+
+    def note_requests(frame, dst):
+        if frame.payload.kind is PacketKind.REQUEST:
+            requests.append(frame.payload.txn_id)
+        return False
+
+    domain.ethernet.set_drop_predicate(note_requests)
+
+    def client():
+        yield Delay(0.01)
+        pid = yield GetPid(1, Scope.ANY)
+        for __ in range(3):
+            assert (yield Send(pid, Message.request(0x0101))).ok
+
+    run_on(domain, ws, client())
+    assert len(requests) == 3
+    assert list(far._reply_cache) == requests[1:]

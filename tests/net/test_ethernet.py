@@ -2,11 +2,21 @@
 
 import pytest
 
+from repro.kernel.domain import Domain
+from repro.kernel.ipc import Receive, Reply, Send
+from repro.kernel.messages import (
+    Message,
+    Packet,
+    PacketKind,
+    ReplyCode,
+    RequestCode,
+)
 from repro.net.ethernet import Ethernet, NetworkError
 from repro.net.latency import STANDARD_3MBIT
 from repro.net.packet import BROADCAST, Frame, GroupAddress
 from repro.obs.registry import MetricsRegistry
 from repro.sim.engine import Engine
+from tests.helpers import run_on
 
 
 @pytest.fixture
@@ -149,6 +159,43 @@ class TestFaults:
         engine.run()
         assert rx2 == [] and len(rx3) == 1
         assert ethernet.metrics.count("net.frames_dropped") == 1
+
+    def test_frames_a_drop_predicate_keeps_stay_as_shown(self):
+        # The kernel builds the frames here: each transmit is its own
+        # Frame, so one held past delivery still carries its own packet
+        # and addresses.
+        domain = Domain()
+        client_host, server_host = domain.create_hosts(2)
+
+        def echo():
+            while True:
+                delivery = yield Receive()
+                yield Reply(delivery.sender, Message.reply(
+                    ReplyCode.OK, n=delivery.message.get("n")))
+
+        server = server_host.spawn(echo(), name="echo")
+
+        def client():
+            for n in range(3):
+                yield Send(server.pid, Message.request(
+                    RequestCode.QUERY_NAME, n=n))
+
+        shown = []
+        domain.ethernet.set_drop_predicate(
+            lambda frame, dst: shown.append(frame) or False)
+        run_on(domain, client_host, client())
+
+        assert len(shown) == 6
+        assert len({id(frame) for frame in shown}) == 6
+        client_id, server_id = client_host.host_id, server_host.host_id
+        for index, frame in enumerate(shown):
+            packet, request = frame.payload, index % 2 == 0
+            assert type(packet) is Packet
+            assert packet.kind is (PacketKind.REQUEST if request
+                                   else PacketKind.REPLY)
+            assert packet.message.get("n") == index // 2
+            assert frame.src_host == (client_id if request else server_id)
+            assert frame.dst == (server_id if request else client_id)
 
     def test_detach_forgets_host_and_groups(self, net):
         engine, ethernet = net
