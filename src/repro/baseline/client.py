@@ -166,9 +166,3 @@ class BaselineClient:
         return FileStream(server=Pid(int(reply["server_pid"])),
                           instance=int(reply["instance"]),
                           block_size=int(reply["block_size"]))
-
-    def invalidate_cache(self, name: str | bytes | None = None) -> None:
-        if name is None:
-            self._cache.clear()
-        else:
-            self._cache.invalidate(as_name_bytes(name))

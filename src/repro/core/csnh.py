@@ -214,10 +214,6 @@ class CSNHServer:
         """Inverse mapping: instance id -> CSname (Sec. 5.7, best effort)."""
         return None
 
-    def client_died(self, pid: Pid) -> None:
-        """Called when a NONEXISTENT client is noticed (resource reclaim)."""
-        self.instances.release_owned_by(pid)
-
     # ------------------------------------------------------------------ body
 
     def body(self) -> Gen:

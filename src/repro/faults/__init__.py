@@ -12,7 +12,6 @@ from repro.faults.chaos import (
     ChaosReport,
     ChaosSchedule,
     InvariantViolation,
-    assert_retransmission_exercised,
     check_invariants,
     run_chaos,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "ChaosReport",
     "ChaosSchedule",
     "InvariantViolation",
-    "assert_retransmission_exercised",
     "check_invariants",
     "run_chaos",
 ]

@@ -1,12 +1,21 @@
-"""Composable chaos schedules and invariant checks (E14 harness).
+"""One scenario runner over composable chaos schedules (E14 harness).
 
 A :class:`ChaosSchedule` arranges *when* faults happen: probabilistic wire
 loss phases (:class:`~repro.net.latency.WireFaultModel` installed and
 removed at scheduled times), fail-stop crash/restart windows
-(:mod:`repro.faults.crash`), and network partitions
-(:mod:`repro.faults.partition`) compose on one simulated timeline.  Because
-every fault source draws from the domain's seeded rng streams, a chaos run
-is a pure function of its seed: a failing schedule replays exactly.
+(:mod:`repro.faults.crash`), and any number of concurrent network
+partitions (:mod:`repro.faults.partition`) compose on one simulated
+timeline.  Because every fault source draws from the domain's seeded rng
+streams, a chaos run is a pure function of its seed: a failing schedule
+replays exactly.
+
+:func:`run_scenario` runs a world to quiescence and checks it.  It has two
+builders: :func:`run_chaos`, the file-server world (a workstation client
+reading through the prefix server and its name cache while the wire loses
+frames and the file server crashes and comes back), and
+:func:`run_replica_storm`, the shard world (every replica of a shard
+cluster crashes in turn under Zipf reads).  Both spawn :func:`reads` and
+tally into a :class:`ScenarioReport`.
 
 The invariant checks are the point.  Retransmission machinery is easy to
 get *almost* right; these assertions pin the ways it tends to be wrong:
@@ -22,15 +31,18 @@ get *almost* right; these assertions pin the ways it tends to be wrong:
   quiet wire means the protocol dropped a reply on the floor itself;
 - **cache accounting** -- every stale-hint fallback must have invalidated
   at least one cached binding (a fallback that leaves the bad binding in
-  place loops forever on it).
+  place loops forever on it);
+- **right bytes** -- no read returns anything but the file's contents.
 
-``python -m repro.obs chaos --seed 7 --duration 5 --drop 0.1`` runs a
-short seeded workload (a workstation client reading through the prefix
-server and its name cache while the wire loses frames and the file server
-crashes and comes back) and exits nonzero if any invariant fails --
+The shard world adds lease coherence, the coherence audit and, with two or
+more replicas, zero failed reads.  Every problem is collected before one
+:class:`InvariantViolation` raises.
+
+``python -m repro.obs chaos --seed 7 --duration 5 --drop 0.1`` runs the
+file-server world and exits nonzero if any invariant fails --
 ``--require-retransmits`` additionally fails the run if the retransmission
 path was never exercised, which is the CI gate against silently disabling
-the machinery.
+the machinery.  ``python -m repro.obs storm`` runs the shard world.
 
 ``--watchdogs`` arms the telemetry collector and the default SLO watchdog
 rules (:mod:`repro.obs.telemetry`) over the same run, serving them through
@@ -40,18 +52,18 @@ itself crossed the recovering wire) must agree record-for-record with what
 the watchdog engine emitted -- alert delivery must not be lossy even when
 the wire is.  ``--require-alert-cycle`` fails the run unless at least one
 alert both fired and resolved (the CI gate that the watchdogs actually
-watch).  ``python -m repro.obs storm`` runs :func:`run_replica_storm`.
+watch).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import ClassVar, Iterable, Optional
 
 from repro.core.resolver import NameError_
 from repro.faults.crash import CrashSchedule
-from repro.faults.partition import heal_partition, partition_between
+from repro.faults.partition import cut_between, heal_partition
 from repro.kernel.domain import Domain
 from repro.kernel.host import Host
 from repro.kernel.ipc import Delay, Now
@@ -61,6 +73,7 @@ from repro.runtime import files
 from repro.runtime.workstation import setup_workstation, standard_prefixes
 from repro.servers.base import start_server
 from repro.servers.fileserver.server import VFileServer
+from repro.servers.statserver import enable_obs_namespace
 from repro.sim.engine import ScheduledEvent
 from repro.vio.client import IoError
 
@@ -68,14 +81,14 @@ from repro.vio.client import IoError
 class InvariantViolation(AssertionError):
     """One or more chaos invariants failed; the message lists them all."""
 
-    #: The run's flight recorder when it flew with one (``--flight``):
-    #: finalized at the moment of failure so the black boxes can be dumped.
-    flight = None
-
-    def __init__(self, problems: list[str]) -> None:
+    def __init__(self, problems: list[str], flight=None) -> None:
         super().__init__("chaos invariants violated:\n- " +
                          "\n- ".join(problems))
         self.problems = problems
+        #: The run's flight recorder when it flew with one (``--flight``):
+        #: finalized at the moment of failure so the black boxes can be
+        #: dumped.
+        self.flight = flight
 
 
 # --------------------------------------------------------------- scheduling
@@ -87,7 +100,6 @@ class ChaosSchedule:
 
     domain: Domain
     events: list[ScheduledEvent] = field(default_factory=list)
-    crashes: list[CrashSchedule] = field(default_factory=list)
 
     def loss_between(self, start: float, end: float,
                      faults: WireFaultModel) -> "ChaosSchedule":
@@ -103,28 +115,29 @@ class ChaosSchedule:
     def crash_between(self, host: Host, start: float, end: float,
                       respawn=None) -> "ChaosSchedule":
         """Fail-stop ``host`` for [start, end); ``respawn(host)`` on restart."""
-        self.crashes.append(CrashSchedule(self.domain, host).down_between(
-            start, end, respawn))
+        self.events += CrashSchedule(self.domain, host).down_between(
+            start, end, respawn).events
         return self
 
     def partition_between(self, start: float, end: float,
                           group_a: Iterable[int],
                           group_b: Iterable[int]) -> "ChaosSchedule":
-        """Cut the wire between two host-id sets for [start, end)."""
-        side_a, side_b = list(group_a), list(group_b)
+        """Cut the wire between two host-id sets for [start, end).
+
+        The heal at ``end`` removes this cut only: other cuts, and any drop
+        rule installed outside the schedule, stay in force.
+        """
+        cut = cut_between(group_a, group_b)
         self.events.append(self.domain.engine.schedule_at(
-            start, partition_between, self.domain, side_a, side_b))
+            start, self.domain.ethernet.add_drop_predicate, cut))
         self.events.append(self.domain.engine.schedule_at(
-            end, heal_partition, self.domain))
+            end, heal_partition, self.domain, cut))
         return self
 
     def cancel(self) -> None:
         for event in self.events:
             event.cancel()
         self.events.clear()
-        for plan in self.crashes:
-            plan.cancel()
-        self.crashes.clear()
 
 
 # --------------------------------------------------------------- invariants
@@ -214,54 +227,46 @@ def check_lease_coherence(cluster) -> list[str]:
     return problems
 
 
-def check_invariants(domain: Domain, cache=None) -> None:
-    """Run every applicable check; raise :class:`InvariantViolation`."""
+def standard_problems(domain: Domain, caches: Iterable = ()) -> list[str]:
+    """The kernel invariants, plus cache accounting for each of ``caches``."""
     problems = (check_no_timer_leaks(domain)
                 + check_no_stuck_transactions(domain)
                 + check_timeouts_explained(domain))
-    if cache is not None:
+    for cache in caches:
         problems += check_cache_accounting(cache)
+    return problems
+
+
+def check_invariants(domain: Domain, cache=None) -> None:
+    """Run every applicable check; raise :class:`InvariantViolation`."""
+    problems = standard_problems(domain, [] if cache is None else [cache])
     if problems:
         raise InvariantViolation(problems)
 
 
-def assert_retransmission_exercised(domain: Domain) -> None:
-    """CI gate: under injected loss the retransmission path must fire."""
-    retransmits = domain.metrics.count("ipc.retransmits")
-    if retransmits == 0:
-        raise InvariantViolation(
-            ["loss was injected but ipc.retransmits == 0: the "
-             "retransmission machinery never ran (disabled, or the fault "
-             "model is not reaching the wire)"])
+# ------------------------------------------------------------- the runner
 
 
-# ------------------------------------------------------------ the harness
-
-
-@dataclass
-class ChaosReport:
-    """What one seeded chaos run did and observed."""
+@dataclass(kw_only=True)
+class ScenarioReport:
+    """What one seeded scenario run did and observed: the part every world
+    shares.  A world's report adds its own fields and ``to_dict`` layout."""
 
     seed: int
     duration: float
-    drop_rate: float
     reads_ok: int = 0
     reads_failed: int = 0
     reads_wrong: int = 0
     metrics: dict = field(default_factory=dict)
-    cache_stats: dict = field(default_factory=dict)
-    #: Watchdog summary (``--watchdogs`` only): fired/resolved counts, the
-    #: alert records, and how many came back through the [obs] read.
+    #: Watchdog summary (``watchdogs=True`` only): fired/resolved counts,
+    #: the alert records, and how many came back through the [obs] read.
     alerts: dict = field(default_factory=dict)
-    #: Flight-recorder summary (``flight=True`` only): per-host record and
-    #: digest-window counts plus postmortem tally -- all deterministic.
-    flight: dict = field(default_factory=dict)
-    #: The live recorder object itself (not serialized); replay and the
-    #: CLI's postmortem dumper read lanes and chains off it.
-    recorder: object = None
-    #: The client workstation, its domain quiescent (not serialized); the
-    #: monitor reads every host's time series back through it.
-    workstation: object = None
+
+    #: ``to_dict`` layout: the fields before the read tally, the
+    #: ``(key, field)`` pairs after it, and the fields written only when set.
+    _HEAD: ClassVar[tuple] = ()
+    _TAIL: ClassVar[tuple] = ()
+    _IF_SET: ClassVar[tuple] = ()
 
     @property
     def reads(self) -> int:
@@ -272,22 +277,14 @@ class ChaosReport:
         return self.reads_ok / self.reads if self.reads else 0.0
 
     def to_dict(self) -> dict:
-        document = {
-            "seed": self.seed,
-            "duration": self.duration,
-            "drop_rate": self.drop_rate,
-            "reads": self.reads,
-            "reads_ok": self.reads_ok,
-            "reads_failed": self.reads_failed,
-            "reads_wrong": self.reads_wrong,
-            "success_rate": round(self.success_rate, 4),
-            "metrics": self.metrics,
-            "cache": self.cache_stats,
-        }
-        if self.alerts:
-            document["alerts"] = self.alerts
-        if self.flight:
-            document["flight"] = self.flight
+        document = {name: getattr(self, name) for name in self._HEAD}
+        document.update(reads=self.reads, reads_ok=self.reads_ok,
+                        reads_failed=self.reads_failed,
+                        reads_wrong=self.reads_wrong,
+                        success_rate=round(self.success_rate, 4))
+        document.update((key, getattr(self, name)) for key, name in self._TAIL)
+        document.update((name, getattr(self, name)) for name in self._IF_SET
+                        if getattr(self, name))
         return document
 
 
@@ -309,77 +306,106 @@ def populated_fileserver() -> VFileServer:
     return server
 
 
-def build_chaos_world(domain: Domain):
-    """Workstation ``mann`` (name cache on) reading from a populated file
-    server on ``vax1`` through the standard prefixes.
-
-    Returns ``(workstation, fileserver handle)``.
-    """
-    workstation = setup_workstation(domain, "mann")
-    handle = start_server(domain.create_host("vax1"), populated_fileserver())
-    standard_prefixes(workstation, handle)
-    workstation.enable_name_cache()
-    return workstation, handle
-
-
-def schedule_chaos_faults(domain: Domain, workstation, fs_host: Host,
-                          duration: float, faults: WireFaultModel,
-                          crash: bool = True) -> None:
-    """``faults`` on the wire for the middle 80 % of the run (clean at both
-    ends, so the cache warms up honestly and the run can quiesce) and,
-    with ``crash``, ``fs_host`` down from 40 % to 50 %."""
-    schedule = ChaosSchedule(domain)
-    schedule.loss_between(0.1 * duration, 0.9 * duration, faults)
-    if crash:
-        def respawn(host):
-            # The respawned server has a new pid: re-register its services
-            # (the generic [storage] binding re-resolves via GetPid on its
-            # own) and rebind the fixed prefixes, as the workstation's boot
-            # script would.  The prefix server notifies attached caches of
-            # each rebinding.
-            standard_prefixes(workstation,
-                              start_server(host, populated_fileserver()))
-
-        schedule.crash_between(fs_host, 0.4 * duration, 0.5 * duration,
-                               respawn=respawn)
-
-
-def chaos_targets(session) -> list:
-    """The two names every round reads: one through the fixed ``[root]``
-    prefix binding, one through the generic ``[storage]`` binding."""
-    return [(session, "[root]data/f0.dat"), (session, "[storage]data/f0.dat")]
-
-
-def chaos_reads(duration: float, targets, tally):
-    """The client body: every 20 ms until ``duration``, read each
-    ``(session, name)`` of ``targets(round)`` and hand ``tally`` the bytes
-    read, or None when the read failed."""
-    round_number = 0
-    while True:
-        now = yield Now()
-        if now >= duration:
-            break
-        for session, name in targets(round_number):
+def reads(report: ScenarioReport, session, duration: float, period: float,
+          names):
+    """A reader's body: every ``period`` s until ``duration``, read each
+    name ``names()`` returns through ``session``, and tally the outcome."""
+    while (yield Now()) < duration:
+        for name in names():
             try:
                 data = yield from files.read_file(session, name)
             except (NameError_, IoError):
-                tally(None)
+                report.reads_failed += 1
             else:
-                tally(data)
-        round_number += 1
-        yield Delay(0.02)
+                if data == _PAYLOAD:
+                    report.reads_ok += 1
+                else:
+                    report.reads_wrong += 1
+        yield Delay(period)
+
+
+def run_scenario(domain: Domain, report: ScenarioReport, caches, finish,
+                 watcher=None) -> ScenarioReport:
+    """Run a built world to quiescence and check it; returns ``report``.
+
+    ``finish()`` runs first (it may run the domain again) and fills the
+    world's own report fields and returns its own problems; the standard
+    invariants over ``domain`` and ``caches`` and the wrong-bytes check join
+    them.  With a ``watcher`` workstation (watchdogs armed), the alert log
+    read back through ``[obs]`` must match the engine's record for record.
+    One :class:`InvariantViolation` carries every problem, and the domain's
+    flight recorder if it has one.
+    """
+    domain.run()
+    domain.check_healthy()
+    report.metrics = {key: domain.metrics.count(key) for key in _METRIC_KEYS}
+    problems = finish() + standard_problems(domain, caches)
+    if report.reads_wrong:
+        problems.append(f"{report.reads_wrong} read(s) returned wrong data")
+    if watcher is not None:
+        alerts = domain.telemetry.alerts
+        report.alerts = {
+            "fired": alerts.fired,
+            "resolved": alerts.resolved,
+            "active": sorted(f"{rule}@{host}"
+                             for rule, host in alerts.active),
+            "events": alerts.to_records(),
+        }
+        path = "[obs]/fleet/alerts"
+        payload = files.read_files(watcher, [path], "alert-reader")
+        delivered = [record for record in
+                     (json.loads(line) for line in
+                      payload.get(path, b"").splitlines() if line.strip())
+                     if record.get("kind") == "alert"]
+        report.alerts["delivered"] = len(delivered)
+        emitted = alerts.to_records()
+        if delivered != emitted:
+            problems.append(
+                f"alert log read through {path} disagrees with the "
+                f"watchdog engine: {len(delivered)} record(s) delivered "
+                f"vs {len(emitted)} emitted")
+    if problems:
+        raise InvariantViolation(problems, flight=domain.flight)
+    return report
+
+
+# ------------------------------------------------- the file-server world
+
+
+@dataclass(kw_only=True)
+class ChaosReport(ScenarioReport):
+    """What one seeded run of the file-server world did and observed."""
+
+    drop_rate: float
+    cache_stats: dict = field(default_factory=dict)
+    #: Flight-recorder summary (``flight=True`` only): per-host record and
+    #: digest-window counts plus postmortem tally -- all deterministic.
+    flight: dict = field(default_factory=dict)
+    #: The live recorder object itself (not serialized); replay and the
+    #: CLI's postmortem dumper read lanes and chains off it.
+    recorder: object = None
+    #: The client workstation, its domain quiescent (not serialized); the
+    #: monitor reads every host's time series back through it.
+    workstation: object = None
+
+    _HEAD = ("seed", "duration", "drop_rate")
+    _TAIL = (("metrics", "metrics"), ("cache", "cache_stats"))
+    _IF_SET = ("alerts", "flight")
 
 
 def run_chaos(seed: int = 7, duration: float = 5.0, drop: float = 0.10,
               dup: float = 0.02, delay_rate: float = 0.05,
               crash: bool = True, watchdogs: bool = False,
               flight: bool = False) -> ChaosReport:
-    """One seeded chaos run; returns the report after checking invariants.
+    """One seeded run of the file-server world; returns the checked report.
 
-    A workstation client reads two names (:func:`chaos_targets`) in a
-    tight loop while the wire drops/duplicates/delays frames for most of
-    the run and (optionally) the file server crashes and respawns in the
-    middle of it (:func:`schedule_chaos_faults`).
+    Workstation ``mann`` (name cache on) reads two names every 20 ms: one
+    through the fixed ``[root]`` prefix binding, one through the generic
+    ``[storage]`` binding, both landing on a populated file server on
+    ``vax1``.  The wire drops/duplicates/delays frames for the middle 80 %
+    of the run (clean at both ends, so the cache warms up honestly and the
+    run can quiesce) and, with ``crash``, the file server is down from
+    40 % to 50 % of it.
 
     With ``watchdogs=True``, the ``[obs]`` name space and the telemetry
     collector (default SLO rules) run over the same timeline; after the
@@ -400,142 +426,81 @@ def run_chaos(seed: int = 7, duration: float = 5.0, drop: float = 0.10,
         from repro.obs.flight import enable_flight_recorder
 
         recorder = enable_flight_recorder(domain)
-    workstation, handle = build_chaos_world(domain)
-    cache = workstation.name_cache
+    workstation = setup_workstation(domain, "mann")
+    handle = start_server(domain.create_host("vax1"), populated_fileserver())
+    standard_prefixes(workstation, handle)
+    cache = workstation.enable_name_cache()
 
-    telemetry = None
     if watchdogs:
-        from repro.servers.statserver import enable_obs_namespace
-
         enable_obs_namespace(domain, workstation.host)
-        telemetry = domain.enable_telemetry(interval=0.1)
+        domain.enable_telemetry(interval=0.1)
 
-    schedule_chaos_faults(
-        domain, workstation, handle.host, duration,
-        WireFaultModel(drop_rate=drop, dup_rate=dup, delay_rate=delay_rate),
-        crash=crash)
+    schedule = ChaosSchedule(domain).loss_between(
+        0.1 * duration, 0.9 * duration,
+        WireFaultModel(drop_rate=drop, dup_rate=dup, delay_rate=delay_rate))
+    if crash:
+        def respawn(host):
+            # The respawned server has a new pid: re-register its services
+            # (the generic [storage] binding re-resolves via GetPid on its
+            # own) and rebind the fixed prefixes, as the workstation's boot
+            # script would.  The prefix server notifies attached caches of
+            # each rebinding.
+            standard_prefixes(workstation,
+                              start_server(host, populated_fileserver()))
+
+        schedule.crash_between(handle.host, 0.4 * duration, 0.5 * duration,
+                               respawn=respawn)
 
     report = ChaosReport(seed=seed, duration=duration, drop_rate=drop,
                          workstation=workstation)
-
-    def tally(data) -> None:
-        if data is None:
-            report.reads_failed += 1
-        elif data == _PAYLOAD:
-            report.reads_ok += 1
-        else:
-            report.reads_wrong += 1
-
-    targets = chaos_targets(workstation.session())
+    names = ("[root]data/f0.dat", "[storage]data/f0.dat")
     workstation.host.spawn(
-        chaos_reads(duration, lambda round_number: targets, tally),
+        reads(report, workstation.session(), duration, 0.02, lambda: names),
         name="chaos-client")
-    domain.run()
-    domain.check_healthy()
 
-    report.metrics = {key: domain.metrics.count(key) for key in _METRIC_KEYS}
-    report.cache_stats = {
-        "hits": cache.stats.hits,
-        "misses": cache.stats.misses,
-        "fallbacks": cache.stats.fallbacks,
-        "invalidations": cache.stats.invalidations,
-    }
-    if recorder is not None:
-        recorder.finalize()
-        report.recorder = recorder
-        report.flight = {
-            "hosts": {
-                name: {
-                    "records_seen": recorder.stats(name)["records_seen"],
-                    "windows": len(recorder.chain(name)),
-                }
-                for name in recorder.hosts()
-            },
-            "postmortems": {name: len(dumps)
-                            for name, dumps in
-                            sorted(recorder.postmortems.items())},
-        }
-    try:
-        check_invariants(domain, cache=cache)
-    except InvariantViolation as violation:
-        # Attach the black boxes to the wreck: the caller can dump every
-        # lane's postmortem without re-running the scenario.
-        violation.flight = recorder
-        raise
-    if telemetry is not None:
-        alerts = telemetry.alerts
-        report.alerts = {
-            "fired": alerts.fired,
-            "resolved": alerts.resolved,
-            "active": sorted(f"{rule}@{host}"
-                             for rule, host in alerts.active),
-            "events": alerts.to_records(),
-        }
-        delivered = read_alerts_via_obs(workstation)
-        report.alerts["delivered"] = len(delivered)
-        check_alert_delivery(delivered, alerts.to_records())
-    return report
+    def finish() -> list[str]:
+        report.cache_stats = {key: getattr(cache.stats, key) for key in
+                              ("hits", "misses", "fallbacks", "invalidations")}
+        if recorder is not None:
+            recorder.finalize()
+            report.recorder = recorder
+            report.flight = {
+                "hosts": {name: {key: recorder.stats(name)[key]
+                                 for key in ("records_seen", "windows")}
+                          for name in recorder.hosts()},
+                "postmortems": {name: len(dumps) for name, dumps in
+                                sorted(recorder.postmortems.items())},
+            }
+        return []
+
+    return run_scenario(domain, report, [cache], finish,
+                        watcher=workstation if watchdogs else None)
 
 
-# ------------------------------------------------- the replica-crash storm
+# ------------------------------------------------------- the shard world
 
 
-@dataclass
-class ShardStormReport:
+@dataclass(kw_only=True)
+class ShardStormReport(ScenarioReport):
     """What one seeded replica-crash storm did and observed."""
 
-    seed: int
-    duration: float
     n_replicas: int
     n_prefixes: int
     n_clients: int
-    reads_ok: int = 0
-    reads_failed: int = 0
-    reads_wrong: int = 0
     promotions: int = 0
     rejoins: int = 0
     map_version: int = 0
-    metrics: dict = field(default_factory=dict)
     resolvers: list = field(default_factory=list)
     replicas: list = field(default_factory=list)
     #: Post-quiescence coherence audit document (repro.obs.audit): via the
     #: ``[obs]`` protocol walk when ``watchdogs=True``, direct otherwise.
     audit: dict = field(default_factory=dict)
-    #: Watchdog summary (``watchdogs=True`` only), same shape as run_chaos.
-    alerts: dict = field(default_factory=dict)
 
-    @property
-    def reads(self) -> int:
-        return self.reads_ok + self.reads_failed + self.reads_wrong
-
-    @property
-    def success_rate(self) -> float:
-        return self.reads_ok / self.reads if self.reads else 0.0
-
-    def to_dict(self) -> dict:
-        document = {
-            "seed": self.seed,
-            "duration": self.duration,
-            "n_replicas": self.n_replicas,
-            "n_prefixes": self.n_prefixes,
-            "n_clients": self.n_clients,
-            "reads": self.reads,
-            "reads_ok": self.reads_ok,
-            "reads_failed": self.reads_failed,
-            "reads_wrong": self.reads_wrong,
-            "success_rate": round(self.success_rate, 4),
-            "promotions": self.promotions,
-            "rejoins": self.rejoins,
-            "map_version": self.map_version,
-            "metrics": self.metrics,
-            "resolvers": self.resolvers,
-            "replicas": self.replicas,
-        }
-        if self.audit:
-            document["audit"] = self.audit
-        if self.alerts:
-            document["alerts"] = self.alerts
-        return document
+    _HEAD = ("seed", "duration", "n_replicas", "n_prefixes", "n_clients")
+    _TAIL = tuple((name, name) for name in (
+        "promotions", "rejoins", "map_version", "metrics", "resolvers",
+        "replicas"))
+    _IF_SET = ("audit", "alerts")
 
 
 def run_replica_storm(seed: int = 11, duration: float = 6.0,
@@ -558,9 +523,9 @@ def run_replica_storm(seed: int = 11, duration: float = 6.0,
     by consistent hashing and the restarted replica rejoins by pulling a
     live peer's table.
 
-    Invariants, on top of the standard chaos set: every resolver's cache
-    accounting must balance, and :func:`check_lease_coherence` must find
-    zero resolutions served from expired leases -- across every replica
+    Invariants, on top of the standard set (every resolver's cache
+    accounting among them): :func:`check_lease_coherence` must find zero
+    resolutions served from expired leases -- across every replica
     incarnation the storm ever spawned.  With ``n_replicas >= 2`` the
     storm additionally expects **zero failed reads**: some live replica
     can always answer (after at most a probe-budget timeout against the
@@ -585,32 +550,32 @@ def run_replica_storm(seed: int = 11, duration: float = 6.0,
     """
     from repro.core.context import ContextPair, WellKnownContext
     from repro.core.shard import ShardCluster
+    from repro.obs.audit import audit_direct, audit_via_obs, enable_coherence
     from repro.runtime.session import Session
 
     domain = Domain(seed=seed)
-    fs_host = domain.create_host("vax1")
-    fs_handle = start_server(fs_host, populated_fileserver())
+    fs_handle = start_server(domain.create_host("vax1"),
+                             populated_fileserver())
     pair = ContextPair(fs_handle.pid, int(WellKnownContext.DEFAULT))
 
     replica_hosts = domain.create_hosts(n_replicas, prefix="ns")
     cluster = ShardCluster(domain, replica_hosts, lease_ttl=lease_ttl)
-    for index in range(n_prefixes):
-        cluster.seed_binding(f"p{index}", pair)
 
-    from repro.obs.audit import audit_direct
+    def seed_table(host=None):
+        for index in range(n_prefixes):
+            cluster.seed_binding(f"p{index}", pair)
+
+    seed_table()
 
     watcher = None
-    telemetry = None
     if watchdogs:
-        from repro.obs.audit import enable_coherence
         from repro.obs.telemetry import coherence_watchdogs, default_watchdogs
-        from repro.servers.statserver import enable_obs_namespace
 
         watcher = setup_workstation(domain, "watch")
         standard_prefixes(watcher, fs_handle)
-        enable_obs_namespace(domain, fs_host)
+        enable_obs_namespace(domain, fs_handle.host)
         enable_coherence(domain)
-        telemetry = domain.enable_telemetry(
+        domain.enable_telemetry(
             interval=0.1, rules=default_watchdogs() + coherence_watchdogs())
 
     report = ShardStormReport(seed=seed, duration=duration,
@@ -618,25 +583,6 @@ def run_replica_storm(seed: int = 11, duration: float = 6.0,
                               n_clients=n_clients)
 
     resolvers = []
-
-    def client(session, stream: str):
-        while True:
-            now = yield Now()
-            if now >= duration:
-                break
-            index = domain.rng.zipf_index(stream, n_prefixes, 1.1)
-            try:
-                data = yield from files.read_file(
-                    session, f"[p{index}]data/f0.dat")
-            except (NameError_, IoError):
-                report.reads_failed += 1
-            else:
-                if data == _PAYLOAD:
-                    report.reads_ok += 1
-                else:
-                    report.reads_wrong += 1
-            yield Delay(0.03)
-
     for number in range(n_clients):
         client_host = domain.create_host(f"client{number + 1}")
         # host= registers the resolver for the coherence audit (and the
@@ -646,7 +592,12 @@ def run_replica_storm(seed: int = 11, duration: float = 6.0,
                           latency=domain.latency, cache=resolver)
         session.env.retry_budget = retry_budget
         resolvers.append(resolver)
-        client_host.spawn(client(session, f"storm.client{number}"),
+
+        def zipf_name(stream=f"storm.client{number}"):
+            index = domain.rng.zipf_index(stream, n_prefixes, 1.1)
+            return (f"[p{index}]data/f0.dat",)
+
+        client_host.spawn(reads(report, session, duration, 0.03, zipf_name),
                           name=f"storm-client-{number}")
 
     schedule = ChaosSchedule(domain)
@@ -654,12 +605,8 @@ def run_replica_storm(seed: int = 11, duration: float = 6.0,
         if n_replicas == 1:
             # The only copy of the prefix table dies with its host; the
             # respawn re-seeds it, as the workstation boot script would.
-            def reseed(host):
-                for index in range(n_prefixes):
-                    cluster.seed_binding(f"p{index}", pair)
-
             schedule.crash_between(replica_hosts[0], 0.4 * duration,
-                                   0.5 * duration, respawn=reseed)
+                                   0.5 * duration, respawn=seed_table)
         else:
             # Staggered non-overlapping windows: every replica dies once,
             # and at least n-1 replicas are alive at every instant.
@@ -674,7 +621,7 @@ def run_replica_storm(seed: int = 11, duration: float = 6.0,
         # queue: a pending-count check would deadlock-by-politeness with
         # the telemetry tick (each sees the other's next event as pending
         # work and reschedules forever).  The quiescent audit after
-        # domain.run() covers everything past the last sweep.
+        # the run covers everything past the last sweep.
         def sweep():
             document = audit_direct(domain)
             if on_audit is not None:
@@ -684,100 +631,35 @@ def run_replica_storm(seed: int = 11, duration: float = 6.0,
 
         domain.engine.schedule(audit_every, sweep)
 
-    domain.run()
-    domain.check_healthy()
+    def finish() -> list[str]:
+        report.promotions = cluster.promotions
+        report.rejoins = cluster.rejoins
+        report.map_version = cluster.map.version
+        report.resolvers = [resolver.snapshot() for resolver in resolvers]
+        report.replicas = [server.snapshot_shard()
+                           for server in cluster.all_servers()]
+        # The coherence audit invariant: at quiescence, no cached entry
+        # anywhere in the fleet may classify incoherent.  Direct (zero-cost)
+        # always; through the [obs] protocol walk as well when it is
+        # deployed, and then that walk is the report's audit.
+        audits = [audit_direct(domain)]
+        if watcher is not None:
+            audits.append(audit_via_obs(watcher))
+        report.audit = audits[-1]
 
-    report.promotions = cluster.promotions
-    report.rejoins = cluster.rejoins
-    report.map_version = cluster.map.version
-    report.metrics = {key: domain.metrics.count(key) for key in _METRIC_KEYS}
-    report.resolvers = [resolver.snapshot() for resolver in resolvers]
-    report.replicas = [server.snapshot_shard()
-                       for server in cluster.all_servers()]
-
-    # The coherence audit invariant: at quiescence, no cached entry
-    # anywhere in the fleet may classify incoherent.  Direct (zero-cost)
-    # always; through the [obs] protocol walk as well when it is deployed.
-    direct_audit = audit_direct(domain)
-    report.audit = direct_audit
-    if watchdogs and watcher is not None:
-        from repro.obs.audit import audit_via_obs
-
-        report.audit = audit_via_obs(watcher)
-
-    problems = (check_no_timer_leaks(domain)
-                + check_no_stuck_transactions(domain)
-                + check_timeouts_explained(domain)
-                + check_lease_coherence(cluster))
-    for resolver in resolvers:
-        problems += check_cache_accounting(resolver)
-    if crash and n_replicas >= 2 and report.reads_failed:
-        problems.append(
-            f"{report.reads_failed} read(s) failed with {n_replicas} "
-            "replicas: failover must keep every name resolvable")
-    if report.reads_wrong:
-        problems.append(f"{report.reads_wrong} read(s) returned wrong data")
-    audits = ([direct_audit] if report.audit is direct_audit
-              else [direct_audit, report.audit])
-    for source in audits:
-        for finding in source["findings"]["incoherent"]:
+        problems = check_lease_coherence(cluster)
+        if crash and n_replicas >= 2 and report.reads_failed:
             problems.append(
-                f"coherence audit ({source['via']}): {finding['tier']} "
-                f"entry [{finding.get('prefix', finding.get('name'))}] on "
-                f"{finding['host']} is incoherent (stamp "
-                f"({finding['epoch']},{finding['source']}) vs owner "
-                f"{finding['owner']})")
-    if telemetry is not None:
-        alerts = telemetry.alerts
-        report.alerts = {
-            "fired": alerts.fired,
-            "resolved": alerts.resolved,
-            "active": sorted(f"{rule}@{host}"
-                             for rule, host in alerts.active),
-            "events": alerts.to_records(),
-        }
-        delivered = read_alerts_via_obs(watcher)
-        report.alerts["delivered"] = len(delivered)
-        try:
-            check_alert_delivery(delivered, alerts.to_records())
-        except InvariantViolation as violation:
-            problems += violation.problems
-    if problems:
-        raise InvariantViolation(problems)
-    return report
+                f"{report.reads_failed} read(s) failed with {n_replicas} "
+                "replicas: failover must keep every name resolvable")
+        for source in audits:
+            for finding in source["findings"]["incoherent"]:
+                problems.append(
+                    f"coherence audit ({source['via']}): {finding['tier']} "
+                    f"entry [{finding.get('prefix', finding.get('name'))}] "
+                    f"on {finding['host']} is incoherent (stamp "
+                    f"({finding['epoch']},{finding['source']}) vs owner "
+                    f"{finding['owner']})")
+        return problems
 
-
-def read_alerts_via_obs(workstation) -> list[dict]:
-    """Read ``[obs]/fleet/alerts`` through the protocol; the alert records.
-
-    Spawned after quiescence, so the read travels the full Sec. 5.4
-    forwarding chain (prefix server -> obs root -> fleet leaf) over the
-    now-healed wire -- the same path a live operator's monitor would use.
-    """
-    payloads: list[bytes] = []
-
-    def reader(session):
-        data = yield from files.read_file(session, "[obs]/fleet/alerts")
-        payloads.append(data)
-
-    workstation.host.spawn(reader(workstation.session()), name="alert-reader")
-    workstation.host.domain.run()
-    if not payloads:
-        return []
-    records = [json.loads(line)
-               for line in payloads[0].splitlines() if line.strip()]
-    return [record for record in records if record.get("kind") == "alert"]
-
-
-def check_alert_delivery(delivered: list[dict],
-                         emitted: list[dict]) -> None:
-    """The alert log served through ``[obs]`` must match what was emitted.
-
-    Alerts ride the same retransmitting transport as everything else, so a
-    lossy wire may delay the read but must never lose or reorder records.
-    """
-    if delivered != emitted:
-        raise InvariantViolation(
-            [f"alert log read through [obs]/fleet/alerts disagrees with "
-             f"the watchdog engine: {len(delivered)} record(s) delivered "
-             f"vs {len(emitted)} emitted"])
+    return run_scenario(domain, report, resolvers, finish, watcher)

@@ -11,8 +11,9 @@ host; multicast reaches exactly the members of the destination group.  The
 distinction matters for E10: broadcast name lookup interrupts every host on
 the wire, multicast only the interested ones.
 
-Fault injection hooks: links can be taken down per host, an arbitrary
-drop predicate supports network partitions, and a seeded
+Fault injection hooks: links can be taken down per host, drop predicates
+(any number, each added and removed on its own) support network
+partitions, and a seeded
 :class:`~repro.net.latency.WireFaultModel` injects probabilistic per-frame
 drop/duplicate/delay faults (``set_fault_model``) -- the substrate the
 kernel's retransmission protocol and the E14 loss sweep are measured
@@ -33,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
 
 DeliverFn = Callable[[Frame], None]
+DropFn = Callable[[Frame, int], bool]
 
 
 class NetworkError(RuntimeError):
@@ -54,14 +56,14 @@ class Ethernet:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.obs = obs
         self._interfaces: dict[int, DeliverFn] = {}
-        self._link_up: dict[int, bool] = {}
         #: host -> deliver callback, for hosts that are attached AND whose
         #: link is up.  Maintained by attach/detach/set_link so the per-frame
         #: path answers "can this host receive right now" with one dict get.
         self._live_iface: dict[int, DeliverFn] = {}
         self._groups: dict[int, set[int]] = {}
         self._busy_until = 0.0
-        self._drop_predicate: Optional[Callable[[Frame, int], bool]] = None
+        #: Drop rules (partitions); empty on the per-frame fast path.
+        self._drop_predicates: list[DropFn] = []
         self._faults: Optional[WireFaultModel] = None
         self._fault_rng: Optional[random.Random] = None
         #: Pre-resolved "net.delivered_to.<host>" counters (hot path).
@@ -94,13 +96,11 @@ class Ethernet:
         if host_id in self._interfaces:
             raise NetworkError(f"host {host_id} already attached")
         self._interfaces[host_id] = deliver
-        self._link_up[host_id] = True
         self._live_iface[host_id] = deliver
 
     def detach(self, host_id: int) -> None:
         """Remove a host entirely (e.g. permanent failure)."""
         self._interfaces.pop(host_id, None)
-        self._link_up.pop(host_id, None)
         self._live_iface.pop(host_id, None)
         for members in self._groups.values():
             members.discard(host_id)
@@ -115,20 +115,21 @@ class Ethernet:
         """Take a host's link down/up without forgetting its attachment."""
         if host_id not in self._interfaces:
             raise NetworkError(f"host {host_id} is not attached")
-        self._link_up[host_id] = up
         if up:
             self._live_iface[host_id] = self._interfaces[host_id]
         else:
             self._live_iface.pop(host_id, None)
 
-    def link_is_up(self, host_id: int) -> bool:
-        return self._link_up.get(host_id, False)
+    def add_drop_predicate(self, predicate: DropFn) -> DropFn:
+        """Also drop each frame copy for which ``predicate(frame, dst_host)``
+        (rules run in install order until one drops); returns ``predicate``.
+        """
+        self._drop_predicates.append(predicate)
+        return predicate
 
-    def set_drop_predicate(
-        self, predicate: Optional[Callable[[Frame, int], bool]]
-    ) -> None:
-        """Install a partition rule: drop frame if ``predicate(frame, dst_host)``."""
-        self._drop_predicate = predicate
+    def remove_drop_predicate(self, predicate: DropFn) -> None:
+        """Remove one rule :meth:`add_drop_predicate` installed."""
+        self._drop_predicates.remove(predicate)
 
     def set_fault_model(self, faults: Optional[WireFaultModel],
                         rng: Optional[random.Random] = None) -> None:
@@ -224,7 +225,7 @@ class Ethernet:
         faults = self._faults
         inject = faults is not None and not faults.is_null
         host_id = frame.dst
-        if not inject and type(host_id) is int and self._drop_predicate is None:
+        if not inject and type(host_id) is int and not self._drop_predicates:
             # Unicast on a healthy wire: the overwhelmingly common case at
             # fleet scale -- skip the destination-list build entirely, with
             # _deliver_one's link/attachment check and count inlined.
@@ -246,9 +247,8 @@ class Ethernet:
             if host_id not in self._live_iface:
                 self.metrics.incr("net.frames_lost")
                 continue
-            if self._drop_predicate is not None and self._drop_predicate(
-                frame, host_id
-            ):
+            drops = self._drop_predicates
+            if drops and any(drop(frame, host_id) for drop in drops):
                 self.metrics.incr("net.frames_dropped")
                 continue
             if not inject:

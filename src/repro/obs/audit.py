@@ -511,7 +511,7 @@ def audit_direct(domain: "Domain", now: Optional[float] = None) -> dict:
                           via="direct", probe=domain.coherence)
 
 
-def audit_via_obs(workstation, hosts: Optional[list[str]] = None) -> dict:
+def audit_via_obs(workstation) -> dict:
     """Audit the fleet through the protocol: the live operator's path.
 
     A reader process on ``workstation`` opens every live host's
@@ -525,31 +525,16 @@ def audit_via_obs(workstation, hosts: Optional[list[str]] = None) -> dict:
     from repro.runtime import files
 
     domain = workstation.host.domain
-    if hosts is None:
-        hosts = sorted(host.name for host in domain.hosts.values()
-                       if not host.crashed)
-    payloads: dict[str, bytes] = {}
-    failures: list[str] = []
-
-    def reader(session):
-        from repro.core.resolver import NameError_
-        from repro.vio.client import IoError
-
-        for host_name in hosts:
-            try:
-                payloads[host_name] = yield from files.read_file(
-                    session, f"[obs]/hosts/{host_name}/coherence")
-            except (NameError_, IoError):
-                failures.append(host_name)
-
-    workstation.host.spawn(reader(workstation.session()),
-                           name="coherence-auditor")
-    domain.run()
-    documents = [json.loads(payloads[name]) for name in hosts
-                 if name in payloads]
+    hosts = sorted(host.name for host in domain.hosts.values()
+                   if not host.crashed)
+    paths = [f"[obs]/hosts/{host_name}/coherence" for host_name in hosts]
+    payloads = files.read_files(workstation, paths, "coherence-auditor")
+    documents = [json.loads(payloads[path]) for path in paths
+                 if path in payloads]
     report = classify_fleet(documents, t=domain.now, via="obs",
                             probe=domain.coherence)
-    report["unreachable"] = failures
+    report["unreachable"] = [host_name for host_name, path
+                             in zip(hosts, paths) if path not in payloads]
     return report
 
 

@@ -98,17 +98,11 @@ def monitor_document(report) -> dict:
     domain = workstation.host.domain
     host_names = sorted(host.name for host in domain.hosts.values()
                         if not host.crashed)
-    payloads: dict[tuple[str, str], bytes] = {}
-
-    def reader(session):
-        for host_name in host_names:
-            for metric in SERIES_METRICS:
-                payloads[(host_name, metric)] = yield from files.read_file(
-                    session, f"[obs]/hosts/{host_name}/timeseries/{metric}")
-
-    workstation.host.spawn(reader(workstation.session()),
-                           name="monitor-reader")
-    domain.run()
+    paths = {(host_name, metric):
+             f"[obs]/hosts/{host_name}/timeseries/{metric}"
+             for host_name in host_names for metric in SERIES_METRICS}
+    payloads = files.read_files(workstation, list(paths.values()),
+                                "monitor-reader")
 
     alerts = report.alerts
     return {
@@ -121,7 +115,7 @@ def monitor_document(report) -> dict:
         "hosts": {
             host_name: {
                 metric: _series_summary(
-                    _parse_jsonl(payloads[(host_name, metric)]))
+                    _parse_jsonl(payloads[paths[(host_name, metric)]]))
                 for metric in SERIES_METRICS}
             for host_name in host_names},
         "alerts": {key: alerts[key]

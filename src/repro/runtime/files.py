@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
+from repro.core.resolver import NameError_
 from repro.runtime.session import Session
+from repro.vio.client import IoError
 
 Gen = Generator[Any, Any, Any]
 
@@ -51,3 +53,23 @@ def copy_file(session: Session, source: str | bytes,
     data = yield from read_file(session, source)
     written = yield from write_file(session, destination, data)
     return written
+
+
+def read_files(workstation, names: list[str], process: str) -> dict:
+    """Read ``names`` in order from a new process ``process`` on
+    ``workstation`` and run its domain until quiet; each name's bytes.  A
+    name whose read failed is missing.  After quiescence this is an operator
+    reading the finished fleet: the reader is the only new traffic.
+    """
+    payloads: dict = {}
+
+    def reader(session):
+        for name in names:
+            try:
+                payloads[name] = yield from read_file(session, name)
+            except (NameError_, IoError):
+                pass
+
+    workstation.host.spawn(reader(workstation.session()), name=process)
+    workstation.host.domain.run()
+    return payloads

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.resolver import NameError_
 from repro.faults import (
+    ChaosSchedule,
     CrashSchedule,
     crash_at,
     heal_partition,
@@ -13,6 +14,7 @@ from repro.faults import (
 from repro.kernel.domain import Domain
 from repro.kernel.ipc import Delay, GetPid, Now, Send
 from repro.kernel.messages import Message, ReplyCode
+from repro.net.packet import Frame
 from repro.kernel.services import Scope
 from repro.runtime import files
 from repro.servers import VFileServer, start_server
@@ -109,10 +111,10 @@ class TestPartitions:
         system = standard_system()
         ws_host = system.workstation.host
         fs_host = system.fileserver.host
-        partition_between(system.domain, [ws_host.host_id],
-                          [fs_host.host_id])
-        system.domain.engine.schedule(0.2,
-                                      lambda: heal_partition(system.domain))
+        cut = partition_between(system.domain, [ws_host.host_id],
+                                [fs_host.host_id])
+        system.domain.engine.schedule(
+            0.2, lambda: heal_partition(system.domain, cut))
 
         def client(session):
             yield Delay(0.5)
@@ -125,6 +127,51 @@ class TestPartitions:
         system = standard_system()
         with pytest.raises(ValueError, match="both sides"):
             partition_between(system.domain, [1, 2], [2, 3])
+
+    def test_cuts_compose_and_each_heal_removes_only_its_cut(self):
+        domain = Domain()
+        ethernet = domain.ethernet
+        received = {host_id: [] for host_id in (1, 2, 3)}
+        for host_id, frames in received.items():
+            ethernet.attach(host_id, frames.append)
+
+        def delivered():
+            for src, dst in ((1, 2), (2, 1), (1, 3), (2, 3)):
+                ethernet.transmit(Frame(src, dst, "p", 64))
+            domain.engine.run()
+            pairs = sorted((frame.src_host, dst)
+                           for dst, frames in received.items()
+                           for frame in frames)
+            for frames in received.values():
+                frames.clear()
+            return pairs
+
+        # A test's own rule, then two overlapping cuts.
+        own = ethernet.add_drop_predicate(
+            lambda frame, dst: frame.src_host == 2 and dst == 3)
+        first = partition_between(domain, [1], [2])
+        second = partition_between(domain, [1], [2, 3])
+        assert delivered() == []
+        heal_partition(domain, first)
+        assert delivered() == []
+        heal_partition(domain, second)
+        assert delivered() == [(1, 2), (1, 3), (2, 1)]
+        ethernet.remove_drop_predicate(own)
+        assert delivered() == [(1, 2), (1, 3), (2, 1), (2, 3)]
+
+    def test_schedule_heals_only_the_cut_it_made(self):
+        domain = Domain()
+        received = []
+        domain.ethernet.attach(1, received.append)
+        domain.ethernet.attach(2, received.append)
+        (ChaosSchedule(domain)
+         .partition_between(0.1, 0.3, [1], [2])
+         .partition_between(0.2, 0.4, [2], [1]))
+        for time in (0.05, 0.15, 0.25, 0.35, 0.45):
+            domain.engine.schedule_at(time, domain.ethernet.transmit,
+                                      Frame(1, 2, time, 64))
+        domain.engine.run()
+        assert [frame.payload for frame in received] == [0.05, 0.45]
 
     def test_unaffected_hosts_keep_working(self):
         system = standard_system()
@@ -254,6 +301,37 @@ class TestChaosHarness:
         first = run_chaos(seed=11, duration=1.0, crash=False)
         second = run_chaos(seed=11, duration=1.0, crash=False)
         assert first.to_dict() == second.to_dict()
+
+    def test_wrong_bytes_fail_the_run(self, monkeypatch):
+        from repro.faults import InvariantViolation, chaos
+
+        def corrupted():
+            server = VFileServer(user="mann")
+            node = server.store.make_path("data/f0.dat", directory=False)
+            node.data[:] = b"not-the-payload"
+            return server
+
+        monkeypatch.setattr(chaos, "populated_fileserver", corrupted)
+        with pytest.raises(InvariantViolation) as raised:
+            chaos.run_chaos(seed=7, duration=1.0)
+        (problem,) = raised.value.problems
+        assert problem.endswith("read(s) returned wrong data")
+
+    def test_every_problem_is_collected_before_the_raise(self, monkeypatch):
+        # A kernel invariant failure no longer hides the alert delivery
+        # check: both land in the one violation.
+        from repro.faults import InvariantViolation, chaos
+        from repro.runtime import files
+
+        monkeypatch.setattr(chaos, "check_no_stuck_transactions",
+                            lambda domain: ["seeded stuck transaction"])
+        monkeypatch.setattr(files, "read_files",
+                            lambda workstation, names, process: {})
+        with pytest.raises(InvariantViolation) as raised:
+            chaos.run_chaos(seed=7, duration=5.0, watchdogs=True)
+        problems = raised.value.problems
+        assert problems[0] == "seeded stuck transaction"
+        assert "disagrees with the watchdog engine" in problems[-1]
 
     def test_invariant_checks_flag_seeded_violations(self):
         from repro.faults import InvariantViolation, check_invariants

@@ -49,7 +49,7 @@ def _drop_first(ethernet, kind: PacketKind):
             return True
         return False
 
-    ethernet.set_drop_predicate(predicate)
+    ethernet.add_drop_predicate(predicate)
     return state
 
 
@@ -134,7 +134,7 @@ def test_lost_getpid_broadcast_retried():
 
 def test_getpid_retries_exhausted_returns_none():
     domain, ws = _two_host_domain(_echo_server())
-    domain.ethernet.set_drop_predicate(
+    domain.ethernet.add_drop_predicate(
         lambda frame, dst:
         getattr(frame.payload, "kind", None) is PacketKind.GETPID_QUERY)
     result = {}
@@ -173,7 +173,7 @@ def test_reply_cache_keeps_the_newest_replies_in_order():
             requests.append(frame.payload.txn_id)
         return False
 
-    domain.ethernet.set_drop_predicate(note_requests)
+    domain.ethernet.add_drop_predicate(note_requests)
 
     def client():
         yield Delay(0.01)

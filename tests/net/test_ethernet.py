@@ -153,7 +153,7 @@ class TestFaults:
         rx2 = attach_collector(ethernet, 2)
         rx3 = attach_collector(ethernet, 3)
         attach_collector(ethernet, 1)
-        ethernet.set_drop_predicate(lambda frame, dst: dst == 2)
+        ethernet.add_drop_predicate(lambda frame, dst: dst == 2)
         ethernet.transmit(Frame(1, 2, "p", 64))
         ethernet.transmit(Frame(1, 3, "p", 64))
         engine.run()
@@ -181,7 +181,7 @@ class TestFaults:
                     RequestCode.QUERY_NAME, n=n))
 
         shown = []
-        domain.ethernet.set_drop_predicate(
+        domain.ethernet.add_drop_predicate(
             lambda frame, dst: shown.append(frame) or False)
         run_on(domain, client_host, client())
 

@@ -101,10 +101,10 @@ class TestCli:
     def test_delivery_mismatch_exits_nonzero(self, capsys, monkeypatch):
         # An alert log read back through [obs] that lost every record
         # fails run_chaos's delivery invariant, and the monitor with it.
-        from repro.faults import chaos
+        from repro.runtime import files
 
-        monkeypatch.setattr(chaos, "read_alerts_via_obs",
-                            lambda workstation: [])
+        monkeypatch.setattr(files, "read_files",
+                            lambda workstation, names, process: {})
         assert main(["monitor", "--duration", "5"]) == 1
         assert "disagrees with the watchdog engine" in \
             capsys.readouterr().err
