@@ -23,12 +23,17 @@ Timing rules (derivations in ``repro/net/latency.py``):
 Failure semantics: Sends to processes that do not exist fail with a
 ``NONEXISTENT_PROCESS`` reply (immediately if the destination kernel is
 reachable).  Sends to crashed/partitioned hosts fail with ``TIMEOUT`` after
-the probe protocol gives up (see :mod:`repro.kernel.config`).
+the probe protocol gives up (see :mod:`repro.kernel.config`).  A
+transaction's probe, retransmit and GroupSend-reply timers are deadlines it
+carries (:class:`~repro.sim.engine.DeadlineLane`), live exactly while it is
+in ``_outstanding`` and its ``kernel`` is set: whatever ends it cancels
+nothing.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.kernel import ipc
@@ -81,10 +86,11 @@ class Host:
         self.processes: dict[int, Process] = {}
         self.registry = ServiceRegistry()
         self.crashed = False
-        #: Per-host IPC counters (the domain metrics registry aggregates
-        #: across machines; introspection wants this kernel's share).
-        #: A defaultdict so each count is a single indexed increment.
+        #: Per-host IPC counters (introspection wants this kernel's share).
+        #: A defaultdict so each count is a single indexed increment; the
+        #: per-transaction ones are the domain registry's too (_TALLIED).
         self.counters: dict[str, int] = defaultdict(int)
+        self._tally()
         #: When this kernel came up (simulated seconds); reset by restart().
         self.started_at = self.engine.now
         #: Pre-bound id allocators off the domain's per-run streams (one
@@ -131,11 +137,14 @@ class Host:
         self._handle_packet = self._handle_packet
         self._deliver_local_request = self._deliver_local_request
         self._complete_local_txn = self._complete_local_txn
-        self._probe_fire = self._probe_fire
-        self._retransmit_fire = self._retransmit_fire
-        # The per-transaction registry counters, resolved once per domain.
-        (self._m_sends, self._m_deliveries, self._m_replies,
-         self._m_transactions, self._m_probes) = domain._ipc_counters
+        # The deadline lanes every Send arms (shared by the domain's hosts).
+        self._probe_lane = self.engine.deadline_lane(
+            self._probe_interval, "probe", _probe_due, _outstanding)
+        self._retransmit_lanes: dict = {}
+        self._first_retransmit_lane = self._retransmit_lane(
+            self._retransmit_initial)
+        # The probe counter, resolved once per domain.
+        self._m_probes = domain._ipc_counters[-1]
 
     # ------------------------------------------------------------- lifecycle
 
@@ -187,8 +196,7 @@ class Host:
             proc.body.close()
         self.processes.clear()
         for txn in self._outstanding.values():
-            txn.cancel_probe()
-            txn.cancel_retransmit()
+            txn.kernel = None       # ended: its deadlines will not fire
         self._outstanding.clear()
         self._presence.clear()
         self._reply_cache.clear()
@@ -209,9 +217,14 @@ class Host:
         self.crashed = False
         if self.ethernet.is_attached(self.host_id):
             self.ethernet.set_link(self.host_id, True)
-        self.counters.clear()
+        self.counters = defaultdict(int)    # the old one stays tallied
+        self._tally()
         self.started_at = self.engine.now
         self.domain._notify_host_restarted(self)
+
+    def _tally(self) -> None:
+        for name in _TALLIED:
+            self.metrics.tally(name, self.counters)
 
     # --------------------------------------------------------- process loop
 
@@ -223,33 +236,30 @@ class Host:
         ``proc.body``), and each effect it yields is dispatched inline; an
         effect that completes immediately resumes the generator with its
         result.  An unstarted body is started by the first ``send(None)``.
+        A handler that blocks sets the process's state; one that completes
+        leaves it ready.
 
         Under profiling, everything this step schedules is attributed to
         ``host -> process (-> service kind, if not the process name) (->
         ProfileEnter frames)``.  The scope, cached on the process per kind,
         *replaces* the engine's stack around the loop so interleaved
-        processes never inherit each other's frames, and each effect's
-        handler runs under its CSNH phase frame, which the delivery hops,
-        frames and timers it schedules inherit.
+        processes never inherit each other's frames, and the step dispatches
+        through ``_PHASED_HANDLERS``, whose handlers run under their CSNH
+        phase frame, which the delivery hops, frames and deadlines they
+        schedule inherit.
         """
         engine = self.engine
         saved_stack = None
         if engine.profiling:
-            obs = self.domain.obs
-            kind = obs.actors.get(proc.pid.value) if obs is not None else None
-            cached = proc.scope_cache
-            if cached is None or cached[0] != kind:
-                frames = ("host:" + self.name, "proc:" + proc.name)
-                if kind is not None and kind != proc.name:
-                    frames += ("svc:" + kind,)
-                cached = proc.scope_cache = (kind,
-                                             frames + proc.profile_frames)
             saved_stack = engine._attr_stack
-            engine._attr_stack = cached[1]
+            engine._attr_stack = self._scope(proc)
+            handlers = _PHASED_HANDLERS
+        else:
+            handlers = _EFFECT_HANDLERS
         body = proc.body
+        proc.state = _READY
         try:
             while proc.state is not _DEAD:
-                proc.state = _READY
                 try:
                     if exc is None:
                         effect = body.send(value)
@@ -267,34 +277,32 @@ class Host:
                 try:
                     # Dispatch is inlined: one effect per resume, tens of
                     # thousands per simulated second.
-                    handler = _EFFECT_HANDLERS.get(type(effect))
-                    if handler is None:
-                        raise IllegalEffect(
-                            f"process {proc.name!r} yielded {effect!r}, "
-                            "which is not a kernel effect")
-                    if engine.profiling and (
-                            frame := _EFFECT_PHASES.get(type(effect))):
-                        stack = engine._attr_stack
-                        if stack[-1:] != frame:     # else already open
-                            engine._attr_stack = stack + frame
-                        try:
-                            result = handler(self, proc, effect)
-                        finally:
-                            engine._attr_stack = stack
-                    else:
-                        result = handler(self, proc, effect)
+                    value = handlers.get(type(effect), _illegal_effect)(
+                        self, proc, effect)
                 except KernelError as err:
                     # API misuse becomes an exception *inside* the process,
                     # so a defensive server can catch it; an unhandled one
                     # fails the task and is recorded in domain.failures.
                     value, exc = None, err
+                    proc.state = _READY
                     continue
-                if result is _BLOCKED:
+                if value is _BLOCKED:
                     return
-                value = result
         finally:
             if saved_stack is not None:
                 engine._attr_stack = saved_stack
+
+    def _scope(self, proc: Process) -> tuple:
+        """The profiler scope ``proc`` is stepped under (cached per kind)."""
+        obs = self.domain.obs
+        kind = obs.actors.get(proc.pid.value) if obs is not None else None
+        cached = proc.scope_cache
+        if cached is None or cached[0] != kind:
+            frames = ("host:" + self.name, "proc:" + proc.name)
+            if kind is not None and kind != proc.name:
+                frames += ("svc:" + kind,)
+            cached = proc.scope_cache = (kind, frames + proc.profile_frames)
+        return cached[1]
 
     def _terminate(self, proc: Process) -> None:
         """Process exit: error-reply held requests, release kernel state."""
@@ -314,10 +322,10 @@ class Host:
                 proc.pid, delivery,
                 Message.reply(ReplyCode.NONEXISTENT_PROCESS), busy=False,
             )
-        if proc.pending_txn is not None:
-            proc.pending_txn.cancel_probe()
-            proc.pending_txn.cancel_retransmit()
-            self._outstanding.pop(proc.pending_txn.txn_id, None)
+        txn = proc.pending_txn
+        if txn is not None:
+            self._outstanding.pop(txn.txn_id, None)
+            txn.kernel = None
             proc.pending_txn = None
         self.registry.remove_pid(proc.pid)
         self.domain.groups.remove_pid(proc.pid)
@@ -345,11 +353,10 @@ class Host:
             )
         engine = self.engine
         txn = Transaction(self._next_txn_id(), proc.pid, effect.dst,
-                          effect.message, effect.expose, engine._now)
+                          effect.message, effect.expose, engine._now, self)
         proc.pending_txn = txn
         proc.state = _SEND_BLOCKED
         self._outstanding[txn.txn_id] = txn
-        self._m_sends.value += 1
         self.counters["ipc.sends"] += 1
         tap = self._tap_send
         if tap is not None:
@@ -365,22 +372,35 @@ class Host:
                             txn.txn_id, effect.message)
             engine.post(self._kernel_cpu,
                         self._transmit_put, packet, dst_host, None)
+        # The probe and retransmit deadlines, armed inline (DeadlineLane):
+        # reserved sequence numbers, two stores each and a lane append.
         # Local requests are delivered by a reliable in-kernel hop, but the
-        # retransmit timer is armed for them too: a Forward may push the
-        # transaction onto the (lossy) wire later, and then it is this timer
-        # that re-sends the request.  Unprofiled, both timers are armed
-        # inline; the profiled path charges each to its phase frame.
-        if engine.profiling:
-            self._schedule_probe(txn)
-            if self._retransmit_enabled:
-                self._schedule_retransmit(txn, self._retransmit_initial)
-            return _BLOCKED
-        txn.probe_event = engine.schedule(self._probe_interval,
-                                          self._probe_fire, txn)
+        # retransmit deadline is armed for them too: a Forward may push the
+        # transaction onto the (lossy) wire later, and then it is this
+        # deadline that re-sends the request.
+        seq = engine._seq
+        now = engine._now
+        txn.probe_at = now + self._probe_interval
+        txn.probe_seq = seq
+        lane = self._probe_lane
+        if lane.fifo:
+            lane.fifo.append(txn)
+        else:
+            lane.start(txn)
         if self._retransmit_enabled:
-            interval = self._retransmit_initial
-            txn.retransmit_event = engine.schedule(
-                interval, self._retransmit_fire, txn, interval)
+            txn.retransmit_at = now + self._retransmit_initial
+            txn.retransmit_seq = seq + 1
+            lane = self._first_retransmit_lane
+            if lane.fifo:
+                lane.fifo.append(txn)
+            else:
+                lane.start(txn)
+            engine._seq = seq + 2
+        else:
+            engine._seq = seq + 1
+        if engine.profiling:
+            txn.probe_stamp = self._stamp(_PROBE)
+            txn.retransmit_stamp = self._stamp(_RETRANSMIT)
         return _BLOCKED
 
     def _deliver_local_request(self, txn: Transaction,
@@ -399,9 +419,8 @@ class Host:
                               message=error)
                 self._transmit(nack, txn.sender.logical_host)
             return
-        delivery = Delivery(message=txn.message, sender=txn.sender,
-                            txn_id=txn.txn_id, forwarder=forwarder)
-        self._enqueue_delivery(dst_proc, delivery)
+        self._enqueue_delivery(dst_proc, Delivery(txn.message, txn.sender,
+                                                  txn.txn_id, forwarder))
 
     def _complete_local_txn(self, txn: Transaction, reply: Message) -> None:
         """Complete a txn whose sender is on this host."""
@@ -409,21 +428,11 @@ class Host:
         if current is None:
             self.metrics.incr("ipc.duplicate_replies")
             return
-        # Transaction.cancel_probe / cancel_retransmit, inlined.  The probe
-        # slot also holds a GroupSend's reply timeout.
-        event = current.probe_event
-        if event is not None:
-            event.cancel()
-            current.probe_event = None
-        event = current.retransmit_event
-        if event is not None:
-            event.cancel()
-            current.retransmit_event = None
-        pid = current.sender
-        sender = self.processes.get(pid.local_id)   # find_process, inlined
-        if (sender is None or sender.pid.value != pid.value
-                or sender.state is _DEAD
-                or sender.pending_txn is not current):
+        current.kernel = None
+        # The sender still waiting on it: a process that exited (or a later
+        # one reusing its local id) holds no pending transaction, or another.
+        sender = self.processes.get(current.sender.local_id)
+        if sender is not None and sender.pending_txn is not current:
             sender = None
         tap = self._tap_complete
         if tap is not None:
@@ -431,43 +440,41 @@ class Host:
         if sender is None:
             return
         sender.pending_txn = None
-        self._m_transactions.value += 1
         self.counters["ipc.transactions"] += 1
         self._advance(sender, reply)
 
     # -- Receive ---------------------------------------------------------------
 
     def _do_receive(self, proc: Process, effect: ipc.Receive) -> Any:
-        delivery = proc.next_matching_delivery(effect.from_pid)
-        if delivery is not None:
-            # Received and not yet replied; a request (not a group
-            # delivery) also moves from "queued" to "received".
-            txn_id = delivery.txn_id
-            proc.unreplied[txn_id] = delivery
-            if txn_id in self._presence:
-                self._presence[txn_id] = ("received", proc.pid)
-            return delivery
+        if proc.msg_queue:
+            delivery = proc.next_matching_delivery(effect.from_pid)
+            if delivery is not None:
+                # Received and not yet replied; a request (not a group
+                # delivery) also moves from "queued" to "received".
+                txn_id = delivery.txn_id
+                proc.unreplied[txn_id] = delivery
+                if txn_id in self._presence:
+                    self._presence[txn_id] = ("received", proc.pid)
+                return delivery
         proc.state = _RECV_BLOCKED
         proc.recv_filter = effect.from_pid
         return _BLOCKED
 
     def _enqueue_delivery(self, proc: Process, delivery: Delivery) -> None:
-        txn_id = delivery.txn_id
-        presence = self._presence
+        # A request (not a group delivery) is "received" at once by a
+        # matching Receive already waiting, else "queued" until one comes.
+        received = proc.state is _RECV_BLOCKED and (
+            proc.recv_filter is None or proc.recv_filter == delivery.sender)
         if not delivery.via_group:
-            presence[txn_id] = ("queued", proc.pid)
-        self._m_deliveries.value += 1
+            self._presence[delivery.txn_id] = (
+                "received" if received else "queued", proc.pid)
         self.counters["ipc.deliveries"] += 1
         tap = self._tap_deliver
         if tap is not None:
             tap(ev.DELIVER, self, proc, delivery)
-        if proc.state is _RECV_BLOCKED and (
-            proc.recv_filter is None or proc.recv_filter == delivery.sender
-        ):
+        if received:
             proc.recv_filter = None
-            proc.unreplied[txn_id] = delivery   # as in _do_receive
-            if txn_id in presence:
-                presence[txn_id] = ("received", proc.pid)
+            proc.unreplied[delivery.txn_id] = delivery   # as in _do_receive
             self._advance(proc, delivery)
         else:
             proc.msg_queue.append(delivery)
@@ -476,8 +483,9 @@ class Host:
 
     def _do_reply(self, proc: Process, effect: ipc.Reply) -> Any:
         unreplied = proc.unreplied
+        to = effect.to
         for txn_id, delivery in unreplied.items():
-            if delivery.sender == effect.to:
+            if delivery.sender is to or delivery.sender == to:
                 del unreplied[txn_id]
                 break
         else:
@@ -485,13 +493,12 @@ class Host:
                 f"{proc.name!r} tried to Reply to {effect.to!r}, "
                 "which is not awaiting a reply from it")
         self._presence.pop(txn_id, None)
-        self._m_replies.value += 1
         self.counters["ipc.replies"] += 1
         tap = self._tap_reply
         if tap is not None:
             tap(ev.REPLY, self, proc, delivery, effect.message)
-        return self._route_reply(proc.pid, delivery, effect.message, busy=True,
-                                 replier=proc)
+        return self._route_reply(proc.pid, delivery, effect.message, True,
+                                 proc)
 
     def _route_reply(self, from_pid: Pid, delivery: Delivery, message: Message,
                      busy: bool, replier: Process | None = None) -> Any:
@@ -709,18 +716,19 @@ class Host:
         return None
 
     def _do_group_send(self, proc: Process, effect: ipc.GroupSend) -> Any:
+        engine = self.engine
         txn = Transaction(txn_id=self._next_txn_id(), sender=proc.pid,
                           dst=proc.pid, message=effect.message,
-                          sent_at=self.engine.now)
+                          sent_at=engine.now, kernel=self)
         proc.pending_txn = txn
         proc.state = _SEND_BLOCKED
         self._outstanding[txn.txn_id] = txn
         self.metrics.incr("ipc.group_sends")
-        # The reply timeout sits in the probe slot (a group transaction has
-        # no probes), so the paths that end a transaction -- a reply, the
-        # sender's exit, a crash -- cancel it like any probe timer.
-        txn.probe_event = self.engine.schedule(
-            self.config.group_reply_timeout, self._group_send_timeout, txn)
+        # The reply timeout is the probe deadline (a group transaction has
+        # no probes), live while the transaction is outstanding like any.
+        engine.deadline_lane(self.config.group_reply_timeout, "probe",
+                             _group_reply_due, _outstanding).arm(
+            txn, engine, self._stamp(()))
         # Local members (other than the sender) get a local delivery.
         for member in self.domain.groups.members_on_host(
                 effect.group_id, self.host_id):
@@ -743,11 +751,6 @@ class Host:
         delivery = Delivery(message=txn.message, sender=txn.sender,
                             txn_id=txn.txn_id, via_group=True)
         self._enqueue_delivery(dst_proc, delivery)
-
-    def _group_send_timeout(self, txn: Transaction) -> None:
-        if txn.txn_id in self._outstanding:
-            self.metrics.incr("ipc.group_send_timeouts")
-            self._complete_local_txn(txn, Message.reply(ReplyCode.NO_SERVER))
 
     # -- misc ---------------------------------------------------------------------
 
@@ -1002,66 +1005,29 @@ class Host:
                                 txn_id=packet.txn_id, via_group=True)
             self._enqueue_delivery(dst_proc, delivery)
 
-    # ---------------------------------------------------------------- probes
+    # ------------------------------------------------- probes, retransmission
+    #
+    # The deadlines fire (module functions ``_probe_due`` and on, below)
+    # only while their transaction is outstanding; the engine drops them
+    # unfired afterwards.
 
-    def _schedule_probe(self, txn: Transaction) -> None:
+    def _stamp(self, frame: tuple) -> tuple:
+        """The attribution stamp of a deadline armed now in phase ``frame``
+        (``()`` while no profiler is attached)."""
         engine = self.engine
-        stack = engine._attr_stack if engine.profiling else None
-        if stack is not None and stack[-1:] != _PROBE:
-            engine._attr_stack = stack + _PROBE
-        txn.probe_event = engine.schedule(self._probe_interval,
-                                          self._probe_fire, txn)
-        if stack is not None:
-            engine._attr_stack = stack
+        if not engine.profiling:
+            return ()
+        stack = engine._attr_stack
+        return stack if stack[-1:] == frame else stack + frame
 
-    def _probe_fire(self, txn: Transaction) -> None:
-        if txn.txn_id not in self._outstanding:
-            return
-        if txn.probes_unanswered >= self._max_failed_probes:
-            self.metrics.incr("ipc.send_timeouts")
-            self._complete_local_txn(txn, Message.reply(ReplyCode.TIMEOUT))
-            return
-        txn.probes_unanswered += 1
-        dst_host = txn.dst.logical_host
-        if dst_host == self.host_id:
-            presence = self._presence.get(txn.txn_id)
-            if presence is not None:
-                if presence[0] == "forwarded":
-                    txn.dst = presence[1]
-                txn.probes_unanswered = 0
-        else:
-            probe = Packet(PacketKind.PROBE, txn.sender, txn.dst, txn.txn_id)
-            self.engine.post(self._kernel_cpu,
-                             self._transmit_put, probe, dst_host, None)
-            self._m_probes.value += 1
-        self._schedule_probe(txn)
-
-    # --------------------------------------------------------- retransmission
-
-    def _schedule_retransmit(self, txn: Transaction, interval: float) -> None:
-        engine = self.engine
-        # Profiled, the backoff wait and everything the timer causes (the
-        # re-sent frames) are attributed to the retransmission phase.
-        stack = engine._attr_stack if engine.profiling else None
-        if stack is not None and stack[-1:] != _RETRANSMIT:
-            engine._attr_stack = stack + _RETRANSMIT
-        txn.retransmit_event = engine.schedule(
-            interval, self._retransmit_fire, txn, interval)
-        if stack is not None:
-            engine._attr_stack = stack
-
-    def _retransmit_fire(self, txn: Transaction, interval: float) -> None:
-        if txn.txn_id not in self._outstanding or txn.acked:
-            return
-        next_interval = min(interval * self.config.retransmit_backoff,
-                            self.config.retransmit_cap)
-        if txn.dst.is_local_to(self.host_id):
-            # Local delivery is reliable; keep the timer parked at the cap
-            # in case a Forward moves the transaction onto the wire.
-            self._schedule_retransmit(txn, self.config.retransmit_cap)
-            return
-        self._retransmit_now(txn)
-        self._schedule_retransmit(txn, next_interval)
+    def _retransmit_lane(self, interval: float):
+        lane = self._retransmit_lanes.get(interval)
+        if lane is None:
+            lane = self._retransmit_lanes[interval] = (
+                self.engine.deadline_lane(interval, "retransmit",
+                                          _retransmit_due, _outstanding,
+                                          interval))
+        return lane
 
     def _retransmit_now(self, txn: Transaction) -> None:
         """Push one fresh copy of an outstanding request onto the wire."""
@@ -1129,6 +1095,11 @@ class Host:
         return records
 
 
+def _illegal_effect(host: Host, proc: Process, effect: Any) -> Any:
+    raise IllegalEffect(f"process {proc.name!r} yielded {effect!r}, "
+                        "which is not a kernel effect")
+
+
 _EFFECT_HANDLERS = {
     ipc.Send: Host._do_send,
     ipc.Receive: Host._do_receive,
@@ -1165,11 +1136,112 @@ _EFFECT_PHASES = {
     ipc.GetPid: ("phase:getpid",),
     ipc.GroupSend: ("phase:group_send",),
 }
+
+
+def _phased(handler, frame: tuple):
+    """``handler`` run under the phase ``frame`` (unless already open)."""
+    def run(host: Host, proc: Process, effect: Any) -> Any:
+        engine = host.engine
+        stack = engine._attr_stack
+        if stack[-1:] != frame:
+            engine._attr_stack = stack + frame
+        try:
+            return handler(host, proc, effect)
+        finally:
+            engine._attr_stack = stack
+    return run
+
+
+#: The handlers a profiled step dispatches through.
+_PHASED_HANDLERS = {kind: (_phased(handler, _EFFECT_PHASES[kind])
+                           if kind in _EFFECT_PHASES else handler)
+                    for kind, handler in _EFFECT_HANDLERS.items()}
+
 #: The kernel's other phase frames: a frame on the wire, a transaction's
-#: probe timer and its retransmission backoff.  Each is opened on the
+#: probe deadline and its retransmission backoff.  Each is opened on the
 #: engine's stack only when it is not already the innermost frame.
 _WIRE, _PROBE, _RETRANSMIT = (("phase:wire",), ("phase:probe",),
                               ("phase:retransmit",))
+
+
+# The deadline lanes' liveness test and firing callbacks (DeadlineLane): a
+# deadline fires only while its transaction is outstanding at its kernel.
+_outstanding = attrgetter("kernel")
+
+
+def _probe_due(txn: Transaction) -> None:
+    """A probe deadline: give up after ``max_failed_probes`` unanswered
+    probes, else probe the responder (or look locally) and re-arm."""
+    host = txn.kernel
+    if txn.probes_unanswered >= host._max_failed_probes:
+        host.metrics.incr("ipc.send_timeouts")
+        host._complete_local_txn(txn, Message.reply(ReplyCode.TIMEOUT))
+        return
+    txn.probes_unanswered += 1
+    engine = host.engine
+    dst_host = txn.dst.logical_host
+    if dst_host == host.host_id:
+        presence = host._presence.get(txn.txn_id)
+        if presence is not None:
+            if presence[0] == "forwarded":
+                txn.dst = presence[1]
+            txn.probes_unanswered = 0
+    else:
+        probe = Packet(PacketKind.PROBE, txn.sender, txn.dst, txn.txn_id)
+        engine.post(host._kernel_cpu, host._transmit_put, probe, dst_host,
+                    None)
+        host._m_probes.value += 1
+    seq = engine._seq               # re-armed inline, as in _do_send
+    engine._seq = seq + 1
+    txn.probe_at = engine._now + host._probe_interval
+    txn.probe_seq = seq
+    txn.probe_stamp = host._stamp(_PROBE) if engine.profiling else ()
+    lane = host._probe_lane
+    if lane.fifo:
+        lane.fifo.append(txn)
+    else:
+        lane.start(txn)
+
+
+def _retransmit_due(txn: Transaction, interval: float) -> None:
+    """A retransmit deadline: re-send the request unless a probe answer
+    acked it, and re-arm with backoff."""
+    if txn.acked:
+        return
+    host = txn.kernel
+    config = host.config
+    if txn.dst.logical_host == host.host_id:
+        # Local delivery is reliable; keep the deadline parked at the cap
+        # in case a Forward moves the transaction onto the wire.
+        interval = config.retransmit_cap
+    else:
+        host._retransmit_now(txn)
+        interval = min(interval * config.retransmit_backoff,
+                       config.retransmit_cap)
+    engine = host.engine
+    seq = engine._seq
+    engine._seq = seq + 1
+    txn.retransmit_at = engine._now + interval
+    txn.retransmit_seq = seq
+    txn.retransmit_stamp = (host._stamp(_RETRANSMIT) if engine.profiling
+                            else ())
+    lane = host._retransmit_lane(interval)
+    if lane.fifo:
+        lane.fifo.append(txn)
+    else:
+        lane.start(txn)
+
+
+def _group_reply_due(txn: Transaction) -> None:
+    """A GroupSend's reply timeout: no member answered in time."""
+    host = txn.kernel
+    host.metrics.incr("ipc.group_send_timeouts")
+    host._complete_local_txn(txn, Message.reply(ReplyCode.NO_SERVER))
+
+
+#: The per-transaction counts a host keeps for the whole domain: its
+#: ``counters`` entries are summed into the registry's (TallyCounter).
+_TALLIED = ("ipc.sends", "ipc.deliveries", "ipc.replies", "ipc.transactions")
 
 _PACKET_HANDLERS = {
     PacketKind.REQUEST: Host._on_request_packet,

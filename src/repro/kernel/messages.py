@@ -181,6 +181,9 @@ class Message:
         self.segment_buffer = segment_buffer
         self.trace = trace
         if segment is None:
+            if not segment_buffer:          # a bare short message
+                self.wire_bytes = SHORT_MESSAGE_BYTES
+                return
             self.wire_bytes = SHORT_MESSAGE_BYTES + max(0, segment_buffer)
         else:
             if not isinstance(segment, (bytes, bytearray)):

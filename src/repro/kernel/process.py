@@ -12,15 +12,11 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Optional
 
 from repro.kernel.ipc import Delivery, Segment
 from repro.kernel.messages import Message
 from repro.kernel.pids import Pid
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.engine import ScheduledEvent
 
 
 class ProcessState(enum.Enum):
@@ -32,57 +28,50 @@ class ProcessState(enum.Enum):
     DEAD = "dead"
 
 
-@dataclass(slots=True, init=False)
 class Transaction:
     """One outstanding Send, tracked at the *sender's* kernel.
 
-    Hand-written ``__init__`` (one transaction per Send; the generated
-    initializer's default plumbing is measurable on the IPC hot path).
+    A ``__slots__`` class with a hand-written ``__init__`` (one transaction
+    per Send).  Its timers are deadlines it carries itself (see
+    :class:`repro.sim.engine.DeadlineLane`): ``probe_*`` -- for a GroupSend,
+    the reply timeout -- and ``retransmit_*``, each a time, the engine
+    sequence number reserved when armed, and (profiled) an attribution
+    stamp.  They fire only while the transaction is outstanding at
+    ``kernel``, so whatever ends it -- a reply, a NACK, a timeout, the
+    sender's exit, a crash -- has nothing to cancel: it clears ``kernel``
+    as it drops the transaction from the kernel's table.
     """
 
-    txn_id: int
-    sender: Pid
-    dst: Pid                       # current responder (updated on Forward)
-    message: Message
-    expose: Optional[Segment] = None
-    #: Simulated send time; the telemetry collector's per-host resolution
-    #: latency (p99) is measured from here to the completing reply.
-    sent_at: float = 0.0
-    probes_unanswered: int = 0
-    #: The probe timer -- or, for a GroupSend, the reply timeout, so every
-    #: path that ends a transaction cancels either one the same way.
-    probe_event: Optional["ScheduledEvent"] = None
-    #: Retransmission state (see KernelConfig): the pending timer, how many
-    #: request copies have been re-sent, and whether the request is known to
-    #: have reached the responder (a probe answer acks it; the reply both
-    #: acks and completes).
-    retransmit_event: Optional["ScheduledEvent"] = None
-    retransmits: int = 0
-    acked: bool = False
+    __slots__ = ("txn_id", "sender", "dst", "message", "expose", "sent_at",
+                 "kernel", "probes_unanswered", "retransmits", "acked",
+                 "probe_at", "probe_seq", "probe_stamp",
+                 "retransmit_at", "retransmit_seq", "retransmit_stamp")
 
     def __init__(self, txn_id: int, sender: Pid, dst: Pid, message: Message,
-                 expose: Optional[Segment] = None, sent_at: float = 0.0) -> None:
+                 expose: Optional[Segment] = None, sent_at: float = 0.0,
+                 kernel: Any = None) -> None:
         self.txn_id = txn_id
         self.sender = sender
+        #: The current responder (updated on Forward).
         self.dst = dst
         self.message = message
         self.expose = expose
+        #: Simulated send time; the telemetry collector's per-host
+        #: resolution latency (p99) is measured from here to the reply.
         self.sent_at = sent_at
+        #: The sender's Host while the transaction is outstanding there (it
+        #: arms and fires the deadlines); None once it has ended.
+        self.kernel = kernel
         self.probes_unanswered = 0
-        self.probe_event = None
-        self.retransmit_event = None
+        #: Request copies re-sent, and whether the request is known to have
+        #: reached the responder (a probe answer acks it; the reply both
+        #: acks and completes).
         self.retransmits = 0
         self.acked = False
 
-    def cancel_probe(self) -> None:
-        if self.probe_event is not None:
-            self.probe_event.cancel()
-            self.probe_event = None
-
-    def cancel_retransmit(self) -> None:
-        if self.retransmit_event is not None:
-            self.retransmit_event.cancel()
-            self.retransmit_event = None
+    def __repr__(self) -> str:
+        return (f"Transaction({self.txn_id}, {self.sender!r} -> "
+                f"{self.dst!r})")
 
 
 class Process:

@@ -11,11 +11,14 @@ adapters behind the seams ``Host`` already uses:
 
 - the **loop clock**: ``now`` is ``loop.time()``; a zero-delay post joins a
   FIFO drained before control returns to the loop; timed posts go into the
-  clock's own heap (cancel drops the callback), with at most one loop handle
-  armed for the earliest deadline, a selector grain early, then polled once
-  per loop turn -- so a sub-millisecond ``Delay`` is neither early nor
-  rounded up.  Datagrams and timers enter through the same drain, so no
-  kernel callback runs re-entrantly.
+  clock's own heap (cancel drops the callback), and a transaction's probe
+  and retransmit deadlines into the same FIFO lanes the DES engine keeps
+  (a deadline whose transaction has ended is dropped unfired); at most one
+  loop handle is armed for the earliest of them, a selector grain early,
+  then polled once per loop turn -- so a sub-millisecond ``Delay`` is
+  neither early nor rounded up.  Datagrams, timers and deadlines enter
+  through the same drain, so no kernel callback runs re-entrantly, and the
+  drain's end re-arms the handle for whatever the kernel armed inside it.
 - the **UDP wire**: one non-blocking socket per host on the loop's reader.
   It carries the DES Ethernet's unit, a :class:`~repro.net.packet.Frame`,
   both ways: ``transmit(frame)`` encodes the frame's packet and sends it to
@@ -54,6 +57,7 @@ from repro.kernel.pids import Pid
 from repro.net.latency import LatencyModel
 from repro.net.packet import BROADCAST, Frame, GroupAddress
 from repro.net.wire import WireError, decode_packet, encode_packet
+from repro.sim.engine import DeadlineLane
 
 #: The selector rounds timeouts *up* to a whole millisecond: the clock arms
 #: its loop handle this much early and polls the rest.
@@ -70,15 +74,12 @@ _WALL_CLOCK_ONLY = LatencyModel(bandwidth_bps=_INF, kernel_cpu_per_packet=0.0,
 
 
 class _Timer:
-    """A clock entry and its handle; cancelling or firing drops the callback
-    (and with it the transaction a probe or retransmit timer holds)."""
+    """A clock entry's handle; cancelling or firing drops the callback."""
 
-    __slots__ = ("callback", "args", "clock")
+    __slots__ = ("callback", "args")
 
     def cancel(self) -> None:
-        if self.callback is not None:
-            self.callback = self.args = None
-            self.clock._live -= 1
+        self.callback = self.args = None
 
 
 class _LoopClock:
@@ -92,11 +93,8 @@ class _LoopClock:
         self._ready: deque = deque()      # (callback, args), due now
         self._sent: deque = deque()       # a socket read per datagram sent
         self._timers: list = []           # heap of (deadline, seq, _Timer)
-        #: Entries due no earlier than the armed handle: the next tick heaps
-        #: the ones still live -- most die first (a Send's probe and
-        #: retransmit timers die with its reply) and never cost a heap push.
-        self._later: list = []
-        self._live = 0                    # timers neither cancelled nor fired
+        self._lanes: list = []            # DeadlineLanes
+        self._deadline = _INF             # no later than any lane's head
         self._seq = 0
         self._draining = False
         self._handle: Optional[asyncio.Handle] = None
@@ -126,29 +124,32 @@ class _LoopClock:
 
     def schedule(self, delay: float, callback: Callable, *args: Any) -> _Timer:
         timer = _Timer()
-        timer.callback, timer.args, timer.clock = callback, args, self
-        self._live += 1
-        deadline = self._time() + delay
-        self._seq += 1
-        if deadline - _TIMER_GRAIN < self._handle_at:
-            heappush(self._timers, (deadline, self._seq, timer))
-            self._arm_at(deadline - _TIMER_GRAIN)
-        else:
-            self._later.append((deadline, self._seq, timer))
+        timer.callback, timer.args = callback, args
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._timers, (self._time() + delay, seq, timer))
+        if not self._draining:            # else the drain's end arms
+            self._rearm()
         return timer
+
+    def deadline_lane(self, delay: float, field: str, fire: Callable,
+                      live: Callable, *args: Any) -> DeadlineLane:
+        """The DES engine's deadline lanes, scanned here after each drain:
+        the kernel arms a transaction's probe and retransmit deadlines
+        inline, on this clock as on the engine."""
+        return DeadlineLane.shared(self._lanes, None, delay, field, fire,
+                                   live, args)
 
     def close(self) -> None:
         """Forget every pending callback and disarm the loop handle."""
-        self._disarm()
-        self._ready.clear()
-
-    def _disarm(self) -> None:
         if self._handle is not None:
             self._handle.cancel()
             self._handle, self._handle_at = None, _INF
         self._timers.clear()
-        self._later.clear()
-        self._live = 0
+        for lane in self._lanes:
+            lane.fifo.clear()
+        self._deadline = _INF
+        self._ready.clear()
 
     def _drain(self) -> None:
         self._draining = True
@@ -170,37 +171,54 @@ class _LoopClock:
             self._draining = False
             if ready:                     # a callback raised: go on next turn
                 self._arm_at(-_INF)
-            elif not self._live:
-                if self._handle is not None:
-                    self._disarm()
-            else:                         # _later never needs an earlier arm
-                timers = self._timers
-                while timers and timers[0][2].callback is None:
-                    heappop(timers)
-                if timers and timers[0][0] - _TIMER_GRAIN < self._handle_at:
-                    self._arm_at(timers[0][0] - _TIMER_GRAIN)
+            else:
+                self._rearm()
+
+    def _rearm(self) -> None:
+        """Arm the handle for the earliest live timer or deadline (dropping
+        dead ones), or disarm it if there is none."""
+        timers = self._timers
+        while timers and timers[0][2].callback is None:
+            heappop(timers)
+        first = timers[0][0] if timers else _INF
+        self._deadline = _INF
+        for lane in self._lanes:
+            fifo, live = lane.fifo, lane.live
+            while fifo and not live(fifo[0]):
+                fifo.popleft()
+            if fifo and lane.key(fifo[0])[0] < self._deadline:
+                self._deadline = lane.key(fifo[0])[0]
+        first = min(first, self._deadline)
+        if first == _INF:
+            if self._handle is not None:
+                self._handle.cancel()
+                self._handle, self._handle_at = None, _INF
+        elif first - _TIMER_GRAIN < self._handle_at:
+            self._arm_at(first - _TIMER_GRAIN)
 
     def _tick(self) -> None:
+        """Queue every live timer and deadline now due, in ``(time, seq)``
+        order, and drain."""
         self._handle, self._handle_at = None, _INF
-        timers, ready = self._timers, self._ready
-        if self._later:
-            for entry in self._later:
-                if entry[2].callback is not None:
-                    heappush(timers, entry)
-            self._later.clear()
+        timers = self._timers
         now = self._time()
+        due = []
         while timers and timers[0][0] <= now:
-            timer = heappop(timers)[2]
+            at, seq, timer = heappop(timers)
             if timer.callback is not None:
-                ready.append((timer.callback, timer.args))
+                due.append((at, seq, timer.callback, timer.args))
                 timer.callback = timer.args = None
-                self._live -= 1
-        if ready or not self._live:
-            self._drain()
-            return
-        while timers[0][2].callback is None:   # polling: nothing due yet
-            heappop(timers)
-        self._arm_at(timers[0][0] - _TIMER_GRAIN)
+        if self._deadline <= now:
+            for lane in self._lanes:
+                fifo, live = lane.fifo, lane.live
+                while fifo and lane.key(fifo[0])[0] <= now:
+                    owner = fifo.popleft()
+                    if live(owner):
+                        due.append(lane.key(owner)
+                                   + (lane.fire, (owner,) + lane.args))
+            due.sort()
+        self._ready.extend((callback, args) for __, __, callback, args in due)
+        self._drain()
 
     def _arm_at(self, when: float) -> None:
         if self._handle is not None:

@@ -69,6 +69,30 @@ class Counter:
         self.value += amount
 
 
+class TallyCounter(Counter):
+    """A counter summed on read from its sources' own tallies.
+
+    A hot path that must keep a per-source count anyway (a kernel's
+    per-host IPC counters) bumps only its ``name -> count`` dict; this
+    counter's value is what it held before it became a tally, plus every
+    registered dict's entry for ``name``.  A dict stays registered after
+    its source drops it for a fresh one, so nothing counted is lost.
+    """
+
+    def __init__(self, name: str, base: int = 0) -> None:
+        self.name, self.tags, self.base = name, (), base
+        self.tallies: list = []
+
+    @property
+    def value(self) -> int:
+        name = self.name
+        return self.base + sum(tally.get(name, 0) for tally in self.tallies)
+
+    @value.setter
+    def value(self, value: int) -> None:
+        self.base += value - self.value
+
+
 @dataclass
 class Gauge:
     """A value that goes up and down (queue depth, servers running, ...)."""
@@ -234,6 +258,16 @@ class MetricsRegistry:
             instrument = Histogram(name, buckets=buckets, tags=key[1])
             self._histograms[key] = instrument
         return instrument
+
+    def tally(self, name: str, tally: dict) -> None:
+        """Make the untagged counter ``name`` (in place) a
+        :class:`TallyCounter` that also sums ``tally[name]``."""
+        counter = self.counter(name)
+        if counter.__class__ is not TallyCounter:
+            counter = self._counters[(name, ())] = TallyCounter(
+                name, counter.value)
+            self._untagged.pop(name, None)
+        counter.tallies.append(tally)
 
     def incr(self, name: str, amount: int = 1) -> None:
         """Add to the untagged counter ``name`` (``counter(name)``'s object)."""

@@ -37,7 +37,21 @@ Hot-path layout (the ROADMAP's >= 10^6 events/sec target):
   with the same body.
 - The slot format stays inside this module: code that inspects what is
   still queued (the chaos harness's timer-leak check) iterates
-  :meth:`Engine.pending_events`, which knows all three slot states.
+  :meth:`Engine.pending_events`, which knows the slot states and the
+  deadline lanes.
+
+Deadlines (:class:`DeadlineLane`): a kernel transaction's probe, retransmit
+and GroupSend-reply times are not timer events.  Each is a time and a
+sequence number reserved when armed, stored on the transaction itself, and
+the transaction is appended to the FIFO lane of its constant delay --
+anything armed as ``now + delay`` is already in ``(time, seq)`` order within
+its lane, so arming is a few stores and one ``deque.append``.  Only a
+lane's *head* is on the heap (slot 4 is then the lane), so it fires in the
+order its reserved sequence number gives it against every other event.  A
+popped head whose transaction has ended is dropped uncounted, like a
+cancelled event, and the lane puts its next live head on the heap; a
+transaction that ends therefore cancels nothing, and a lane of dead
+entries costs one heap visit per stretch, not one per entry.
 
 Attribution profiling (:mod:`repro.obs.profile`): every scheduled event is
 stamped with the attribution stack current at *schedule* time (in its event
@@ -46,12 +60,15 @@ charges every clock advance to the stack of the event that advanced it.
 Because the advances partition the clock, the per-frame totals sum exactly
 to elapsed simulated time -- and because the stamp is inherited while an
 event's callback runs, transitively scheduled work (a reply frame, a
-retransmission timer) stays attributed to the phase that caused it.
+retransmission deadline) stays attributed to the phase that caused it.  A
+deadline carries the stack it was armed under in its owner's stamp field.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
+from operator import attrgetter
 from typing import Any, Callable, Optional
 
 _heappush = heapq.heappush
@@ -86,8 +103,8 @@ class ScheduledEvent:
         self.args = args
         self.cancelled = False
         #: Set by the owning engine so it can keep an exact count of
-        #: cancelled entries still sitting in the heap (and compact when
-        #: they dominate); cleared when the event fires.
+        #: cancelled entries still sitting in the heap; cleared when the
+        #: event fires.
         self.on_cancel = on_cancel
         self.attribution = attribution
 
@@ -105,6 +122,108 @@ class ScheduledEvent:
                 f"callback={self.callback!r}, cancelled={self.cancelled})")
 
 
+class DeadlineLane:
+    """The deadlines armed at one constant ``delay``, in firing order.
+
+    An entry is its *owner* (a kernel transaction), which carries the
+    deadline in attributes named ``<field>_at``, ``<field>_seq`` and
+    ``<field>_stamp``; ``fire(owner, *args)`` runs at ``<field>_at`` while
+    ``live(owner)`` holds, and the entry is dropped unfired once it does
+    not.  Arming is inline at the arming site, with no allocation and no
+    engine call unless the lane is empty::
+
+        seq = engine._seq
+        engine._seq = seq + 1
+        owner.<field>_at = engine._now + lane.delay
+        owner.<field>_seq = seq
+        if lane.fifo:
+            lane.fifo.append(owner)
+        else:
+            lane.start(owner)
+
+    ``<field>_stamp`` (the attribution stack, read only by a profiled loop)
+    may be left unset, which reads as ``()``.  On the DES engine the lane
+    keeps exactly one heap entry while it is non-empty: its head's.
+    """
+
+    __slots__ = ("delay", "field", "fire", "live", "args", "fifo", "queue",
+                 "names", "key")
+
+    def __init__(self, delay: float, field: str,
+                 fire: Callable[..., None], live: Callable[[Any], bool],
+                 args: tuple = (), queue: Optional[list] = None) -> None:
+        self.delay = delay
+        self.field = field
+        self.fire = fire
+        self.live = live
+        self.args = args
+        self.fifo: deque = deque()
+        #: The engine heap the head's entry goes on (None on a clock that
+        #: scans its lanes instead).
+        self.queue = queue
+        self.names = (field + "_at", field + "_seq", field + "_stamp")
+        self.key = attrgetter(*self.names[:2])
+
+    def start(self, owner: Any) -> None:
+        """Append ``owner`` (already armed) to this empty lane: it is the
+        head, so its entry goes on the heap."""
+        self.fifo.append(owner)
+        if self.queue is not None:
+            _heappush(self.queue, self._entry(owner))
+
+    def arm(self, owner: Any, engine: Any, stamp: tuple = ()) -> None:
+        """Arm ``owner``'s deadline ``delay`` from now under ``stamp``: the
+        out-of-line form of the inline arm, for paths off the Send's."""
+        seq = engine._seq
+        engine._seq = seq + 1
+        at_name, seq_name, stamp_name = self.names
+        setattr(owner, at_name, engine._now + self.delay)
+        setattr(owner, seq_name, seq)
+        setattr(owner, stamp_name, stamp)
+        if self.fifo:
+            self.fifo.append(owner)
+        else:
+            self.start(owner)
+
+    def _entry(self, owner: Any) -> tuple:
+        at, seq = self.key(owner)
+        return (at, seq, self.fire, (owner,) + self.args, self)
+
+    def advance(self) -> None:
+        """Drop the head (fired, or dead), and any dead entries behind it;
+        put the next live head's entry on the heap."""
+        fifo, live = self.fifo, self.live
+        fifo.popleft()
+        while fifo:
+            if live(fifo[0]):
+                _heappush(self.queue, self._entry(fifo[0]))
+                return
+            fifo.popleft()
+
+    def stamp(self, owner: Any) -> tuple:
+        return getattr(owner, self.names[2], ())
+
+    def live_entries(self) -> list:
+        live = self.live
+        return [owner for owner in self.fifo if live(owner)]
+
+    @staticmethod
+    def shared(lanes: list, queue: Optional[list], delay: float, field: str,
+               fire: Callable[..., None], live: Callable[[Any], bool],
+               args: tuple) -> "DeadlineLane":
+        """The lane in ``lanes`` for these deadlines, created on first use:
+        every host of a domain arms into the same few lanes."""
+        for lane in lanes:
+            if (lane.delay == delay and lane.field == field
+                    and lane.fire is fire and lane.args == args):
+                return lane
+        if delay < 0:
+            raise SimulationError(f"cannot arm into the past (delay={delay})")
+        lane = DeadlineLane(delay, field, fire, live, args, queue)
+        lanes.append(lane)
+        return lane
+
+
 class Engine:
     """The simulated clock and event queue.
 
@@ -120,14 +239,10 @@ class Engine:
     #: fired, ``_seq``/``_queue``/``_attr_stack`` are read on every
     #: schedule/post, ``profiling`` several times per kernel frame hop).
     __slots__ = ("_queue", "_seq", "_now", "_running", "_events_processed",
-                 "_cancelled_in_queue", "_on_cancel",
-                 "_compactions", "_profilers", "profiling", "_account",
+                 "_cancelled_in_queue", "_on_cancel", "_lanes",
+                 "_profilers", "profiling", "_account",
                  "_count_message", "_frames", "_attr_stack", "_recorder",
                  "_fire_seq", "__weakref__")
-
-    #: Compaction never runs below this queue size: rebuilding a tiny heap
-    #: costs more bookkeeping than the dead entries do.
-    COMPACT_MIN_QUEUE = 64
 
     #: Process-wide count of events fired across *all* engine instances.
     #: The cost ledger (``benchmarks/ledger/run.py``) and E15 read it around
@@ -159,7 +274,8 @@ class Engine:
         #: The bound cancellation hook, created once -- schedule() runs per
         #: event, and rebuilding the bound method there is measurable.
         self._on_cancel = self._note_cancelled
-        self._compactions = 0
+        #: The deadline lanes (see DeadlineLane).
+        self._lanes: list[DeadlineLane] = []
         #: Attached profiler sinks (see repro.obs.profile).  Duck-typed:
         #: each needs account(stack, dt) and count_message(stack, nbytes).
         self._profilers: list[Any] = []
@@ -208,24 +324,37 @@ class Engine:
 
     @property
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still in the queue.  O(1)."""
-        return len(self._queue) - self._cancelled_in_queue
+        """Number of live events still queued: heap entries neither
+        cancelled nor a lane's head, and deadlines whose owner is still live
+        (a scan of the lanes)."""
+        return (len(self._queue) - self._cancelled_in_queue
+                + sum(len(lane.live_entries()) - (len(lane.fifo) > 0)
+                      for lane in self._lanes))
 
     def pending_events(self):
         """Yield ``(time, callback, args)`` for every live queued event.
 
-        Heap order, not firing order.  Inspection code outside this module
-        goes through here, so it never has to know heap slot 4's three
-        states (``None``, an attribution tuple, a cancellable event).
+        Heap order, then lane order; not firing order.  Inspection code
+        outside this module goes through here, so it never has to know heap
+        slot 4's three states (``None``, an attribution tuple, a cancellable
+        event) or where deadlines live.
         """
         for time, __, callback, args, slot in self._queue:
-            if slot is None or slot.__class__ is tuple or not slot.cancelled:
+            if (slot is None or slot.__class__ is tuple
+                    or (slot.__class__ is ScheduledEvent
+                        and not slot.cancelled)):
                 yield time, callback, args
+        for lane in self._lanes:
+            for owner in lane.live_entries():
+                yield lane.key(owner)[0], lane.fire, (owner,) + lane.args
 
-    @property
-    def compactions(self) -> int:
-        """How many times the heap has been compacted (introspection)."""
-        return self._compactions
+    def deadline_lane(self, delay: float, field: str,
+                      fire: Callable[..., None], live: Callable[[Any], bool],
+                      *args: Any) -> DeadlineLane:
+        """The lane of deadlines ``fire(owner, *args)`` armed at ``delay``
+        in ``owner.<field>_*`` (created on first use, then shared)."""
+        return DeadlineLane.shared(self._lanes, self._queue, delay, field,
+                                   fire, live, args)
 
     # ------------------------------------------------------------- profiling
 
@@ -318,31 +447,12 @@ class Engine:
         for sink in self._profilers:
             sink.count_message(stack, nbytes)
 
-    # ----------------------------------------------------------- compaction
+    # ----------------------------------------------------------- deadlines
 
     def _note_cancelled(self) -> None:
-        """An event in the heap was cancelled; compact when they dominate.
-
-        Long fault-injection runs cancel large numbers of retransmission and
-        probe timers; without compaction those dead entries sit in the heap
-        until their (possibly far-future) fire time, bloating every push and
-        pop.  Rebuilding the heap is O(live); amortized it is free because a
-        rebuild is only triggered after at least as many cancellations.
-        """
+        """An event in the heap was cancelled: it stays there, unfired, until
+        a loop pops it, and stops counting as pending now."""
         self._cancelled_in_queue += 1
-        queue = self._queue
-        if (len(queue) >= self.COMPACT_MIN_QUEUE
-                and self._cancelled_in_queue * 2 > len(queue)):
-            # In place: run() holds a local alias to the heap list, so the
-            # rebuild must preserve list identity, not rebind the attribute.
-            # Posted (fire-and-forget) entries carry None or their
-            # attribution stamp in the event slot and are never cancelled.
-            queue[:] = [entry for entry in queue
-                        if entry[4] is None
-                        or not getattr(entry[4], "cancelled", False)]
-            heapq.heapify(queue)
-            self._cancelled_in_queue = 0
-            self._compactions += 1
 
     # ----------------------------------------------------------- scheduling
     #
@@ -420,7 +530,8 @@ class Engine:
         queued); ``max_events`` bounds the number of events fired, as a guard
         against accidental livelock in tests.  Dead (cancelled) heads are
         drained before the ``until`` check, so ``pending`` never counts
-        events an immediate re-run would silently discard.
+        events an immediate re-run would silently discard; deadlines due
+        after ``until`` stay in their lanes.
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
@@ -448,7 +559,7 @@ class Engine:
         stop is the ``max_events`` bound rather than the ``until`` horizon."""
         _heappush(self._queue, entry)
         slot = entry[4]
-        if slot is not None and slot.__class__ is not tuple:
+        if slot.__class__ is ScheduledEvent:
             slot.on_cancel = self._on_cancel
         if entry[0] <= horizon:
             raise SimulationError(
@@ -468,10 +579,17 @@ class Engine:
             while queue:
                 time, seq, callback, args, event = pop(queue)
                 if event is not None:
-                    if event.cancelled:
+                    if event.__class__ is DeadlineLane:
+                        if not event.live(args[0]):
+                            event.advance()
+                            continue
+                        if time <= horizon and fired < limit:
+                            event.advance()   # the next head takes over
+                    elif event.cancelled:
                         self._cancelled_in_queue -= 1
                         continue
-                    event.on_cancel = None
+                    else:
+                        event.on_cancel = None
                 if time > horizon or fired >= limit:
                     self._stop((time, seq, callback, args, event),
                                horizon, limit)
@@ -508,10 +626,17 @@ class Engine:
             while queue:
                 time, seq, callback, args, event = pop(queue)
                 if event is not None:
-                    if event.cancelled:
+                    if event.__class__ is DeadlineLane:
+                        if not event.live(args[0]):
+                            event.advance()
+                            continue
+                        if time <= horizon and fired < limit:
+                            event.advance()   # the next head takes over
+                    elif event.cancelled:
                         self._cancelled_in_queue -= 1
                         continue
-                    event.on_cancel = None
+                    else:
+                        event.on_cancel = None
                 if time > horizon or fired >= limit:
                     self._stop((time, seq, callback, args, event),
                                horizon, limit)
@@ -552,6 +677,13 @@ class Engine:
                     stamp = ()
                 elif slot.__class__ is tuple:
                     stamp = slot
+                elif slot.__class__ is DeadlineLane:
+                    if not slot.live(args[0]):
+                        slot.advance()
+                        continue
+                    if time <= horizon and fired < limit:
+                        slot.advance()    # the next head takes over
+                    stamp = slot.stamp(args[0])
                 elif slot.cancelled:
                     self._cancelled_in_queue -= 1
                     continue

@@ -346,10 +346,13 @@ def refused(address):
 
 
 def live_timers(domain):
-    """The clock's timers that are neither cancelled nor fired."""
+    """The clock's timers that are neither cancelled nor fired, and its
+    deadlines whose transaction is still outstanding."""
     clock = domain.engine
-    return [timer for __, __, timer in clock._timers + clock._later
-            if timer.callback is not None]
+    return ([timer for __, __, timer in clock._timers
+             if timer.callback is not None]
+            + [owner for lane in clock._lanes
+               for owner in lane.live_entries()])
 
 
 def armed_handles(loop):
@@ -926,7 +929,9 @@ class TestLoopClock:
             doomed.cancel()
             doomed.cancel()                         # idempotent
             await asyncio.sleep(0.03)
-            return fired, clock._live, armed_handles(loop)
+            live = [timer for __, __, timer in clock._timers
+                    if timer.callback is not None]
+            return fired, len(live), armed_handles(loop)
 
         assert self.on_clock(scenario) == (["kept"], 0, [])
 
