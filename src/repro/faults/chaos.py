@@ -144,12 +144,15 @@ class ChaosSchedule:
 
 
 def check_no_timer_leaks(domain: Domain) -> list[str]:
-    """No live scheduled event may reference a dead process.
+    """No live queued event may reference a dead process.
 
-    Kernel timers (probe, retransmission, delay wakeups) hold their subject
-    in the event's args; terminating a process must cancel them.  A leaked
-    timer is latent corruption: it can step a closed generator or revive a
-    transaction the kernel already forgot.
+    A Delay wakeup or a busy replier's resume holds its process in the
+    event's args; one left queued for a dead process is latent corruption:
+    it would step a closed generator.  A transaction's probe, retransmit
+    and GroupSend-reply times are deadlines (``DeadlineLane``), listed by
+    ``pending_events`` only while the transaction is outstanding, so
+    whatever ends a transaction retires them with nothing to cancel; this
+    check sees one only if the kernel forgot to end it.
     """
     problems = []
     for time, callback, args in domain.engine.pending_events():

@@ -32,7 +32,7 @@ nothing.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -107,8 +107,14 @@ class Host:
 
         #: Sender-side: txn_id -> Transaction for this host's blocked senders.
         self._outstanding: dict[int, Transaction] = {}
-        #: Receiver-side: txn_id -> ("queued"|"received", pid) or ("forwarded", new_dst)
-        self._presence: dict[int, tuple[str, Pid]] = {}
+        #: Receiver-side: txn_id -> ("queued"|"received", pid), or
+        #: ("forwarded", new_dst, expiry) for a remote sender's request sent
+        #: on (DESIGN.md section 12 gives the marker's life).
+        self._presence: dict[int, tuple] = {}
+        #: (expiry, txn_id) per marker set or refreshed, in expiry order.
+        self._forwarded: deque = deque()
+        self._marker_life = (2 * (self.config.max_failed_probes + 1)
+                             * self.config.probe_interval)
         #: Receiver-side: the last replies pushed to remote senders, kept so
         #: a retransmitted request (or a probe) whose original reply frame
         #: was lost can be answered by replay instead of a spurious NACK.
@@ -137,7 +143,7 @@ class Host:
         self._handle_packet = self._handle_packet
         self._deliver_local_request = self._deliver_local_request
         self._complete_local_txn = self._complete_local_txn
-        # The deadline lanes every Send arms (shared by the domain's hosts).
+        # The deadline lanes a Send arms (shared by the domain's hosts).
         self._probe_lane = self.engine.deadline_lane(
             self._probe_interval, "probe", _probe_due, _outstanding)
         self._retransmit_lanes: dict = {}
@@ -199,6 +205,7 @@ class Host:
             txn.kernel = None       # ended: its deadlines will not fire
         self._outstanding.clear()
         self._presence.clear()
+        self._forwarded.clear()
         self._reply_cache.clear()
         for __, event, __, __ in self._getpid_waiters.values():
             event.cancel()
@@ -250,12 +257,20 @@ class Host:
         """
         engine = self.engine
         saved_stack = None
+        handlers = _EFFECT_HANDLERS
         if engine.profiling:
+            obs = self.domain.obs
+            kind = obs.actors.get(proc.pid.value) if obs is not None else None
+            cached = proc.scope_cache
+            if cached is None or cached[0] != kind:
+                frames = ("host:" + self.name, "proc:" + proc.name)
+                if kind is not None and kind != proc.name:
+                    frames += ("svc:" + kind,)
+                cached = proc.scope_cache = (kind,
+                                             frames + proc.profile_frames)
             saved_stack = engine._attr_stack
-            engine._attr_stack = self._scope(proc)
+            engine._attr_stack = cached[1]
             handlers = _PHASED_HANDLERS
-        else:
-            handlers = _EFFECT_HANDLERS
         body = proc.body
         proc.state = _READY
         try:
@@ -291,18 +306,6 @@ class Host:
         finally:
             if saved_stack is not None:
                 engine._attr_stack = saved_stack
-
-    def _scope(self, proc: Process) -> tuple:
-        """The profiler scope ``proc`` is stepped under (cached per kind)."""
-        obs = self.domain.obs
-        kind = obs.actors.get(proc.pid.value) if obs is not None else None
-        cached = proc.scope_cache
-        if cached is None or cached[0] != kind:
-            frames = ("host:" + self.name, "proc:" + proc.name)
-            if kind is not None and kind != proc.name:
-                frames += ("svc:" + kind,)
-            cached = proc.scope_cache = (kind, frames + proc.profile_frames)
-        return cached[1]
 
     def _terminate(self, proc: Process) -> None:
         """Process exit: error-reply held requests, release kernel state."""
@@ -398,9 +401,9 @@ class Host:
             engine._seq = seq + 2
         else:
             engine._seq = seq + 1
-        if engine.profiling:
-            txn.probe_stamp = self._stamp(_PROBE)
-            txn.retransmit_stamp = self._stamp(_RETRANSMIT)
+        if engine.profiling:    # the stack ends in phase:send here
+            txn.probe_stamp = engine._attr_stack + _PROBE
+            txn.retransmit_stamp = engine._attr_stack + _RETRANSMIT
         return _BLOCKED
 
     def _deliver_local_request(self, txn: Transaction,
@@ -565,13 +568,35 @@ class Host:
             self.engine.post(self._local_hop,
                              self._deliver_local_request, shadow, proc.pid)
             return None
-        self._presence[delivery.txn_id] = ("forwarded", effect.dst)
+        if local_txn is None:
+            # A remote sender may still retransmit to or probe this host.
+            self._expire_markers()
+            self._mark_forwarded(delivery.txn_id, effect.dst)
+        else:   # the request is no longer held here, and its sender knows
+            self._presence.pop(delivery.txn_id, None)
         packet = Packet(PacketKind.REQUEST, src_pid=delivery.sender,
                         dst_pid=effect.dst, txn_id=delivery.txn_id,
                         message=message, info={"forwarder": proc.pid})
         proc.state = _WAITING
         self._transmit(packet, effect.dst.logical_host, resume=proc)
         return _BLOCKED
+
+    def _mark_forwarded(self, txn_id: int, dst: Pid) -> None:
+        """Set or refresh the "forwarded" marker of ``txn_id``."""
+        expiry = self.engine.now + self._marker_life
+        self._presence[txn_id] = ("forwarded", dst, expiry)
+        self._forwarded.append((expiry, txn_id))
+
+    def _expire_markers(self) -> None:
+        """Drop the markers whose sender can no longer reach this host."""
+        now = self.engine.now
+        forwarded, presence = self._forwarded, self._presence
+        while forwarded and forwarded[0][0] <= now:
+            __, txn_id = forwarded.popleft()
+            entry = presence.get(txn_id)
+            if (entry is not None and entry[0] == "forwarded"
+                    and entry[2] <= now):     # not refreshed since
+                del presence[txn_id]
 
     # -- MoveTo / MoveFrom ------------------------------------------------------------
 
@@ -727,8 +752,7 @@ class Host:
         # The reply timeout is the probe deadline (a group transaction has
         # no probes), live while the transaction is outstanding like any.
         engine.deadline_lane(self.config.group_reply_timeout, "probe",
-                             _group_reply_due, _outstanding).arm(
-            txn, engine, self._stamp(()))
+                             _group_reply_due, _outstanding).arm(txn, engine)
         # Local members (other than the sender) get a local delivery.
         for member in self.domain.groups.members_on_host(
                 effect.group_id, self.host_id):
@@ -870,6 +894,8 @@ class Host:
             # A copy of a request we already hold (retransmission or wire
             # duplicate).  The transaction is idempotent-at-most-once from
             # the receiver's perspective: drop the copy, keep the original.
+            if presence[0] == "forwarded":
+                self._mark_forwarded(packet.txn_id, presence[1])
             self.metrics.incr("ipc.dup_suppressed")
             self.counters["ipc.dup_suppressed"] += 1
             tap = self._tap_dup_suppressed
@@ -931,6 +957,7 @@ class Host:
                               dst_pid=packet.src_pid, txn_id=packet.txn_id,
                               message=Message.reply(ReplyCode.NONEXISTENT_PROCESS))
         elif presence[0] == "forwarded":
+            self._mark_forwarded(packet.txn_id, presence[1])
             response = Packet(PacketKind.PROBE_FORWARDED,
                               src_pid=packet.dst_pid or Pid(0),
                               dst_pid=packet.src_pid, txn_id=packet.txn_id,
@@ -1007,18 +1034,8 @@ class Host:
 
     # ------------------------------------------------- probes, retransmission
     #
-    # The deadlines fire (module functions ``_probe_due`` and on, below)
-    # only while their transaction is outstanding; the engine drops them
-    # unfired afterwards.
-
-    def _stamp(self, frame: tuple) -> tuple:
-        """The attribution stamp of a deadline armed now in phase ``frame``
-        (``()`` while no profiler is attached)."""
-        engine = self.engine
-        if not engine.profiling:
-            return ()
-        stack = engine._attr_stack
-        return stack if stack[-1:] == frame else stack + frame
+    # The deadlines fire through ``_probe_due`` and on (module functions,
+    # below), only while their transaction is outstanding.
 
     def _retransmit_lane(self, interval: float):
         lane = self._retransmit_lanes.get(interval)
@@ -1178,29 +1195,18 @@ def _probe_due(txn: Transaction) -> None:
         host._complete_local_txn(txn, Message.reply(ReplyCode.TIMEOUT))
         return
     txn.probes_unanswered += 1
-    engine = host.engine
     dst_host = txn.dst.logical_host
     if dst_host == host.host_id:
-        presence = host._presence.get(txn.txn_id)
-        if presence is not None:
-            if presence[0] == "forwarded":
-                txn.dst = presence[1]
+        # A local request held here (a Forward off this host re-aims txn.dst
+        # itself, so no marker is left for a local sender).
+        if txn.txn_id in host._presence:
             txn.probes_unanswered = 0
     else:
         probe = Packet(PacketKind.PROBE, txn.sender, txn.dst, txn.txn_id)
-        engine.post(host._kernel_cpu, host._transmit_put, probe, dst_host,
-                    None)
+        host.engine.post(host._kernel_cpu, host._transmit_put, probe,
+                         dst_host, None)
         host._m_probes.value += 1
-    seq = engine._seq               # re-armed inline, as in _do_send
-    engine._seq = seq + 1
-    txn.probe_at = engine._now + host._probe_interval
-    txn.probe_seq = seq
-    txn.probe_stamp = host._stamp(_PROBE) if engine.profiling else ()
-    lane = host._probe_lane
-    if lane.fifo:
-        lane.fifo.append(txn)
-    else:
-        lane.start(txn)
+    host._probe_lane.arm(txn, host.engine, _PROBE)
 
 
 def _retransmit_due(txn: Transaction, interval: float) -> None:
@@ -1218,18 +1224,7 @@ def _retransmit_due(txn: Transaction, interval: float) -> None:
         host._retransmit_now(txn)
         interval = min(interval * config.retransmit_backoff,
                        config.retransmit_cap)
-    engine = host.engine
-    seq = engine._seq
-    engine._seq = seq + 1
-    txn.retransmit_at = engine._now + interval
-    txn.retransmit_seq = seq
-    txn.retransmit_stamp = (host._stamp(_RETRANSMIT) if engine.profiling
-                            else ())
-    lane = host._retransmit_lane(interval)
-    if lane.fifo:
-        lane.fifo.append(txn)
-    else:
-        lane.start(txn)
+    host._retransmit_lane(interval).arm(txn, host.engine, _RETRANSMIT)
 
 
 def _group_reply_due(txn: Transaction) -> None:

@@ -69,10 +69,6 @@ class Transaction:
         self.retransmits = 0
         self.acked = False
 
-    def __repr__(self) -> str:
-        return (f"Transaction({self.txn_id}, {self.sender!r} -> "
-                f"{self.dst!r})")
-
 
 class Process:
     """One V process: a generator body plus kernel IPC state."""

@@ -57,7 +57,7 @@ from repro.kernel.pids import Pid
 from repro.net.latency import LatencyModel
 from repro.net.packet import BROADCAST, Frame, GroupAddress
 from repro.net.wire import WireError, decode_packet, encode_packet
-from repro.sim.engine import DeadlineLane
+from repro.sim.engine import Engine
 
 #: The selector rounds timeouts *up* to a whole millisecond: the clock arms
 #: its loop handle this much early and polls the rest.
@@ -86,6 +86,10 @@ class _LoopClock:
     """The engine seam ``Host`` uses, over the running asyncio loop."""
 
     profiling = False
+    #: The DES engine's deadline lanes, with no heap: the drain's end scans
+    #: them for the handle to arm.
+    deadline_lane = Engine.deadline_lane
+    _queue = None
 
     def __init__(self) -> None:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -131,14 +135,6 @@ class _LoopClock:
         if not self._draining:            # else the drain's end arms
             self._rearm()
         return timer
-
-    def deadline_lane(self, delay: float, field: str, fire: Callable,
-                      live: Callable, *args: Any) -> DeadlineLane:
-        """The DES engine's deadline lanes, scanned here after each drain:
-        the kernel arms a transaction's probe and retransmit deadlines
-        inline, on this clock as on the engine."""
-        return DeadlineLane.shared(self._lanes, None, delay, field, fire,
-                                   live, args)
 
     def close(self) -> None:
         """Forget every pending callback and disarm the loop handle."""

@@ -15,10 +15,11 @@ Hot-path layout (the ROADMAP's >= 10^6 events/sec target):
 
 - Heap entries are plain ``(time, seq, callback, args, slot)`` tuples, so
   every sift comparison is a C-level tuple compare; ``seq`` is unique, so
-  nothing past it is ever compared.  The trailing slot has three states:
-  a :class:`ScheduledEvent` -- a ``__slots__`` flyweight carrying only
-  cancellation state and the profiler's attribution stamp -- for entries
-  the caller may cancel; ``None`` for fire-and-forget work posted via
+  nothing past it is ever compared.  The trailing slot has four states:
+  a :class:`DeadlineLane`, for the head of one (below); a
+  :class:`ScheduledEvent` -- a flag and the profiler's attribution stamp
+  -- for entries the caller may cancel (a cancelled one stays unfired on
+  the heap until popped); ``None`` for fire-and-forget work posted via
   :meth:`Engine.post` / :meth:`Engine.post_at` with an empty attribution
   stack, which skips the event allocation entirely; and, for work posted
   under a non-empty stack, the stamp itself (a tuple of frame labels), so
@@ -37,21 +38,13 @@ Hot-path layout (the ROADMAP's >= 10^6 events/sec target):
   with the same body.
 - The slot format stays inside this module: code that inspects what is
   still queued (the chaos harness's timer-leak check) iterates
-  :meth:`Engine.pending_events`, which knows the slot states and the
-  deadline lanes.
-
-Deadlines (:class:`DeadlineLane`): a kernel transaction's probe, retransmit
-and GroupSend-reply times are not timer events.  Each is a time and a
-sequence number reserved when armed, stored on the transaction itself, and
-the transaction is appended to the FIFO lane of its constant delay --
-anything armed as ``now + delay`` is already in ``(time, seq)`` order within
-its lane, so arming is a few stores and one ``deque.append``.  Only a
-lane's *head* is on the heap (slot 4 is then the lane), so it fires in the
-order its reserved sequence number gives it against every other event.  A
-popped head whose transaction has ended is dropped uncounted, like a
-cancelled event, and the lane puts its next live head on the heap; a
-transaction that ends therefore cancels nothing, and a lane of dead
-entries costs one heap visit per stretch, not one per entry.
+  :meth:`Engine.pending_events`.
+- A kernel transaction's probe, retransmit and GroupSend-reply times are
+  deadlines, not events: a time and a reserved sequence number stored on
+  the transaction, which joins the FIFO lane of that constant delay.  A
+  lane's head fires in sequence-number order against every other event;
+  one whose transaction has ended is dropped uncounted, so ending a
+  transaction cancels nothing.
 
 Attribution profiling (:mod:`repro.obs.profile`): every scheduled event is
 stamped with the attribution stack current at *schedule* time (in its event
@@ -82,55 +75,33 @@ class SimulationError(RuntimeError):
 
 
 class ScheduledEvent:
-    """A single pending callback in the event queue.
+    """The cancellation handle of a scheduled callback.
 
-    A ``__slots__`` flyweight: ordering lives in the ``(time, seq)`` tuple
-    of the heap entry, not on the object, so instances carry no comparison
-    methods and creation is one attribute burst.  ``attribution`` is the
-    stack captured at schedule time (``()`` while no profiler is attached).
+    Ordering and the callback live in the heap entry; this ``__slots__``
+    flyweight carries the cancelled flag and ``attribution``, the stack
+    captured at schedule time (``()`` while no profiler is attached).
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled",
-                 "on_cancel", "attribution")
+    __slots__ = ("cancelled", "attribution")
 
-    def __init__(self, time: float, seq: int, callback: Callable[..., None],
-                 args: tuple = (),
-                 on_cancel: Optional[Callable[[], None]] = None,
-                 attribution: tuple = ()) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
+    def __init__(self, attribution: tuple = ()) -> None:
         self.cancelled = False
-        #: Set by the owning engine so it can keep an exact count of
-        #: cancelled entries still sitting in the heap; cleared when the
-        #: event fires.
-        self.on_cancel = on_cancel
         self.attribution = attribution
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Safe to call more than once."""
-        if self.cancelled:
-            return
         self.cancelled = True
-        on_cancel = self.on_cancel
-        if on_cancel is not None:
-            on_cancel()
-
-    def __repr__(self) -> str:
-        return (f"ScheduledEvent(time={self.time}, seq={self.seq}, "
-                f"callback={self.callback!r}, cancelled={self.cancelled})")
 
 
 class DeadlineLane:
-    """The deadlines armed at one constant ``delay``, in firing order.
+    """The deadlines armed at one constant ``delay``: ``now + delay`` with a
+    fresh sequence number is already in ``(time, seq)`` order, so a FIFO.
 
-    An entry is its *owner* (a kernel transaction), which carries the
-    deadline in attributes named ``<field>_at``, ``<field>_seq`` and
-    ``<field>_stamp``; ``fire(owner, *args)`` runs at ``<field>_at`` while
-    ``live(owner)`` holds, and the entry is dropped unfired once it does
-    not.  Arming is inline at the arming site, with no allocation and no
-    engine call unless the lane is empty::
+    An entry is its *owner*, which carries the deadline in attributes
+    ``<field>_at``, ``<field>_seq`` and (profiled; unset reads as ``()``)
+    ``<field>_stamp``.  ``fire(owner, *args)`` runs at ``<field>_at`` if
+    ``live(owner)`` still holds then.  Arming is inline, with no allocation
+    and no engine call unless the lane is empty::
 
         seq = engine._seq
         engine._seq = seq + 1
@@ -141,9 +112,8 @@ class DeadlineLane:
         else:
             lane.start(owner)
 
-    ``<field>_stamp`` (the attribution stack, read only by a profiled loop)
-    may be left unset, which reads as ``()``.  On the DES engine the lane
-    keeps exactly one heap entry while it is non-empty: its head's.
+    A non-empty lane has one heap entry, its head's, unless ``queue`` is
+    None (a clock that scans its lanes itself).
     """
 
     __slots__ = ("delay", "field", "fire", "live", "args", "fifo", "queue",
@@ -151,34 +121,36 @@ class DeadlineLane:
 
     def __init__(self, delay: float, field: str,
                  fire: Callable[..., None], live: Callable[[Any], bool],
-                 args: tuple = (), queue: Optional[list] = None) -> None:
+                 args: tuple, queue: Optional[list]) -> None:
         self.delay = delay
         self.field = field
         self.fire = fire
         self.live = live
         self.args = args
         self.fifo: deque = deque()
-        #: The engine heap the head's entry goes on (None on a clock that
-        #: scans its lanes instead).
         self.queue = queue
         self.names = (field + "_at", field + "_seq", field + "_stamp")
         self.key = attrgetter(*self.names[:2])
 
     def start(self, owner: Any) -> None:
-        """Append ``owner`` (already armed) to this empty lane: it is the
-        head, so its entry goes on the heap."""
+        """Append ``owner`` (armed) to this empty lane."""
         self.fifo.append(owner)
         if self.queue is not None:
             _heappush(self.queue, self._entry(owner))
 
-    def arm(self, owner: Any, engine: Any, stamp: tuple = ()) -> None:
-        """Arm ``owner``'s deadline ``delay`` from now under ``stamp``: the
-        out-of-line form of the inline arm, for paths off the Send's."""
+    def arm(self, owner: Any, engine: Any, frame: tuple = ()) -> None:
+        """Arm ``owner``'s deadline ``delay`` from now (the inline arm),
+        stamped, when profiled, with the current stack in phase ``frame``."""
         seq = engine._seq
         engine._seq = seq + 1
         at_name, seq_name, stamp_name = self.names
         setattr(owner, at_name, engine._now + self.delay)
         setattr(owner, seq_name, seq)
+        stamp = ()
+        if engine.profiling:
+            stamp = engine._attr_stack
+            if stamp[-1:] != frame:
+                stamp += frame
         setattr(owner, stamp_name, stamp)
         if self.fifo:
             self.fifo.append(owner)
@@ -189,9 +161,18 @@ class DeadlineLane:
         at, seq = self.key(owner)
         return (at, seq, self.fire, (owner,) + self.args, self)
 
+    def due(self, owner: Any, firing: bool) -> bool:
+        """A loop popped the head's entry: whether it fires.  A dead head is
+        dropped, and one that fires (``firing``: not past the loop's horizon
+        or event bound) hands the heap to the next live head."""
+        if self.live(owner):
+            if firing:
+                self.advance()
+            return True
+        self.advance()
+        return False
+
     def advance(self) -> None:
-        """Drop the head (fired, or dead), and any dead entries behind it;
-        put the next live head's entry on the heap."""
         fifo, live = self.fifo, self.live
         fifo.popleft()
         while fifo:
@@ -199,29 +180,6 @@ class DeadlineLane:
                 _heappush(self.queue, self._entry(fifo[0]))
                 return
             fifo.popleft()
-
-    def stamp(self, owner: Any) -> tuple:
-        return getattr(owner, self.names[2], ())
-
-    def live_entries(self) -> list:
-        live = self.live
-        return [owner for owner in self.fifo if live(owner)]
-
-    @staticmethod
-    def shared(lanes: list, queue: Optional[list], delay: float, field: str,
-               fire: Callable[..., None], live: Callable[[Any], bool],
-               args: tuple) -> "DeadlineLane":
-        """The lane in ``lanes`` for these deadlines, created on first use:
-        every host of a domain arms into the same few lanes."""
-        for lane in lanes:
-            if (lane.delay == delay and lane.field == field
-                    and lane.fire is fire and lane.args == args):
-                return lane
-        if delay < 0:
-            raise SimulationError(f"cannot arm into the past (delay={delay})")
-        lane = DeadlineLane(delay, field, fire, live, args, queue)
-        lanes.append(lane)
-        return lane
 
 
 class Engine:
@@ -239,8 +197,7 @@ class Engine:
     #: fired, ``_seq``/``_queue``/``_attr_stack`` are read on every
     #: schedule/post, ``profiling`` several times per kernel frame hop).
     __slots__ = ("_queue", "_seq", "_now", "_running", "_events_processed",
-                 "_cancelled_in_queue", "_on_cancel", "_lanes",
-                 "_profilers", "profiling", "_account",
+                 "_lanes", "_profilers", "profiling", "_account",
                  "_count_message", "_frames", "_attr_stack", "_recorder",
                  "_fire_seq", "__weakref__")
 
@@ -270,10 +227,6 @@ class Engine:
         self._now = 0.0
         self._running = False
         self._events_processed = 0
-        self._cancelled_in_queue = 0
-        #: The bound cancellation hook, created once -- schedule() runs per
-        #: event, and rebuilding the bound method there is measurable.
-        self._on_cancel = self._note_cancelled
         #: The deadline lanes (see DeadlineLane).
         self._lanes: list[DeadlineLane] = []
         #: Attached profiler sinks (see repro.obs.profile).  Duck-typed:
@@ -324,12 +277,8 @@ class Engine:
 
     @property
     def pending(self) -> int:
-        """Number of live events still queued: heap entries neither
-        cancelled nor a lane's head, and deadlines whose owner is still live
-        (a scan of the lanes)."""
-        return (len(self._queue) - self._cancelled_in_queue
-                + sum(len(lane.live_entries()) - (len(lane.fifo) > 0)
-                      for lane in self._lanes))
+        """Number of live events still queued (a scan: see pending_events)."""
+        return sum(1 for __ in self.pending_events())
 
     def pending_events(self):
         """Yield ``(time, callback, args)`` for every live queued event.
@@ -340,21 +289,28 @@ class Engine:
         event) or where deadlines live.
         """
         for time, __, callback, args, slot in self._queue:
-            if (slot is None or slot.__class__ is tuple
-                    or (slot.__class__ is ScheduledEvent
-                        and not slot.cancelled)):
+            if slot is None or slot.__class__ is tuple or (
+                    slot.__class__ is ScheduledEvent and not slot.cancelled):
                 yield time, callback, args
         for lane in self._lanes:
-            for owner in lane.live_entries():
-                yield lane.key(owner)[0], lane.fire, (owner,) + lane.args
+            for owner in lane.fifo:
+                if lane.live(owner):
+                    yield lane.key(owner)[0], lane.fire, (owner,) + lane.args
 
     def deadline_lane(self, delay: float, field: str,
                       fire: Callable[..., None], live: Callable[[Any], bool],
                       *args: Any) -> DeadlineLane:
         """The lane of deadlines ``fire(owner, *args)`` armed at ``delay``
-        in ``owner.<field>_*`` (created on first use, then shared)."""
-        return DeadlineLane.shared(self._lanes, self._queue, delay, field,
-                                   fire, live, args)
+        in ``owner.<field>_*``: created on first use, then shared."""
+        for lane in self._lanes:
+            if (lane.delay == delay and lane.field == field
+                    and lane.fire is fire and lane.args == args):
+                return lane
+        if delay < 0:
+            raise SimulationError(f"cannot arm into the past (delay={delay})")
+        lane = DeadlineLane(delay, field, fire, live, args, self._queue)
+        self._lanes.append(lane)
+        return lane
 
     # ------------------------------------------------------------- profiling
 
@@ -447,13 +403,6 @@ class Engine:
         for sink in self._profilers:
             sink.count_message(stack, nbytes)
 
-    # ----------------------------------------------------------- deadlines
-
-    def _note_cancelled(self) -> None:
-        """An event in the heap was cancelled: it stays there, unfired, until
-        a loop pops it, and stops counting as pending now."""
-        self._cancelled_in_queue += 1
-
     # ----------------------------------------------------------- scheduling
     #
     # The one implementation of each.  Every entry carries the attribution
@@ -470,8 +419,7 @@ class Engine:
         time = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        event = ScheduledEvent(time, seq, callback, args, self._on_cancel,
-                               self._attr_stack)
+        event = ScheduledEvent(self._attr_stack)
         _heappush(self._queue, (time, seq, callback, args, event))
         return event
 
@@ -485,8 +433,7 @@ class Engine:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = ScheduledEvent(time, seq, callback, args, self._on_cancel,
-                               self._attr_stack)
+        event = ScheduledEvent(self._attr_stack)
         _heappush(self._queue, (time, seq, callback, args, event))
         return event
 
@@ -558,9 +505,6 @@ class Engine:
         """Put back the live entry a loop stopped at, unfired; raise if the
         stop is the ``max_events`` bound rather than the ``until`` horizon."""
         _heappush(self._queue, entry)
-        slot = entry[4]
-        if slot.__class__ is ScheduledEvent:
-            slot.on_cancel = self._on_cancel
         if entry[0] <= horizon:
             raise SimulationError(
                 f"exceeded max_events={limit}; possible livelock")
@@ -580,16 +524,11 @@ class Engine:
                 time, seq, callback, args, event = pop(queue)
                 if event is not None:
                     if event.__class__ is DeadlineLane:
-                        if not event.live(args[0]):
-                            event.advance()
+                        if not event.due(args[0], time <= horizon
+                                         and fired < limit):
                             continue
-                        if time <= horizon and fired < limit:
-                            event.advance()   # the next head takes over
                     elif event.cancelled:
-                        self._cancelled_in_queue -= 1
                         continue
-                    else:
-                        event.on_cancel = None
                 if time > horizon or fired >= limit:
                     self._stop((time, seq, callback, args, event),
                                horizon, limit)
@@ -627,16 +566,11 @@ class Engine:
                 time, seq, callback, args, event = pop(queue)
                 if event is not None:
                     if event.__class__ is DeadlineLane:
-                        if not event.live(args[0]):
-                            event.advance()
+                        if not event.due(args[0], time <= horizon
+                                         and fired < limit):
                             continue
-                        if time <= horizon and fired < limit:
-                            event.advance()   # the next head takes over
                     elif event.cancelled:
-                        self._cancelled_in_queue -= 1
                         continue
-                    else:
-                        event.on_cancel = None
                 if time > horizon or fired >= limit:
                     self._stop((time, seq, callback, args, event),
                                horizon, limit)
@@ -678,17 +612,13 @@ class Engine:
                 elif slot.__class__ is tuple:
                     stamp = slot
                 elif slot.__class__ is DeadlineLane:
-                    if not slot.live(args[0]):
-                        slot.advance()
+                    if not slot.due(args[0], time <= horizon
+                                    and fired < limit):
                         continue
-                    if time <= horizon and fired < limit:
-                        slot.advance()    # the next head takes over
-                    stamp = slot.stamp(args[0])
+                    stamp = getattr(args[0], slot.names[2], ())
                 elif slot.cancelled:
-                    self._cancelled_in_queue -= 1
                     continue
                 else:
-                    slot.on_cancel = None
                     stamp = slot.attribution
                 if time > horizon or fired >= limit:
                     self._stop((time, seq, callback, args, slot),

@@ -351,8 +351,8 @@ def live_timers(domain):
     clock = domain.engine
     return ([timer for __, __, timer in clock._timers
              if timer.callback is not None]
-            + [owner for lane in clock._lanes
-               for owner in lane.live_entries()])
+            + [owner for lane in clock._lanes for owner in lane.fifo
+               if lane.live(owner)])
 
 
 def armed_handles(loop):

@@ -390,3 +390,111 @@ class TestStampedPosts:
         with pytest.raises(SimulationError):
             engine.run()
         assert not engine.profiling
+
+
+class _Owner:
+    """A deadline owner: the fields a lane names, and a liveness flag."""
+
+    def __init__(self, label):
+        self.label = label
+        self.live = True
+
+
+def _arm(engine, lane, owner):
+    """The inline arm of DeadlineLane's docstring."""
+    seq = engine._seq
+    engine._seq = seq + 1
+    owner.t_at = engine._now + lane.delay
+    owner.t_seq = seq
+    if lane.fifo:
+        lane.fifo.append(owner)
+    else:
+        lane.start(owner)
+
+
+def _lane_engine(mode, fired):
+    from repro.obs.flight import FlightRecorder
+
+    engine = Engine()
+    if mode == "profiled":
+        engine.attach_profiler(Profiler())
+    elif mode == "recording":
+        engine.attach_recorder(FlightRecorder())
+    lane = engine.deadline_lane(0.5, "t", lambda owner: fired.append(
+        owner.label), lambda owner: owner.live)
+    return engine, lane
+
+
+class TestDeadlineLanes:
+    @pytest.mark.parametrize("mode", ["fast", "recording", "profiled"])
+    def test_same_instant_fires_in_reserved_sequence_order(self, mode):
+        fired = []
+        engine, lane = _lane_engine(mode, fired)
+        engine.post(0.5, fired.append, "posted before")
+        _arm(engine, lane, _Owner("first deadline"))
+        engine.schedule(0.5, fired.append, "scheduled between")
+        _arm(engine, lane, _Owner("second deadline"))
+        engine.post(0.5, fired.append, "posted after")
+        assert engine.pending == 5
+        engine.run()
+        assert fired == ["posted before", "first deadline",
+                         "scheduled between", "second deadline",
+                         "posted after"]
+        assert engine.events_processed == 5
+        assert engine.now == 0.5
+
+    @pytest.mark.parametrize("mode", ["fast", "recording", "profiled"])
+    def test_dead_deadlines_neither_fire_nor_count_nor_move_the_clock(
+            self, mode):
+        fired = []
+        engine, lane = _lane_engine(mode, fired)
+        owners = [_Owner(i) for i in range(4)]
+        for owner in owners:
+            _arm(engine, lane, owner)
+        engine.post(0.2, fired.append, "post")
+        for owner in owners[:3]:
+            owner.live = False          # ended: nothing to cancel
+        assert engine.pending == 2
+        assert [args for __, __, args in engine.pending_events()] == [
+            ("post",), (owners[3],)]
+        owners[3].live = False
+        assert engine.pending == 1
+        engine.run()
+        assert fired == ["post"]
+        assert engine.events_processed == 1
+        assert engine.now == 0.2        # not 0.5
+        assert engine.pending == 0 and not lane.fifo
+
+    @pytest.mark.parametrize("mode", ["fast", "recording", "profiled"])
+    def test_run_until_leaves_later_deadlines_pending(self, mode):
+        fired = []
+        engine, lane = _lane_engine(mode, fired)
+        _arm(engine, lane, _Owner("due"))
+        engine.post(0.3, _arm, engine, lane, _Owner("not yet due"))
+        engine.run(until=0.6)
+        assert fired == ["due"]
+        assert engine.now == 0.6 and engine.pending == 1
+        [(time, __, args)] = engine.pending_events()
+        assert time == 0.8 and args[0].label == "not yet due"
+        engine.run()
+        assert fired == ["due", "not yet due"] and engine.now == 0.8
+
+    def test_max_events_puts_the_deadline_back_at_its_lane_head(self):
+        fired = []
+        engine, lane = _lane_engine("fast", fired)
+        engine.post(0.1, fired.append, "post")
+        _arm(engine, lane, _Owner("deadline"))
+        with pytest.raises(SimulationError):
+            engine.run(max_events=1)
+        assert fired == ["post"] and engine.pending == 1
+        engine.run()
+        assert fired == ["post", "deadline"]
+
+    def test_a_lane_is_shared_by_its_key(self):
+        engine = Engine()
+        fire = live = len
+        lane = engine.deadline_lane(0.1, "probe", fire, live)
+        assert engine.deadline_lane(0.1, "probe", fire, live) is lane
+        assert engine.deadline_lane(0.2, "probe", fire, live) is not lane
+        with pytest.raises(SimulationError):
+            engine.deadline_lane(-1.0, "probe", fire, live)
