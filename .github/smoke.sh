@@ -62,6 +62,10 @@ python -m repro.obs storm --watchdogs --no-crash --duration 3 \
 # Monitoring: alert log read back through [obs] matches what was emitted.
 python -m repro.obs monitor --json > "$out/monitor-alerts.json"
 
+# Exact opcode counts per layer: one local and one remote transaction and
+# an open_path operation (compare two tables with `opcount.py --compare`).
+python benchmarks/opcount.py --json "$out/opcount.json"
+
 # Attribution profile of the pinned E7 chain, and the behavioural contract.
 python -m repro.obs profile --flame > "$out/e7-forwarding.folded"
 python -m repro.obs bench --check
