@@ -568,11 +568,9 @@ class Host:
             self.engine.post(self._local_hop,
                              self._deliver_local_request, shadow, proc.pid)
             return None
-        if local_txn is None:
-            # A remote sender may still retransmit to or probe this host.
-            self._expire_markers()
+        if local_txn is None:   # a remote sender may still retransmit here
             self._mark_forwarded(delivery.txn_id, effect.dst)
-        else:   # the request is no longer held here, and its sender knows
+        else:                   # the request left; its sender knows where
             self._presence.pop(delivery.txn_id, None)
         packet = Packet(PacketKind.REQUEST, src_pid=delivery.sender,
                         dst_pid=effect.dst, txn_id=delivery.txn_id,
@@ -582,21 +580,18 @@ class Host:
         return _BLOCKED
 
     def _mark_forwarded(self, txn_id: int, dst: Pid) -> None:
-        """Set or refresh the "forwarded" marker of ``txn_id``."""
-        expiry = self.engine.now + self._marker_life
-        self._presence[txn_id] = ("forwarded", dst, expiry)
-        self._forwarded.append((expiry, txn_id))
-
-    def _expire_markers(self) -> None:
-        """Drop the markers whose sender can no longer reach this host."""
+        """Set or refresh the "forwarded" marker of ``txn_id``, first
+        dropping the markers whose sender can no longer reach this host."""
         now = self.engine.now
         forwarded, presence = self._forwarded, self._presence
         while forwarded and forwarded[0][0] <= now:
-            __, txn_id = forwarded.popleft()
-            entry = presence.get(txn_id)
+            __, expired = forwarded.popleft()
+            entry = presence.get(expired)
             if (entry is not None and entry[0] == "forwarded"
                     and entry[2] <= now):     # not refreshed since
-                del presence[txn_id]
+                del presence[expired]
+        presence[txn_id] = ("forwarded", dst, now + self._marker_life)
+        forwarded.append((now + self._marker_life, txn_id))
 
     # -- MoveTo / MoveFrom ------------------------------------------------------------
 

@@ -98,7 +98,7 @@ class _LoopClock:
         self._sent: deque = deque()       # a socket read per datagram sent
         self._timers: list = []           # heap of (deadline, seq, _Timer)
         self._lanes: list = []            # DeadlineLanes
-        self._deadline = _INF             # no later than any lane's head
+        self._deadline = _INF             # earliest live lane head (_rearm)
         self._seq = 0
         self._draining = False
         self._handle: Optional[asyncio.Handle] = None

@@ -416,12 +416,7 @@ class Engine:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        event = ScheduledEvent(self._attr_stack)
-        _heappush(self._queue, (time, seq, callback, args, event))
-        return event
+        return self._schedule(self._now + delay, callback, args)
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any
@@ -431,6 +426,10 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at {time} which is before now ({self._now})"
             )
+        return self._schedule(time, callback, args)
+
+    def _schedule(self, time: float, callback: Callable[..., None],
+                  args: tuple) -> ScheduledEvent:
         seq = self._seq
         self._seq = seq + 1
         event = ScheduledEvent(self._attr_stack)
