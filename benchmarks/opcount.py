@@ -29,7 +29,7 @@ Usage, from the root of a checkout::
     python3 benchmarks/opcount.py [--workload W ...] [--seed N] [--json OUT]
     python3 benchmarks/opcount.py --compare A.json B.json
 
-``--compare`` prints both tables' totals and every row whose count moved.
+``--compare`` prints every row, totals included, whose count moved.
 """
 
 from __future__ import annotations
@@ -165,14 +165,14 @@ def compare(path_a: str, path_b: str) -> int:
     a, b = (json.loads(Path(path).read_text()) for path in (path_a, path_b))
     before = {(name, layer): value for name, layer, value in table(a)}
     after = {(name, layer): value for name, layer, value in table(b)}
-    print(f"{'row':<14}{'layer':<16}{'A':>12}{'B':>12}{'B-A':>12}{'%':>9}")
+    print(f"{'row':<17}{'layer':<16}{'A':>12}{'B':>12}{'B-A':>12}{'%':>9}")
     for key in sorted(set(before) | set(after),
                       key=lambda k: (k[0], k[1] != "total", k[1])):
         old, new = before.get(key, 0.0), after.get(key, 0.0)
         if round(old, 1) == round(new, 1):
             continue
         share = f"{(new - old) / old * 100:+.1f}" if old else "new"
-        print(f"{key[0]:<14}{key[1]:<16}{old:>12.1f}{new:>12.1f}"
+        print(f"{key[0]:<17}{key[1]:<16}{old:>12.1f}{new:>12.1f}"
               f"{new - old:>+12.1f}{share:>9}")
     return 0
 
