@@ -88,11 +88,6 @@ class Domain:
         self._txn_counter = itertools.count(1)
         self._waiter_counter = itertools.count(1)
         self.ethernet = self._make_ethernet()
-        #: The IPC counters every host bumps, resolved once per domain
-        #: (hosts turn the first four into tallies of their own counts).
-        self._ipc_counters = tuple(map(self.metrics.counter, (
-            "ipc.sends", "ipc.deliveries", "ipc.replies", "ipc.transactions",
-            "ipc.probes")))
         self.groups = GroupRegistry()
         self.hosts: dict[int, Host] = {}
         self._next_host_id = 1

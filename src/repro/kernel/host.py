@@ -33,7 +33,6 @@ nothing.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.kernel import ipc
@@ -91,6 +90,7 @@ class Host:
         #: per-transaction ones are the domain registry's too (_TALLIED).
         self.counters: dict[str, int] = defaultdict(int)
         self._tally()
+        self._m_probes = self.metrics.counter("ipc.probes")
         #: When this kernel came up (simulated seconds); reset by restart().
         self.started_at = self.engine.now
         #: Pre-bound id allocators off the domain's per-run streams (one
@@ -143,14 +143,15 @@ class Host:
         self._handle_packet = self._handle_packet
         self._deliver_local_request = self._deliver_local_request
         self._complete_local_txn = self._complete_local_txn
-        # The deadline lanes a Send arms (shared by the domain's hosts).
-        self._probe_lane = self.engine.deadline_lane(
-            self._probe_interval, "probe", _probe_due, _outstanding)
-        self._retransmit_lanes: dict = {}
-        self._first_retransmit_lane = self._retransmit_lane(
-            self._retransmit_initial)
-        # The probe counter, resolved once per domain.
-        self._m_probes = domain._ipc_counters[-1]
+        # The deadline lanes a Send and a GroupSend arm (shared by the
+        # domain's hosts).
+        engine = self.engine
+        self._probe_lane = engine.deadline_lane(self._probe_interval,
+                                                _probe_due)
+        self._first_retransmit_lane = engine.deadline_lane(
+            self._retransmit_initial, _retransmit_due, True)
+        self._group_reply_lane = engine.deadline_lane(
+            self.config.group_reply_timeout, _group_reply_due)
 
     # ------------------------------------------------------------- lifecycle
 
@@ -382,25 +383,22 @@ class Host:
         # transaction onto the (lossy) wire later, and then it is this
         # deadline that re-sends the request.
         seq = engine._seq
-        now = engine._now
-        txn.probe_at = now + self._probe_interval
-        txn.probe_seq = seq
+        txn.probe_at, txn.probe_seq = engine._now + self._probe_interval, seq
         lane = self._probe_lane
         if lane.fifo:
             lane.fifo.append(txn)
         else:
             lane.start(txn)
         if self._retransmit_enabled:
-            txn.retransmit_at = now + self._retransmit_initial
-            txn.retransmit_seq = seq + 1
+            seq += 1
+            txn.retransmit_at = engine._now + self._retransmit_initial
+            txn.retransmit_seq = seq
             lane = self._first_retransmit_lane
             if lane.fifo:
                 lane.fifo.append(txn)
             else:
                 lane.start(txn)
-            engine._seq = seq + 2
-        else:
-            engine._seq = seq + 1
+        engine._seq = seq + 1
         if engine.profiling:    # the stack ends in phase:send here
             txn.probe_stamp = engine._attr_stack + _PROBE
             txn.retransmit_stamp = engine._attr_stack + _RETRANSMIT
@@ -684,18 +682,22 @@ class Host:
                 return local
         if effect.scope is Scope.LOCAL:
             return None
-        waiter_id = self._next_waiter_id()
+        proc.state = _WAITING
+        self.metrics.incr("services.getpid_broadcasts")
+        self._broadcast_getpid(proc, int(effect.service),
+                               self._next_waiter_id(), 0)
+        return _BLOCKED
+
+    def _broadcast_getpid(self, proc: Process, service: int, waiter_id: int,
+                          attempts: int) -> None:
+        """Broadcast round ``attempts`` of ``proc``'s GetPid query."""
         timeout = self.engine.schedule(self.config.getpid_timeout,
                                        self._getpid_timeout, waiter_id)
-        self._getpid_waiters[waiter_id] = (proc, timeout,
-                                           int(effect.service), 0)
-        proc.state = _WAITING
-        packet = Packet(PacketKind.GETPID_QUERY, src_pid=proc.pid, dst_pid=None,
-                        txn_id=0,
-                        info={"service": int(effect.service), "waiter": waiter_id})
-        self.metrics.incr("services.getpid_broadcasts")
-        self._transmit(packet, BROADCAST)
-        return _BLOCKED
+        self._getpid_waiters[waiter_id] = (proc, timeout, service, attempts)
+        self._transmit(Packet(PacketKind.GETPID_QUERY, src_pid=proc.pid,
+                              dst_pid=None, txn_id=0,
+                              info={"service": service, "waiter": waiter_id}),
+                       BROADCAST)
 
     def _getpid_timeout(self, waiter_id: int) -> None:
         entry = self._getpid_waiters.get(waiter_id)
@@ -707,16 +709,9 @@ class Host:
             # service that exists must not look absent because of one drop.
             # Re-broadcast under the same waiter id: a late response to an
             # earlier round still satisfies us.
-            timeout = self.engine.schedule(self.config.getpid_timeout,
-                                           self._getpid_timeout, waiter_id)
-            self._getpid_waiters[waiter_id] = (proc, timeout, service,
-                                               attempts + 1)
-            packet = Packet(PacketKind.GETPID_QUERY, src_pid=proc.pid,
-                            dst_pid=None, txn_id=0,
-                            info={"service": service, "waiter": waiter_id})
             self.metrics.incr("services.getpid_retries")
             self.counters["services.getpid_retries"] += 1
-            self._transmit(packet, BROADCAST)
+            self._broadcast_getpid(proc, service, waiter_id, attempts + 1)
             return
         self._getpid_waiters.pop(waiter_id, None)
         self.metrics.incr("services.getpid_timeouts")
@@ -746,8 +741,7 @@ class Host:
         self.metrics.incr("ipc.group_sends")
         # The reply timeout is the probe deadline (a group transaction has
         # no probes), live while the transaction is outstanding like any.
-        engine.deadline_lane(self.config.group_reply_timeout, "probe",
-                             _group_reply_due, _outstanding).arm(txn, engine)
+        self._group_reply_lane.arm(txn, engine)
         # Local members (other than the sender) get a local delivery.
         for member in self.domain.groups.members_on_host(
                 effect.group_id, self.host_id):
@@ -976,8 +970,7 @@ class Host:
         txn = self._outstanding.get(packet.txn_id)
         if txn is not None:
             txn.dst = packet.info["new_dst"]
-            txn.probes_unanswered = 0
-            txn.acked = True
+            self._on_probe_ok_packet(packet, src_host)
 
     def _on_probe_missing_packet(self, packet: Packet, src_host: int) -> None:
         txn = self._outstanding.get(packet.txn_id)
@@ -1031,15 +1024,6 @@ class Host:
     #
     # The deadlines fire through ``_probe_due`` and on (module functions,
     # below), only while their transaction is outstanding.
-
-    def _retransmit_lane(self, interval: float):
-        lane = self._retransmit_lanes.get(interval)
-        if lane is None:
-            lane = self._retransmit_lanes[interval] = (
-                self.engine.deadline_lane(interval, "retransmit",
-                                          _retransmit_due, _outstanding,
-                                          interval))
-        return lane
 
     def _retransmit_now(self, txn: Transaction) -> None:
         """Push one fresh copy of an outstanding request onto the wire."""
@@ -1112,41 +1096,31 @@ def _illegal_effect(host: Host, proc: Process, effect: Any) -> Any:
                         "which is not a kernel effect")
 
 
-_EFFECT_HANDLERS = {
-    ipc.Send: Host._do_send,
-    ipc.Receive: Host._do_receive,
-    ipc.Reply: Host._do_reply,
-    ipc.Forward: Host._do_forward,
-    ipc.MoveFrom: Host._do_move_from,
-    ipc.MoveTo: Host._do_move_to,
-    ipc.SetPid: Host._do_set_pid,
-    ipc.GetPid: Host._do_get_pid,
-    ipc.JoinGroup: Host._do_join_group,
-    ipc.LeaveGroup: Host._do_leave_group,
-    ipc.GroupSend: Host._do_group_send,
-    ipc.Delay: Host._do_delay,
-    ipc.Annotate: Host._do_annotate,
-    ipc.ProfileEnter: Host._do_profile_enter,
-    ipc.ProfileExit: Host._do_profile_exit,
-    ipc.Now: Host._do_now,
-    ipc.MyPid: Host._do_my_pid,
-    ipc.Spawn: Host._do_spawn,
-    ipc.Exit: Host._do_exit,
-}
-
-#: CSNH phase frames for the profiler: the frame opened while the effect's
-#: handler runs (and inherited by everything it schedules).  Delay has no
-#: phase on purpose -- it models the *process's own* CPU (a prefix parse, a
-#: server handler), which belongs to the process/service frames, not to a
-#: kernel protocol phase.
-_EFFECT_PHASES = {
-    ipc.Send: ("phase:send",),
-    ipc.Reply: ("phase:reply",),
-    ipc.Forward: ("phase:forward_hop",),
-    ipc.MoveTo: ("phase:move_to",),
-    ipc.MoveFrom: ("phase:move_from",),
-    ipc.GetPid: ("phase:getpid",),
-    ipc.GroupSend: ("phase:group_send",),
+#: Each effect's handler, and the CSNH phase frame the profiler opens while
+#: it runs (inherited by everything it schedules).  Delay has no phase on
+#: purpose -- it models the *process's own* CPU (a prefix parse, a server
+#: handler), which belongs to the process/service frames, not to a kernel
+#: protocol phase.
+_EFFECTS = {
+    ipc.Send: (Host._do_send, "send"),
+    ipc.Receive: (Host._do_receive, None),
+    ipc.Reply: (Host._do_reply, "reply"),
+    ipc.Forward: (Host._do_forward, "forward_hop"),
+    ipc.MoveFrom: (Host._do_move_from, "move_from"),
+    ipc.MoveTo: (Host._do_move_to, "move_to"),
+    ipc.SetPid: (Host._do_set_pid, None),
+    ipc.GetPid: (Host._do_get_pid, "getpid"),
+    ipc.JoinGroup: (Host._do_join_group, None),
+    ipc.LeaveGroup: (Host._do_leave_group, None),
+    ipc.GroupSend: (Host._do_group_send, "group_send"),
+    ipc.Delay: (Host._do_delay, None),
+    ipc.Annotate: (Host._do_annotate, None),
+    ipc.ProfileEnter: (Host._do_profile_enter, None),
+    ipc.ProfileExit: (Host._do_profile_exit, None),
+    ipc.Now: (Host._do_now, None),
+    ipc.MyPid: (Host._do_my_pid, None),
+    ipc.Spawn: (Host._do_spawn, None),
+    ipc.Exit: (Host._do_exit, None),
 }
 
 
@@ -1164,10 +1138,10 @@ def _phased(handler, frame: tuple):
     return run
 
 
-#: The handlers a profiled step dispatches through.
-_PHASED_HANDLERS = {kind: (_phased(handler, _EFFECT_PHASES[kind])
-                           if kind in _EFFECT_PHASES else handler)
-                    for kind, handler in _EFFECT_HANDLERS.items()}
+#: The handlers an unprofiled step and a profiled one dispatch through.
+_EFFECT_HANDLERS = {kind: handler for kind, (handler, __) in _EFFECTS.items()}
+_PHASED_HANDLERS = {kind: _phased(handler, ("phase:" + phase,)) if phase
+                    else handler for kind, (handler, phase) in _EFFECTS.items()}
 
 #: The kernel's other phase frames: a frame on the wire, a transaction's
 #: probe deadline and its retransmission backoff.  Each is opened on the
@@ -1176,12 +1150,10 @@ _WIRE, _PROBE, _RETRANSMIT = (("phase:wire",), ("phase:probe",),
                               ("phase:retransmit",))
 
 
-# The deadline lanes' liveness test and firing callbacks (DeadlineLane): a
-# deadline fires only while its transaction is outstanding at its kernel.
-_outstanding = attrgetter("kernel")
+# The deadlines' firing callbacks (DeadlineLane): each runs only while its
+# transaction is outstanding at its kernel.
 
-
-def _probe_due(txn: Transaction) -> None:
+def _probe_due(txn: Transaction, lane) -> None:
     """A probe deadline: give up after ``max_failed_probes`` unanswered
     probes, else probe the responder (or look locally) and re-arm."""
     host = txn.kernel
@@ -1201,10 +1173,10 @@ def _probe_due(txn: Transaction) -> None:
         host.engine.post(host._kernel_cpu, host._transmit_put, probe,
                          dst_host, None)
         host._m_probes.value += 1
-    host._probe_lane.arm(txn, host.engine, _PROBE)
+    lane.arm(txn, host.engine, _PROBE)
 
 
-def _retransmit_due(txn: Transaction, interval: float) -> None:
+def _retransmit_due(txn: Transaction, lane) -> None:
     """A retransmit deadline: re-send the request unless a probe answer
     acked it, and re-arm with backoff."""
     if txn.acked:
@@ -1217,12 +1189,13 @@ def _retransmit_due(txn: Transaction, interval: float) -> None:
         interval = config.retransmit_cap
     else:
         host._retransmit_now(txn)
-        interval = min(interval * config.retransmit_backoff,
+        interval = min(lane.delay * config.retransmit_backoff,
                        config.retransmit_cap)
-    host._retransmit_lane(interval).arm(txn, host.engine, _RETRANSMIT)
+    host.engine.deadline_lane(interval, _retransmit_due, True).arm(
+        txn, host.engine, _RETRANSMIT)
 
 
-def _group_reply_due(txn: Transaction) -> None:
+def _group_reply_due(txn: Transaction, lane) -> None:
     """A GroupSend's reply timeout: no member answered in time."""
     host = txn.kernel
     host.metrics.incr("ipc.group_send_timeouts")

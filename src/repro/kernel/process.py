@@ -31,15 +31,11 @@ class ProcessState(enum.Enum):
 class Transaction:
     """One outstanding Send, tracked at the *sender's* kernel.
 
-    A ``__slots__`` class with a hand-written ``__init__`` (one transaction
-    per Send).  Its timers are deadlines it carries itself (see
-    :class:`repro.sim.engine.DeadlineLane`): ``probe_*`` -- for a GroupSend,
-    the reply timeout -- and ``retransmit_*``, each a time, the engine
-    sequence number reserved when armed, and (profiled) an attribution
-    stamp.  They fire only while the transaction is outstanding at
-    ``kernel``, so whatever ends it -- a reply, a NACK, a timeout, the
-    sender's exit, a crash -- has nothing to cancel: it clears ``kernel``
-    as it drops the transaction from the kernel's table.
+    Its timers are deadlines it carries (``probe_*`` -- for a GroupSend, the
+    reply timeout -- and ``retransmit_*``; see
+    :class:`repro.sim.engine.DeadlineLane`), live while ``kernel`` is set,
+    so whatever ends it -- a reply, a NACK, a timeout, the sender's exit, a
+    crash -- cancels nothing: it clears ``kernel``.
     """
 
     __slots__ = ("txn_id", "sender", "dst", "message", "expose", "sent_at",

@@ -10,13 +10,13 @@ suppression, reply cache, GetPid retries.  :class:`AsyncDomain` is a
 adapters behind the seams ``Host`` already uses:
 
 - the **loop clock**: ``now`` is ``loop.time()``; a zero-delay post joins a
-  FIFO drained before control returns to the loop; timed posts go into the
-  clock's own heap (cancel drops the callback), and a transaction's probe
-  and retransmit deadlines into the same FIFO lanes the DES engine keeps
-  (a deadline whose transaction has ended is dropped unfired); at most one
-  loop handle is armed for the earliest of them, a selector grain early,
-  then polled once per loop turn -- so a sub-millisecond ``Delay`` is
-  neither early nor rounded up.  Datagrams, timers and deadlines enter
+  FIFO drained before control returns to the loop; timed posts, and a
+  transaction's deadlines through the DES engine's lanes, go into a heap
+  of the engine's entries, each checked as it is popped to fire (a
+  cancelled timer, or a deadline whose transaction has ended, is dropped
+  unfired); at most one loop handle is armed for the earliest of them, a
+  selector grain early, then polled once per loop turn -- so a
+  sub-millisecond ``Delay`` is neither early nor rounded up.  Datagrams, timers and deadlines enter
   through the same drain, so no kernel callback runs re-entrantly, and the
   drain's end re-arms the handle for whatever the kernel armed inside it.
 - the **UDP wire**: one non-blocking socket per host on the loop's reader.
@@ -57,7 +57,7 @@ from repro.kernel.pids import Pid
 from repro.net.latency import LatencyModel
 from repro.net.packet import BROADCAST, Frame, GroupAddress
 from repro.net.wire import WireError, decode_packet, encode_packet
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, ScheduledEvent
 
 #: The selector rounds timeouts *up* to a whole millisecond: the clock arms
 #: its loop handle this much early and polls the rest.
@@ -73,32 +73,22 @@ _WALL_CLOCK_ONLY = LatencyModel(bandwidth_bps=_INF, kernel_cpu_per_packet=0.0,
                                 local_move_per_byte=0.0)
 
 
-class _Timer:
-    """A clock entry's handle; cancelling or firing drops the callback."""
-
-    __slots__ = ("callback", "args")
-
-    def cancel(self) -> None:
-        self.callback = self.args = None
-
-
 class _LoopClock:
     """The engine seam ``Host`` uses, over the running asyncio loop."""
 
     profiling = False
-    #: The DES engine's deadline lanes, with no heap: the drain's end scans
-    #: them for the handle to arm.
+    #: The DES engine's deadline lanes, over this clock's heap.
     deadline_lane = Engine.deadline_lane
-    _queue = None
 
     def __init__(self) -> None:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._time = time.monotonic
         self._ready: deque = deque()      # (callback, args), due now
         self._sent: deque = deque()       # a socket read per datagram sent
-        self._timers: list = []           # heap of (deadline, seq, _Timer)
-        self._lanes: list = []            # DeadlineLanes
-        self._deadline = _INF             # earliest live lane head (_rearm)
+        #: The engine's heap: (time, seq, callback, args, slot), the slot a
+        #: timer's ScheduledEvent or the DeadlineLane of a lane head.
+        self._queue: list = []
+        self._lanes: dict = {}
         self._seq = 0
         self._draining = False
         self._handle: Optional[asyncio.Handle] = None
@@ -126,25 +116,25 @@ class _LoopClock:
     def post_at(self, when: float, callback: Callable, *args: Any) -> None:
         self.post(when - self._time(), callback, *args)
 
-    def schedule(self, delay: float, callback: Callable, *args: Any) -> _Timer:
-        timer = _Timer()
-        timer.callback, timer.args = callback, args
+    def schedule(self, delay: float, callback: Callable,
+                 *args: Any) -> ScheduledEvent:
+        event = ScheduledEvent()
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._timers, (self._time() + delay, seq, timer))
+        heappush(self._queue, (self._time() + delay, seq, callback, args,
+                               event))
         if not self._draining:            # else the drain's end arms
             self._rearm()
-        return timer
+        return event
 
     def close(self) -> None:
         """Forget every pending callback and disarm the loop handle."""
         if self._handle is not None:
             self._handle.cancel()
             self._handle, self._handle_at = None, _INF
-        self._timers.clear()
-        for lane in self._lanes:
+        self._queue.clear()
+        for lane in self._lanes.values():
             lane.fifo.clear()
-        self._deadline = _INF
         self._ready.clear()
 
     def _drain(self) -> None:
@@ -170,51 +160,45 @@ class _LoopClock:
             else:
                 self._rearm()
 
+    def _pop_live(self, until: float, firing: bool) -> Optional[tuple]:
+        """Pop the first live entry due by ``until`` (dropping dead ones,
+        as the engine's loops do), or None."""
+        queue = self._queue
+        while queue and queue[0][0] <= until:
+            entry = heappop(queue)
+            slot = entry[4]
+            if slot.__class__ is ScheduledEvent:
+                if not slot.cancelled:
+                    return entry
+            elif slot.due(entry[3][0], firing):
+                return entry
+        return None
+
     def _rearm(self) -> None:
-        """Arm the handle for the earliest live timer or deadline (dropping
-        dead ones), or disarm it if there is none."""
-        timers = self._timers
-        while timers and timers[0][2].callback is None:
-            heappop(timers)
-        first = timers[0][0] if timers else _INF
-        self._deadline = _INF
-        for lane in self._lanes:
-            fifo, live = lane.fifo, lane.live
-            while fifo and not live(fifo[0]):
-                fifo.popleft()
-            if fifo and lane.key(fifo[0])[0] < self._deadline:
-                self._deadline = lane.key(fifo[0])[0]
-        first = min(first, self._deadline)
-        if first == _INF:
+        """Arm the handle for the earliest live timer or deadline, or disarm
+        it if there is none."""
+        entry = self._pop_live(_INF, False)
+        if entry is None:
             if self._handle is not None:
                 self._handle.cancel()
                 self._handle, self._handle_at = None, _INF
-        elif first - _TIMER_GRAIN < self._handle_at:
-            self._arm_at(first - _TIMER_GRAIN)
+            return
+        heappush(self._queue, entry)
+        if entry[0] - _TIMER_GRAIN < self._handle_at:
+            self._arm_at(entry[0] - _TIMER_GRAIN)
 
     def _tick(self) -> None:
-        """Queue every live timer and deadline now due, in ``(time, seq)``
-        order, and drain."""
+        """Drain, after anything already ready, every live timer and
+        deadline now due, in ``(time, seq)`` order."""
         self._handle, self._handle_at = None, _INF
-        timers = self._timers
-        now = self._time()
-        due = []
-        while timers and timers[0][0] <= now:
-            at, seq, timer = heappop(timers)
-            if timer.callback is not None:
-                due.append((at, seq, timer.callback, timer.args))
-                timer.callback = timer.args = None
-        if self._deadline <= now:
-            for lane in self._lanes:
-                fifo, live = lane.fifo, lane.live
-                while fifo and lane.key(fifo[0])[0] <= now:
-                    owner = fifo.popleft()
-                    if live(owner):
-                        due.append(lane.key(owner)
-                                   + (lane.fire, (owner,) + lane.args))
-            due.sort()
-        self._ready.extend((callback, args) for __, __, callback, args in due)
+        self._ready.append((self._fire_due, (self._time(),)))
         self._drain()
+
+    def _fire_due(self, now: float) -> None:
+        # Each is popped as it fires, so one that an earlier callback ended
+        # or cancelled is dropped unfired.
+        while (entry := self._pop_live(now, True)) is not None:
+            entry[2](*entry[3])
 
     def _arm_at(self, when: float) -> None:
         if self._handle is not None:

@@ -605,7 +605,7 @@ class TelemetryCollector:
         self._evaluate(self._fleet, fleet, t)
         self.ticks += 1
         engine = self.domain.engine
-        if engine.pending == 0:
+        if next(engine.pending_events(), None) is None:
             # Quiesced: nothing left to watch.  Parking (instead of
             # rescheduling forever) is what lets domain.run() drain.
             self._event = None

@@ -16,12 +16,10 @@ Hot-path layout (the ROADMAP's >= 10^6 events/sec target):
 - Heap entries are plain ``(time, seq, callback, args, slot)`` tuples, so
   every sift comparison is a C-level tuple compare; ``seq`` is unique, so
   nothing past it is ever compared.  The trailing slot has four states:
-  a :class:`DeadlineLane`, for the head of one (below); a
-  :class:`ScheduledEvent` -- a flag and the profiler's attribution stamp
-  -- for entries the caller may cancel (a cancelled one stays unfired on
-  the heap until popped); ``None`` for fire-and-forget work posted via
-  :meth:`Engine.post` / :meth:`Engine.post_at` with an empty attribution
-  stack, which skips the event allocation entirely; and, for work posted
+  a :class:`DeadlineLane`, for the head of one; a :class:`ScheduledEvent`
+  for entries the caller may cancel; ``None`` for fire-and-forget work
+  posted via :meth:`Engine.post` / :meth:`Engine.post_at` with an empty
+  attribution stack, which skips the event allocation; and, for work posted
   under a non-empty stack, the stamp itself (a tuple of frame labels), so
   profiling allocates no event either.  Kernel frame hops (transmit,
   deliver, handle) are all posts, so the dominant event traffic allocates
@@ -29,22 +27,18 @@ Hot-path layout (the ROADMAP's >= 10^6 events/sec target):
 - There is one ``schedule``/``schedule_at``/``post``/``post_at`` each; they
   always store the current attribution stack, which is ``()`` whenever no
   profiler is attached, so unprofiled posts carry ``None``.  ``run`` picks
-  one of three loops per call from what is attached, because each does
-  different work per event: the profiled loop (a profiler is attached)
-  charges every clock advance and flushes a flight recorder riding along;
-  the recording loop (a flight recorder alone) stores each firing event's
-  ``seq`` in ``_fire_seq`` and flushes the recorder; the fast loop does
-  neither.  Each loop pops first and serves bounded and unbounded runs
+  one of two loops per call: the profiled loop (a profiler is attached)
+  charges every clock advance; the fast loop does not.  Both store each
+  firing event's ``seq`` in ``_fire_seq`` and flush a flight recorder
+  while one is attached, pop first, and serve bounded and unbounded runs
   with the same body.
 - The slot format stays inside this module: code that inspects what is
   still queued (the chaos harness's timer-leak check) iterates
   :meth:`Engine.pending_events`.
 - A kernel transaction's probe, retransmit and GroupSend-reply times are
-  deadlines, not events: a time and a reserved sequence number stored on
-  the transaction, which joins the FIFO lane of that constant delay.  A
-  lane's head fires in sequence-number order against every other event;
-  one whose transaction has ended is dropped uncounted, so ending a
-  transaction cancels nothing.
+  deadlines it carries (:class:`DeadlineLane`), fired in sequence-number
+  order against every other event only while it is outstanding, so ending
+  a transaction cancels nothing.
 
 Attribution profiling (:mod:`repro.obs.profile`): every scheduled event is
 stamped with the attribution stack current at *schedule* time (in its event
@@ -53,15 +47,13 @@ charges every clock advance to the stack of the event that advanced it.
 Because the advances partition the clock, the per-frame totals sum exactly
 to elapsed simulated time -- and because the stamp is inherited while an
 event's callback runs, transitively scheduled work (a reply frame, a
-retransmission deadline) stays attributed to the phase that caused it.  A
-deadline carries the stack it was armed under in its owner's stamp field.
+retransmission deadline) stays attributed to the phase that caused it.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from operator import attrgetter
 from typing import Any, Callable, Optional
 
 _heappush = heapq.heappush
@@ -94,89 +86,80 @@ class ScheduledEvent:
 
 
 class DeadlineLane:
-    """The deadlines armed at one constant ``delay``: ``now + delay`` with a
-    fresh sequence number is already in ``(time, seq)`` order, so a FIFO.
+    """The deadlines of the transactions armed at one constant ``delay``:
+    ``now + delay`` with a fresh sequence number is already in ``(time,
+    seq)`` order, so a FIFO, and only its head has an entry in the heap.
 
-    An entry is its *owner*, which carries the deadline in attributes
-    ``<field>_at``, ``<field>_seq`` and (profiled; unset reads as ``()``)
-    ``<field>_stamp``.  ``fire(owner, *args)`` runs at ``<field>_at`` if
-    ``live(owner)`` still holds then.  Arming is inline, with no allocation
-    and no engine call unless the lane is empty::
-
-        seq = engine._seq
-        engine._seq = seq + 1
-        owner.<field>_at = engine._now + lane.delay
-        owner.<field>_seq = seq
-        if lane.fifo:
-            lane.fifo.append(owner)
-        else:
-            lane.start(owner)
-
-    A non-empty lane has one heap entry, its head's, unless ``queue`` is
-    None (a clock that scans its lanes itself).
+    A transaction carries its deadline itself: ``probe_at``, ``probe_seq``
+    and (profiled; unset reads as ``()``) ``probe_stamp`` -- or the
+    ``retransmit_*`` three in a lane made with ``retransmit`` set.  At that
+    time ``fire(txn, lane)`` runs if the transaction is still outstanding
+    (its ``kernel`` is set); one that ended is dropped uncounted.  Arming
+    allocates nothing: :meth:`arm`, or the same stores inline and an append
+    to ``fifo`` (:meth:`start` if it is empty).
     """
 
-    __slots__ = ("delay", "field", "fire", "live", "args", "fifo", "queue",
-                 "names", "key")
+    __slots__ = ("delay", "fire", "retransmit", "fifo", "queue")
 
-    def __init__(self, delay: float, field: str,
-                 fire: Callable[..., None], live: Callable[[Any], bool],
-                 args: tuple, queue: Optional[list]) -> None:
+    def __init__(self, delay: float, fire: Callable[..., None],
+                 retransmit: bool, queue: list) -> None:
         self.delay = delay
-        self.field = field
         self.fire = fire
-        self.live = live
-        self.args = args
+        self.retransmit = retransmit
         self.fifo: deque = deque()
         self.queue = queue
-        self.names = (field + "_at", field + "_seq", field + "_stamp")
-        self.key = attrgetter(*self.names[:2])
 
-    def start(self, owner: Any) -> None:
-        """Append ``owner`` (armed) to this empty lane."""
-        self.fifo.append(owner)
-        if self.queue is not None:
-            _heappush(self.queue, self._entry(owner))
+    def start(self, txn: Any) -> None:
+        """Append ``txn`` (armed) to this empty lane."""
+        self.fifo.append(txn)
+        _heappush(self.queue, self._entry(txn))
 
-    def arm(self, owner: Any, engine: Any, frame: tuple = ()) -> None:
-        """Arm ``owner``'s deadline ``delay`` from now (the inline arm),
+    def arm(self, txn: Any, engine: Any, frame: tuple = ()) -> None:
+        """Arm ``txn``'s deadline ``delay`` from now (the inline arm),
         stamped, when profiled, with the current stack in phase ``frame``."""
         seq = engine._seq
         engine._seq = seq + 1
-        at_name, seq_name, stamp_name = self.names
-        setattr(owner, at_name, engine._now + self.delay)
-        setattr(owner, seq_name, seq)
+        at = engine._now + self.delay
         stamp = ()
         if engine.profiling:
             stamp = engine._attr_stack
             if stamp[-1:] != frame:
                 stamp += frame
-        setattr(owner, stamp_name, stamp)
-        if self.fifo:
-            self.fifo.append(owner)
+        if self.retransmit:
+            txn.retransmit_at, txn.retransmit_seq = at, seq
+            txn.retransmit_stamp = stamp
         else:
-            self.start(owner)
+            txn.probe_at, txn.probe_seq, txn.probe_stamp = at, seq, stamp
+        if self.fifo:
+            self.fifo.append(txn)
+        else:
+            self.start(txn)
 
-    def _entry(self, owner: Any) -> tuple:
-        at, seq = self.key(owner)
-        return (at, seq, self.fire, (owner,) + self.args, self)
+    def _entry(self, txn: Any) -> tuple:
+        if self.retransmit:
+            return (txn.retransmit_at, txn.retransmit_seq, self.fire,
+                    (txn, self), self)
+        return txn.probe_at, txn.probe_seq, self.fire, (txn, self), self
 
-    def due(self, owner: Any, firing: bool) -> bool:
+    def stamp(self, txn: Any) -> tuple:
+        """The stack ``txn``'s deadline was armed under."""
+        return getattr(txn, "retransmit_stamp" if self.retransmit
+                       else "probe_stamp", ())
+
+    def due(self, txn: Any, firing: bool) -> bool:
         """A loop popped the head's entry: whether it fires.  A dead head is
         dropped, and one that fires (``firing``: not past the loop's horizon
         or event bound) hands the heap to the next live head."""
-        if self.live(owner):
-            if firing:
-                self.advance()
-            return True
-        self.advance()
-        return False
+        live = txn.kernel is not None
+        if firing or not live:
+            self.advance()
+        return live
 
     def advance(self) -> None:
-        fifo, live = self.fifo, self.live
+        fifo = self.fifo
         fifo.popleft()
         while fifo:
-            if live(fifo[0]):
+            if fifo[0].kernel is not None:
                 _heappush(self.queue, self._entry(fifo[0]))
                 return
             fifo.popleft()
@@ -227,8 +210,8 @@ class Engine:
         self._now = 0.0
         self._running = False
         self._events_processed = 0
-        #: The deadline lanes (see DeadlineLane).
-        self._lanes: list[DeadlineLane] = []
+        #: (fire, delay) -> its DeadlineLane.
+        self._lanes: dict = {}
         #: Attached profiler sinks (see repro.obs.profile).  Duck-typed:
         #: each needs account(stack, dt) and count_message(stack, nbytes).
         self._profilers: list[Any] = []
@@ -247,8 +230,8 @@ class Engine:
         self._frames: dict = _NO_FRAMES
         #: The current attribution stack: a tuple of frame labels naming what
         #: the simulation is doing *right now* (host -> process -> phase).
-        #: Always ``()`` while no profiler is attached, so the fast and
-        #: recording loops never meet a stamped post.
+        #: Always ``()`` while no profiler is attached, so the fast loop
+        #: never meets a stamped post.
         self._attr_stack: tuple = ()
         #: Attached flight recorder (see repro.obs.flight), or None.  The
         #: engine never calls it per event; it only maintains _fire_seq so
@@ -268,10 +251,10 @@ class Engine:
     def events_processed(self) -> int:
         """Total number of events that have fired so far.
 
-        Exact between runs; during :meth:`run` every loop (fast,
-        recording and profiled alike) accumulates into a local and
-        flushes on exit, so mid-run reads (only possible from inside a
-        callback) lag the true count, as does ``Engine.total_events``.
+        Exact between runs; during :meth:`run` both loops accumulate into
+        a local and flush it on exit, so mid-run reads (only possible from
+        inside a callback) lag the true count, as does
+        ``Engine.total_events``.
         """
         return self._events_processed
 
@@ -285,31 +268,29 @@ class Engine:
 
         Heap order, then lane order; not firing order.  Inspection code
         outside this module goes through here, so it never has to know heap
-        slot 4's three states (``None``, an attribution tuple, a cancellable
-        event) or where deadlines live.
+        slot 4's states or where deadlines live.
         """
         for time, __, callback, args, slot in self._queue:
             if slot is None or slot.__class__ is tuple or (
                     slot.__class__ is ScheduledEvent and not slot.cancelled):
                 yield time, callback, args
-        for lane in self._lanes:
-            for owner in lane.fifo:
-                if lane.live(owner):
-                    yield lane.key(owner)[0], lane.fire, (owner,) + lane.args
+        for lane in self._lanes.values():
+            for txn in lane.fifo:
+                if txn.kernel is not None:
+                    time, __, fire, args, __ = lane._entry(txn)
+                    yield time, fire, args
 
-    def deadline_lane(self, delay: float, field: str,
-                      fire: Callable[..., None], live: Callable[[Any], bool],
-                      *args: Any) -> DeadlineLane:
-        """The lane of deadlines ``fire(owner, *args)`` armed at ``delay``
-        in ``owner.<field>_*``: created on first use, then shared."""
-        for lane in self._lanes:
-            if (lane.delay == delay and lane.field == field
-                    and lane.fire is fire and lane.args == args):
-                return lane
-        if delay < 0:
-            raise SimulationError(f"cannot arm into the past (delay={delay})")
-        lane = DeadlineLane(delay, field, fire, live, args, self._queue)
-        self._lanes.append(lane)
+    def deadline_lane(self, delay: float, fire: Callable[..., None],
+                      retransmit: bool = False) -> DeadlineLane:
+        """The lane of deadlines ``fire(txn, lane)`` armed at ``delay``:
+        created on first use, then shared."""
+        lane = self._lanes.get((fire, delay))
+        if lane is None:
+            if delay < 0:
+                raise SimulationError(
+                    f"cannot arm into the past (delay={delay})")
+            lane = self._lanes[fire, delay] = DeadlineLane(
+                delay, fire, retransmit, self._queue)
         return lane
 
     # ------------------------------------------------------------- profiling
@@ -332,8 +313,8 @@ class Engine:
     def attach_profiler(self, sink: Any) -> None:
         """Attach a profiler sink; it is charged every clock advance.
 
-        The first sink must attach between runs: a fast or recording loop
-        already in progress charges nothing and cannot be swapped out.
+        The first sink must attach between runs: a fast loop already in
+        progress charges nothing and cannot be swapped out.
         """
         if sink in self._profilers:
             return
@@ -355,8 +336,8 @@ class Engine:
 
     def _drop_stamps(self) -> None:
         """No profiler is attached: empty the stack and strip the stamps of
-        still-queued posts back to ``None``, because the fast and recording
-        loops read heap slot 4 as "``None`` or a cancellable event".
+        still-queued posts back to ``None``, because the fast loop reads
+        heap slot 4 as "``None``, a cancellable event or a lane".
         ``(time, seq)`` are untouched, so the heap order -- and therefore
         firing order -- is too."""
         self._attr_stack = ()
@@ -481,12 +462,7 @@ class Engine:
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
-        if self._profilers:
-            loop = self._run_profiled
-        elif self._recorder is not None:
-            loop = self._run_recording
-        else:
-            loop = self._run_fast
+        loop = self._run_profiled if self._profilers else self._run_fast
         self._running = True
         # Each loop clears _running and counts what it fired on every exit.
         loop(float("inf") if until is None else until,
@@ -513,50 +489,26 @@ class Engine:
         self._events_processed += fired
         Engine.total_events += fired
 
-    def _run_fast(self, horizon: float, limit: float) -> None:
-        """Neither a profiler nor a recorder attached: fire, nothing else."""
-        queue = self._queue
-        pop = _heappop
-        fired = 0
-        try:
-            while queue:
-                time, seq, callback, args, event = pop(queue)
-                if event is not None:
-                    if event.__class__ is DeadlineLane:
-                        if not event.due(args[0], time <= horizon
-                                         and fired < limit):
-                            continue
-                    elif event.cancelled:
-                        continue
-                if time > horizon or fired >= limit:
-                    self._stop((time, seq, callback, args, event),
-                               horizon, limit)
-                    break
-                self._now = time
-                fired += 1
-                callback(*args)
-        finally:
-            self._finish(fired)
-
     #: Events between recorder flushes (the check is one int compare per
     #: event).  Bounds unsealed-tail growth at a few thousand records --
     #: the same order as the default ring capacity.
     _FLUSH_EVERY = 2048
 
-    def _run_recording(self, horizon: float, limit: float) -> None:
-        """A flight recorder and no profiler: the fast loop plus one store.
+    def _run_fast(self, horizon: float, limit: float) -> None:
+        """No profiler attached: fire, and with a flight recorder attached
+        store each firing event's sequence number and flush the recorder.
 
-        The firing event's sequence number lands in ``_fire_seq`` before the
-        callback runs, so kernel record sites can stamp flight records with
-        it, and the recorder is flushed every ``_FLUSH_EVERY`` events, which
-        is where lane tails get sealed into digest windows (amortized off
-        the record path; seals consume whole windows, so flush cadence never
-        shows in the chains).  That is what keeps the recorder inside the
-        E15/E17 observer-effect budget.
+        The sequence number lands in ``_fire_seq`` before the callback runs,
+        so kernel record sites can stamp flight records with it, and the
+        recorder is flushed every ``_FLUSH_EVERY`` events, which is where
+        lane tails get sealed into digest windows (amortized off the record
+        path; seals consume whole windows, so flush cadence never shows in
+        the chains).  That is what keeps the recorder inside the E15/E17
+        observer-effect budget; unattached it costs one test per event.
         """
         queue = self._queue
         pop = _heappop
-        flush = self._recorder.flush
+        recorder = self._recorder
         flush_step = self._FLUSH_EVERY
         next_flush = flush_step
         fired = 0
@@ -575,22 +527,23 @@ class Engine:
                                horizon, limit)
                     break
                 self._now = time
-                self._fire_seq = seq
                 fired += 1
-                if fired == next_flush:
-                    next_flush += flush_step
-                    flush()
+                if recorder is not None:
+                    self._fire_seq = seq
+                    if fired == next_flush:
+                        next_flush += flush_step
+                        recorder.flush()
                 callback(*args)
         finally:
             self._finish(fired)
 
     def _run_profiled(self, horizon: float, limit: float) -> None:
-        """A profiler attached: the recording loop plus attribution.
+        """A profiler attached: the fast loop plus attribution.
 
         Every clock advance is charged to the stack of the event that caused
         it, and that stamp becomes the current stack while the callback runs,
         so transitively scheduled work inherits it.  ``_fire_seq`` is stored
-        and an attached recorder flushed exactly as the recording loop does.
+        and an attached recorder flushed exactly as in the fast loop.
         """
         queue = self._queue
         pop = _heappop
@@ -614,7 +567,7 @@ class Engine:
                     if not slot.due(args[0], time <= horizon
                                     and fired < limit):
                         continue
-                    stamp = getattr(args[0], slot.names[2], ())
+                    stamp = slot.stamp(args[0])
                 elif slot.cancelled:
                     continue
                 else:

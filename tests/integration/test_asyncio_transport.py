@@ -17,6 +17,7 @@ from repro.kernel.messages import Message, ReplyCode, RequestCode
 from repro.net.asyncio_transport import AsyncDomain, _LoopClock
 from repro.net.latency import STANDARD_3MBIT
 from repro.net.wire import HEADER
+from repro.sim.engine import ScheduledEvent
 from repro.runtime import files
 from repro.runtime.session import Session
 from repro.servers.fileserver.server import VFileServer
@@ -345,14 +346,13 @@ def refused(address):
         return False
 
 
-def live_timers(domain):
+def live_timers(clock):
     """The clock's timers that are neither cancelled nor fired, and its
     deadlines whose transaction is still outstanding."""
-    clock = domain.engine
-    return ([timer for __, __, timer in clock._timers
-             if timer.callback is not None]
-            + [owner for lane in clock._lanes for owner in lane.fifo
-               if lane.live(owner)])
+    return ([slot for __, __, __, __, slot in clock._queue
+             if slot.__class__ is ScheduledEvent and not slot.cancelled]
+            + [txn for lane in clock._lanes.values() for txn in lane.fifo
+               if txn.kernel is not None])
 
 
 def armed_handles(loop):
@@ -527,7 +527,7 @@ class TestTimersAndLifecycle:
                 return reply.reply_code, time.monotonic() - start
 
             code, waited = await run_client(domain, ws, client())
-            leftovers = dict(ws._outstanding), live_timers(domain)
+            leftovers = dict(ws._outstanding), live_timers(domain.engine)
             await domain.shutdown()
             return code, waited, leftovers
 
@@ -535,6 +535,39 @@ class TestTimersAndLifecycle:
         assert code is ReplyCode.TIMEOUT
         assert 0.4 <= waited < 0.4 + 0.3
         assert leftovers == ({}, [])
+
+    def test_a_deadline_due_with_the_one_that_ends_its_send_never_fires(self):
+        # The only probe times the Send out, and its first retransmit is due
+        # at the same instant, so one tick pops both: the retransmit must be
+        # dropped as it comes to fire, not fire on the ended transaction.
+        from repro.kernel.config import KernelConfig
+
+        async def scenario():
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context["message"]))
+            domain = AsyncDomain()
+            domain.config = KernelConfig(probe_interval=0.01,
+                                         max_failed_probes=0,
+                                         retransmit_initial=0.01)
+            ws, far = (await domain.create_host("ws"),
+                       await domain.create_host("far"))
+            silent = far.spawn(silent_server(), "silent")
+            await asyncio.sleep(0.01)
+            far.crash()
+
+            def client():
+                reply = yield Send(silent, Message.request(1))
+                return reply.reply_code
+
+            code = await run_client(domain, ws, client())
+            await asyncio.sleep(0.03)
+            leftovers = (dict(ws._outstanding), live_timers(domain.engine),
+                         ws.counters["ipc.retransmits"])
+            await domain.shutdown()
+            return code, leftovers, errors
+
+        assert run_async(scenario()) == (ReplyCode.TIMEOUT, ({}, [], 0), [])
 
     def test_send_to_a_silent_live_server_stays_outstanding(self):
         # V's rule: a server that holds a request without replying keeps
@@ -569,7 +602,7 @@ class TestTimersAndLifecycle:
                     assert reply.ok
 
             await run_client(domain, ws, client())
-            leftovers = (dict(ws._outstanding), live_timers(domain),
+            leftovers = (dict(ws._outstanding), live_timers(domain.engine),
                          armed_handles(asyncio.get_running_loop()))
             await domain.shutdown()
             return leftovers
@@ -614,7 +647,7 @@ class TestTimersAndLifecycle:
             await asyncio.sleep(0.01)
             await domain.shutdown()
             before = list(woke)
-            timers = (live_timers(domain), armed_handles(loop))
+            timers = (live_timers(domain.engine), armed_handles(loop))
             open_sockets = [host.name for host in domain.hosts.values()
                             if not refused(host.address)]
             readers = set(loop._selector.get_map()) - fds
@@ -787,7 +820,7 @@ class TestRunToBlock:
 
             codes = await run_client(domain, ws, client())
             leftovers = (dict(ws._outstanding), dict(far._presence),
-                         live_timers(domain))
+                         live_timers(domain.engine))
             await domain.shutdown()
             return codes, leftovers, domain.failures
 
@@ -881,7 +914,7 @@ class TestRunToBlock:
 
             codes = await asyncio.wait_for(
                 run_client(domain, ws, client()), 10)
-            leftovers = dict(ws._outstanding), live_timers(domain)
+            leftovers = dict(ws._outstanding), live_timers(domain.engine)
             await domain.shutdown()
             return codes, leftovers
 
@@ -929,11 +962,9 @@ class TestLoopClock:
             doomed.cancel()
             doomed.cancel()                         # idempotent
             await asyncio.sleep(0.03)
-            live = [timer for __, __, timer in clock._timers
-                    if timer.callback is not None]
-            return fired, len(live), armed_handles(loop)
+            return fired, live_timers(clock), armed_handles(loop)
 
-        assert self.on_clock(scenario) == (["kept"], 0, [])
+        assert self.on_clock(scenario) == (["kept"], [], [])
 
     def test_an_earlier_deadline_rearms_the_single_handle(self):
         async def scenario(clock, loop):

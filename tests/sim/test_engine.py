@@ -392,24 +392,24 @@ class TestStampedPosts:
         assert not engine.profiling
 
 
-class _Owner:
-    """A deadline owner: the fields a lane names, and a liveness flag."""
+class _Txn:
+    """A transaction as a lane sees it: outstanding while ``kernel`` is set."""
 
     def __init__(self, label):
         self.label = label
-        self.live = True
+        self.kernel = "kernel"
 
 
-def _arm(engine, lane, owner):
+def _arm(engine, lane, txn):
     """The inline arm of DeadlineLane's docstring."""
     seq = engine._seq
     engine._seq = seq + 1
-    owner.t_at = engine._now + lane.delay
-    owner.t_seq = seq
+    txn.probe_at = engine._now + lane.delay
+    txn.probe_seq = seq
     if lane.fifo:
-        lane.fifo.append(owner)
+        lane.fifo.append(txn)
     else:
-        lane.start(owner)
+        lane.start(txn)
 
 
 def _lane_engine(mode, fired):
@@ -420,8 +420,8 @@ def _lane_engine(mode, fired):
         engine.attach_profiler(Profiler())
     elif mode == "recording":
         engine.attach_recorder(FlightRecorder())
-    lane = engine.deadline_lane(0.5, "t", lambda owner: fired.append(
-        owner.label), lambda owner: owner.live)
+    lane = engine.deadline_lane(0.5, lambda txn, lane: fired.append(
+        txn.label))
     return engine, lane
 
 
@@ -431,9 +431,9 @@ class TestDeadlineLanes:
         fired = []
         engine, lane = _lane_engine(mode, fired)
         engine.post(0.5, fired.append, "posted before")
-        _arm(engine, lane, _Owner("first deadline"))
+        _arm(engine, lane, _Txn("first deadline"))
         engine.schedule(0.5, fired.append, "scheduled between")
-        _arm(engine, lane, _Owner("second deadline"))
+        _arm(engine, lane, _Txn("second deadline"))
         engine.post(0.5, fired.append, "posted after")
         assert engine.pending == 5
         engine.run()
@@ -448,16 +448,16 @@ class TestDeadlineLanes:
             self, mode):
         fired = []
         engine, lane = _lane_engine(mode, fired)
-        owners = [_Owner(i) for i in range(4)]
-        for owner in owners:
-            _arm(engine, lane, owner)
+        txns = [_Txn(i) for i in range(4)]
+        for txn in txns:
+            _arm(engine, lane, txn)
         engine.post(0.2, fired.append, "post")
-        for owner in owners[:3]:
-            owner.live = False          # ended: nothing to cancel
+        for txn in txns[:3]:
+            txn.kernel = None           # ended: nothing to cancel
         assert engine.pending == 2
         assert [args for __, __, args in engine.pending_events()] == [
-            ("post",), (owners[3],)]
-        owners[3].live = False
+            ("post",), (txns[3], lane)]
+        txns[3].kernel = None
         assert engine.pending == 1
         engine.run()
         assert fired == ["post"]
@@ -469,8 +469,8 @@ class TestDeadlineLanes:
     def test_run_until_leaves_later_deadlines_pending(self, mode):
         fired = []
         engine, lane = _lane_engine(mode, fired)
-        _arm(engine, lane, _Owner("due"))
-        engine.post(0.3, _arm, engine, lane, _Owner("not yet due"))
+        _arm(engine, lane, _Txn("due"))
+        engine.post(0.3, _arm, engine, lane, _Txn("not yet due"))
         engine.run(until=0.6)
         assert fired == ["due"]
         assert engine.now == 0.6 and engine.pending == 1
@@ -483,18 +483,33 @@ class TestDeadlineLanes:
         fired = []
         engine, lane = _lane_engine("fast", fired)
         engine.post(0.1, fired.append, "post")
-        _arm(engine, lane, _Owner("deadline"))
+        _arm(engine, lane, _Txn("deadline"))
         with pytest.raises(SimulationError):
             engine.run(max_events=1)
         assert fired == ["post"] and engine.pending == 1
         engine.run()
         assert fired == ["post", "deadline"]
 
-    def test_a_lane_is_shared_by_its_key(self):
+    def test_a_retransmit_lane_fires_under_the_stack_it_was_armed_in(self):
         engine = Engine()
-        fire = live = len
-        lane = engine.deadline_lane(0.1, "probe", fire, live)
-        assert engine.deadline_lane(0.1, "probe", fire, live) is lane
-        assert engine.deadline_lane(0.2, "probe", fire, live) is not lane
+        engine.attach_profiler(Profiler())
+        seen = []
+        lane = engine.deadline_lane(0.25, lambda txn, lane: seen.append(
+            (engine.now, engine._attr_stack, lane)), retransmit=True)
+        txn = _Txn("t")
+        engine._attr_stack = ("host:h",)
+        lane.arm(txn, engine, ("phase:retransmit",))
+        engine._attr_stack = ()
+        assert (txn.retransmit_at, txn.retransmit_seq) == (0.25, 0)
+        assert not hasattr(txn, "probe_at")
+        engine.run()
+        assert seen == [(0.25, ("host:h", "phase:retransmit"), lane)]
+
+    def test_a_lane_is_shared_by_its_callback_and_delay(self):
+        engine = Engine()
+        lane = engine.deadline_lane(0.1, len)
+        assert engine.deadline_lane(0.1, len) is lane
+        assert engine.deadline_lane(0.2, len) is not lane
+        assert engine.deadline_lane(0.1, print) is not lane
         with pytest.raises(SimulationError):
-            engine.deadline_lane(-1.0, "probe", fire, live)
+            engine.deadline_lane(-1.0, len)
