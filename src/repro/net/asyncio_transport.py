@@ -10,15 +10,16 @@ suppression, reply cache, GetPid retries.  :class:`AsyncDomain` is a
 adapters behind the seams ``Host`` already uses:
 
 - the **loop clock**: ``now`` is ``loop.time()``; a zero-delay post joins a
-  FIFO drained before control returns to the loop; timed posts, and a
-  transaction's deadlines through the DES engine's lanes, go into a heap
-  of the engine's entries, each checked as it is popped to fire (a
-  cancelled timer, or a deadline whose transaction has ended, is dropped
-  unfired); at most one loop handle is armed for the earliest of them, a
-  selector grain early, then polled once per loop turn -- so a
-  sub-millisecond ``Delay`` is neither early nor rounded up.  Datagrams, timers and deadlines enter
-  through the same drain, so no kernel callback runs re-entrantly, and the
-  drain's end re-arms the handle for whatever the kernel armed inside it.
+  FIFO drained before control returns to the loop; timed posts go into a
+  heap of the engine's entries, and a transaction's deadlines into the DES
+  engine's lanes, whose heads the clock reads itself; each is checked as
+  its turn to fire comes (a cancelled timer, or a deadline whose
+  transaction has ended, is dropped unfired); at most one loop handle is
+  armed for the earliest of them, a selector grain early, then polled once
+  per loop turn -- so a sub-millisecond ``Delay`` is neither early nor
+  rounded up.  Datagrams, timers and deadlines enter through the same
+  drain, so no kernel callback runs re-entrantly, and the drain's end
+  re-arms the handle for whatever the kernel armed inside it.
 - the **UDP wire**: one non-blocking socket per host on the loop's reader.
   It carries the DES Ethernet's unit, a :class:`~repro.net.packet.Frame`,
   both ways: ``transmit(frame)`` encodes the frame's packet and sends it to
@@ -77,17 +78,20 @@ class _LoopClock:
     """The engine seam ``Host`` uses, over the running asyncio loop."""
 
     profiling = False
-    #: The DES engine's deadline lanes, over this clock's heap.
+    #: The DES engine's deadline lanes, kept off any heap: the drain's end
+    #: reads their heads for the handle to arm.  (A lane head on a heap
+    #: lives from its Send to its reply, and on this clock that raised the
+    #: peak RSS of a UDP echo run by most of a MiB.)
     deadline_lane = Engine.deadline_lane
+    _queue = None
 
     def __init__(self) -> None:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._time = time.monotonic
         self._ready: deque = deque()      # (callback, args), due now
         self._sent: deque = deque()       # a socket read per datagram sent
-        #: The engine's heap: (time, seq, callback, args, slot), the slot a
-        #: timer's ScheduledEvent or the DeadlineLane of a lane head.
-        self._queue: list = []
+        #: Timers as engine heap entries (time, seq, callback, args, event).
+        self._timers: list = []
         self._lanes: dict = {}
         self._seq = 0
         self._draining = False
@@ -121,8 +125,8 @@ class _LoopClock:
         event = ScheduledEvent()
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue, (self._time() + delay, seq, callback, args,
-                               event))
+        heappush(self._timers, (self._time() + delay, seq, callback, args,
+                                event))
         if not self._draining:            # else the drain's end arms
             self._rearm()
         return event
@@ -132,7 +136,7 @@ class _LoopClock:
         if self._handle is not None:
             self._handle.cancel()
             self._handle, self._handle_at = None, _INF
-        self._queue.clear()
+        self._timers.clear()
         for lane in self._lanes.values():
             lane.fifo.clear()
         self._ready.clear()
@@ -160,45 +164,50 @@ class _LoopClock:
             else:
                 self._rearm()
 
-    def _pop_live(self, until: float, firing: bool) -> Optional[tuple]:
-        """Pop the first live entry due by ``until`` (dropping dead ones,
-        as the engine's loops do), or None."""
-        queue = self._queue
-        while queue and queue[0][0] <= until:
-            entry = heappop(queue)
-            slot = entry[4]
-            if slot.__class__ is ScheduledEvent:
-                if not slot.cancelled:
-                    return entry
-            elif slot.due(entry[3][0], firing):
-                return entry
-        return None
-
     def _rearm(self) -> None:
-        """Arm the handle for the earliest live timer or deadline, or disarm
-        it if there is none."""
-        entry = self._pop_live(_INF, False)
-        if entry is None:
+        """Arm the handle for the earliest live timer or deadline (dropping
+        dead ones), or disarm it if there is none."""
+        timers = self._timers
+        while timers and timers[0][4].cancelled:
+            heappop(timers)
+        first = timers[0][0] if timers else _INF
+        for lane in self._lanes.values():
+            fifo = lane.fifo
+            while fifo and fifo[0].kernel is None:
+                fifo.popleft()
+            if fifo:
+                first = min(first, lane.entry(fifo[0])[0])
+        if first == _INF:
             if self._handle is not None:
                 self._handle.cancel()
                 self._handle, self._handle_at = None, _INF
-            return
-        heappush(self._queue, entry)
-        if entry[0] - _TIMER_GRAIN < self._handle_at:
-            self._arm_at(entry[0] - _TIMER_GRAIN)
+        elif first - _TIMER_GRAIN < self._handle_at:
+            self._arm_at(first - _TIMER_GRAIN)
 
     def _tick(self) -> None:
-        """Drain, after anything already ready, every live timer and
-        deadline now due, in ``(time, seq)`` order."""
+        """Drain, after anything already ready, every timer and deadline
+        now due."""
         self._handle, self._handle_at = None, _INF
         self._ready.append((self._fire_due, (self._time(),)))
         self._drain()
 
     def _fire_due(self, now: float) -> None:
-        # Each is popped as it fires, so one that an earlier callback ended
-        # or cancelled is dropped unfired.
-        while (entry := self._pop_live(now, True)) is not None:
-            entry[2](*entry[3])
+        """Fire the timers and deadlines due by ``now`` in ``(time, seq)``
+        order, each only if still live at its turn: an earlier one may have
+        cancelled it or ended its transaction."""
+        timers, due = self._timers, []
+        while timers and timers[0][0] <= now:
+            due.append(heappop(timers))
+        for lane in self._lanes.values():
+            fifo = lane.fifo
+            while fifo and lane.entry(fifo[0])[0] <= now:
+                due.append(lane.entry(fifo.popleft()))
+        due.sort()
+        for __, __, callback, args, slot in due:
+            if (slot.cancelled if slot.__class__ is ScheduledEvent
+                    else args[0].kernel is None):
+                continue
+            callback(*args)
 
     def _arm_at(self, when: float) -> None:
         if self._handle is not None:

@@ -96,7 +96,8 @@ class DeadlineLane:
     time ``fire(txn, lane)`` runs if the transaction is still outstanding
     (its ``kernel`` is set); one that ended is dropped uncounted.  Arming
     allocates nothing: :meth:`arm`, or the same stores inline and an append
-    to ``fifo`` (:meth:`start` if it is empty).
+    to ``fifo`` (:meth:`start` if it is empty).  A clock with no ``queue``
+    (None) reads the heads itself.
     """
 
     __slots__ = ("delay", "fire", "retransmit", "fifo", "queue")
@@ -112,7 +113,8 @@ class DeadlineLane:
     def start(self, txn: Any) -> None:
         """Append ``txn`` (armed) to this empty lane."""
         self.fifo.append(txn)
-        _heappush(self.queue, self._entry(txn))
+        if self.queue is not None:
+            _heappush(self.queue, self.entry(txn))
 
     def arm(self, txn: Any, engine: Any, frame: tuple = ()) -> None:
         """Arm ``txn``'s deadline ``delay`` from now (the inline arm),
@@ -135,7 +137,8 @@ class DeadlineLane:
         else:
             self.start(txn)
 
-    def _entry(self, txn: Any) -> tuple:
+    def entry(self, txn: Any) -> tuple:
+        """``txn``'s deadline in this lane as a heap entry."""
         if self.retransmit:
             return (txn.retransmit_at, txn.retransmit_seq, self.fire,
                     (txn, self), self)
@@ -160,7 +163,7 @@ class DeadlineLane:
         fifo.popleft()
         while fifo:
             if fifo[0].kernel is not None:
-                _heappush(self.queue, self._entry(fifo[0]))
+                _heappush(self.queue, self.entry(fifo[0]))
                 return
             fifo.popleft()
 
@@ -277,7 +280,7 @@ class Engine:
         for lane in self._lanes.values():
             for txn in lane.fifo:
                 if txn.kernel is not None:
-                    time, __, fire, args, __ = lane._entry(txn)
+                    time, __, fire, args, __ = lane.entry(txn)
                     yield time, fire, args
 
     def deadline_lane(self, delay: float, fire: Callable[..., None],

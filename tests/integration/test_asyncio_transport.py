@@ -17,7 +17,6 @@ from repro.kernel.messages import Message, ReplyCode, RequestCode
 from repro.net.asyncio_transport import AsyncDomain, _LoopClock
 from repro.net.latency import STANDARD_3MBIT
 from repro.net.wire import HEADER
-from repro.sim.engine import ScheduledEvent
 from repro.runtime import files
 from repro.runtime.session import Session
 from repro.servers.fileserver.server import VFileServer
@@ -349,8 +348,8 @@ def refused(address):
 def live_timers(clock):
     """The clock's timers that are neither cancelled nor fired, and its
     deadlines whose transaction is still outstanding."""
-    return ([slot for __, __, __, __, slot in clock._queue
-             if slot.__class__ is ScheduledEvent and not slot.cancelled]
+    return ([event for __, __, __, __, event in clock._timers
+             if not event.cancelled]
             + [txn for lane in clock._lanes.values() for txn in lane.fifo
                if txn.kernel is not None])
 
