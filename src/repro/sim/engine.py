@@ -103,7 +103,7 @@ class DeadlineLane:
     __slots__ = ("delay", "fire", "retransmit", "fifo", "queue")
 
     def __init__(self, delay: float, fire: Callable[..., None],
-                 retransmit: bool, queue: list) -> None:
+                 retransmit: bool, queue: Optional[list]) -> None:
         self.delay = delay
         self.fire = fire
         self.retransmit = retransmit
