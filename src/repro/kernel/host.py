@@ -32,7 +32,7 @@ nothing.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.kernel import ipc
@@ -108,11 +108,11 @@ class Host:
         #: Sender-side: txn_id -> Transaction for this host's blocked senders.
         self._outstanding: dict[int, Transaction] = {}
         #: Receiver-side: txn_id -> ("queued"|"received", pid), or
-        #: ("forwarded", new_dst, expiry) for a remote sender's request sent
-        #: on (DESIGN.md section 12 gives the marker's life).
-        self._presence: dict[int, tuple] = {}
-        #: (expiry, txn_id) per marker set or refreshed, in expiry order.
-        self._forwarded: deque = deque()
+        #: ("forwarded", new_dst) for a remote sender's request sent on.
+        self._presence: dict[int, tuple[str, Pid]] = {}
+        #: txn_id -> expiry of each "forwarded" marker, soonest first
+        #: (DESIGN.md section 12 gives the marker's life).
+        self._forwarded: dict[int, float] = {}
         self._marker_life = (2 * (self.config.max_failed_probes + 1)
                              * self.config.probe_interval)
         #: Receiver-side: the last replies pushed to remote senders, kept so
@@ -582,14 +582,16 @@ class Host:
         dropping the markers whose sender can no longer reach this host."""
         now = self.engine.now
         forwarded, presence = self._forwarded, self._presence
-        while forwarded and forwarded[0][0] <= now:
-            __, expired = forwarded.popleft()
-            entry = presence.get(expired)
-            if (entry is not None and entry[0] == "forwarded"
-                    and entry[2] <= now):     # not refreshed since
+        while forwarded:
+            expired = next(iter(forwarded))
+            if forwarded[expired] > now:
+                break
+            del forwarded[expired]
+            if presence.get(expired, ("",))[0] == "forwarded":
                 del presence[expired]
-        presence[txn_id] = ("forwarded", dst, now + self._marker_life)
-        forwarded.append((now + self._marker_life, txn_id))
+        forwarded.pop(txn_id, None)         # refreshed: now the latest
+        forwarded[txn_id] = now + self._marker_life
+        presence[txn_id] = ("forwarded", dst)
 
     # -- MoveTo / MoveFrom ------------------------------------------------------------
 
