@@ -63,7 +63,9 @@ python -m repro.obs storm --watchdogs --no-crash --duration 3 \
 python -m repro.obs monitor --json > "$out/monitor-alerts.json"
 
 # Exact opcode counts per layer: one local and one remote transaction and
-# an open_path operation (compare two tables with `opcount.py --compare`).
+# an open_path operation and build; and the memory table: bytes the build
+# and the timed region hold, by layer, and the traced peak, at 1/20 size
+# (compare two tables with `opcount.py --compare`).
 python benchmarks/opcount.py --json "$out/opcount.json"
 
 # Attribution profile of the pinned E7 chain, and the behavioural contract.

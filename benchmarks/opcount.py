@@ -1,4 +1,4 @@
-"""Opcode counts per operation, per layer: cost numbers a noisy box cannot move.
+"""Opcodes and bytes per operation, per layer: costs a noisy box cannot move.
 
 Wall-clock pairs on a shared VM wander by tens of per cent; the number of
 Python bytecode instructions a workload executes does not move at all.  This
@@ -7,9 +7,11 @@ script counts them with ``sys.settrace`` opcode events (CPython 3.11 has no
 
 - **workloads**: one ledger workload (``benchmarks/ledger/workloads.py``,
   imported read-only) is built at 1/20 size, run once untraced as a
-  warm-up, built again and run with only its timed region traced -- the
-  region the ledger's ``ops_per_wall_s`` and cProfile fold time.  Opcodes
-  are divided by the completed operations.  ``udp_loopback`` runs on the
+  warm-up, then built and run again with its build and its timed region
+  (the region the ledger's ``ops_per_wall_s`` and cProfile fold time)
+  traced separately.  Opcodes of the timed region are divided by the
+  completed operations; the ``<workload>/build`` row counts one build,
+  the work behind the ledger's ``setup_s``.  ``udp_loopback`` runs on the
   wall clock and is not counted;
 - **transactions**: the ledger's ``kernel.ns_per_local_txn`` and
   ``kernel.ns_per_remote_txn`` probe bodies (one client Send/Reply loop to a
@@ -17,26 +19,38 @@ script counts them with ``sys.settrace`` opcode events (CPython 3.11 has no
   transactions; the difference divided by N is the cost of one more
   transaction, with the domain's set-up cancelled out.
 
+The **memory table** builds and runs each workload a third time under
+``tracemalloc`` (one frame): the bytes and blocks the build, or the timed
+region, allocated and still holds at its end, by the layer of the file that
+allocated them, and the traced peak.  ``fleet_send`` adds a full-size row
+(``fleet_send@full``, timed region only), since its reply cache's bound
+shows only at that size.
+
 Layers are ``benchmarks/ledger/layers.py``'s (a module of ``src/repro`` by
 path; dataclass-generated methods, compiled from ``<string>``, by the module
-that defined the class); code outside the repository is ``stdlib``, and the
-benchmark's own files are ``other``.  Counts are exact: two runs of one tree
-print the same table.  Opcodes are not equally costly, so a speed claim
-quotes these beside the ledger's cProfile ``calls_per_op`` and wall pairs.
+that defined the class, except in the memory table, which sees only the
+file name ``<string>`` and counts it as ``stdlib``); code outside the
+repository is ``stdlib``, and the benchmark's own files are ``other``.
+Counts and bytes are exact: two runs of one tree print the same tables.
+Opcodes are not equally costly, so a speed claim quotes these beside the
+ledger's cProfile ``calls_per_op`` and wall pairs.
 
 Usage, from the root of a checkout::
 
     python3 benchmarks/opcount.py [--workload W ...|--all] [--json OUT]
     python3 benchmarks/opcount.py --compare A.json B.json
 
-``--compare`` prints every row, totals included, whose count moved.
+``--compare`` prints every row, totals included, whose count or bytes
+moved.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -56,7 +70,9 @@ DEFAULT_WORKLOADS = ("open_path",)
 UNCOUNTED = ("udp_loopback",)
 #: Transactions per probe count (the second count is twice this).
 TRANSACTIONS = 500
-SCHEMA = "opcount/1"
+SCHEMA = "opcount/2"
+#: The workload whose memory table also gets a full-size row.
+FULL_SIZE = "fleet_send"
 
 
 class OpcodeTracer:
@@ -105,19 +121,67 @@ class OpcodeTracer:
         return layers.layer_of(code.co_filename) or "stdlib"
 
 
-def count_workload(name: str) -> dict:
+class MemoryTracer:
+    """Bytes and blocks allocated while enabled and still held when
+    disabled, by layer, and the traced peak: ``tracemalloc`` behind the
+    same ``enable``/``disable`` pair as :class:`OpcodeTracer`."""
+
+    def enable(self) -> None:
+        tracemalloc.start(1)
+
+    def disable(self) -> None:
+        self.peak = tracemalloc.get_traced_memory()[1]
+        snapshot = tracemalloc.take_snapshot()
+        tracemalloc.stop()
+        self.held: dict = defaultdict(int)
+        self.blocks = 0
+        for stat in snapshot.statistics("filename"):
+            filename = stat.traceback[0].filename
+            self.held[layers.layer_of(filename) or "stdlib"] += stat.size
+            self.blocks += stat.count
+
+    def row(self, ops: int) -> dict:
+        return {"ops": ops, "peak": self.peak, "held": sum(self.held.values()),
+                "blocks": self.blocks, "layers": dict(sorted(self.held.items()))}
+
+
+def build_and_run(name: str, scale: float, build_tracer=None,
+                  run_tracer=None):
+    """One fresh build and run of ``name``, each under its tracer if any."""
     workload = WORKLOADS[name]
-    for traced in (False, True):
-        tracer = OpcodeTracer()
-        state = workload.build(SEED, SCALE)
-        try:
-            outcome = workload.run(state, tracer if traced else None)
-        finally:
-            workload.close(state)
+    gc.collect()
+    if build_tracer is not None:
+        build_tracer.enable()
+    try:
+        state = workload.build(SEED, scale)
+    finally:
+        if build_tracer is not None:
+            build_tracer.disable()
+    try:
+        outcome = workload.run(state, run_tracer)
+    finally:
+        workload.close(state)
     if outcome.failed or outcome.problems:
         raise SystemExit(f"{name}: {outcome.failed} failed, "
                          f"{outcome.problems[:3]}")
-    return per_op(tracer.by_layer(), outcome.attempted)
+    return outcome
+
+
+def count_workload(name: str) -> tuple[dict, dict]:
+    """``name``'s opcode rows and memory rows: timed region and build."""
+    build_and_run(name, SCALE)                          # the warm-up
+    build, run = OpcodeTracer(), OpcodeTracer()
+    ops = build_and_run(name, SCALE, build, run).attempted
+    opcodes = {name: per_op(run.by_layer(), ops),
+               f"{name}/build": per_op(build.by_layer(), 1)}
+    build, run = MemoryTracer(), MemoryTracer()
+    build_and_run(name, SCALE, build, run)
+    memory = {name: run.row(ops), f"{name}/build": build.row(1)}
+    if name == FULL_SIZE:
+        run = MemoryTracer()
+        memory[f"{name}@full"] = run.row(
+            build_and_run(name, 1.0, None, run).attempted)
+    return opcodes, memory
 
 
 def count_transactions(remote: bool) -> dict:
@@ -144,37 +208,68 @@ def per_op(by_layer: dict, ops: int) -> dict:
     return {"ops": ops, "total": sum(layers_.values()), "layers": layers_}
 
 
+#: A memory row's totals, printed and compared before its layers.
+MEMORY_TOTALS = ("peak", "held", "blocks")
+
+
 def table(document: dict) -> list:
-    """Rows of ``(row name, layer, opcodes per op)``, total first."""
+    """Rows of ``(table, row name, column, value)``: opcodes per op (total
+    first, then by layer), then a memory row's totals and its bytes held
+    by layer (absolute; a row's ``ops`` divides them)."""
     rows = []
     for name, result in document["rows"].items():
-        rows.append((name, "total", result["total"]))
-        rows += [(name, layer, value)
+        rows.append(("opcodes", name, "total", result["total"]))
+        rows += [("opcodes", name, layer, value)
+                 for layer, value in result["layers"].items()]
+    for name, result in document.get("memory", {}).items():
+        rows += [("memory", name, column, result[column])
+                 for column in MEMORY_TOTALS]
+        rows += [("memory", name, layer, value)
                  for layer, value in result["layers"].items()]
     return rows
 
 
 def print_table(document: dict) -> None:
     print(f"opcodes per operation ({document['python']}, seed "
-          f"{document['seed']}, workloads at 1/{round(1 / SCALE)} size)")
-    for name, layer, value in table(document):
-        indent = "" if layer == "total" else "  "
-        print(f"{indent}{name if layer == 'total' else layer:<24}"
-              f"{value:>12.1f}")
+          f"{document['seed']}, workloads at 1/{round(1 / SCALE)} size; "
+          "a /build row is per build)")
+    for kind, name, column, value in table(document):
+        if kind == "opcodes":
+            indent = "" if column == "total" else "  "
+            print(f"{indent}{name if column == 'total' else column:<24}"
+                  f"{value:>12.1f}")
+    memory = document.get("memory", {})
+    if not memory:
+        return
+    print("\nbytes the timed region (or the build) allocated: traced peak, "
+          "and held at its end by layer (@full: full size)")
+    print(f"{'':<24}{'bytes':>12}{'per op':>12}")
+    for kind, name, column, value in table(document):
+        if kind == "memory":
+            ops = memory[name]["ops"]
+            if column == "peak":
+                print(f"{name} ({ops} op{'s' * (ops > 1)})")
+            indent = "  " if column in MEMORY_TOTALS else "    "
+            print(f"{indent}{column:<{24 - len(indent)}}{value:>12}"
+                  f"{value / ops:>12.1f}")
 
 
 def compare(path_a: str, path_b: str) -> int:
     a, b = (json.loads(Path(path).read_text()) for path in (path_a, path_b))
-    before = {(name, layer): value for name, layer, value in table(a)}
-    after = {(name, layer): value for name, layer, value in table(b)}
-    print(f"{'row':<17}{'layer':<16}{'A':>12}{'B':>12}{'B-A':>12}{'%':>9}")
+    before = {row[:3]: row[3] for row in table(a)}
+    after = {row[:3]: row[3] for row in table(b)}
+    print(f"{'table':<9}{'row':<22}{'column':<16}{'A':>12}{'B':>12}"
+          f"{'B-A':>12}{'%':>9}")
+    order = ("total",) + MEMORY_TOTALS
     for key in sorted(set(before) | set(after),
-                      key=lambda k: (k[0], k[1] != "total", k[1])):
+                      key=lambda k: (k[0] != "opcodes", k[1],
+                                     order.index(k[2]) if k[2] in order
+                                     else len(order), k[2])):
         old, new = before.get(key, 0.0), after.get(key, 0.0)
         if round(old, 1) == round(new, 1):
             continue
         share = f"{(new - old) / old * 100:+.1f}" if old else "new"
-        print(f"{key[0]:<17}{key[1]:<16}{old:>12.1f}{new:>12.1f}"
+        print(f"{key[0]:<9}{key[1]:<22}{key[2]:<16}{old:>12.1f}{new:>12.1f}"
               f"{new - old:>+12.1f}{share:>9}")
     return 0
 
@@ -203,10 +298,13 @@ def main(argv=None) -> int:
         return compare(*args.compare)
     rows = {"local_txn": count_transactions(remote=False),
             "remote_txn": count_transactions(remote=True)}
+    memory = {}
     for name in args.workload or DEFAULT_WORKLOADS:
-        rows[name] = count_workload(name)
+        opcodes, held = count_workload(name)
+        rows.update(opcodes)
+        memory.update(held)
     document = {"schema": SCHEMA, "python": sys.version.split()[0],
-                "seed": SEED, "scale": SCALE, "rows": rows}
+                "seed": SEED, "scale": SCALE, "rows": rows, "memory": memory}
     print_table(document)
     if args.json:
         Path(args.json).write_text(json.dumps(document, indent=2) + "\n")

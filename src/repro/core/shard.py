@@ -51,9 +51,11 @@ from __future__ import annotations
 
 import bisect
 import json
+import struct
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Any, Generator, Optional
 
 from repro.core.context import ContextPair, WellKnownContext
@@ -253,6 +255,9 @@ def binding_from_fields(key: bytes, message: Message) -> Optional[PrefixBinding]
 #: (pids and service ids are 32-bit, context ids 16-bit).
 _BINDING_FIELD_MAX = {"service_id": 0xFFFFFFFF, "target_pid": 0xFFFFFFFF,
                       "target_context": 0xFFFF}
+#: One pulled record's provenance (epoch, source), as a SHARD_PULL reply's
+#: ``epochs`` bytes field packs it: one per record, in the records' order.
+_STAMP = struct.Struct("<qq")
 
 
 # ------------------------------------------------------------- the replica
@@ -584,11 +589,9 @@ class ShardReplicaServer(ContextPrefixServer):
         transfer's simulated timing, and epochs are bookkeeping, not data.
         """
         now = yield Now()
-        epochs = {as_text(key): [int(binding.epoch), int(binding.source)]
-                  for key, binding in self.table.bindings.items()}
         yield from self.reply_ok(delivery, segment=self.export_table(now),
                                  shard_version=self.shard_map.version,
-                                 epochs=epochs)
+                                 epochs=self.export_epochs())
 
     # ----------------------------------------------------------- bulk state
 
@@ -612,16 +615,25 @@ class ShardReplicaServer(ContextPrefixServer):
             records.append(record)
         return json.dumps({"bindings": records}, sort_keys=True).encode()
 
+    def export_epochs(self) -> bytes:
+        """Each :meth:`export_table` record's (epoch, source), packed in
+        record order: a bytes field the UDP wire can carry."""
+        bindings = self.table.bindings
+        return b"".join(_STAMP.pack(int(bindings[key].epoch),
+                                    int(bindings[key].source))
+                        for key in sorted(bindings))
+
     def install_table(self, payload: bytes, now: float,
-                      epochs: Optional[dict] = None) -> int:
+                      epochs: bytes = b"") -> int:
         """Install a pulled table; returns how many bindings landed.
 
-        ``epochs`` is the PULL reply's sideband provenance map
-        (prefix text -> [epoch, source]); absent entries install as
-        (0, 0) -- unknown -- which the auditor treats as unverifiable
-        rather than incoherent.  Raises :class:`ShardMapError`, and nothing
-        else, on a payload :meth:`export_table` could not have written;
-        nothing is installed in that case.
+        ``epochs`` is the PULL reply's sideband provenance, one packed
+        (epoch, source) per record in record order; without it every
+        binding installs as (0, 0) -- unknown -- which the auditor treats
+        as unverifiable rather than incoherent.  Raises
+        :class:`ShardMapError`, and nothing else, on a payload or epochs
+        the puller's peer could not have written; nothing is installed in
+        that case.
         """
         doc = _json_object(payload, "pulled table")
         records = doc.get("bindings", [])
@@ -654,12 +666,14 @@ class ShardReplicaServer(ContextPrefixServer):
                 raise ShardMapError(
                     f"lease_remaining must be a finite number >= 0, "
                     f"got {remaining!r}")
-            parsed.append((prefix, key, binding, remaining))
-        for prefix, key, binding, remaining in parsed:
-            stamp = (epochs or {}).get(prefix)
-            if stamp:
-                binding.epoch = int(stamp[0])
-                binding.source = int(stamp[1])
+            parsed.append((key, binding, remaining))
+        if type(epochs) is not bytes \
+                or len(epochs) not in (0, _STAMP.size * len(parsed)):
+            raise ShardMapError(f"epochs must pack {len(parsed)} stamps, "
+                                f"got {epochs!r:.40}")
+        stamps = _STAMP.iter_unpack(epochs) if epochs else repeat((0, 0))
+        for (key, binding, remaining), stamp in zip(parsed, stamps):
+            binding.epoch, binding.source = stamp
             self.table.bindings[key] = binding
             if remaining > 0:
                 self._leases[key] = now + remaining
@@ -858,7 +872,7 @@ class ShardCluster:
             if reply.ok and reply.segment:
                 now = yield Now()
                 server.install_table(reply.segment, now,
-                                     epochs=reply.get("epochs"))
+                                     epochs=reply.get("epochs", b""))
                 break
         # Adopt into the map only after the warm-up: a rejoined replica
         # that claimed ownership over an empty table would answer

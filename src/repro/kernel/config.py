@@ -11,7 +11,9 @@ The retransmission block is what makes Send a *reliable* transaction over a
 lossy wire (E14): the sender kernel retransmits an unanswered request on a
 capped exponential backoff until the reply arrives (the reply is the ack,
 as in V) or the probe protocol declares the peer dead; the receiver kernel
-suppresses duplicates by transaction id and replays cached replies.  With
+suppresses duplicates by transaction id and replays a reply while its
+sender can still ask: for one to two windows of ``2 * (MAX_FAILED_PROBES +
+1) * PROBE_INTERVAL`` (DESIGN.md section 12).  With
 ``retransmit_enabled=False`` the kernel behaves like the pre-E14 model:
 any lost frame in a transaction surfaces as TIMEOUT.  The defaults are
 chosen so that on a loss-free wire no retransmission timer ever fires
@@ -58,10 +60,6 @@ class KernelConfig:
     #: Backoff multiplier and ceiling for subsequent retransmissions.
     retransmit_backoff: float = 2.0
     retransmit_cap: float = 0.200
-
-    #: Receiver-side cache of the last replies sent to remote senders, for
-    #: replay when the reply frame itself was lost (keyed by txn id).
-    reply_cache_entries: int = 512
 
 
 DEFAULT_CONFIG = KernelConfig()

@@ -33,6 +33,7 @@ nothing.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.kernel import ipc
@@ -80,7 +81,7 @@ class Host:
         self.metrics = domain.metrics
         self.config = domain.config
 
-        start = domain.rng.randint(f"pids.{host_id}", 1, 0xFFFE)
+        start = domain.rng.randint_once(f"pids.{host_id}", 1, 0xFFFE)
         self.allocator = PidAllocator(host_id, start=start)
         self.processes: dict[int, Process] = {}
         self.registry = ServiceRegistry()
@@ -115,10 +116,11 @@ class Host:
         self._forwarded: dict[int, float] = {}
         self._marker_life = (2 * (self.config.max_failed_probes + 1)
                              * self.config.probe_interval)
-        #: Receiver-side: the last replies pushed to remote senders, kept so
-        #: a retransmitted request (or a probe) whose original reply frame
-        #: was lost can be answered by replay instead of a spurious NACK.
+        #: Receiver-side: txn_id -> the replies sent to remote senders in this
+        #: ``_marker_life`` window and the last (the first ``_replies_old``),
+        #: replayed to a retransmission or probe whose reply frame was lost.
         self._reply_cache: dict[int, Packet] = {}
+        self._replies_old, self._reply_turn = 0, 0.0
         #: GetPid broadcast waiters:
         #: waiter_id -> (process, timeout_event, service, attempts)
         self._getpid_waiters: dict[int, tuple[Process, Any, int, int]] = {}
@@ -207,7 +209,7 @@ class Host:
         self._outstanding.clear()
         self._presence.clear()
         self._forwarded.clear()
-        self._reply_cache.clear()
+        self._reply_cache, self._replies_old = {}, 0
         for __, event, __, __ in self._getpid_waiters.values():
             event.cancel()
         self._getpid_waiters.clear()
@@ -522,12 +524,14 @@ class Host:
         packet = Packet(_REPLY, from_pid, sender_pid,
                         delivery.txn_id, message)
         if self._retransmit_enabled:
-            # Remember the reply for loss replay (the newest N survive).
-            cache = self._reply_cache
-            cache.pop(delivery.txn_id, None)
-            cache[delivery.txn_id] = packet
-            while len(cache) > self.config.reply_cache_entries:
-                del cache[next(iter(cache))]
+            now = self.engine._now
+            if now >= self._reply_turn:   # turn: keep only the last window's
+                self._reply_cache = dict(islice(
+                    self._reply_cache.items(), self._replies_old, None)) \
+                    if now < self._reply_turn + self._marker_life else {}
+                self._replies_old = len(self._reply_cache)
+                self._reply_turn = now + self._marker_life
+            self._reply_cache[delivery.txn_id] = packet
         if busy and replier is not None:
             replier.state = _WAITING
             self.engine.post(self._kernel_cpu, self._transmit_put, packet,
@@ -895,8 +899,7 @@ class Host:
             return
         cached = self._reply_cache.get(packet.txn_id)
         if cached is not None and self._retransmit_enabled:
-            # We already answered this transaction; the reply frame must
-            # have been lost.  Replay it instead of re-executing anything.
+            # Answered already, and the reply frame was lost: replay it.
             self.metrics.incr("ipc.dup_suppressed")
             self.metrics.incr("ipc.reply_resends")
             self.counters["ipc.reply_resends"] += 1

@@ -11,7 +11,6 @@ process dies holding requests).
 from __future__ import annotations
 
 import enum
-from collections import deque
 from typing import Any, Optional
 
 from repro.kernel.ipc import Delivery, Segment
@@ -79,7 +78,7 @@ class Process:
         self.state = ProcessState.READY
 
         #: Arrived requests not yet returned by Receive.
-        self.msg_queue: deque[Delivery] = deque()
+        self.msg_queue: list[Delivery] = []
         #: Set when blocked in Receive; optional sender filter.
         self.recv_filter: Optional[Pid] = None
         #: The single outstanding Send (V senders block, so at most one).

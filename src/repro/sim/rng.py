@@ -32,13 +32,20 @@ class DeterministicRng:
         existing = self._streams.get(name)
         if existing is not None:
             return existing
-        sub_seed = (self.seed * 0x9E3779B1 + zlib.crc32(name.encode())) & 0xFFFFFFFF
-        stream = random.Random(sub_seed)
+        stream = random.Random(self._sub_seed(name))
         self._streams[name] = stream
         return stream
 
+    def _sub_seed(self, name: str) -> int:
+        return (self.seed * 0x9E3779B1 + zlib.crc32(name.encode())) & 0xFFFFFFFF
+
     def randint(self, name: str, low: int, high: int) -> int:
         return self.stream(name).randint(low, high)
+
+    def randint_once(self, name: str, low: int, high: int) -> int:
+        """The first ``randint`` of the stream ``name``, for a consumer
+        that draws only once: the stream is not kept."""
+        return random.Random(self._sub_seed(name)).randint(low, high)
 
     def choice(self, name: str, items: Sequence[T]) -> T:
         return self.stream(name).choice(items)

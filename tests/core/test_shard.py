@@ -256,6 +256,24 @@ class TestInstallTableFuzz:
         # held: the 0.5 s that remained), so the puller holds it leased.
         assert puller._leases[b"data"] > 2.0
 
+    def test_packed_epochs_stamp_each_record(self):
+        exporter = exporting_replica()
+        exporter.table.bindings[b"data"].epoch = 7
+        exporter.table.bindings[b"svc"].source = 65538
+        puller = ShardReplicaServer(1, TABLE_MAP)
+        puller.install_table(exporter.export_table(now=1.0), now=2.0,
+                             epochs=exporter.export_epochs())
+        assert {key: (binding.epoch, binding.source)
+                for key, binding in puller.table.bindings.items()} == {
+            b"data": (7, 0), b"svc": (0, 65538)}
+
+    @pytest.mark.parametrize("epochs", [b"\0" * 16, b"\0" * 33, "x", None])
+    def test_epochs_that_do_not_fit_the_records_install_nothing(self, epochs):
+        server = ShardReplicaServer(1, TABLE_MAP)
+        with pytest.raises(ShardMapError, match="epochs"):
+            server.install_table(self.VALID, now=2.0, epochs=epochs)
+        assert not server.table.bindings and not server._leases
+
     @pytest.mark.parametrize("payload", GARBAGE_MAPS[:3] + [
         b"\xff", b'{"bindings":1}', b'{"bindings":[1]}',
         b'{"bindings":[{"prefix":"p"}]}',

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.kernel.domain import Domain
 from repro.kernel.pids import (
     LOCAL_ID_MAX,
     LOGICAL_HOST_MAX,
@@ -103,3 +104,22 @@ class TestPidAllocator:
         allocator._live = set(range(LOCAL_ID_MAX))  # simulate a full table
         with pytest.raises(RuntimeError, match="exhausted"):
             allocator.allocate()
+
+
+class TestHostPidStart:
+    """Each host's allocator starts at a seeded draw that keeps no stream."""
+
+    #: (seed, logical host) -> the start drawn from the kept "pids.<host>"
+    #: stream before the draw stopped keeping it; pids must not move.
+    PINNED = {(0, 1): 16998, (0, 2): 9020, (0, 100): 47643, (0, 200): 57033,
+              (7, 1): 36251, (7, 2): 1135, (7, 100): 12745, (7, 200): 16224}
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_start_is_pinned_and_no_pid_stream_is_kept(self, seed):
+        domain = Domain(seed=seed)
+        hosts = {host.host_id: host for host in domain.create_hosts(200)}
+        for (pinned_seed, host_id), start in self.PINNED.items():
+            if pinned_seed == seed:
+                assert hosts[host_id].allocator._next == start
+        assert not [name for name in domain.rng._streams
+                    if name.startswith("pids.")]

@@ -160,27 +160,66 @@ def test_loss_free_run_never_retransmits():
     assert domain.metrics.count("ipc.reply_resends") == 0
 
 
-def test_reply_cache_keeps_the_newest_replies_in_order():
-    # Three round trips through a two-entry cache: the first reply is
-    # evicted, the other two stay, oldest first.
-    config = KernelConfig(reply_cache_entries=2)
-    domain, ws = _two_host_domain(_echo_server(), config)
-    far = next(host for host in domain.hosts.values() if host.name == "far")
-    requests = []
+def _counting_server(work: float, served: list):
+    yield SetPid(1, Scope.BOTH)
+    while True:
+        delivery = yield Receive()
+        served.append(delivery.sender)
+        yield Delay(work)
+        yield Reply(delivery.sender, Message.reply(ReplyCode.OK))
 
-    def note_requests(frame, dst):
-        if frame.payload.kind is PacketKind.REQUEST:
-            requests.append(frame.payload.txn_id)
+
+@pytest.mark.parametrize("work, asker", [
+    (0.0, PacketKind.REQUEST),
+    # Slower than a probe interval: a probe acks the request before the
+    # reply is lost, so the next probe, not a retransmit, asks again.
+    (DEFAULT_CONFIG.probe_interval * 1.5, PacketKind.PROBE),
+])
+def test_a_lost_reply_is_replayed_inside_the_window(work, asker):
+    served = []
+    domain, ws = _two_host_domain(_counting_server(work, served))
+    sent = []
+    domain.ethernet.add_drop_predicate(
+        lambda frame, dst: sent.append(frame.payload.kind))
+    _drop_first(domain.ethernet, PacketKind.REPLY)
+    result = {}
+    run_on(domain, ws, _client(result))
+    assert result["reply"].ok
+    assert domain.metrics.count("ipc.reply_resends") == 1
+    assert len(served) == 1                 # replayed, not re-executed
+    replay = [at for at, kind in enumerate(sent)
+              if kind is PacketKind.REPLY][1]
+    assert sent[replay - 1] is asker
+
+
+def test_reply_cache_holds_only_the_last_two_windows():
+    # One reply every 100 ms for three seconds, against a 0.8 s window:
+    # the cache ends holding every reply of the last window and none from
+    # before the two last, where a fixed-size cache would hold all 30.
+    domain, ws = _two_host_domain(_echo_server())
+    far = next(host for host in domain.hosts.values() if host.name == "far")
+    window = far._marker_life
+    replies = []
+
+    def note_replies(frame, dst):
+        if frame.payload.kind is PacketKind.REPLY:
+            replies.append((domain.engine.now, frame.payload.txn_id))
         return False
 
-    domain.ethernet.add_drop_predicate(note_requests)
+    domain.ethernet.add_drop_predicate(note_replies)
 
     def client():
         yield Delay(0.01)
         pid = yield GetPid(1, Scope.ANY)
-        for __ in range(3):
+        for __ in range(30):
             assert (yield Send(pid, Message.request(0x0101))).ok
+            yield Delay(0.1)
 
     run_on(domain, ws, client())
-    assert len(requests) == 3
-    assert list(far._reply_cache) == requests[1:]
+    assert len(replies) == 30 and replies[-1][0] - replies[0][0] > 2 * window
+    last = replies[-1][0]
+    held = list(far._reply_cache)
+    assert held == [txn for __, txn in replies[-len(held):]]    # in order
+    assert {txn for at, txn in replies if at > last - window} <= set(held)
+    assert all(at > last - 2 * window for at, txn in replies if txn in held)
+    assert len(held) < len(replies)
