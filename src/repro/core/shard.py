@@ -55,7 +55,6 @@ import struct
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Any, Generator, Optional
 
 from repro.core.context import ContextPair, WellKnownContext
@@ -671,7 +670,8 @@ class ShardReplicaServer(ContextPrefixServer):
                 or len(epochs) not in (0, _STAMP.size * len(parsed)):
             raise ShardMapError(f"epochs must pack {len(parsed)} stamps, "
                                 f"got {epochs!r:.40}")
-        stamps = _STAMP.iter_unpack(epochs) if epochs else repeat((0, 0))
+        stamps = _STAMP.iter_unpack(epochs or bytes(_STAMP.size
+                                                    * len(parsed)))
         for (key, binding, remaining), stamp in zip(parsed, stamps):
             binding.epoch, binding.source = stamp
             self.table.bindings[key] = binding
