@@ -208,7 +208,7 @@ def per_op(by_layer: dict, ops: int) -> dict:
     return {"ops": ops, "total": sum(layers_.values()), "layers": layers_}
 
 
-#: A memory row's totals, printed and compared before its layers.
+#: A memory row's totals, listed before its layers.
 MEMORY_TOTALS = ("peak", "held", "blocks")
 
 
@@ -260,11 +260,7 @@ def compare(path_a: str, path_b: str) -> int:
     after = {row[:3]: row[3] for row in table(b)}
     print(f"{'table':<9}{'row':<22}{'column':<16}{'A':>12}{'B':>12}"
           f"{'B-A':>12}{'%':>9}")
-    order = ("total",) + MEMORY_TOTALS
-    for key in sorted(set(before) | set(after),
-                      key=lambda k: (k[0] != "opcodes", k[1],
-                                     order.index(k[2]) if k[2] in order
-                                     else len(order), k[2])):
+    for key in {**before, **after}:          # in table order, A's first
         old, new = before.get(key, 0.0), after.get(key, 0.0)
         if round(old, 1) == round(new, 1):
             continue
