@@ -223,3 +223,28 @@ def test_reply_cache_holds_only_the_last_two_windows():
     assert {txn for at, txn in replies if at > last - window} <= set(held)
     assert all(at > last - 2 * window for at, txn in replies if txn in held)
     assert len(held) < len(replies)
+
+
+def test_a_crash_empties_the_reply_cache_and_its_window_count():
+    # Ten replies 100 ms apart span a window turn, so the cache holds a
+    # last window when the host crashes; the ten after the restart cross
+    # the next turn, which must keep all of them.
+    domain, ws = _two_host_domain(_echo_server())
+    far = next(host for host in domain.hosts.values() if host.name == "far")
+
+    def ten_sends():
+        yield Delay(0.01)
+        pid = yield GetPid(1, Scope.ANY)
+        for __ in range(10):
+            assert (yield Send(pid, Message.request(0x0101))).ok
+            yield Delay(0.1)
+
+    run_on(domain, ws, ten_sends())
+    before = set(far._reply_cache)
+    assert far._replies_old and len(before) == 10
+    far.crash()
+    assert not far._reply_cache
+    far.restart()
+    far.spawn(_echo_server(), "server")
+    run_on(domain, ws, ten_sends())
+    assert len(far._reply_cache) == 10 and not before & set(far._reply_cache)
