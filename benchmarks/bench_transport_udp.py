@@ -8,6 +8,7 @@ Its role is regression tracking for the real-socket path.
 """
 
 import asyncio
+import statistics
 
 import pytest
 
@@ -41,23 +42,28 @@ async def _measure() -> dict:
     results: dict = {}
     loop = asyncio.get_running_loop()
 
+    def median_ms(operation):
+        """The median wall ms of ``ROUNDS`` runs of ``operation()``, each
+        timed alone: one scheduler hiccup moves a mean, not a median."""
+        times = []
+        for __ in range(ROUNDS):
+            start = loop.time()
+            yield from operation()
+            times.append((loop.time() - start) * 1e3)
+        return statistics.median(times)
+
+    def open_close(name):
+        stream = yield from session.open(name, "r")
+        yield from stream.close()
+
     def client():
         yield from files.write_file(session, "bench.dat", b"x" * 2048)
-        t0 = loop.time()
-        for __ in range(ROUNDS):
-            stream = yield from session.open("bench.dat", "r")
-            yield from stream.close()
-        t1 = loop.time()
-        for __ in range(ROUNDS):
-            stream = yield from session.open("[home]bench.dat", "r")
-            yield from stream.close()
-        t2 = loop.time()
-        for __ in range(ROUNDS):
-            yield from files.read_file(session, "bench.dat")
-        t3 = loop.time()
-        results["open_direct_ms"] = (t1 - t0) / ROUNDS * 1e3
-        results["open_prefix_ms"] = (t2 - t1) / ROUNDS * 1e3
-        results["read_2k_ms"] = (t3 - t2) / ROUNDS * 1e3
+        results["open_direct_ms"] = yield from median_ms(
+            lambda: open_close("bench.dat"))
+        results["open_prefix_ms"] = yield from median_ms(
+            lambda: open_close("[home]bench.dat"))
+        results["read_2k_ms"] = yield from median_ms(
+            lambda: files.read_file(session, "bench.dat"))
         done.set()
 
     ws.spawn(client(), "bench-client")
@@ -78,8 +84,9 @@ def test_udp_transport_roundtrips(benchmark):
             ("open, via prefix server (forwarded)", results["open_prefix_ms"]),
             ("open+read 2 KB+close", results["read_2k_ms"]),
         ],
-        headers=("operation", "wall ms"),
+        headers=("operation", "wall ms, median"),
     )
-    # Sanity: sockets work and the prefix path costs more than direct.
+    # Sanity: sockets work and the prefix path costs more than direct.  On
+    # loopback it costs only 5-10 % more, so these compare medians.
     assert results["open_direct_ms"] < 50
     assert results["open_prefix_ms"] > results["open_direct_ms"] * 0.8

@@ -11,9 +11,9 @@ The retransmission block is what makes Send a *reliable* transaction over a
 lossy wire (E14): the sender kernel retransmits an unanswered request on a
 capped exponential backoff until the reply arrives (the reply is the ack,
 as in V) or the probe protocol declares the peer dead; the receiver kernel
-suppresses duplicates by transaction id and replays a reply for as long
-as its sender can still ask: one to two windows of twice the Send failure
-bound above (DESIGN.md section 12).  With
+suppresses duplicates by transaction id and replays each remote sender's
+last reply until its next one, for one to two windows of twice the Send
+failure bound above (DESIGN.md section 12).  With
 ``retransmit_enabled=False`` the kernel behaves like the pre-E14 model:
 any lost frame in a transaction surfaces as TIMEOUT.  The defaults are
 chosen so that on a loss-free wire no retransmission timer ever fires

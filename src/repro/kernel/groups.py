@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.kernel.pids import Pid
-from repro.net.packet import GroupAddress
 
 
 class GroupRegistry:
@@ -49,7 +48,3 @@ class GroupRegistry:
 
     def hosts_with_members(self, group_id: int) -> set[int]:
         return {pid.logical_host for pid in self._members.get(group_id, set())}
-
-    @staticmethod
-    def address(group_id: int) -> GroupAddress:
-        return GroupAddress(group_id)

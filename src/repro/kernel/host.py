@@ -33,7 +33,6 @@ nothing.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import islice
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.kernel import ipc
@@ -66,6 +65,7 @@ _RECV_BLOCKED, _SEND_BLOCKED, _MOVE_BLOCKED = (
 #: The packet kinds built or tested once per Send, Reply or arriving frame.
 _REQUEST, _REPLY, _MOVE_DATA = (PacketKind.REQUEST, PacketKind.REPLY,
                                 PacketKind.MOVE_DATA)
+_NO_REPLIES: dict[int, Packet] = {}   # no old replies yet; never written
 
 
 class Host:
@@ -116,11 +116,12 @@ class Host:
         self._forwarded: dict[int, float] = {}
         self._marker_life = (2 * (self.config.max_failed_probes + 1)
                              * self.config.probe_interval)
-        #: Receiver-side: txn_id -> the replies sent to remote senders in this
-        #: ``_marker_life`` window and the last (the first ``_replies_old``),
-        #: replayed to a retransmission or probe whose reply frame was lost.
+        #: Receiver-side: remote sender's pid value -> the last reply sent to
+        #: it (not a GroupSend's: never asked again), replayed if its frame was
+        #: lost; in this ``_marker_life`` window's generation or the last's.
         self._reply_cache: dict[int, Packet] = {}
-        self._replies_old, self._reply_turn = 0, 0.0
+        self._reply_cache_old = _NO_REPLIES
+        self._reply_turn = 0.0
         #: GetPid broadcast waiters:
         #: waiter_id -> (process, timeout_event, service, attempts)
         self._getpid_waiters: dict[int, tuple[Process, Any, int, int]] = {}
@@ -209,7 +210,7 @@ class Host:
         self._outstanding.clear()
         self._presence.clear()
         self._forwarded.clear()
-        self._reply_cache, self._replies_old = {}, 0
+        self._reply_cache, self._reply_cache_old = {}, _NO_REPLIES
         for __, event, __, __ in self._getpid_waiters.values():
             event.cancel()
         self._getpid_waiters.clear()
@@ -523,15 +524,15 @@ class Host:
             return None
         packet = Packet(_REPLY, from_pid, sender_pid,
                         delivery.txn_id, message)
-        if self._retransmit_enabled:
-            now = self.engine._now
-            if now >= self._reply_turn:   # turn: keep only the last window's
-                self._reply_cache = dict(islice(
-                    self._reply_cache.items(), self._replies_old, None)) \
-                    if now < self._reply_turn + self._marker_life else {}
-                self._replies_old = len(self._reply_cache)
-                self._reply_turn = now + self._marker_life
-            self._reply_cache[delivery.txn_id] = packet
+        if self._retransmit_enabled and not delivery.via_group:
+            if self.engine._now >= self._reply_turn:   # the window turns
+                self._reply_cache_old, self._reply_cache = (
+                    self._reply_cache if self.engine._now < self._reply_turn
+                    + self._marker_life else _NO_REPLIES), {}
+                self._reply_turn = self.engine._now + self._marker_life
+            self._reply_cache[sender_pid.value] = packet
+            if sender_pid.value in self._reply_cache_old:   # superseded
+                del self._reply_cache_old[sender_pid.value]
         if busy and replier is not None:
             replier.state = _WAITING
             self.engine.post(self._kernel_cpu, self._transmit_put, packet,
@@ -897,13 +898,15 @@ class Host:
             if tap is not None:
                 tap(ev.DUP_SUPPRESSED, self, packet, presence[1])
             return
-        cached = self._reply_cache.get(packet.txn_id)
-        if cached is not None and self._retransmit_enabled:
-            # Answered already, and the reply frame was lost: replay it.
+        key = packet.src_pid.value
+        cached = self._reply_cache.get(key) or self._reply_cache_old.get(key)
+        if cached is not None and cached.txn_id >= packet.txn_id:
+            # Answered: replay its lost reply, or drop a superseded Send.
             self.metrics.incr("ipc.dup_suppressed")
-            self.metrics.incr("ipc.reply_resends")
-            self.counters["ipc.reply_resends"] += 1
-            self._transmit(cached, packet.src_pid.logical_host)
+            if cached.txn_id == packet.txn_id:
+                self._replay_reply(cached, packet)
+            else:
+                self.counters["ipc.dup_suppressed"] += 1
             return
         dst_proc = self.find_process(packet.dst_pid)
         if dst_proc is None:
@@ -917,6 +920,13 @@ class Host:
                             forwarder=packet.info.get("forwarder"))
         self._enqueue_delivery(dst_proc, delivery)
 
+    def _replay_reply(self, cached: Packet, packet: Packet) -> None:
+        """Resend ``cached``, the reply ``packet`` asks for again."""
+        self.metrics.incr("ipc.reply_resends")
+        self.counters["ipc.reply_resends"] += 1
+        self.engine.post(self._kernel_cpu, self._transmit_put, cached,
+                         packet.src_pid.logical_host, None)   # _transmit
+
     def _on_reply_packet(self, packet: Packet, src_host: int) -> None:
         txn = self._outstanding.get(packet.txn_id)
         if txn is None:
@@ -928,12 +938,10 @@ class Host:
     def _on_probe_packet(self, packet: Packet, src_host: int) -> None:
         presence = self._presence.get(packet.txn_id)
         if presence is None:
-            cached = self._reply_cache.get(packet.txn_id)
-            if cached is not None and self._retransmit_enabled:
-                # Transaction done; its reply frame was lost.  Replay.
-                self.metrics.incr("ipc.reply_resends")
-                self.counters["ipc.reply_resends"] += 1
-                self._transmit(cached, packet.src_pid.logical_host)
+            key = packet.src_pid.value
+            cached = self._reply_cache.get(key) or self._reply_cache_old.get(key)
+            if cached is not None and cached.txn_id == packet.txn_id:
+                self._replay_reply(cached, packet)   # done; its reply lost
                 return
             if (packet.dst_pid is not None
                     and self.find_process(packet.dst_pid) is not None):
@@ -941,15 +949,12 @@ class Host:
                 # the transaction: the request frame itself was lost.  Tell
                 # the sender so it can retransmit instead of (wrongly)
                 # concluding the process is gone.
-                response = Packet(PacketKind.PROBE_MISSING,
-                                  src_pid=packet.dst_pid,
-                                  dst_pid=packet.src_pid,
-                                  txn_id=packet.txn_id)
-                self._transmit(response, packet.src_pid.logical_host)
-                return
-            response = Packet(PacketKind.NACK, src_pid=packet.dst_pid or Pid(0),
-                              dst_pid=packet.src_pid, txn_id=packet.txn_id,
-                              message=Message.reply(ReplyCode.NONEXISTENT_PROCESS))
+                response = Packet(PacketKind.PROBE_MISSING, packet.dst_pid,
+                                  packet.src_pid, packet.txn_id)
+            else:
+                response = Packet(
+                    PacketKind.NACK, packet.dst_pid or Pid(0), packet.src_pid,
+                    packet.txn_id, Message.reply(ReplyCode.NONEXISTENT_PROCESS))
         elif presence[0] == "forwarded":
             self._mark_forwarded(packet.txn_id, presence[1])
             response = Packet(PacketKind.PROBE_FORWARDED,

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.context import ContextPair, WellKnownContext
 from repro.core.prefix_server import ContextPrefixServer
-from repro.kernel.ipc import Segment, Send
+from repro.kernel.ipc import MyPid, Segment, Send
 from repro.kernel.messages import Message, ReplyCode, RequestCode
 from repro.net.asyncio_transport import AsyncDomain, _LoopClock
 from repro.net.latency import STANDARD_3MBIT
@@ -609,6 +609,27 @@ class TestTimersAndLifecycle:
         # Each Send arms a probe and a retransmit timer; once the last reply
         # is in, none is live and no loop handle stays armed.
         assert run_async(scenario()) == ({}, [], [])
+
+    def test_an_echo_host_holds_one_reply_for_its_one_sender(self):
+        # A sender's next request supersedes its last reply: 200 echoes,
+        # all inside one replay window on a real clock, leave one reply.
+        async def scenario():
+            domain, (ws, far) = await bare_domain("ws", "far")
+            echo_pid = far.spawn(echo_server(), "echo")
+
+            def client():
+                for __ in range(200):
+                    assert (yield Send(echo_pid, Message.request(1))).ok
+                return (yield MyPid())
+
+            client_pid = await run_client(domain, ws, client())
+            held = (len(far._reply_cache),
+                    far._reply_cache.keys() | far._reply_cache_old.keys())
+            await domain.shutdown()
+            return client_pid, held
+
+        client_pid, held = run_async(scenario())
+        assert held == (1, {client_pid.value})
 
     def test_shutdown_silences_parked_processes(self):
         import gc

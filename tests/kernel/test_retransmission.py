@@ -9,7 +9,8 @@ import pytest
 
 from repro.kernel.config import DEFAULT_CONFIG, KernelConfig
 from repro.kernel.domain import Domain
-from repro.kernel.ipc import Delay, GetPid, Receive, Reply, Send, SetPid
+from repro.kernel.ipc import (Delay, GetPid, MyPid, Receive, Reply, Send,
+                              SetPid)
 from repro.kernel.messages import Message, PacketKind, ReplyCode
 from repro.kernel.services import Scope
 from tests.helpers import run_on
@@ -192,59 +193,106 @@ def test_a_lost_reply_is_replayed_inside_the_window(work, asker):
     assert sent[replay - 1] is asker
 
 
-def test_reply_cache_holds_only_the_last_two_windows():
-    # One reply every 100 ms for three seconds, against a 0.8 s window:
-    # the cache ends holding every reply of the last window and none from
-    # before the two last, where a fixed-size cache would hold all 30.
-    domain, ws = _two_host_domain(_echo_server())
-    far = next(host for host in domain.hosts.values() if host.name == "far")
-    window = far._marker_life
-    replies = []
+def _far(domain):
+    return next(host for host in domain.hosts.values() if host.name == "far")
 
-    def note_replies(frame, dst):
-        if frame.payload.kind is PacketKind.REPLY:
-            replies.append((domain.engine.now, frame.payload.txn_id))
+
+def _noting(kind, frames):
+    """A drop predicate that drops nothing and keeps each ``kind`` frame."""
+    def predicate(frame, dst):
+        if frame.payload.kind is kind:
+            frames.append(frame)
         return False
-
-    domain.ethernet.add_drop_predicate(note_replies)
-
-    def client():
-        yield Delay(0.01)
-        pid = yield GetPid(1, Scope.ANY)
-        for __ in range(30):
-            assert (yield Send(pid, Message.request(0x0101))).ok
-            yield Delay(0.1)
-
-    run_on(domain, ws, client())
-    assert len(replies) == 30 and replies[-1][0] - replies[0][0] > 2 * window
-    last = replies[-1][0]
-    held = list(far._reply_cache)
-    assert held == [txn for __, txn in replies[-len(held):]]    # in order
-    assert {txn for at, txn in replies if at > last - window} <= set(held)
-    assert all(at > last - 2 * window for at, txn in replies if txn in held)
-    assert len(held) < len(replies)
+    return predicate
 
 
-def test_a_crash_empties_the_reply_cache_and_its_window_count():
-    # Ten replies 100 ms apart span a window turn, so the cache holds a
-    # last window when the host crashes; the ten after the restart cross
-    # the next turn, which must keep all of them.
+def _held(host):
+    """Sender pid value -> the reply ``host`` would replay to it."""
+    return {**host._reply_cache_old, **host._reply_cache}
+
+
+def _sends(count, gap=0.0):
+    yield Delay(0.01)
+    pid = yield GetPid(1, Scope.ANY)
+    for __ in range(count):
+        assert (yield Send(pid, Message.request(0x0101))).ok
+        if gap:
+            yield Delay(gap)
+    return (yield MyPid())
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.1])
+def test_one_sender_leaves_one_cached_reply(gap):
+    # A sender's next request proves it has its last reply: 30 sequential
+    # Sends leave one reply held, the last, where a cache keyed by
+    # transaction holds all 30 (or, 100 ms apart, those of two windows).
     domain, ws = _two_host_domain(_echo_server())
-    far = next(host for host in domain.hosts.values() if host.name == "far")
+    far = _far(domain)
+    replies = []
+    domain.ethernet.add_drop_predicate(_noting(PacketKind.REPLY, replies))
+    client = run_on(domain, ws, _sends(30, gap))
+    assert len(replies) == 30
+    assert len(far._reply_cache) == 1
+    assert len(far._reply_cache_old) == 0
+    assert _held(far) == {client.value: replies[-1].payload}
 
-    def ten_sends():
-        yield Delay(0.01)
-        pid = yield GetPid(1, Scope.ANY)
-        for __ in range(10):
-            assert (yield Send(pid, Message.request(0x0101))).ok
-            yield Delay(0.1)
 
-    run_on(domain, ws, ten_sends())
-    before = set(far._reply_cache)
-    assert far._replies_old and len(before) == 10
+def test_silent_senders_lose_their_replies_after_two_windows():
+    # Three senders are answered once and fall silent while a fourth asks
+    # every 100 ms for three seconds, against a 0.8 s window: the three are
+    # held at first, and gone two window turns later.
+    domain, ws = _two_host_domain(_echo_server())
+    far = _far(domain)
+    silent = [ws.spawn(_sends(1), "once").pid.value for __ in range(3)]
+    counts = []
+
+    def steady():
+        pid = yield from _sends(1)
+        counts.append(len(_held(far)))
+        yield from _sends(29, gap=0.1)
+        return pid
+
+    client = run_on(domain, ws, steady())
+    assert 30 * 0.1 > 2 * far._marker_life
+    assert counts == [4] and client.value not in silent
+    assert list(_held(far)) == [client.value]
+
+
+def test_a_crash_empties_both_generations_of_the_reply_cache():
+    # One sender answered once and another ten times 100 ms apart, across
+    # a window turn: both generations hold a reply when the host crashes.
+    # After the restart only a reply sent since is held.
+    domain, ws = _two_host_domain(_echo_server())
+    far = _far(domain)
+    ws.spawn(_sends(1), "once")
+    run_on(domain, ws, _sends(10, gap=0.1))
+    assert far._reply_cache and far._reply_cache_old
     far.crash()
-    assert not far._reply_cache
+    assert not far._reply_cache and not far._reply_cache_old
     far.restart()
     far.spawn(_echo_server(), "server")
-    run_on(domain, ws, ten_sends())
-    assert len(far._reply_cache) == 10 and not before & set(far._reply_cache)
+    replies = []
+    domain.ethernet.add_drop_predicate(_noting(PacketKind.REPLY, replies))
+    client = run_on(domain, ws, _sends(1))
+    assert _held(far) == {client.value: replies[-1].payload}
+
+
+def test_a_delayed_copy_of_a_superseded_request_is_dropped():
+    # A copy of the first request reaches the server's host after the
+    # second Send was answered: its sender has given up on it, so the copy
+    # runs no server body and gets no replay of a reply nobody awaits.
+    served = []
+    domain, ws = _two_host_domain(_counting_server(0.0, served))
+    requests = []
+    domain.ethernet.add_drop_predicate(_noting(PacketKind.REQUEST, requests))
+
+    def client():
+        yield from _sends(2)
+        domain.ethernet.transmit(requests[0])
+        yield Delay(0.05)
+
+    run_on(domain, ws, client())
+    assert len(requests) == 3 and len(served) == 2
+    assert domain.metrics.count("ipc.dup_suppressed") == 1
+    assert domain.metrics.count("ipc.reply_resends") == 0
+    assert domain.metrics.count("ipc.duplicate_replies") == 0
