@@ -22,9 +22,10 @@ script counts them with ``sys.settrace`` opcode events (CPython 3.11 has no
 The **memory table** builds and runs each workload a third time under
 ``tracemalloc`` (one frame): the bytes and blocks the build, or the timed
 region, allocated and still holds at its end, by the layer of the file that
-allocated them, and the traced peak.  ``fleet_send`` adds a full-size row
-(``fleet_send@full``, timed region only), since its reply cache's bound
-shows only at that size.
+allocated them, and the traced peak.  Two workloads add a full-size row,
+where their cost shows only at that size: ``fleet_send@full`` (timed region
+only: its reply cache's bound) and ``shard_zipf@full/build`` (build only:
+4 096 prefixes seeded on four replicas).
 
 Layers are ``benchmarks/ledger/layers.py``'s (a module of ``src/repro`` by
 path; dataclass-generated methods, compiled from ``<string>``, by the module
@@ -71,8 +72,10 @@ UNCOUNTED = ("udp_loopback",)
 #: Transactions per probe count (the second count is twice this).
 TRANSACTIONS = 500
 SCHEMA = "opcount/2"
-#: The workload whose memory table also gets a full-size row.
-FULL_SIZE = "fleet_send"
+#: The workloads whose memory table also gets a full-size row of the timed
+#: region (``<workload>@full``) or of the build (``<workload>@full/build``).
+FULL_SIZE_RUN = ("fleet_send",)
+FULL_SIZE_BUILD = ("shard_zipf",)
 
 
 class OpcodeTracer:
@@ -177,10 +180,14 @@ def count_workload(name: str) -> tuple[dict, dict]:
     build, run = MemoryTracer(), MemoryTracer()
     build_and_run(name, SCALE, build, run)
     memory = {name: run.row(ops), f"{name}/build": build.row(1)}
-    if name == FULL_SIZE:
+    if name in FULL_SIZE_RUN:
         run = MemoryTracer()
         memory[f"{name}@full"] = run.row(
             build_and_run(name, 1.0, None, run).attempted)
+    if name in FULL_SIZE_BUILD:
+        build = MemoryTracer()
+        build_and_run(name, 1.0, build)
+        memory[f"{name}@full/build"] = build.row(1)
     return opcodes, memory
 
 

@@ -64,11 +64,28 @@ sys.settrace(tracer)
 '''
 
 
-def _edit(text: str, old: str, new: str) -> str:
+#: The first words of smoke.sh's traced-bench command, whatever benches
+#: its continuation lines list.
+TRACED_BENCHES = "REPRO_TRACE_DIR=$out/traces python -m pytest"
+
+
+def _find(text: str, old: str) -> int:
     if old not in text:
         raise SystemExit(f"smoke.sh no longer contains {old!r}: update "
                          "traffic_audit.py's copy of it")
+    return text.index(old)
+
+
+def _edit(text: str, old: str, new: str) -> str:
+    _find(text, old)
     return text.replace(old, new)
+
+
+def _command_end(text: str, start: str) -> str:
+    """The last line of the command that begins with ``start``: its
+    backslash-continued lines followed to the end."""
+    lines = text[_find(text, start):].splitlines(keepends=True)
+    return next(line for line in lines if not line.endswith("\\\n"))
 
 
 def traffic(tmp: Path) -> list[tuple[str, list[str]]]:
@@ -78,9 +95,9 @@ def traffic(tmp: Path) -> list[tuple[str, list[str]]]:
     smoke = _edit(smoke, "export PYTHONPATH=src",
                   f"export PYTHONPATH={tmp}:{ROOT / 'src'}")
     smoke = _edit(smoke, "python -m pytest -x -q", "python -m pytest -q")
-    smoke = _edit(smoke, "benchmarks/bench_e18_sharded_names.py\n",
-                  "benchmarks/bench_e18_sharded_names.py"
-                  " || echo \"traced benches exited $?\" >&2\n")
+    last = _command_end(smoke, TRACED_BENCHES)
+    smoke = _edit(smoke, last, last[:-1]
+                  + " || echo \"traced benches exited $?\" >&2\n")
     smoke_copy = tmp / "smoke.sh"
     smoke_copy.write_text(smoke)
     return [("ledger --smoke", [python, "benchmarks/ledger/run.py",

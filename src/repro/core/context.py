@@ -42,7 +42,7 @@ ORDINARY_CONTEXT_MIN = 0x0001
 ORDINARY_CONTEXT_MAX = 0xFF00
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ContextPair:
     """A fully-qualified context: (server-pid, context-identifier).
 

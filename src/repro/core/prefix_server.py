@@ -57,7 +57,7 @@ from repro.kernel.services import Scope, ServiceId
 Gen = Generator[Any, Any, Any]
 
 
-@dataclass
+@dataclass(slots=True)
 class PrefixBinding:
     """One prefix table entry."""
 

@@ -802,10 +802,10 @@ class ShardCluster:
             binding = PrefixBinding(name=key, fixed=pair)
         self._seed_epoch += 1
         binding.epoch = self._seed_epoch
-        now = self.domain.now
+        expiry = self.domain.now + self.lease_ttl   # one float, shared
         for server in self.servers.values():
             server.table.bindings[key] = binding
-            server._leases[key] = now + self.lease_ttl
+            server._leases[key] = expiry
 
     def primary_pid(self) -> Pid:
         """A stable entry-point pid (lowest live replica id)."""

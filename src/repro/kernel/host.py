@@ -71,6 +71,21 @@ _NO_REPLIES: dict[int, Packet] = {}   # no old replies yet; never written
 class Host:
     """A single machine in a V domain."""
 
+    #: Slotted: a domain holds hosts by the hundred, and the tap loop below
+    #: would otherwise materialize a 49-attribute instance dict on each.
+    __slots__ = (
+        "domain", "host_id", "name", "engine", "ethernet", "latency",
+        "metrics", "config", "allocator", "processes", "registry", "crashed",
+        "counters", "_m_probes", "started_at", "_next_txn_id",
+        "_next_waiter_id", *ev.SLOTS.values(), "_tap_packet", "_outstanding",
+        "_presence", "_forwarded", "_marker_life", "_reply_cache",
+        "_reply_cache_old", "_reply_turn", "_getpid_waiters", "_kernel_cpu",
+        "_local_hop", "_probe_interval", "_max_failed_probes",
+        "_retransmit_enabled", "_retransmit_initial", "_post_transmit_put",
+        "_post_handle_packet", "_post_deliver_local_request",
+        "_post_complete_local_txn", "_probe_lane", "_first_retransmit_lane",
+        "_group_reply_lane")
+
     def __init__(self, domain: "Domain", host_id: int, name: str) -> None:
         self.domain = domain
         self.host_id = host_id
@@ -101,8 +116,6 @@ class Host:
         #: The kernel event tap (repro.kernel.tap), one attribute per kind
         #: (``_tap_send`` ... ``_tap_annotate``, ``_tap_packet``): None while
         #: no instrument hears it; the domain rebinds them on attach/detach.
-        #: (Set one by one: materializing ``vars(self)`` slows every later
-        #: attribute load on the host.)
         for slot, fire in domain._taps.items():
             setattr(self, slot, fire)
 
@@ -140,12 +153,12 @@ class Host:
         self._retransmit_initial = self.config.retransmit_initial
         # Pre-bind the callbacks this kernel posts per frame or per
         # transaction: a bound-method object is otherwise allocated at
-        # every post.  (Self-shadowing is deliberate -- the instance
-        # attribute holds the one bound method every later lookup returns.)
-        self._transmit_put = self._transmit_put
-        self._handle_packet = self._handle_packet
-        self._deliver_local_request = self._deliver_local_request
-        self._complete_local_txn = self._complete_local_txn
+        # every post.  (``_post_<method>`` holds the one bound method
+        # every post passes; a slot cannot shadow its method's name.)
+        self._post_transmit_put = self._transmit_put
+        self._post_handle_packet = self._handle_packet
+        self._post_deliver_local_request = self._deliver_local_request
+        self._post_complete_local_txn = self._complete_local_txn
         # The deadline lanes a Send and a GroupSend arm (shared by the
         # domain's hosts).
         engine = self.engine
@@ -373,12 +386,12 @@ class Host:
         # otherwise pays four extra method calls.
         if dst_host == self.host_id:
             engine.post(self._local_hop,
-                        self._deliver_local_request, txn, None)
+                        self._post_deliver_local_request, txn, None)
         else:
             packet = Packet(_REQUEST, proc.pid, effect.dst,
                             txn.txn_id, effect.message)
             engine.post(self._kernel_cpu,
-                        self._transmit_put, packet, dst_host, None)
+                        self._post_transmit_put, packet, dst_host, None)
         # The probe and retransmit deadlines, armed inline (DeadlineLane):
         # reserved sequence numbers, two stores each and a lane append.
         # Local requests are delivered by a reliable in-kernel hop, but the
@@ -518,7 +531,7 @@ class Host:
             txn = self._outstanding.get(delivery.txn_id)
             if txn is not None:
                 self.engine.post(self._local_hop,
-                                 self._complete_local_txn, txn, message)
+                                 self._post_complete_local_txn, txn, message)
             else:
                 self.metrics.incr("ipc.duplicate_replies")
             return None
@@ -535,11 +548,11 @@ class Host:
                 del self._reply_cache_old[sender_pid.value]
         if busy and replier is not None:
             replier.state = _WAITING
-            self.engine.post(self._kernel_cpu, self._transmit_put, packet,
+            self.engine.post(self._kernel_cpu, self._post_transmit_put, packet,
                              sender_host, replier)
             return _BLOCKED
         self.engine.post(self._kernel_cpu,
-                         self._transmit_put, packet, sender_host, None)
+                         self._post_transmit_put, packet, sender_host, None)
         return None
 
     # -- Forward -------------------------------------------------------------------
@@ -568,8 +581,8 @@ class Host:
                                  dst=effect.dst, message=message)
             if local_txn is not None:
                 shadow = local_txn
-            self.engine.post(self._local_hop,
-                             self._deliver_local_request, shadow, proc.pid)
+            self.engine.post(self._local_hop, self._post_deliver_local_request,
+                             shadow, proc.pid)
             return None
         if local_txn is None:   # a remote sender may still retransmit here
             self._mark_forwarded(delivery.txn_id, effect.dst)
@@ -830,7 +843,7 @@ class Host:
         """Charge send-side kernel CPU, then put one frame on the wire (then
         step the process ``resume``, if given)."""
         self.engine.post(self._kernel_cpu,
-                         self._transmit_put, packet, dst, resume)
+                         self._post_transmit_put, packet, dst, resume)
 
     def _transmit_put(self, packet: Packet, dst, resume) -> None:
         if self.crashed:
@@ -859,7 +872,7 @@ class Host:
         if packet.kind is _MOVE_DATA:
             return  # pure timing/traffic; the move completion is scheduled
         self.engine.post(self._kernel_cpu,
-                         self._handle_packet, packet, frame.src_host)
+                         self._post_handle_packet, packet, frame.src_host)
 
     def _handle_packet(self, packet: Packet, src_host: int) -> None:
         if self.crashed:
@@ -924,7 +937,7 @@ class Host:
         """Resend ``cached``, the reply ``packet`` asks for again."""
         self.metrics.incr("ipc.reply_resends")
         self.counters["ipc.reply_resends"] += 1
-        self.engine.post(self._kernel_cpu, self._transmit_put, cached,
+        self.engine.post(self._kernel_cpu, self._post_transmit_put, cached,
                          packet.src_pid.logical_host, None)   # _transmit
 
     def _on_reply_packet(self, packet: Packet, src_host: int) -> None:
@@ -965,7 +978,7 @@ class Host:
             response = Packet(PacketKind.PROBE_OK,
                               packet.dst_pid or Pid(0),
                               packet.src_pid, packet.txn_id)
-        self.engine.post(self._kernel_cpu, self._transmit_put, response,
+        self.engine.post(self._kernel_cpu, self._post_transmit_put, response,
                          packet.src_pid.logical_host, None)
 
     def _on_probe_ok_packet(self, packet: Packet, src_host: int) -> None:
@@ -1180,7 +1193,7 @@ def _probe_due(txn: Transaction, lane) -> None:
             txn.probes_unanswered = 0
     else:
         probe = Packet(PacketKind.PROBE, txn.sender, txn.dst, txn.txn_id)
-        host.engine.post(host._kernel_cpu, host._transmit_put, probe,
+        host.engine.post(host._kernel_cpu, host._post_transmit_put, probe,
                          dst_host, None)
         host._m_probes.value += 1
     lane.arm(txn, host.engine, _PROBE)

@@ -38,7 +38,7 @@ LOGICAL_SERVICE_HOST = LOGICAL_HOST_MAX
 NULL_LOCAL_ID = 0
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Pid:
     """A 32-bit V process identifier.
 

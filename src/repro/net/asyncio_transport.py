@@ -342,6 +342,8 @@ class _UdpWire:
 class AsyncHost(Host):
     """A kernel :class:`~repro.kernel.host.Host` on a UDP socket."""
 
+    __slots__ = ()
+
     def spawn(self, body, name: str = "process") -> Pid:
         """Start a process; returns its Pid (the DES returns the Process)."""
         return Host.spawn(self, body, name).pid
