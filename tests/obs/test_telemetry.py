@@ -198,6 +198,71 @@ class TestSampling:
         assert collector.summary("h1", "nope") is None
 
 
+
+class TestRingWrapAround:
+    """Rings smaller than the run: a host's dense series share row
+    eviction, ``p99_ms`` keeps its own newest readings.  The oracle is the
+    same run, seen by a second collector, at the default capacity."""
+
+    CAPACITY = 8
+
+    def _run(self):
+        domain = Domain()
+        hosts = [domain.create_host("h1"), domain.create_host("h2")]
+        small = TelemetryCollector(domain, capacity=self.CAPACITY)
+        full = TelemetryCollector(domain)
+        waiting = SimpleNamespace()
+        for tick in range(40):
+            domain.engine.run(until=0.05 * (tick + 1))
+            hosts[0].crashed = 30 <= tick < 35     # h1's gap
+            for number, host in enumerate(hosts, 1):
+                host.counters["ipc.transactions"] = 3 * number * tick
+                host.counters["ipc.retransmits"] = tick // (number + 1)
+                if tick % (number + 2):
+                    continue        # no p99_ms reading on this tick
+                for ms in (tick + 1, 2 * tick + number):
+                    txn = SimpleNamespace(
+                        sent_at=domain.engine.now - ms / 1000.0)
+                    for collector in (small, full):
+                        collector.on_event(COMPLETE, host, txn, None,
+                                           waiting)
+            for collector in (small, full):
+                collector._tick()
+                collector.stop()
+        return small, full
+
+    def test_dense_series_keep_their_hosts_newest_rows(self):
+        small, full = self._run()
+        assert set(small.series) == set(full.series)
+        for host in ("h1", "h2", FLEET):
+            rows = [t for t, __ in
+                    full.series_for(host, "resolutions").samples()]
+            assert len(rows) > self.CAPACITY
+            kept = rows[-self.CAPACITY:]
+            for (name, metric), series in full.series.items():
+                if name != host or metric == "p99_ms":
+                    continue
+                assert small.series_for(host, metric).samples() == [
+                    sample for sample in series.samples()
+                    if sample[0] in kept], (host, metric)
+        # h1's newest rows straddle its crash gap.
+        h1 = [t for t, __ in small.series_for("h1", "resolutions").samples()]
+        (gap,) = small.gaps_for("h1")
+        assert h1[0] < gap["start"] < gap["end"] <= h1[-1]
+        assert small.gaps_for("h1") == full.gaps_for("h1")
+
+    def test_p99_keeps_its_own_newest_readings(self):
+        small, full = self._run()
+        for host in ("h1", "h2", FLEET):
+            readings = full.series_for(host, "p99_ms").samples()
+            assert len(readings) > self.CAPACITY
+            kept = small.series_for(host, "p99_ms").samples()
+            assert kept == readings[-self.CAPACITY:]
+            assert small.series_for(host, "p99_ms").capacity == self.CAPACITY
+            # Sparse readings reach back past the dense rows' eviction.
+            rows = small.series_for(host, "resolutions").samples()
+            assert kept[0][0] < rows[0][0]
+
 class TestHysteresis:
     def _collector(self, rule):
         domain = Domain()
