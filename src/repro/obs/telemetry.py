@@ -27,8 +27,8 @@ finds the rest of the event queue empty -- the simulation has quiesced and
 there is nothing left to watch.  :meth:`TelemetryCollector.start` re-arms a
 parked collector.
 
-Sampled series, one ring buffer per (host, metric) and a ``fleet``
-aggregate of each:
+Sampled series, one per (host, metric) -- a host's dense ones columns of
+one packed ring -- and a ``fleet`` aggregate of each:
 
 ==============================  =========================================
 ``resolutions``                 completed IPC transactions this tick (delta)
@@ -63,7 +63,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress, repeat
-from operator import add, attrgetter, gt, is_not, itemgetter, lt, sub
+from math import nan
+from operator import add, attrgetter, eq, gt, itemgetter, lt, sub
+from struct import Struct
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.kernel.tap import COMPLETE
@@ -109,38 +111,54 @@ LATENCY_WINDOW_MAX = 4096
 ALERT_LOG_CAPACITY = 1024
 
 
+#: Packed ring rows: a subject's sample row (time, then the row, absent
+#: slot included) and one reading (time, value).
+_SUBJECT_ROW = Struct(f"{len(SERIES_METRICS) + 2}d")
+_READING = Struct("2d")
+
+
+class SharedRingError(TypeError):
+    """``record`` on a series that is a column of its host's shared ring."""
+
+
 class TimeSeries:
     """A bounded (time, value) ring buffer for one host's one metric.
 
-    The ring holds ``(time, row)`` pairs and the series is one column of
-    the rows, where it is not None: a host's dense series share one ring,
-    so a tick stores the host's whole row with one append.
+    A read view: a bytearray ring of packed rows of doubles, and the
+    column of the rows this series reads, where it is not NaN (no
+    reading).  A host's dense series share one ring, so a tick packs the
+    host's whole row once; samples are decoded only when read.  A row is
+    packed at the end of its ring, and the oldest dropped from the front
+    once it holds ``capacity`` (which moves no bytes).
     """
 
-    __slots__ = ("host", "metric", "_ring", "_column")
+    __slots__ = ("host", "metric", "capacity", "_ring", "_row", "_column")
 
     def __init__(self, host: str, metric: str,
                  capacity: int = DEFAULT_CAPACITY) -> None:
+        if capacity < 1:
+            raise ValueError("a series holds at least one sample")
         self.host = host
         self.metric = metric
-        self._ring: deque = deque(maxlen=capacity)
-        self._column = 0
+        self.capacity = capacity
+        self._ring = bytearray()
+        self._row, self._column = _READING, 1
 
     def record(self, t: float, value: float) -> None:
         """Append one sample (a series with a ring of its own only)."""
-        self._ring.append((t, (value,)))
+        if self._row is not _READING:
+            raise SharedRingError(f"{self.host}/{self.metric} is a column "
+                                  "of its host's shared ring")
+        self._ring += _READING.pack(t, value)
+        del self._ring[:-self.capacity * _READING.size]
 
     def __len__(self) -> int:
         return len(self.samples())
 
-    @property
-    def capacity(self) -> int:
-        return self._ring.maxlen or 0
-
     def samples(self) -> list[tuple[float, float]]:
         column = self._column
-        return [(t, float(row[column])) for t, row in self._ring
-                if row[column] is not None]
+        return [(row[0], value) for row in self._row.iter_unpack(self._ring)
+                if (value := row[column]) == value]
 
     def values(self) -> list[float]:
         return [value for __, value in self.samples()]
@@ -349,7 +367,7 @@ class _RuleState:
 
 
 #: Index of each sampled metric in a sample row; a row carries one extra
-#: trailing slot, always None, that rules over unsampled metrics read.
+#: trailing slot, always NaN, that rules over unsampled metrics read.
 _INDEX = {metric: index for index, metric in enumerate(SERIES_METRICS)}
 _ABSENT = len(SERIES_METRICS)
 _ROW = range(_ABSENT)
@@ -366,7 +384,6 @@ _P99 = _INDEX["p99_ms"]
 #: The counter readings a host row starts with, as per-tick deltas.
 _DELTAS = 5
 _msg_queue = attrgetter("msg_queue")
-_NONE = repeat(None)
 _ZERO = repeat(0.0)
 
 
@@ -378,14 +395,14 @@ class _Sampler:
     __slots__ = ("host", "name", "drops", "previous", "ring", "columns",
                  "p99", "rules")
 
-    def __init__(self, host: Optional["Host"], name: str, capacity: int,
+    def __init__(self, host: Optional["Host"], name: str,
                  rules: list) -> None:
         self.host = host
         self.name = name
         self.drops = (f"net.drops_from.{host.host_id}"
                       if host is not None else None)
         self.previous = (0.0,) * _DELTAS
-        self.ring: deque = deque(maxlen=capacity)
+        self.ring = bytearray()
         self.columns: set[int] = set()
         self.p99: Optional[TimeSeries] = None
         self.rules = rules
@@ -404,8 +421,9 @@ class TelemetryCollector:
     def __init__(self, domain: "Domain", interval: float = DEFAULT_INTERVAL,
                  capacity: int = DEFAULT_CAPACITY,
                  rules: Optional[list[SloRule]] = None) -> None:
-        if interval <= 0:
-            raise ValueError("telemetry interval must be positive")
+        if interval <= 0 or capacity < 1:
+            raise ValueError("telemetry interval and capacity must be "
+                             "positive")
         self.domain = domain
         self.interval = interval
         self.capacity = capacity
@@ -429,8 +447,7 @@ class TelemetryCollector:
         self._order: Optional[list[_Sampler]] = None
         for host in domain.hosts.values():
             self._host_created(host)
-        self._fleet = _Sampler(None, FLEET, capacity,
-                               self._rule_triples(FLEET))
+        self._fleet = _Sampler(None, FLEET, self._rule_triples(FLEET))
         domain.on_host_created(self._host_created)
         self._event = None
         self.parked = False
@@ -460,7 +477,7 @@ class TelemetryCollector:
 
     def _host_created(self, host: "Host") -> None:
         self._samplers[host.host_id] = _Sampler(
-            host, host.name, self.capacity, self._rule_triples(host.name))
+            host, host.name, self._rule_triples(host.name))
         self._order = None
 
     # ------------------------------------------------------- kernel hooks
@@ -508,7 +525,7 @@ class TelemetryCollector:
         return ordered[index] * 1000.0
 
     def _row(self, sampler: _Sampler) -> list:
-        """One host's sample row in SERIES_METRICS order (None: no reading)
+        """One host's sample row in SERIES_METRICS order (NaN: no reading)
         plus the absent slot.  Counters become per-tick deltas; one reset by
         a restart clamps to its new reading rather than going negative."""
         domain = self.domain
@@ -530,20 +547,20 @@ class TelemetryCollector:
             sum(map(len, map(_msg_queue, host.processes.values())))
             + len(host._outstanding)))
         window = self._lat_windows.pop(host.host_id, None)
-        row.append(self._p99_ms(window) if window else None)
+        row.append(self._p99_ms(window) if window else nan)
         probe = domain.coherence
         if probe is not None:
             row += probe.drain_tick(host.name).values()
         else:
-            row += (None,) * (_ABSENT - len(row))
-        row.append(None)
+            row += (nan,) * (_ABSENT - len(row))
+        row.append(nan)
         return row
 
     def _record(self, sampler: _Sampler, row: list, present: list,
                 t: float) -> None:
         """Store ``row``, with readings at the indexes ``present`` (in
-        series-opening order), in ``sampler``'s series: one append to the
-        shared ring, and one to the p99 ring when it has a reading."""
+        series-opening order), in ``sampler``'s series: one packed row in
+        the shared ring, and one in the p99 ring when it has a reading."""
         if not sampler.columns.issuperset(present):
             for index in present:
                 if index not in sampler.columns:
@@ -554,11 +571,15 @@ class TelemetryCollector:
                     if index == _P99:
                         sampler.p99 = series
                     else:       # a column of the host's shared ring
-                        series._ring, series._column = sampler.ring, index
+                        series._ring, series._row, series._column = (
+                            sampler.ring, _SUBJECT_ROW, index + 1)
         if present:
-            sampler.ring.append((t, row))
-        if row[_P99] is not None:
-            sampler.p99.record(t, row[_P99])
+            ring = sampler.ring
+            ring += _SUBJECT_ROW.pack(t, *row)
+            del ring[:-self.capacity * _SUBJECT_ROW.size]
+        p99 = row[_P99]
+        if p99 == p99:
+            sampler.p99.record(t, p99)
 
     def _tick(self) -> None:
         t = self.domain.engine.now
@@ -586,16 +607,16 @@ class TelemetryCollector:
             if gap_start is not None:
                 self._gaps.setdefault(name, []).append((gap_start, t))
             row = self._row(sampler)
-            self._record(sampler, row,
-                         list(compress(_ROW, map(is_not, row, _NONE))), t)
+            present = list(compress(_ROW, map(eq, row, row)))   # not NaN
+            self._record(sampler, row, present, t)
             sums = list(map(add, _ZERO if sums is None else sums, pick(row)))
             for index in _MAXES:
                 value = row[index]
-                if value is not None and (index not in maxima
-                                          or value > maxima[index]):
+                if value == value and (index not in maxima
+                                       or value > maxima[index]):
                     maxima[index] = value
             self._evaluate(sampler, row, t)
-        fleet = [None] * (_ABSENT + 1)
+        fleet = [nan] * (_ABSENT + 1)
         # Sums first, then maxima, each in first-reading order.
         indexes = [*(sums_at if sums is not None else ()), *maxima]
         for index, value in zip(indexes, [*(sums or ()),
@@ -619,8 +640,8 @@ class TelemetryCollector:
         subject = sampler.name
         for rule, state, index, compare in sampler.rules:
             value = row[index]
-            if value is None:
-                breach = False          # no reading this tick = healthy
+            if value != value:
+                breach = False          # no reading (NaN) = healthy
             else:
                 breach = (compare(value) if compare is not None
                           else rule.breaches(value, state.previous))
@@ -645,7 +666,7 @@ class TelemetryCollector:
                         t=t, event="resolve", rule=rule.name,
                         kind=rule.kind, severity=rule.severity,
                         host=subject, metric=rule.metric,
-                        value=float(value) if value is not None else 0.0,
+                        value=float(value) if value == value else 0.0,
                         limit=rule.limit))
             else:
                 state.breaching = 0
@@ -655,9 +676,9 @@ class TelemetryCollector:
     def summary(self, host: str, metric: str) -> Optional[dict]:
         """min/mean/max/last over one series (None when never sampled)."""
         series = self.series.get((host, metric))
-        if series is None or not len(series):
+        values = series.values() if series is not None else None
+        if not values:
             return None
-        values = series.values()
         return {"host": host, "metric": metric, "samples": len(values),
                 "min": min(values), "mean": sum(values) / len(values),
                 "max": max(values), "last": values[-1]}

@@ -17,6 +17,7 @@ from repro.obs.telemetry import (
     FLEET,
     AlertEvent,
     AlertLog,
+    SharedRingError,
     SloRule,
     TelemetryCollector,
     TimeSeries,
@@ -185,6 +186,18 @@ class TestSampling:
         collector._tick()
         assert len(series) == 1
 
+    def test_record_refuses_a_column_of_the_shared_ring(self):
+        # A host's dense series are columns of one ring; a one-value row
+        # appended through one of them would corrupt all the others.
+        __, host, collector = self._collector()
+        host.counters["ipc.transactions"] = 3
+        collector._tick()
+        resolutions = collector.series_for("h1", "resolutions")
+        with pytest.raises(SharedRingError):
+            resolutions.record(1.0, 5.0)
+        assert resolutions.values() == [3.0]
+        assert collector.series_for("h1", "queue_depth").values() == [0.0]
+
     def test_summary_shape(self):
         __, host, collector = self._collector()
         host.counters["ipc.transactions"] = 2
@@ -351,6 +364,12 @@ class TestLifecycle:
     def test_bad_interval_is_rejected(self):
         with pytest.raises(ValueError):
             TelemetryCollector(Domain(), interval=0.0)
+
+    def test_a_ring_below_one_sample_is_rejected(self):
+        with pytest.raises(ValueError):
+            TelemetryCollector(Domain(), capacity=0)
+        with pytest.raises(ValueError):
+            TimeSeries("h", "m", capacity=0)
 
 
 class TestCoherenceSeries:
