@@ -63,10 +63,13 @@ python -m repro.obs storm --watchdogs --no-crash --duration 3 \
 python -m repro.obs monitor --json > "$out/monitor-alerts.json"
 
 # Exact opcode counts per layer: one local and one remote transaction and
-# an open_path operation and build; and the memory table: bytes the build
-# and the timed region hold, by layer, and the traced peak, at 1/20 size
-# (compare two tables with `opcount.py --compare`).
-python benchmarks/opcount.py --json "$out/opcount.json"
+# an open_path and a shard_storm_obs operation and build; and the memory
+# table: bytes the build and the timed region hold, by layer, and the
+# traced peak, at 1/20 size, plus the audited storm's full-size timed
+# region, where its telemetry rings are full (compare two tables with
+# `opcount.py --compare`).
+python benchmarks/opcount.py --workload open_path \
+  --workload shard_storm_obs --json "$out/opcount.json"
 
 # Attribution profile of the pinned E7 chain, and the behavioural contract.
 python -m repro.obs profile --flame > "$out/e7-forwarding.folded"

@@ -22,10 +22,12 @@ script counts them with ``sys.settrace`` opcode events (CPython 3.11 has no
 The **memory table** builds and runs each workload a third time under
 ``tracemalloc`` (one frame): the bytes and blocks the build, or the timed
 region, allocated and still holds at its end, by the layer of the file that
-allocated them, and the traced peak.  Two workloads add a full-size row,
+allocated them, and the traced peak.  Three workloads add a full-size row,
 where their cost shows only at that size: ``fleet_send@full`` (timed region
-only: its reply cache's bound) and ``shard_zipf@full/build`` (build only:
-4 096 prefixes seeded on four replicas).
+only: its reply cache's bound), ``shard_storm_obs@full`` (timed region
+only: its telemetry rings fill only after 512 ticks, 51.2 simulated
+seconds, and the 1/20 run lasts 60 ticks) and ``shard_zipf@full/build``
+(build only: 4 096 prefixes seeded on four replicas).
 
 Layers are ``benchmarks/ledger/layers.py``'s (a module of ``src/repro`` by
 path; dataclass-generated methods, compiled from ``<string>``, by the module
@@ -74,7 +76,7 @@ TRANSACTIONS = 500
 SCHEMA = "opcount/2"
 #: The workloads whose memory table also gets a full-size row of the timed
 #: region (``<workload>@full``) or of the build (``<workload>@full/build``).
-FULL_SIZE_RUN = ("fleet_send",)
+FULL_SIZE_RUN = ("fleet_send", "shard_storm_obs")
 FULL_SIZE_BUILD = ("shard_zipf",)
 
 
