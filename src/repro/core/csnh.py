@@ -78,6 +78,11 @@ PARENT_RESOLUTION_OPS = frozenset({
 
 _OK = int(ReplyCode.OK)
 
+#: What ``int()``/``float()`` raise on a malformed request field.  The UDP
+#: codec delivers a peer's fields as sent, so each conversion of one sits in
+#: a ``try`` that answers BAD_ARGS instead of killing the server.
+BAD_FIELD = (TypeError, ValueError, OverflowError)
+
 
 class ContextTable:
     """Bidirectional map between context ids and server-internal refs.
@@ -463,7 +468,11 @@ class CSNHServer:
     # -------------------------------------------------------- inverse mapping
 
     def op_context_to_name(self, delivery: Delivery) -> Gen:
-        context_id = int(delivery.message.get("context_id", -1))
+        try:
+            context_id = int(delivery.message.get("context_id", -1))
+        except BAD_FIELD:
+            yield from self.reply_error(delivery, ReplyCode.BAD_ARGS)
+            return
         name = self.name_of_context(context_id)
         if name is None:
             yield from self.reply_error(delivery, ReplyCode.NOT_FOUND)
@@ -471,7 +480,11 @@ class CSNHServer:
         yield from self.reply_ok(delivery, segment=name)
 
     def op_instance_to_name(self, delivery: Delivery) -> Gen:
-        instance_id = int(delivery.message.get("instance", -1))
+        try:
+            instance_id = int(delivery.message.get("instance", -1))
+        except BAD_FIELD:
+            yield from self.reply_error(delivery, ReplyCode.BAD_ARGS)
+            return
         name = self.name_of_instance(instance_id)
         if name is None:
             yield from self.reply_error(delivery, ReplyCode.NOT_FOUND)
@@ -485,11 +498,15 @@ class CSNHServer:
         return self.instances.get(instance_id)
 
     def op_read_instance(self, delivery: Delivery) -> Gen:
-        instance = self._instance_for(delivery)
+        try:
+            instance = self._instance_for(delivery)
+            block = int(delivery.message.get("block", 0))
+        except BAD_FIELD:
+            yield from self.reply_error(delivery, ReplyCode.BAD_ARGS)
+            return
         if instance is None:
             yield from self.reply_error(delivery, ReplyCode.BAD_INSTANCE)
             return
-        block = int(delivery.message.get("block", 0))
         code, data = yield from instance.read_block(block)
         if code is ReplyCode.OK:
             yield self.ok_reply(delivery, segment=data, bytes=len(data))
@@ -497,11 +514,15 @@ class CSNHServer:
             yield from self.reply_error(delivery, code)
 
     def op_write_instance(self, delivery: Delivery) -> Gen:
-        instance = self._instance_for(delivery)
+        try:
+            instance = self._instance_for(delivery)
+            block = int(delivery.message.get("block", 0))
+        except BAD_FIELD:
+            yield from self.reply_error(delivery, ReplyCode.BAD_ARGS)
+            return
         if instance is None:
             yield from self.reply_error(delivery, ReplyCode.BAD_INSTANCE)
             return
-        block = int(delivery.message.get("block", 0))
         data = bytes(delivery.message.segment or b"")
         code, written = yield from instance.write_block(block, data)
         if code is ReplyCode.OK:
@@ -510,14 +531,22 @@ class CSNHServer:
             yield from self.reply_error(delivery, code)
 
     def op_query_instance(self, delivery: Delivery) -> Gen:
-        instance = self._instance_for(delivery)
+        try:
+            instance = self._instance_for(delivery)
+        except BAD_FIELD:
+            yield from self.reply_error(delivery, ReplyCode.BAD_ARGS)
+            return
         if instance is None:
             yield from self.reply_error(delivery, ReplyCode.BAD_INSTANCE)
             return
         yield from self.reply_ok(delivery, **instance.query_fields())
 
     def op_release_instance(self, delivery: Delivery) -> Gen:
-        instance = self._instance_for(delivery)
+        try:
+            instance = self._instance_for(delivery)
+        except BAD_FIELD:
+            yield from self.reply_error(delivery, ReplyCode.BAD_ARGS)
+            return
         if instance is None:
             yield from self.reply_error(delivery, ReplyCode.BAD_INSTANCE)
             return

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from repro.core.context import ContextPair, WellKnownContext
-from repro.core.csnh import CSNHServer
+from repro.core.csnh import BAD_FIELD, CSNHServer
 from repro.core.descriptors import ContextDescription, ObjectDescription, PrefixDescription
 from repro.core.mapping import (
     ForwardName,
@@ -292,20 +292,24 @@ class ContextPrefixServer(CSNHServer):
 
     @staticmethod
     def _binding_from_request(key: bytes, message: Any) -> Optional[PrefixBinding]:
-        """Build the PrefixBinding an ADD_CONTEXT_NAME request describes."""
+        """Build the PrefixBinding an ADD_CONTEXT_NAME request describes
+        (None if it names no target or a field is malformed)."""
         service = message.get("service_id")
-        if service is not None:
-            return PrefixBinding(
-                name=key, generic_service=int(service),
-                generic_context=int(message.get("target_context",
-                                                WellKnownContext.DEFAULT)))
         target_pid = message.get("target_pid")
-        if target_pid is None:
+        try:
+            if service is not None:
+                return PrefixBinding(
+                    name=key, generic_service=int(service),
+                    generic_context=int(message.get("target_context",
+                                                    WellKnownContext.DEFAULT)))
+            if target_pid is None:
+                return None
+            return PrefixBinding(
+                name=key,
+                fixed=ContextPair(Pid(int(target_pid)),
+                                  int(message.get("target_context", 0))))
+        except BAD_FIELD:
             return None
-        return PrefixBinding(
-            name=key,
-            fixed=ContextPair(Pid(int(target_pid)),
-                              int(message.get("target_context", 0))))
 
     def bound_prefix(self, delivery: Delivery, key: bytes,
                      binding: PrefixBinding, rebound: bool) -> Gen:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from repro.core.context import WellKnownContext
-from repro.core.csnh import PARENT_RESOLUTION_OPS, CSNHServer
+from repro.core.csnh import BAD_FIELD, PARENT_RESOLUTION_OPS, CSNHServer
 from repro.core.descriptors import (
     ContextDescription,
     FileDescription,
@@ -373,8 +373,12 @@ class VFileServer(CSNHServer):
         if target_pid is None or not isinstance(parent, DirectoryNode):
             yield from self.reply_error(delivery, ReplyCode.BAD_ARGS)
             return
-        pair = ContextPair(Pid(int(target_pid)),
-                           int(message.get("target_context", 0)))
+        try:
+            pair = ContextPair(Pid(int(target_pid)),
+                               int(message.get("target_context", 0)))
+        except BAD_FIELD:
+            yield from self.reply_error(delivery, ReplyCode.BAD_ARGS)
+            return
         try:
             self.store.link_remote(parent, resolution.component, pair)
         except StorageError:
@@ -493,11 +497,14 @@ class VFileServer(CSNHServer):
     # -------------------------------------------------- read-ahead modelling
 
     def op_read_instance(self, delivery: Delivery) -> Gen:
-        instance = self._instance_for(delivery)
+        try:
+            instance = self._instance_for(delivery)
+            block = int(delivery.message.get("block", 0))
+        except BAD_FIELD:   # the base op answers BAD_ARGS
+            instance = None
         if not isinstance(instance, FileInstance):
             yield from CSNHServer.op_read_instance(self, delivery)
             return
-        block = int(delivery.message.get("block", 0))
         code, data = yield from instance.read_block(block)
         if code is ReplyCode.OK:
             yield self.ok_reply(delivery, segment=data, bytes=len(data))

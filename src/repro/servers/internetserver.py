@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
-from repro.core.csnh import CSNHServer
+from repro.core.csnh import BAD_FIELD, CSNHServer
 from repro.core.context import WellKnownContext
 from repro.core.descriptors import (
     ContextDescription,
@@ -147,6 +147,10 @@ class InternetServer(CSNHServer):
     def op_connect(self, delivery: Delivery) -> Gen:
         message = delivery.message
         remote_host = str(message.get("host", ""))
+        try:
+            remote_port = int(message.get("port", 0))
+        except BAD_FIELD:
+            remote_host = ""
         if not remote_host:
             yield from self.reply_error(delivery, ReplyCode.BAD_ARGS)
             return
@@ -155,7 +159,7 @@ class InternetServer(CSNHServer):
         name = f"tcp-{self._counter}".encode()
         connection = TcpConnection(
             name=name, local_port=self._next_local_port,
-            remote_host=remote_host, remote_port=int(message.get("port", 0)),
+            remote_host=remote_host, remote_port=remote_port,
             endpoint=self.default_endpoint)
         self.table.connections[name] = connection
         yield from self.reply_ok(delivery, connection=name.decode(),

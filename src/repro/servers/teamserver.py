@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
-from repro.core.csnh import CSNHServer
+from repro.core.csnh import BAD_FIELD, CSNHServer
 from repro.core.context import WellKnownContext
 from repro.core.descriptors import (
     ContextDescription,
@@ -92,10 +92,13 @@ class TeamServer(CSNHServer):
     def op_run(self, delivery: Delivery) -> Gen:
         message = delivery.message
         program = str(message.get("program", ""))
+        try:
+            duration = float(message.get("duration", 0.0))
+        except BAD_FIELD:
+            program = ""
         if not program:
             yield from self.reply_error(delivery, ReplyCode.BAD_ARGS)
             return
-        duration = float(message.get("duration", 0.0))
         self._counter += 1
         name = f"{program}.{self._counter}".encode()
         body = message.get("body")  # tests can inject a real body

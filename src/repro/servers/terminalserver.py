@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
-from repro.core.csnh import CSNHServer
+from repro.core.csnh import BAD_FIELD, CSNHServer
 from repro.core.context import WellKnownContext
 from repro.core.descriptors import (
     ContextDescription,
@@ -124,11 +124,15 @@ class TerminalServer(CSNHServer):
 
     def op_create(self, delivery: Delivery) -> Gen:
         message = delivery.message
+        try:
+            rows, cols = int(message.get("rows", 24)), int(message.get("cols", 80))
+        except BAD_FIELD:
+            yield from self.reply_error(delivery, ReplyCode.BAD_ARGS)
+            return
         self._counter += 1
         name = f"vt{self._counter}".encode()
-        terminal = VirtualTerminal(
-            name=name, terminal_id=self._counter, owner=self.user,
-            rows=int(message.get("rows", 24)), cols=int(message.get("cols", 80)))
+        terminal = VirtualTerminal(name=name, terminal_id=self._counter,
+                                   owner=self.user, rows=rows, cols=cols)
         self.table.terminals[name] = terminal
         yield from self.reply_ok(delivery, terminal=name.decode(),
                                  terminal_id=terminal.terminal_id)

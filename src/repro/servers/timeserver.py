@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.core.csnh import CSNHServer
+from repro.core.csnh import BAD_FIELD, CSNHServer
 from repro.kernel.ipc import Delivery, Now, Send
 from repro.kernel.messages import Message, ReplyCode, RequestCode
 from repro.kernel.pids import Pid
@@ -39,12 +39,13 @@ class TimeServer(CSNHServer):
         yield from self.reply_ok(delivery, time=now + self.epoch_offset)
 
     def op_set_time(self, delivery: Delivery) -> Gen:
-        new_time = delivery.message.get("time")
-        if new_time is None:
+        try:
+            new_time = float(delivery.message.get("time"))   # None: TypeError
+        except BAD_FIELD:
             yield from self.reply_error(delivery, ReplyCode.BAD_ARGS)
             return
         now = yield Now()
-        self.epoch_offset = float(new_time) - now
+        self.epoch_offset = new_time - now
         yield from self.reply_ok(delivery)
 
 
