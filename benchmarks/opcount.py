@@ -21,7 +21,8 @@ script counts them with ``sys.settrace`` opcode events (CPython 3.11 has no
 
 The **memory table** builds and runs each workload a third time under
 ``tracemalloc`` (one frame): the bytes and blocks the build, or the timed
-region, allocated and still holds at its end, by the layer of the file that
+region, allocated and still holds at its end (after a full collection, so
+garbage in reference cycles is not counted), by the layer of the file that
 allocated them, and the traced peak.  Three workloads add a full-size row,
 where their cost shows only at that size: ``fleet_send@full`` (timed region
 only: its reply cache's bound), ``shard_storm_obs@full`` (timed region
@@ -136,6 +137,9 @@ class MemoryTracer:
 
     def disable(self) -> None:
         self.peak = tracemalloc.get_traced_memory()[1]
+        # Garbage the region left in reference cycles (a storm's whole
+        # domain) is not held: collect it before counting what is.
+        gc.collect()
         snapshot = tracemalloc.take_snapshot()
         tracemalloc.stop()
         self.held: dict = defaultdict(int)
