@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from repro.core.context import ContextIdAllocator, WellKnownContext
+from repro.core.context import ContextIdAllocator
 from repro.core.descriptors import DescriptorError, ObjectDescription
 from repro.core.mapping import (
     ForwardName,

@@ -10,19 +10,13 @@ protocol, so the same list-directory program that lists files lists faults.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
-from repro.core.csnh import CSNHServer
-from repro.core.context import WellKnownContext
-from repro.core.descriptors import (
-    ContextDescription,
-    ObjectDescription,
-    ProcessDescription,
-)
-from repro.core.mapping import Leaf, ResolvedObject
+from repro.core.descriptors import ProcessDescription
 from repro.kernel.ipc import Delivery, Now
-from repro.kernel.messages import ReplyCode, RequestCode
+from repro.kernel.messages import RequestCode
 from repro.kernel.services import ServiceId
+from repro.servers.base import FlatContextServer
 
 Gen = Generator[Any, Any, Any]
 
@@ -38,51 +32,25 @@ class Incident:
     time: float
 
 
-class _IncidentTable:
-    def __init__(self) -> None:
-        self.incidents: dict[bytes, Incident] = {}
-
-
-class _IncidentNameSpace:
-    def __init__(self, table: _IncidentTable) -> None:
-        self.table = table
-
-    def root(self, context_id: int) -> Optional[_IncidentTable]:
-        if context_id == int(WellKnownContext.DEFAULT):
-            return self.table
-        return None
-
-    def lookup(self, context_ref: Any, component: bytes):
-        if context_ref is not self.table:
-            return None
-        incident = self.table.incidents.get(component)
-        return Leaf(incident) if incident is not None else None
-
-
-class ExceptionServer(CSNHServer):
-    """Collects and names exception reports."""
+class ExceptionServer(FlatContextServer):
+    """Collects and names exception reports; Delete dismisses one."""
 
     server_name = "exceptionserver"
     service_id = int(ServiceId.EXCEPTION)
+    context_name = "exceptions"
 
     def __init__(self) -> None:
         super().__init__()
-        self.table = _IncidentTable()
-        self._namespace = _IncidentNameSpace(self.table)
         self._counter = 0
-        self.contexts.register_well_known(WellKnownContext.DEFAULT, self.table)
         self.register_request_op(RequestCode.RAISE_EXCEPTION, self.op_raise)
-        self.register_csname_op(RequestCode.DELETE_NAME, self.op_dismiss)
-
-    def namespace(self) -> _IncidentNameSpace:
-        return self._namespace
+        self.register_csname_op(RequestCode.DELETE_NAME, self.op_delete)
 
     def op_raise(self, delivery: Delivery) -> Gen:
         message = delivery.message
         self._counter += 1
         name = f"exc-{self._counter}".encode()
         now = yield Now()
-        self.table.incidents[name] = Incident(
+        self.objects[name] = Incident(
             name=name,
             reporter_pid=delivery.sender.value,
             code=str(message.get("exc_code", "unknown")),
@@ -90,41 +58,8 @@ class ExceptionServer(CSNHServer):
             time=now)
         yield from self.reply_ok(delivery, incident=name.decode())
 
-    def op_dismiss(self, delivery: Delivery, header, resolution) -> Gen:
-        """Uniform Delete on an incident: dismiss it from the log."""
-        component = resolution.component
-        if self.table.incidents.pop(component, None) is None:
-            yield from self.reply_error(delivery, ReplyCode.NOT_FOUND)
-            return
-        yield from self.reply_ok(delivery)
-
-    # ------------------------------------------------------------- protocol
-
-    def describe(self, resolution: ResolvedObject) -> Optional[ObjectDescription]:
-        if resolution.ref is self.table:
-            return ContextDescription(name="exceptions",
-                                      entry_count=len(self.table.incidents))
-        if isinstance(resolution.ref, Incident):
-            incident = resolution.ref
-            return ProcessDescription(
-                name=incident.name.decode(), pid_value=incident.reporter_pid,
-                program=incident.detail, state=f"faulted:{incident.code}",
-                start_time=incident.time)
-        return None
-
-    def directory_records(self, context_ref: Any) -> list[ObjectDescription]:
-        if context_ref is not self.table:
-            return []
-        records = []
-        for name in sorted(self.table.incidents):
-            incident = self.table.incidents[name]
-            records.append(ProcessDescription(
-                name=name.decode(), pid_value=incident.reporter_pid,
-                program=incident.detail, state=f"faulted:{incident.code}",
-                start_time=incident.time))
-        return records
-
-    def name_of_context(self, context_id: int) -> Optional[bytes]:
-        if context_id == int(WellKnownContext.DEFAULT):
-            return b""
-        return None
+    def record(self, incident: Incident) -> ProcessDescription:
+        return ProcessDescription(
+            name=incident.name.decode(), pid_value=incident.reporter_pid,
+            program=incident.detail, state=f"faulted:{incident.code}",
+            start_time=incident.time)

@@ -16,21 +16,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator
 
-from repro.core.csnh import BAD_FIELD, CSNHServer
-from repro.core.context import WellKnownContext
-from repro.core.descriptors import (
-    ContextDescription,
-    ObjectDescription,
-    TcpConnectionDescription,
-)
-from repro.core.mapping import Leaf, MappingOutcome, ResolvedObject, ResolvedParent
-from repro.core.protocol import CSNameHeader
+from repro.core.csnh import BAD_FIELD
+from repro.core.descriptors import TcpConnectionDescription
 from repro.kernel.ipc import Delivery
 from repro.kernel.messages import ReplyCode, RequestCode
 from repro.kernel.pids import Pid
 from repro.kernel.services import ServiceId
+from repro.servers.base import FlatContextServer
 from repro.vio.instance import Instance
 
 Gen = Generator[Any, Any, Any]
@@ -100,47 +94,21 @@ class TcpInstance(Instance):
         return ReplyCode.OK, len(data)
 
 
-class _ConnectionTable:
-    def __init__(self) -> None:
-        self.connections: dict[bytes, TcpConnection] = {}
-
-
-class _TcpNameSpace:
-    def __init__(self, table: _ConnectionTable) -> None:
-        self.table = table
-
-    def root(self, context_id: int) -> Optional[_ConnectionTable]:
-        if context_id == int(WellKnownContext.DEFAULT):
-            return self.table
-        return None
-
-    def lookup(self, context_ref: Any, component: bytes):
-        if context_ref is not self.table:
-            return None
-        connection = self.table.connections.get(component)
-        return Leaf(connection) if connection is not None else None
-
-
-class InternetServer(CSNHServer):
+class InternetServer(FlatContextServer):
     """IP/TCP service with connections as named objects."""
 
     server_name = "internetserver"
     service_id = int(ServiceId.INTERNET)
+    context_name = "tcp-connections"
 
     def __init__(self, endpoint: RemoteEndpoint = echo_endpoint) -> None:
         super().__init__()
-        self.table = _ConnectionTable()
-        self._namespace = _TcpNameSpace(self.table)
         self._counter = 0
         self._next_local_port = 1024
         self.default_endpoint = endpoint
-        self.contexts.register_well_known(WellKnownContext.DEFAULT, self.table)
         self.register_request_op(RequestCode.TCP_CONNECT, self.op_connect)
         self.register_request_op(RequestCode.TCP_DISCONNECT, self.op_disconnect)
-        self.register_csname_op(RequestCode.OPEN_FILE, self.op_open_connection)
-
-    def namespace(self) -> _TcpNameSpace:
-        return self._namespace
+        self.register_csname_op(RequestCode.OPEN_FILE, self.op_open)
 
     # ------------------------------------------------------------------ ops
 
@@ -161,58 +129,26 @@ class InternetServer(CSNHServer):
             name=name, local_port=self._next_local_port,
             remote_host=remote_host, remote_port=remote_port,
             endpoint=self.default_endpoint)
-        self.table.connections[name] = connection
+        self.objects[name] = connection
         yield from self.reply_ok(delivery, connection=name.decode(),
                                  local_port=connection.local_port)
 
     def op_disconnect(self, delivery: Delivery) -> Gen:
         name = str(delivery.message.get("connection", "")).encode()
-        connection = self.table.connections.get(name)
+        connection = self.objects.pop(name, None)
         if connection is None:
             yield from self.reply_error(delivery, ReplyCode.NOT_FOUND)
             return
         connection.state = "closed"
-        del self.table.connections[name]
         yield from self.reply_ok(delivery)
 
-    def op_open_connection(self, delivery: Delivery, header: CSNameHeader,
-                           resolution: MappingOutcome) -> Gen:
-        if not isinstance(resolution, ResolvedObject) or not isinstance(
-                resolution.ref, TcpConnection):
-            yield from self.reply_error(delivery, ReplyCode.NOT_FOUND)
-            return
-        instance = TcpInstance(delivery.sender, resolution.ref)
-        instance_id = self.instances.insert(instance)
-        assert self.pid is not None
-        yield from self.reply_ok(delivery, instance=instance_id,
-                                 block_size=instance.block_size,
-                                 server_pid=self.pid.value)
+    def open_object(self, owner: Pid, connection: TcpConnection,
+                    mode: str) -> TcpInstance:
+        return TcpInstance(owner, connection)
 
-    # -------------------------------------------------------------- protocol
-
-    def describe(self, resolution: ResolvedObject) -> Optional[ObjectDescription]:
-        if resolution.ref is self.table:
-            return ContextDescription(name="tcp-connections",
-                                      entry_count=len(self.table.connections))
-        if isinstance(resolution.ref, TcpConnection):
-            return self._record(resolution.ref)
-        return None
-
-    def directory_records(self, context_ref: Any) -> list[ObjectDescription]:
-        if context_ref is not self.table:
-            return []
-        return [self._record(self.table.connections[name])
-                for name in sorted(self.table.connections)]
-
-    @staticmethod
-    def _record(connection: TcpConnection) -> TcpConnectionDescription:
+    def record(self, connection: TcpConnection) -> TcpConnectionDescription:
         return TcpConnectionDescription(
             name=connection.name.decode(), local_port=connection.local_port,
             remote_host=connection.remote_host,
             remote_port=connection.remote_port, state=connection.state,
             bytes_in=connection.bytes_in, bytes_out=connection.bytes_out)
-
-    def name_of_context(self, context_id: int) -> Optional[bytes]:
-        if context_id == int(WellKnownContext.DEFAULT):
-            return b""
-        return None

@@ -17,20 +17,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
-from repro.core.csnh import CSNHServer
-from repro.core.context import WellKnownContext
-from repro.core.descriptors import (
-    ContextDescription,
-    ObjectDescription,
-    PipeDescription,
-)
-from repro.core.mapping import Leaf, MappingOutcome, ResolvedObject, ResolvedParent
-from repro.core.names import BadName, validate_component
-from repro.core.protocol import CSNameHeader
-from repro.kernel.ipc import Delay, Delivery
+from repro.core.descriptors import PipeDescription
+from repro.kernel.ipc import Delay
 from repro.kernel.messages import ReplyCode, RequestCode
 from repro.kernel.pids import Pid
 from repro.kernel.services import ServiceId
+from repro.servers.base import FlatContextServer
 from repro.vio.instance import Instance
 
 Gen = Generator[Any, Any, Any]
@@ -112,120 +104,37 @@ class PipeInstance(Instance):
             self.pipe.writers -= 1
 
 
-class _PipeTable:
-    def __init__(self) -> None:
-        self.pipes: dict[bytes, PipeObject] = {}
-
-
-class _PipeNameSpace:
-    def __init__(self, table: _PipeTable) -> None:
-        self.table = table
-
-    def root(self, context_id: int) -> Optional[_PipeTable]:
-        if context_id == int(WellKnownContext.DEFAULT):
-            return self.table
-        return None
-
-    def lookup(self, context_ref: Any, component: bytes):
-        if context_ref is not self.table:
-            return None
-        pipe = self.table.pipes.get(component)
-        return Leaf(pipe) if pipe is not None else None
-
-
-class PipeServer(CSNHServer):
+class PipeServer(FlatContextServer):
     """Named pipes behind the standard protocol."""
 
     server_name = "pipeserver"
     service_id = int(ServiceId.PIPE)
+    context_name = "pipes"
+    write_open_creates = True
 
     def __init__(self) -> None:
         super().__init__()
-        self.table = _PipeTable()
-        self._namespace = _PipeNameSpace(self.table)
-        self.contexts.register_well_known(WellKnownContext.DEFAULT, self.table)
-        self.register_csname_op(RequestCode.OPEN_FILE, self.op_open_pipe)
-        self.register_csname_op(RequestCode.DELETE_NAME, self.op_delete_pipe)
+        self.register_csname_op(RequestCode.OPEN_FILE, self.op_open)
+        self.register_csname_op(RequestCode.DELETE_NAME, self.op_delete)
 
-    def namespace(self) -> _PipeNameSpace:
-        return self._namespace
-
-    def map_request(self, delivery: Delivery, header: CSNameHeader) -> Gen:
-        code = delivery.message.code
-        want_parent = code == int(RequestCode.DELETE_NAME)
-        if code == int(RequestCode.OPEN_FILE):
-            want_parent = str(delivery.message.get("mode", "r")) != "r"
-        return (yield from self.run_mapping(delivery, header,
-                                            want_parent=want_parent))
-
-    # ------------------------------------------------------------------- ops
-
-    def op_open_pipe(self, delivery: Delivery, header: CSNameHeader,
-                     resolution: MappingOutcome) -> Gen:
-        mode = str(delivery.message.get("mode", "r"))
-        if mode == "r":
-            assert isinstance(resolution, ResolvedObject)
-            if not isinstance(resolution.ref, PipeObject):
-                yield from self.reply_error(delivery, ReplyCode.MODE_ERROR)
-                return
-            pipe = resolution.ref
-        else:
-            assert isinstance(resolution, ResolvedParent)
-            try:
-                component = validate_component(resolution.component)
-            except BadName:
-                yield from self.reply_error(delivery, ReplyCode.BAD_NAME)
-                return
-            pipe = self.table.pipes.get(component)
-            if pipe is None:
-                pipe = PipeObject(name=component)
-                self.table.pipes[component] = pipe
-        instance = PipeInstance(delivery.sender, pipe, mode)
-        instance_id = self.instances.insert(instance)
-        assert self.pid is not None
-        yield from self.reply_ok(delivery, instance=instance_id,
-                                 block_size=instance.block_size,
-                                 server_pid=self.pid.value)
-
-    def op_delete_pipe(self, delivery: Delivery, header: CSNameHeader,
-                       resolution: MappingOutcome) -> Gen:
-        assert isinstance(resolution, ResolvedParent)
-        pipe = self.table.pipes.get(resolution.component)
+    def create_object(self, name: bytes) -> Gen:
+        yield from ()
+        pipe = self.objects.get(name)
         if pipe is None:
-            yield from self.reply_error(delivery, ReplyCode.NOT_FOUND)
-            return
-        if pipe.readers or pipe.writers:
-            yield from self.reply_error(delivery, ReplyCode.BUSY)
-            return
-        del self.table.pipes[resolution.component]
-        yield from self.reply_ok(delivery)
+            pipe = self.objects[name] = PipeObject(name=name)
+        return pipe
 
-    # -------------------------------------------------------------- protocol
+    def open_object(self, owner: Pid, pipe: PipeObject,
+                    mode: str) -> PipeInstance:
+        return PipeInstance(owner, pipe, mode)
 
-    def describe(self, resolution: ResolvedObject) -> Optional[ObjectDescription]:
-        if resolution.ref is self.table:
-            return ContextDescription(name="pipes",
-                                      entry_count=len(self.table.pipes))
-        if isinstance(resolution.ref, PipeObject):
-            return self._pipe_record(resolution.ref)
-        return None
+    def on_delete(self, pipe: PipeObject) -> Optional[ReplyCode]:
+        return ReplyCode.BUSY if pipe.readers or pipe.writers else None
 
-    def directory_records(self, context_ref: Any) -> list[ObjectDescription]:
-        if context_ref is not self.table:
-            return []
-        return [self._pipe_record(self.table.pipes[name])
-                for name in sorted(self.table.pipes)]
-
-    @staticmethod
-    def _pipe_record(pipe: PipeObject) -> PipeDescription:
+    def record(self, pipe: PipeObject) -> PipeDescription:
         return PipeDescription(name=pipe.name.decode(),
                                buffered_bytes=pipe.buffered,
                                readers=pipe.readers, writers=pipe.writers)
-
-    def name_of_context(self, context_id: int) -> Optional[bytes]:
-        if context_id == int(WellKnownContext.DEFAULT):
-            return b""
-        return None
 
 
 def pipe_write(stream, data: bytes) -> Gen:

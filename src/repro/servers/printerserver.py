@@ -12,22 +12,15 @@ field-wise modification rule on a non-file object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
-from repro.core.csnh import CSNHServer
-from repro.core.context import WellKnownContext
-from repro.core.descriptors import (
-    ContextDescription,
-    ObjectDescription,
-    PrintJobDescription,
-)
-from repro.core.mapping import Leaf, MappingOutcome, ResolvedObject, ResolvedParent
-from repro.core.names import BadName, validate_component
-from repro.core.protocol import CSNameHeader
+from repro.core.descriptors import ObjectDescription, PrintJobDescription
+from repro.core.mapping import ResolvedObject
 from repro.kernel.ipc import Delay, Delivery, Now
 from repro.kernel.messages import ReplyCode, RequestCode
 from repro.kernel.pids import Pid
 from repro.kernel.services import ServiceId
+from repro.servers.base import FlatContextServer
 from repro.vio.instance import Instance
 
 Gen = Generator[Any, Any, Any]
@@ -78,81 +71,37 @@ class PrintJobInstance(Instance):
         yield from self.server.print_job(self.job)
 
 
-class _JobTable:
-    def __init__(self) -> None:
-        self.jobs: dict[bytes, PrintJob] = {}
-
-
-class _JobNameSpace:
-    def __init__(self, table: _JobTable) -> None:
-        self.table = table
-
-    def root(self, context_id: int) -> Optional[_JobTable]:
-        if context_id == int(WellKnownContext.DEFAULT):
-            return self.table
-        return None
-
-    def lookup(self, context_ref: Any, component: bytes):
-        if context_ref is not self.table:
-            return None
-        job = self.table.jobs.get(component)
-        return Leaf(job) if job is not None else None
-
-
-class PrinterServer(CSNHServer):
+class PrinterServer(FlatContextServer):
     """The shared laser printer."""
 
     server_name = "printerserver"
     service_id = int(ServiceId.PRINT)
+    context_name = "print-queue"
+    write_open_creates = True
 
     def __init__(self, user: str = "operator") -> None:
         super().__init__()
         self.user = user
-        self.table = _JobTable()
-        self._namespace = _JobNameSpace(self.table)
         self.pages_printed = 0
-        self.contexts.register_well_known(WellKnownContext.DEFAULT, self.table)
-        self.register_csname_op(RequestCode.OPEN_FILE, self.op_open_job)
-        self.register_csname_op(RequestCode.DELETE_NAME, self.op_delete_job)
+        self.register_csname_op(RequestCode.OPEN_FILE, self.op_open)
+        self.register_csname_op(RequestCode.DELETE_NAME, self.op_delete)
         self.register_request_op(RequestCode.PRINT_STATUS, self.op_status)
-
-    def namespace(self) -> _JobNameSpace:
-        return self._namespace
-
-    def map_request(self, delivery: Delivery, header: CSNameHeader) -> Gen:
-        code = delivery.message.code
-        want_parent = code == int(RequestCode.DELETE_NAME)
-        if code == int(RequestCode.OPEN_FILE):
-            want_parent = str(delivery.message.get("mode", "r")) != "r"
-        return (yield from self.run_mapping(delivery, header,
-                                            want_parent=want_parent))
 
     # ------------------------------------------------------------------ ops
 
-    def op_open_job(self, delivery: Delivery, header: CSNameHeader,
-                    resolution: MappingOutcome) -> Gen:
-        mode = str(delivery.message.get("mode", "r"))
-        if mode == "r":
-            yield from self.reply_error(delivery, ReplyCode.MODE_ERROR)
-            return
-        assert isinstance(resolution, ResolvedParent)
-        try:
-            component = validate_component(resolution.component)
-        except BadName:
-            yield from self.reply_error(delivery, ReplyCode.BAD_NAME)
-            return
-        if component in self.table.jobs:
-            yield from self.reply_error(delivery, ReplyCode.NAME_EXISTS)
-            return
+    def create_object(self, name: bytes) -> Gen:
+        if name in self.objects:
+            return ReplyCode.NAME_EXISTS
         now = yield Now()
-        job = PrintJob(name=component, owner=self.user, submitted=now)
-        self.table.jobs[component] = job
-        instance = PrintJobInstance(delivery.sender, job, self)
-        instance_id = self.instances.insert(instance)
-        assert self.pid is not None
-        yield from self.reply_ok(delivery, instance=instance_id,
-                                 block_size=instance.block_size,
-                                 server_pid=self.pid.value)
+        job = self.objects[name] = PrintJob(name=name, owner=self.user,
+                                            submitted=now)
+        return job
+
+    def open_object(self, owner: Pid, job: PrintJob,
+                    mode: str) -> PrintJobInstance | ReplyCode:
+        if mode == "r":
+            return ReplyCode.MODE_ERROR
+        return PrintJobInstance(owner, job, self)
 
     def print_job(self, job: PrintJob) -> Gen:
         """Run the job through the print engine (the server is busy)."""
@@ -165,30 +114,14 @@ class PrinterServer(CSNHServer):
             job.state = "done"
             self.pages_printed += job.pages
 
-    def op_delete_job(self, delivery: Delivery, header: CSNameHeader,
-                      resolution: MappingOutcome) -> Gen:
-        assert isinstance(resolution, ResolvedParent)
-        if self.table.jobs.pop(resolution.component, None) is None:
-            yield from self.reply_error(delivery, ReplyCode.NOT_FOUND)
-            return
-        yield from self.reply_ok(delivery)
-
     def op_status(self, delivery: Delivery) -> Gen:
         states: dict[str, int] = {}
-        for job in self.table.jobs.values():
+        for job in self.objects.values():
             states[job.state] = states.get(job.state, 0) + 1
-        yield from self.reply_ok(delivery, jobs=len(self.table.jobs),
+        yield from self.reply_ok(delivery, jobs=len(self.objects),
                                  pages_printed=self.pages_printed, **states)
 
     # -------------------------------------------------------------- protocol
-
-    def describe(self, resolution: ResolvedObject) -> Optional[ObjectDescription]:
-        if resolution.ref is self.table:
-            return ContextDescription(name="print-queue", owner=self.user,
-                                      entry_count=len(self.table.jobs))
-        if isinstance(resolution.ref, PrintJob):
-            return self._record(resolution.ref)
-        return None
 
     def apply_description(self, resolution: ResolvedObject,
                           record: ObjectDescription) -> ReplyCode:
@@ -204,29 +137,15 @@ class PrinterServer(CSNHServer):
 
     def modify_record(self, context_ref: Any,
                       record: ObjectDescription) -> ReplyCode:
-        if context_ref is not self.table:
-            return ReplyCode.BAD_ARGS
-        job = self.table.jobs.get(record.name.encode())
+        job = self.objects.get(record.name.encode())
         if job is None:
             return ReplyCode.NOT_FOUND
         return self.apply_description(
-            ResolvedObject(ref=job, is_context=False, parent_ref=self.table,
+            ResolvedObject(ref=job, is_context=False, parent_ref=self.objects,
                            component=record.name.encode(), index=0),
             record)
 
-    def directory_records(self, context_ref: Any) -> list[ObjectDescription]:
-        if context_ref is not self.table:
-            return []
-        return [self._record(self.table.jobs[name])
-                for name in sorted(self.table.jobs)]
-
-    @staticmethod
-    def _record(job: PrintJob) -> PrintJobDescription:
+    def record(self, job: PrintJob) -> PrintJobDescription:
         return PrintJobDescription(name=job.name.decode(), owner=job.owner,
                                    pages=job.pages, state=job.state,
                                    submitted=job.submitted)
-
-    def name_of_context(self, context_id: int) -> Optional[bytes]:
-        if context_id == int(WellKnownContext.DEFAULT):
-            return b""
-        return None

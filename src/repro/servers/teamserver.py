@@ -12,21 +12,16 @@ programs are named ``<program>.<n>`` in a flat context.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
-from repro.core.csnh import BAD_FIELD, CSNHServer
-from repro.core.context import WellKnownContext
-from repro.core.descriptors import (
-    ContextDescription,
-    ObjectDescription,
-    ProcessDescription,
-)
-from repro.core.mapping import Leaf, MappingOutcome, ResolvedObject, ResolvedParent
-from repro.core.protocol import CSNameHeader
+from repro.core.csnh import BAD_FIELD
+from repro.core.descriptors import ObjectDescription, ProcessDescription
+from repro.core.mapping import ResolvedObject
 from repro.kernel.ipc import Delay, Delivery, Now, Spawn
 from repro.kernel.messages import ReplyCode, RequestCode
 from repro.kernel.pids import Pid
 from repro.kernel.services import ServiceId
+from repro.servers.base import FlatContextServer
 
 Gen = Generator[Any, Any, Any]
 
@@ -47,45 +42,19 @@ def _program_body(duration: float):
         yield Delay(duration)
 
 
-class _ProgramTable:
-    def __init__(self) -> None:
-        self.programs: dict[bytes, RunningProgram] = {}
-
-
-class _ProgramNameSpace:
-    def __init__(self, table: _ProgramTable) -> None:
-        self.table = table
-
-    def root(self, context_id: int) -> Optional[_ProgramTable]:
-        if context_id == int(WellKnownContext.DEFAULT):
-            return self.table
-        return None
-
-    def lookup(self, context_ref: Any, component: bytes):
-        if context_ref is not self.table:
-            return None
-        program = self.table.programs.get(component)
-        return Leaf(program) if program is not None else None
-
-
-class TeamServer(CSNHServer):
+class TeamServer(FlatContextServer):
     """Programs in execution as a CSNH context."""
 
     server_name = "teamserver"
     service_id = int(ServiceId.TEAM)
+    context_name = "programs"
 
     def __init__(self) -> None:
         super().__init__()
-        self.table = _ProgramTable()
-        self._namespace = _ProgramNameSpace(self.table)
         self._counter = 0
-        self.contexts.register_well_known(WellKnownContext.DEFAULT, self.table)
         self.register_request_op(RequestCode.RUN_PROGRAM, self.op_run)
         self.register_request_op(RequestCode.KILL_PROGRAM, self.op_kill)
-        self.register_csname_op(RequestCode.DELETE_NAME, self.op_delete_program)
-
-    def namespace(self) -> _ProgramNameSpace:
-        return self._namespace
+        self.register_csname_op(RequestCode.DELETE_NAME, self.op_delete)
 
     # ------------------------------------------------------------------ ops
 
@@ -105,43 +74,24 @@ class TeamServer(CSNHServer):
         pid = yield Spawn(body if body is not None else _program_body(duration),
                           name=f"prog-{program}-{self._counter}")
         now = yield Now()
-        self.table.programs[name] = RunningProgram(
+        self.objects[name] = RunningProgram(
             name=name, program=program, pid=pid, start_time=now)
         yield from self.reply_ok(delivery, name=name.decode(), pid=pid.value)
 
-    def _kill(self, entry: RunningProgram) -> None:
-        entry.state = "killed"
-
     def op_kill(self, delivery: Delivery) -> Gen:
         name = str(delivery.message.get("name", "")).encode()
-        entry = self.table.programs.pop(name, None)
+        entry = self.objects.pop(name, None)
         if entry is None:
             yield from self.reply_error(delivery, ReplyCode.NOT_FOUND)
             return
-        self._kill(entry)
+        entry.state = "killed"
         yield from self.reply_ok(delivery)
 
-    def op_delete_program(self, delivery: Delivery, header: CSNameHeader,
-                          resolution: MappingOutcome) -> Gen:
-        """Uniform Delete(object_name) applied to a running program."""
-        assert isinstance(resolution, (ResolvedObject, ResolvedParent))
-        component = resolution.component
-        entry = self.table.programs.pop(component, None)
-        if entry is None:
-            yield from self.reply_error(delivery, ReplyCode.NOT_FOUND)
-            return
-        self._kill(entry)
-        yield from self.reply_ok(delivery)
+    def on_delete(self, entry: RunningProgram) -> None:
+        """Delete(object_name) on a running program kills it."""
+        entry.state = "killed"
 
     # -------------------------------------------------------------- protocol
-
-    def describe(self, resolution: ResolvedObject) -> Optional[ObjectDescription]:
-        if resolution.ref is self.table:
-            return ContextDescription(name="programs",
-                                      entry_count=len(self.table.programs))
-        if isinstance(resolution.ref, RunningProgram):
-            return self._record(resolution.ref)
-        return None
 
     def apply_description(self, resolution: ResolvedObject,
                           record: ObjectDescription) -> ReplyCode:
@@ -152,20 +102,8 @@ class TeamServer(CSNHServer):
         entry.priority = record.priority  # the one mutable field
         return ReplyCode.OK
 
-    def directory_records(self, context_ref: Any) -> list[ObjectDescription]:
-        if context_ref is not self.table:
-            return []
-        return [self._record(self.table.programs[name])
-                for name in sorted(self.table.programs)]
-
-    @staticmethod
-    def _record(entry: RunningProgram) -> ProcessDescription:
+    def record(self, entry: RunningProgram) -> ProcessDescription:
         return ProcessDescription(
             name=entry.name.decode(), pid_value=entry.pid.value,
             program=entry.program, state=entry.state,
             start_time=entry.start_time, priority=entry.priority)
-
-    def name_of_context(self, context_id: int) -> Optional[bytes]:
-        if context_id == int(WellKnownContext.DEFAULT):
-            return b""
-        return None

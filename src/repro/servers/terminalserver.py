@@ -10,21 +10,16 @@ as file-like display streams, and disappear with the server.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
-from repro.core.csnh import BAD_FIELD, CSNHServer
-from repro.core.context import WellKnownContext
-from repro.core.descriptors import (
-    ContextDescription,
-    ObjectDescription,
-    TerminalDescription,
-)
-from repro.core.mapping import Leaf, MappingOutcome, ResolvedObject, ResolvedParent
-from repro.core.protocol import CSNameHeader
+from repro.core.csnh import BAD_FIELD
+from repro.core.descriptors import ObjectDescription, TerminalDescription
+from repro.core.mapping import ResolvedObject
 from repro.kernel.ipc import Delivery
 from repro.kernel.messages import ReplyCode, RequestCode
 from repro.kernel.pids import Pid
 from repro.kernel.services import Scope, ServiceId
+from repro.servers.base import FlatContextServer
 from repro.vio.instance import Instance
 
 Gen = Generator[Any, Any, Any]
@@ -77,48 +72,22 @@ class TerminalInstance(Instance):
         return ReplyCode.OK, len(data)
 
 
-class _TerminalTable:
-    def __init__(self) -> None:
-        self.terminals: dict[bytes, VirtualTerminal] = {}
-
-
-class _TerminalNameSpace:
-    def __init__(self, table: _TerminalTable) -> None:
-        self.table = table
-
-    def root(self, context_id: int) -> Optional[_TerminalTable]:
-        if context_id == int(WellKnownContext.DEFAULT):
-            return self.table
-        return None
-
-    def lookup(self, context_ref: Any, component: bytes):
-        if context_ref is not self.table:
-            return None
-        terminal = self.table.terminals.get(component)
-        return Leaf(terminal) if terminal is not None else None
-
-
-class TerminalServer(CSNHServer):
+class TerminalServer(FlatContextServer):
     """Per-workstation virtual terminal service (registered locally)."""
 
     server_name = "terminalserver"
     service_id = int(ServiceId.TERMINAL)
     service_scope = Scope.LOCAL
+    context_name = "terminals"
 
     def __init__(self, user: str = "user") -> None:
         super().__init__()
         self.user = user
-        self.table = _TerminalTable()
-        self._namespace = _TerminalNameSpace(self.table)
         self._counter = 0
-        self.contexts.register_well_known(WellKnownContext.DEFAULT, self.table)
         self.register_request_op(RequestCode.TERMINAL_CREATE, self.op_create)
         self.register_request_op(RequestCode.TERMINAL_DRAW, self.op_draw)
-        self.register_csname_op(RequestCode.OPEN_FILE, self.op_open_terminal)
-        self.register_csname_op(RequestCode.DELETE_NAME, self.op_delete_terminal)
-
-    def namespace(self) -> _TerminalNameSpace:
-        return self._namespace
+        self.register_csname_op(RequestCode.OPEN_FILE, self.op_open)
+        self.register_csname_op(RequestCode.DELETE_NAME, self.op_delete)
 
     # ------------------------------------------------------------------- ops
 
@@ -133,50 +102,24 @@ class TerminalServer(CSNHServer):
         name = f"vt{self._counter}".encode()
         terminal = VirtualTerminal(name=name, terminal_id=self._counter,
                                    owner=self.user, rows=rows, cols=cols)
-        self.table.terminals[name] = terminal
+        self.objects[name] = terminal
         yield from self.reply_ok(delivery, terminal=name.decode(),
                                  terminal_id=terminal.terminal_id)
 
     def op_draw(self, delivery: Delivery) -> Gen:
         name = delivery.message.get("terminal", "")
-        terminal = self.table.terminals.get(str(name).encode())
+        terminal = self.objects.get(str(name).encode())
         if terminal is None:
             yield from self.reply_error(delivery, ReplyCode.NOT_FOUND)
             return
         terminal.display(bytes(delivery.message.segment or b""))
         yield from self.reply_ok(delivery)
 
-    def op_open_terminal(self, delivery: Delivery, header: CSNameHeader,
-                         resolution: MappingOutcome) -> Gen:
-        if not isinstance(resolution, ResolvedObject) or not isinstance(
-                resolution.ref, VirtualTerminal):
-            yield from self.reply_error(delivery, ReplyCode.NOT_FOUND)
-            return
-        instance = TerminalInstance(delivery.sender, resolution.ref)
-        instance_id = self.instances.insert(instance)
-        assert self.pid is not None
-        yield from self.reply_ok(delivery, instance=instance_id,
-                                 block_size=instance.block_size,
-                                 server_pid=self.pid.value)
-
-    def op_delete_terminal(self, delivery: Delivery, header: CSNameHeader,
-                           resolution: MappingOutcome) -> Gen:
-        assert isinstance(resolution, (ResolvedObject, ResolvedParent))
-        component = resolution.component
-        if self.table.terminals.pop(component, None) is None:
-            yield from self.reply_error(delivery, ReplyCode.NOT_FOUND)
-            return
-        yield from self.reply_ok(delivery)
+    def open_object(self, owner: Pid, terminal: VirtualTerminal,
+                    mode: str) -> TerminalInstance:
+        return TerminalInstance(owner, terminal)
 
     # -------------------------------------------------------------- protocol
-
-    def describe(self, resolution: ResolvedObject) -> Optional[ObjectDescription]:
-        if resolution.ref is self.table:
-            return ContextDescription(name="terminals", owner=self.user,
-                                      entry_count=len(self.table.terminals))
-        if isinstance(resolution.ref, VirtualTerminal):
-            return self._record(resolution.ref)
-        return None
 
     def apply_description(self, resolution: ResolvedObject,
                           record: ObjectDescription) -> ReplyCode:
@@ -189,19 +132,7 @@ class TerminalServer(CSNHServer):
         terminal.cols = record.cols
         return ReplyCode.OK
 
-    def directory_records(self, context_ref: Any) -> list[ObjectDescription]:
-        if context_ref is not self.table:
-            return []
-        return [self._record(self.table.terminals[name])
-                for name in sorted(self.table.terminals)]
-
-    @staticmethod
-    def _record(terminal: VirtualTerminal) -> TerminalDescription:
+    def record(self, terminal: VirtualTerminal) -> TerminalDescription:
         return TerminalDescription(
             name=terminal.name.decode(), terminal_id=terminal.terminal_id,
             rows=terminal.rows, cols=terminal.cols, owner=terminal.owner)
-
-    def name_of_context(self, context_id: int) -> Optional[bytes]:
-        if context_id == int(WellKnownContext.DEFAULT):
-            return b""
-        return None

@@ -74,7 +74,7 @@ class TestPrinterServer:
         job = PrintJob(name=b"stuck", owner="mann")
         job.data.extend(b"x" * 100)
         job.state = "queued"
-        printer.table.jobs[b"stuck"] = job
+        printer.objects[b"stuck"] = job
 
         def client(session):
             yield Delay(0.01)

@@ -64,7 +64,7 @@ class TestPrinterDirectoryWrites:
         job = PrintJob(name=b"stuck", owner="op")
         job.data.extend(b"x" * 4096)
         job.state = "queued"
-        handle.server.table.jobs[b"stuck"] = job
+        handle.server.objects[b"stuck"] = job
 
         def client(session):
             yield Delay(0.01)
