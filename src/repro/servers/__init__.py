@@ -5,19 +5,22 @@ protocol described in the previous section."
 
 - :mod:`repro.servers.fileserver` -- the storage server (inode store,
   directory contexts, cross-server links, disk timing, read-ahead).
-- :mod:`repro.servers.pipeserver` -- pipes as file-like objects.
-- :mod:`repro.servers.printerserver` -- the laser printer spooler.
-- :mod:`repro.servers.terminalserver` -- virtual graphics terminals
-  (transient objects, Sec. 4.3).
-- :mod:`repro.servers.internetserver` -- IP/TCP connections as named objects.
-- :mod:`repro.servers.mailserver` -- ARPA mail names (extensibility demo).
-- :mod:`repro.servers.teamserver` -- the program manager: programs in
-  execution as a context.
-- :mod:`repro.servers.timeserver` / :mod:`repro.servers.exceptionserver` --
-  simple services.
+- Six servers of transient objects named in one flat context (Sec. 4.3),
+  each a :class:`~repro.servers.base.FlatContextServer` that adds only its
+  objects, its instances, its records and its own operations:
+  :mod:`~repro.servers.pipeserver` (pipes as file-like objects),
+  :mod:`~repro.servers.printerserver` (the laser printer spooler),
+  :mod:`~repro.servers.terminalserver` (virtual graphics terminals),
+  :mod:`~repro.servers.internetserver` (IP/TCP connections),
+  :mod:`~repro.servers.exceptionserver` (exception reports) and
+  :mod:`~repro.servers.teamserver` (programs in execution).
+- :mod:`repro.servers.mailserver` -- ARPA mail names, parsed with their own
+  ``user@host`` syntax (extensibility demo).
+- :mod:`repro.servers.timeserver` -- a simple service with no name space.
 - :mod:`repro.servers.statserver` -- the ``[obs]`` introspection name space:
   live observability state served through the CSNH protocol itself.
-- :mod:`repro.servers.base` -- spawn/wiring helpers.
+- :mod:`repro.servers.base` -- spawn/wiring helpers and the flat-context
+  skeleton.
 """
 
 from repro.servers.base import ServerHandle, start_server

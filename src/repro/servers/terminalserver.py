@@ -85,7 +85,6 @@ class TerminalServer(FlatContextServer):
         self.user = user
         self._counter = 0
         self.register_request_op(RequestCode.TERMINAL_CREATE, self.op_create)
-        self.register_request_op(RequestCode.TERMINAL_DRAW, self.op_draw)
         self.register_csname_op(RequestCode.OPEN_FILE, self.op_open)
         self.register_csname_op(RequestCode.DELETE_NAME, self.op_delete)
 
@@ -105,15 +104,6 @@ class TerminalServer(FlatContextServer):
         self.objects[name] = terminal
         yield from self.reply_ok(delivery, terminal=name.decode(),
                                  terminal_id=terminal.terminal_id)
-
-    def op_draw(self, delivery: Delivery) -> Gen:
-        name = delivery.message.get("terminal", "")
-        terminal = self.objects.get(str(name).encode())
-        if terminal is None:
-            yield from self.reply_error(delivery, ReplyCode.NOT_FOUND)
-            return
-        terminal.display(bytes(delivery.message.segment or b""))
-        yield from self.reply_ok(delivery)
 
     def open_object(self, owner: Pid, terminal: VirtualTerminal,
                     mode: str) -> TerminalInstance:
