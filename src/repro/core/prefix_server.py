@@ -295,13 +295,13 @@ class ContextPrefixServer(CSNHServer):
         """Build the PrefixBinding an ADD_CONTEXT_NAME request describes
         (None if it names no target or a field is malformed)."""
         service = message.get("service_id")
-        target_pid = message.get("target_pid")
         try:
             if service is not None:
                 return PrefixBinding(
                     name=key, generic_service=int(service),
                     generic_context=int(message.get("target_context",
                                                     WellKnownContext.DEFAULT)))
+            target_pid = message.get("target_pid")
             if target_pid is None:
                 return None
             return PrefixBinding(
