@@ -59,10 +59,9 @@ def measure_pipe_throughput() -> float:
         yield Delay(0.01)
         pid = yield GetPid(int(ServiceId.PIPE), Scope.LOCAL)
         from repro.core.context import ContextPair
-        from repro.core.resolver import NamingEnvironment
         from repro.runtime.session import Session
 
-        session = Session(ContextPair(pid, 0), None, domain.latency)
+        session = Session(ContextPair(pid, 0), None)
         writer = yield from session.open("stream", "w")
         reader = yield from session.open("stream", "r")
         t0 = yield Now()

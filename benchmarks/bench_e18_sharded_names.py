@@ -117,7 +117,7 @@ def measure_zipf_resolution() -> dict:
     client_host = domain.create_host("client")
     resolver = cluster.resolver(negative_ttl=2.0)
     session = Session(current=pair, prefix_server=cluster.primary_pid(),
-                      latency=domain.latency, cache=resolver)
+                      cache=resolver)
     tally = {"ok": 0, "miss": 0, "failed": 0}
     stamps = []
 

@@ -87,8 +87,7 @@ def run_mutation_storm(armed: bool = True) -> dict:
     domain, cluster, pair, __, __ = _sharded_system(
         MUT["seed"], MUT["n_replicas"], MUT["n_prefixes"],
         MUT["lease_ttl"], armed=armed)
-    session = Session(current=pair, prefix_server=cluster.primary_pid(),
-                      latency=domain.latency)
+    session = Session(current=pair, prefix_server=cluster.primary_pid())
 
     def mutator(session):
         for round_no in range(MUT["rounds"]):
@@ -169,7 +168,7 @@ def measure_zipf_staleness() -> dict:
     client_host = domain.create_host("client")
     resolver = cluster.resolver(negative_ttl=2.0, host=client_host)
     session = Session(current=pair, prefix_server=cluster.primary_pid(),
-                      latency=domain.latency, cache=resolver)
+                      cache=resolver)
     tally = {"ok": 0, "miss": 0}
     population = ZIPF_PREFIXES * ZIPF_FILES
 

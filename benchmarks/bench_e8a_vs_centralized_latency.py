@@ -79,8 +79,7 @@ def centralized_run(cache_enabled: bool) -> tuple[float, int]:
         for server, handle in zip(servers, handles):
             server.pid = handle.pid
         paths = populate_baseline(ns, servers, SPEC, seed=SEED)
-        lib = BaselineClient(ns_handle.pid, domain.latency,
-                             cache_enabled=cache_enabled)
+        lib = BaselineClient(ns_handle.pid, cache_enabled=cache_enabled)
         events = zipf_trace(paths, TRACE_LENGTH, seed=SEED)
         total = 0.0
         for __, name in events:
@@ -143,8 +142,7 @@ def test_e8a_reuse_sensitivity(benchmark):
                 yield Delay(0.05)
                 server.pid = handle.pid
                 paths = populate_baseline(ns, [server], spec, seed=SEED)
-                lib = BaselineClient(ns_handle.pid, domain.latency,
-                                     cache_enabled=True)
+                lib = BaselineClient(ns_handle.pid, cache_enabled=True)
                 events = zipf_trace(paths, 100, seed=SEED, skew=skew)
                 for __, name in events:
                     stream = yield from lib.open(name)

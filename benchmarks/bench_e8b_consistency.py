@@ -50,7 +50,7 @@ def centralized_inconsistencies(crash_rate: float, seed: int = 5) -> tuple:
         yield Delay(0.05)
         completed = 0
         for index in range(OPERATIONS):
-            lib = BaselineClient(ns_handle.pid, domain.latency)
+            lib = BaselineClient(ns_handle.pid)
             name = f"f{index}"
             crash_create = rng.uniform("cc", 0, 1) < crash_rate
             crash_delete = rng.uniform("cd", 0, 1) < crash_rate
@@ -155,14 +155,14 @@ def test_e8b_stale_binding_breaks_later_clients(benchmark):
 
         def client():
             yield Delay(0.05)
-            lib = BaselineClient(ns_handle.pid, domain.latency)
+            lib = BaselineClient(ns_handle.pid)
             yield from lib.create("shared", handle.pid)
             try:
                 yield from lib.delete(
                     "shared", crash_at=CrashPoint.AFTER_OBJECT_DELETE)
             except ClientCrashed:
                 pass
-            other = BaselineClient(ns_handle.pid, domain.latency)
+            other = BaselineClient(ns_handle.pid)
             from repro.baseline.client import BaselineError
 
             try:

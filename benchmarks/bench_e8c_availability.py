@@ -80,7 +80,7 @@ def centralized_availability(kill: str) -> float:
 
     def client():
         yield Delay(0.05)
-        lib = BaselineClient(ns_handle.pid, domain.latency)
+        lib = BaselineClient(ns_handle.pid)
         names = []
         for index, handle in enumerate(handles):
             for fileno in range(FILES_PER_SERVER):
@@ -91,7 +91,7 @@ def centralized_availability(kill: str) -> float:
             handles[0].host.crash()
         elif kill == "nameserver":
             ns_handle.host.crash()
-        fresh = BaselineClient(ns_handle.pid, domain.latency)
+        fresh = BaselineClient(ns_handle.pid)
         reachable = 0
         for name in names:
             try:

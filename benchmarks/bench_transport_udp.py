@@ -17,7 +17,6 @@ from conftest import report_table
 from repro.core.context import ContextPair, WellKnownContext
 from repro.core.prefix_server import ContextPrefixServer
 from repro.net.asyncio_transport import AsyncDomain
-from repro.net.latency import STANDARD_3MBIT
 from repro.runtime import files
 from repro.runtime.session import Session
 from repro.servers.fileserver.server import VFileServer
@@ -37,7 +36,7 @@ async def _measure() -> dict:
     prefix.define_prefix("home",
                          ContextPair(fs_pid, int(WellKnownContext.HOME)))
     session = Session(ContextPair(fs_pid, int(WellKnownContext.HOME)),
-                      prefix_pid, STANDARD_3MBIT)
+                      prefix_pid)
     done = asyncio.Event()
     results: dict = {}
     loop = asyncio.get_running_loop()

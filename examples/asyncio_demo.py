@@ -15,7 +15,6 @@ import time
 from repro.core.context import ContextPair, WellKnownContext
 from repro.core.prefix_server import ContextPrefixServer
 from repro.net.asyncio_transport import AsyncDomain
-from repro.net.latency import STANDARD_3MBIT
 from repro.runtime import files
 from repro.runtime.session import Session
 from repro.servers.fileserver.server import VFileServer
@@ -40,7 +39,7 @@ async def main() -> None:
 
     def program():
         session = Session(ContextPair(fs_pid, int(WellKnownContext.HOME)),
-                          prefix_pid, STANDARD_3MBIT)
+                          prefix_pid)
         yield from files.write_file(session, "[home]socket.txt",
                                     b"carried by real datagrams")
         content = yield from files.read_file(session, "socket.txt")

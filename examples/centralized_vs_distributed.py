@@ -78,7 +78,7 @@ def efficiency() -> None:
         yield Delay(0.05)
         obj.pid = obj_handle.pid
         paths = populate_baseline(ns, [obj], SPEC, seed=1)
-        lib = BaselineClient(ns_handle.pid, domain.latency)
+        lib = BaselineClient(ns_handle.pid)
         trace = zipf_trace(paths, TRACE, seed=1)
         t0 = yield Now()
         for __, name in trace:
@@ -108,7 +108,7 @@ def consistency() -> None:
 
         rng = DeterministicRng(2)
         for index in range(40):
-            lib = BaselineClient(ns_handle.pid, domain.latency)
+            lib = BaselineClient(ns_handle.pid)
             try:
                 yield from lib.create(f"f{index}", obj_handle.pid)
                 crash = rng.uniform("c", 0, 1) < 0.25

@@ -28,10 +28,9 @@ from typing import Any, Generator, Optional
 
 from repro.core.namecache import BindingCache
 from repro.core.names import as_name_bytes
-from repro.kernel.ipc import Delay, Send
+from repro.kernel.ipc import Cpu, Send
 from repro.kernel.messages import Message, ReplyCode, RequestCode
 from repro.kernel.pids import Pid
-from repro.net.latency import LatencyModel
 from repro.vio.client import FileStream
 
 
@@ -60,11 +59,9 @@ class ClientCrashed(RuntimeError):
 class BaselineClient:
     """Client-side library for the centralized naming model."""
 
-    def __init__(self, name_server: Pid, latency: LatencyModel,
-                 cache_enabled: bool = False,
+    def __init__(self, name_server: Pid, cache_enabled: bool = False,
                  cache_max_entries: int = 4096) -> None:
         self.name_server = name_server
-        self.latency = latency
         self.cache_enabled = cache_enabled
         # Deliberately-stale configuration: no TTL, no invalidation channel.
         self._cache = BindingCache(max_entries=cache_max_entries, ttl=None)
@@ -83,10 +80,10 @@ class BaselineClient:
             cached = self._cache.get(key)
             if cached is not None:
                 return cached
-        yield Delay(self.latency.stub_pre)
+        yield Cpu("stub_pre")
         reply = yield Send(self.name_server, Message.request(
             RequestCode.NS_LOOKUP, segment=key, segment_buffer=256))
-        yield Delay(self.latency.stub_post)
+        yield Cpu("stub_post")
         self.name_server_transactions += 1
         if not reply.ok:
             raise BaselineError("lookup", reply.reply_code)
@@ -102,7 +99,7 @@ class BaselineClient:
                crash_at: CrashPoint = CrashPoint.NONE) -> Gen:
         """Create an object and register its name: two servers, in order."""
         key = as_name_bytes(name)
-        yield Delay(self.latency.stub_pre)
+        yield Cpu("stub_pre")
         reply = yield Send(object_server, Message.request(
             RequestCode.OBJ_CREATE, segment=data, kind=kind))
         if not reply.ok:
@@ -113,7 +110,7 @@ class BaselineClient:
         reply = yield Send(self.name_server, Message.request(
             RequestCode.NS_REGISTER, segment=key, segment_buffer=256,
             uid=uid, server_pid=object_server.value, kind=kind))
-        yield Delay(self.latency.stub_post)
+        yield Cpu("stub_post")
         self.name_server_transactions += 1
         if not reply.ok:
             raise BaselineError("create.register", reply.reply_code)
@@ -154,10 +151,10 @@ class BaselineClient:
     def open(self, name: str | bytes) -> Gen:
         """Open by name: the E8a fast path (lookup + open vs V's one Send)."""
         uid, object_server = yield from self.lookup(name)
-        yield Delay(self.latency.stub_pre)
+        yield Cpu("stub_pre")
         reply = yield Send(object_server, Message.request(
             RequestCode.OBJ_OPEN, uid=uid))
-        yield Delay(self.latency.stub_post)
+        yield Cpu("stub_post")
         if not reply.ok:
             if reply.reply_code is ReplyCode.NOT_FOUND:
                 # Binding (or cache entry) points at a deleted object.

@@ -29,7 +29,7 @@ from repro.core.context import ContextPair, WellKnownContext
 from repro.core.names import as_name_bytes
 from repro.core.protocol import make_csname_request
 from repro.core.resolver import NamingEnvironment, expect_ok
-from repro.kernel.ipc import Delay, GroupSend
+from repro.kernel.ipc import Cpu, GroupSend
 from repro.kernel.messages import Message, RequestCode
 from repro.kernel.pids import Pid
 
@@ -54,11 +54,11 @@ def group_csname_request(env: NamingEnvironment, group_id: int, code: int,
     comparison isolates the resolution mechanism.
     """
     data = as_name_bytes(name)
-    yield Delay(env.latency.stub_pre)
+    yield Cpu("stub_pre")
     message = make_csname_request(code, data, context_id)
     message.fields.update(variant_fields)
     reply = yield GroupSend(group_id, message)
-    yield Delay(env.latency.stub_post)
+    yield Cpu("stub_post")
     return reply
 
 

@@ -56,15 +56,15 @@ def read_prefix_records(env: NamingEnvironment) -> Gen:
     """
     from repro.core.context import WellKnownContext
     from repro.core.protocol import make_csname_request
-    from repro.kernel.ipc import Delay, Send
+    from repro.kernel.ipc import Cpu, Send
 
     if env.prefix_server is None:
         raise RuntimeError("environment has no prefix server")
-    yield Delay(env.latency.stub_pre)
+    yield Cpu("stub_pre")
     request = make_csname_request(RequestCode.OPEN_DIRECTORY, b"",
                                   int(WellKnownContext.DEFAULT))
     reply = yield Send(env.prefix_server, request)
-    yield Delay(env.latency.stub_post)
+    yield Cpu("stub_post")
     expect_ok("read_prefix_records", "", reply)
     server = Pid(int(reply["server_pid"]))
     instance = int(reply["instance"])

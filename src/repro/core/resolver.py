@@ -11,8 +11,8 @@ routine.)"
 
 That single common routine is :func:`send_csname_request`.  Everything in
 :mod:`repro.runtime` and :mod:`repro.core.query` goes through it, and it is
-where the calibrated client stub overhead (0.44 ms around an Open) is
-charged.
+where the client stub's modelled CPU (0.44 ms around an Open on the DES,
+priced by the host's latency model) is charged.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from repro.core.context import ContextPair, WellKnownContext
 from repro.core.namecache import NEGATIVE_ROUTE
 from repro.core.names import as_name_bytes, as_text, has_prefix
 from repro.core.protocol import csname_message
-from repro.kernel.ipc import Delay, Now, Send
+from repro.kernel.ipc import Cpu, Now, Send
 from repro.kernel.messages import Message, ReplyCode, code_name
 from repro.kernel.pids import Pid
-from repro.net.latency import LatencyModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.namecache import NameCache
@@ -72,7 +71,6 @@ class NamingEnvironment:
 
     current: ContextPair
     prefix_server: Optional[Pid]
-    latency: LatencyModel
     #: Optional observability bundle: when set, every CSname request opens a
     #: root "resolve" span that the kernel's transaction and hop spans chain
     #: under (see repro.obs).  Zero simulated cost either way.
@@ -103,8 +101,8 @@ def send_csname_request(env: NamingEnvironment, code: int, name: str | bytes,
                         **variant_fields: Any) -> Gen:
     """Build, route, and send one CSname request; returns the reply Message.
 
-    Charges the calibrated stub overhead (message creation before the Send,
-    reply processing after), which is what makes a local current-context
+    Charges the stub's modelled CPU (message creation before the Send,
+    reply processing after), which on the DES makes a local current-context
     Open cost 1.21 ms rather than the bare 0.77 ms transaction.
     """
     data = as_name_bytes(name)
@@ -117,7 +115,7 @@ def send_csname_request(env: NamingEnvironment, code: int, name: str | bytes,
         # Negatively cached: a recent authoritative NOT_FOUND still within
         # its TTL.  Answer locally -- the stub cost is still charged, but no
         # message leaves the machine and no span opens (nothing resolved).
-        yield Delay(env.latency.stub_pre + env.latency.stub_post)
+        yield Cpu("stub_pre", "stub_post")
         return Message.reply(ReplyCode.NOT_FOUND, negative_cached=True)
     if route is not None:
         dst, context_id = route.dst, route.context_id
@@ -138,7 +136,7 @@ def send_csname_request(env: NamingEnvironment, code: int, name: str | bytes,
     fell_back = False
     retries = 0
     while True:
-        yield Delay(env.latency.stub_pre)
+        yield Cpu("stub_pre")
         message = csname_message(code, data, context_id, name_index,
                                  variant_fields)
         if span is not None:
@@ -167,7 +165,7 @@ def send_csname_request(env: NamingEnvironment, code: int, name: str | bytes,
             span.append_attr("re_resolve", code_name(reply.code))
         dst, context_id, name_index = yield from _route_full(
             env, cache, data, attempt=retries, reply=reply)
-    yield Delay(env.latency.stub_post)
+    yield Cpu("stub_post")
     if cacheable and (route is None or fell_back):
         now = yield Now()
         cache.learn(data, reply, now)

@@ -58,6 +58,7 @@ from functools import cached_property
 from typing import Any, Generator, Optional
 
 from repro.core.context import ContextPair, WellKnownContext
+from repro.core.csnh import BAD_FIELD
 from repro.core.mapping import ForwardName, MappingFault
 from repro.core.namecache import (
     CACHE_BYPASS_OPS,
@@ -536,15 +537,20 @@ class ShardReplicaServer(ContextPrefixServer):
         message = delivery.message
         key = self._prefix_of(message)
         binding = binding_from_fields(key, message)
+        try:
+            epoch = int(message.get("epoch", 0))
+            source = int(message.get("source", 0))
+            lease = float(message.get("lease", self.lease_ttl))
+        except BAD_FIELD:
+            binding = None
         if not key or binding is None:
             yield from self.reply_error(delivery, ReplyCode.BAD_ARGS)
             return
         now = yield Now()
         rebound = key in self.table.bindings
-        binding.epoch = int(message.get("epoch", 0))
-        binding.source = int(message.get("source", 0))
+        binding.epoch, binding.source = epoch, source
         self.table.bindings[key] = binding
-        self._leases[key] = now + float(message.get("lease", self.lease_ttl))
+        self._leases[key] = now + lease
         self.syncs_seen += 1
         probe = self._probe()
         if probe is not None:
@@ -558,12 +564,16 @@ class ShardReplicaServer(ContextPrefixServer):
     def op_shard_invalidate(self, delivery: Delivery) -> Gen:
         """Owner -> replica: a binding was deleted."""
         key = self._prefix_of(delivery.message)
+        try:
+            notice_epoch = int(delivery.message.get("epoch", 0))
+        except BAD_FIELD:
+            yield from self.reply_error(delivery, ReplyCode.BAD_ARGS)
+            return
         existed = self.table.bindings.pop(key, None) is not None
         self._leases.pop(key, None)
         self.invalidations_seen += 1
         # Remember the deletion's epoch so an audit can tell "recently
         # unbound" from "never existed" at this replica too.
-        notice_epoch = int(delivery.message.get("epoch", 0))
         if notice_epoch:
             self.tombstones[key] = notice_epoch
         probe = self._probe()

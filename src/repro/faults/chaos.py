@@ -592,7 +592,7 @@ def run_replica_storm(seed: int = 11, duration: float = 6.0,
         # [obs] coherence leaf); pure bookkeeping, zero simulated cost.
         resolver = cluster.resolver(host=client_host)
         session = Session(current=pair, prefix_server=cluster.primary_pid(),
-                          latency=domain.latency, cache=resolver)
+                          cache=resolver)
         session.env.retry_budget = retry_budget
         resolvers.append(resolver)
 

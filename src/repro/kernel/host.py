@@ -792,6 +792,14 @@ class Host:
         self.engine.post(effect.seconds, self._advance, proc, None)
         return _BLOCKED
 
+    def _do_cpu(self, proc: Process, effect: ipc.Cpu) -> Any:
+        seconds = 0.0
+        for cost in effect.costs:
+            seconds += getattr(self.latency, cost)
+        proc.state = _WAITING
+        self.engine.post(seconds, self._advance, proc, None)
+        return _BLOCKED
+
     def _do_annotate(self, proc: Process, effect: ipc.Annotate) -> Any:
         """Zero-cost: enrich the hop span of a held transaction, if traced."""
         tap = self._tap_annotate
@@ -1120,10 +1128,10 @@ def _illegal_effect(host: Host, proc: Process, effect: Any) -> Any:
 
 
 #: Each effect's handler, and the CSNH phase frame the profiler opens while
-#: it runs (inherited by everything it schedules).  Delay has no phase on
-#: purpose -- it models the *process's own* CPU (a prefix parse, a server
-#: handler), which belongs to the process/service frames, not to a kernel
-#: protocol phase.
+#: it runs (inherited by everything it schedules).  Delay and Cpu have no
+#: phase on purpose -- they model the *process's own* CPU (a prefix parse, a
+#: server handler, a client stub), which belongs to the process/service
+#: frames, not to a kernel protocol phase.
 _EFFECTS = {
     ipc.Send: (Host._do_send, "send"),
     ipc.Receive: (Host._do_receive, None),
@@ -1137,6 +1145,7 @@ _EFFECTS = {
     ipc.LeaveGroup: (Host._do_leave_group, None),
     ipc.GroupSend: (Host._do_group_send, "group_send"),
     ipc.Delay: (Host._do_delay, None),
+    ipc.Cpu: (Host._do_cpu, None),
     ipc.Annotate: (Host._do_annotate, None),
     ipc.ProfileEnter: (Host._do_profile_enter, None),
     ipc.ProfileExit: (Host._do_profile_exit, None),

@@ -21,6 +21,7 @@ The vocabulary mirrors the V primitives:
 ``SetPid/GetPid``         kernel service registration and lookup (Sec. 4.2)
 ``JoinGroup/GroupSend``   process groups and one-to-many Send (Sec. 7)
 ``Delay(s)``              model CPU time or sleeping
+``Cpu(*costs)``           model CPU time named by the host's latency model
 ``Now()``                 read the simulated clock
 ``Spawn(body, name)``     create a process on the same host
 ========================  =====================================================
@@ -179,6 +180,15 @@ class Delay:
     def __post_init__(self) -> None:
         if self.seconds < 0:
             raise ValueError(f"negative delay: {self.seconds}")
+
+
+class Cpu:
+    """Model CPU time: named ``LatencyModel`` costs, priced by the host."""
+
+    __slots__ = ("costs",)
+
+    def __init__(self, *costs: str) -> None:
+        self.costs = costs
 
 
 @dataclass(slots=True)

@@ -34,10 +34,10 @@ adapters behind the seams ``Host`` already uses:
   exceeds a datagram, fails its transaction with a ``BAD_ARGS`` NACK to the
   waiting side; a failed ``sendto``/``recvfrom`` is a lost frame.
 
-Known divergences from the DES, exactly two: time is the wall clock (no
-modelled kernel CPU, hop, wire or bulk-move time; servers' own ``Delay``
-sleeps for real), and bulk-move data is copied in-process by the kernel, as
-on the DES, so ``MOVE_DATA`` datagrams carry sizes only.
+Known divergences from the DES, exactly two: time is the wall clock (every
+modelled cost is zero: kernel CPU, hops, wire, bulk moves, the client stub's
+``Cpu``; servers' own ``Delay`` sleeps for real), and bulk-move data is
+copied in-process by the kernel, so ``MOVE_DATA`` datagrams carry sizes only.
 ``examples/asyncio_demo.py`` is the worked example.
 """
 
@@ -69,9 +69,9 @@ _MAX_DATAGRAM = 65507    # the IPv4 UDP payload limit
 #: Allocated whole per read: asyncio's stock 256 KiB put glibc into a heap
 #: trim/grow cycle on every datagram.
 _RECEIVE_BYTES = 65536
-_WALL_CLOCK_ONLY = LatencyModel(bandwidth_bps=_INF, kernel_cpu_per_packet=0.0,
-                                local_hop=0.0, raw_packet_write=0.0,
-                                local_move_per_byte=0.0)
+#: Every modelled cost zero: on sockets the time is this implementation's.
+_WALL_CLOCK_ONLY = LatencyModel(**dict(dict.fromkeys(
+    LatencyModel.__dataclass_fields__, 0.0), bandwidth_bps=_INF))
 
 
 class _LoopClock:

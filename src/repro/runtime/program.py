@@ -14,7 +14,7 @@ from typing import Any, Generator, Optional
 from repro.core.names import as_name_bytes
 from repro.core.protocol import make_csname_request
 from repro.core.resolver import expect_ok
-from repro.kernel.ipc import Delay, GetPid, Segment, Send
+from repro.kernel.ipc import Cpu, GetPid, Segment, Send
 from repro.kernel.messages import Message, ReplyCode, RequestCode
 from repro.kernel.pids import Pid
 from repro.kernel.services import Scope, ServiceId
@@ -35,10 +35,10 @@ def load_program(session: Session, name: str | bytes) -> Gen:
 
     data = as_name_bytes(name)
     dst, context_id = session.env.route(data)
-    yield Delay(session.env.latency.stub_pre)
+    yield Cpu("stub_pre")
     request = make_csname_request(RequestCode.LOAD_PROGRAM, data, context_id)
     reply = yield Send(dst, request, buffer)
-    yield Delay(session.env.latency.stub_post)
+    yield Cpu("stub_post")
     expect_ok("load_program", name, reply)
     loaded = int(reply.get("size_bytes", 0))
     return buffer.read(0, loaded)

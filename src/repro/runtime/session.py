@@ -40,15 +40,15 @@ Gen = Generator[Any, Any, Any]
 
 
 class Session:
-    """One program's view of the name space."""
+    """One program's view of the name space (``latency`` is unused: the
+    stub's CPU is priced by the model of the domain its host runs in)."""
 
     def __init__(self, current: ContextPair, prefix_server: Optional[Pid],
-                 latency: LatencyModel,
+                 latency: Optional[LatencyModel] = None,
                  obs: Optional["Observability"] = None,
                  cache: Optional["NameCache"] = None) -> None:
-        self.env = NamingEnvironment(current=current,
-                                     prefix_server=prefix_server,
-                                     latency=latency, obs=obs, cache=cache)
+        self.env = NamingEnvironment(current=current, obs=obs, cache=cache,
+                                     prefix_server=prefix_server)
 
     # ------------------------------------------------------------ properties
 

@@ -60,7 +60,6 @@ class Workstation:
                 "no current context: pass one or set default_context "
                 "(standard_prefixes does this)")
         return Session(current=context, prefix_server=self.prefix_pid,
-                       latency=self.host.latency,
                        obs=self.host.domain.obs,
                        cache=self.name_cache)
 

@@ -140,12 +140,16 @@ class MailServer(CSNHServer):
         assert isinstance(resolution, ResolvedObject)
         target = resolution.ref
         assert isinstance(target, _MailTarget)
+        # Bytes-like only: bytes() of a str raises, and of an int allocates.
+        body = delivery.message.get("body", b"")
+        if not isinstance(body, (bytes, bytearray, memoryview)):
+            yield from self.reply_error(delivery, ReplyCode.BAD_ARGS)
+            return
         mailbox = target.mailbox or self.add_mailbox(target.user)
         now = yield Now()
         mailbox.messages.append(MailMessage(
             sender=str(delivery.message.get("from", "unknown")),
-            body=bytes(delivery.message.get("body", b"")),
-            delivered_at=now))
+            body=bytes(body), delivered_at=now))
         yield from self.reply_ok(delivery, delivered_to=mailbox.user,
                                  host=self.hostname)
 

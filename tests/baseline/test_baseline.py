@@ -72,7 +72,7 @@ class TestNameServerProtocol:
 
         def client():
             yield Delay(0.01)
-            lib = BaselineClient(ns_handle.pid, domain.latency)
+            lib = BaselineClient(ns_handle.pid)
             yield from lib.create("data/a.txt", handles[0].pid, data=b"abc")
             stream = yield from lib.open("data/a.txt")
             from repro.vio.client import read_block
@@ -89,7 +89,7 @@ class TestNameServerProtocol:
 
         def client():
             yield Delay(0.01)
-            lib = BaselineClient(ns_handle.pid, domain.latency)
+            lib = BaselineClient(ns_handle.pid)
             try:
                 yield from lib.lookup("ghost")
             except BaselineError as err:
@@ -102,7 +102,7 @@ class TestNameServerProtocol:
 
         def client():
             yield Delay(0.01)
-            lib = BaselineClient(ns_handle.pid, domain.latency)
+            lib = BaselineClient(ns_handle.pid)
             yield from lib.create("dup", handles[0].pid)
             try:
                 yield from lib.create("dup", handles[1].pid)
@@ -116,7 +116,7 @@ class TestNameServerProtocol:
 
         def client():
             yield Delay(0.01)
-            lib = BaselineClient(ns_handle.pid, domain.latency)
+            lib = BaselineClient(ns_handle.pid)
             yield from lib.create("tmp/x", handles[0].pid)
             yield from lib.delete("tmp/x")
 
@@ -132,8 +132,7 @@ class TestClientCache:
 
         def client():
             yield Delay(0.01)
-            lib = BaselineClient(ns_handle.pid, domain.latency,
-                                 cache_enabled=True)
+            lib = BaselineClient(ns_handle.pid, cache_enabled=True)
             yield from lib.create("hot", handles[0].pid, data=b"x")
             for __ in range(5):
                 stream = yield from lib.open("hot")
@@ -150,14 +149,13 @@ class TestClientCache:
 
         def deleter():
             yield Delay(0.02)
-            lib = BaselineClient(ns_handle.pid, domain.latency)
+            lib = BaselineClient(ns_handle.pid)
             yield from lib.create("victim", handles[0].pid)
             # another, cache-less path deletes it properly:
             yield from lib.delete("victim")
 
         def cached_client():
-            lib = BaselineClient(ns_handle.pid, domain.latency,
-                                 cache_enabled=True)
+            lib = BaselineClient(ns_handle.pid, cache_enabled=True)
             yield Delay(0.01)
             yield from lib.create("decoy", handles[0].pid)
             yield Delay(0.05)
@@ -170,12 +168,11 @@ class TestClientCache:
 
         # Interleave: create+cache, then delete elsewhere, then reuse cache.
         def scenario():
-            lib = BaselineClient(ns_handle.pid, domain.latency,
-                                 cache_enabled=True)
+            lib = BaselineClient(ns_handle.pid, cache_enabled=True)
             yield Delay(0.01)
             yield from lib.create("victim", handles[0].pid)
             yield from lib.lookup("victim")          # cached
-            clean = BaselineClient(ns_handle.pid, domain.latency)
+            clean = BaselineClient(ns_handle.pid)
             yield from clean.delete("victim")        # object + binding gone
             try:
                 yield from lib.open("victim")        # stale cache entry
@@ -191,7 +188,7 @@ class TestCrashWindows:
 
         def scenario():
             yield Delay(0.01)
-            lib = BaselineClient(ns_handle.pid, domain.latency)
+            lib = BaselineClient(ns_handle.pid)
             yield from lib.create("frag/x", handles[0].pid)
             try:
                 yield from lib.delete("frag/x",
@@ -209,7 +206,7 @@ class TestCrashWindows:
 
         def scenario():
             yield Delay(0.01)
-            lib = BaselineClient(ns_handle.pid, domain.latency)
+            lib = BaselineClient(ns_handle.pid)
             try:
                 yield from lib.create("orphan", handles[0].pid,
                                       crash_at=CrashPoint.AFTER_OBJECT_CREATE)
@@ -226,14 +223,14 @@ class TestCrashWindows:
 
         def scenario():
             yield Delay(0.01)
-            lib = BaselineClient(ns_handle.pid, domain.latency)
+            lib = BaselineClient(ns_handle.pid)
             yield from lib.create("p", handles[0].pid)
             try:
                 yield from lib.delete("p",
                                       crash_at=CrashPoint.AFTER_OBJECT_DELETE)
             except ClientCrashed:
                 pass
-            other = BaselineClient(ns_handle.pid, domain.latency)
+            other = BaselineClient(ns_handle.pid)
             try:
                 yield from other.open("p")
             except BaselineError as err:
@@ -252,7 +249,7 @@ class TestAudit:
 
         def scenario():
             yield Delay(0.01)
-            lib = BaselineClient(ns_handle.pid, domain.latency)
+            lib = BaselineClient(ns_handle.pid)
             for index in range(4):
                 yield from lib.create(f"f{index}",
                                       handles[index % 2].pid)

@@ -18,8 +18,8 @@ from repro.core.shard import (
     binding_fields,
 )
 from repro.kernel.domain import Domain
-from repro.kernel.ipc import Delay
-from repro.kernel.messages import ReplyCode
+from repro.kernel.ipc import Delay, Send
+from repro.kernel.messages import Message, ReplyCode, RequestCode
 from repro.runtime import files
 from repro.runtime.session import Session
 from repro.servers import VFileServer, start_server
@@ -474,6 +474,43 @@ class TestBindingFanOut:
         run_on(domain, client_host, client(session))
         for server in cluster.servers.values():
             assert server.binding("data") is None
+
+
+class TestMalformedNotices:
+    """A peer's notice whose number field does not parse (the UDP codec
+    delivers fields as sent) gets BAD_ARGS, changes nothing, and the
+    replica goes on serving."""
+
+    @pytest.mark.parametrize("code, malformed", [
+        (RequestCode.SHARD_SYNC, {"epoch": "x"}),
+        (RequestCode.SHARD_SYNC, {"source": "x"}),
+        (RequestCode.SHARD_SYNC, {"lease": "x"}),
+        (RequestCode.SHARD_INVALIDATE, {"epoch": "x"}),
+    ], ids=["sync-epoch", "sync-source", "sync-lease", "invalidate-epoch"])
+    def test_a_malformed_notice_is_bad_args_and_changes_nothing(
+            self, code, malformed):
+        domain, cluster, pair, client_host, __ = sharded_system()
+        owner_rid = cluster.map.owner_of(b"data")
+        other = next(rid for rid in cluster.servers if rid != owner_rid)
+        server, pid = cluster.servers[other], cluster.map.pid_of(other)
+        binding = server.binding("data")
+        before = (binding.epoch, binding.source, server._leases[b"data"],
+                  dict(server.tombstones))
+        notice = {"prefix": "data", "lease": 5.0, "epoch": 9, "source": 1,
+                  **binding_fields(binding), **malformed}
+
+        def client(session):
+            reply = yield Send(pid, Message.request(code, **notice))
+            data = yield from files.read_file(session, "[data]data/f0.dat")
+            return reply.reply_code, data
+
+        session = session_for(domain, pair, pid)
+        assert run_on(domain, client_host, client(session)) == (
+            ReplyCode.BAD_ARGS, PAYLOAD)
+        assert server.binding("data") is binding
+        assert (binding.epoch, binding.source, server._leases[b"data"],
+                dict(server.tombstones)) == before
+        assert domain.failures == []
 
 
 # ----------------------------------------------------------- the resolver

@@ -507,6 +507,64 @@ class TestKeepsTime:
         assert max(gaps) < 30e-3
 
 
+class TestModelledCpu:
+    """The client stub's CPU is priced by the host's domain: the DES charges
+    its model, the socket driver (every modelled cost zero) nothing."""
+
+    def test_opens_via_the_prefix_server_arm_no_loop_timer(self):
+        # The session is built with the calibrated 68000 model; it used to
+        # sleep both stubs of every Open on a loop timer (2 per Open).
+        async def scenario():
+            domain, ws, *__, session = await base_system()
+            clock, armed = domain.engine, []
+            schedule = clock.schedule
+
+            def counting(delay, callback, *args):
+                armed.append(delay)
+                return schedule(delay, callback, *args)
+
+            def client():
+                yield from files.write_file(session, "[home]t.txt", b"t")
+                clock.schedule = counting
+                for __ in range(20):
+                    stream = yield from session.open("[home]t.txt")
+                    yield from stream.close()
+
+            await run_client(domain, ws, client())
+            await domain.shutdown()
+            return armed
+
+        assert run_async(scenario()) == []
+
+    def test_the_domain_model_prices_a_local_open_whatever_the_session_holds(
+            self):
+        from repro.kernel.domain import Domain
+        from repro.kernel.ipc import Now
+        from repro.net.latency import LatencyModel
+        from repro.servers import VFileServer, start_server
+
+        model = LatencyModel(stub_pre=1e-3, stub_post=2e-3)
+        domain = Domain(latency=model)
+        host = domain.create_host("ws")
+        server = start_server(host, VFileServer(user="mann"))
+        home = ContextPair(server.pid, int(WellKnownContext.HOME))
+        elapsed = []
+
+        def client(session):
+            yield from files.write_file(session, "m.txt", b"m")
+            start = yield Now()
+            stream = yield from session.open("m.txt", "r")
+            elapsed.append((yield Now()) - start)
+            yield from stream.close()
+
+        for given in (STANDARD_3MBIT, LatencyModel(stub_pre=5.0), None):
+            host.spawn(client(Session(home, None, given)), "client")
+            domain.run()
+        domain.check_healthy()
+        expected = model.stub_pre + model.local_transaction() + model.stub_post
+        assert elapsed == [pytest.approx(expected, rel=1e-12)] * 3
+
+
 class TestTimersAndLifecycle:
     def test_reply_timeout_cleans_up_its_waiter(self):
         # A Send to a crashed host fails once the probe protocol gives up:

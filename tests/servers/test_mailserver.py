@@ -37,6 +37,28 @@ def mail_system():
     return system, stanford, mit, handle_a, handle_b
 
 
+class TestMalformedDelivery:
+    @pytest.mark.parametrize("body", ["text", -1, 10 ** 9],
+                             ids=["str", "negative", "huge"])
+    def test_a_body_that_is_not_bytes_is_bad_args(self, body):
+        # bytes() of a str raises, of -1 raises, of 10**9 allocates 1 GB.
+        system, stanford, *__ = mail_system()
+
+        def client(session):
+            yield Delay(0.01)
+            bad = yield from session.csname_request(
+                RequestCode.MAIL_DELIVER, "[mail]mann", body=body)
+            good = yield from session.csname_request(
+                RequestCode.MAIL_DELIVER, "[mail]mann", body=b"after")
+            return bad.reply_code, good.reply_code
+
+        codes = system.run_client(client(system.session()))
+        assert codes == (ReplyCode.BAD_ARGS, ReplyCode.OK)
+        assert [message.body for message in
+                stanford.mailboxes["mann"].messages] == [b"after"]
+        assert system.domain.failures == []
+
+
 class TestLocalDelivery:
     def test_deliver_and_check(self):
         system, stanford, mit, handle_a, __ = mail_system()
